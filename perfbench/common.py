@@ -10,6 +10,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +52,69 @@ def cold_start_s() -> float:
         timeout=120,
     )
     return time.perf_counter() - started
+
+
+#: Seconds one pass of :func:`_calibration_pass` takes on the reference
+#: host (a 2-vCPU KVM guest on an Intel Xeon, in its faster phases).
+REFERENCE_PASS_S = 0.032
+
+
+def _calibration_pass() -> None:
+    """A fixed mix of numpy array passes and interpreted Python, like the program's."""
+    import numpy as np
+
+    keys = np.random.default_rng(12345).integers(0, 1 << 20, 200_000)
+    order = np.argsort(keys, kind="stable")
+    np.cumsum(keys[order])
+    np.bincount(keys & 4095)
+    total = 0
+    table: Dict[int, int] = {}
+    for i in range(40_000):
+        total += i * 7 % 13
+        table[i & 1023] = total
+
+
+def host_slowness(passes: int = 7) -> float:
+    """How much slower than the reference host this one runs right now.
+
+    The median of ``passes`` timed calibration passes over
+    :data:`REFERENCE_PASS_S`.  The host's speed drifts by up to about 1.7x
+    over minutes, and this kernel, which shares no code with the program,
+    slows with it, so dividing a time by it takes most of the drift out.
+    """
+    times = []
+    for _ in range(passes):
+        started = time.perf_counter()
+        _calibration_pass()
+        times.append(time.perf_counter() - started)
+    return statistics.median(times) / REFERENCE_PASS_S
+
+
+class SlownessSampler:
+    """Appends a :func:`host_slowness` sample to ``into`` every ``interval`` s.
+
+    For a unit that runs in one child process and lasts much longer than
+    the gaps between units: the sampler's thread uses the second vCPU
+    while this process only waits for the child.
+    """
+
+    def __init__(self, into: List[float], interval: float = 2.0) -> None:
+        self._into = into
+        self._interval = interval
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+
+    def _sample(self) -> None:
+        while not self._stop.wait(self._interval):
+            self._into.append(host_slowness(passes=3))
+
+    def __enter__(self) -> "SlownessSampler":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._stop.set()
+        self._thread.join()
 
 
 def peak_rss_mb() -> float:

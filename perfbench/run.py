@@ -9,8 +9,11 @@ Workloads (see ``BENCHMARK.json`` and ``perfbench/NOTES.md``):
 Inputs are drawn from ``--seed`` before any timing starts.  Each
 workload sets up ``SETUPS`` times (``setup_s`` is the median), then runs
 whole units of timed work back to back until ``--seconds`` have passed
-(at least one unit; ``wall_s`` is the mean unit).  Every unit's
-outputs are checked; an operation whose check fails counts as failed.
+(within the workload's ``MIN_UNITS`` and ``MAX_UNITS``; ``wall_s`` is
+the median unit).  Every unit's outputs are checked; an operation whose
+check fails counts as failed.  The reported times and rates are scaled
+to a reference host speed by a calibration pass timed alongside the
+units (:func:`common.host_slowness`); the raw seconds are printed too.
 
 With ``--trace 0`` the last line of output is the JSON result with the
 end-to-end metrics.  With ``--trace 1`` the workload runs one untraced
@@ -24,6 +27,8 @@ Chrome trace-event format.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import importlib
 import json
 import os
@@ -32,7 +37,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 import layers
-from common import OUT, SRC, Unit, peak_rss_mb, percentile, quartiles
+from common import OUT, SRC, SlownessSampler, Unit, host_slowness, peak_rss_mb, percentile, quartiles
 from tracer import Tracer, chrome_events, root_coverage, summarize
 
 WORKLOADS = {
@@ -46,11 +51,29 @@ WORKLOADS = {
 END_TO_END = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB", "ops_per_s": "1/s"}
 
 
-def measure(module: Any, inputs: Dict[str, Any], seconds: float, trace: bool, setups: int) -> Dict[str, Any]:
-    """Set up ``setups`` times, then run units until ``seconds`` have passed."""
+def measure(
+    module: Any, inputs: Dict[str, Any], seconds: Optional[float], trace: bool, setups: int
+) -> Dict[str, Any]:
+    """Set up ``setups`` times, then run units until ``seconds`` have passed.
+
+    A workload runs at least its ``MIN_UNITS`` (default 1) and at most
+    its ``MAX_UNITS`` units whatever ``seconds`` says; ``seconds=None``
+    runs exactly one unit and does not calibrate.  Otherwise the host's
+    slowness is sampled before the set-ups, before every unit and after
+    the last one, and, for a workload with ``SAMPLE_DURING_UNITS``, every
+    2 s while its units run.
+    """
+    low, high = (1, 1) if seconds is None else (getattr(module, "MIN_UNITS", 1), module.MAX_UNITS)
+    slowness: List[float] = []
+
+    def calibrate() -> None:
+        if seconds is not None:
+            slowness.append(host_slowness())
+
     setup_s: List[float] = []
     reports: List[Dict[str, Any]] = []
     state = None
+    calibrate()
     for _ in range(setups):
         if state is not None:
             reports += module.close(state) or []
@@ -58,17 +81,24 @@ def measure(module: Any, inputs: Dict[str, Any], seconds: float, trace: bool, se
         state = module.setup(inputs, trace)
         setup_s.append(time.perf_counter() - started)
     units: List[Unit] = []
+    sample_during = seconds is not None and getattr(module, "SAMPLE_DURING_UNITS", False)
     started = time.perf_counter()
     try:
-        while len(units) < module.MAX_UNITS:
-            units.append(module.unit(state, inputs, len(units)))
-            if time.perf_counter() - started >= seconds:
-                break
+        with SlownessSampler(slowness) if sample_during else contextlib.nullcontext():
+            while len(units) < high:
+                # A full collection between units, outside their timing, so
+                # no unit pays for the garbage of the one before it.
+                gc.collect()
+                calibrate()
+                units.append(module.unit(state, inputs, len(units)))
+                if len(units) >= low and time.perf_counter() - started >= (seconds or 0.0):
+                    break
+        calibrate()
     finally:
         reports += module.close(state) or []
     for unit in units:
         reports += unit.reports
-    return {"setup_s": setup_s, "units": units, "reports": reports, "state": state}
+    return {"setup_s": setup_s, "units": units, "reports": reports, "state": state, "slowness": slowness}
 
 
 def samples_of(units: List[Unit]) -> Dict[str, List[float]]:
@@ -86,21 +116,25 @@ def print_row(name: str, unit: str, values: List[float], reported: Optional[floa
 
 
 def end_to_end(run: Dict[str, Any]) -> Dict[str, tuple]:
-    """Each metric's reported value and the samples behind it.
+    """Each metric's reported value (the median) and the samples behind it.
 
-    ``wall_s`` is the timed phase's seconds per unit: the mean, which
-    averages over the host's slow and fast spells where a median of a
-    few units would land on one of them.
+    ``wall_s`` is the timed phase's seconds per unit.  The workloads
+    with short units run many of them, so the median rides out the
+    host's spells of slow or fast seconds.  Times and rates are in
+    reference-host terms: divided (rates multiplied) by the run's median
+    host slowness, which takes out the drift of the host's speed from one
+    minute to the next that no length of run would average away.
     """
     units: List[Unit] = run["units"]
-    busy = sum(unit.seconds for unit in units)
+    slowness = quartiles(run["slowness"])[1]
     rss = peak_rss_mb()
-    return {
-        "setup_s": (quartiles(run["setup_s"])[1], run["setup_s"]),
-        "wall_s": (busy / len(units), [unit.seconds for unit in units]),
-        "peak_rss_mb": (rss, [rss]),
-        "ops_per_s": (sum(unit.ops for unit in units) / busy, [unit.ops / unit.seconds for unit in units]),
+    samples = {
+        "setup_s": [seconds / slowness for seconds in run["setup_s"]],
+        "wall_s": [unit.seconds / slowness for unit in units],
+        "peak_rss_mb": [rss],
+        "ops_per_s": [unit.ops / unit.seconds * slowness for unit in units],
     }
+    return {name: (quartiles(values)[1], values) for name, values in samples.items()}
 
 
 def report_extras(units: List[Unit]) -> None:
@@ -117,12 +151,12 @@ def report_extras(units: List[Unit]) -> None:
 
 def traced(module: Any, inputs: Dict[str, Any], name: str, seed: int) -> tuple:
     """One untraced unit, then one traced set-up and unit; per-layer metrics."""
-    base = measure(module, inputs, 0.0, trace=False, setups=1)
+    base = measure(module, inputs, None, trace=False, setups=1)
     failed = module.verify(base["state"], inputs)
     tracer = Tracer()
     layers.install(tracer)
     try:
-        run = measure(module, inputs, 0.0, trace=True, setups=1)
+        run = measure(module, inputs, None, trace=True, setups=1)
         layers.collect(tracer)
     finally:
         tracer.restore()
@@ -190,6 +224,8 @@ def main() -> int:
         e2e = end_to_end(run)
         for name, (value, values) in e2e.items():
             print_row(name, END_TO_END[name], values, reported=value)
+        print_row("host_slowness", "x", run["slowness"])
+        print_row("raw_wall_s", "s", [unit.seconds for unit in units])
         report_extras(units)
         metrics = {name: {"value": value, "unit": END_TO_END[name]} for name, (value, _) in e2e.items()}
     print(f"attempted {attempted}, failed {failed}")

@@ -17,8 +17,13 @@ from typing import Any, Dict, List
 
 from common import GOLDEN, OUT, ROOT, Unit, bootstrap_command, child_env, cold_start_s, section_digests
 
-SETUPS = 2
-MAX_UNITS = 4
+SETUPS = 3
+#: One whole ``repro run`` (about 26 s) is already longer than a run's
+#: ``--seconds``; a second would only stretch the benchmark's total time.
+MAX_UNITS = 1
+#: The host's speed drifts within one 26-s unit; the run, a single child
+#: process, leaves a vCPU free to sample it.
+SAMPLE_DURING_UNITS = True
 ARGV = ["run"]
 #: Experiments whose seconds the report lists beside the run's wall time.
 TIMED = ("ranking", "agreement")

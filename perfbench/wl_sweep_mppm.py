@@ -1,12 +1,14 @@
 """``sweep-mppm``: the ``repro rank`` path with warm profiles, in-process.
 
 Set-up profiles all 29 benchmarks on the six Table 2 LLCs at 4 cores in
-a fresh :class:`ExperimentSetup`.  One unit is one
+a fresh :class:`ExperimentSetup`, then runs one untimed warm-up sweep so
+that no unit pays for first-call costs.  One unit is one
 ``ExperimentSetup.predictor_batch`` call covering ``mppm:foa``,
-``mppm:sdc`` and ``mppm:prob`` x 6 LLCs x 500 4-program mixes drawn
-from the seed (9,000 predictions), each unit with mixes no earlier unit
-used, so no unit repeats work.  Units are kept this small so that a run
-takes the median of several, which rides out the host's slow spells.
+``mppm:sdc`` and ``mppm:prob`` x 6 LLCs x 125 4-program mixes drawn
+from the seed (2,250 predictions), each unit with mixes no earlier unit
+(nor the warm-up) used, so no unit repeats work.  Units are kept this
+small so that a run takes the median of many, which rides out the
+host's slow spells.
 There is no detailed simulation.  A seeded sample of every unit's
 predictions is recomputed afterwards with the reference (per-mix) MPPM
 solver and must match bit for bit; the digest of every prediction's
@@ -26,11 +28,11 @@ from typing import Any, Dict, List
 from common import Unit
 
 SETUPS = 1
-MAX_UNITS = 8
-MIXES_PER_UNIT = 500
+MAX_UNITS = 64
+MIXES_PER_UNIT = 125
 PROGRAMS = 4
 SPECS = ("mppm:foa", "mppm:sdc", "mppm:prob")
-SAMPLE = 24
+SAMPLE = 8
 
 
 def _config():
@@ -47,7 +49,8 @@ def prepare(seed: int) -> Dict[str, Any]:
     rng = random.Random(seed)
     seen = set()
     units: List[List[tuple]] = []
-    for _ in range(MAX_UNITS):
+    # One more set of mixes than units: the last is the set-up's warm-up.
+    for _ in range(MAX_UNITS + 1):
         mixes: List[tuple] = []
         while len(mixes) < MIXES_PER_UNIT:
             mix = tuple(sorted(rng.choice(names) for _ in range(PROGRAMS)))
@@ -67,14 +70,19 @@ def setup(inputs: Dict[str, Any], trace: bool) -> Dict[str, Any]:
     machines = experiment.design_space(num_cores=PROGRAMS)
     for machine in machines:
         experiment.profiles(machine)
+    experiment.predictor_batch(_items(inputs["units"][MAX_UNITS], machines))
     return {"setup": experiment, "machines": machines, "checks": [], "digests": []}
 
 
-def unit(state: Dict[str, Any], inputs: Dict[str, Any], index: int) -> Unit:
+def _items(mixes: List[tuple], machines: List[Any]) -> List[tuple]:
     from repro.workloads import WorkloadMix
 
-    mixes = [WorkloadMix(programs=programs) for programs in inputs["units"][index]]
-    items = [(spec, mix, machine) for spec in SPECS for machine in state["machines"] for mix in mixes]
+    mixes = [WorkloadMix(programs=programs) for programs in mixes]
+    return [(spec, mix, machine) for spec in SPECS for machine in machines for mix in mixes]
+
+
+def unit(state: Dict[str, Any], inputs: Dict[str, Any], index: int) -> Unit:
+    items = _items(inputs["units"][index], state["machines"])
     start_ns = time.perf_counter_ns()
     predictions = state["setup"].predictor_batch(items)
     end_ns = time.perf_counter_ns()
