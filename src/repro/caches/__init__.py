@@ -3,8 +3,8 @@
 This package provides the building blocks that both the detailed
 simulators (:mod:`repro.simulators`) and the single-core profiler use:
 
-* :class:`SetAssociativeCache` — a set-associative cache with pluggable
-  replacement policy (LRU by default, as in the paper's Table 1),
+* :class:`SetAssociativeCache` — a set-associative LRU cache (the
+  replacement policy of the paper's Table 1),
 * :class:`CacheHierarchy` — private L1/L2 plus the last-level cache,
 * :class:`StackDistanceCounters` and :class:`StackDistanceProfiler` —
   the per-set LRU stack-distance counters (SDCs) of Mattson et al. that
@@ -12,13 +12,6 @@ simulators (:mod:`repro.simulators`) and the single-core profiler use:
   cache-contention model.
 """
 
-from repro.caches.replacement import (
-    ReplacementPolicy,
-    LRUPolicy,
-    FIFOPolicy,
-    RandomPolicy,
-    make_policy,
-)
 from repro.caches.set_associative import AccessOutcome, SetAssociativeCache
 from repro.caches.hierarchy import CacheHierarchy, HierarchyAccess
 from repro.caches.stack_distance import (
@@ -33,11 +26,6 @@ from repro.caches.vectorized import (
 )
 
 __all__ = [
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
-    "make_policy",
     "AccessOutcome",
     "SetAssociativeCache",
     "CacheHierarchy",

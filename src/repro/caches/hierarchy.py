@@ -44,19 +44,14 @@ class HierarchyAccess:
 class CacheHierarchy:
     """The private levels (and optionally the LLC) of one core."""
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        include_llc: bool = True,
-        policy: str = "lru",
-    ) -> None:
+    def __init__(self, machine: MachineConfig, include_llc: bool = True) -> None:
         self.machine = machine
         self.include_llc = include_llc
         self.levels: List[SetAssociativeCache] = [
-            SetAssociativeCache(config, policy=policy) for config in machine.private_levels
+            SetAssociativeCache(config) for config in machine.private_levels
         ]
         self.llc: Optional[SetAssociativeCache] = (
-            SetAssociativeCache(machine.llc, policy=policy) if include_llc else None
+            SetAssociativeCache(machine.llc) if include_llc else None
         )
 
     def reset(self) -> None:

@@ -5,25 +5,16 @@ works at line granularity, so there is no offset arithmetic here).  The
 set index is the line address modulo the number of sets, and the tag is
 the full line address.
 
-Two implementations coexist behind the same interface:
-
-* an LRU fast path that keeps each set as a recency-ordered list of
-  tags (the common case — every machine in the paper uses LRU), and
-* a generic path driven by a :class:`ReplacementPolicy` object for
-  FIFO/random and for future policies.
-
-Both are exact; the fast path only exists because the shared-LLC
-simulation of multi-program mixes is the hot loop of the detailed
-reference simulator.
+Replacement is LRU, as on every machine in the paper (Table 1): each
+set is a recency-ordered list of tags, most recently used first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.config.cache_config import CacheConfig
-from repro.caches.replacement import ReplacementPolicy, make_policy
 
 
 @dataclass(frozen=True)
@@ -39,29 +30,18 @@ class AccessOutcome:
 
 
 class SetAssociativeCache:
-    """A set-associative cache of cache-line addresses.
+    """A set-associative LRU cache of cache-line addresses.
 
     Parameters
     ----------
     config:
         The cache level configuration (size, associativity, line size).
-    policy:
-        Replacement policy name (``"lru"``, ``"fifo"``, ``"random"``) or
-        a :class:`ReplacementPolicy` instance.  Defaults to LRU.
     """
 
-    def __init__(self, config: CacheConfig, policy: object = "lru") -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.num_sets = config.num_sets
         self.associativity = config.associativity
-        if isinstance(policy, str):
-            self._policy_name = policy.lower()
-            self._policy: Optional[ReplacementPolicy] = (
-                None if self._policy_name == "lru" else make_policy(policy)
-            )
-        else:
-            self._policy = policy  # type: ignore[assignment]
-            self._policy_name = getattr(policy, "name", policy.__class__.__name__.lower())
         self.reset()
 
     # ------------------------------------------------------------------
@@ -70,21 +50,10 @@ class SetAssociativeCache:
 
     def reset(self) -> None:
         """Empty the cache and zero the statistics."""
-        if self._policy is None:
-            # LRU fast path: each set is a list of tags, MRU first.
-            self._lru_sets: List[List[int]] = [[] for _ in range(self.num_sets)]
-        else:
-            # Generic path: per-set way -> tag maps plus policy state.
-            self._ways: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-            self._policy_state = [
-                self._policy.new_set_state(self.associativity) for _ in range(self.num_sets)
-            ]
+        # Each set is a list of tags, MRU first.
+        self._lru_sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
-
-    @property
-    def policy_name(self) -> str:
-        return self._policy_name
 
     @property
     def accesses(self) -> int:
@@ -111,31 +80,6 @@ class SetAssociativeCache:
         eviction, which line was evicted (so an outer hierarchy could
         model write-back traffic if it ever needs to).
         """
-        if self._policy is None:
-            return self._access_lru(line)
-        return self._access_generic(line)
-
-    def contains(self, line: int) -> bool:
-        """Whether the line is currently resident (no state change)."""
-        if self._policy is None:
-            return line in self._lru_sets[line % self.num_sets]
-        return line in self._ways[line % self.num_sets].values()
-
-    def resident_lines(self) -> List[int]:
-        """All resident lines (order unspecified); mainly for tests."""
-        if self._policy is None:
-            return [line for entries in self._lru_sets for line in entries]
-        return [line for ways in self._ways for line in ways.values()]
-
-    def occupancy(self) -> int:
-        """Number of resident lines."""
-        return len(self.resident_lines())
-
-    # ------------------------------------------------------------------
-    # Internal
-    # ------------------------------------------------------------------
-
-    def _access_lru(self, line: int) -> AccessOutcome:
         entries = self._lru_sets[line % self.num_sets]
         try:
             index = entries.index(line)
@@ -152,23 +96,14 @@ class SetAssociativeCache:
             entries.insert(0, line)
         return AccessOutcome(hit=True)
 
-    def _access_generic(self, line: int) -> AccessOutcome:
-        assert self._policy is not None
-        set_index = line % self.num_sets
-        ways = self._ways[set_index]
-        state = self._policy_state[set_index]
-        for way, tag in ways.items():
-            if tag == line:
-                self.hits += 1
-                self._policy.on_hit(state, way)
-                return AccessOutcome(hit=True)
-        self.misses += 1
-        evicted = None
-        if len(ways) < self.associativity:
-            way = next(w for w in range(self.associativity) if w not in ways)
-        else:
-            way = self._policy.victim(state, list(ways.keys()))
-            evicted = ways[way]
-        ways[way] = line
-        self._policy.on_fill(state, way)
-        return AccessOutcome(hit=False, evicted_line=evicted)
+    def contains(self, line: int) -> bool:
+        """Whether the line is currently resident (no state change)."""
+        return line in self._lru_sets[line % self.num_sets]
+
+    def resident_lines(self) -> List[int]:
+        """All resident lines (order unspecified); mainly for tests."""
+        return [line for entries in self._lru_sets for line in entries]
+
+    def occupancy(self) -> int:
+        """Number of resident lines."""
+        return len(self.resident_lines())

@@ -62,8 +62,8 @@ def create_engine(
     workers, or a ``fleet:`` spec string (``"fleet:localhost:2"``,
     ``"fleet:ssh=host1,host2"`` — see :mod:`repro.engine.remote`) → a
     multi-host fleet.  ``cache_dir`` is the campaign cache directory —
-    engine results are persisted under ``<cache_dir>/results``, next to
-    the profile store's ``<cache_dir>/profiles``; a loopback fleet's
+    engine results are persisted under ``<cache_dir>/results``, where
+    the profile store keeps its profiles too; a loopback fleet's
     workers share it, making the content-hash cache the fleet-wide
     dedup layer.  ``memory_cache`` gives the executor a memory-only
     :class:`ResultCache` when no cache directory is configured, so

@@ -1,15 +1,17 @@
-"""Persistent result cache for the experiment engine.
+"""Persistent result cache: the one on-disk store of a campaign.
 
-Extends the :class:`~repro.profiling.store.ProfileStore` pattern —
-in-memory dictionary backed by JSON files — to every expensive artefact
-of an experiment campaign: reference multi-core simulations, MPPM
-predictions and single-core profiles.  Entries are keyed by a content
-hash of everything the result depends on (machine configuration, the
-workload spec string, benchmark/mix specification, model
-configuration, trace length, seed — see
-:func:`repro.engine.tasks._config_parts`), so a repeated sweep is
-near-free across processes and sessions and two workloads sharing a
-benchmark name can never collide in one cache directory.
+An in-memory dictionary backed by JSON files holds every expensive
+artefact of an experiment campaign: reference multi-core simulations,
+MPPM predictions and single-core profiles.  Entries are keyed by a
+content hash of everything the result depends on.  Engine results
+cover the machine configuration, the workload spec string, the
+benchmark/mix specification, model configuration, trace length and
+seed (see :func:`repro.engine.tasks._config_parts`), so two workloads
+sharing a benchmark name can never collide in one cache directory.
+Profiles (:class:`~repro.profiling.store.ProfileStore`) are keyed by
+the full benchmark spec and profiling configuration, so workloads that
+share a bit-identical spec share its profile.  A repeated sweep is
+near-free across processes and sessions.
 
 Results are serialised through a small type registry: any dataclass
 with ``to_dict``/``from_dict`` can be registered.  Unregistered types

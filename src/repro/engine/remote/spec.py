@@ -90,6 +90,8 @@ def _split_options(parts: list) -> Dict[str, str]:
         name, separator, value = parts[-1].partition("=")
         if not separator or name not in _OPTION_KEYS:
             break
+        if name in options:
+            raise FleetSpecError(f"fleet option {name!r} is given more than once")
         options[name] = value
         parts.pop()
     return options

@@ -195,7 +195,7 @@ def _config_parts(setup: "ExperimentSetup") -> Tuple:
     # (asserted by the equivalence suite), so artefacts computed under
     # either remain valid for both.  The MPPM solver kernel and the
     # multi-core interleaving kernel are excluded for the same reason
-    # (batched/reference predictions and chunked/heap/scan reference
+    # (batched/reference predictions and chunked/heap reference
     # simulations are bit-identical).
     # The workload spec qualifies every result: two workloads that
     # both contain a benchmark named "gamess" must never share a cache

@@ -93,7 +93,7 @@ class ExperimentConfig:
     #: MPPM solver kernel ("batched" or "reference"); bit-identical like
     #: the replay kernels, so — again — never part of a cache key.
     mppm_kernel: str = "batched"
-    #: Multi-core interleaving kernel ("chunked", "heap" or "scan");
+    #: Multi-core interleaving kernel ("chunked" or "heap");
     #: bit-identical like the other kernel choices, so reference
     #: simulations cached under one kernel stay valid for all.
     multicore_kernel: str = "chunked"
@@ -136,8 +136,10 @@ class ExperimentSetup:
         ``"random:n=8,seed=0"``, ``"service:n=8,seed=0"``) or a
         :class:`~repro.workloads.WorkloadSource` instance.  Defaults
         to ``suite:spec29``, today's 29-benchmark suite.  The resolved
-        spec string (``workload_spec``) qualifies the profile store's
-        disk keys and every engine content-hash cache key.
+        spec string (``workload_spec``) qualifies every engine
+        content-hash cache key; profiles are keyed by the full
+        benchmark spec instead, so workloads sharing a spec share its
+        profile.
     suite:
         An explicit benchmark suite object (legacy/ad-hoc path).  When
         given without ``workload`` it is wrapped under a canonical
@@ -155,10 +157,13 @@ class ExperimentSetup:
         multi-host worker fleet (see :mod:`repro.engine.remote`).
         Ignored when ``engine`` is given.
     cache_dir:
-        Optional campaign cache directory: single-core profiles persist
-        under ``<cache_dir>/profiles`` and engine results (reference
-        simulations, MPPM predictions) under ``<cache_dir>/results``,
-        making repeated sweeps near-free across processes.
+        Optional campaign cache directory: single-core profiles and
+        engine results (reference simulations, MPPM predictions) all
+        persist as content-addressed entries under
+        ``<cache_dir>/results``, making repeated sweeps near-free
+        across processes.  The profile store keeps its own
+        :class:`~repro.engine.ResultCache` over that directory, so the
+        engine's counters only ever count engine results.
     """
 
     def __init__(
@@ -179,9 +184,8 @@ class ExperimentSetup:
             num_instructions=self.config.num_instructions,
             interval_instructions=self.config.interval_instructions,
             seed=self.config.seed,
-            cache_dir=self.cache_dir / "profiles" if self.cache_dir is not None else None,
+            cache_dir=self.cache_dir / "results" if self.cache_dir is not None else None,
             kernel=self.config.kernel,
-            workload_spec=self.workload_spec,
         )
         self.engine = engine if engine is not None else create_engine(jobs, self.cache_dir)
         self.token = engine_tasks.register_setup(self)

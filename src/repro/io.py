@@ -1,8 +1,8 @@
 """Crash-safe JSON persistence shared by the on-disk caches.
 
-Both the profile store and the engine's result cache persist artefacts
-as JSON files in directories that parallel workers and concurrent
-campaigns may share.  Two rules keep that safe:
+The engine's result cache (which also holds the profile store's
+profiles) persists artefacts as JSON files in directories that
+parallel workers and concurrent campaigns may share.  Two rules keep that safe:
 
 * writes go to a unique temporary file first and are renamed into
   place (`os.replace` is atomic on POSIX), so readers never observe a

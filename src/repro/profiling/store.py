@@ -3,7 +3,8 @@
 Single-core simulation is the one-time cost of the paper's methodology;
 the store makes sure it really is paid only once per (benchmark,
 machine) pair within a process, and — optionally — across processes by
-persisting profiles as JSON files in a cache directory.
+persisting profiles as ordinary :class:`~repro.engine.cache.ResultCache`
+entries in a cache directory.
 
 Two kinds of artefacts are cached:
 
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.config.machine import MachineConfig
-from repro.io import atomic_write_json, read_json_tolerant
+from repro.engine.cache import MISS, ResultCache, content_key
 from repro.profiling.profile import SingleCoreProfile
 from repro.profiling.profiler import ProfiledBenchmark, Profiler
 from repro.simulators.llc_trace import LLCAccessTrace
@@ -40,20 +41,14 @@ class ProfileStore:
         (``"vectorized"`` by default); both kernels yield bit-identical
         profiles, so cached artefacts are shared between them.
     cache_dir:
-        Optional directory for JSON persistence of profiles.
-    workload_spec:
-        Optional workload spec string (see
-        :mod:`repro.workloads.registry`) qualifying the on-disk cache
-        keys, so two workloads that both contain a benchmark of the
-        same name can never collide in one ``cache_dir``.  Every save
-        also writes the *unqualified* (content-addressed) key — whose
-        digest covers the full benchmark spec, so it is collision-free
-        too — which lets workloads that share bit-identical benchmark
-        specs (``suite:spec29`` vs ``suite:spec29/scaled@8``, a
-        ``random:*`` family scaled up) share profiles: a qualified
-        miss falls back to that shared layer (which also covers
-        payloads written by older, unqualified stores) and adopts the
-        profile under the qualified key.
+        Optional directory for JSON persistence of profiles, as entries
+        of the store's own :class:`ResultCache` (memory-only without
+        one).  A profile's content key covers the full benchmark spec
+        and the profiling configuration — never the workload — so
+        workloads that share a bit-identical benchmark spec
+        (``suite:spec29`` vs ``suite:spec29/scaled@8``) share one
+        entry, and two different specs with the same name never
+        collide.
     """
 
     def __init__(
@@ -63,16 +58,12 @@ class ProfileStore:
         seed: int = 0,
         cache_dir: Optional[Path] = None,
         kernel: str = "vectorized",
-        workload_spec: Optional[str] = None,
     ) -> None:
         self.num_instructions = num_instructions
         self.interval_instructions = interval_instructions
         self.seed = seed
         self.kernel = kernel
-        self.workload_spec = workload_spec
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._cache = ResultCache(cache_dir)
         self._profiles: Dict[Tuple[BenchmarkSpec, str], SingleCoreProfile] = {}
         self._traces: Dict[Tuple[BenchmarkSpec, str], LLCAccessTrace] = {}
         self._profilers: Dict[str, Profiler] = {}
@@ -90,13 +81,8 @@ class ProfileStore:
         cached = self._profiles.get(key)
         if cached is not None:
             return cached
-
-        loaded = self._load_from_disk(spec, machine)
-        if loaded is not None:
-            self._profiles[key] = loaded
-            self.loaded_profiles += 1
-            return loaded
-
+        if self.load_if_cached(spec, machine):
+            return self._profiles[key]
         return self._simulate(spec, machine).profile
 
     def get_llc_trace(self, spec: BenchmarkSpec, machine: MachineConfig) -> LLCAccessTrace:
@@ -112,20 +98,7 @@ class ProfileStore:
         key = self._key(spec, machine)
         if key in self._profiles and key in self._traces:
             return ProfiledBenchmark(profile=self._profiles[key], llc_trace=self._traces[key])
-        profiled = self._simulate(spec, machine)
-        return profiled
-
-    def get_suite(
-        self, suite: BenchmarkSuite, machine: MachineConfig
-    ) -> Dict[str, ProfiledBenchmark]:
-        """Profiles for every benchmark of a suite (name → profiled benchmark)."""
-        return {spec.name: self.get(spec, machine) for spec in suite}
-
-    def get_suite_profiles(
-        self, suite: BenchmarkSuite, machine: MachineConfig
-    ) -> Dict[str, SingleCoreProfile]:
-        """Profiles only, for every benchmark of a suite."""
-        return {spec.name: self.get_profile(spec, machine) for spec in suite}
+        return self._simulate(spec, machine)
 
     def preload(self, suite: BenchmarkSuite, machine: MachineConfig) -> int:
         """Warm the full (profile, LLC trace) bundle for a whole suite.
@@ -156,8 +129,8 @@ class ProfileStore:
         key = self._key(spec, machine)
         if key in self._profiles:
             return True
-        loaded = self._load_from_disk(spec, machine)
-        if loaded is None:
+        loaded = self._cache.get(self._content_key(spec, machine))
+        if loaded is MISS:
             return False
         self._profiles[key] = loaded
         self.loaded_profiles += 1
@@ -172,20 +145,12 @@ class ProfileStore:
         if this store had simulated them, but ``simulated_profiles`` is
         untouched — the simulation work was paid in another process.
         """
-        key = self._key(spec, machine)
-        self._profiles[key] = profiled.profile
-        self._traces[key] = profiled.llc_trace
+        self._adopt(spec, machine, profiled)
         self.absorbed_profiles += 1
-        self._save_to_disk(spec, profiled.profile)
 
     def cached_pairs(self) -> int:
         """Number of (benchmark, machine) pairs with an in-memory profile."""
         return len(self._profiles)
-
-    def clear(self) -> None:
-        """Drop the in-memory caches (the on-disk cache is untouched)."""
-        self._profiles.clear()
-        self._traces.clear()
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -196,6 +161,18 @@ class ProfileStore:
         # that redefining a benchmark under the same name never returns a
         # stale profile.
         return (spec, machine.profile_key())
+
+    def _content_key(self, spec: BenchmarkSpec, machine: MachineConfig) -> str:
+        # The persistent twin of ``_key``, plus the profiling config;
+        # only computed on an in-memory miss (it costs a SHA-256).
+        return content_key(
+            "profile",
+            machine.profile_key(),
+            self.num_instructions,
+            self.interval_instructions,
+            self.seed,
+            spec,
+        )
 
     def _profiler_for(self, machine: MachineConfig) -> Profiler:
         key = machine.profile_key()
@@ -211,56 +188,14 @@ class ProfileStore:
 
     def _simulate(self, spec: BenchmarkSpec, machine: MachineConfig) -> ProfiledBenchmark:
         profiled = self._profiler_for(machine).profile(spec)
+        self._adopt(spec, machine, profiled)
+        self.simulated_profiles += 1
+        return profiled
+
+    def _adopt(
+        self, spec: BenchmarkSpec, machine: MachineConfig, profiled: ProfiledBenchmark
+    ) -> None:
         key = self._key(spec, machine)
         self._profiles[key] = profiled.profile
         self._traces[key] = profiled.llc_trace
-        self.simulated_profiles += 1
-        self._save_to_disk(spec, profiled.profile)
-        return profiled
-
-    def _disk_path(
-        self, spec: BenchmarkSpec, machine_key: str, qualified: bool = True
-    ) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        digest = 0
-        description = (
-            f"{machine_key}|{self.num_instructions}|{self.interval_instructions}|"
-            f"{self.seed}|{spec!r}"
-        )
-        if qualified and self.workload_spec is not None:
-            description = f"{self.workload_spec}|{description}"
-        for char in description:
-            digest = (digest * 131 + ord(char)) & 0xFFFFFFFF
-        return self.cache_dir / f"{spec.name}-{digest:08x}.json"
-
-    def _load_from_disk(
-        self, spec: BenchmarkSpec, machine: MachineConfig
-    ) -> Optional[SingleCoreProfile]:
-        path = self._disk_path(spec, machine.profile_key())
-        if path is None:
-            return None
-        data = read_json_tolerant(path)
-        if data is None and self.workload_spec is not None:
-            # Shared content-addressed layer (also covers payloads
-            # written by pre-workload-spec stores): load and adopt the
-            # profile under the qualified key.
-            shared = self._disk_path(spec, machine.profile_key(), qualified=False)
-            data = read_json_tolerant(shared)
-            if data is not None:
-                atomic_write_json(path, data)
-        if data is None:
-            return None
-        return SingleCoreProfile.from_dict(data)
-
-    def _save_to_disk(self, spec: BenchmarkSpec, profile: SingleCoreProfile) -> None:
-        path = self._disk_path(spec, profile.machine_key)
-        if path is None:
-            return
-        payload = profile.to_dict()
-        atomic_write_json(path, payload)
-        if self.workload_spec is not None:
-            # The shared layer other workloads with bit-identical
-            # benchmark specs (and legacy stores) read from.
-            shared = self._disk_path(spec, profile.machine_key, qualified=False)
-            atomic_write_json(shared, payload)
+        self._cache.put(self._content_key(spec, machine), profiled.profile)

@@ -13,7 +13,7 @@ slowest one restarts from the beginning so that contention pressure is
 maintained, and each program's multi-core CPI is measured over its
 *first* complete pass.
 
-Three kernels produce the interleaved walk:
+Two kernels produce the interleaved walk:
 
 * ``"chunked"`` (the default) advances all cores in numpy chunks: each
   core's next-K access times are estimated under its expected CPI (its
@@ -29,10 +29,8 @@ Three kernels produce the interleaved walk:
   reference by construction (see :meth:`MultiCoreSimulator._run_chunked`).
 * ``"heap"`` keeps the per-core ready times in a binary heap — the
   per-access reference loop, kept as ground truth.
-* ``"scan"`` is the straightforward O(num_cores) linear minimum scan,
-  retained for the ready-queue benchmark guard.
 
-All three break ready-time ties by core index and share one result
+Both break ready-time ties by core index and share one result
 assembly, so they are bit-identical — asserted by the equivalence
 matrix in the test suite and guarded by
 ``benchmarks/bench_multicore_interleave.py``.
@@ -41,7 +39,6 @@ matrix in the test suite and guarded by
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -54,10 +51,10 @@ from repro.cores.core_model import CoreTimingModel
 from repro.simulators.llc_trace import LLCAccessTrace
 
 #: The interleaving kernels ``MultiCoreSimulator`` can use.  ``heap``
-#: and ``scan`` are the per-access reference loops (binary heap vs
-#: linear minimum scan over the ready times); ``chunked`` is the
-#: vectorized merge-and-rollback walk.  All three are bit-identical.
-MULTI_CORE_KERNELS = ("chunked", "heap", "scan")
+#: is the per-access reference loop (a binary heap over the ready
+#: times); ``chunked`` is the vectorized merge-and-rollback walk.  The
+#: two are bit-identical.
+MULTI_CORE_KERNELS = ("chunked", "heap")
 
 #: Chunked-kernel window sizing: accesses speculated per core per round.
 #: The window adapts between the bounds — doubling while rounds commit
@@ -296,45 +293,16 @@ class MultiCoreSimulator:
 
     ``kernel`` selects the interleaving walk: ``"chunked"`` (the
     default) vectorizes it in speculative merge-and-rollback rounds;
-    ``"heap"`` and ``"scan"`` are the per-access reference loops (see
-    the module docstring).  All kernels are bit-identical.  The legacy
-    ``ready_queue`` parameter still selects between the two reference
-    loops.  The chunked kernel requires the LRU replacement policy (its
-    batched replay rests on the LRU stack property); with another
-    policy the default silently stays on the reference loop, and asking
-    for ``"chunked"`` explicitly is an error.
+    ``"heap"`` is the per-access reference loop (see the module
+    docstring).  The two are bit-identical.
     """
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        llc_policy: str = "lru",
-        kernel: Optional[str] = None,
-        ready_queue: Optional[str] = None,
-    ) -> None:
-        if ready_queue is not None:
-            if ready_queue not in ("heap", "scan"):
-                raise MultiCoreSimulationError("ready_queue must be 'heap' or 'scan'")
-            if kernel is not None and kernel != ready_queue:
-                raise MultiCoreSimulationError(
-                    f"kernel {kernel!r} contradicts ready_queue {ready_queue!r}; "
-                    "pass one or the other"
-                )
-            kernel = ready_queue
-        lru = isinstance(llc_policy, str) and llc_policy.lower() == "lru"
-        if kernel is None:
-            kernel = "chunked" if lru else "heap"
+    def __init__(self, machine: MachineConfig, kernel: str = "chunked") -> None:
         if kernel not in MULTI_CORE_KERNELS:
             raise MultiCoreSimulationError(
                 f"kernel must be one of {MULTI_CORE_KERNELS}, got {kernel!r}"
             )
-        if kernel == "chunked" and not lru:
-            raise MultiCoreSimulationError(
-                "the chunked kernel requires the LRU replacement policy; "
-                "use kernel='heap' or 'scan' for other policies"
-            )
         self.machine = machine
-        self.llc_policy = llc_policy
         self.kernel = kernel
 
     def run(
@@ -358,17 +326,15 @@ class MultiCoreSimulator:
             )
         if kernel == "chunked":
             return self._run_chunked(llc_traces)
-        return self._run_reference(llc_traces, use_heap=kernel == "heap")
+        return self._run_reference(llc_traces)
 
     # ------------------------------------------------------------------
-    # Reference kernels: one access at a time
+    # Reference kernel: one access at a time
     # ------------------------------------------------------------------
 
-    def _run_reference(
-        self, llc_traces: Sequence[LLCAccessTrace], use_heap: bool
-    ) -> MultiCoreRunResult:
+    def _run_reference(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
         machine = self.machine
-        shared_llc = SetAssociativeCache(machine.llc, policy=self.llc_policy)
+        shared_llc = SetAssociativeCache(machine.llc)
         num_cores = machine.num_cores
 
         core_models = [CoreTimingModel(machine, trace.spec) for trace in llc_traces]
@@ -392,27 +358,15 @@ class MultiCoreSimulator:
         tails = [trace.tail_cycles for trace in llc_traces]
 
         unfinished = num_cores
-        if use_heap:
-            # (ready time, core): the tuple ordering reproduces the
-            # scan's tie-break by lowest core index.
-            ready_heap = [
-                (cycle[core] + gaps[core][0], core) for core in range(num_cores)
-            ]
-            heapq.heapify(ready_heap)
+        # (ready time, core): the tuple ordering breaks ready-time ties
+        # by lowest core index.
+        ready_heap = [(cycle[core] + gaps[core][0], core) for core in range(num_cores)]
+        heapq.heapify(ready_heap)
 
         # Interleave LLC accesses in global time order: repeatedly pick the
         # core whose next LLC access is ready earliest.
         while unfinished:
-            if use_heap:
-                best_ready, core = heapq.heappop(ready_heap)
-            else:
-                core = -1
-                best_ready = math.inf
-                for candidate in range(num_cores):
-                    ready = cycle[candidate] + gaps[candidate][index[candidate]]
-                    if ready < best_ready:
-                        best_ready = ready
-                        core = candidate
+            best_ready, core = heapq.heappop(ready_heap)
 
             in_first_pass = first_pass_cycles[core] is None
             line = int(lines[core][index[core]]) + core * _CORE_ADDRESS_OFFSET
@@ -441,7 +395,7 @@ class MultiCoreSimulator:
                 if in_first_pass:
                     first_pass_cycles[core] = cycle[core]
                     unfinished -= 1
-            if use_heap and unfinished:
+            if unfinished:
                 heapq.heappush(ready_heap, (cycle[core] + gaps[core][index[core]], core))
 
         return self._assemble(

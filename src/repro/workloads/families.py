@@ -22,9 +22,9 @@ the suite should not be a closed set: this module provides two
 Both families are pure functions of ``(n, seed)``: benchmark ``i`` of a
 family is identical for every suite size ``n > i``, so scaling a study
 up never changes the benchmarks already evaluated — and their
-single-core profiles stay cache hits, via the
-:class:`~repro.profiling.store.ProfileStore`'s content-addressed
-shared layer.  (Engine *results* are qualified by the full workload
+single-core profiles stay cache hits: the
+:class:`~repro.profiling.store.ProfileStore` keys profiles by the full
+benchmark spec.  (Engine *results* are qualified by the full workload
 spec including ``n``, so mix-level artefacts are per-workload by
 design.)
 """

@@ -23,9 +23,9 @@ Spec                       Workload
 Every constructed workload implements the :class:`WorkloadSource`
 protocol — ``spec`` (the canonical string), ``suite()``, ``mixes(...)``
 and ``describe()`` — and every experiment, the engine's content-hash
-cache keys, the :class:`~repro.profiling.store.ProfileStore` and the
-CLI (``--suite``, ``repro workloads``) identify workloads by these
-spec strings instead of implicitly assuming the one suite.  A suite
+cache keys and the CLI (``--suite``, ``repro workloads``) identify
+workloads by these spec strings instead of implicitly assuming the one
+suite.  (Profiles are keyed by the full benchmark spec instead.)  A suite
 object passed directly (tests, notebooks) is wrapped by
 :func:`workload_for` under a content-digest ``inline:`` spec, so even
 ad-hoc workloads cache consistently across processes.
@@ -42,6 +42,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     Union,
     runtime_checkable,
@@ -185,16 +186,24 @@ def _unknown(spec: str) -> WorkloadSpecError:
     )
 
 
+def _repeated(spec: str, key: str) -> WorkloadSpecError:
+    return WorkloadSpecError(f"{spec!r}: parameter {key!r} is given more than once")
+
+
 def _parse_params(spec: str, rest: str, defaults: Dict[str, int]) -> Dict[str, int]:
     """Parse ``key=value`` parameter lists against a family's defaults."""
     params = dict(defaults)
     if not rest:
         return params
+    seen: Set[str] = set()
     for part in rest.split(","):
         key, sep, value = part.partition("=")
         key = key.strip()
         if not sep or key not in defaults:
             raise _unknown(spec)
+        if key in seen:
+            raise _repeated(spec, key)
+        seen.add(key)
         try:
             params[key] = int(value)
         except ValueError:
@@ -301,6 +310,7 @@ def _parse_perf(spec: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite]
     benchmarks: Optional[int] = None
     seed: Optional[int] = None
     digest: Optional[str] = None
+    seen: Set[str] = set()
     for part in parts[1:]:
         key, sep, value = part.partition("=")
         key = key.strip().lower()
@@ -310,6 +320,9 @@ def _parse_perf(spec: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite]
                 f"{spec!r}: unknown perf parameter {part!r}; "
                 "valid parameters: benchmarks=N, seed=S"
             )
+        if key in seen:
+            raise _repeated(spec, key)
+        seen.add(key)
         if key == "digest":
             digest = value.lower()
             continue

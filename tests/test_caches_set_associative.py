@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caches.replacement import LRUPolicy
 from repro.caches.set_associative import SetAssociativeCache
 from repro.config.cache_config import CacheConfig
 
 
-def _cache(num_sets=4, associativity=2, policy="lru"):
+def _cache(num_sets=4, associativity=2):
     config = CacheConfig(
         name="test", size_bytes=num_sets * associativity * 64, associativity=associativity
     )
-    return SetAssociativeCache(config, policy=policy)
+    return SetAssociativeCache(config)
 
 
 class TestBasicBehaviour:
@@ -75,39 +74,7 @@ class TestBasicBehaviour:
 
 
 class TestPolicies:
-    def test_policy_object_can_be_passed_directly(self):
-        cache = _cache(policy=LRUPolicy())
-        assert cache.policy_name == "lru"
-        cache.access(0)
-        assert cache.access(0).hit
-
-    def test_fifo_policy_differs_from_lru(self):
-        # Access pattern where FIFO and LRU evict different lines.
-        pattern = [0, 1, 0, 2, 0, 1]
-        lru = _cache(num_sets=1, associativity=2, policy="lru")
-        fifo = _cache(num_sets=1, associativity=2, policy="fifo")
-        lru_hits = sum(lru.access(line).hit for line in pattern)
-        fifo_hits = sum(fifo.access(line).hit for line in pattern)
-        assert lru_hits != fifo_hits
-
-    def test_random_policy_stays_within_capacity(self):
-        cache = _cache(num_sets=2, associativity=2, policy="random")
-        for line in range(50):
-            cache.access(line)
-        assert cache.occupancy() <= 4
-
-    @given(
-        accesses=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_lru_fast_path_matches_generic_policy_path(self, accesses):
-        """The optimised list-based LRU must behave exactly like the generic policy."""
-        fast = _cache(num_sets=4, associativity=2, policy="lru")
-        generic = _cache(num_sets=4, associativity=2, policy=LRUPolicy())
-        for line in accesses:
-            assert fast.access(line).hit == generic.access(line).hit
-        assert fast.hits == generic.hits
-        assert fast.misses == generic.misses
+    """Properties of the LRU replacement policy."""
 
     @given(
         accesses=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=300),

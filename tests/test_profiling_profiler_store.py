@@ -1,5 +1,6 @@
 """Unit tests for the profiler and the caching profile store."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -94,18 +95,12 @@ class TestProfileStore:
 
     def test_suite_helpers(self, tiny_suite, machine4):
         store = ProfileStore(num_instructions=20_000, interval_instructions=1_000)
-        both = store.get_suite(tiny_suite, machine4)
-        assert set(both) == set(tiny_suite.names)
-        profiles_only = store.get_suite_profiles(tiny_suite, machine4)
-        assert set(profiles_only) == set(tiny_suite.names)
+        assert store.preload(tiny_suite, machine4) == len(tiny_suite)
+        assert store.cached_pairs() == len(tiny_suite)
+        for spec in tiny_suite:
+            assert store.get(spec, machine4).profile is store.get_profile(spec, machine4)
         # Everything was simulated exactly once per benchmark.
         assert store.simulated_profiles == len(tiny_suite)
-
-    def test_clear_drops_memory_cache(self, tiny_suite, machine4):
-        store = ProfileStore(num_instructions=20_000, interval_instructions=1_000)
-        store.get_profile(tiny_suite["hmmer"], machine4)
-        store.clear()
-        assert store.cached_pairs() == 0
 
     def test_disk_cache_roundtrip(self, tiny_suite, machine4, tmp_path):
         spec = tiny_suite["hmmer"]
@@ -113,7 +108,10 @@ class TestProfileStore:
             num_instructions=20_000, interval_instructions=1_000, cache_dir=tmp_path
         )
         original = writer.get_profile(spec, machine4)
-        assert any(tmp_path.iterdir()), "the profile should have been persisted"
+        # One ordinary result-cache entry: a registry envelope keyed by
+        # the profile's content hash.
+        (entry,) = tmp_path.iterdir()
+        assert json.loads(entry.read_text())["type"] == "SingleCoreProfile"
 
         reader = ProfileStore(
             num_instructions=20_000, interval_instructions=1_000, cache_dir=tmp_path

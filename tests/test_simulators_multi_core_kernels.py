@@ -1,10 +1,10 @@
 """Equivalence matrix for the multi-core interleaving kernels.
 
 The chunked kernel claims *bit-identical* results to the per-access
-reference loops — not approximately equal.  Frozen-dataclass equality
+reference loop — not approximately equal.  Frozen-dataclass equality
 on :class:`MultiCoreRunResult` compares every cycle count, CPI input
-and counter exactly, so each case below asserts plain ``==`` across
-``heap``/``scan``/``chunked`` on the situations where a speculative
+and counter exactly, so each case below asserts plain ``==`` between
+``chunked`` and ``heap`` on the situations where a speculative
 merge-and-rollback walk could diverge: duplicated-program mixes, exact
 ready-time ties, traces shorter than one speculation window, and
 1/2/4-core machines.
@@ -174,15 +174,6 @@ class TestKernelSelection:
         traces = _traces(store, tiny_suite, machine2, ["gamess", "mcf"])
         simulator = MultiCoreSimulator(machine2, kernel="heap")
         assert simulator.run(traces, kernel="chunked") == simulator.run(traces)
-
-    def test_chunked_requires_lru(self, store, tiny_suite, machine2):
-        traces = _traces(store, tiny_suite, machine2, ["gamess", "mcf"])
-        with pytest.raises(MultiCoreSimulationError):
-            MultiCoreSimulator(machine2, llc_policy="random", kernel="chunked")
-        # Without an explicit kernel the default silently stays on the
-        # reference loop for non-LRU policies.
-        fallback = MultiCoreSimulator(machine2, llc_policy="random")
-        assert fallback.run(traces).total_llc_accesses > 0
 
 
 class TestRunResultValidation:

@@ -107,6 +107,13 @@ class TestPerfSpecs:
         with pytest.raises(WorkloadSpecError, match="cores"):
             make_workload(f"perf:{FIXTURE},cores=2")
 
+    @pytest.mark.parametrize(
+        "params", ["seed=1,seed=2", "benchmarks=1,seed=0,benchmarks=2", "digest=a,digest=a"]
+    )
+    def test_repeated_parameter_is_rejected(self, params):
+        with pytest.raises(WorkloadSpecError, match="more than once"):
+            make_workload(f"perf:{FIXTURE},{params}")
+
     def test_benchmarks_out_of_range_is_rejected(self):
         with pytest.raises(WorkloadSpecError, match="benchmarks"):
             make_workload(f"perf:{FIXTURE},benchmarks=9")

@@ -90,6 +90,8 @@ class TestRegistry:
             "service:n=0",
             "random:n=100000",
             "service:seed=-1",
+            "random:n=4,n=8",
+            "service:seed=1,n=4,seed=1",
         ],
     )
     def test_unknown_or_malformed_specs_are_rejected(self, bad):
@@ -189,7 +191,6 @@ class TestExperimentSetupWiring:
     def test_setup_defaults_to_spec29(self):
         setup = ExperimentSetup(config=CONFIG)
         assert setup.workload_spec == "suite:spec29"
-        assert setup.store.workload_spec == "suite:spec29"
         assert len(setup.suite) == 29
 
     def test_setup_accepts_spec_strings_and_sources(self):
@@ -249,40 +250,50 @@ class TestExperimentSetupWiring:
 
 
 class TestProfileStoreQualification:
-    def _store(self, tmp_path, workload_spec):
+    """Profiles are keyed by the full benchmark spec, never the workload."""
+
+    def _store(self, cache_dir):
         from repro.profiling import ProfileStore
 
         return ProfileStore(
-            num_instructions=20_000,
-            interval_instructions=1_000,
-            cache_dir=tmp_path,
-            workload_spec=workload_spec,
-        )
-
-    def test_distinct_workload_specs_use_distinct_files(self, tmp_path):
-        spec = spec_cpu2006_like_suite()["gamess"]
-        machine = ExperimentSetup(config=CONFIG).machine(num_cores=1)
-        a = self._store(tmp_path, "suite:spec29")
-        b = self._store(tmp_path, "service:n=4,seed=0")
-        assert a._disk_path(spec, machine.profile_key()) != b._disk_path(
-            spec, machine.profile_key()
+            num_instructions=20_000, interval_instructions=1_000, cache_dir=cache_dir
         )
 
     def test_identical_benchmark_specs_share_profiles_across_workloads(self, tmp_path):
         # suite:spec29 and suite:spec29/scaled@8 both contain the same
         # gamess BenchmarkSpec; the second workload must reuse the
-        # first's profile through the content-addressed shared layer
-        # instead of re-simulating.
-        spec = spec_cpu2006_like_suite()["gamess"]
-        machine = ExperimentSetup(config=CONFIG).machine(num_cores=1)
-        first = self._store(tmp_path, "suite:spec29")
-        first.get_profile(spec, machine)
-        assert first.simulated_profiles == 1
+        # first's profile entry instead of re-simulating.
+        first = ExperimentSetup(config=CONFIG, workload="suite:spec29", cache_dir=tmp_path)
+        spec = first.suite["gamess"]
+        machine = first.machine(num_cores=1)
+        first.store.get_profile(spec, machine)
+        assert first.store.simulated_profiles == 1
 
-        second = self._store(tmp_path, "suite:spec29/scaled@8")
-        second.get_profile(spec, machine)
-        assert second.simulated_profiles == 0
-        assert second.loaded_profiles == 1
+        second = ExperimentSetup(
+            config=CONFIG, workload="suite:spec29/scaled@8", cache_dir=tmp_path
+        )
+        assert second.suite["gamess"] == spec
+        second.store.get_profile(spec, machine)
+        assert second.store.simulated_profiles == 0
+        assert second.store.loaded_profiles == 1
+        assert len(list((tmp_path / "results").iterdir())) == 1
+        assert not (tmp_path / "profiles").exists()
+
+    def test_same_name_different_specs_load_their_own_profiles(self, tmp_path):
+        from dataclasses import replace
+
+        original = spec_cpu2006_like_suite()["gamess"]
+        redefined = replace(original, base_cpi=original.base_cpi * 2)
+        machine = ExperimentSetup(config=CONFIG).machine(num_cores=1)
+        writer = self._store(tmp_path)
+        saved = [writer.get_profile(spec, machine) for spec in (original, redefined)]
+        assert saved[0].to_dict() != saved[1].to_dict()
+
+        reader = self._store(tmp_path)
+        loaded = [reader.get_profile(spec, machine) for spec in (original, redefined)]
+        assert reader.simulated_profiles == 0
+        assert reader.loaded_profiles == 2
+        assert [p.to_dict() for p in loaded] == [p.to_dict() for p in saved]
 
     def test_mismatched_spec_and_suite_pairs_are_rejected(self):
         with pytest.raises(WorkloadSpecError):
@@ -290,21 +301,32 @@ class TestProfileStoreQualification:
                 config=CONFIG, workload="suite:spec29", suite=small_suite(5)
             )
 
-    def test_legacy_unqualified_payloads_still_load(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"type": "SingleCoreProfile", "payl',
+            '{"unrelated": true}',
+            '{"type": "SingleCoreProfile", "payload": {}}',
+            '{"type": "MixPrediction", "payload": {}}',
+        ],
+        ids=["truncated", "foreign", "empty-payload", "wrong-type"],
+    )
+    def test_unreadable_entry_is_a_miss_and_gets_overwritten(self, tmp_path, payload):
         spec = spec_cpu2006_like_suite()["gamess"]
         machine = ExperimentSetup(config=CONFIG).machine(num_cores=1)
-        legacy = self._store(tmp_path, None)
-        saved = legacy.get_profile(spec, machine)
-        assert legacy.simulated_profiles == 1
+        saved = self._store(tmp_path).get_profile(spec, machine)
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(payload)
 
-        qualified = self._store(tmp_path, "suite:spec29")
-        loaded = qualified.get_profile(spec, machine)
-        assert qualified.simulated_profiles == 0
-        assert qualified.loaded_profiles == 1
-        assert loaded.to_dict() == saved.to_dict()
-        # The adopted payload is re-saved under the qualified key, so
-        # the fallback only happens once.
-        assert qualified._disk_path(spec, machine.profile_key()).exists()
+        reader = self._store(tmp_path)
+        resimulated = reader.get_profile(spec, machine)
+        assert reader.simulated_profiles == 1
+        assert reader.loaded_profiles == 0
+        assert resimulated.to_dict() == saved.to_dict()
+        # The re-simulated profile replaced the bad file.
+        again = self._store(tmp_path)
+        again.get_profile(spec, machine)
+        assert again.loaded_profiles == 1
 
 
 class TestTraceGenerationThroughRegistry:
