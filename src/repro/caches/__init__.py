@@ -20,7 +20,7 @@ from repro.caches.stack_distance import (
 )
 from repro.caches.vectorized import (
     lru_hit_mask,
-    replay_hierarchy,
+    replay_llc,
     replay_private_levels,
     stack_distances,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "StackDistanceCounters",
     "StackDistanceProfiler",
     "lru_hit_mask",
-    "replay_hierarchy",
+    "replay_llc",
     "replay_private_levels",
     "stack_distances",
 ]

@@ -284,35 +284,17 @@ def lru_hit_mask(distances: np.ndarray, associativity: int) -> np.ndarray:
     return (distances > 0) & (distances <= associativity)
 
 
-def replay_hierarchy(
-    lines: np.ndarray, machine: MachineConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replay an access stream through the machine's cache hierarchy.
+def replay_llc(stream: np.ndarray, num_sets: int) -> np.ndarray:
+    """Per-set LLC stack distances of a private-filtered access stream.
 
-    Filters the stream level by level exactly as the stateful
-    :class:`~repro.caches.hierarchy.CacheHierarchy` does — each level
-    only sees the accesses that missed every level above it — but
-    resolves each level with one batched stack-distance computation.
-
-    Returns
-    -------
-    served_level:
-        ``int64`` array aligned with ``lines``; ``0..P-1`` for a hit in
-        that private level, ``P`` for an LLC hit and ``P+1`` for an LLC
-        miss (memory), where ``P = len(machine.private_levels)``.
-    llc_index:
-        Indices (into ``lines``) of the accesses that reached the LLC,
-        ascending — the filtered LLC stream.
-    llc_distances:
-        Per-set LLC stack distance of each filtered access (0 = cold),
-        aligned with ``llc_index``.
+    The LLC pass on top of :func:`replay_private_levels`: a filtered
+    access is an LLC hit iff it missed every private level and its
+    distance here is at most the LLC's associativity.  The distances
+    depend on the set count only, so by stack inclusion one pass serves
+    every LLC with ``num_sets`` sets (:func:`lru_hit_mask` per
+    associativity).
     """
-    served_level, surviving, stream = replay_private_levels(lines, machine)
-    num_private = len(machine.private_levels)
-    llc_distances = stack_distances(stream, machine.llc.num_sets)
-    llc_hits = lru_hit_mask(llc_distances, machine.llc.associativity)
-    served_level[surviving[llc_hits]] = num_private
-    return served_level, surviving, llc_distances
+    return stack_distances(stream, num_sets)
 
 
 def replay_private_levels(
@@ -323,9 +305,8 @@ def replay_private_levels(
     Returns ``(served_level, surviving, stream)``: the served-level
     array with every access that missed all private levels still marked
     ``P + 1``, the indices of those surviving accesses, and their line
-    addresses.  :func:`replay_hierarchy` resolves the LLC on top; the
-    perfect-LLC run stops here (it never needs LLC stack distances —
-    every surviving access hits by definition).
+    addresses.  :func:`replay_llc` resolves the LLC on top of the
+    surviving stream.
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = len(lines)

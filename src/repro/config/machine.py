@@ -15,6 +15,13 @@ from repro.config.cache_config import CacheConfig, ConfigurationError, MemoryCon
 from repro.config.core_config import CoreConfig
 
 
+def _level_key(level: CacheConfig) -> str:
+    return (
+        f"{level.name}:{level.size_bytes}:{level.associativity}:"
+        f"{level.line_size}:{level.latency}"
+    )
+
+
 def _default_private_levels() -> Tuple[CacheConfig, ...]:
     return (
         CacheConfig(name="L1D", size_bytes=32 * KIB, associativity=8, latency=1),
@@ -102,6 +109,18 @@ class MachineConfig:
         """
         return self.with_num_cores(1)
 
+    def private_key(self) -> str:
+        """A stable string identifying what private-level filtering depends on.
+
+        The core and the private cache levels: everything the first
+        profiling stage (:meth:`SingleCoreSimulator.filter_private`)
+        reads.  Machines that differ only in their LLC or memory — the
+        whole Table 2 design space — share one key.
+        """
+        parts = [f"core=w{self.core.width}"]
+        parts.extend(_level_key(level) for level in self.private_levels)
+        return "|".join(parts)
+
     def profile_key(self) -> str:
         """A stable string identifying everything the single-core profile depends on.
 
@@ -109,14 +128,7 @@ class MachineConfig:
         cores share the same profiles; the key therefore excludes
         ``num_cores``.
         """
-        parts = [f"core=w{self.core.width}"]
-        for level in self.cache_levels:
-            parts.append(
-                f"{level.name}:{level.size_bytes}:{level.associativity}:"
-                f"{level.line_size}:{level.latency}"
-            )
-        parts.append(f"mem:{self.memory.latency}")
-        return "|".join(parts)
+        return f"{self.private_key()}|{_level_key(self.llc)}|mem:{self.memory.latency}"
 
     def describe(self) -> str:
         """Multi-line human-readable description of the machine."""

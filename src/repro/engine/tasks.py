@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import os
 import weakref
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.engine.cache import content_key
 from repro.engine.job import Job
@@ -109,18 +109,20 @@ def profile_bundle_task(
     workload_spec: str,
     cache_dir: Optional[str],
     spec: "BenchmarkSpec",
-    machine: "MachineConfig",
+    machines: Tuple["MachineConfig", ...],
 ):
-    """Profile one benchmark and return the full (profile, LLC trace) bundle.
+    """Profile one benchmark on several machines; return the (profile, LLC trace) bundles.
 
     Unlike :func:`profile_task` — whose point is the *side effect* of a
     warm store in the executing process — this task returns everything
-    the submitting process needs to adopt the profile into its own
+    the submitting process needs to adopt the profiles into its own
     store (:meth:`ProfileStore.absorb`), so the one-time profiling cost
-    itself can fan out over pool workers.
+    itself can fan out over pool workers.  One task covers all of a
+    benchmark's machines, so the trace and the private replay are paid
+    once per benchmark (:meth:`ProfileStore.get_many`).
     """
     setup = _resolve_setup(token, config, suite, workload_spec, cache_dir)
-    return setup.store.get(spec, machine)
+    return setup.store.get_many(spec, machines)
 
 
 def simulate_task(
@@ -235,14 +237,14 @@ def profile_job(
 def profile_bundle_job(
     setup: "ExperimentSetup",
     spec: "BenchmarkSpec",
-    machine: "MachineConfig",
+    machines: Sequence["MachineConfig"],
     key: str,
 ) -> Job:
-    """Profile one (benchmark, machine) pair on a pool worker."""
+    """Profile one benchmark on several machines, on a pool worker."""
     return Job(
         key=key,
         fn=profile_bundle_task,
-        args=_recipe(setup) + (spec, machine),
+        args=_recipe(setup) + (spec, tuple(machines)),
         kind="profile",
     )
 

@@ -50,6 +50,7 @@ from repro.simulators import (
 )
 from repro.workloads import (
     BenchmarkClass,
+    BenchmarkSpec,
     BenchmarkSuite,
     WorkloadMix,
     WorkloadSource,
@@ -461,9 +462,10 @@ class ExperimentSetup:
         inherit the warm store), which serialises the dominant one-time
         cost.  When the backend has real workers and at least one mix
         job will actually run, this phase instead profiles every
-        missing (benchmark, machine) pair on the pool, absorbs the
-        returned bundles into the parent store, and recycles the
-        workers so the mix waves fork from the now-warm parent.
+        missing (benchmark, machine) pair on the pool — one job per
+        benchmark — absorbs the returned bundles into the parent store,
+        and recycles the workers so the mix waves fork from the
+        now-warm parent.
         """
         if self.engine.jobs <= 1:
             return
@@ -482,7 +484,10 @@ class ExperimentSetup:
         needs_trace = {
             dep for job in uncached if job.kind == "simulate" for dep in job.deps
         }
-        needed = []
+        # One warm-up job per benchmark, covering all of its missing
+        # machines: a worker then pays the benchmark's trace and private
+        # replay once, not once per machine.
+        needed: Dict[BenchmarkSpec, List[MachineConfig]] = {}
         for job in graph:
             if job.kind != "profile" or job.key not in needs_profile:
                 continue
@@ -491,17 +496,18 @@ class ExperimentSetup:
                 continue
             if job.key not in needs_trace and self.store.load_if_cached(spec, machine):
                 continue
-            needed.append((spec, machine))
+            needed.setdefault(spec, []).append(machine)
         if not needed:
             return
         bundles = self.engine.map(
             [
-                engine_tasks.profile_bundle_job(self, spec, machine, key=f"warm:{i}")
-                for i, (spec, machine) in enumerate(needed)
+                engine_tasks.profile_bundle_job(self, spec, machines, key=f"warm:{i}")
+                for i, (spec, machines) in enumerate(needed.items())
             ]
         )
-        for (spec, machine), profiled in zip(needed, bundles):
-            self.store.absorb(spec, machine, profiled)
+        for (spec, machines), profiled_list in zip(needed.items(), bundles):
+            for machine, profiled in zip(machines, profiled_list):
+                self.store.absorb(spec, machine, profiled)
         self.engine.refresh_workers()
 
     def _run_ops(

@@ -38,6 +38,11 @@ class ProfiledBenchmark:
 class Profiler:
     """Profiles benchmarks on a given machine.
 
+    Every call pays the full one-time cost — trace generation and both
+    profiling stages — with nothing memoized, which is what a cold
+    profiling-cost measurement wants.  :class:`ProfileStore` is the
+    memoizing path.
+
     Parameters
     ----------
     machine:

@@ -6,40 +6,52 @@ machine) pair within a process, and — optionally — across processes by
 persisting profiles as ordinary :class:`~repro.engine.cache.ResultCache`
 entries in a cache directory.
 
-Two kinds of artefacts are cached:
+Three kinds of artefacts are cached:
 
 * the :class:`SingleCoreProfile` — all MPPM ever needs; persisted to
-  disk when a cache directory is configured, and
+  disk when a cache directory is configured;
 * the :class:`LLCAccessTrace` of the same isolated run — needed only by
   the multi-core *reference* simulator; kept in memory and regenerated
   on demand (it is deterministic, so regeneration is always consistent
-  with the profile).
+  with the profile);
+* the :class:`~repro.simulators.single_core.PrivateRun` of each
+  (benchmark, private hierarchy) — the first profiling stage, shared
+  by every LLC on top of it; kept in memory only.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.engine.cache import MISS, ResultCache, content_key
 from repro.profiling.profile import SingleCoreProfile
-from repro.profiling.profiler import ProfiledBenchmark, Profiler
+from repro.profiling.profiler import ProfiledBenchmark, profile_from_run
 from repro.simulators.llc_trace import LLCAccessTrace
+from repro.simulators.single_core import PrivateRun, SingleCoreRunResult, SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec
+from repro.workloads.generator import TraceGenerator
 from repro.workloads.suite import BenchmarkSuite
 
 
 class ProfileStore:
     """Caches profiles per (benchmark, machine).
 
+    Profiling runs in two stages (see
+    :mod:`repro.simulators.single_core`).  The store memoizes the first
+    — trace generation plus private-level filtering, the expensive part
+    — per (benchmark spec, :meth:`MachineConfig.private_key`), so the
+    whole Table 2 design space costs one trace and one private replay
+    per benchmark; only the LLC stage runs per (benchmark, machine).
+
     Parameters
     ----------
     num_instructions, interval_instructions, seed, kernel:
-        Passed through to the :class:`Profiler` when a profile has to
-        be produced.  ``kernel`` selects the replay kernel
-        (``"vectorized"`` by default); both kernels yield bit-identical
-        profiles, so cached artefacts are shared between them.
+        The profiling configuration.  ``kernel`` selects the replay
+        kernel (``"vectorized"`` by default); both kernels yield
+        bit-identical profiles, so cached artefacts are shared between
+        them.
     cache_dir:
         Optional directory for JSON persistence of profiles, as entries
         of the store's own :class:`ResultCache` (memory-only without
@@ -64,9 +76,11 @@ class ProfileStore:
         self.seed = seed
         self.kernel = kernel
         self._cache = ResultCache(cache_dir)
+        self._generator = TraceGenerator(num_instructions=num_instructions, seed=seed)
         self._profiles: Dict[Tuple[BenchmarkSpec, str], SingleCoreProfile] = {}
         self._traces: Dict[Tuple[BenchmarkSpec, str], LLCAccessTrace] = {}
-        self._profilers: Dict[str, Profiler] = {}
+        self._private_runs: Dict[Tuple[BenchmarkSpec, str], PrivateRun] = {}
+        self._simulators: Dict[str, SingleCoreSimulator] = {}
         self.simulated_profiles = 0
         self.loaded_profiles = 0
         self.absorbed_profiles = 0
@@ -83,22 +97,46 @@ class ProfileStore:
             return cached
         if self.load_if_cached(spec, machine):
             return self._profiles[key]
-        return self._simulate(spec, machine).profile
+        return self.get(spec, machine).profile
 
     def get_llc_trace(self, spec: BenchmarkSpec, machine: MachineConfig) -> LLCAccessTrace:
         """The LLC access trace of the isolated run (simulates if needed)."""
-        key = self._key(spec, machine)
-        cached = self._traces.get(key)
+        cached = self._traces.get(self._key(spec, machine))
         if cached is not None:
             return cached
-        return self._simulate(spec, machine).llc_trace
+        return self.get(spec, machine).llc_trace
 
     def get(self, spec: BenchmarkSpec, machine: MachineConfig) -> ProfiledBenchmark:
         """Both the profile and the LLC trace for one benchmark."""
-        key = self._key(spec, machine)
-        if key in self._profiles and key in self._traces:
-            return ProfiledBenchmark(profile=self._profiles[key], llc_trace=self._traces[key])
-        return self._simulate(spec, machine)
+        return self.get_many(spec, [machine])[0]
+
+    def get_many(
+        self, spec: BenchmarkSpec, machines: Sequence[MachineConfig]
+    ) -> List[ProfiledBenchmark]:
+        """Profiles and LLC traces of one benchmark on several machines.
+
+        Machines sharing a private hierarchy share one trace and one
+        private replay, and the LLC stage computes stack distances once
+        per distinct LLC set count.  A pair whose profile is already
+        resident (e.g. loaded from disk) keeps it: only its LLC trace
+        is built, and nothing is written back.
+        """
+        pending: Dict[str, Dict[str, MachineConfig]] = {}
+        for machine in machines:
+            if self._key(spec, machine) not in self._traces:
+                by_profile = pending.setdefault(machine.private_key(), {})
+                by_profile.setdefault(machine.profile_key(), machine)
+        for by_profile in pending.values():
+            group = list(by_profile.values())
+            simulator = self._simulator_for(group[0])
+            runs = simulator.resolve_llc_many(self._private_run(spec, group[0]), group)
+            for machine, run in zip(group, runs):
+                self._record(spec, machine, run)
+        out = []
+        for machine in machines:
+            key = self._key(spec, machine)
+            out.append(ProfiledBenchmark(profile=self._profiles[key], llc_trace=self._traces[key]))
+        return out
 
     def preload(self, suite: BenchmarkSuite, machine: MachineConfig) -> int:
         """Warm the full (profile, LLC trace) bundle for a whole suite.
@@ -145,7 +183,10 @@ class ProfileStore:
         if this store had simulated them, but ``simulated_profiles`` is
         untouched — the simulation work was paid in another process.
         """
-        self._adopt(spec, machine, profiled)
+        key = self._key(spec, machine)
+        self._profiles[key] = profiled.profile
+        self._traces[key] = profiled.llc_trace
+        self._cache.put(self._content_key(spec, machine), profiled.profile)
         self.absorbed_profiles += 1
 
     def cached_pairs(self) -> int:
@@ -174,28 +215,34 @@ class ProfileStore:
             spec,
         )
 
-    def _profiler_for(self, machine: MachineConfig) -> Profiler:
-        key = machine.profile_key()
-        if key not in self._profilers:
-            self._profilers[key] = Profiler(
+    def _simulator_for(self, machine: MachineConfig) -> SingleCoreSimulator:
+        # One simulator per private hierarchy: stage 1 reads only the
+        # private levels, stage 2 takes the machine explicitly.
+        key = machine.private_key()
+        if key not in self._simulators:
+            self._simulators[key] = SingleCoreSimulator(
                 machine=machine,
-                num_instructions=self.num_instructions,
                 interval_instructions=self.interval_instructions,
-                seed=self.seed,
                 kernel=self.kernel,
             )
-        return self._profilers[key]
+        return self._simulators[key]
 
-    def _simulate(self, spec: BenchmarkSpec, machine: MachineConfig) -> ProfiledBenchmark:
-        profiled = self._profiler_for(machine).profile(spec)
-        self._adopt(spec, machine, profiled)
-        self.simulated_profiles += 1
-        return profiled
+    def _private_run(self, spec: BenchmarkSpec, machine: MachineConfig) -> PrivateRun:
+        key = (spec, machine.private_key())
+        private_run = self._private_runs.get(key)
+        if private_run is None:
+            # The full trace is dropped as soon as stage 1 returns.
+            trace = self._generator.generate(spec)
+            private_run = self._simulator_for(machine).filter_private(trace)
+            self._private_runs[key] = private_run
+        return private_run
 
-    def _adopt(
-        self, spec: BenchmarkSpec, machine: MachineConfig, profiled: ProfiledBenchmark
-    ) -> None:
+    def _record(self, spec: BenchmarkSpec, machine: MachineConfig, run: SingleCoreRunResult) -> None:
         key = self._key(spec, machine)
-        self._profiles[key] = profiled.profile
-        self._traces[key] = profiled.llc_trace
-        self._cache.put(self._content_key(spec, machine), profiled.profile)
+        self._traces[key] = run.llc_trace
+        if key in self._profiles:
+            return  # resident profile (e.g. loaded from disk): only the trace was missing
+        profile = profile_from_run(run, machine)
+        self._profiles[key] = profile
+        self._cache.put(self._content_key(spec, machine), profile)
+        self.simulated_profiles += 1

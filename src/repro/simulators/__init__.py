@@ -19,6 +19,7 @@ simulator of the paper (see DESIGN.md, "Substitutions"):
 from repro.simulators.llc_trace import LLCAccessTrace
 from repro.simulators.single_core import (
     KERNELS,
+    PrivateRun,
     SingleCoreRunResult,
     SingleCoreSimulator,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "KERNELS",
     "LLCAccessTrace",
     "MULTI_CORE_KERNELS",
+    "PrivateRun",
     "SingleCoreRunResult",
     "SingleCoreSimulator",
     "MultiCoreRunResult",

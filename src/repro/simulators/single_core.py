@@ -6,26 +6,37 @@ CPI, memory CPI and stack-distance counters that MPPM consumes, plus —
 in our trace-driven setup — the filtered LLC access stream that the
 multi-core reference simulator replays.
 
-One :class:`SingleCoreSimulator.run` call produces everything at once:
-a :class:`SingleCoreRunResult` holding the interval measurements, the
-overall CPI stack and the :class:`LLCAccessTrace`.
+A run is two stages, and :meth:`SingleCoreSimulator.run` is their
+composition:
 
-Two replay kernels produce the per-access outcomes:
+1. :meth:`~SingleCoreSimulator.filter_private` replays the trace
+   through the private L1/L2 and returns a compact :class:`PrivateRun`:
+   the filtered LLC stream, its upstream-cycle gaps and the per-interval
+   base cycles and private-level hit counts.  It depends only on the
+   trace and the private hierarchy (:meth:`MachineConfig.private_key`),
+   so the six Table 2 LLCs share one.
+2. :meth:`~SingleCoreSimulator.resolve_llc` computes the LLC stack
+   distances of that stream — an access hits an A-way LRU set iff its
+   stack distance is at most A (Mattson et al., 1970) — and does the
+   latency-dependent CPI assembly, producing a
+   :class:`SingleCoreRunResult` with the interval measurements, the
+   overall CPI stack and the :class:`LLCAccessTrace`.
+
+Two replay kernels implement both stages:
 
 * ``"vectorized"`` (the default) resolves every cache level with
   batched per-set stack distances (:mod:`repro.caches.vectorized`) —
-  a handful of array passes over the whole trace, exploiting that an
-  access hits an A-way LRU cache iff its stack distance is at most A;
+  a handful of array passes over the whole trace;
 * ``"reference"`` walks every access through stateful
-  :class:`~repro.caches.hierarchy.CacheHierarchy` /
+  :class:`~repro.caches.hierarchy.CacheHierarchy`,
+  :class:`~repro.caches.set_associative.SetAssociativeCache` and
   :class:`~repro.caches.stack_distance.StackDistanceProfiler` objects,
   one at a time — the direct transcription of what profiling hardware
   would observe, kept as the ground truth the fast kernel is tested
   against.
 
-Both kernels emit the same outcome arrays (which level served each
-access, the filtered LLC stream and its stack distances) and share one
-assembly routine for all cycle accounting, so their
+Both kernels emit the same outcome arrays and share one assembly
+routine per stage for all cycle accounting, so their
 :class:`SingleCoreRunResult`\\ s are bit-identical — asserted by the
 equivalence suite and guarded by ``benchmarks/bench_singlecore_kernel``.
 """
@@ -33,25 +44,80 @@ equivalence suite and guarded by ``benchmarks/bench_singlecore_kernel``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.caches.hierarchy import CacheHierarchy
+from repro.caches.set_associative import SetAssociativeCache
 from repro.caches.stack_distance import (
     StackDistanceCounters,
     StackDistanceProfiler,
     distance_slots,
 )
-from repro.caches.vectorized import replay_hierarchy, replay_private_levels
+from repro.caches.vectorized import lru_hit_mask, replay_llc, replay_private_levels
 from repro.config.machine import MachineConfig
 from repro.cores.core_model import CoreTimingModel
 from repro.cores.cpi_stack import CPIStack
 from repro.simulators.llc_trace import LLCAccessTrace
+from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.trace import MemoryTrace
 
 #: The replay kernels ``SingleCoreSimulator`` can use.
 KERNELS = ("vectorized", "reference")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class PrivateRun:
+    """A trace filtered through the private cache levels (profiling stage 1).
+
+    Holds everything the LLC stage needs and nothing else: the trace
+    itself is not kept.  The LLC-stream arrays are read-only because
+    the :class:`LLCAccessTrace` of every LLC resolved on top of this
+    run reuses them rather than copying them.
+
+    Attributes
+    ----------
+    spec, num_instructions, interval_instructions:
+        The benchmark, its trace length and the profiling interval.
+    private_key:
+        :meth:`MachineConfig.private_key` of the hierarchy that filtered
+        the trace; the LLC stage only accepts machines with this key.
+    line, insn, upstream_cycle_gap:
+        The filtered LLC stream: line address and instruction index of
+        each LLC access and the upstream cycles since the previous one.
+    interval_id:
+        The profiling interval of each LLC access.
+    instructions, base_cycles:
+        Per interval: instruction count and base cycles (the last
+        interval includes the cycles after the last memory access).
+    private_hits:
+        Per interval and private level: accesses that level served.
+    tail_cycles:
+        Upstream cycles after the last LLC access.
+    """
+
+    spec: BenchmarkSpec
+    private_key: str
+    num_instructions: int
+    interval_instructions: int
+    line: np.ndarray
+    insn: np.ndarray
+    upstream_cycle_gap: np.ndarray
+    interval_id: np.ndarray
+    instructions: np.ndarray
+    base_cycles: np.ndarray
+    private_hits: np.ndarray
+    tail_cycles: float
+
+    @property
+    def num_intervals(self) -> int:
+        return len(self.base_cycles)
 
 
 @dataclass(frozen=True)
@@ -152,17 +218,68 @@ class SingleCoreSimulator:
     def run(self, trace: MemoryTrace, kernel: Optional[str] = None) -> SingleCoreRunResult:
         """Simulate ``trace`` in isolation and collect the profile data.
 
+        The composition of :meth:`filter_private` and :meth:`resolve_llc`.
         ``kernel`` overrides the simulator's default replay kernel for
         this run only.
         """
+        return self.resolve_llc(self.filter_private(trace, kernel), kernel=kernel)
+
+    def filter_private(self, trace: MemoryTrace, kernel: Optional[str] = None) -> PrivateRun:
+        """Profiling stage 1: filter ``trace`` through the private cache levels."""
         kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
         if kernel == "vectorized":
-            served_level, llc_index, llc_distances = replay_hierarchy(
-                trace.access_line, self.machine
-            )
+            served_level, llc_index, _ = replay_private_levels(trace.access_line, self.machine)
         else:
-            served_level, llc_index, llc_distances = self._reference_outcomes(trace)
-        return self._assemble_result(trace, served_level, llc_index, llc_distances)
+            served_level, llc_index = self._reference_private(trace)
+        return self._assemble_private_run(trace, served_level, llc_index)
+
+    def resolve_llc(
+        self,
+        private_run: PrivateRun,
+        machine: Optional[MachineConfig] = None,
+        kernel: Optional[str] = None,
+    ) -> SingleCoreRunResult:
+        """Profiling stage 2: resolve ``private_run``'s stream against an LLC.
+
+        ``machine`` (default: the simulator's) supplies the LLC and the
+        latencies; its private hierarchy must be the one that filtered
+        the stream.
+        """
+        machine = self.machine if machine is None else machine
+        return self.resolve_llc_many(private_run, [machine], kernel)[0]
+
+    def resolve_llc_many(
+        self,
+        private_run: PrivateRun,
+        machines: Sequence[MachineConfig],
+        kernel: Optional[str] = None,
+    ) -> List[SingleCoreRunResult]:
+        """:meth:`resolve_llc` for several LLCs over one private hierarchy.
+
+        The vectorized kernel computes the stream's stack distances once
+        per distinct LLC set count and derives each associativity's hits
+        from them; the reference kernel simulates every LLC afresh.
+        """
+        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
+        distances_by_sets: Dict[int, np.ndarray] = {}
+        results = []
+        for machine in machines:
+            if machine.private_key() != private_run.private_key:
+                raise ValueError(
+                    f"{machine.name} has private levels {machine.private_key()!r}; "
+                    f"the stream was filtered by {private_run.private_key!r}"
+                )
+            llc = machine.llc
+            if kernel == "vectorized":
+                distances = distances_by_sets.get(llc.num_sets)
+                if distances is None:
+                    distances = replay_llc(private_run.line, llc.num_sets)
+                    distances_by_sets[llc.num_sets] = distances
+                hits = lru_hit_mask(distances, llc.associativity)
+            else:
+                hits, distances = self._reference_llc(private_run, machine)
+            results.append(self._assemble_result(private_run, machine, hits, distances))
+        return results
 
     def run_with_perfect_llc(self, trace: MemoryTrace, kernel: Optional[str] = None) -> float:
         """CPI of a run where every LLC access hits (the paper's perfect-LLC run).
@@ -172,96 +289,80 @@ class SingleCoreSimulator:
         Our accounting method gives the same number directly, but this
         run is kept for cross-validation in the test suite.
         """
-        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
-        num_private = len(self.machine.private_levels)
-        if kernel == "vectorized":
-            # Private-level filtering only: every access that reaches the
-            # perfect LLC hits, so its stack distances are never needed.
-            served_level, llc_index, _ = replay_private_levels(
-                trace.access_line, self.machine
-            )
-        else:
-            served_level, llc_index, _ = self._reference_outcomes(
-                trace, collect_llc_distances=False
-            )
+        private_run = self.filter_private(trace, kernel)
         core_model = CoreTimingModel(self.machine, trace.spec)
         # With a perfect LLC every access that reaches it is a hit, so
         # the cycle count is a closed-form weighted sum of the level
         # populations (identical for both kernels by construction).
         cycles = float(trace.base_cycle_gap.sum()) + trace.tail_base_cycles
-        for level_index in range(num_private):
+        for level_index in range(len(self.machine.private_levels)):
             penalty = core_model.private_hit_penalty(level_index)
             if penalty:
-                cycles += float(np.count_nonzero(served_level == level_index)) * penalty
-        cycles += float(len(llc_index)) * core_model.llc_hit_penalty
+                cycles += float(private_run.private_hits[:, level_index].sum()) * penalty
+        cycles += float(len(private_run.line)) * core_model.llc_hit_penalty
         return cycles / trace.num_instructions
 
     # ------------------------------------------------------------------
     # Reference kernel: per-access stateful cache simulation
     # ------------------------------------------------------------------
 
-    def _reference_outcomes(
-        self, trace: MemoryTrace, collect_llc_distances: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Walk every access through stateful cache objects, one at a time.
+    def _reference_private(self, trace: MemoryTrace) -> Tuple[np.ndarray, np.ndarray]:
+        """Walk every access through stateful private caches, one at a time.
 
         Produces the same outcome arrays as
-        :func:`repro.caches.vectorized.replay_hierarchy`: the level that
-        served each access, the filtered LLC stream and the per-set LLC
-        stack distance of each filtered access.  The perfect-LLC run
-        never consumes the distances and skips their collection.
+        :func:`repro.caches.vectorized.replay_private_levels`: the
+        private level that served each access (``P + 1`` for accesses
+        that missed them all) and the indices of the filtered LLC stream.
         """
-        machine = self.machine
-        hierarchy = CacheHierarchy(machine, include_llc=True)
-        sdc_profiler = (
-            StackDistanceProfiler(
-                num_sets=machine.llc.num_sets, associativity=machine.llc.associativity
-            )
-            if collect_llc_distances
-            else None
-        )
-        num_private = len(machine.private_levels)
-        access_line = trace.access_line
-        served_level = np.empty(trace.num_accesses, dtype=np.int64)
+        hierarchy = CacheHierarchy(self.machine, include_llc=False)
+        served_level = np.full(trace.num_accesses, len(hierarchy.levels) + 1, dtype=np.int64)
         llc_index: List[int] = []
-        llc_distances: List[int] = []
-        for i in range(trace.num_accesses):
-            line = int(access_line[i])
-            outcome = hierarchy.access(line)
-            if not outcome.reached_llc:
-                served_level[i] = outcome.level_index
-                continue
-            llc_index.append(i)
-            if sdc_profiler is not None:
-                llc_distances.append(sdc_profiler.access(line))
-            served_level[i] = num_private if outcome.llc_hit else num_private + 1
-        return (
-            served_level,
-            np.asarray(llc_index, dtype=np.int64),
-            np.asarray(llc_distances, dtype=np.int64),
+        for i, line in enumerate(trace.access_line.tolist()):
+            for level_index, level in enumerate(hierarchy.levels):
+                if level.access(line).hit:
+                    served_level[i] = level_index
+                    break
+            else:
+                llc_index.append(i)
+        return served_level, np.asarray(llc_index, dtype=np.int64)
+
+    @staticmethod
+    def _reference_llc(
+        private_run: PrivateRun, machine: MachineConfig
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Walk the filtered stream through a stateful LLC and SDC profiler.
+
+        Returns the per-access LLC hit mask and stack distances, as the
+        vectorized kernel derives them from :func:`replay_llc`.
+        """
+        llc = SetAssociativeCache(machine.llc)
+        profiler = StackDistanceProfiler(
+            num_sets=machine.llc.num_sets, associativity=machine.llc.associativity
         )
+        lines = private_run.line.tolist()
+        hits = np.fromiter((llc.access(line).hit for line in lines), dtype=bool, count=len(lines))
+        distances = np.fromiter(
+            (profiler.access(line) for line in lines), dtype=np.int64, count=len(lines)
+        )
+        return hits, distances
 
     # ------------------------------------------------------------------
-    # Shared assembly: outcomes -> SingleCoreRunResult
+    # Shared assembly: outcomes -> PrivateRun -> SingleCoreRunResult
     # ------------------------------------------------------------------
 
-    def _assemble_result(
-        self,
-        trace: MemoryTrace,
-        served_level: np.ndarray,
-        llc_index: np.ndarray,
-        llc_distances: np.ndarray,
-    ) -> SingleCoreRunResult:
-        """Turn per-access outcomes into the run result.
+    def _assemble_private_run(
+        self, trace: MemoryTrace, served_level: np.ndarray, llc_index: np.ndarray
+    ) -> PrivateRun:
+        """Turn private-level outcomes into the stage-1 result.
 
-        All cycle accounting happens here, as weighted sums over the
-        outcome arrays; both kernels route through this method, which is
-        what makes their results bit-identical.
+        All cycle accounting that does not depend on the LLC happens
+        here, as weighted sums over the outcome arrays; both kernels
+        route through this method, which is what makes their results
+        bit-identical.
         """
         machine = self.machine
         core_model = CoreTimingModel(machine, trace.spec)
         num_private = len(machine.private_levels)
-        associativity = machine.llc.associativity
         penalties = [core_model.private_hit_penalty(level) for level in range(num_private)]
 
         # Leading-zero cumulative sums: sum over accesses [a, b) is c[b] - c[a].
@@ -292,8 +393,8 @@ class SingleCoreSimulator:
             tail_cycles += float(cum[num_accesses] - cum[tail_start]) * penalties[level]
         tail_cycles += trace.tail_base_cycles
 
-        # Per-interval outcome populations and SDC counters, as fused
-        # histograms over (interval, outcome) pairs.
+        # Per-interval private-level populations, as one fused histogram
+        # over (interval, outcome) pairs.
         slices = trace.interval_slices(self.interval_instructions)
         num_intervals = len(slices)
         starts = np.fromiter((start for start, _ in slices), dtype=np.int64, count=num_intervals)
@@ -303,38 +404,75 @@ class SingleCoreSimulator:
         outcome_hist = np.bincount(
             interval_id * outcomes + served_level, minlength=num_intervals * outcomes
         ).reshape(num_intervals, outcomes)
-        # SDC counters of each interval's slice of the LLC stream (the
-        # per-set stacks persist across interval boundaries).
+
+        base_cycles = cum_base[stops] - cum_base[starts]
+        # Cycles after the last memory access belong to the last interval.
+        base_cycles[-1] += trace.tail_base_cycles
+        boundaries = np.minimum(
+            np.arange(1, num_intervals + 1, dtype=np.int64) * self.interval_instructions,
+            trace.num_instructions,
+        )
+
+        return PrivateRun(
+            spec=trace.spec,
+            private_key=machine.private_key(),
+            num_instructions=trace.num_instructions,
+            interval_instructions=self.interval_instructions,
+            line=_read_only(np.asarray(trace.access_line[llc_index], dtype=np.int64)),
+            insn=_read_only(np.asarray(trace.access_insn[llc_index], dtype=np.int64)),
+            upstream_cycle_gap=_read_only(np.asarray(gaps, dtype=np.float64)),
+            interval_id=_read_only(interval_id[llc_index]),
+            instructions=_read_only(np.diff(boundaries, prepend=0)),
+            base_cycles=_read_only(base_cycles),
+            private_hits=_read_only(np.ascontiguousarray(outcome_hist[:, :num_private])),
+            tail_cycles=float(tail_cycles),
+        )
+
+    def _assemble_result(
+        self,
+        private_run: PrivateRun,
+        machine: MachineConfig,
+        llc_hits: np.ndarray,
+        llc_distances: np.ndarray,
+    ) -> SingleCoreRunResult:
+        """Turn LLC outcomes into the run result.
+
+        The LLC-dependent cycle accounting — LLC hit and memory
+        penalties, SDC histograms and the isolated cycle count — happens
+        here; both kernels route through this method.
+        """
+        core_model = CoreTimingModel(machine, private_run.spec)
+        num_private = len(machine.private_levels)
+        associativity = machine.llc.associativity
+        penalties = [core_model.private_hit_penalty(level) for level in range(num_private)]
+
+        # Per-interval LLC populations and SDC counters of each
+        # interval's slice of the LLC stream (the per-set stacks persist
+        # across interval boundaries).
+        num_intervals = private_run.num_intervals
+        interval_id = private_run.interval_id
+        llc_accesses = np.bincount(interval_id, minlength=num_intervals)
+        llc_hit_counts = np.bincount(interval_id[llc_hits], minlength=num_intervals)
         slots = distance_slots(llc_distances, associativity)
         sdc_hist = np.bincount(
-            interval_id[llc_index] * (associativity + 1) + slots,
+            interval_id * (associativity + 1) + slots,
             minlength=num_intervals * (associativity + 1),
         ).reshape(num_intervals, associativity + 1).astype(np.float64)
 
         overall = CPIStack()
         intervals: List[IntervalMeasurement] = []
-        previous_boundary_insn = 0
         for interval_index in range(num_intervals):
             interval_stack = CPIStack()
-            base_cycles = float(cum_base[stops[interval_index]] - cum_base[starts[interval_index]])
-            if interval_index == num_intervals - 1:
-                # Cycles after the last memory access belong to the last interval.
-                base_cycles += trace.tail_base_cycles
-            interval_stack.add_base(base_cycles)
+            interval_stack.add_base(float(private_run.base_cycles[interval_index]))
             for level in range(num_private):
                 if penalties[level]:
-                    count = int(outcome_hist[interval_index, level])
+                    count = int(private_run.private_hits[interval_index, level])
                     interval_stack.add_private_cache(count * penalties[level])
-            llc_hits = int(outcome_hist[interval_index, num_private])
-            llc_misses = int(outcome_hist[interval_index, num_private + 1])
-            interval_stack.add_llc(llc_hits * core_model.llc_hit_penalty)
+            llc_hits_in_interval = int(llc_hit_counts[interval_index])
+            llc_misses = int(llc_accesses[interval_index]) - llc_hits_in_interval
+            interval_stack.add_llc(llc_hits_in_interval * core_model.llc_hit_penalty)
             interval_stack.add_memory(llc_misses * core_model.memory_penalty)
-
-            boundary_insn = min(
-                (interval_index + 1) * self.interval_instructions, trace.num_instructions
-            )
-            interval_instructions = boundary_insn - previous_boundary_insn
-            previous_boundary_insn = boundary_insn
+            interval_instructions = int(private_run.instructions[interval_index])
             interval_stack.add_instructions(interval_instructions)
 
             intervals.append(
@@ -343,8 +481,8 @@ class SingleCoreSimulator:
                     instructions=interval_instructions,
                     cycles=interval_stack.total_cycles,
                     memory_cycles=interval_stack.memory,
-                    llc_accesses=llc_hits + llc_misses,
-                    llc_hits=llc_hits,
+                    llc_accesses=llc_hits_in_interval + llc_misses,
+                    llc_hits=llc_hits_in_interval,
                     llc_misses=llc_misses,
                     sdc=StackDistanceCounters(
                         associativity=associativity, counts=sdc_hist[interval_index]
@@ -354,19 +492,19 @@ class SingleCoreSimulator:
             overall = overall.merged_with(interval_stack)
 
         llc_trace = LLCAccessTrace(
-            spec=trace.spec,
-            num_instructions=trace.num_instructions,
-            line=np.asarray(trace.access_line[llc_index], dtype=np.int64),
-            insn=np.asarray(trace.access_insn[llc_index], dtype=np.int64),
-            upstream_cycle_gap=np.asarray(gaps, dtype=np.float64),
-            tail_cycles=float(tail_cycles),
+            spec=private_run.spec,
+            num_instructions=private_run.num_instructions,
+            line=private_run.line,
+            insn=private_run.insn,
+            upstream_cycle_gap=private_run.upstream_cycle_gap,
+            tail_cycles=private_run.tail_cycles,
             isolated_cycles=overall.total_cycles,
         )
 
         return SingleCoreRunResult(
-            benchmark=trace.name,
+            benchmark=private_run.spec.name,
             machine_name=machine.name,
-            interval_instructions=self.interval_instructions,
+            interval_instructions=private_run.interval_instructions,
             intervals=intervals,
             cpi_stack=overall,
             llc_trace=llc_trace,

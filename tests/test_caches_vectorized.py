@@ -3,8 +3,8 @@
 The kernel's contract is exact equivalence with the per-access
 reference machinery: :func:`stack_distances` must reproduce
 :class:`StackDistanceProfiler` access by access, and
-:func:`replay_hierarchy` must reproduce a stateful
-:class:`CacheHierarchy` walk, for any stream and any cache geometry —
+:func:`replay_private_levels` followed by :func:`replay_llc` must
+reproduce a stateful :class:`CacheHierarchy` walk, for any stream and any cache geometry —
 including single-set (fully associative) and direct-mapped corners.
 """
 
@@ -17,7 +17,8 @@ from repro.caches.stack_distance import StackDistanceCounters, StackDistanceProf
 from repro.caches.vectorized import (
     _count_preceding_greater,
     lru_hit_mask,
-    replay_hierarchy,
+    replay_llc,
+    replay_private_levels,
     stack_distances,
 )
 from repro.config.cache_config import CacheConfig
@@ -138,7 +139,10 @@ class TestReplayHierarchy:
                         num_private if outcome.llc_hit else num_private + 1
                     )
                     expected_llc.append(int(line))
-            served, llc_index, llc_distances = replay_hierarchy(lines, machine)
+            served, llc_index, stream = replay_private_levels(lines, machine)
+            llc_distances = replay_llc(stream, machine.llc.num_sets)
+            llc_hits = lru_hit_mask(llc_distances, machine.llc.associativity)
+            served[llc_index[llc_hits]] = num_private
             assert np.array_equal(served, expected_levels)
             assert np.array_equal(lines[llc_index], expected_llc)
             # The distances reproduce the SDC profiler on the filtered stream.

@@ -1,0 +1,253 @@
+"""Profiling the whole Table 2 design space through the two-stage store.
+
+The store generates each benchmark's trace and filters it through the
+private levels once per private hierarchy, then resolves every LLC on
+top.  These tests pin that path to a fresh per-machine
+:class:`Profiler` run field by field, count the stage-1 work, and
+check the sharing, read-only and cache-write guarantees that come with
+it.
+"""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.config import llc_design_space, scaled
+from repro.engine import tasks as engine_tasks
+from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.profiling import Profiler, ProfileStore
+from repro.simulators import single_core
+from repro.workloads import WorkloadMix, workload_for
+from repro.workloads.generator import TraceGenerator
+
+INSTRUCTIONS = 20_000
+INTERVAL = 1_000
+
+
+def _specs():
+    """A few benchmarks from each workload family."""
+    return (
+        [workload_for("suite:spec29").suite()[name] for name in ("mcf", "gamess", "hmmer")]
+        + list(workload_for("random:n=4,seed=3").suite())[:2]
+        + list(workload_for("service:n=4,seed=1").suite())[:2]
+    )
+
+
+SPECS = _specs()
+MACHINES = [scaled(machine, 16) for machine in llc_design_space(4)]
+
+
+def _store(kernel="vectorized", **kwargs):
+    return ProfileStore(
+        num_instructions=INSTRUCTIONS, interval_instructions=INTERVAL, kernel=kernel, **kwargs
+    )
+
+
+def assert_profiles_equal(a, b):
+    assert a.benchmark == b.benchmark
+    assert a.machine_key == b.machine_key
+    assert a.machine_name == b.machine_name
+    assert a.interval_instructions == b.interval_instructions
+    assert a.llc_associativity == b.llc_associativity
+    assert len(a.intervals) == len(b.intervals)
+    for x, y in zip(a.intervals, b.intervals):
+        assert (x.index, x.instructions) == (y.index, y.instructions)
+        assert x.cpi == y.cpi
+        assert x.memory_cpi == y.memory_cpi
+        assert x.llc_accesses == y.llc_accesses
+        assert x.llc_misses == y.llc_misses
+        assert x.sdc.associativity == y.sdc.associativity
+        assert np.array_equal(x.sdc.counts, y.sdc.counts)
+
+
+def assert_traces_equal(a, b):
+    assert a.spec == b.spec
+    assert a.num_instructions == b.num_instructions
+    for attr in ("line", "insn", "upstream_cycle_gap"):
+        left, right = getattr(a, attr), getattr(b, attr)
+        assert left.dtype == right.dtype
+        assert np.array_equal(left, right)
+    assert a.tail_cycles == b.tail_cycles
+    assert a.isolated_cycles == b.isolated_cycles
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    """Fresh per-machine Profiler results: the ground truth."""
+    out = {}
+    for machine in MACHINES:
+        profiler = Profiler(machine, num_instructions=INSTRUCTIONS, interval_instructions=INTERVAL)
+        for spec in SPECS:
+            out[(spec, machine.profile_key())] = profiler.profile(spec)
+    return out
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
+    @pytest.mark.parametrize("order", ["machine-major", "spec-major"])
+    def test_memoized_profiles_match_fresh_profiler(self, fresh, kernel, order):
+        store = _store(kernel)
+        if order == "machine-major":
+            pairs = [(spec, machine) for machine in MACHINES for spec in SPECS]
+        else:
+            pairs = [(spec, machine) for spec in SPECS for machine in MACHINES]
+        for spec, machine in pairs:
+            expected = fresh[(spec, machine.profile_key())]
+            assert_profiles_equal(store.get_profile(spec, machine), expected.profile)
+            assert_traces_equal(store.get_llc_trace(spec, machine), expected.llc_trace)
+        assert store.simulated_profiles == len(pairs)
+
+    def test_get_many_matches_fresh_profiler(self, fresh):
+        store = _store()
+        for spec in SPECS:
+            for machine, profiled in zip(MACHINES, store.get_many(spec, MACHINES)):
+                expected = fresh[(spec, machine.profile_key())]
+                assert_profiles_equal(profiled.profile, expected.profile)
+                assert_traces_equal(profiled.llc_trace, expected.llc_trace)
+
+    def test_resolve_llc_rejects_a_foreign_private_hierarchy(self, full_suite):
+        machine = MACHINES[0]
+        other = replace(
+            machine,
+            private_levels=(
+                machine.private_levels[0],
+                replace(machine.private_levels[1], latency=20),
+            ),
+        )
+        simulator = single_core.SingleCoreSimulator(machine, interval_instructions=INTERVAL)
+        trace = TraceGenerator(num_instructions=INSTRUCTIONS).generate(full_suite["mcf"])
+        with pytest.raises(ValueError):
+            simulator.resolve_llc(simulator.filter_private(trace), other)
+
+
+class TestStageOneCounting:
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        counts = {"generate": 0, "replay_private_levels": 0, "filter_private": 0, "replay_llc": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TraceGenerator, "generate", counting("generate", TraceGenerator.generate)
+        )
+        simulator = single_core.SingleCoreSimulator
+        monkeypatch.setattr(
+            simulator, "filter_private", counting("filter_private", simulator.filter_private)
+        )
+        for name in ("replay_private_levels", "replay_llc"):
+            monkeypatch.setattr(single_core, name, counting(name, getattr(single_core, name)))
+        return counts
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
+    def test_one_trace_and_one_private_replay_per_spec(self, counters, kernel):
+        store = _store(kernel)
+        for machine in MACHINES:
+            for spec in SPECS:
+                store.get_profile(spec, machine)
+        k = len(SPECS)
+        assert counters["generate"] == k
+        assert counters["filter_private"] == k
+        assert counters["replay_private_levels"] == (k if kernel == "vectorized" else 0)
+        assert store.simulated_profiles == len(MACHINES) * k
+
+    def test_get_many_computes_distances_once_per_set_count(self, counters):
+        store = _store()
+        spec = SPECS[0]
+        store.get_many(spec, MACHINES)
+        set_counts = {machine.llc.num_sets for machine in MACHINES}
+        assert len(set_counts) == 4
+        assert counters["replay_llc"] == len(set_counts)
+        assert (counters["generate"], counters["replay_private_levels"]) == (1, 1)
+
+    @pytest.mark.parametrize("level", ["latency", "size_bytes"])
+    def test_a_different_l2_gets_its_own_stage_one(self, counters, level):
+        store = _store()
+        machine = MACHINES[0]
+        l2 = machine.private_levels[1]
+        changed = {"latency": l2.latency * 2, "size_bytes": l2.size_bytes * 2}[level]
+        other = replace(
+            machine, private_levels=(machine.private_levels[0], replace(l2, **{level: changed}))
+        )
+        assert other.private_key() != machine.private_key()
+        spec = SPECS[0]
+        base = store.get_llc_trace(spec, machine)
+        moved = store.get_llc_trace(spec, other)
+        assert counters["filter_private"] == 2
+        assert not np.array_equal(base.upstream_cycle_gap, moved.upstream_cycle_gap)
+
+
+class TestSharedReadOnlyTraces:
+    def test_design_space_traces_share_read_only_arrays(self):
+        store = _store()
+        spec = SPECS[0]
+        traces = [store.get_llc_trace(spec, machine) for machine in MACHINES]
+        first = traces[0]
+        for trace in traces[1:]:
+            for attr in ("line", "insn", "upstream_cycle_gap"):
+                assert np.shares_memory(getattr(first, attr), getattr(trace, attr))
+        for attr in ("line", "insn", "upstream_cycle_gap"):
+            with pytest.raises(ValueError):
+                getattr(first, attr)[0] = 0
+
+
+class TestDiskLoadedProfiles:
+    def test_trace_fetch_keeps_the_resident_profile_and_writes_nothing(self, tmp_path):
+        spec, machine = SPECS[0], MACHINES[0]
+        _store(cache_dir=tmp_path).get_profile(spec, machine)
+        (entry,) = tmp_path.iterdir()
+        mtime = entry.stat().st_mtime_ns
+
+        reader = _store(cache_dir=tmp_path)
+        loaded = reader.get_profile(spec, machine)
+        stores = reader._cache.stats()["stores"]
+        trace = reader.get_llc_trace(spec, machine)
+        profiled = reader.get(spec, machine)
+        assert profiled.profile is loaded
+        assert profiled.llc_trace is trace
+        assert reader._cache.stats()["stores"] == stores
+        assert reader.simulated_profiles == 0
+        assert reader.loaded_profiles == 1
+        assert os.stat(entry).st_mtime_ns == mtime
+        assert trace.isolated_cycles == pytest.approx(loaded.total_cycles)
+
+
+class TestParallelWarmUp:
+    def test_one_warm_job_per_spec_matching_serial(self, monkeypatch):
+        config = ExperimentConfig(scale=16, num_instructions=INSTRUCTIONS, interval_instructions=INTERVAL)
+        workload = "suite:spec29/scaled@4"
+        serial = ExperimentSetup(config=config, workload=workload)
+        parallel = ExperimentSetup(config=config, workload=workload, jobs=2)
+        submitted = []
+        original_map = parallel.engine.map
+
+        def recording_map(jobs):
+            submitted.append(list(jobs))
+            return original_map(jobs)
+
+        monkeypatch.setattr(parallel.engine, "map", recording_map)
+        mix = WorkloadMix(programs=tuple(serial.benchmark_names))
+        pairs = [(mix, machine) for machine in serial.design_space(num_cores=4)]
+        try:
+            assert parallel.simulate_batch(pairs) == serial.simulate_batch(pairs)
+        finally:
+            parallel.close()
+        (warm,) = submitted
+        assert len(warm) == len(serial.suite)
+        assert all(job.fn is engine_tasks.profile_bundle_task for job in warm)
+        assert parallel.store.absorbed_profiles == len(serial.suite) * len(pairs)
+        for spec in serial.suite:
+            for _, machine in pairs:
+                assert_profiles_equal(
+                    parallel.store.get_profile(spec, machine), serial.store.get_profile(spec, machine)
+                )
+                assert_traces_equal(
+                    parallel.store.get_llc_trace(spec, machine),
+                    serial.store.get_llc_trace(spec, machine),
+                )
