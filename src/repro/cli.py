@@ -59,7 +59,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from repro.engine import ConsoleReporter, create_engine
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.experiments.reporting import format_table
 from repro.predictors import DEFAULT_PREDICTOR, canonical_spec, describe_predictors
+from repro.specs import SpecError
 from repro.workloads import (
     DEFAULT_WORKLOAD,
     WorkloadMix,
@@ -124,30 +125,28 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _predictor_spec(value: str) -> str:
-    """argparse type for ``--model``: canonicalised registry spec."""
-    try:
-        return canonical_spec(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _spec_type(canonicalise: Callable[[str], str]) -> Callable[[str], str]:
+    """argparse type for a spec flag: the canonical spec, or a usage error."""
+
+    def parse(value: str) -> str:
+        try:
+            return canonicalise(value)
+        except SpecError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return parse
 
 
-def _workload_spec(value: str) -> str:
-    """argparse type for ``--suite``: canonicalised workload spec."""
-    try:
-        return canonical_workload_spec(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _normalize_fleet_flag(value: str) -> str:
+    # Lazy: the fleet package is only loaded when --fleet is given.
+    from repro.engine.remote import normalize_fleet_flag
+
+    return normalize_fleet_flag(value)
 
 
-def _fleet_spec(value: str) -> str:
-    """argparse type for ``--fleet``: canonicalised ``fleet:`` spec."""
-    from repro.engine.remote import FleetSpecError, normalize_fleet_flag
-
-    try:
-        return normalize_fleet_flag(value)
-    except FleetSpecError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+_predictor_spec = _spec_type(canonical_spec)
+_workload_spec = _spec_type(canonical_workload_spec)
+_fleet_spec = _spec_type(_normalize_fleet_flag)
 
 
 def _add_model_argument(parser: argparse.ArgumentParser, repeatable: bool) -> None:

@@ -17,12 +17,14 @@ The distinction that matters operationally is *whose fault it was*:
 
 from __future__ import annotations
 
+from repro.specs import SpecError
+
 
 class FleetError(RuntimeError):
     """The fleet cannot make progress (startup or mid-sweep)."""
 
 
-class FleetSpecError(FleetError):
+class FleetSpecError(FleetError, SpecError):
     """A malformed ``fleet:`` spec string."""
 
 

@@ -35,8 +35,8 @@ from repro.predictors import (
     DEFAULT_PREDICTOR,
     PredictorError,
     canonical_spec,
-    hybrid_worst_k,
     make_predictor,
+    parse_spec,
     prediction_from_run,
     tag_prediction,
 )
@@ -551,7 +551,7 @@ class ExperimentSetup:
             ranked = sorted(
                 indices, key=lambda index: (out[index].system_throughput, index)
             )
-            spot.extend(ranked[: hybrid_worst_k(spec)])
+            spot.extend(ranked[: parse_spec(spec).params["k"]])
         spot_results = self._run_plain_ops(
             [("detailed", ops[index][1], ops[index][2]) for index in spot]
         )

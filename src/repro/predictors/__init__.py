@@ -30,6 +30,10 @@ experiment and CLI command accepts these specs, and
 ``(spec, mix, machine)`` — so any new estimator (a learned model, a
 hybrid scheme, a new contention model) becomes available to the whole
 stack through a single registry entry here.
+
+Spec strings follow the shared ``family[:head][,key=value]*`` grammar of
+:mod:`repro.specs`: each family is one :class:`~repro.specs.Family` row
+of ``_SPECS``, which parses, canonicalises and lists it.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from repro.predictors.hybrid import HybridPredictor
 from repro.predictors.interp import InterpolatedPredictor
 from repro.predictors.learned import LearnedPredictor
 from repro.predictors.mppm import MPPMPredictor
+from repro.specs import Anchors, Choice, Family, Grammar, Integer, Param, ParsedSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.setup import ExperimentSetup
@@ -63,14 +68,12 @@ __all__ = [
     "DEFAULT_LEARNED_MIXES",
     "DEFAULT_LEARNED_SEED",
     "DEFAULT_INTERP_ANCHORS",
-    "hybrid_worst_k",
-    "learned_params",
-    "interp_anchors",
     "available_predictors",
     "canonical_spec",
     "describe_predictors",
     "lookup_spec",
     "make_predictor",
+    "parse_spec",
     "prediction_from_run",
     "predictor_requires_traces",
     "tag_prediction",
@@ -108,148 +111,79 @@ _MPPM_VARIANTS: Mapping[str, Tuple[MPPMConfig, str]] = {
 }
 
 
-def _spec_table() -> Mapping[str, str]:
-    """spec -> one-line description, in canonical listing order."""
-    table = {
-        f"mppm:{name}": f"iterative MPPM with the {name.upper()} cache-contention model"
-        for name in available_contention_models()
-    }
-    for variant, (_, description) in _MPPM_VARIANTS.items():
-        table[f"mppm:{variant}"] = description
-    for variant, (_, description) in _BASELINE_VARIANTS.items():
-        table[f"baseline:{variant}"] = description
-    table[f"hybrid:k={DEFAULT_HYBRID_K}"] = (
-        "MPPM for the bulk, detailed spot-checks for each pool's predicted worst-K mixes"
-    )
-    table[f"learned:n={DEFAULT_LEARNED_MIXES},seed={DEFAULT_LEARNED_SEED}"] = (
-        "ridge regression over single-core profile features, trained on cached detailed runs"
-    )
-    low, high = DEFAULT_INTERP_ANCHORS
-    table[f"interp:anchors={low}+{high}"] = (
-        "per-program CPI interpolated across the LLC design space from two detailed anchors"
-    )
-    table["detailed"] = "detailed shared-LLC multi-core simulation (the reference)"
-    return table
+def _enumerated(
+    family: str, variants: Mapping[str, Tuple[object, str]], default_head: Optional[str] = None
+) -> Family:
+    """A family whose head names one of ``variants`` (name -> (value, description))."""
+    rows = tuple((f"{family}:{name}", description) for name, (_, description) in variants.items())
+    return Family(family, rows, head=Choice(tuple(variants)), default_head=default_head)
 
 
-def _canonical_hybrid(spec: str, normalised: str) -> str:
-    """Canonicalise ``hybrid`` / ``hybrid:k=N`` (parametric, not table-bound)."""
-    _, sep, rest = normalised.partition(":")
-    if not sep or not rest:
-        return f"hybrid:k={DEFAULT_HYBRID_K}"
-    key, eq, value = rest.partition("=")
-    if key.strip() != "k" or not eq:
-        raise PredictorError(
-            f"unknown predictor spec {spec!r}; the hybrid family takes "
-            "hybrid:k=N (detailed spot-checks for each pool's predicted worst-N mixes)"
-        )
-    try:
-        k = int(value)
-    except ValueError:
-        raise PredictorError(
-            f"{spec!r}: the hybrid k parameter must be an integer, got {value.strip()!r}"
-        ) from None
-    if k < 1:
-        raise PredictorError(f"{spec!r}: the hybrid k parameter must be >= 1, got {k}")
-    return f"hybrid:k={k}"
+#: The predictor families: parsing, canonical forms and the listing, one
+#: row each; listing rows are ``(spec, description)``.
+_SPECS = Grammar(
+    "predictor",
+    PredictorError,
+    [
+        _enumerated(
+            "mppm",
+            {
+                **{
+                    name: (None, f"iterative MPPM with the {name.upper()} cache-contention model")
+                    for name in available_contention_models()
+                },
+                **_MPPM_VARIANTS,
+            },
+            default_head="foa",
+        ),
+        _enumerated("baseline", _BASELINE_VARIANTS),
+        Family(
+            "hybrid",
+            ((
+                "hybrid",
+                "MPPM for the bulk, detailed spot-checks for each pool's predicted worst-K mixes",
+            ),),
+            params={"k": Param(Integer(1), DEFAULT_HYBRID_K)},
+        ),
+        Family(
+            "learned",
+            ((
+                "learned",
+                "ridge regression over single-core profile features, trained on cached detailed runs",
+            ),),
+            params={
+                "n": Param(Integer(2), DEFAULT_LEARNED_MIXES),
+                "seed": Param(Integer(0), DEFAULT_LEARNED_SEED),
+            },
+        ),
+        Family(
+            "interp",
+            ((
+                "interp",
+                "per-program CPI interpolated across the LLC design space from two detailed anchors",
+            ),),
+            params={"anchors": Param(Anchors(1, _DESIGN_SPACE_SIZE), DEFAULT_INTERP_ANCHORS)},
+        ),
+        Family(
+            "detailed",
+            (("detailed", "detailed shared-LLC multi-core simulation (the reference)"),),
+        ),
+    ],
+)
 
 
-def _canonical_learned(spec: str, normalised: str) -> str:
-    """Canonicalise ``learned`` / ``learned:n=N,seed=S`` (parametric)."""
-    _, sep, rest = normalised.partition(":")
-    params = {"n": DEFAULT_LEARNED_MIXES, "seed": DEFAULT_LEARNED_SEED}
-    if sep and rest:
-        seen = set()
-        for part in rest.split(","):
-            key, eq, value = part.partition("=")
-            key = key.strip()
-            if key not in params or not eq or key in seen:
-                raise PredictorError(
-                    f"unknown predictor spec {spec!r}; the learned family takes "
-                    "learned:n=N,seed=S (N training mixes sampled with seed S)"
-                )
-            seen.add(key)
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise PredictorError(
-                    f"{spec!r}: the learned {key} parameter must be an integer, "
-                    f"got {value.strip()!r}"
-                ) from None
-    if params["n"] < 2:
-        raise PredictorError(
-            f"{spec!r}: the learned n parameter must be >= 2 training mixes, "
-            f"got {params['n']}"
-        )
-    if params["seed"] < 0:
-        raise PredictorError(
-            f"{spec!r}: the learned seed must be >= 0, got {params['seed']}"
-        )
-    return f"learned:n={params['n']},seed={params['seed']}"
+def parse_spec(spec: str) -> ParsedSpec:
+    """Parse a predictor spec into its family, head and typed parameters.
 
-
-def _canonical_interp(spec: str, normalised: str) -> str:
-    """Canonicalise ``interp`` / ``interp:anchors=A+B`` (parametric)."""
-    _, sep, rest = normalised.partition(":")
-    if not sep or not rest:
-        low, high = DEFAULT_INTERP_ANCHORS
-        return f"interp:anchors={low}+{high}"
-    key, eq, value = rest.partition("=")
-    pieces = value.split("+") if eq else []
-    if key.strip() != "anchors" or len(pieces) != 2:
-        raise PredictorError(
-            f"unknown predictor spec {spec!r}; the interp family takes "
-            "interp:anchors=A+B (two distinct Table 2 configuration numbers)"
-        )
-    try:
-        anchors = sorted(int(piece) for piece in pieces)
-    except ValueError:
-        raise PredictorError(
-            f"{spec!r}: interp anchors must be integers, got {value.strip()!r}"
-        ) from None
-    low, high = anchors
-    if not (1 <= low <= _DESIGN_SPACE_SIZE and 1 <= high <= _DESIGN_SPACE_SIZE):
-        raise PredictorError(
-            f"{spec!r}: interp anchors must be Table 2 configuration numbers "
-            f"in 1..{_DESIGN_SPACE_SIZE}, got {low} and {high}"
-        )
-    if low == high:
-        raise PredictorError(
-            f"{spec!r}: interp needs two distinct anchor configurations, "
-            f"got #{low} twice"
-        )
-    return f"interp:anchors={low}+{high}"
-
-
-def learned_params(spec: str) -> Tuple[int, int]:
-    """(training mixes, seed) of a canonical ``learned:n=N,seed=S`` spec."""
-    canonical = canonical_spec(spec)
-    if not canonical.startswith("learned:"):
-        raise PredictorError(f"{spec!r} is not a learned predictor spec")
-    pairs = dict(part.split("=") for part in canonical.partition(":")[2].split(","))
-    return int(pairs["n"]), int(pairs["seed"])
-
-
-def interp_anchors(spec: str) -> Tuple[int, int]:
-    """The (low, high) anchor pair of a canonical ``interp:anchors=A+B`` spec."""
-    canonical = canonical_spec(spec)
-    if not canonical.startswith("interp:"):
-        raise PredictorError(f"{spec!r} is not an interp predictor spec")
-    low, _, high = canonical.partition("=")[2].partition("+")
-    return int(low), int(high)
-
-
-def hybrid_worst_k(spec: str) -> int:
-    """The spot-check budget ``K`` of a canonical ``hybrid:k=K`` spec."""
-    canonical = canonical_spec(spec)
-    if not canonical.startswith("hybrid:"):
-        raise PredictorError(f"{spec!r} is not a hybrid predictor spec")
-    return int(canonical.partition("=")[2])
+    Raises :class:`PredictorError` (a :class:`~repro.specs.SpecError`)
+    for anything the registry does not know.
+    """
+    return _SPECS.parse(spec)
 
 
 def available_predictors() -> List[str]:
     """All registered predictor specs, in canonical listing order."""
-    return list(_spec_table())
+    return [spec for spec, _ in _SPECS.rows]
 
 
 def canonical_spec(spec: str) -> str:
@@ -259,22 +193,7 @@ def canonical_spec(spec: str) -> str:
     :class:`PredictorError` (a ``ValueError``) listing the available
     specs for anything the registry does not know.
     """
-    normalised = spec.strip().lower()
-    if normalised == "mppm":
-        normalised = DEFAULT_PREDICTOR
-    if normalised == "hybrid" or normalised.startswith("hybrid:"):
-        # Parametric family: any k >= 1 is valid, not just the listed exemplar.
-        return _canonical_hybrid(spec, normalised)
-    if normalised == "learned" or normalised.startswith("learned:"):
-        return _canonical_learned(spec, normalised)
-    if normalised == "interp" or normalised.startswith("interp:"):
-        return _canonical_interp(spec, normalised)
-    if normalised not in _spec_table():
-        raise PredictorError(
-            f"unknown predictor spec {spec!r}; available predictors: "
-            + ", ".join(available_predictors())
-        )
-    return normalised
+    return _SPECS.parse(spec).canonical
 
 
 def make_predictor(
@@ -289,8 +208,8 @@ def make_predictor(
     including the ``mppm:windowed`` / ``mppm:figure2`` variants, whose
     configuration *is* their identity — is an error.
     """
-    canonical = canonical_spec(spec)
-    family, _, variant = canonical.partition(":")
+    parsed = _SPECS.parse(spec)
+    family, variant, canonical = parsed.family, parsed.head, parsed.canonical
     if family == "mppm" and variant in _MPPM_VARIANTS:
         if mppm_config is not None:
             raise PredictorError(
@@ -310,14 +229,13 @@ def make_predictor(
     if family == "baseline":
         return BaselinePredictor(setup, variant=variant)
     if family == "hybrid":
-        return HybridPredictor(setup, worst_k=hybrid_worst_k(canonical), spec=canonical)
+        return HybridPredictor(setup, worst_k=parsed.params["k"], spec=canonical)
     if family == "learned":
-        num_mixes, seed = learned_params(canonical)
-        return LearnedPredictor(setup, num_mixes=num_mixes, seed=seed, spec=canonical)
-    if family == "interp":
-        return InterpolatedPredictor(
-            setup, anchors=interp_anchors(canonical), spec=canonical
+        return LearnedPredictor(
+            setup, num_mixes=parsed.params["n"], seed=parsed.params["seed"], spec=canonical
         )
+    if family == "interp":
+        return InterpolatedPredictor(setup, anchors=parsed.params["anchors"], spec=canonical)
     return DetailedSimulationPredictor(setup)
 
 
@@ -344,12 +262,9 @@ def predictor_requires_traces(spec: str) -> bool:
     ``learned:*`` and ``interp:*`` need traces too: their spot-check /
     training / anchor stages all run the detailed simulator.
     """
-    canonical = canonical_spec(spec)
-    return canonical == "detailed" or canonical.startswith(
-        ("hybrid:", "learned:", "interp:")
-    )
+    return _SPECS.parse(spec).family in ("detailed", "hybrid", "learned", "interp")
 
 
 def describe_predictors() -> List[Tuple[str, str]]:
     """(spec, description) rows for every registered predictor."""
-    return list(_spec_table().items())
+    return list(_SPECS.rows)

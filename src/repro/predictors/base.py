@@ -27,13 +27,14 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.result import MixPrediction
+from repro.specs import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config.machine import MachineConfig
     from repro.workloads.mixes import WorkloadMix
 
 
-class PredictorError(ValueError):
+class PredictorError(SpecError):
     """Raised for unknown or malformed predictor specs."""
 
 

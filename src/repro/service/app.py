@@ -36,11 +36,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.config import MachineConfig
 from repro.engine import create_engine
 from repro.experiments.setup import ExperimentConfig, ExperimentSetup
-from repro.predictors import DEFAULT_PREDICTOR, PredictorError, canonical_spec
+from repro.predictors import DEFAULT_PREDICTOR, canonical_spec
 from repro.service.batching import PredictionBatcher, PredictOp
 from repro.service.http import HttpError, HttpServer, Request, Response
 from repro.service.payloads import models_payload, prediction_payload, workloads_payload
 from repro.service.stats import ServiceStats
+from repro.specs import SpecError
 from repro.workloads import DEFAULT_WORKLOAD, WorkloadMix, canonical_workload_spec
 from repro.workloads.benchmark import WorkloadError
 
@@ -244,11 +245,8 @@ class PredictionService:
             )
         try:
             predictor = canonical_spec(str(payload.get("predictor", DEFAULT_PREDICTOR)))
-        except PredictorError as error:
-            raise HttpError(400, str(error)) from None
-        try:
             setup = self._setup_for(str(payload.get("workload", self.config.workload)))
-        except WorkloadError as error:
+        except (SpecError, WorkloadError) as error:
             raise HttpError(400, str(error)) from None
         mixes, single = self._parse_mixes(payload, setup)
         llc_config, cores = self._parse_machine(payload.get("machine"))

@@ -29,25 +29,36 @@ suite.  (Profiles are keyed by the full benchmark spec instead.)  A suite
 object passed directly (tests, notebooks) is wrapped by
 :func:`workload_for` under a content-digest ``inline:`` spec, so even
 ad-hoc workloads cache consistently across processes.
+
+Spec strings follow the shared ``family[:head][,key=value]*`` grammar of
+:mod:`repro.specs`: each family is one :class:`~repro.specs.Family` row
+of ``_SPECS``, which parses, canonicalises and lists it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from typing import (
     Callable,
-    Dict,
     List,
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
     Union,
     runtime_checkable,
 )
 
+from repro.specs import (
+    Family,
+    Grammar,
+    Integer,
+    Param,
+    ParsedSpec,
+    SpecError,
+    SuiteSelection,
+    Text,
+)
 from repro.workloads.benchmark import WorkloadError
 from repro.workloads.classification import BenchmarkClass, classify_suite
 from repro.workloads.families import random_suite, service_suite
@@ -62,8 +73,21 @@ DEFAULT_WORKLOAD = "suite:spec29"
 _MAX_FAMILY_SIZE = 128
 
 
-class WorkloadSpecError(WorkloadError):
+class WorkloadSpecError(WorkloadError, SpecError):
     """Raised for unknown or malformed workload specs."""
+
+
+#: Parametric families: suite builder and what their benchmarks are.
+_PARAMETRIC_FAMILIES = {
+    "random": (random_suite, "parametric synthetic benchmarks drawn from the ReuseProfile space"),
+    "service": (service_suite, "bursty, strongly-phased microservice-like benchmarks"),
+}
+
+#: Parameters of the parametric families.
+_FAMILY_PARAMS = {
+    "n": Param(Integer(1, _MAX_FAMILY_SIZE), 8),
+    "seed": Param(Integer(0), 0),
+}
 
 
 #: A mix category: a :class:`BenchmarkClass`, its (case-insensitive)
@@ -175,64 +199,69 @@ class RegisteredWorkload:
 
 
 # ---------------------------------------------------------------------------
-# Spec parsing
+# Spec grammar
 # ---------------------------------------------------------------------------
 
 
-def _unknown(spec: str) -> WorkloadSpecError:
-    return WorkloadSpecError(
-        f"unknown workload spec {spec!r}; available workloads: "
-        + ", ".join(available_workloads())
-    )
+#: Canonical category order for set-algebra specs (suite order: the
+#: MEM benchmarks come first in listings, then COMP, then MIX).
+_CATEGORY_ORDER = (BenchmarkClass.MEM, BenchmarkClass.COMP, BenchmarkClass.MIX)
 
-
-def _repeated(spec: str, key: str) -> WorkloadSpecError:
-    return WorkloadSpecError(f"{spec!r}: parameter {key!r} is given more than once")
-
-
-def _parse_params(spec: str, rest: str, defaults: Dict[str, int]) -> Dict[str, int]:
-    """Parse ``key=value`` parameter lists against a family's defaults."""
-    params = dict(defaults)
-    if not rest:
-        return params
-    seen: Set[str] = set()
-    for part in rest.split(","):
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in defaults:
-            raise _unknown(spec)
-        if key in seen:
-            raise _repeated(spec, key)
-        seen.add(key)
-        try:
-            params[key] = int(value)
-        except ValueError:
-            raise _unknown(spec) from None
-    return params
-
-
-def _parse_family(spec: str, family: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
-    """(canonical spec, suite builder, description) for one parametric family."""
-    params = _parse_params(spec, rest, {"n": 8, "seed": 0})
-    n, seed = params["n"], params["seed"]
-    if not 0 < n <= _MAX_FAMILY_SIZE:
-        raise WorkloadSpecError(
-            f"{spec!r}: n must be in [1, {_MAX_FAMILY_SIZE}], got {n}"
-        )
-    if seed < 0:
-        raise WorkloadSpecError(f"{spec!r}: seed must be non-negative, got {seed}")
-    canonical = f"{family}:n={n},seed={seed}"
-    if family == "random":
-        return (
-            canonical,
-            lambda: random_suite(n, seed=seed),
-            f"{n} parametric synthetic benchmarks drawn from the ReuseProfile space (seed {seed})",
-        )
-    return (
-        canonical,
-        lambda: service_suite(n, seed=seed),
-        f"{n} bursty, strongly-phased microservice-like benchmarks (seed {seed})",
-    )
+#: The workload families, one row each; listing rows are
+#: ``(constructible exemplar spec, grammar pattern, description)``.
+_SPECS = Grammar(
+    "workload",
+    WorkloadSpecError,
+    [
+        Family(
+            "suite",
+            (
+                (
+                    "suite:spec29",
+                    "suite:spec29",
+                    "the full 29-benchmark SPEC CPU2006-like suite (default)",
+                ),
+                (
+                    "suite:spec29/scaled@8",
+                    "suite:spec29/scaled@N",
+                    "a curated N-benchmark spread of the suite's behaviours (N < 29)",
+                ),
+                (
+                    "suite:spec29/mem",
+                    "suite:spec29/{mem|comp|mix}",
+                    "the suite restricted to one MEM/COMP/MIX behaviour class",
+                ),
+                (
+                    "suite:spec29/mem+comp",
+                    "suite:spec29/<cats>±<cats>",
+                    "category-set algebra over mem/comp/mix/all: + unions, - excludes (all-mix = mem+comp)",
+                ),
+            ),
+            head=SuiteSelection(
+                "spec29", 29, tuple(category.value.lower() for category in _CATEGORY_ORDER)
+            ),
+            default_head="spec29",
+        ),
+        Family(
+            "perf",
+            ((
+                "perf:tests/data/perf_ingest_samples.csv",
+                "perf:<path>[,benchmarks=N][,seed=S]",
+                "benchmarks fitted from a PMU sample stream or ingest bundle at <path>",
+            ),),
+            head=Text("a path"),
+            params={
+                "benchmarks": Param(Integer(1), elide=True),
+                "seed": Param(Integer(0), elide=True),
+                "digest": Param(Text(fold=True), elide=True),
+            },
+        ),
+        *(
+            Family(name, ((name, f"{name}:n=N,seed=S", f"N {what}"),), params=_FAMILY_PARAMS)
+            for name, (_, what) in _PARAMETRIC_FAMILIES.items()
+        ),
+    ],
+)
 
 
 def _category_subset(categories: Sequence[BenchmarkClass]) -> BenchmarkSuite:
@@ -243,56 +272,13 @@ def _category_subset(categories: Sequence[BenchmarkClass]) -> BenchmarkSuite:
     return full.subset([name for name in full.names if classes[name] in wanted])
 
 
-#: Canonical category order for set-algebra specs (suite order: the
-#: MEM benchmarks come first in listings, then COMP, then MIX).
-_CATEGORY_ORDER = (BenchmarkClass.MEM, BenchmarkClass.COMP, BenchmarkClass.MIX)
+def _perf_workload(spec: str, parsed: ParsedSpec) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
+    """Resolve a parsed ``perf:<path>[,benchmarks=N][,seed=S][,digest=D]``.
 
-#: Tokens of the category-set grammar; ``all`` is the universe, so
-#: exclusions read naturally (``all-mix`` = everything but MIX).
-_CATEGORY_TOKENS: Dict[str, frozenset] = {
-    "mem": frozenset((BenchmarkClass.MEM,)),
-    "comp": frozenset((BenchmarkClass.COMP,)),
-    "mix": frozenset((BenchmarkClass.MIX,)),
-    "all": frozenset(_CATEGORY_ORDER),
-}
-
-
-def _parse_category_expression(spec: str, expression: str) -> List[BenchmarkClass]:
-    """Evaluate a ``token(±token)*`` category-set expression.
-
-    Tokens are ``mem``/``comp``/``mix``/``all``; ``+`` is set union and
-    ``-`` set exclusion, evaluated left to right (``all-mix`` ≡
-    ``mem+comp``).  Returns the selected classes in canonical order;
-    raises for unknown tokens, dangling operators, or an expression
-    that selects nothing.
-    """
-    parts = re.split(r"([+-])", expression)
-    tokens = [part.strip() for part in parts[::2]]
-    operators = parts[1::2]
-    if any(token not in _CATEGORY_TOKENS for token in tokens):
-        raise _unknown(spec)
-    selected = set(_CATEGORY_TOKENS[tokens[0]])
-    for operator, token in zip(operators, tokens[1:]):
-        if operator == "+":
-            selected |= _CATEGORY_TOKENS[token]
-        else:
-            selected -= _CATEGORY_TOKENS[token]
-    if not selected:
-        raise WorkloadSpecError(
-            f"{spec!r}: the category expression selects no benchmark classes"
-        )
-    return [category for category in _CATEGORY_ORDER if category in selected]
-
-
-def _parse_perf(spec: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
-    """Parse ``perf:<path>[,benchmarks=N][,seed=S][,digest=D]``.
-
-    The path keeps its case (this branch runs before the registry
-    lowercases anything) and must not contain commas.  Validation and
-    digesting of the file(s) behind the path happen here — cheap parse
-    + hash, never a fit — so a malformed sample file fails at the
-    ``--suite`` flag / service 400 layer, and the canonical spec pins
-    the source *content*, not just its name.
+    Validation and digesting of the file(s) behind the path happen here
+    — cheap parse + hash, never a fit — so a malformed sample file fails
+    at the ``--suite`` flag / service 400 layer, and the canonical spec
+    pins the source *content*, not just its name.
     """
     # Lazy import: repro.workloads.__init__ imports this registry, and
     # repro.ingest imports repro.workloads — importing at module scope
@@ -300,47 +286,8 @@ def _parse_perf(spec: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite]
     from repro.ingest import IngestError
     from repro.ingest.workload import build_perf_suite, inspect_perf_path
 
-    parts = [part.strip() for part in rest.split(",")]
-    path = parts[0]
-    if not path:
-        raise WorkloadSpecError(
-            f"{spec!r}: perf needs a path — "
-            "perf:<samples.csv|samples.jsonl|bundle-dir>[,benchmarks=N][,seed=S]"
-        )
-    benchmarks: Optional[int] = None
-    seed: Optional[int] = None
-    digest: Optional[str] = None
-    seen: Set[str] = set()
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if not sep or key not in ("benchmarks", "seed", "digest"):
-            raise WorkloadSpecError(
-                f"{spec!r}: unknown perf parameter {part!r}; "
-                "valid parameters: benchmarks=N, seed=S"
-            )
-        if key in seen:
-            raise _repeated(spec, key)
-        seen.add(key)
-        if key == "digest":
-            digest = value.lower()
-            continue
-        try:
-            number = int(value)
-        except ValueError:
-            raise WorkloadSpecError(
-                f"{spec!r}: perf parameter {key} must be an integer, got {value!r}"
-            ) from None
-        if key == "benchmarks":
-            benchmarks = number
-        else:
-            seed = number
-    if benchmarks is not None and benchmarks <= 0:
-        raise WorkloadSpecError(f"{spec!r}: benchmarks must be positive, got {benchmarks}")
-    if seed is not None and seed < 0:
-        raise WorkloadSpecError(f"{spec!r}: seed must be non-negative, got {seed}")
-
+    path = parsed.head
+    benchmarks, seed, digest = (parsed.params[key] for key in ("benchmarks", "seed", "digest"))
     try:
         source = inspect_perf_path(path)
     except IngestError as error:
@@ -355,12 +302,9 @@ def _parse_perf(spec: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite]
             f"{spec!r}: benchmarks={benchmarks} out of range; "
             f"{path!r} has {source.num_cores} profiled core(s)"
         )
-    canonical = f"perf:{path}"
-    if benchmarks is not None:
-        canonical += f",benchmarks={benchmarks}"
-    if seed is not None:
-        canonical += f",seed={seed}"
-    canonical += f",digest={source.digest}"
+    canonical = _SPECS.families["perf"].canonical(
+        path, {**parsed.params, "digest": source.digest}
+    )
     kind = "fitted bundle" if source.is_bundle else "PMU sample stream"
     count = benchmarks if benchmarks is not None else source.num_cores
     return (
@@ -370,56 +314,35 @@ def _parse_perf(spec: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite]
     )
 
 
-def _parse(spec: str) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
+def _resolve(spec: str) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
     """(canonical spec, suite builder, description) or raise."""
-    stripped = spec.strip()
-    perf_family, perf_sep, perf_rest = stripped.partition(":")
-    if perf_sep and perf_family.strip().lower() == "perf":
-        # Before lowercasing: the perf payload is a filesystem path.
-        return _parse_perf(stripped, perf_rest.strip())
-    normalised = stripped.lower()
-    if normalised in ("suite", DEFAULT_WORKLOAD):
-        return (
-            DEFAULT_WORKLOAD,
-            spec_cpu2006_like_suite,
-            "the full 29-benchmark SPEC CPU2006-like suite",
-        )
-    family, sep, rest = normalised.partition(":")
-    if not sep:
-        family, rest = normalised, ""
-    if family == "suite":
-        base, slash, modifier = rest.partition("/")
-        if base != "spec29" or not slash or not modifier:
-            raise _unknown(spec)
-        if modifier.startswith("scaled@"):
-            try:
-                count = int(modifier[len("scaled@"):])
-            except ValueError:
-                raise _unknown(spec) from None
-            if count <= 0:
-                raise WorkloadSpecError(f"{spec!r}: the scaled@N count must be positive")
-            if count >= 29:
-                # Scaling to the full size (or beyond) IS the full suite.
-                return _parse(DEFAULT_WORKLOAD)
+    parsed = _SPECS.parse(spec)
+    if parsed.family == "perf":
+        return _perf_workload(spec, parsed)
+    if parsed.family == "suite":
+        selection = parsed.head
+        if selection is None:
             return (
-                f"suite:spec29/scaled@{count}",
-                lambda: small_suite(count),
-                f"a curated {count}-benchmark spread of the SPEC CPU2006-like suite's behaviours",
+                DEFAULT_WORKLOAD,
+                spec_cpu2006_like_suite,
+                "the full 29-benchmark SPEC CPU2006-like suite",
             )
-        categories = _parse_category_expression(spec, modifier)
-        if len(categories) == len(_CATEGORY_ORDER):
-            # Selecting every class IS the full suite.
-            return _parse(DEFAULT_WORKLOAD)
-        canonical_modifier = "+".join(category.value.lower() for category in categories)
+        if isinstance(selection, int):
+            return (
+                parsed.canonical,
+                lambda: small_suite(selection),
+                f"a curated {selection}-benchmark spread of the SPEC CPU2006-like suite's behaviours",
+            )
+        categories = [BenchmarkClass(name.upper()) for name in selection]
         label = "/".join(category.value for category in categories)
         return (
-            f"suite:spec29/{canonical_modifier}",
+            parsed.canonical,
             lambda: _category_subset(categories),
             f"the {label}-class benchmarks of the SPEC CPU2006-like suite",
         )
-    if family in ("random", "service"):
-        return _parse_family(spec, family, rest)
-    raise _unknown(spec)
+    build, what = _PARAMETRIC_FAMILIES[parsed.family]
+    n, seed = parsed.params["n"], parsed.params["seed"]
+    return parsed.canonical, lambda: build(n, seed=seed), f"{n} {what} (seed {seed})"
 
 
 # ---------------------------------------------------------------------------
@@ -436,67 +359,24 @@ def canonical_workload_spec(spec: str) -> str:
     ``ValueError``) listing the available specs for anything the
     registry does not know.
     """
-    canonical, _, _ = _parse(spec)
+    canonical, _, _ = _resolve(spec)
     return canonical
 
 
 def make_workload(spec: str = DEFAULT_WORKLOAD) -> WorkloadSource:
     """Construct a workload source by spec string."""
-    canonical, builder, description = _parse(spec)
+    canonical, builder, description = _resolve(spec)
     return RegisteredWorkload(canonical, description, builder)
-
-
-#: One row per registered family — (constructible exemplar spec,
-#: grammar pattern, description).  The single source for listings and
-#: unknown-spec errors; :func:`_parse` is the single parser.  Adding a
-#: family means one row here plus one branch in :func:`_parse`.
-_FAMILY_ROWS: Tuple[Tuple[str, str, str], ...] = (
-    (
-        "suite:spec29",
-        "suite:spec29",
-        "the full 29-benchmark SPEC CPU2006-like suite (default)",
-    ),
-    (
-        "suite:spec29/scaled@8",
-        "suite:spec29/scaled@N",
-        "a curated N-benchmark spread of the suite's behaviours (N < 29)",
-    ),
-    (
-        "suite:spec29/mem",
-        "suite:spec29/{mem|comp|mix}",
-        "the suite restricted to one MEM/COMP/MIX behaviour class",
-    ),
-    (
-        "suite:spec29/mem+comp",
-        "suite:spec29/<cats>±<cats>",
-        "category-set algebra over mem/comp/mix/all: + unions, - excludes (all-mix = mem+comp)",
-    ),
-    (
-        "perf:tests/data/perf_ingest_samples.csv",
-        "perf:<path>[,benchmarks=N][,seed=S]",
-        "benchmarks fitted from a PMU sample stream or ingest bundle at <path>",
-    ),
-    (
-        "random:n=8,seed=0",
-        "random:n=N,seed=S",
-        "N parametric synthetic benchmarks drawn from the ReuseProfile space",
-    ),
-    (
-        "service:n=8,seed=0",
-        "service:n=N,seed=S",
-        "N bursty, strongly-phased microservice-like benchmarks",
-    ),
-)
 
 
 def available_workloads() -> List[str]:
     """Constructible exemplar specs, one per registered family."""
-    return [exemplar for exemplar, _, _ in _FAMILY_ROWS]
+    return [exemplar for exemplar, _, _ in _SPECS.rows]
 
 
 def describe_workloads() -> List[Tuple[str, str]]:
     """(spec pattern, description) rows for every registered family."""
-    return [(pattern, description) for _, pattern, description in _FAMILY_ROWS]
+    return [(pattern, description) for _, pattern, description in _SPECS.rows]
 
 
 def _suite_digest(suite: BenchmarkSuite) -> str:

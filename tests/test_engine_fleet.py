@@ -51,29 +51,26 @@ def fleet_setup(**kwargs) -> ExperimentSetup:
 
 
 class TestFleetSpec:
-    def test_localhost_spec(self):
-        spec = parse_fleet_spec("fleet:localhost:2")
-        assert spec.kind == "localhost"
-        assert spec.count == 2 and spec.num_workers == 2
-        assert spec.job_timeout == DEFAULT_JOB_TIMEOUT
-        assert spec.canonical == "fleet:localhost:2"
-
-    def test_ssh_spec(self):
-        spec = parse_fleet_spec("fleet:ssh=host1,host2,python=python3.11")
-        assert spec.kind == "ssh"
-        assert spec.hosts == ("host1", "host2") and spec.num_workers == 2
-        assert spec.python == "python3.11"
-
-    def test_attach_spec(self):
-        spec = parse_fleet_spec("fleet:attach=10.0.0.1:8001+10.0.0.2:8001")
-        assert spec.kind == "attach"
-        assert spec.hosts == ("10.0.0.1:8001", "10.0.0.2:8001")
-        assert spec.num_workers == 2
-
-    def test_timeout_option(self):
-        spec = parse_fleet_spec("fleet:localhost:4,timeout=900")
-        assert spec.job_timeout == 900.0
-        assert spec.canonical == "fleet:localhost:4,timeout=900"
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("fleet:localhost:2", ("localhost", (), DEFAULT_JOB_TIMEOUT, "python3")),
+            (
+                "fleet:ssh=host1,host2,python=python3.11",
+                ("ssh", ("host1", "host2"), DEFAULT_JOB_TIMEOUT, "python3.11"),
+            ),
+            # A key=value item is an option wherever it appears, never a host.
+            ("fleet:ssh=a,timeout=5,b", ("ssh", ("a", "b"), 5.0, "python3")),
+            (
+                "fleet:attach=10.0.0.1:8001+10.0.0.2:8001",
+                ("attach", ("10.0.0.1:8001", "10.0.0.2:8001"), DEFAULT_JOB_TIMEOUT, "python3"),
+            ),
+        ],
+    )
+    def test_worker_sources(self, spec, expected):
+        parsed = parse_fleet_spec(spec)
+        assert (parsed.kind, parsed.hosts, parsed.job_timeout, parsed.python) == expected
+        assert parsed.num_workers == 2
 
     def test_cli_flag_accepts_bare_and_prefixed_forms(self):
         assert normalize_fleet_flag("localhost:2") == "fleet:localhost:2"
@@ -94,6 +91,15 @@ class TestFleetSpec:
             "fleet:localhost:2,timeout=x",
             "fleet:localhost:2,timeout=-1",
             "fleet:localhost:2,timeout=5,timeout=10",
+            "fleet:localhost:2,timeout=nan",
+            "fleet:localhost:2,timeout=inf",
+            "fleet:localhost:2,python=py",
+            "fleet:attach=h:1,python=py",
+            "fleet:ssh=a,python=",
+            "fleet:attach=h:0",
+            "fleet:attach=h:99999",
+            "fleet:ssh=a,foo=b",
+            "fleet:localhostX:3",
         ],
     )
     def test_malformed_specs_are_rejected(self, bad):

@@ -24,7 +24,6 @@ from repro.predictors import (
     Predictor,
     PredictorError,
     available_predictors,
-    canonical_spec,
     describe_predictors,
     make_predictor,
     predictor_requires_traces,
@@ -90,10 +89,6 @@ class TestRegistry:
         assert prediction.predictor == spec
         assert prediction.num_programs == 2
         assert all(program.predicted_cpi > 0 for program in prediction.programs)
-
-    def test_mppm_shorthand_and_case_are_canonicalised(self):
-        assert canonical_spec("mppm") == "mppm:foa"
-        assert canonical_spec("  MPPM:SDC ") == "mppm:sdc"
 
     def test_unknown_spec_lists_available_names(self, setup):
         with pytest.raises(ValueError) as excinfo:

@@ -19,7 +19,6 @@ from repro.predictors import (
     DEFAULT_HYBRID_K,
     PredictorError,
     canonical_spec,
-    hybrid_worst_k,
     make_predictor,
     predictor_requires_traces,
 )
@@ -48,13 +47,9 @@ def pool(setup):
 
 
 class TestSpec:
-    def test_shorthand_and_case(self):
-        assert canonical_spec("hybrid") == f"hybrid:k={DEFAULT_HYBRID_K}"
-        assert canonical_spec("  HYBRID:K=2 ") == "hybrid:k=2"
-        assert hybrid_worst_k("hybrid:k=7") == 7
-        assert hybrid_worst_k("hybrid") == DEFAULT_HYBRID_K
-
-    @pytest.mark.parametrize("bad", ["hybrid:k=", "hybrid:k=x", "hybrid:k=0", "hybrid:n=2"])
+    @pytest.mark.parametrize(
+        "bad", ["hybrid:k=", "hybrid:k=x", "hybrid:k=0", "hybrid:n=2", "hybrid:k=4,k=5"]
+    )
     def test_malformed_k_is_rejected(self, bad):
         with pytest.raises(PredictorError):
             canonical_spec(bad)
@@ -62,10 +57,6 @@ class TestSpec:
     def test_hybrid_requires_traces(self):
         assert predictor_requires_traces("hybrid")
         assert predictor_requires_traces("hybrid:k=2")
-
-    def test_worst_k_rejects_non_hybrid_specs(self):
-        with pytest.raises(PredictorError):
-            hybrid_worst_k("mppm:foa")
 
 
 class TestSingleMix:

@@ -25,8 +25,6 @@ from repro.predictors import (
     PredictorError,
     available_predictors,
     canonical_spec,
-    interp_anchors,
-    learned_params,
     make_predictor,
     predictor_requires_traces,
 )
@@ -63,21 +61,6 @@ def mixes(setup):
 
 
 class TestSpecs:
-    def test_learned_shorthand_and_parameters(self):
-        default = f"learned:n={DEFAULT_LEARNED_MIXES},seed={DEFAULT_LEARNED_SEED}"
-        assert canonical_spec("learned") == default
-        assert canonical_spec(" LEARNED:seed=3,n=8 ") == "learned:n=8,seed=3"
-        assert learned_params("learned") == (DEFAULT_LEARNED_MIXES, DEFAULT_LEARNED_SEED)
-        assert learned_params("learned:n=8,seed=3") == (8, 3)
-
-    def test_interp_shorthand_and_parameters(self):
-        low, high = DEFAULT_INTERP_ANCHORS
-        assert canonical_spec("interp") == f"interp:anchors={low}+{high}"
-        # Anchor order is normalised.
-        assert canonical_spec("interp:anchors=6+2") == "interp:anchors=2+6"
-        assert interp_anchors("interp") == DEFAULT_INTERP_ANCHORS
-        assert interp_anchors("interp:anchors=3+5") == (3, 5)
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -92,6 +75,7 @@ class TestSpecs:
             "interp:anchors=1",
             "interp:anchors=a+b",
             "interp:span=1+6",
+            "interp:anchors=1+6,anchors=2+5",
         ],
     )
     def test_malformed_specs_are_rejected(self, bad):

@@ -64,16 +64,6 @@ class TestRegistry:
         assert workload.spec == DEFAULT_WORKLOAD
         assert workload.suite().specs == spec_cpu2006_like_suite().specs
 
-    def test_shorthands_are_canonicalised(self):
-        assert canonical_workload_spec("suite") == "suite:spec29"
-        assert canonical_workload_spec("  SUITE:SPEC29 ") == "suite:spec29"
-        assert canonical_workload_spec("random") == "random:n=8,seed=0"
-        assert canonical_workload_spec("service:seed=3") == "service:n=8,seed=3"
-        assert canonical_workload_spec("random:seed=1,n=4") == "random:n=4,seed=1"
-        # Scaling to (or past) the full size is the full suite.
-        assert canonical_workload_spec("suite:spec29/scaled@29") == "suite:spec29"
-        assert canonical_workload_spec("suite:spec29/scaled@100") == "suite:spec29"
-
     def test_scaled_spec_matches_the_legacy_small_suite(self):
         workload = make_workload("suite:spec29/scaled@5")
         assert workload.suite().specs == small_suite(5).specs
@@ -347,24 +337,11 @@ class TestTraceGenerationThroughRegistry:
 class TestCategoryAlgebra:
     """``suite:spec29/<cats>`` set algebra: ``+`` unions, ``-`` excludes."""
 
-    def test_canonical_form_orders_categories(self):
-        assert canonical_workload_spec("suite:spec29/comp+mem") == "suite:spec29/mem+comp"
-        assert canonical_workload_spec("suite:spec29/ MEM + COMP ".replace(" ", "")) == (
-            "suite:spec29/mem+comp"
-        )
-
     def test_all_minus_mix_equals_mem_plus_comp(self):
         assert canonical_workload_spec("suite:spec29/all-mix") == "suite:spec29/mem+comp"
         union = make_workload("suite:spec29/mem+comp")
         excluded = make_workload("suite:spec29/all-mix")
         assert excluded.suite().specs == union.suite().specs
-
-    def test_full_selections_collapse_to_the_plain_suite(self):
-        assert canonical_workload_spec("suite:spec29/all") == DEFAULT_WORKLOAD
-        assert canonical_workload_spec("suite:spec29/mem+comp+mix") == DEFAULT_WORKLOAD
-
-    def test_double_exclusion_leaves_one_category(self):
-        assert canonical_workload_spec("suite:spec29/all-mem-comp") == "suite:spec29/mix"
 
     def test_union_suite_is_the_union_of_the_subsets(self):
         union = make_workload("suite:spec29/mem+comp").suite()
