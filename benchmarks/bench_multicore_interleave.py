@@ -12,6 +12,13 @@ where ready-time ties are the common case) *and* that the chunked
 kernel keeps its speedup — so a silent fallback to the reference path
 (or a regression that slows the kernel to parity) fails the build.
 
+Two mixes are timed: four heterogeneous programs of similar pass
+lengths, and a mix that pairs a short-trace program with long ones, so
+the short program wraps around its trace dozens of times during the
+long programs' first passes (speculation windows then run across its
+trace end every round).  ``--quick`` also sweeps bit-identity over the
+six Table 2 LLCs on 2-, 4- and 8-core machines.
+
 Timing methodology: the kernels are measured *interleaved* (each round
 times every kernel back to back) and scored by per-kernel minimum
 across rounds.  Host frequency drift on shared runners can swing
@@ -28,7 +35,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.config import baseline_machine, scaled
+from repro.config import baseline_machine, llc_design_space, scaled
 from repro.profiling import ProfileStore
 from repro.simulators import MultiCoreSimulator
 from repro.workloads import small_suite
@@ -36,6 +43,9 @@ from repro.workloads import small_suite
 #: The timed workload: the four most heterogeneous benchmarks of the
 #: small suite on the scaled 4-core Table-2 machine (LLC config #1).
 MIX = ("gamess", "mcf", "soplex", "lbm")
+#: The pass-imbalanced timed workload: hmmer's filtered LLC trace is
+#: 30-40x shorter than mcf's or lbm's.
+IMBALANCED_MIX = ("hmmer", "mcf", "lbm", "soplex")
 SCALE = 16
 #: Full mode: long traces so per-access Python costs dominate the
 #: reference loop and the chunked walk amortises its numpy setup.
@@ -54,6 +64,11 @@ QUICK_FLOOR = 1.2
 #: gaps make exact ready-time ties the common case, exercising the
 #: core-index tie-break on every wave of accesses.
 DUP_MIX = ("gamess",) * 4
+#: Quick-mode identity sweep: the first N programs on an N-core machine
+#: (N = 2, 4, 8) for every Table 2 LLC; every mix includes the
+#: short-trace hmmer, and the 8-core one runs two programs twice.
+SWEEP_MIX = ("hmmer", "mcf", "gamess", "lbm", "soplex", "omnetpp", "hmmer", "mcf")
+SWEEP_CORES = (2, 4, 8)
 
 
 def _assert_identical(machine, traces):
@@ -63,26 +78,8 @@ def _assert_identical(machine, traces):
     assert chunked == heap, "kernel 'chunked' diverged from the heap reference"
 
 
-def measure_kernels(
-    num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3
-) -> dict:
-    """Time the kernels over one 4-core simulation; returns seconds + speedup.
-
-    Interleaved best-of-``rounds`` per kernel (the minimum is the least
-    noisy estimator of the true cost), with bit-identity asserted on
-    both the timed mix and a duplicated-program mix first.
-    """
-    store = ProfileStore(
-        num_instructions=num_instructions, interval_instructions=4_000, seed=0
-    )
-    suite = small_suite(6)
-    machine = scaled(baseline_machine(num_cores=4, llc_config=1), SCALE)
-    traces = [store.get_llc_trace(suite[name], machine) for name in MIX]
-    dup_traces = [store.get_llc_trace(suite[name], machine) for name in DUP_MIX]
-
-    _assert_identical(machine, traces)
-    _assert_identical(machine, dup_traces)
-
+def _time_kernels(machine, traces, rounds: int) -> dict:
+    """Interleaved best-of-``rounds`` seconds per kernel, plus the speedup."""
     simulators = {
         kernel: MultiCoreSimulator(machine, kernel=kernel)
         for kernel in ("chunked", "heap")
@@ -93,38 +90,87 @@ def measure_kernels(
             start = time.perf_counter()
             simulator.run(traces)
             timings[kernel].append(time.perf_counter() - start)
-
     chunked_seconds = min(timings["chunked"])
     heap_seconds = min(timings["heap"])
     return {
-        "num_instructions": num_instructions,
-        "mix": list(MIX),
-        "scale": SCALE,
-        "rounds": rounds,
         "chunked_seconds": chunked_seconds,
         "heap_seconds": heap_seconds,
         "speedup": heap_seconds / chunked_seconds,
     }
 
 
+def identity_sweep(store: ProfileStore, suite) -> int:
+    """Assert bit-identity on every Table 2 LLC x 2/4/8 cores; returns the mix count."""
+    mixes = 0
+    for num_cores in SWEEP_CORES:
+        for machine in llc_design_space(num_cores):
+            machine = scaled(machine, SCALE)
+            names = SWEEP_MIX[:num_cores]
+            _assert_identical(machine, [store.get_llc_trace(suite[name], machine) for name in names])
+            mixes += 1
+    return mixes
+
+
+def measure_kernels(
+    num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3, sweep: bool = False
+) -> dict:
+    """Time the kernels over two 4-core simulations; returns seconds + speedups.
+
+    Interleaved best-of-``rounds`` per kernel (the minimum is the least
+    noisy estimator of the true cost), with bit-identity asserted on
+    both timed mixes and a duplicated-program mix first — and, with
+    ``sweep``, on the Table 2 LLC x core-count sweep.
+    """
+    store = ProfileStore(
+        num_instructions=num_instructions, interval_instructions=4_000, seed=0
+    )
+    suite = small_suite(6)
+    machine = scaled(baseline_machine(num_cores=4, llc_config=1), SCALE)
+    traces = [store.get_llc_trace(suite[name], machine) for name in MIX]
+    imbalanced_traces = [store.get_llc_trace(suite[name], machine) for name in IMBALANCED_MIX]
+    dup_traces = [store.get_llc_trace(suite[name], machine) for name in DUP_MIX]
+
+    _assert_identical(machine, traces)
+    _assert_identical(machine, imbalanced_traces)
+    _assert_identical(machine, dup_traces)
+    result = {
+        "num_instructions": num_instructions,
+        "mix": list(MIX),
+        "scale": SCALE,
+        "rounds": rounds,
+        **_time_kernels(machine, traces, rounds),
+        "imbalanced": {
+            "mix": list(IMBALANCED_MIX),
+            **_time_kernels(machine, imbalanced_traces, rounds),
+        },
+    }
+    if sweep:
+        result["identity_sweep_mixes"] = identity_sweep(store, suite)
+    return result
+
+
 def run_guard(quick: bool = False) -> dict:
-    """Measure and enforce the speedup floor; returns the measurement."""
+    """Measure and enforce the speedup floor on both timed mixes."""
     result = measure_kernels(
-        num_instructions=QUICK_INSTRUCTIONS if quick else DEFAULT_INSTRUCTIONS
+        num_instructions=QUICK_INSTRUCTIONS if quick else DEFAULT_INSTRUCTIONS,
+        sweep=quick,
     )
     floor = QUICK_FLOOR if quick else DEFAULT_FLOOR
-    print(
-        f"4-core interleaving of {'/'.join(result['mix'])} "
-        f"({result['num_instructions']} instructions per trace): "
-        f"chunked {result['chunked_seconds']:.3f}s, "
-        f"heap {result['heap_seconds']:.3f}s "
-        f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
-    )
-    assert result["speedup"] >= floor, (
-        f"chunked interleaving kernel regressed (or silently fell back "
-        f"to the reference path): {result['speedup']:.2f}x < required "
-        f"{floor:.1f}x"
-    )
+    for timed in (result, result["imbalanced"]):
+        print(
+            f"4-core interleaving of {'/'.join(timed['mix'])} "
+            f"({result['num_instructions']} instructions per trace): "
+            f"chunked {timed['chunked_seconds']:.3f}s, "
+            f"heap {timed['heap_seconds']:.3f}s "
+            f"-> speedup {timed['speedup']:.1f}x (floor {floor:.1f}x)"
+        )
+        assert timed["speedup"] >= floor, (
+            f"chunked interleaving kernel regressed (or silently fell back "
+            f"to the reference path) on {'/'.join(timed['mix'])}: "
+            f"{timed['speedup']:.2f}x < required {floor:.1f}x"
+        )
+    if "identity_sweep_mixes" in result:
+        print(f"chunked == heap on {result['identity_sweep_mixes']} Table 2 LLC x core-count mixes")
     return result
 
 
@@ -138,7 +184,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="short traces + relaxed floor (CI smoke: catches a fallback, "
+        help="short traces + relaxed floor + the Table 2 LLC x 2/4/8-core "
+        "identity sweep (CI smoke: catches a fallback or a divergence, "
         "tolerates shared-runner noise)",
     )
     args = parser.parse_args()

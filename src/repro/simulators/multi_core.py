@@ -15,18 +15,22 @@ maintained, and each program's multi-core CPI is measured over its
 
 Two kernels produce the interleaved walk:
 
-* ``"chunked"`` (the default) advances all cores in numpy chunks: each
-  core's next-K access times are estimated under its expected CPI (its
-  measured hit rate so far, plus the exact penalties of any accesses
-  rolled back from the previous round), the K-way merge of those
-  estimates proposes a global order, the
-  proposed order is replayed against a batched per-set LRU
-  (:func:`repro.caches.vectorized.stack_distances`, seeded with the
-  LLC's live recency state), and the exact ready times implied by the
-  replayed outcomes are re-sorted to detect order violations — only
-  the provably correct prefix commits, the rest rolls back and the
-  next round re-speculates from the exact times.  Bit-identical to the
-  reference by construction (see :meth:`MultiCoreSimulator._run_chunked`).
+* ``"chunked"`` (the default) advances all cores in numpy windows of a
+  fixed size, each read from the core's *periodic* access stream, so a
+  window runs across the trace end — the FAME restart — as often as it
+  needs to.  Each core's window access times are estimated under its
+  expected CPI (its measured hit rate so far, plus the exact penalties
+  of any accesses rolled back from the previous round, plus the exact
+  post-LLC tails at trace ends), the K-way merge of those estimates
+  proposes a global order, the proposed order is replayed against a
+  batched per-set LRU (:func:`repro.caches.vectorized.stack_distances`,
+  seeded with the LLC's live recency state), and the exact ready times
+  implied by the replayed outcomes — one ``cumsum`` per core over
+  ``[cycle, (gap, penalty, tail_or_0) × w]`` — are re-sorted to detect
+  order violations.  Only the provably correct prefix commits, the rest
+  rolls back and the next round re-speculates from the exact times.
+  Bit-identical to the reference by construction (see
+  :meth:`MultiCoreSimulator._run_chunked`).
 * ``"heap"`` keeps the per-core ready times in a binary heap — the
   per-access reference loop, kept as ground truth.
 
@@ -56,12 +60,11 @@ from repro.simulators.llc_trace import LLCAccessTrace
 #: two are bit-identical.
 MULTI_CORE_KERNELS = ("chunked", "heap")
 
-#: Chunked-kernel window sizing: accesses speculated per core per round.
-#: The window adapts between the bounds — doubling while rounds commit
-#: fully, halving when speculation rolls most of a round back.
-_MIN_CHUNK = 64
-_INITIAL_CHUNK = 1_024
-_MAX_CHUNK = 4_096
+#: Chunked-kernel window: accesses speculated per core per round, taken
+#: from the core's periodic access stream (windows run across the trace
+#: end).  A fixed size: measured faster than a window adapting to the
+#: commit rate, and larger windows (3072, 4096) were slower.
+_WINDOW = 2_048
 #: How many times a round refines its speculative order (the first
 #: attempt orders by estimated ready times, later attempts re-sort by
 #: the exact ready times of the previous attempt's outcomes) before
@@ -416,9 +419,11 @@ class MultiCoreSimulator:
     def _run_chunked(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
         """Advance all cores in numpy chunks; commit only validated prefixes.
 
-        Each round takes a window of up to K next accesses per core
-        (never crossing the core's trace end, so FAME wraparound only
-        happens at window boundaries) and
+        Each round takes a window of the next ``_WINDOW`` accesses of
+        every core's *periodic* access stream — access ``(index + j) %
+        L`` for ``j < _WINDOW``, crossing the trace end (a FAME
+        wraparound) as often as the window needs — trims the windows to
+        a common estimated time span, and
 
         1. proposes a global order by merging per-core ready-time
            estimates — first under each core's expected penalty
@@ -430,9 +435,14 @@ class MultiCoreSimulator:
            batched per-set stack-distance pass, seeded with the LLC's
            live recency stacks as a warm-up prefix;
         3. recomputes every access's *exact* ready time from those
-           outcomes with the reference's own operation order (an
-           interleaved ``cumsum`` reproduces ``(ready + penalty) + gap``
-           addition for addition), and re-sorts by (ready, core, index).
+           outcomes with the reference's own operation order, and
+           re-sorts by (ready, core, index).  Each core's window is laid
+           out as ``[cycle, (gap, penalty, tail_or_0) × w]``: the third
+           slot holds the post-LLC tail after a trace's last access and
+           ``0.0`` elsewhere, so ``cumsum``'s left fold performs the
+           reference's ``((ready + penalty) + tail) + gap`` addition for
+           addition (adding ``0.0`` to a non-negative cycle count is
+           exact).
 
         Where the re-sorted true order agrees with the proposal, the
         outcomes — which only depend on the preceding access sequence —
@@ -441,7 +451,7 @@ class MultiCoreSimulator:
         cuts keep the prefix honest: accesses ordered at or after a
         core's first *out-of-window* ready time cannot commit (that
         core's next access might interleave first), and the round stops
-        exactly where the last first-pass wraparound would stop the
+        exactly where the last first-pass trace end would stop the
         reference loop.  Progress is unconditional: estimates are exact
         for each core's first window access (no penalty enters before
         it) and nondecreasing within a core, so every proposal's
@@ -452,6 +462,7 @@ class MultiCoreSimulator:
         num_cores = machine.num_cores
         num_sets = machine.llc.num_sets
         associativity = machine.llc.associativity
+        window = _WINDOW
 
         core_models = [CoreTimingModel(machine, trace.spec) for trace in llc_traces]
         hit_penalty = np.array([model.llc_hit_penalty for model in core_models])
@@ -462,17 +473,26 @@ class MultiCoreSimulator:
         # exceeds the miss penalty.
         optimistic_penalty = np.minimum(hit_penalty, miss_penalty)
 
-        gaps = [np.asarray(trace.upstream_cycle_gap, dtype=np.float64) for trace in llc_traces]
-        # Prefix sums of the gaps, computed once per core: window
-        # estimates re-derive their local cumsum as a difference instead
-        # of re-summing the same slice on every rollback round.
-        gap_cum = [np.cumsum(g) for g in gaps]
-        lines = [
-            np.asarray(trace.line, dtype=np.int64) + core * _CORE_ADDRESS_OFFSET
-            for core, trace in enumerate(llc_traces)
-        ]
         lengths = [trace.num_llc_accesses for trace in llc_traces]
-        tails = [trace.tail_cycles for trace in llc_traces]
+        # Each core's periodic access stream, unrolled to L + _WINDOW
+        # entries so that any window — and the gap of the access right
+        # after it — is one slice: entry k is trace access k % L, and
+        # ``tails[k]`` is the post-LLC tail after a trace's last access
+        # and 0.0 everywhere else.
+        lines = []
+        gaps = []
+        tails = []
+        for core, trace in enumerate(llc_traces):
+            length = lengths[core]
+            unrolled = length + window
+            repeats = -(-unrolled // length)
+            line = np.asarray(trace.line, dtype=np.int64) + core * _CORE_ADDRESS_OFFSET
+            gap = np.asarray(trace.upstream_cycle_gap, dtype=np.float64)
+            lines.append(np.tile(line, repeats)[:unrolled])
+            gaps.append(np.tile(gap, repeats)[:unrolled])
+            tail = np.zeros(unrolled)
+            tail[length - 1 :: length] = trace.tail_cycles
+            tails.append(tail)
 
         index = [0] * num_cores
         cycle = [0.0] * num_cores
@@ -496,93 +516,83 @@ class MultiCoreSimulator:
 
         #: The shared LLC's recency stacks, as a warm-up access stream.
         warm = np.empty(0, dtype=np.int64)
-        chunk = _INITIAL_CHUNK
 
         while unfinished:
-            windows = [min(chunk, lengths[core] - index[core]) for core in range(num_cores)]
             # Estimated ready time of each window access under the core's
-            # *expected* penalty (its measured hit rate so far).  Two
-            # uses: trimming the windows to a common time horizon, and
-            # proposing the round's global order.  Estimates are exact
-            # for each core's first access (no penalty enters before it)
-            # and nondecreasing within a core, which is all the progress
-            # guarantee below needs.
+            # *expected* penalty (its measured hit rate so far) plus the
+            # exact tails.  Two uses: trimming the windows to a common
+            # time horizon, and proposing the round's global order.
+            # Estimates are exact for each core's first access (no
+            # penalty enters before it) and nondecreasing within a core,
+            # which is all the progress guarantee below needs.
             estimates = []
             for core in range(num_cores):
-                w = windows[core]
                 start = index[core]
-                window_cum = gap_cum[core][start : start + w]
-                if start:
-                    window_cum = window_cum - gap_cum[core][start - 1]
                 if accesses_all[core]:
                     hit_rate = hits_all[core] / accesses_all[core]
                     expected = hit_rate * hit_penalty[core] + (1.0 - hit_rate) * miss_penalty[core]
                 else:
                     expected = optimistic_penalty[core]
-                expected_pen = np.full(w, expected)
-                tail = carried[core][:w]
-                expected_pen[: len(tail)] = tail
+                expected_pen = np.full(window, expected)
+                rolled_back = carried[core][:window]
+                expected_pen[: len(rolled_back)] = rolled_back
+                expected_pen += tails[core][start : start + window]
                 # ready_est[j] = cycle + gaps[0..j] + penalties[0..j-1]:
                 # exact for j = 0, whatever the penalty estimates.
-                estimates.append(
-                    cycle[core]
-                    + window_cum
-                    + np.concatenate(([0.0], np.cumsum(expected_pen[:-1])))
-                )
+                step = gaps[core][start : start + window].copy()
+                step[1:] += expected_pen[:-1]
+                estimates.append(cycle[core] + np.cumsum(step))
+            windows = [window] * num_cores
             if num_cores > 1:
                 # Equalize the *time* the windows cover: programs differ
                 # wildly in cycles-per-LLC-access, and any access ordered
                 # after the earliest-exhausted core's horizon rolls back
-                # anyway.  Trim every window to the smallest estimated
-                # end time among the chunk-limited cores (pass-limited
-                # windows end in a wraparound and continue next round, so
-                # they do not bound the horizon).
-                limited = [core for core in range(num_cores) if windows[core] == chunk]
-                if limited:
-                    span = min(float(estimates[core][-1]) for core in limited)
-                    windows = [
-                        max(
-                            1,
-                            int(np.searchsorted(estimates[core], span, side="right")),
-                        )
-                        for core in range(num_cores)
-                    ]
-                    estimates = [
-                        estimates[core][: windows[core]] for core in range(num_cores)
-                    ]
-            wraps = [index[core] + windows[core] == lengths[core] for core in range(num_cores)]
+                # anyway.
+                span = min(float(estimate[-1]) for estimate in estimates)
+                windows = [
+                    max(1, int(np.searchsorted(estimate, span, side="right")))
+                    for estimate in estimates
+                ]
+                estimates = [estimates[core][: windows[core]] for core in range(num_cores)]
             offsets = np.concatenate(([0], np.cumsum(windows)))
             n = int(offsets[-1])
             merged_lines = np.concatenate(
                 [lines[core][index[core] : index[core] + windows[core]] for core in range(num_cores)]
             )
-            window_gaps = [
-                gaps[core][index[core] : index[core] + windows[core]] for core in range(num_cores)
-            ]
             core_id = np.repeat(np.arange(num_cores), windows)
             jpos = np.concatenate([np.arange(w, dtype=np.int64) for w in windows])
+            # Window position of each first-pass core's trace end, if
+            # this window reaches it.
+            first_ends = {
+                core: lengths[core] - 1 - index[core]
+                for core in range(num_cores)
+                if first_pass_cycles[core] is None
+                and lengths[core] - 1 - index[core] < windows[core]
+            }
 
             def exact_times(penalties):
                 """Per-access ready times under given per-access penalties.
 
                 Reproduces the reference's float operation order exactly:
-                the interleaved per-core array [cycle, gap0, pen0, gap1,
-                pen1, ..., tail?] makes ``cumsum``'s left fold perform the
-                same sequence of binary additions as the sequential
-                ``ready = cycle + gap; cycle = ready + penalty`` loop.
+                the per-core array [cycle, gap0, pen0, tail0, gap1, pen1,
+                tail1, ...] (tail_j is 0.0 except after a trace's last
+                access) makes ``cumsum``'s left fold perform the same
+                sequence of binary additions as the sequential
+                ``ready = cycle + gap; cycle = ready + penalty (+ tail)``
+                loop.
                 """
                 ready = np.empty(n, dtype=np.float64)
                 cumsums = []
                 for core in range(num_cores):
                     w = windows[core]
-                    arr = np.empty(1 + 2 * w + (1 if wraps[core] else 0))
+                    start = index[core]
+                    arr = np.empty(1 + 3 * w)
                     arr[0] = cycle[core]
-                    arr[1 : 1 + 2 * w : 2] = window_gaps[core]
-                    arr[2 : 2 + 2 * w : 2] = penalties[offsets[core] : offsets[core] + w]
-                    if wraps[core]:
-                        arr[-1] = tails[core]
+                    arr[1::3] = gaps[core][start : start + w]
+                    arr[2::3] = penalties[offsets[core] : offsets[core] + w]
+                    arr[3::3] = tails[core][start : start + w]
                     cs = np.cumsum(arr)
-                    ready[offsets[core] : offsets[core] + w] = cs[1 : 1 + 2 * w : 2]
+                    ready[offsets[core] : offsets[core] + w] = cs[1::3]
                     cumsums.append(cs)
                 return ready, cumsums
 
@@ -644,11 +654,7 @@ class MultiCoreSimulator:
                     last = last_position[core]
                     if last >= commit:
                         continue
-                    after = cumsums[core][-1]
-                    next_gap = (
-                        gaps[core][0] if wraps[core] else gaps[core][index[core] + windows[core]]
-                    )
-                    horizon = after + next_gap
+                    horizon = cumsums[core][-1] + gaps[core][index[core] + windows[core]]
                     region_ready = ready_in_order[last + 1 : commit]
                     region_core = core_in_order[last + 1 : commit]
                     violating = np.flatnonzero(
@@ -659,21 +665,16 @@ class MultiCoreSimulator:
                         commit = last + 1 + int(violating[0])
 
                 # Termination cut: the reference stops the moment the
-                # last first-pass core wraps around; accesses ordered
-                # after that wraparound are never processed.
-                finishing = sorted(
-                    last_position[core]
-                    for core in range(num_cores)
-                    if wraps[core] and first_pass_cycles[core] is None
-                )
-                remaining = unfinished
-                for position in finishing:
-                    if position >= commit:
-                        break
-                    remaining -= 1
-                    if remaining == 0:
-                        commit = position + 1
-                        break
+                # last first-pass core reaches its trace end; accesses
+                # ordered after that access are never processed.
+                if len(first_ends) == unfinished:
+                    position_of = np.empty(n, dtype=np.int64)
+                    position_of[order] = positions
+                    stop = max(
+                        int(position_of[offsets[core] + end])
+                        for core, end in first_ends.items()
+                    )
+                    commit = min(commit, stop + 1)
 
                 if best is None or commit > best[0]:
                     # Later attempts never touch positions below their
@@ -706,6 +707,8 @@ class MultiCoreSimulator:
 
             # Commit the validated prefix: outcomes, counters, exact
             # per-core cycle state, and the LLC's new recency stacks.
+            # Each core's committed accesses are a prefix of its window
+            # (both orders keep a core's accesses in window order).
             committed_core = core_in_order[:commit]
             committed_hit = hit_in_order[:commit]
             total_accesses += commit
@@ -719,27 +722,31 @@ class MultiCoreSimulator:
                 accesses_all[core] += done
                 hits_all[core] += int(committed_hits[core])
                 # The uncommitted tail's speculative penalties seed the
-                # next round's proposal (a wrapped core starts fresh).
+                # next round's proposal.
                 carried[core] = penalties[offsets[core] + done : offsets[core] + windows[core]]
-                if first_pass_cycles[core] is None:
-                    accesses_first[core] += done
-                    hits_first[core] += int(committed_hits[core])
-                    misses_first[core] += done - int(committed_hits[core])
                 if done == 0:
                     continue
-                if done == windows[core]:
-                    cycle[core] = float(cumsums[core][-1])
-                    if wraps[core]:
-                        passes[core] += 1
-                        index[core] = 0
-                        if first_pass_cycles[core] is None:
-                            first_pass_cycles[core] = cycle[core]
-                            unfinished -= 1
+                start = index[core]
+                crossings = (start + done) // lengths[core]
+                if first_pass_cycles[core] is None:
+                    if crossings:
+                        # The first pass ends inside the committed
+                        # prefix: count it up to the trace's last access.
+                        end = first_ends[core]
+                        done_first = end + 1
+                        core_hits = committed_hit[committed_core == core]
+                        hits_done = int(core_hits[:done_first].sum())
+                        first_pass_cycles[core] = float(cumsums[core][3 * done_first])
+                        unfinished -= 1
                     else:
-                        index[core] += done
-                else:
-                    cycle[core] = float(cumsums[core][2 * done])
-                    index[core] += done
+                        done_first = done
+                        hits_done = int(committed_hits[core])
+                    accesses_first[core] += done_first
+                    hits_first[core] += hits_done
+                    misses_first[core] += done_first - hits_done
+                passes[core] += crossings
+                cycle[core] = float(cumsums[core][3 * done])
+                index[core] = (start + done) % lengths[core]
             if unfinished:
                 # The final commit never falls below the frozen prefix
                 # (the attempt that froze it had already validated a
@@ -750,13 +757,6 @@ class MultiCoreSimulator:
                     num_sets,
                     associativity,
                 )
-                # The horizon cut legitimately trims a tail even on good
-                # rounds, so grow on mostly-committed rounds and shrink
-                # only when speculation wasted most of the work.
-                if commit * 4 >= n * 3:
-                    chunk = min(chunk * 2, _MAX_CHUNK)
-                elif commit * 4 < n:
-                    chunk = max(_MIN_CHUNK, chunk // 2)
 
         return self._assemble(
             llc_traces,

@@ -6,13 +6,19 @@ on :class:`MultiCoreRunResult` compares every cycle count, CPI input
 and counter exactly, so each case below asserts plain ``==`` between
 ``chunked`` and ``heap`` on the situations where a speculative
 merge-and-rollback walk could diverge: duplicated-program mixes, exact
-ready-time ties, traces shorter than one speculation window, and
-1/2/4-core machines.
+ready-time ties, zero tails, traces shorter than (or exactly as long
+as) one speculation window, whose windows run across the trace end, and
+1/2/4/8-core machines.  A Hypothesis property test then shrinks the
+window to a few accesses so that windows wrap several times per round
+and land exactly on trace ends.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.simulators import multi_core
 from repro.simulators.llc_trace import LLCAccessTrace
 from repro.simulators.multi_core import (
     MULTI_CORE_KERNELS,
@@ -141,9 +147,10 @@ class TestKernelEquivalenceMatrix:
         ]
         assert_all_identical(machine2, traces)
 
-    def test_shorter_than_chunk_traces(self, machine4):
-        """Every trace fits inside one speculation window, with unequal
-        lengths so wraparounds happen mid-round."""
+    def test_traces_shorter_than_one_window(self, machine4):
+        """Every trace is shorter than one speculation window, with
+        unequal lengths: windows run across the trace end, several
+        times for the shortest trace, so first passes end mid-window."""
         rng = np.random.default_rng(13)
         traces = []
         for core, length in enumerate([3, 17, 96, 41]):
@@ -151,6 +158,39 @@ class TestKernelEquivalenceMatrix:
             lines = rng.integers(0, 256, size=length).astype(np.int64)
             traces.append(synthetic_trace(f"short-{core}", gaps, lines, seed=40 + core))
         assert_all_identical(machine4, traces)
+
+    def test_zero_tail_cycles(self, machine4):
+        """A zero post-LLC tail: the tail slot after each trace end adds
+        exactly 0.0, so a trace end shifts no later ready time and its
+        ties with other cores stay ties."""
+        rng = np.random.default_rng(17)
+        traces = []
+        for core, length in enumerate([5, 60, 200, 31]):
+            gaps = rng.integers(0, 6, size=length).astype(np.float64)
+            lines = rng.integers(0, 192, size=length).astype(np.int64)
+            traces.append(
+                synthetic_trace(f"no-tail-{core}", gaps, lines, tail_cycles=0.0, seed=60 + core)
+            )
+        assert_all_identical(machine4, traces)
+
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    def test_trace_exactly_one_window_long(self, machine4, num_cores):
+        """A trace of exactly ``_WINDOW`` accesses: an untrimmed window
+        ends precisely on the trace end, and the next window starts at
+        the trace's first access again."""
+        rng = np.random.default_rng(19)
+        traces = []
+        for core, length in enumerate([multi_core._WINDOW, 700][:num_cores]):
+            gaps = rng.integers(1, 20, size=length).astype(np.float64)
+            lines = rng.integers(0, 1_024, size=length).astype(np.int64)
+            traces.append(synthetic_trace(f"window-{core}", gaps, lines, seed=70 + core))
+        assert_all_identical(machine4.with_num_cores(num_cores), traces)
+
+    def test_eight_core_mix(self, store, tiny_suite, machine4):
+        """Eight cores, with two benchmarks duplicated."""
+        machine8 = machine4.with_num_cores(8)
+        names = list(tiny_suite.names) + ["mcf", "gamess"]
+        assert_all_identical(machine8, _traces(store, tiny_suite, machine8, names))
 
     def test_zero_gap_bursts(self, machine2):
         """Zero upstream gaps produce exact ready-time ties *within* a
@@ -163,6 +203,53 @@ class TestKernelEquivalenceMatrix:
             synthetic_trace("burst-b", gaps, lines[::-1].copy(), seed=52),
         ]
         assert_all_identical(machine2, traces)
+
+
+@st.composite
+def contended_mixes(draw):
+    """1-8 short synthetic traces contending for a few shared LLC sets.
+
+    Lengths and tails (zero included) are drawn directly; the per-access
+    integer gaps (0-12, so ties are common) and lines come from a drawn
+    seed.  Lines use four sets spaced so that the per-core address
+    offset maps one core's sets onto its neighbours', and twelve tags
+    per set, so the LLC's eight ways evict across cores.
+    """
+    num_cores = draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(1, 300), min_size=num_cores, max_size=num_cores))
+    tails = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.integers(1, 40).map(float)),
+            min_size=num_cores,
+            max_size=num_cores,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_sets = 64  # the scaled test machine's LLC
+    set_step = -multi_core._CORE_ADDRESS_OFFSET % num_sets
+    traces = []
+    for core, (length, tail) in enumerate(zip(lengths, tails)):
+        gaps = rng.integers(0, 13, size=length).astype(np.float64)
+        sets = rng.integers(0, 4, size=length) * set_step
+        lines = rng.integers(0, 12, size=length) * num_sets + sets
+        traces.append(synthetic_trace(f"p{core}", gaps, lines, tail_cycles=tail, seed=core + 1))
+    return traces
+
+
+class TestPeriodicWindows:
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 64])
+    @settings(max_examples=15, deadline=None)
+    @given(traces=contended_mixes())
+    def test_chunked_matches_heap(self, machine4, window, traces):
+        """With windows of a few accesses, every round's windows wrap
+        around short traces several times and often end exactly on a
+        trace end; the chunked walk must still equal the heap walk."""
+        machine = machine4.with_num_cores(len(traces))
+        assert machine.llc.num_sets == 64
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multi_core, "_WINDOW", window)
+            chunked = MultiCoreSimulator(machine, kernel="chunked").run(traces)
+        assert chunked == MultiCoreSimulator(machine, kernel="heap").run(traces)
 
 
 class TestKernelSelection:
