@@ -17,7 +17,13 @@ lengths, and a mix that pairs a short-trace program with long ones, so
 the short program wraps around its trace dozens of times during the
 long programs' first passes (speculation windows then run across its
 trace end every round).  ``--quick`` also sweeps bit-identity over the
-six Table 2 LLCs on 2-, 4- and 8-core machines.
+six Table 2 LLCs on 2-, 4- and 8-core machines, and on each swept mix
+checks the interleave's LLC kernel, ``llc_hits``, against
+``lru_hit_mask(stack_distances(...))`` on the mix's concatenated
+LLC lines.  Both modes time ``llc_hits`` against ``stack_distances``
+on an adversarial stream (a 4,096-line cycle, 8 laps, one 16-way
+set: every reuse but the first needs an exact count) and require it
+to be no slower.
 
 Timing methodology: the kernels are measured *interleaved* (each round
 times every kernel back to back) and scored by per-kernel minimum
@@ -35,9 +41,13 @@ from __future__ import annotations
 import argparse
 import time
 
+import numpy as np
+
+from repro.caches.vectorized import llc_hits, lru_hit_mask, stack_distances
 from repro.config import baseline_machine, llc_design_space, scaled
 from repro.profiling import ProfileStore
 from repro.simulators import MultiCoreSimulator
+from repro.simulators.multi_core import _CORE_ADDRESS_OFFSET
 from repro.workloads import small_suite
 
 #: The timed workload: the four most heterogeneous benchmarks of the
@@ -70,6 +80,12 @@ DUP_MIX = ("gamess",) * 4
 SWEEP_MIX = ("hmmer", "mcf", "gamess", "lbm", "soplex", "omnetpp", "hmmer", "mcf")
 SWEEP_CORES = (2, 4, 8)
 
+#: The adversarial kernel stream: a cycle of 4,096 distinct lines, 8
+#: laps, in one 16-way set.
+ADVERSARIAL_CYCLE = 4_096
+ADVERSARIAL_LAPS = 8
+ADVERSARIAL_WAYS = 16
+
 
 def _assert_identical(machine, traces):
     """Both kernels must produce frozen-dataclass-equal run results."""
@@ -99,6 +115,21 @@ def _time_kernels(machine, traces, rounds: int) -> dict:
     }
 
 
+def _assert_llc_hits(machine, traces):
+    """``llc_hits`` must equal the distance-based mask on the mix's lines."""
+    lines = np.concatenate(
+        [
+            np.asarray(trace.line, dtype=np.int64) + core * _CORE_ADDRESS_OFFSET
+            for core, trace in enumerate(traces)
+        ]
+    )
+    llc = machine.llc
+    expected = lru_hit_mask(stack_distances(lines, llc.num_sets), llc.associativity)
+    assert np.array_equal(llc_hits(lines, llc.num_sets, llc.associativity), expected), (
+        f"llc_hits diverged from the stack-distance reference on {machine.name}"
+    )
+
+
 def identity_sweep(store: ProfileStore, suite) -> int:
     """Assert bit-identity on every Table 2 LLC x 2/4/8 cores; returns the mix count."""
     mixes = 0
@@ -106,9 +137,33 @@ def identity_sweep(store: ProfileStore, suite) -> int:
         for machine in llc_design_space(num_cores):
             machine = scaled(machine, SCALE)
             names = SWEEP_MIX[:num_cores]
-            _assert_identical(machine, [store.get_llc_trace(suite[name], machine) for name in names])
+            traces = [store.get_llc_trace(suite[name], machine) for name in names]
+            _assert_identical(machine, traces)
+            _assert_llc_hits(machine, traces)
             mixes += 1
     return mixes
+
+
+def time_adversarial_stream(rounds: int = 5) -> dict:
+    """Interleaved best-of-``rounds`` of both LLC kernels on the adversarial cycle."""
+    lines = np.tile(np.arange(ADVERSARIAL_CYCLE, dtype=np.int64), ADVERSARIAL_LAPS)
+    kernels = {
+        "llc_hits": lambda: llc_hits(lines, 1, ADVERSARIAL_WAYS),
+        "stack_distances": lambda: lru_hit_mask(stack_distances(lines, 1), ADVERSARIAL_WAYS),
+    }
+    assert np.array_equal(kernels["llc_hits"](), kernels["stack_distances"]())
+    timings = {name: [] for name in kernels}
+    for _ in range(rounds):
+        for name, kernel in kernels.items():
+            start = time.perf_counter()
+            kernel()
+            timings[name].append(time.perf_counter() - start)
+    best = {name: min(seconds) for name, seconds in timings.items()}
+    return {
+        "llc_hits_seconds": best["llc_hits"],
+        "stack_distances_seconds": best["stack_distances"],
+        "ratio": best["llc_hits"] / best["stack_distances"],
+    }
 
 
 def measure_kernels(
@@ -146,6 +201,7 @@ def measure_kernels(
     }
     if sweep:
         result["identity_sweep_mixes"] = identity_sweep(store, suite)
+    result["adversarial_llc_stream"] = time_adversarial_stream()
     return result
 
 
@@ -170,7 +226,20 @@ def run_guard(quick: bool = False) -> dict:
             f"{timed['speedup']:.2f}x < required {floor:.1f}x"
         )
     if "identity_sweep_mixes" in result:
-        print(f"chunked == heap on {result['identity_sweep_mixes']} Table 2 LLC x core-count mixes")
+        print(
+            f"chunked == heap and llc_hits == stack-distance mask on "
+            f"{result['identity_sweep_mixes']} Table 2 LLC x core-count mixes"
+        )
+    adversarial = result["adversarial_llc_stream"]
+    print(
+        f"adversarial LLC stream: llc_hits {adversarial['llc_hits_seconds'] * 1e3:.2f}ms, "
+        f"stack_distances {adversarial['stack_distances_seconds'] * 1e3:.2f}ms "
+        f"(ratio {adversarial['ratio']:.2f}, must be <= 1)"
+    )
+    assert adversarial["ratio"] <= 1.0, (
+        f"llc_hits is slower than stack_distances on the adversarial stream: "
+        f"{adversarial['ratio']:.2f}x"
+    )
     return result
 
 

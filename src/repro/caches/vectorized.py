@@ -37,13 +37,33 @@ order) and has three stages:
    top-down radix partitioning (:func:`_count_preceding_greater`).
    The distance of a non-cold access is then ``cov(q) - G(prev(q))``:
    stack depth minus the lines buried deeper than the reused one.
+
+Callers that only need hit or miss for one associativity A — the
+detailed multi-core interleave — use :func:`llc_hits`, which decides
+each access without its distance.  In the same grouped coordinates, a
+reuse ``q`` of position ``p`` has distance one more than the number of
+other lines accessed between them, which lies between the number of
+*first* occurrences in ``(p, q)`` and ``q - p - 1``.  So:
+
+* a first occurrence is a miss;
+* a reuse with ``q - p <= A`` is a hit;
+* a reuse with at least A first occurrences in ``(p, q)`` is a miss
+  (one ``cumsum``);
+* only the rest is counted exactly.  The other lines are the first
+  occurrences plus the reuses in ``(p, q)`` whose own previous
+  occurrence lies before ``p``.  The first A reuses of the range (at
+  most 32) usually settle it.  Longer ranges are scanned to their end
+  while the scans stay linear in the stream length, and otherwise
+  counted with one :func:`_count_preceding_greater` pass over the
+  reuses, so adversarial streams cost no more than the distances.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.config.machine import MachineConfig
 
@@ -138,7 +158,9 @@ def _count_preceding_greater(values: np.ndarray) -> np.ndarray:
 def _stable_argsort(values: np.ndarray) -> np.ndarray:
     """Stable argsort of an int64 array, via the faster default sort when safe.
 
-    Stability is bought by sorting the collision-free combined key
+    Values spanning fewer than 2^16 (set indices) are sorted as 16-bit
+    keys, for which numpy's stable sort is a radix sort.  Otherwise
+    stability is bought by sorting the collision-free combined key
     ``(value - min) * n + position`` with numpy's default introsort,
     which is noticeably faster than ``kind="stable"`` on int64; inputs
     whose value span would overflow the key fall back to the stable sort.
@@ -148,9 +170,51 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
         return np.arange(n, dtype=np.int64)
     low = int(values.min())
     span = int(values.max()) - low
+    if span < 2**16:
+        return np.argsort((values - low).astype(np.uint16), kind="stable")
     if span <= (2**62 - n) // n:
         return np.argsort((values - low) * n + np.arange(n, dtype=np.int64))
     return np.argsort(values, kind="stable")
+
+
+def _reuse_chains(
+    lines: np.ndarray, num_sets: int
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Set grouping and previous-occurrence chains of a non-empty stream.
+
+    Returns ``(order, sizes, prev)`` in *grouped* coordinates
+    (contiguous per set, program order inside): ``order`` maps grouped
+    positions to original ones (``None`` for a single set, where the
+    two coincide), ``sizes`` holds the non-empty group sizes in grouped
+    order, and ``prev[q]`` is the grouped position of the previous
+    occurrence of ``q``'s line, or -1 for a first occurrence.
+    """
+    n = len(lines)
+    # A line always maps to one set, so occurrences keep their relative
+    # order under the grouping permutation: chain them up in original
+    # coordinates and translate.  Single-set caches skip the grouping.
+    occ_original = _stable_argsort(lines)
+    if num_sets == 1:
+        order = None
+        sizes = np.array([n], dtype=np.int64)
+        occ = occ_original
+    else:
+        if num_sets & (num_sets - 1) == 0:
+            sets = lines & (num_sets - 1)
+        else:
+            sets = lines % num_sets
+        order = _stable_argsort(sets)  # grouped coords -> original
+        inverse_order = np.empty(n, dtype=np.int64)
+        inverse_order[order] = np.arange(n, dtype=np.int64)
+        # Group sizes (groups appear in ascending set order; one
+        # bincount instead of a boundary scan).
+        sizes = np.bincount(sets, minlength=num_sets)
+        sizes = sizes[sizes > 0].astype(np.int64)
+        occ = inverse_order[occ_original]
+    same_line = lines[occ_original[1:]] == lines[occ_original[:-1]]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[occ[1:][same_line]] = occ[:-1][same_line]
+    return order, sizes, prev
 
 
 def stack_distances(lines: np.ndarray, num_sets: int) -> np.ndarray:
@@ -171,34 +235,7 @@ def stack_distances(lines: np.ndarray, num_sets: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
-    # Previous occurrence of the same line, in grouped coordinates
-    # (contiguous per set, program order inside).  A line always maps to
-    # one set, so occurrences keep their relative order under the
-    # grouping permutation: chain them up in original coordinates and
-    # translate.  Single-set caches skip the grouping entirely.
-    occ_original = _stable_argsort(lines)
-    if num_sets == 1:
-        grouped = False
-        order = inverse_order = None
-        sizes = np.array([n], dtype=np.int64)
-        occ = occ_original
-    else:
-        grouped = True
-        if num_sets & (num_sets - 1) == 0:
-            sets = lines & (num_sets - 1)
-        else:
-            sets = lines % num_sets
-        order = _stable_argsort(sets)  # grouped coords -> original
-        inverse_order = np.empty(n, dtype=np.int64)
-        inverse_order[order] = np.arange(n, dtype=np.int64)
-        # Group sizes (groups appear in ascending set order; one
-        # bincount instead of a boundary scan).
-        sizes = np.bincount(sets, minlength=num_sets)
-        sizes = sizes[sizes > 0].astype(np.int64)
-        occ = inverse_order[occ_original]
-    same_line = lines[occ_original[1:]] == lines[occ_original[:-1]]
-    prev = np.full(n, -1, dtype=np.int64)
-    prev[occ[1:][same_line]] = occ[:-1][same_line]
+    order, sizes, prev = _reuse_chains(lines, num_sets)
 
     # MRU prefilter: distance-1 accesses (same line as the set's
     # previous access) are LRU no-ops — record them and drop them; the
@@ -272,7 +309,7 @@ def stack_distances(lines: np.ndarray, num_sets: int) -> np.ndarray:
     else:
         grouped_distances = np.ones(n, dtype=np.int64)  # dropped accesses: distance 1
         grouped_distances[kept] = distances_c
-    if not grouped:
+    if order is None:
         return grouped_distances
     out = np.empty(n, dtype=np.int64)
     out[order] = grouped_distances
@@ -282,6 +319,105 @@ def stack_distances(lines: np.ndarray, num_sets: int) -> np.ndarray:
 def lru_hit_mask(distances: np.ndarray, associativity: int) -> np.ndarray:
     """Which accesses hit an ``associativity``-way LRU cache, by distance."""
     return (distances > 0) & (distances <= associativity)
+
+
+#: Reuses :func:`llc_hits` reads at the head of each undecided range
+#: before counting the rest: one per way, but at most this many, so
+#: highly associative caches do not widen the scan.
+_HEAD_SCAN = 32
+
+
+def _count_below(
+    values: np.ndarray, low: np.ndarray, high: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """Per query ``i``, how many of ``values[low[i]:high[i]]`` are below ``bounds[i]``.
+
+    One flat scan over all the ranges: linear in their total length.
+    """
+    widths = high - low
+    total = int(widths.sum())
+    owner = np.repeat(np.arange(len(low)), widths)
+    scanned = np.arange(total) + np.repeat(low - (np.cumsum(widths) - widths), widths)
+    below = values[scanned] < bounds[owner]
+    return np.bincount(owner[below], minlength=len(low))
+
+
+def llc_hits(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
+    """Which accesses of a stream hit an LRU cache of the given geometry.
+
+    Exactly ``lru_hit_mask(stack_distances(lines, num_sets),
+    associativity)``, but each access is decided by the cheapest test
+    that settles it (see the module docstring); only the reuses no
+    prefix count settles get an exact distinct-line count.
+    """
+    if num_sets <= 0:
+        raise ValueError(f"num_sets must be positive, got {num_sets}")
+    if associativity <= 0:
+        raise ValueError(f"associativity must be positive, got {associativity}")
+    lines = np.asarray(lines, dtype=np.int64)
+    n = len(lines)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+
+    order, _, prev = _reuse_chains(lines, num_sets)
+    # Grouped coordinates: every access between a reuse q and its
+    # previous occurrence p is in q's set, and the other lines among
+    # them are exactly the lines stacked above q's before the access.
+    first = prev < 0
+    first_cum = np.empty(n + 1, dtype=np.int64)  # first occurrences before q
+    first_cum[0] = 0
+    np.cumsum(first, out=first_cum[1:])
+    reuse = np.flatnonzero(~first)
+    reuse_prev = prev[reuse]
+    # Other lines between p and q: at most q - p - 1 (one per access),
+    # at least the first occurrences among them.
+    firsts_between = first_cum[reuse] - first_cum[reuse_prev + 1]
+    certain_hit = reuse - reuse_prev <= associativity
+    undecided = np.flatnonzero(~certain_hit & (firsts_between < associativity))
+
+    grouped_hits = np.zeros(n, dtype=bool)
+    grouped_hits[reuse[certain_hit]] = True
+    if len(undecided):
+        # The rest of the count: reuses r in (p, q) whose own previous
+        # occurrence lies before p (each is another line's first access
+        # since p).  The reuses in (p, q) are the index range
+        # [low, high) of ``reuse``; ``needed`` such lines make q a miss.
+        query_prev = reuse_prev[undecided]
+        low = (query_prev + 1) - first_cum[query_prev + 1]
+        high = undecided
+        needed = associativity - firsts_between[undecided]
+        # The first reuses of the range settle most queries: enough
+        # older lines among them, or nothing left to scan.
+        head_width = min(associativity, _HEAD_SCAN)
+        head = np.minimum(high, low + head_width)
+        padded = np.concatenate((reuse_prev, np.zeros(head_width, dtype=np.int64)))
+        rows = sliding_window_view(padded, head_width)[low]  # contiguous row copies
+        older = (
+            (rows < query_prev[:, None]) & (np.arange(head_width) < (head - low)[:, None])
+        ).sum(axis=1)
+        still_open = np.flatnonzero((older < needed) & (head < high))
+        if len(still_open):
+            rest_low = head[still_open]
+            rest_high = high[still_open]
+            if int((rest_high - rest_low).sum()) <= n:
+                older[still_open] += _count_below(
+                    reuse_prev, rest_low, rest_high, query_prev[still_open]
+                )
+            else:
+                # Bounded worst case (long open ranges): previous
+                # positions of reuses are distinct, so the reuses in
+                # (p, q) whose previous occurrence lies *after* p are
+                # exactly the earlier reuses with a greater previous
+                # position — one preceding-greater pass over the reuses.
+                nested = _count_preceding_greater(reuse_prev)[high[still_open]]
+                older[still_open] = high[still_open] - low[still_open] - nested
+        grouped_hits[reuse[undecided[older < needed]]] = True
+
+    if order is None:
+        return grouped_hits
+    out = np.empty(n, dtype=bool)
+    out[order] = grouped_hits
+    return out
 
 
 def replay_llc(stream: np.ndarray, num_sets: int) -> np.ndarray:

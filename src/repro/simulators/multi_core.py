@@ -22,13 +22,14 @@ Two kernels produce the interleaved walk:
   expected CPI (its measured hit rate so far, plus the exact penalties
   of any accesses rolled back from the previous round, plus the exact
   post-LLC tails at trace ends), the K-way merge of those estimates
-  proposes a global order, the proposed order is replayed against a
-  batched per-set LRU (:func:`repro.caches.vectorized.stack_distances`,
-  seeded with the LLC's live recency state), and the exact ready times
-  implied by the replayed outcomes — one ``cumsum`` per core over
-  ``[cycle, (gap, penalty, tail_or_0) × w]`` — are re-sorted to detect
-  order violations.  Only the provably correct prefix commits, the rest
-  rolls back and the next round re-speculates from the exact times.
+  proposes a global order, the proposed order is replayed through
+  :func:`repro.caches.vectorized.llc_hits` (a batched per-set LRU
+  hit/miss decision, seeded with the LLC's live recency state), and
+  the exact ready times implied by the replayed outcomes — one
+  ``cumsum`` per core over ``[cycle, (gap, penalty, tail_or_0) × w]``
+  — are re-sorted to detect order violations.  Only the provably
+  correct prefix commits, the rest rolls back and the next round
+  re-speculates from the exact times.
   Bit-identical to the reference by construction (see
   :meth:`MultiCoreSimulator._run_chunked`).
 * ``"heap"`` keeps the per-core ready times in a binary heap — the
@@ -49,7 +50,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.caches.set_associative import SetAssociativeCache
-from repro.caches.vectorized import stack_distances
+# ``stack_distances`` stays importable here: perfbench wraps this name.
+from repro.caches.vectorized import llc_hits, stack_distances  # noqa: F401
 from repro.config.machine import MachineConfig
 from repro.cores.core_model import CoreTimingModel
 from repro.simulators.llc_trace import LLCAccessTrace
@@ -260,16 +262,19 @@ def _resident_stacks(stream: np.ndarray, num_sets: int, associativity: int) -> n
 
     Returns the resident lines, grouped by set, each set's lines in
     LRU→MRU order — exactly the warm-up stream that, prepended to the
-    next chunk, makes :func:`stack_distances` see the chunk with the
-    correct live stack depths.  Evicted lines (per-set recency rank
-    beyond the associativity) are dropped: their next access misses
-    either way, and re-inserting them perturbs nobody above them.
+    next chunk, makes :func:`llc_hits` see the chunk with the correct
+    live stack depths.  Evicted lines (per-set recency rank beyond the
+    associativity) are dropped: their next access misses either way,
+    and re-inserting them perturbs nobody above them.
     """
     n = len(stream)
     if n == 0:
         return stream
+    # Unique (line, position) and (set, recency) keys: ``stream`` holds
+    # ``_run_chunked``'s dense labels, below (distinct lines) x
+    # (sets), so the products stay far inside int64.
     position = np.arange(n, dtype=np.int64)
-    by_line = np.lexsort((position, stream))
+    by_line = np.argsort(stream * n + position)
     ordered = stream[by_line]
     last = np.empty(n, dtype=bool)
     last[:-1] = ordered[1:] != ordered[:-1]
@@ -277,7 +282,7 @@ def _resident_stacks(stream: np.ndarray, num_sets: int, associativity: int) -> n
     resident = ordered[last]
     last_position = by_line[last]
     sets = resident % num_sets
-    by_set = np.lexsort((last_position, sets))
+    by_set = np.argsort(sets * n + last_position)
     sets_sorted = sets[by_set]
     m = len(sets_sorted)
     boundary = np.empty(m, dtype=bool)
@@ -431,9 +436,10 @@ class MultiCoreSimulator:
            rolled back from the previous round carried in front), then,
            if the proposal is refuted, under the exact times computed
            from the previous attempt's outcomes;
-        2. replays the proposed order against the shared LLC in one
-           batched per-set stack-distance pass, seeded with the LLC's
-           live recency stacks as a warm-up prefix;
+        2. replays the proposed order through ``llc_hits`` — one
+           batched per-set LRU hit/miss pass over the shared LLC,
+           seeded with the LLC's live recency stacks as a warm-up
+           prefix;
         3. recomputes every access's *exact* ready time from those
            outcomes with the reference's own operation order, and
            re-sorts by (ready, core, index).  Each core's window is laid
@@ -474,6 +480,18 @@ class MultiCoreSimulator:
         optimistic_penalty = np.minimum(hit_penalty, miss_penalty)
 
         lengths = [trace.num_llc_accesses for trace in llc_traces]
+        # Lines are relabeled densely, each label keeping its line's set:
+        # LLC outcomes only depend on line equality and set, and small
+        # labels let ``llc_hits``'s occurrence sort take its fast path.
+        offset_lines = np.concatenate(
+            [
+                np.asarray(trace.line, dtype=np.int64) + core * _CORE_ADDRESS_OFFSET
+                for core, trace in enumerate(llc_traces)
+            ]
+        )
+        labels = np.unique(offset_lines, return_inverse=True)[1]
+        labels = labels * num_sets + offset_lines % num_sets
+        core_labels = np.split(labels, np.cumsum(lengths)[:-1])
         # Each core's periodic access stream, unrolled to L + _WINDOW
         # entries so that any window — and the gap of the access right
         # after it — is one slice: entry k is trace access k % L, and
@@ -486,7 +504,7 @@ class MultiCoreSimulator:
             length = lengths[core]
             unrolled = length + window
             repeats = -(-unrolled // length)
-            line = np.asarray(trace.line, dtype=np.int64) + core * _CORE_ADDRESS_OFFSET
+            line = core_labels[core]
             gap = np.asarray(trace.upstream_cycle_gap, dtype=np.float64)
             lines.append(np.tile(line, repeats)[:unrolled])
             gaps.append(np.tile(gap, repeats)[:unrolled])
@@ -560,7 +578,6 @@ class MultiCoreSimulator:
                 [lines[core][index[core] : index[core] + windows[core]] for core in range(num_cores)]
             )
             core_id = np.repeat(np.arange(num_cores), windows)
-            jpos = np.concatenate([np.arange(w, dtype=np.int64) for w in windows])
             # Window position of each first-pass core's trace end, if
             # this window reaches it.
             first_ends = {
@@ -607,7 +624,12 @@ class MultiCoreSimulator:
             # are both nondecreasing, so every proposal's leading access
             # is the true earliest (ready, core) head — the prefix
             # never validates empty.
-            order = np.lexsort((jpos, core_id, np.concatenate(estimates)))
+            #
+            # Both orders are by (time, core, window position).  The
+            # windows are laid out core-major, so a *stable* sort of
+            # times taken in layout order breaks ties exactly that way,
+            # and it merges one nondecreasing run per core.
+            order = np.argsort(np.concatenate(estimates), kind="stable")
             # Round-level buffers, updated only past the frozen prefix
             # on refinement attempts (prefix entries cannot change: the
             # stream prefix is fixed, and a prefix access's ready time
@@ -622,11 +644,11 @@ class MultiCoreSimulator:
             best = None
             for attempt in range(_ORDER_ATTEMPTS):
                 suffix = order[frozen:]
-                distances = stack_distances(
+                hit_in_order[frozen:] = llc_hits(
                     np.concatenate((warm_attempt, merged_lines[suffix])),
                     num_sets,
+                    associativity,
                 )[len(warm_attempt) :]
-                hit_in_order[frozen:] = (distances > 0) & (distances <= associativity)
                 core_in_order[frozen:] = core_id[suffix]
                 penalties[suffix] = np.where(
                     hit_in_order[frozen:],
@@ -635,9 +657,10 @@ class MultiCoreSimulator:
                 )
                 ready, cumsums = exact_times(penalties)
                 ready_in_order[frozen:] = ready[suffix]
-                resort = suffix[
-                    np.lexsort((jpos[suffix], core_id[suffix], ready[suffix]))
-                ]
+                in_suffix = np.zeros(n, dtype=bool)
+                in_suffix[suffix] = True
+                layout = np.flatnonzero(in_suffix)
+                resort = layout[np.argsort(ready[layout], kind="stable")]
                 differs = suffix != resort
                 agreed = n if not differs.any() else frozen + int(differs.argmax())
 

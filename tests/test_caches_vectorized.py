@@ -6,16 +6,21 @@ reference machinery: :func:`stack_distances` must reproduce
 :func:`replay_private_levels` followed by :func:`replay_llc` must
 reproduce a stateful :class:`CacheHierarchy` walk, for any stream and any cache geometry —
 including single-set (fully associative) and direct-mapped corners.
+:func:`llc_hits` must reproduce ``lru_hit_mask(stack_distances(...))``
+whichever of its tiers decides an access.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.set_associative import SetAssociativeCache
 from repro.caches.stack_distance import StackDistanceCounters, StackDistanceProfiler
 from repro.caches.vectorized import (
     _count_preceding_greater,
+    llc_hits,
     lru_hit_mask,
     replay_llc,
     replay_private_levels,
@@ -96,6 +101,144 @@ class TestStackDistances:
             expected = np.array([cache.access(int(line)).hit for line in lines])
             distances = stack_distances(lines, config.num_sets)
             assert np.array_equal(lru_hit_mask(distances, associativity), expected)
+
+
+def _reference_hits(lines, num_sets, associativity):
+    return lru_hit_mask(stack_distances(lines, num_sets), associativity)
+
+
+def _single_set_tiers(lines, associativity):
+    """Per-reuse tier counts of a single-set stream, by brute force.
+
+    Returns ``(certain_hits, certain_misses, undecided)``: reuses whose
+    previous occurrence is at most A accesses back, reuses with at
+    least A first occurrences since it, and the rest.
+    """
+    firsts_before = [0]  # first occurrences before each position
+    last_seen = {}
+    tiers = [0, 0, 0]
+    for position, line in enumerate(lines):
+        if line in last_seen:
+            previous = last_seen[line]
+            if position - previous <= associativity:
+                tiers[0] += 1
+            elif firsts_before[position] - firsts_before[previous + 1] >= associativity:
+                tiers[1] += 1
+            else:
+                tiers[2] += 1
+        firsts_before.append(firsts_before[-1] + (line not in last_seen))
+        last_seen[line] = position
+    return tuple(tiers)
+
+
+@st.composite
+def tiny_streams(draw):
+    """Short streams over a small line alphabet, so reuses are common."""
+    alphabet = draw(st.integers(1, 24))
+    return draw(st.lists(st.integers(0, alphabet - 1), max_size=80))
+
+
+class TestLlcHits:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=tiny_streams(),
+        num_sets=st.sampled_from([1, 2, 3, 5, 8, 16]),
+        associativity=st.sampled_from([1, 2, 4, 8, 16]),
+    )
+    def test_matches_reference(self, lines, num_sets, associativity):
+        lines = np.asarray(lines, dtype=np.int64)
+        assert np.array_equal(
+            llc_hits(lines, num_sets, associativity),
+            _reference_hits(lines, num_sets, associativity),
+        )
+
+    def test_empty_and_single_access_streams(self):
+        assert llc_hits(np.array([], dtype=np.int64), 4, 2).size == 0
+        assert llc_hits(np.array([], dtype=np.int64), 4, 2).dtype == bool
+        assert np.array_equal(llc_hits(np.array([7]), 1, 1), [False])
+        assert np.array_equal(llc_hits(np.array([7]), 3, 16), [False])
+
+    @pytest.mark.parametrize("associativity", [1, 2, 16])
+    def test_mru_runs_hit(self, associativity):
+        lines = np.array([5, 5, 5, 5, 9, 9, 5, 5], dtype=np.int64)
+        expected = _reference_hits(lines, 1, associativity)
+        assert np.array_equal(llc_hits(lines, 1, associativity), expected)
+        assert np.array_equal(expected[:4], [False, True, True, True])
+
+    @pytest.mark.parametrize("associativity", [1, 2, 4, 16])
+    def test_every_reuse_but_the_first_undecided(self, associativity):
+        """A cycle of A + 1 lines in one set: every reuse is more than A
+        accesses back, and only the first one has A first occurrences
+        since, so every other reuse needs the exact count.  (No stream
+        can do without that first decided reuse: the earliest reuse of a
+        set only has first occurrences before it.)"""
+        laps = 6
+        lines = np.tile(np.arange(associativity + 1, dtype=np.int64) * 3, laps)
+        reuses = (laps - 1) * (associativity + 1)
+        assert _single_set_tiers(lines.tolist(), associativity) == (0, 1, reuses - 1)
+        assert np.array_equal(
+            llc_hits(lines, 1, associativity), _reference_hits(lines, 1, associativity)
+        )
+
+    def test_undecided_reuses_in_short_ranges(self):
+        """A few undecided reuses with short ranges: the last one's range
+        outgrows the head scan of A reuses and is scanned to its end."""
+        lines = np.array([0, 1, 1, 1, 1, 1, 0, 2, 2, 2, 2, 2, 0, 1], dtype=np.int64)
+        assert _single_set_tiers(lines.tolist(), 4)[2] == 3
+        for num_sets in (1, 2, 3):
+            assert np.array_equal(
+                llc_hits(lines, num_sets, 4), _reference_hits(lines, num_sets, 4)
+            )
+
+    def test_adversarial_cycle_matches_reference(self):
+        """4,096 distinct lines, 8 laps, one 16-way set: the undecided
+        ranges sum to about n x L, but the first A reuses of each range
+        already hold A older lines, so the count stops there."""
+        lines = np.tile(np.arange(4_096, dtype=np.int64), 8)
+        _, _, undecided = _single_set_tiers(lines.tolist(), 16)
+        assert undecided >= 6 * 4_096
+        hits = llc_hits(lines, 1, 16)
+        assert not hits.any()
+        assert np.array_equal(hits, _reference_hits(lines, 1, 16))
+
+    @pytest.mark.parametrize("associativity", [4, 16])
+    def test_nested_reuses_take_the_bounded_count(self, associativity):
+        """Ten lines cycled with a hot line's MRU pair after each: the
+        hot line's many reuses sit nested inside every outer reuse, so
+        the first A reuses of a range hold too few older lines and the
+        long open ranges go to the preceding-greater count."""
+        outer = np.arange(10, dtype=np.int64) * 5
+        lap = np.stack([outer, np.full(10, 999), np.full(10, 999)], axis=1).ravel()
+        lines = np.tile(lap, 6)
+        expected = _reference_hits(lines, 1, associativity)
+        # Each outer reuse has 9 outer lines and the hot line above it.
+        outer_reuses = expected[len(lap) :: 3]
+        assert (outer_reuses == (associativity >= 11)).all()
+        assert np.array_equal(llc_hits(lines, 1, associativity), expected)
+
+    def test_rejects_bad_geometry(self):
+        with pytest.raises(ValueError, match="num_sets"):
+            llc_hits(np.array([1, 2]), 0, 4)
+        with pytest.raises(ValueError, match="associativity"):
+            llc_hits(np.array([1, 2]), 4, 0)
+        with pytest.raises(ValueError, match="num_sets"):
+            llc_hits(np.array([1, 2]), -1, 4)
+        with pytest.raises(ValueError, match="associativity"):
+            llc_hits(np.array([1, 2]), 4, -2)
+
+    @pytest.mark.parametrize("num_sets", [1, 4, 5, 64])
+    def test_matches_reference_on_random_streams(self, num_sets):
+        rng = np.random.default_rng(100 + num_sets)
+        for trial in range(20):
+            lines = _random_stream(
+                rng, int(rng.integers(1, 800)), int(rng.integers(1, 300)),
+                repeat_runs=trial % 3 == 0,
+            )
+            for associativity in (1, 8, 16, 64):
+                assert np.array_equal(
+                    llc_hits(lines, num_sets, associativity),
+                    _reference_hits(lines, num_sets, associativity),
+                )
 
 
 class TestReplayHierarchy:

@@ -1,8 +1,14 @@
 """Unit tests for the shared-LLC multi-core reference simulator."""
 
+import numpy as np
 import pytest
 
+from repro.caches.vectorized import lru_hit_mask, stack_distances
+from repro.config import llc_design_space, scaled
+from repro.simulators import multi_core
 from repro.simulators.multi_core import MultiCoreSimulationError, MultiCoreSimulator
+
+from testdefaults import TEST_SCALE
 
 
 def _traces(store, suite, machine, names):
@@ -94,6 +100,51 @@ class TestMultiCoreSimulator:
         two_core = MultiCoreSimulator(machine4.with_num_cores(2)).run([gamess, soplex])
         four_core = MultiCoreSimulator(machine4).run([gamess, soplex, mcf, hmmer])
         assert four_core.program("gamess").slowdown >= two_core.program("gamess").slowdown - 1e-6
+
+
+#: Mixes for the sharing invariants, three per core count.
+INVARIANT_MIXES = {
+    2: (("gamess", "mcf"), ("hmmer", "lbm"), ("soplex", "soplex")),
+    4: (
+        ("gamess", "mcf", "soplex", "lbm"),
+        ("hmmer", "omnetpp", "gamess", "hmmer"),
+        ("mcf", "lbm", "omnetpp", "soplex"),
+    ),
+}
+
+
+class TestSharingInvariants:
+    """Properties every shared-LLC run must satisfy, whatever the order.
+
+    Cores' lines are disjoint (``_CORE_ADDRESS_OFFSET``), so sharing can
+    only insert other lines between a program's reuses: per-set LRU
+    distances only grow, and a program's first pass cannot hit more
+    often than the same accesses replayed alone.
+    """
+
+    @pytest.mark.parametrize("num_cores", sorted(INVARIANT_MIXES))
+    @pytest.mark.parametrize("llc_config", range(1, 7))
+    def test_first_pass_hits_bounded_by_isolation(
+        self, store, tiny_suite, llc_config, num_cores
+    ):
+        machine = scaled(llc_design_space(num_cores)[llc_config - 1], TEST_SCALE)
+        num_sets = machine.llc.num_sets
+        associativity = machine.llc.associativity
+        for names in INVARIANT_MIXES[num_cores]:
+            traces = _traces(store, tiny_suite, machine, names)
+            result = MultiCoreSimulator(machine).run(traces)
+            for core, (trace, program) in enumerate(zip(traces, result.programs)):
+                lines = np.asarray(trace.line, dtype=np.int64)
+                lines = lines + core * multi_core._CORE_ADDRESS_OFFSET
+                isolated_hits = int(
+                    lru_hit_mask(stack_distances(lines, num_sets), associativity).sum()
+                )
+                assert program.llc_hits_first_pass <= isolated_hits, (names, core)
+                assert (
+                    program.llc_hits_first_pass + program.llc_misses_first_pass
+                    == program.llc_accesses_first_pass
+                    == trace.num_llc_accesses
+                ), (names, core)
 
 
 class TestReadyQueueVariants:
