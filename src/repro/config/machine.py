@@ -9,6 +9,7 @@ simulators and MPPM receive to know what machine they are targeting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Tuple
 
 from repro.config.cache_config import CacheConfig, ConfigurationError, MemoryConfig, KIB
@@ -117,9 +118,7 @@ class MachineConfig:
         reads.  Machines that differ only in their LLC or memory — the
         whole Table 2 design space — share one key.
         """
-        parts = [f"core=w{self.core.width}"]
-        parts.extend(_level_key(level) for level in self.private_levels)
-        return "|".join(parts)
+        return self._private_key
 
     def profile_key(self) -> str:
         """A stable string identifying everything the single-core profile depends on.
@@ -128,6 +127,20 @@ class MachineConfig:
         cores share the same profiles; the key therefore excludes
         ``num_cores``.
         """
+        return self._profile_key
+
+    # Both keys are built once per machine: sweeps look them up per
+    # item.  ``cached_property`` writes straight to the instance
+    # ``__dict__`` (bypassing the frozen ``__setattr__``), so the memo
+    # never touches the fields behind ``repr``, ``==`` and ``hash``.
+    @cached_property
+    def _private_key(self) -> str:
+        parts = [f"core=w{self.core.width}"]
+        parts.extend(_level_key(level) for level in self.private_levels)
+        return "|".join(parts)
+
+    @cached_property
+    def _profile_key(self) -> str:
         return f"{self.private_key()}|{_level_key(self.llc)}|mem:{self.memory.latency}"
 
     def describe(self) -> str:

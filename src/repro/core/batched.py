@@ -11,10 +11,11 @@ vectorized iteration step
 * picks each mix's slowest program (a row-wise max),
 * computes every program's instruction budget for the iteration,
 * aggregates each program's per-interval stack-distance counters over
-  its window through the profile's prefix-sum
-  :class:`~repro.profiling.profile.ProfileWindowTable` (grouped by
-  unique profile, so a batch touching P distinct benchmarks costs P
-  gathers per iteration, not M·C),
+  its window through one prefix-sum
+  :class:`~repro.profiling.profile.ProfileWindowTable` stacked over the
+  batch's distinct profiles (built once per solve, so every iteration
+  costs one gather over all M·C programs, however many distinct
+  benchmarks the batch touches),
 * applies the contention model's batched ``estimate_batch``, and
 * performs the EMA slowdown update for all still-unconverged mixes.
 
@@ -23,7 +24,7 @@ cost nothing: retired rows simply stop being part of the live slice.
 
 Bit-identity with the reference loop is by construction, not by
 accident: within each mix the float operations are the same ops in the
-same order (the window table is shared with the scalar
+same order (the window table class is shared with the scalar
 ``SingleCoreProfile.window``, the batched contention models replicate
 the scalar accumulation order, and numpy elementwise arithmetic is IEEE
 double arithmetic), so the batched kernel's outputs match the reference
@@ -95,34 +96,15 @@ def _fallback_miss_penalty(profile: SingleCoreProfile, machine: MachineConfig) -
     return float(machine.memory.latency)
 
 
-def _gather_windows(
-    tables: Sequence[ProfileWindowTable],
-    profile_ids: np.ndarray,
-    positions: np.ndarray,
-    lengths: np.ndarray,
-) -> np.ndarray:
-    """Window rows for every (mix, core) slot, grouped by unique profile."""
-    width = tables[0].values.shape[1]
-    flat_ids = profile_ids.ravel()
-    flat_positions = positions.ravel()
-    flat_lengths = lengths.ravel()
-    rows = np.empty((flat_ids.shape[0], width), dtype=np.float64)
-    for index, table in enumerate(tables):
-        mask = flat_ids == index
-        if mask.any():
-            rows[mask] = table.windows(flat_positions[mask], flat_lengths[mask])
-    return rows.reshape(profile_ids.shape + (width,))
-
-
 def _windowed_cpi(
-    tables: Sequence[ProfileWindowTable],
+    table: ProfileWindowTable,
     profile_ids: np.ndarray,
     positions: np.ndarray,
     interval_lengths: np.ndarray,
     base_cpi: np.ndarray,
 ) -> np.ndarray:
     """The ``use_windowed_cpi`` ablation's per-interval CPI, batched."""
-    windows = _gather_windows(tables, profile_ids, positions, interval_lengths)
+    windows = table.windows(profile_ids, positions, interval_lengths)
     instructions = windows[..., _COL_INSTRUCTIONS]
     cycles = windows[..., _COL_CYCLES]
     nonzero = instructions != 0.0
@@ -154,7 +136,7 @@ def _solve_uniform(
                 uniques.append(profile)
             profile_ids[m, c] = by_identity[identity]
 
-    tables = [profile.window_table for profile in uniques]
+    table = ProfileWindowTable(uniques)
     unique_cpi = np.array([profile.cpi for profile in uniques], dtype=np.float64)
     unique_trace = np.array(
         [profile.num_instructions for profile in uniques], dtype=np.float64
@@ -205,7 +187,7 @@ def _solve_uniform(
         current_cpi = base_cpi[rows]
         if config.use_windowed_cpi:
             current_cpi = _windowed_cpi(
-                tables, ids_live, position_live, interval_lengths[rows], current_cpi
+                table, ids_live, position_live, interval_lengths[rows], current_cpi
             )
         denominator = current_cpi * slowdown_live
         cycles = denominator * chunk[rows][:, None]
@@ -213,7 +195,7 @@ def _solve_uniform(
         progress = window_cycles[:, None] / denominator
 
         # Step 4: window aggregation and the batched contention model.
-        windows = _gather_windows(tables, ids_live, position_live, progress)
+        windows = table.windows(ids_live, position_live, progress)
         sdc_counts = windows[..., _SDC_OFFSET:]
         shared = contention_model.estimate_batch(
             sdc_counts, windows[..., _COL_INSTRUCTIONS], llc

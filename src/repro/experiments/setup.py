@@ -40,6 +40,7 @@ from repro.predictors import (
     prediction_from_run,
     tag_prediction,
 )
+from repro.predictors.base import for_machine
 from repro.profiling import ProfileStore, SingleCoreProfile
 from repro.simulators import (
     KERNELS as SINGLE_CORE_KERNELS,
@@ -325,7 +326,7 @@ class ExperimentSetup:
         cacheable = mppm_config is None
         key = (spec, mix.programs, machine.profile_key(), machine.num_cores)
         if cacheable and key in self._prediction_cache:
-            return self._prediction_cache[key]
+            return for_machine(self._prediction_cache[key], machine)
         prediction = self.predictor(spec, mppm_config=mppm_config).predict(mix, machine)
         if cacheable:
             self._prediction_cache[key] = prediction
@@ -336,7 +337,7 @@ class ExperimentSetup:
         key = (mix.programs, machine.profile_key(), machine.num_cores)
         cached = self._reference_cache.get(key)
         if cached is not None:
-            return cached
+            return for_machine(cached, machine)
         if machine.num_cores != mix.num_programs:
             machine = machine.with_num_cores(mix.num_programs)
         result = MultiCoreSimulator(
@@ -575,7 +576,9 @@ class ExperimentSetup:
         simulation's job and cache entry) and are repackaged as
         predictions here.  Batched ``mppm:*`` jobs come back as lists;
         their predictions are scattered to the op slots (duplicated ops
-        share one object) and stored under the per-op cache keys.
+        share one object) and stored under the per-op cache keys.  Each
+        result is labelled with its own op's machine name (cache keys
+        leave the name out, see :func:`~repro.predictors.base.for_machine`).
         """
         graph, scatter = self._sweep_graph(ops, contention_model, mppm_config)
         self._parallel_warm(graph)
@@ -586,11 +589,11 @@ class ExperimentSetup:
             for prediction, (indices, cache_key) in zip(predictions, entries):
                 self.engine.store(cache_key, prediction)
                 for index in indices:
-                    out[index] = prediction
-        for i, (spec, _, _) in enumerate(ops):
+                    out[index] = for_machine(prediction, ops[index][2])
+        for i, (spec, _, machine) in enumerate(ops):
             key = f"op:{i}"
             if key in results:
-                value = results[key]
+                value = for_machine(results[key], machine)
                 out[i] = (
                     prediction_from_run(value, kernel=self.config.multicore_kernel)
                     if spec == "detailed"

@@ -64,3 +64,17 @@ def tag_prediction(prediction: MixPrediction, spec: str) -> MixPrediction:
     if prediction.predictor == spec:
         return prediction
     return replace(prediction, predictor=spec)
+
+
+def for_machine(result, machine: "MachineConfig"):
+    """Label a prediction or run result with ``machine``'s name.
+
+    Result caches and batch groups key on ``(profile_key(), num_cores)``,
+    which leaves out :attr:`MachineConfig.name`: machines that differ
+    only in name share one result, computed under the first one's name.
+    Whoever hands a shared result back relabels it for the machine that
+    asked; every numeric field is carried over untouched.
+    """
+    if result.machine_name == machine.name:
+        return result
+    return replace(result, machine_name=machine.name)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPMConfig
 from repro.core.result import MixPrediction
-from repro.predictors.base import tag_prediction
+from repro.predictors.base import for_machine, tag_prediction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config.machine import MachineConfig
@@ -68,7 +68,8 @@ class MPPMPredictor:
         :meth:`MPPM.predict_batch` as a single mix-major batch, so a
         homogeneous sweep over thousands of mixes costs one numpy pass
         instead of thousands of Python loops.  Results come back in
-        input order, bit-identical to per-pair :meth:`predict` calls.
+        input order, bit-identical to per-pair :meth:`predict` calls,
+        each labelled with its own machine's name.
         """
         predictions: List[Optional[MixPrediction]] = [None] * len(items)
         groups: Dict[Tuple[str, int], List[int]] = {}
@@ -86,7 +87,9 @@ class MPPMPredictor:
                 profiles = self.setup.mix_profiles(mix, machine)
                 batches.append([profiles[name] for name in mix.programs])
             for index, prediction in zip(indices, model.predict_batch(batches)):
-                predictions[index] = tag_prediction(prediction, self.spec)
+                predictions[index] = tag_prediction(
+                    for_machine(prediction, items[index][1]), self.spec
+                )
         return predictions
 
     def describe(self) -> str:

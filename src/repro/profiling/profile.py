@@ -17,7 +17,8 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -99,16 +100,19 @@ class ProfileWindow:
 
 
 class ProfileWindowTable:
-    """Precomputed cumulative per-interval counter sums for window queries.
+    """Stacked prefix-sum counter tables of any number of profiles.
 
-    MPPM aggregates the profile over a window ``[I_p, I_p + N_p)``
-    every iteration; with exclusive prefix sums of every per-interval
-    counter, any window is two gathered point evaluations and a
-    subtract (plus the whole-trace totals once per full wrap-around
-    pass).  Both MPPM kernels — the scalar reference loop through
-    :meth:`SingleCoreProfile.window` and the batched mix-major solver —
-    evaluate windows through this one table, so their float operations
-    are identical and the kernels stay bit-identical by construction.
+    MPPM aggregates each program's profile over a window ``[I_p, I_p +
+    N_p)`` every iteration.  With exclusive prefix sums of every
+    per-interval counter, any window is two gathered point evaluations
+    and a subtract (plus the whole-trace totals once per full
+    wrap-around pass).  The table holds those prefix sums for a list of
+    profiles at once, padded to the longest one, so windows of any mix
+    of profiles are one gather: the batched mix-major solver builds one
+    table over every distinct profile of a batch, and the scalar
+    reference loop goes through :meth:`SingleCoreProfile.window`, whose
+    cached table is the one-profile case.  Both kernels therefore apply
+    the same float operations, and stay bit-identical by construction.
 
     The point evaluation ``P(x)`` (cumulative counters over ``[0, x)``)
     locates the interval containing ``x`` and interpolates the partial
@@ -116,6 +120,10 @@ class ProfileWindowTable:
     wrapped into the trace) of length ``n`` with ``e = s + n``,
     ``q = floor(e / L)`` full passes and remainder ``r = e - q*L`` then
     aggregates to ``(P(r) - P(s)) + q * totals``.
+
+    Row ``k`` of profile ``p`` is its interval ``k``; profiles with
+    fewer intervals are padded with zero counters and ``+inf``
+    boundaries, which an interval lookup never selects.
     """
 
     #: Column layout of :attr:`values` / :attr:`prefix` / window rows:
@@ -127,63 +135,83 @@ class ProfileWindowTable:
     COL_LLC_MISSES = 4
     SDC_OFFSET = 5
 
-    def __init__(self, profile: "SingleCoreProfile") -> None:
-        intervals = profile.intervals
-        sdc = np.stack([interval.sdc.counts for interval in intervals]).astype(np.float64)
-        #: Per-interval counter matrix, one row per interval.
-        self.values = np.column_stack(
-            [
-                np.array([interval.instructions for interval in intervals], dtype=np.float64),
-                np.array([interval.cycles for interval in intervals], dtype=np.float64),
-                np.array([interval.memory_cycles for interval in intervals], dtype=np.float64),
-                np.array([interval.llc_accesses for interval in intervals], dtype=np.float64),
-                np.array([interval.llc_misses for interval in intervals], dtype=np.float64),
-                sdc,
-            ]
-        )
-        #: Exclusive prefix sums: ``prefix[i]`` = counters over intervals < i.
-        self.prefix = np.vstack(
-            [np.zeros((1, self.values.shape[1])), np.cumsum(self.values, axis=0)]
-        )
-        #: Whole-trace totals (the last prefix row).
-        self.totals = self.prefix[-1]
-        #: Instruction positions where each interval starts / ends.  The
-        #: interval lengths are integers, so these cumulative sums are
+    def __init__(self, profiles: Sequence["SingleCoreProfile"]) -> None:
+        counters = [profile.interval_counters for profile in profiles]
+        shape = (len(counters), max(len(values) for values in counters))
+        #: Per-interval counter matrices, ``values[p, k]`` for interval k.
+        #: All profiles share one LLC associativity, hence one width.
+        self.values = np.zeros(shape + (counters[0].shape[1],))
+        #: Exclusive prefix sums: ``prefix[p, k]`` = counters over intervals < k.
+        self.prefix = np.zeros((shape[0], shape[1] + 1, self.values.shape[2]))
+        #: Instruction positions where each interval ends, and interval
+        #: lengths.  The lengths are integers, so the cumulative sums are
         #: exact in float64 and partial-interval fractions land in [0, 1].
-        self.starts = self.prefix[:-1, self.COL_INSTRUCTIONS]
-        self.boundaries = self.prefix[1:, self.COL_INSTRUCTIONS]
-        self.instructions = self.values[:, self.COL_INSTRUCTIONS]
-        self.trace_length = float(profile.num_instructions)
+        self.boundaries = np.full(shape, np.inf)
+        self.instructions = np.ones(shape)
+        for p, values in enumerate(counters):
+            rows = len(values)
+            self.values[p, :rows] = values
+            self.prefix[p, 1 : rows + 1] = np.cumsum(values, axis=0)
+            self.boundaries[p, :rows] = self.prefix[p, 1 : rows + 1, self.COL_INSTRUCTIONS]
+            self.instructions[p, :rows] = values[:, self.COL_INSTRUCTIONS]
+        #: Instruction positions where each interval starts.
+        self.starts = self.prefix[:, :-1, self.COL_INSTRUCTIONS]
+        #: Index of each profile's last interval.
+        self.last = np.array([len(values) - 1 for values in counters])
+        #: Whole-trace totals (each profile's last prefix row).
+        self.totals = self.prefix[np.arange(shape[0]), self.last + 1]
+        self.trace_length = np.array([float(profile.num_instructions) for profile in profiles])
 
-    def point(self, positions: np.ndarray) -> np.ndarray:
-        """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L]."""
+    def point(self, profile_ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
+
+        The interval index is the number of boundaries not above ``x``
+        (``searchsorted(boundaries, x, side="right")``; padded ``+inf``
+        boundaries never count), capped at the profile's last interval.
+        """
+        above = self.boundaries[profile_ids] > positions[..., None]
         index = np.minimum(
-            np.searchsorted(self.boundaries, positions, side="right"),
-            len(self.instructions) - 1,
+            self.boundaries.shape[1] - np.count_nonzero(above, axis=-1),
+            self.last[profile_ids],
         )
-        fraction = (positions - self.starts[index]) / self.instructions[index]
-        return self.prefix[index] + fraction[..., None] * self.values[index]
+        fraction = (positions - self.starts[profile_ids, index]) / self.instructions[
+            profile_ids, index
+        ]
+        return self.prefix[profile_ids, index] + fraction[..., None] * self.values[
+            profile_ids, index
+        ]
 
-    def windows(self, start_instructions: np.ndarray, num_instructions: np.ndarray) -> np.ndarray:
+    def windows(
+        self,
+        profile_ids: np.ndarray,
+        start_instructions: np.ndarray,
+        num_instructions: np.ndarray,
+    ) -> np.ndarray:
         """Aggregate counters over ``[start, start + n)`` windows.
 
-        Starts wrap around the end of the trace and windows may span
-        the wrap-around point any number of times.  Accepts scalars or
-        arrays (broadcast together); returns rows in the column layout
-        above, with one extra leading axis per input axis.
+        ``profile_ids`` picks each window's profile (its index in the
+        list the table was built from).  Starts wrap around the end of
+        the trace and windows may span the wrap-around point any number
+        of times.  Accepts scalars or arrays (broadcast together);
+        returns rows in the column layout above, with one extra leading
+        axis per input axis.
         """
-        length = self.trace_length
+        length = self.trace_length[profile_ids]
         start = np.mod(np.asarray(start_instructions, dtype=np.float64), length)
         end = start + np.asarray(num_instructions, dtype=np.float64)
         full_passes = np.floor(end / length)
         remainder = np.minimum(np.maximum(end - full_passes * length, 0.0), length)
-        return (self.point(remainder) - self.point(start)) + full_passes[
-            ..., None
-        ] * self.totals
+        return (
+            self.point(profile_ids, remainder) - self.point(profile_ids, start)
+        ) + full_passes[..., None] * self.totals[profile_ids]
 
 
 class SingleCoreProfile:
-    """Per-benchmark single-core profile on a given machine."""
+    """Per-benchmark single-core profile on a given machine.
+
+    A profile is immutable once built: its whole-trace aggregates and
+    its window table are computed on first use and cached.
+    """
 
     def __init__(
         self,
@@ -213,33 +241,30 @@ class SingleCoreProfile:
         self.intervals: List[IntervalProfile] = list(intervals)
         self.llc_associativity = llc_associativity
 
-        # Precomputed cumulative instruction boundaries for window lookups.
-        self._boundaries = np.cumsum([interval.instructions for interval in self.intervals])
-        self._window_table: Optional[ProfileWindowTable] = None
-
     # ------------------------------------------------------------------
-    # Whole-trace aggregates
+    # Whole-trace aggregates (cached: MPPM reads them once per program
+    # per prediction, and each is a Python sum over every interval)
     # ------------------------------------------------------------------
 
     @property
     def num_intervals(self) -> int:
         return len(self.intervals)
 
-    @property
+    @cached_property
     def num_instructions(self) -> int:
         """Total instructions of the profiled trace."""
-        return int(self._boundaries[-1])
+        return sum(interval.instructions for interval in self.intervals)
 
-    @property
+    @cached_property
     def total_cycles(self) -> float:
         return sum(interval.cycles for interval in self.intervals)
 
-    @property
+    @cached_property
     def cpi(self) -> float:
         """Overall single-core CPI (the paper's CPI_SC)."""
         return self.total_cycles / self.num_instructions
 
-    @property
+    @cached_property
     def memory_cpi(self) -> float:
         """Overall memory CPI (the paper's CPI_mem)."""
         return sum(interval.memory_cycles for interval in self.intervals) / self.num_instructions
@@ -249,11 +274,11 @@ class SingleCoreProfile:
         """Memory CPI as a fraction of total CPI (used for MEM/COMP classification)."""
         return self.memory_cpi / self.cpi if self.cpi else 0.0
 
-    @property
+    @cached_property
     def total_llc_accesses(self) -> float:
         return sum(interval.llc_accesses for interval in self.intervals)
 
-    @property
+    @cached_property
     def total_llc_misses(self) -> float:
         return sum(interval.llc_misses for interval in self.intervals)
 
@@ -271,12 +296,32 @@ class SingleCoreProfile:
     # Window aggregation (the operation MPPM performs every iteration)
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
+    def interval_counters(self) -> np.ndarray:
+        """Per-interval counters, one row per interval (read-only).
+
+        Columns follow :class:`ProfileWindowTable`'s layout: the five
+        scalar counters, then the A+1 stack-distance counters.
+        """
+        intervals = self.intervals
+        sdc = np.stack([interval.sdc.counts for interval in intervals]).astype(np.float64)
+        values = np.column_stack(
+            [
+                np.array([interval.instructions for interval in intervals], dtype=np.float64),
+                np.array([interval.cycles for interval in intervals], dtype=np.float64),
+                np.array([interval.memory_cycles for interval in intervals], dtype=np.float64),
+                np.array([interval.llc_accesses for interval in intervals], dtype=np.float64),
+                np.array([interval.llc_misses for interval in intervals], dtype=np.float64),
+                sdc,
+            ]
+        )
+        values.flags.writeable = False
+        return values
+
+    @cached_property
     def window_table(self) -> ProfileWindowTable:
-        """The profile's prefix-sum window table (built lazily, cached)."""
-        if self._window_table is None:
-            self._window_table = ProfileWindowTable(self)
-        return self._window_table
+        """The profile's own window table (the one-profile stack)."""
+        return ProfileWindowTable([self])
 
     def window(self, start_instruction: float, num_instructions: float) -> ProfileWindow:
         """Aggregate the profile over ``[start, start + num_instructions)``.
@@ -290,8 +335,7 @@ class SingleCoreProfile:
         """
         if num_instructions <= 0:
             raise ProfileError(f"window length must be positive, got {num_instructions}")
-        table = self.window_table
-        row = table.windows(float(start_instruction), float(num_instructions))
+        row = self.window_table.windows(0, float(start_instruction), float(num_instructions))
         return ProfileWindow(
             instructions=float(row[ProfileWindowTable.COL_INSTRUCTIONS]),
             cycles=float(row[ProfileWindowTable.COL_CYCLES]),

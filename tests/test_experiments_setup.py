@@ -1,5 +1,6 @@
 """Unit tests for the shared experiment setup (caching, machines, classification)."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -282,3 +283,44 @@ class TestMulticoreKernelPlumbing:
             assert parallel.simulate_batch(pairs) == expected
         finally:
             parallel.close()
+
+
+class TestMachineNames:
+    """Results shared between machines that differ only in name.
+
+    Every result cache and batch group keys on ``(profile_key(),
+    num_cores)``, which leaves the name out; the numbers are shared, but
+    each result must carry the name of the machine that asked for it.
+    """
+
+    def test_every_path_returns_the_requesting_machines_name(self, small_setup):
+        machine = small_setup.machine(num_cores=2)
+        renamed = dataclasses.replace(machine, name="renamed")
+        mix = WorkloadMix(programs=tuple(small_setup.benchmark_names[:2]))
+
+        batch = small_setup.predictor_batch(
+            [("mppm:foa", mix, machine), ("mppm:foa", mix, renamed)]
+        )
+        assert [p.machine_name for p in batch] == [machine.name, "renamed"]
+        assert batch[0].programs == batch[1].programs
+
+        assert small_setup.predict(mix, machine).machine_name == machine.name
+        assert small_setup.predict(mix, renamed).machine_name == "renamed"
+
+        assert small_setup.simulate(mix, machine).machine_name == machine.name
+        assert small_setup.simulate(mix, renamed).machine_name == "renamed"
+        swept = small_setup.predictor_batch(
+            [("detailed", mix, machine), ("detailed", mix, renamed)]
+        )
+        assert [p.machine_name for p in swept] == [machine.name, "renamed"]
+        runs = small_setup.simulate_batch([(mix, machine), (mix, renamed)])
+        assert [run.machine_name for run in runs] == [machine.name, "renamed"]
+
+    def test_mppm_predictor_batch_labels_each_item(self, small_setup):
+        machine = small_setup.machine(num_cores=2)
+        renamed = dataclasses.replace(machine, name="renamed")
+        mix = WorkloadMix(programs=tuple(small_setup.benchmark_names[1:3]))
+        predictor = small_setup.predictor("mppm:sdc")
+        first, second = predictor.predict_batch([(mix, machine), (mix, renamed)])
+        assert (first.machine_name, second.machine_name) == (machine.name, "renamed")
+        assert first.programs == second.programs

@@ -1,0 +1,250 @@
+"""The stacked window table against the per-profile formula, and the profile/machine memos.
+
+``ProfileWindowTable`` stacks any number of profiles into one padded
+table so that the batched MPPM solver gathers every (mix, core) window
+of an iteration at once.  Its rows must equal, bit for bit, what the
+earlier one-table-per-profile formula returned; that formula is kept
+verbatim below (:class:`_PerProfileTable`) as the oracle.
+"""
+
+import dataclasses
+import json
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.caches.stack_distance import StackDistanceCounters
+from repro.config import MachineConfig, machine_with_llc, scaled
+from repro.engine.cache import content_key
+from repro.profiling.profile import IntervalProfile, ProfileWindowTable, SingleCoreProfile
+
+
+class _PerProfileTable:
+    """The one-profile window table the stacked table replaced (the oracle)."""
+
+    COL_INSTRUCTIONS = 0
+
+    def __init__(self, profile):
+        intervals = profile.intervals
+        sdc = np.stack([interval.sdc.counts for interval in intervals]).astype(np.float64)
+        self.values = np.column_stack(
+            [
+                np.array([interval.instructions for interval in intervals], dtype=np.float64),
+                np.array([interval.cycles for interval in intervals], dtype=np.float64),
+                np.array([interval.memory_cycles for interval in intervals], dtype=np.float64),
+                np.array([interval.llc_accesses for interval in intervals], dtype=np.float64),
+                np.array([interval.llc_misses for interval in intervals], dtype=np.float64),
+                sdc,
+            ]
+        )
+        self.prefix = np.vstack(
+            [np.zeros((1, self.values.shape[1])), np.cumsum(self.values, axis=0)]
+        )
+        self.totals = self.prefix[-1]
+        self.starts = self.prefix[:-1, self.COL_INSTRUCTIONS]
+        self.boundaries = self.prefix[1:, self.COL_INSTRUCTIONS]
+        self.instructions = self.values[:, self.COL_INSTRUCTIONS]
+        self.trace_length = float(profile.num_instructions)
+
+    def point(self, positions):
+        index = np.minimum(
+            np.searchsorted(self.boundaries, positions, side="right"),
+            len(self.instructions) - 1,
+        )
+        fraction = (positions - self.starts[index]) / self.instructions[index]
+        return self.prefix[index] + fraction[..., None] * self.values[index]
+
+    def windows(self, start_instructions, num_instructions):
+        length = self.trace_length
+        start = np.mod(np.asarray(start_instructions, dtype=np.float64), length)
+        end = start + np.asarray(num_instructions, dtype=np.float64)
+        full_passes = np.floor(end / length)
+        remainder = np.minimum(np.maximum(end - full_passes * length, 0.0), length)
+        return (self.point(remainder) - self.point(start)) + full_passes[
+            ..., None
+        ] * self.totals
+
+
+ASSOCIATIVITY = 4
+
+_counter = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def intervals(draw, index):
+    instructions = draw(st.integers(min_value=1, max_value=5_000))
+    cpi = draw(st.floats(min_value=0.05, max_value=20.0))
+    memory_cpi = draw(st.floats(min_value=0.0, max_value=1.0)) * cpi
+    accesses = draw(_counter)
+    misses = draw(st.floats(min_value=0.0, max_value=1.0)) * accesses
+    counts = draw(st.lists(_counter, min_size=ASSOCIATIVITY + 1, max_size=ASSOCIATIVITY + 1))
+    return IntervalProfile(
+        index=index,
+        instructions=instructions,
+        cpi=cpi,
+        memory_cpi=memory_cpi,
+        llc_accesses=accesses,
+        llc_misses=misses,
+        sdc=StackDistanceCounters(associativity=ASSOCIATIVITY, counts=np.array(counts)),
+    )
+
+
+@st.composite
+def profiles(draw):
+    count = draw(st.integers(min_value=1, max_value=7))
+    return SingleCoreProfile(
+        benchmark="p",
+        machine_key="key",
+        machine_name="machine",
+        interval_instructions=1_000,
+        intervals=[draw(intervals(index)) for index in range(count)],
+        llc_associativity=ASSOCIATIVITY,
+    )
+
+
+@st.composite
+def positions(draw, profile):
+    """A start or length: on a boundary, at L, beyond L, or anywhere."""
+    length = float(profile.num_instructions)
+    boundaries = np.cumsum([interval.instructions for interval in profile.intervals])
+    laps = draw(st.integers(min_value=0, max_value=4))
+    kind = draw(st.sampled_from(["boundary", "trace-end", "anywhere"]))
+    if kind == "boundary":
+        base = float(draw(st.sampled_from([0, *boundaries.tolist()])))
+    elif kind == "trace-end":
+        base = length
+    else:
+        base = draw(st.floats(min_value=0.0, max_value=length))
+    return base + laps * length
+
+
+@st.composite
+def stacked_queries(draw):
+    stack = draw(st.lists(profiles(), min_size=1, max_size=4))
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        profile_id = draw(st.integers(min_value=0, max_value=len(stack) - 1))
+        start = draw(positions(stack[profile_id]))
+        length = draw(positions(stack[profile_id]))
+        queries.append((profile_id, start, max(length, 1.0)))
+    return stack, queries
+
+
+def _bits(rows):
+    return np.ascontiguousarray(rows).view(np.uint64)
+
+
+class TestStackedTableMatchesPerProfileFormula:
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_queries())
+    def test_rows_are_bit_identical(self, case):
+        stack, queries = case
+        ids = np.array([profile_id for profile_id, _, _ in queries])
+        starts = np.array([start for _, start, _ in queries])
+        lengths = np.array([length for _, _, length in queries])
+        got = ProfileWindowTable(stack).windows(ids, starts, lengths)
+        for profile_id, profile in enumerate(stack):
+            mask = ids == profile_id
+            if mask.any():
+                want = _PerProfileTable(profile).windows(starts[mask], lengths[mask])
+                np.testing.assert_array_equal(_bits(got[mask]), _bits(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_profile_path_is_bit_identical(self, data):
+        profile = data.draw(profiles())
+        start = data.draw(positions(profile))
+        length = max(data.draw(positions(profile)), 1.0)
+        want = _PerProfileTable(profile).windows(start, length)
+        got = profile.window_table.windows(0, start, length)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        window = profile.window(start, length)
+        assert window.instructions == want[ProfileWindowTable.COL_INSTRUCTIONS]
+        assert window.memory_cycles == want[ProfileWindowTable.COL_MEMORY_CYCLES]
+        np.testing.assert_array_equal(
+            _bits(window.sdc.counts), _bits(want[ProfileWindowTable.SDC_OFFSET :])
+        )
+
+    def test_two_dimensional_slots_keep_their_shape(self, profiles4):
+        stack = [profiles4[name] for name in sorted(profiles4)]
+        table = ProfileWindowTable(stack)
+        ids = np.array([[0, 1, 2], [2, 1, 0]])
+        starts = np.array([[0.0, 1e5, 3.5e4], [7.0, 0.0, 5e4]])
+        lengths = np.full(ids.shape, 1.2e4)
+        rows = table.windows(ids, starts, lengths)
+        assert rows.shape == ids.shape + (table.values.shape[2],)
+        flat = table.windows(ids.ravel(), starts.ravel(), lengths.ravel())
+        np.testing.assert_array_equal(_bits(rows.reshape(flat.shape)), _bits(flat))
+
+
+def _fresh_sums(profile):
+    instructions = sum(interval.instructions for interval in profile.intervals)
+    return {
+        "num_instructions": instructions,
+        "cpi": sum(interval.cycles for interval in profile.intervals) / instructions,
+        "memory_cpi": sum(interval.memory_cycles for interval in profile.intervals)
+        / instructions,
+        "total_llc_misses": sum(interval.llc_misses for interval in profile.intervals),
+    }
+
+
+class TestProfileAggregateMemos:
+    @pytest.fixture(scope="class")
+    def variants(self, profiles4):
+        generated = next(iter(profiles4.values()))
+        return {
+            "generated": generated,
+            "from_dict": SingleCoreProfile.from_dict(json.loads(json.dumps(generated.to_dict()))),
+            "reduced": generated.reduced_associativity(2),
+        }
+
+    @pytest.mark.parametrize("kind", ["generated", "from_dict", "reduced"])
+    def test_cached_aggregates_equal_fresh_sums(self, variants, kind):
+        profile = variants[kind]
+        for name, value in _fresh_sums(profile).items():
+            assert getattr(profile, name) == value
+            assert getattr(profile, name) == value  # second read: the memo
+
+    def test_to_dict_is_unchanged_by_the_memos(self, profiles4):
+        original = next(iter(profiles4.values()))
+        payload = json.dumps(original.to_dict())
+        loaded = SingleCoreProfile.from_dict(json.loads(payload))
+        before = json.dumps(loaded.to_dict())
+        loaded.cpi, loaded.memory_cpi, loaded.total_llc_misses, loaded.window_table
+        loaded.window(0.0, 1_000.0)
+        assert json.dumps(loaded.to_dict()) == before == payload
+
+
+class TestMachineKeyMemos:
+    def _machine(self):
+        return scaled(machine_with_llc(3, num_cores=4), 16)
+
+    def test_repr_eq_hash_and_content_key_do_not_change(self):
+        machine, twin = self._machine(), self._machine()
+        before = (repr(machine), hash(machine), content_key("m", machine))
+        keys = (machine.private_key(), machine.profile_key())
+        assert (repr(machine), hash(machine), content_key("m", machine)) == before
+        assert machine == twin and hash(machine) == hash(twin)
+        assert (twin.private_key(), twin.profile_key()) == keys
+        assert pickle.loads(pickle.dumps(machine)) == twin
+
+    def test_replaced_machines_get_their_own_keys(self):
+        machine = self._machine()
+        key = machine.profile_key()
+        other = dataclasses.replace(machine, llc=self._machine().with_llc(
+            dataclasses.replace(machine.llc, associativity=4)
+        ).llc)
+        assert other.profile_key() != key
+        assert other.private_key() == machine.private_key()
+        fresh = MachineConfig(
+            num_cores=other.num_cores,
+            core=other.core,
+            private_levels=other.private_levels,
+            llc=other.llc,
+            memory=other.memory,
+            name=other.name,
+        )
+        assert fresh.profile_key() == other.profile_key()
