@@ -5,8 +5,14 @@ subprocesses on ``127.0.0.1`` — the CI-testable path exercising the
 full wire protocol, process isolation included.  Each is started with
 ``--port 0``; the launcher reads the announce line
 (:data:`~repro.engine.remote.worker.ANNOUNCE_PREFIX`) from its stdout
-to discover the bound port, with a deadline so a worker that dies
-during startup produces a structured error instead of a hang.
+to discover the bound port.
+
+Both kinds go through one launch path: every process is started
+before any announce is read, so N workers cost about one interpreter
+startup, not N.  The announces are then collected under one deadline;
+a worker that exits, announces garbage or stays silent past it raises
+:class:`~repro.engine.remote.errors.FleetError` naming its tag, and
+every process already started is terminated.
 
 SSH workers (``fleet:ssh=host1,host2``) use the same announce
 handshake over ``ssh -o BatchMode=yes``: the remote worker binds
@@ -19,12 +25,13 @@ remote interpreter.
 from __future__ import annotations
 
 import os
+import selectors
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.engine.remote.errors import FleetError
@@ -71,30 +78,65 @@ def _worker_env() -> dict:
     return env
 
 
-def _read_announce(process: subprocess.Popen, tag: str, timeout: float) -> str:
-    """Read the announce line from a worker's stdout, with a deadline."""
-    assert process.stdout is not None
-    deadline = time.monotonic() + timeout
-    os.set_blocking(process.stdout.fileno(), False)
-    buffer = b""
-    while time.monotonic() < deadline:
-        chunk = process.stdout.read()
-        if chunk:
-            buffer += chunk
-            line, separator, _rest = buffer.partition(b"\n")
-            if separator:
-                text = line.decode("utf-8", "replace").strip()
-                if text.startswith(ANNOUNCE_PREFIX):
-                    os.set_blocking(process.stdout.fileno(), True)
-                    return text[len(ANNOUNCE_PREFIX) :]
-                raise FleetError(f"worker {tag} announced garbage: {text!r}")
-        if process.poll() is not None:
-            raise FleetError(
-                f"worker {tag} exited with code {process.returncode} before announcing"
+def _launch_workers(
+    commands: Sequence[Tuple[str, List[str]]],
+    startup_timeout: float,
+    env: Optional[dict] = None,
+) -> List[WorkerHandle]:
+    """Start every ``(tag, command)`` worker, then collect their announces.
+
+    Each handle's ``url`` is the URL its worker announced. If any worker
+    fails to start, exits or announces garbage, or the deadline passes,
+    every process already started is terminated and :class:`FleetError`
+    names the worker at fault.
+    """
+    handles: List[WorkerHandle] = []
+    try:
+        for tag, command in commands:
+            process = subprocess.Popen(
+                command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env
             )
-        time.sleep(0.02)
-    process.kill()
-    raise FleetError(f"worker {tag} did not announce within {timeout:.0f}s")
+            handles.append(WorkerHandle(url="", tag=tag, process=process))
+        _read_announces(handles, startup_timeout)
+    except BaseException:
+        for handle in handles:
+            handle.terminate()
+        raise
+    return handles
+
+
+def _read_announces(handles: List[WorkerHandle], timeout: float) -> None:
+    """Set each handle's ``url`` from its worker's announce line, under one deadline."""
+    deadline = time.monotonic() + timeout
+    with selectors.DefaultSelector() as selector:
+        for handle in handles:
+            selector.register(handle.process.stdout, selectors.EVENT_READ, handle)
+        buffers = {handle.tag: b"" for handle in handles}
+        while selector.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                silent = ", ".join(key.data.tag for key in selector.get_map().values())
+                raise FleetError(f"worker {silent} did not announce within {timeout:g}s")
+            for key, _events in selector.select(remaining):
+                handle = key.data
+                chunk = os.read(key.fd, 4096)
+                if not chunk:
+                    try:
+                        code = handle.process.wait(timeout=1.0)
+                    except subprocess.TimeoutExpired:
+                        code = None
+                    raise FleetError(
+                        f"worker {handle.tag} exited with code {code} before announcing"
+                    )
+                buffers[handle.tag] += chunk
+                line, separator, _rest = buffers[handle.tag].partition(b"\n")
+                if not separator:
+                    continue
+                text = line.decode("utf-8", "replace").strip()
+                if not text.startswith(ANNOUNCE_PREFIX):
+                    raise FleetError(f"worker {handle.tag} announced garbage: {text!r}")
+                handle.url = text[len(ANNOUNCE_PREFIX) :]
+                selector.unregister(key.fileobj)
 
 
 def launch_local_workers(
@@ -103,37 +145,25 @@ def launch_local_workers(
     startup_timeout: float = STARTUP_TIMEOUT,
 ) -> List[WorkerHandle]:
     """Start ``count`` loopback worker subprocesses; returns their handles."""
-    handles: List[WorkerHandle] = []
-    try:
-        for index in range(count):
-            tag = f"local-{index}"
-            command = [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "worker",
-                "--host",
-                "127.0.0.1",
-                "--port",
-                "0",
-                "--tag",
-                tag,
-            ]
-            if cache_dir is not None:
-                command += ["--cache-dir", str(cache_dir)]
-            process = subprocess.Popen(
-                command,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                env=_worker_env(),
-            )
-            url = _read_announce(process, tag, startup_timeout)
-            handles.append(WorkerHandle(url=url, tag=tag, process=process))
-    except Exception:
-        for handle in handles:
-            handle.terminate()
-        raise
-    return handles
+    commands = []
+    for index in range(count):
+        tag = f"local-{index}"
+        command = [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "worker",
+            "--host",
+            "127.0.0.1",
+            "--port",
+            "0",
+            "--tag",
+            tag,
+        ]
+        if cache_dir is not None:
+            command += ["--cache-dir", str(cache_dir)]
+        commands.append((tag, command))
+    return _launch_workers(commands, startup_timeout, env=_worker_env())
 
 
 def launch_ssh_workers(
@@ -148,24 +178,15 @@ def launch_ssh_workers(
     local ssh client tears down the remote agent with it (no ``-f``,
     no nohup), so fleet teardown is a plain :meth:`WorkerHandle.terminate`.
     """
-    handles: List[WorkerHandle] = []
-    try:
-        for index, host in enumerate(hosts):
-            tag = f"ssh-{index}-{host}"
-            remote = f"{python} -m repro.cli worker --host 0.0.0.0 --port 0 --tag {tag}"
-            if cache_dir is not None:
-                remote += f" --cache-dir {cache_dir}"
-            process = subprocess.Popen(
-                ["ssh", "-o", "BatchMode=yes", host, remote],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
-            announced = _read_announce(process, tag, startup_timeout)
-            # The remote binds 0.0.0.0; the reachable address is the host.
-            port = urlsplit(announced).port
-            handles.append(WorkerHandle(url=f"http://{host}:{port}", tag=tag, process=process))
-    except Exception:
-        for handle in handles:
-            handle.terminate()
-        raise
+    commands = []
+    for index, host in enumerate(hosts):
+        tag = f"ssh-{index}-{host}"
+        remote = f"{python} -m repro.cli worker --host 0.0.0.0 --port 0 --tag {tag}"
+        if cache_dir is not None:
+            remote += f" --cache-dir {cache_dir}"
+        commands.append((tag, ["ssh", "-o", "BatchMode=yes", host, remote]))
+    handles = _launch_workers(commands, startup_timeout)
+    for handle, host in zip(handles, hosts):
+        # The remote binds 0.0.0.0; the reachable address is the host.
+        handle.url = f"http://{host}:{urlsplit(handle.url).port}"
     return handles

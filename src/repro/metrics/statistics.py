@@ -8,21 +8,21 @@
 * a bootstrap confidence interval helper used by the stress-workload
   analysis.
 
-Only :mod:`scipy.stats` quantiles are used when available; a normal
-approximation keeps the package functional without SciPy.
+The Student-t quantile comes from SciPy's ``scipy.special.stdtrit``
+(the function ``scipy.stats.t.ppf`` evaluates, so the intervals match
+it bit for bit). It is imported on the first interval computed, not
+with this module: ``scipy.stats`` alone takes about a second to import,
+and most processes never compute an interval. Without SciPy a normal
+approximation keeps the package functional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly depending on environment
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
 
 
 class StatisticsError(ValueError):
@@ -54,10 +54,21 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
+@lru_cache(maxsize=None)
+def _load_stdtrit() -> Optional[Callable]:
+    """SciPy's inverse Student-t CDF, imported once; ``None`` without SciPy."""
+    try:
+        from scipy.special import stdtrit
+    except ImportError:
+        return None
+    return stdtrit
+
+
 def _critical_value(confidence: float, dof: int) -> float:
     """Student-t critical value (normal approximation without SciPy)."""
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+    stdtrit = _load_stdtrit()
+    if stdtrit is not None:
+        return float(stdtrit(dof, 0.5 + confidence / 2.0))
     # Normal approximation; adequate for the sample sizes used here.
     return float(
         np.sqrt(2.0) * _erfinv(confidence)

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 
 from repro.config.machine import MachineConfig
 from repro.core.result import MixPrediction
+from repro.predictors.base import for_machine
 from repro.service.stats import ServiceStats
 from repro.workloads.mixes import WorkloadMix
 
@@ -110,7 +111,8 @@ class PredictionBatcher:
         existing = self._inflight.get(key)
         if existing is not None:
             self.stats.inflight_deduped += 1
-            return await asyncio.shield(existing)
+            # The key leaves out the machine's name; answer under ours.
+            return for_machine(await asyncio.shield(existing), op.machine)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         self._pending.append((op, future))

@@ -18,8 +18,11 @@ from __future__ import annotations
 import json
 import operator
 import signal
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -35,6 +38,7 @@ from repro.engine.remote import (
     normalize_fleet_flag,
     parse_fleet_spec,
 )
+from repro.engine.remote import launch
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.workloads import small_suite
 
@@ -202,6 +206,81 @@ class TestLoopbackFleet:
             assert backend.stats()["remote_cache_hits"] == len(mixes)
         finally:
             backend.close()
+
+
+# ---------------------------------------------------------------------------
+# Launch: every worker is started before any announce is read
+# ---------------------------------------------------------------------------
+
+#: A process that would outlive the test if the launcher leaked it.
+SLEEPER = [sys.executable, "-c", "import time; time.sleep(60)"]
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """Every process the launcher starts during the test."""
+    processes = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            processes.append(self)
+
+    monkeypatch.setattr(launch.subprocess, "Popen", RecordingPopen)
+    yield processes
+    for process in processes:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+
+
+class TestLaunch:
+    def test_local_workers_announce_distinct_reachable_urls(self):
+        handles = launch_local_workers(2)
+        try:
+            urls = [handle.url for handle in handles]
+            assert [handle.tag for handle in handles] == ["local-0", "local-1"]
+            assert len(set(urls)) == 2
+            for url in urls:
+                with urllib.request.urlopen(f"{url}/healthz", timeout=10) as response:
+                    assert response.status == 200
+        finally:
+            for handle in handles:
+                handle.terminate()
+
+    def test_worker_exiting_before_announcing_fails_and_reaps_the_others(self, started):
+        commands = [
+            ("sleeper-0", SLEEPER),
+            ("quitter-1", [sys.executable, "-c", "raise SystemExit(3)"]),
+        ]
+        began = time.monotonic()
+        with pytest.raises(FleetError, match="quitter-1 exited with code 3"):
+            launch._launch_workers(commands, startup_timeout=30.0)
+        # The failure surfaces at once, not at the deadline.
+        assert time.monotonic() - began < 20.0
+        assert len(started) == 2
+        assert all(process.poll() is not None for process in started)
+
+    def test_silent_worker_fails_at_its_startup_timeout(self, started):
+        began = time.monotonic()
+        with pytest.raises(FleetError, match="silent-0 did not announce within 1s"):
+            launch._launch_workers([("silent-0", SLEEPER)], startup_timeout=1.0)
+        elapsed = time.monotonic() - began
+        assert 1.0 <= elapsed < 10.0
+        [process] = started
+        assert process.poll() is not None
+
+    def test_garbage_announce_is_a_structured_error(self, started):
+        talker = [
+            sys.executable,
+            "-c",
+            "print('hello', flush=True); import time; time.sleep(60)",
+        ]
+        with pytest.raises(FleetError, match="talker-0 announced garbage: 'hello'"):
+            launch._launch_workers(
+                [("talker-0", talker), ("sleeper-1", SLEEPER)], startup_timeout=30.0
+            )
+        assert all(process.poll() is not None for process in started)
 
 
 # ---------------------------------------------------------------------------

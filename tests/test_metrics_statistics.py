@@ -1,10 +1,18 @@
 """Unit and property tests for confidence intervals and rank statistics."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.metrics import statistics
 from repro.metrics.statistics import (
     StatisticsError,
     bootstrap_confidence_interval,
@@ -55,6 +63,65 @@ class TestConfidenceInterval:
     def test_interval_always_brackets_the_mean(self, samples):
         interval = confidence_interval(samples)
         assert interval.lower - 1e-9 <= np.mean(samples) <= interval.upper + 1e-9
+
+
+@pytest.fixture()
+def fresh_quantile_import():
+    """Forget the cached SciPy quantile before and after the test."""
+    statistics._load_stdtrit.cache_clear()
+    yield
+    statistics._load_stdtrit.cache_clear()
+
+
+class TestStudentTQuantile:
+    """SciPy is imported lazily, on the first interval, and only
+    ``scipy.special``; the quantiles must still be ``scipy.stats``'s."""
+
+    def test_critical_values_are_bit_identical_to_scipy_stats(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            for dof in range(1, 201):
+                expected = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+                assert statistics._critical_value(confidence, dof) == expected
+
+    def test_without_scipy_the_interval_uses_the_normal_approximation(
+        self, monkeypatch, fresh_quantile_import
+    ):
+        # A None entry makes `from scipy.special import ...` raise ImportError.
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        samples = [3.0, 3.2, 3.4, 3.1, 3.3]
+        interval = confidence_interval(samples)
+        stderr = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
+        normal = float(np.sqrt(2.0) * statistics._erfinv(0.95))
+        assert statistics._load_stdtrit() is None
+        assert normal == pytest.approx(1.96, abs=2e-3)
+        assert interval.mean == pytest.approx(3.2)
+        assert interval.halfwidth == pytest.approx(normal * stderr)
+
+    def test_cli_startup_and_intervals_never_import_scipy_stats(self):
+        pytest.importorskip("scipy.special")
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro.cli
+            repro.cli.build_parser()
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            from repro.metrics.statistics import confidence_interval
+            confidence_interval([1.0, 2.0, 3.0])
+            assert "scipy.special" in sys.modules
+            assert "scipy.stats" not in sys.modules
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestBootstrap:

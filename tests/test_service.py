@@ -9,10 +9,15 @@ format can't show the behaviour (dedup, zero-recompute warm serving).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.config.machine import MachineConfig
+from repro.core.result import MixPrediction, ProgramPrediction
 from repro.experiments import ExperimentSetup
 from repro.predictors import available_predictors
 from repro.service import (
@@ -23,6 +28,7 @@ from repro.service import (
     ServiceStats,
     ServiceThread,
 )
+from repro.service.batching import PredictionBatcher, PredictOp
 from repro.service.http import HttpError, Request
 from repro.service.payloads import models_payload, prediction_payload, workloads_payload
 from repro.workloads import WorkloadMix, make_workload
@@ -494,6 +500,45 @@ class TestBatchingAndCaching:
         assert entry["max_size"] >= 1
         assert entry["mean_size"] > 0
         assert entry["solve_time_ms"] >= 0
+
+
+class TestInflightDedupMachineNames:
+    """In-flight dedup keys leave out the machine's name (as the engine's
+    cache keys do), so a request that joins another's computation must
+    still be answered under its own machine's name."""
+
+    def test_renamed_machines_share_work_but_keep_their_names(self):
+        calls = []
+
+        def runner(ops):
+            calls.append(len(ops))
+            return [
+                MixPrediction(
+                    machine_name=op.machine.name,
+                    programs=(ProgramPrediction("a", 0, 1.0, 1.5),),
+                    iterations=1,
+                    converged=True,
+                )
+                for op in ops
+            ]
+
+        setup = types.SimpleNamespace(workload_spec="suite:spec29/scaled@5")
+        machine = MachineConfig(num_cores=2, name="first")
+        renamed = dataclasses.replace(machine, name="second")
+        mix = WorkloadMix(programs=("a", "b"))
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = PredictionBatcher(runner, executor, window=0.02)
+                return await asyncio.gather(
+                    batcher.submit(PredictOp(setup, "mppm:foa", mix, machine)),
+                    batcher.submit(PredictOp(setup, "mppm:foa", mix, renamed)),
+                ), batcher.stats.inflight_deduped
+
+        (first, second), deduped = asyncio.run(main())
+        assert calls == [1] and deduped == 1
+        assert (first.machine_name, second.machine_name) == ("first", "second")
+        assert first.programs == second.programs
 
 
 # ---------------------------------------------------------------------------
