@@ -94,7 +94,7 @@ def _reference_prediction(config: ServiceConfig, mix: List[str]) -> Dict:
 def run_benchmark(quick: bool = False, num_mixes: int = 24, clients: int = 8) -> Dict:
     """Cold + warm load phases against a live service; returns the measurement."""
     instructions = QUICK_INSTRUCTIONS if quick else DEFAULT_INSTRUCTIONS
-    config = ServiceConfig(instructions=instructions, window=0.002)
+    config = ServiceConfig(instructions=instructions)
     with ServiceThread(config) as live:
         service = live.service
         assert service is not None

@@ -506,7 +506,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         jobs=args.fleet if args.fleet is not None else args.jobs,
         cache_dir=args.cache_dir,
         workload=args.suite if args.suite is not None else DEFAULT_WORKLOAD,
-        window=args.window,
         max_batch=args.max_batch,
         instructions=args.instructions,
         scale=args.scale,
@@ -880,16 +879,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent cache directory for profiles and results (default: memory only)",
     )
     serve_parser.add_argument(
-        "--window",
-        type=float,
-        default=0.005,
-        help="micro-batch window in seconds (default: 0.005)",
-    )
-    serve_parser.add_argument(
         "--max-batch",
         type=_positive_int,
         default=64,
-        help="flush a batch once this many requests are pending (default: 64)",
+        help="the most requests one engine batch takes (default: 64)",
     )
     serve_parser.add_argument(
         "--instructions",

@@ -7,10 +7,29 @@ because the cache is shared?  Chandra et al. frame this as predicting
 the shared-cache miss count from per-thread isolated profiles; MPPM
 consumes the difference between that prediction and the isolated miss
 count (the ``C>A`` counter).
+
+Every built-in model also has a batched ``estimate_batch`` that must
+equal its scalar ``estimate`` bit for bit, because the batched MPPM
+solver relies on it.  Their miss counts at a number of ways go through
+:func:`suffix_misses`, which reduces the same contiguous slice
+``counts[w:]`` along the last axis as the scalar
+:meth:`~repro.caches.stack_distance.StackDistanceCounters.misses_for_ways`.
+numpy's pairwise summation blocks the reduced axis by its length (in
+eight-way unrolled blocks), so equivalent-looking shortcuts round
+differently and must not replace it:
+
+* ``np.add.reduceat`` does not match slice sums bit for bit (784,091 of
+  2,124,000 results differed in one test);
+* a reverse ``cumsum``, or rows zero-padded to one width, changes the
+  blocking;
+* in the window table's interval lookup, replacing
+  ``K - count(boundaries > x)`` with ``(boundaries <= x).sum()`` changes
+  the lookup of a NaN position.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -21,39 +40,44 @@ from repro.caches.stack_distance import StackDistanceCounters
 from repro.config.cache_config import CacheConfig
 
 
-def suffix_miss_counts(counts: np.ndarray) -> np.ndarray:
-    """Batched ``misses_for_ways`` for every integer way count at once.
+def suffix_misses(counts: np.ndarray, ways: np.ndarray) -> np.ndarray:
+    """Batched ``misses_for_ways``: ``counts[..., w:]`` summed at each element's ``w``.
 
-    ``counts[..., A+1]`` are stack-distance counter vectors; the result
-    has the same shape with ``suffix[..., w]`` = the miss count at
-    ``w`` ways (``counts[..., w:].sum()``).  Each suffix is summed over
-    the same contiguous slice, in the same order, as the scalar
-    :meth:`~repro.caches.stack_distance.StackDistanceCounters.misses_for_ways`,
-    so the two agree bitwise.
+    ``counts[..., A+1]`` are stack-distance counter vectors and ``ways``
+    holds integer way counts in ``[0, A]``, of shape ``counts.shape[:-1]``
+    behind any number of extra leading axes (one lookup per leading
+    index).  Only the way columns some element reads are summed, each
+    as ``np.add.reduce(counts[..., w:], axis=-1)`` over every vector;
+    every element then reads its own column through one flat gather.
+    Each column is the scalar method's slice sum, bit for bit (see the
+    module docstring for the shortcuts that are not).
     """
-    suffix = np.empty_like(counts)
-    for ways in range(counts.shape[-1]):
-        suffix[..., ways] = counts[..., ways:].sum(axis=-1)
-    return suffix
+    shape = counts.shape[:-1]
+    size = math.prod(shape)
+    sums = np.empty((counts.shape[-1],) + shape)
+    for column in set(ways.reshape(-1).tolist()):
+        np.add.reduce(counts[..., column:], axis=-1, out=sums[column, ...])
+    return sums.reshape(-1)[ways * size + np.arange(size).reshape(shape)]
 
 
-def interpolate_suffix_misses(suffix: np.ndarray, effective_ways: np.ndarray) -> np.ndarray:
-    """Batched ``misses_for_effective_ways`` over precomputed suffix sums.
+def interpolated_misses(counts: np.ndarray, effective_ways: np.ndarray) -> np.ndarray:
+    """Batched ``misses_for_effective_ways`` for ``counts[..., A+1]``.
 
-    Linear interpolation between the neighbouring integer way counts,
-    with the same clamps (negative → 0, at or beyond the associativity
-    → the plain miss count) and the same float operation order as the
-    scalar method, so batch and scalar results are bit-identical.
+    Linear interpolation between the neighbouring integer way counts
+    (both read through one :func:`suffix_misses` call), with the same
+    clamps (negative → 0, at or beyond the associativity → the plain
+    miss count) and the same float operation order as the scalar
+    method, so batch and scalar results are bit-identical.
     """
-    associativity = suffix.shape[-1] - 1
+    associativity = counts.shape[-1] - 1
     effective = np.maximum(np.asarray(effective_ways, dtype=np.float64), 0.0)
-    capped = effective >= associativity
     lower = np.minimum(effective.astype(np.int64), associativity - 1)
     fraction = effective - lower
-    at_lower = np.take_along_axis(suffix, lower[..., None], axis=-1)[..., 0]
-    at_upper = np.take_along_axis(suffix, (lower + 1)[..., None], axis=-1)[..., 0]
+    at_lower, at_upper = suffix_misses(counts, np.array((lower, lower + 1)))
     return np.where(
-        capped, suffix[..., associativity], (1.0 - fraction) * at_lower + fraction * at_upper
+        effective >= associativity,
+        counts[..., associativity],
+        (1.0 - fraction) * at_lower + fraction * at_upper,
     )
 
 

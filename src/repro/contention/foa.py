@@ -25,8 +25,7 @@ from repro.contention.base import (
     ContentionEstimate,
     ContentionModel,
     ProgramCacheDemand,
-    interpolate_suffix_misses,
-    suffix_miss_counts,
+    interpolated_misses,
 )
 
 
@@ -73,15 +72,14 @@ class FOAModel(ContentionModel):
         isolated = counts[..., llc.associativity]
         if num_programs == 1:
             return isolated.copy()
-        accesses = counts.sum(axis=-1)
+        accesses = np.add.reduce(counts, axis=-1)
         # Accumulate the per-mix access totals program by program, in
         # the same left-to-right order as the scalar path's sum().
-        total = accesses[:, 0].copy()
+        total = accesses[:, 0]
         for core in range(1, num_programs):
             total = total + accesses[:, core]
         share = accesses / np.where(total > 0.0, total, 1.0)[:, None]
         effective_ways = llc.associativity * share
-        shared = interpolate_suffix_misses(suffix_miss_counts(counts), effective_ways)
-        shared = np.maximum(shared, isolated)
+        shared = np.maximum(interpolated_misses(counts, effective_ways), isolated)
         degenerate = (total <= 0.0)[:, None] | (accesses <= 0.0)
         return np.where(degenerate, isolated, shared)

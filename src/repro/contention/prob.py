@@ -32,8 +32,7 @@ from repro.contention.base import (
     ContentionEstimate,
     ContentionModel,
     ProgramCacheDemand,
-    interpolate_suffix_misses,
-    suffix_miss_counts,
+    interpolated_misses,
 )
 
 
@@ -92,42 +91,36 @@ class InductiveProbabilityModel(ContentionModel):
     ) -> np.ndarray:
         """Dilation accumulated co-runner by co-runner, as the scalar loop does.
 
-        The inner loops run over programs (a handful of cores), not
-        mixes, so the work per float stays a few array ops.  Co-runners
-        with no accesses contribute an exact 0.0 term, which matches
-        the scalar path skipping them (the dilation is at least 1.0,
-        so adding 0.0 leaves it bitwise unchanged).
+        Every (program, co-runner) term is one array expression over a
+        ``[mix, program, co-runner]`` grid; each program's dilation then
+        adds its co-runners' terms in ascending co-runner order, like
+        the scalar loop.  Co-runners with no accesses contribute an
+        exact 0.0 term, which matches the scalar path skipping them
+        (the dilation is at least 1.0, so adding 0.0 leaves it bitwise
+        unchanged).
         """
         counts = np.asarray(counts, dtype=np.float64)
         self._validate_batch(counts, llc)
-        num_mixes, num_programs, _ = counts.shape
+        num_programs = counts.shape[1]
         associativity = llc.associativity
         isolated = counts[..., associativity]
         if num_programs == 1:
             return isolated.copy()
 
-        accesses = counts.sum(axis=-1)
-        unique_rate = np.where(
-            accesses > 0.0, isolated / np.where(accesses > 0.0, accesses, 1.0), 0.0
+        accesses = np.add.reduce(counts, axis=-1)
+        active = accesses > 0.0
+        unique_rate = np.where(active, isolated / np.where(active, accesses, 1.0), 0.0)
+        safe_own = np.where(active, accesses, 1.0)
+        terms = np.where(
+            active[:, None, :],
+            (accesses[:, None, :] / safe_own[:, :, None]) * unique_rate[:, None, :],
+            0.0,
         )
-        suffix = suffix_miss_counts(counts)
-        shared = np.empty_like(accesses)
-        for i in range(num_programs):
-            own = accesses[:, i]
-            safe_own = np.where(own > 0.0, own, 1.0)
-            dilation = np.ones(num_mixes, dtype=np.float64)
-            for j in range(num_programs):
-                if j == i:
-                    continue
-                term = np.where(
-                    accesses[:, j] > 0.0,
-                    (accesses[:, j] / safe_own) * unique_rate[:, j],
-                    0.0,
-                )
-                dilation = dilation + term
-            surviving_ways = associativity / dilation
-            contended = np.maximum(
-                interpolate_suffix_misses(suffix[:, i], surviving_ways), isolated[:, i]
-            )
-            shared[:, i] = np.where(own > 0.0, contended, isolated[:, i])
-        return shared
+        programs = np.arange(num_programs)
+        dilation = np.ones_like(accesses)
+        for step in range(num_programs - 1):
+            # The step-th co-runner of program i: j = step, skipping j = i.
+            corunners = step + (programs <= step)
+            dilation = dilation + terms[:, programs, corunners]
+        contended = np.maximum(interpolated_misses(counts, associativity / dilation), isolated)
+        return np.where(active, contended, isolated)

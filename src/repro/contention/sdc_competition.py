@@ -25,7 +25,7 @@ from repro.contention.base import (
     ContentionEstimate,
     ContentionModel,
     ProgramCacheDemand,
-    suffix_miss_counts,
+    suffix_misses,
 )
 
 
@@ -87,15 +87,21 @@ class StackDistanceCompetitionModel(ContentionModel):
     def estimate_batch(
         self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
     ) -> np.ndarray:
-        """All mixes run the way-by-way competition in lock step.
+        """The way-by-way competition for all mixes at once, without a loop over ways.
 
-        Every round, each mix's winner is the first program with the
-        strictly greatest counter at its next unclaimed stack position
-        — exactly the scalar loop's running-best scan (initialised to
-        -1.0, so first occurrence of the maximum wins and exhausted
-        programs, masked to -1.0, never do).  Mixes whose programs are
-        all exhausted simply stop winning ways, which is the batched
-        form of the scalar loop's early break.
+        A program claims its stack positions in order, and each round
+        the largest next counter wins (the first program on a tie), so
+        a position's claim waits for the smallest counter before it:
+        claims come in descending order of each position's prefix
+        minimum, ties going to the lower program and then the earlier
+        position.  A stable descending sort of the prefix minima over
+        ``[program, position]`` therefore lists the scalar loop's claims
+        in order, and a program wins its entries among the first A.
+        The scalar loop's running best starts at -1.0, so a position
+        whose prefix minimum is -1.0 or less is never claimed (the
+        scalar loop's early break).  Only comparisons are involved, so
+        the won ways, and the misses read at them, equal the scalar
+        loop's exactly.
         """
         counts = np.asarray(counts, dtype=np.float64)
         self._validate_batch(counts, llc)
@@ -105,22 +111,15 @@ class StackDistanceCompetitionModel(ContentionModel):
         if num_programs == 1:
             return isolated.copy()
 
-        accesses = counts.sum(axis=-1)
-        won_ways = np.zeros((num_mixes, num_programs), dtype=np.int64)
-        next_position = np.zeros((num_mixes, num_programs), dtype=np.int64)
-        rows = np.arange(num_mixes)
-        for _ in range(associativity):
-            values = np.take_along_axis(counts, next_position[..., None], axis=-1)[..., 0]
-            values = np.where(next_position >= associativity, -1.0, values)
-            best_value = values.max(axis=1)
-            winner = np.argmax(values == best_value[:, None], axis=1)
-            live = best_value > -1.0
-            won_ways[rows[live], winner[live]] += 1
-            next_position[rows[live], winner[live]] += 1
+        accesses = np.add.reduce(counts, axis=-1)
+        heads = np.minimum.accumulate(counts[..., :associativity], axis=-1)
+        order = np.argsort(-heads.reshape(num_mixes, -1), axis=1, kind="stable")
+        winners = order[:, :associativity] // associativity
+        won_ways = np.minimum(
+            np.add.reduce(winners[..., None] == np.arange(num_programs), axis=1),
+            np.add.reduce(heads > -1.0, axis=-1),
+        )
 
         effective_ways = np.where(accesses > 0.0, np.maximum(won_ways, 1), associativity)
         effective_ways = np.minimum(effective_ways, associativity)
-        shared = np.take_along_axis(
-            suffix_miss_counts(counts), effective_ways[..., None], axis=-1
-        )[..., 0]
-        return np.maximum(shared, isolated)
+        return np.maximum(suffix_misses(counts, effective_ways), isolated)

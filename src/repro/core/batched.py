@@ -13,14 +13,16 @@ vectorized iteration step
 * aggregates each program's per-interval stack-distance counters over
   its window through one prefix-sum
   :class:`~repro.profiling.profile.ProfileWindowTable` stacked over the
-  batch's distinct profiles (built once per solve, so every iteration
-  costs one gather over all M·C programs, however many distinct
-  benchmarks the batch touches),
+  batch's distinct profiles (built once per solve; its per-slot rows
+  are gathered once per set of live mixes, so an iteration evaluates
+  every window of all M·C programs with one stacked point lookup,
+  however many distinct benchmarks the batch touches),
 * applies the contention model's batched ``estimate_batch``, and
 * performs the EMA slowdown update for all still-unconverged mixes.
 
-A convergence mask retires mixes in place, so ragged iteration counts
-cost nothing: retired rows simply stop being part of the live slice.
+All live mixes share one iteration count.  The state holds the live
+mixes only: when some mixes retire, their results are written back and
+the state is compacted, so an iteration never gathers or scatters rows.
 
 Bit-identity with the reference loop is by construction, not by
 accident: within each mix the float operations are the same ops in the
@@ -35,6 +37,7 @@ kernel's bit for bit.  The equivalence matrix in
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -42,7 +45,7 @@ import numpy as np
 from repro.config.machine import MachineConfig
 from repro.contention.base import ContentionModel
 from repro.core.result import MixPrediction, ProgramPrediction
-from repro.profiling.profile import ProfileWindowTable, SingleCoreProfile
+from repro.profiling.profile import ProfileWindowTable, SingleCoreProfile, WindowSlots
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mppm import MPPMConfig
@@ -97,14 +100,10 @@ def _fallback_miss_penalty(profile: SingleCoreProfile, machine: MachineConfig) -
 
 
 def _windowed_cpi(
-    table: ProfileWindowTable,
-    profile_ids: np.ndarray,
-    positions: np.ndarray,
-    interval_lengths: np.ndarray,
-    base_cpi: np.ndarray,
+    slots: WindowSlots, positions: np.ndarray, interval_lengths: np.ndarray, base_cpi: np.ndarray
 ) -> np.ndarray:
     """The ``use_windowed_cpi`` ablation's per-interval CPI, batched."""
-    windows = table.windows(profile_ids, positions, interval_lengths)
+    windows = slots.windows(positions, interval_lengths)
     instructions = windows[..., _COL_INSTRUCTIONS]
     cycles = windows[..., _COL_CYCLES]
     nonzero = instructions != 0.0
@@ -148,54 +147,58 @@ def _solve_uniform(
         [_fallback_miss_penalty(profile, machine) for profile in uniques], dtype=np.float64
     )
 
-    base_cpi = unique_cpi[profile_ids]
-    trace_lengths = unique_trace[profile_ids]
-    interval_lengths = unique_interval[profile_ids]
-    fallback_penalty = unique_fallback[profile_ids]
-
     if config.chunk_instructions is not None:
-        chunk = np.full(num_mixes, float(config.chunk_instructions), dtype=np.float64)
+        chunk = np.full((num_mixes, 1), float(config.chunk_instructions), dtype=np.float64)
     else:
         chunk = np.array(
             [
-                float(max(1, min(profile.num_instructions for profile in profiles) // 5))
+                [float(max(1, min(profile.num_instructions for profile in profiles) // 5))]
                 for profiles in mixes
             ],
             dtype=np.float64,
         )
 
-    slowdown = np.ones((num_mixes, num_cores), dtype=np.float64)
-    position = np.zeros((num_mixes, num_cores), dtype=np.float64)
-    executed = np.zeros((num_mixes, num_cores), dtype=np.float64)
-    iterations = np.zeros(num_mixes, dtype=np.int64)
-    converged = np.zeros(num_mixes, dtype=bool)
-    alive = np.ones(num_mixes, dtype=bool)
+    # Row r of the live state belongs to mix live[r].
+    live = np.arange(num_mixes)
+    state = _LiveState(
+        profile_ids=profile_ids,
+        base_cpi=unique_cpi[profile_ids],
+        trace_lengths=unique_trace[profile_ids],
+        interval_lengths=unique_interval[profile_ids],
+        fallback_penalty=unique_fallback[profile_ids],
+        chunk=chunk,
+        slowdown=np.ones((num_mixes, num_cores), dtype=np.float64),
+        position=np.zeros((num_mixes, num_cores), dtype=np.float64),
+        executed=np.zeros((num_mixes, num_cores), dtype=np.float64),
+    )
+    slots = table.slots(profile_ids)
+    # Each mix's results, written when it retires.
+    slowdown = np.empty((num_mixes, num_cores), dtype=np.float64)
+    iterations = np.empty(num_mixes, dtype=np.int64)
+    converged = np.empty(num_mixes, dtype=bool)
 
     smoothing = config.smoothing
     complement = 1.0 - config.smoothing
     llc = machine.llc
     associativity = llc.associativity
 
-    while alive.any():
-        rows = np.flatnonzero(alive)
-        ids_live = profile_ids[rows]
-        position_live = position[rows]
-        slowdown_live = slowdown[rows]
-
+    # Every live mix has run the same number of iterations.
+    iteration = 0
+    while True:
         # Step 2/3: the slowest program's cycle budget, then everyone's
         # instruction progress within it.
-        current_cpi = base_cpi[rows]
+        current_cpi = state.base_cpi
         if config.use_windowed_cpi:
             current_cpi = _windowed_cpi(
-                table, ids_live, position_live, interval_lengths[rows], current_cpi
+                slots, state.position, state.interval_lengths, current_cpi
             )
-        denominator = current_cpi * slowdown_live
-        cycles = denominator * chunk[rows][:, None]
-        window_cycles = cycles.max(axis=1)
-        progress = window_cycles[:, None] / denominator
+        denominator = current_cpi * state.slowdown
+        cycles = denominator * state.chunk
+        window_cycles = cycles.max(axis=1)[:, None]
+        progress = window_cycles / denominator
 
         # Step 4: window aggregation and the batched contention model.
-        windows = table.windows(ids_live, position_live, progress)
+        windows = slots.windows(state.position, progress)
         sdc_counts = windows[..., _SDC_OFFSET:]
         shared = contention_model.estimate_batch(
             sdc_counts, windows[..., _COL_INSTRUCTIONS], llc
@@ -212,28 +215,40 @@ def _solve_uniform(
             windows[..., _COL_MEMORY_CYCLES] / np.where(has_misses, window_misses, 1.0),
             0.0,
         )
-        penalty = np.where(penalty <= 0.0, fallback_penalty[rows], penalty)
+        penalty = np.where(penalty <= 0.0, state.fallback_penalty, penalty)
         miss_cycles = extra_misses * penalty
 
         # Step 6: the EMA slowdown update.
         if config.literal_figure2_update:
-            current_slowdown = 1.0 + miss_cycles / window_cycles[:, None]
+            current_slowdown = 1.0 + miss_cycles / window_cycles
         else:
             isolated_cycles = current_cpi * progress
             current_slowdown = 1.0 + miss_cycles / isolated_cycles
-        slowdown[rows] = smoothing * slowdown_live + complement * current_slowdown
+        state.slowdown = smoothing * state.slowdown + complement * current_slowdown
 
         # Step 7: advance the instruction pointers; retire mixes whose
-        # slowest program has executed target_passes traces (or that
-        # hit the iteration cap, exactly like the reference loop).
-        position[rows] = position_live + progress
-        executed[rows] = executed[rows] + progress
-        iterations[rows] += 1
-        passes = executed[rows] / trace_lengths[rows]
-        done = passes.min(axis=1) >= config.target_passes
-        capped = iterations[rows] >= config.max_iterations
-        converged[rows[done]] = True
-        alive[rows[done | capped]] = False
+        # slowest program has executed target_passes traces (or all of
+        # them at the iteration cap, exactly like the reference loop).
+        state.position = state.position + progress
+        state.executed = state.executed + progress
+        iteration += 1
+        done = (state.executed / state.trace_lengths).min(axis=1) >= config.target_passes
+        if iteration >= config.max_iterations:
+            retire = np.ones_like(done)
+        elif done.any():
+            retire = done
+        else:
+            continue
+        retired = live[retire]
+        slowdown[retired] = state.slowdown[retire]
+        iterations[retired] = iteration
+        converged[retired] = done[retire]
+        keep = ~retire
+        if not keep.any():
+            break
+        live = live[keep]
+        state = state.compacted(keep)
+        slots = table.slots(state.profile_ids)
 
     predictions: List[MixPrediction] = []
     for m, profiles in enumerate(mixes):
@@ -256,3 +271,22 @@ def _solve_uniform(
             )
         )
     return predictions
+
+
+@dataclass
+class _LiveState:
+    """Per-mix solver state, one row per live mix (``[mix, core]`` arrays)."""
+
+    profile_ids: np.ndarray
+    base_cpi: np.ndarray
+    trace_lengths: np.ndarray
+    interval_lengths: np.ndarray
+    fallback_penalty: np.ndarray
+    chunk: np.ndarray  # [mix, 1]
+    slowdown: np.ndarray
+    position: np.ndarray
+    executed: np.ndarray
+
+    def compacted(self, keep: np.ndarray) -> "_LiveState":
+        """The rows of the mixes in ``keep`` (a boolean mask)."""
+        return _LiveState(*(getattr(self, f.name)[keep] for f in fields(self)))

@@ -111,8 +111,9 @@ class ProfileWindowTable:
     of profiles are one gather: the batched mix-major solver builds one
     table over every distinct profile of a batch, and the scalar
     reference loop goes through :meth:`SingleCoreProfile.window`, whose
-    cached table is the one-profile case.  Both kernels therefore apply
-    the same float operations, and stay bit-identical by construction.
+    cached table is the one-profile case.  Both kernels go through
+    :class:`WindowSlots`, so they apply the same float operations and
+    stay bit-identical by construction.
 
     The point evaluation ``P(x)`` (cumulative counters over ``[0, x)``)
     locates the interval containing ``x`` and interpolates the partial
@@ -138,48 +139,36 @@ class ProfileWindowTable:
     def __init__(self, profiles: Sequence["SingleCoreProfile"]) -> None:
         counters = [profile.interval_counters for profile in profiles]
         shape = (len(counters), max(len(values) for values in counters))
+        width = counters[0].shape[1]
         #: Per-interval counter matrices, ``values[p, k]`` for interval k.
         #: All profiles share one LLC associativity, hence one width.
-        self.values = np.zeros(shape + (counters[0].shape[1],))
+        self.values = np.zeros(shape + (width,))
         #: Exclusive prefix sums: ``prefix[p, k]`` = counters over intervals < k.
-        self.prefix = np.zeros((shape[0], shape[1] + 1, self.values.shape[2]))
-        #: Instruction positions where each interval ends, and interval
-        #: lengths.  The lengths are integers, so the cumulative sums are
-        #: exact in float64 and partial-interval fractions land in [0, 1].
+        self.prefix = np.zeros((shape[0], shape[1] + 1, width))
+        #: Instruction positions where each interval ends.  Interval
+        #: lengths are integers, so the cumulative sums are exact in
+        #: float64 and partial-interval fractions land in [0, 1].
         self.boundaries = np.full(shape, np.inf)
-        self.instructions = np.ones(shape)
         for p, values in enumerate(counters):
             rows = len(values)
             self.values[p, :rows] = values
             self.prefix[p, 1 : rows + 1] = np.cumsum(values, axis=0)
             self.boundaries[p, :rows] = self.prefix[p, 1 : rows + 1, self.COL_INSTRUCTIONS]
-            self.instructions[p, :rows] = values[:, self.COL_INSTRUCTIONS]
-        #: Instruction positions where each interval starts.
-        self.starts = self.prefix[:, :-1, self.COL_INSTRUCTIONS]
         #: Index of each profile's last interval.
         self.last = np.array([len(values) - 1 for values in counters])
         #: Whole-trace totals (each profile's last prefix row).
         self.totals = self.prefix[np.arange(shape[0]), self.last + 1]
         self.trace_length = np.array([float(profile.num_instructions) for profile in profiles])
+        # Interval rows flattened to one axis (row ``p * K + k``), so a
+        # point evaluation gathers its rows with one flat index.  An
+        # interval's start is its prefix row's instruction column and
+        # its length its value row's.
+        self.prefix_rows = self.prefix[:, :-1].reshape(-1, width)
+        self.value_rows = self.values.reshape(-1, width)
 
-    def point(self, profile_ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
-
-        The interval index is the number of boundaries not above ``x``
-        (``searchsorted(boundaries, x, side="right")``; padded ``+inf``
-        boundaries never count), capped at the profile's last interval.
-        """
-        above = self.boundaries[profile_ids] > positions[..., None]
-        index = np.minimum(
-            self.boundaries.shape[1] - np.count_nonzero(above, axis=-1),
-            self.last[profile_ids],
-        )
-        fraction = (positions - self.starts[profile_ids, index]) / self.instructions[
-            profile_ids, index
-        ]
-        return self.prefix[profile_ids, index] + fraction[..., None] * self.values[
-            profile_ids, index
-        ]
+    def slots(self, profile_ids: np.ndarray) -> "WindowSlots":
+        """Gather the per-profile rows of ``profile_ids`` once, for many windows."""
+        return WindowSlots(self, profile_ids)
 
     def windows(
         self,
@@ -196,14 +185,64 @@ class ProfileWindowTable:
         returns rows in the column layout above, with one extra leading
         axis per input axis.
         """
-        length = self.trace_length[profile_ids]
+        return self.slots(profile_ids).windows(start_instructions, num_instructions)
+
+
+class WindowSlots:
+    """A :class:`ProfileWindowTable`'s rows gathered for fixed slots.
+
+    Slot ``i`` reads profile ``profile_ids[i]``.  The batched MPPM
+    solver keeps one instance per set of live mixes and asks it for
+    every iteration's windows, so the per-profile rows (trace length,
+    boundaries, last interval, totals and flat row bases) are gathered
+    once per live set instead of once per iteration.
+    """
+
+    def __init__(self, table: ProfileWindowTable, profile_ids: np.ndarray) -> None:
+        self.table = table
+        self.length = table.trace_length[profile_ids]
+        self.boundaries = table.boundaries[profile_ids]
+        self.totals = table.totals[profile_ids]
+        base = np.asarray(profile_ids) * table.boundaries.shape[1]
+        # Flat row of the last interval, and the first row past the
+        # profile's padded rows: the interval lookup below is
+        # ``min(top - #boundaries above x, last_row)``.
+        self.last_row = table.last[profile_ids] + base
+        self.top = base + table.boundaries.shape[1]
+
+    def point(self, positions: np.ndarray) -> np.ndarray:
+        """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
+
+        ``positions`` has the slots' shape, optionally behind extra
+        leading axes.  The interval index is the number of boundaries
+        not above ``x`` (``searchsorted(boundaries, x, side="right")``;
+        padded ``+inf`` boundaries never count), capped at the
+        profile's last interval.  Counting ``boundaries > x`` (not
+        summing ``boundaries <= x``) keeps a NaN position's lookup.
+        """
+        above = np.add.reduce(self.boundaries > positions[..., None], axis=-1)
+        rows = np.minimum(self.top - above, self.last_row)
+        prefix = self.table.prefix_rows[rows]
+        values = self.table.value_rows[rows]
+        col = ProfileWindowTable.COL_INSTRUCTIONS
+        fraction = (positions - prefix[..., col]) / values[..., col]
+        return prefix + fraction[..., None] * values
+
+    def windows(self, start_instructions: np.ndarray, num_instructions: np.ndarray) -> np.ndarray:
+        """:meth:`ProfileWindowTable.windows` for these slots.
+
+        ``P(remainder)`` and ``P(start)`` are evaluated in one stacked
+        :meth:`point` call.
+        """
+        length = self.length
         start = np.mod(np.asarray(start_instructions, dtype=np.float64), length)
         end = start + np.asarray(num_instructions, dtype=np.float64)
         full_passes = np.floor(end / length)
-        remainder = np.minimum(np.maximum(end - full_passes * length, 0.0), length)
-        return (
-            self.point(profile_ids, remainder) - self.point(profile_ids, start)
-        ) + full_passes[..., None] * self.totals[profile_ids]
+        points = np.empty((2,) + end.shape)
+        points[0] = np.minimum(np.maximum(end - full_passes * length, 0.0), length)
+        points[1] = start
+        rows = self.point(points)
+        return (rows[0] - rows[1]) + full_passes[..., None] * self.totals
 
 
 class SingleCoreProfile:

@@ -60,8 +60,7 @@ class ServiceConfig:
     cache_dir: Optional[Union[str, Path]] = None
     #: The workload preloaded at startup and used when a request names none.
     workload: str = DEFAULT_WORKLOAD
-    #: Micro-batch window (seconds) and size cap.
-    window: float = 0.005
+    #: The most mixes one engine batch takes (see :mod:`repro.service.batching`).
     max_batch: int = 64
     #: Experiment knobs — must match the CLI defaults so served
     #: predictions are bit-identical to ``repro predict``.
@@ -96,7 +95,6 @@ class PredictionService:
         self.batcher = PredictionBatcher(
             self._run_batch,
             self._worker,
-            window=self.config.window,
             max_batch=self.config.max_batch,
             stats=self.stats,
         )
@@ -199,7 +197,6 @@ class PredictionService:
         payload["config"] = {
             "workload": canonical_workload_spec(self.config.workload),
             "jobs": self.config.jobs,
-            "window": self.config.window,
             "max_batch": self.config.max_batch,
         }
         return payload

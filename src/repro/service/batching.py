@@ -1,14 +1,19 @@
 """Micro-batching and in-flight deduplication for predict requests.
 
 Concurrent ``POST /predict`` calls do not each walk into the engine on
-their own: the :class:`PredictionBatcher` gathers everything submitted
-within a short window (``window`` seconds, flushed early at
-``max_batch`` items) into ONE heterogeneous op list and hands it to the
-app's batch runner, which turns it into a single engine
-:class:`~repro.engine.job.JobGraph` (``ExperimentSetup.predictor_batch``)
-on a dedicated worker thread — so the event loop keeps accepting
-requests while the engine computes, and N concurrent clients asking
-for N different mixes cost one graph, not N.
+their own: the :class:`PredictionBatcher` hands everything pending to
+the app's batch runner as ONE heterogeneous op list, which the runner
+turns into a single engine :class:`~repro.engine.job.JobGraph`
+(``ExperimentSetup.predictor_batch``) on a dedicated worker thread — so
+the event loop keeps accepting requests while the engine computes.
+
+There is no batching timer.  A submission to an idle batcher flushes
+on the next event-loop turn, so a lone request waits for nothing, and
+the ops of one multi-mix request (submitted in the same turn) share
+that batch.  Whatever arrives while a batch runs becomes the next
+batch as soon as the worker is free, so N clients waiting on one
+computation cost one graph, not N; ``max_batch`` caps a batch and the
+overflow runs next.
 
 Identical ``(workload, predictor, mix, machine)`` keys submitted while
 a result is still being computed share that computation's future
@@ -73,10 +78,8 @@ class PredictionBatcher:
     executor:
         A single-thread executor; one batch runs at a time, so the
         engine (which is not thread-safe) is never entered concurrently.
-    window:
-        Seconds to wait after the first submission before flushing.
     max_batch:
-        Flush immediately once this many distinct ops are pending.
+        The most distinct ops one batch takes; the rest wait for the next.
     stats:
         Counters to update (batch sizes, dedup hits).
     """
@@ -85,22 +88,18 @@ class PredictionBatcher:
         self,
         runner: BatchRunner,
         executor: ThreadExecutor,
-        window: float = 0.005,
         max_batch: int = 64,
         stats: Optional[ServiceStats] = None,
     ) -> None:
-        if window < 0:
-            raise ValueError("window must be non-negative")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         self._runner = runner
         self._executor = executor
-        self.window = window
         self.max_batch = max_batch
         self.stats = stats if stats is not None else ServiceStats()
         self._pending: List[Tuple[PredictOp, asyncio.Future]] = []
         self._inflight: Dict[Tuple, asyncio.Future] = {}
-        self._flush_task: Optional[asyncio.Task] = None
+        self._drain_task: Optional[asyncio.Task] = None
         self._closed = False
 
     async def submit(self, op: PredictOp) -> MixPrediction:
@@ -116,40 +115,38 @@ class PredictionBatcher:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         self._pending.append((op, future))
-        if len(self._pending) >= self.max_batch:
-            # The window timer (if any) will find nothing left to flush.
-            asyncio.get_running_loop().create_task(self._flush())
-        elif self._flush_task is None or self._flush_task.done():
-            self._flush_task = asyncio.get_running_loop().create_task(self._delayed_flush())
+        if self._drain_task is None or self._drain_task.done():
+            # Idle: start draining on the next loop turn, after the other
+            # submissions of this turn have joined the queue.
+            self._drain_task = asyncio.get_running_loop().create_task(self._drain())
         return await asyncio.shield(future)
 
     async def close(self) -> None:
-        """Stop accepting work and fail anything still queued."""
+        """Stop accepting work and fail anything still queued.
+
+        A batch already running finishes and answers its waiters.
+        """
         self._closed = True
-        if self._flush_task is not None and not self._flush_task.done():
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
         batch, self._pending = self._pending, []
         for op, future in batch:
             self._inflight.pop(op.key(), None)
             if not future.done():
                 future.set_exception(BatcherClosed("the prediction service is shutting down"))
+        if self._drain_task is not None:
+            await self._drain_task
 
     # ------------------------------------------------------------------
-    # Flushing
+    # Draining
     # ------------------------------------------------------------------
 
-    async def _delayed_flush(self) -> None:
-        await asyncio.sleep(self.window)
-        await self._flush()
+    async def _drain(self) -> None:
+        """Run batches back to back until nothing is pending."""
+        while self._pending:
+            batch = self._pending[: self.max_batch]
+            del self._pending[: self.max_batch]
+            await self._run(batch)
 
-    async def _flush(self) -> None:
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
+    async def _run(self, batch: List[Tuple[PredictOp, asyncio.Future]]) -> None:
         ops = [op for op, _ in batch]
         self.stats.record_batch(len(ops))
         loop = asyncio.get_running_loop()

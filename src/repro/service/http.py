@@ -78,6 +78,15 @@ class Response:
 Handler = Callable[[Request], Awaitable[Response]]
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; an over-long line is a structured 400."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        # StreamReader.readline's answer to a line beyond its buffer limit.
+        raise HttpError(400, "request or header line too long") from None
+
+
 class HttpServer:
     """Serve a single async JSON handler over HTTP/1.1.
 
@@ -142,7 +151,7 @@ class HttpServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[Request]:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -152,7 +161,7 @@ class HttpServer:
         split = urlsplit(target)
         headers: Dict[str, str] = {}
         while True:
-            header_line = await reader.readline()
+            header_line = await _read_line(reader)
             if header_line in (b"\r\n", b"\n", b""):
                 break
             if len(headers) >= MAX_HEADERS:

@@ -32,7 +32,7 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1" and args.port == 8181
         assert args.jobs == 1 and args.cache_dir is None
-        assert args.window == 0.005 and args.max_batch == 64
+        assert args.max_batch == 64
         args = build_parser().parse_args(["serve", "--port", "0", "--suite", "random"])
         assert args.port == 0 and args.suite == "random:n=8,seed=0"
 

@@ -183,3 +183,117 @@ class TestFactory:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             make_contention_model("oracle")
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the scalar methods, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _counter_rows(rng, shape, width, integral):
+    """Counter vectors as ``rows[..., 5:]`` views (non-contiguous, like a
+    window row's SDC columns).  Float magnitudes span eight decades so a
+    changed summation order shows in the low bits; small integers make
+    the SDC competition tie often.  About a fifth of the counters are 0."""
+    full = shape + (width + 5,)
+    if integral:
+        rows = rng.integers(0, 4, size=full).astype(np.float64)
+    else:
+        rows = rng.random(full) * 10.0 ** rng.uniform(0.0, 8.0, size=full)
+    rows[rng.random(full) < 0.2] = 0.0
+    return rows[..., 5:]
+
+
+def _llc(associativity):
+    return CacheConfig(
+        name="L3", size_bytes=64 * 64 * associativity, associativity=associativity,
+        latency=16, shared=True,
+    )
+
+
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestSuffixMissesBitIdentity:
+    """``suffix_misses`` must equal ``misses_for_ways`` bit for bit at every
+    width, including 8/9 and 16/17 around numpy's eight-way pairwise unroll,
+    on non-contiguous ``windows[..., 5:]`` views and on contiguous copies."""
+
+    @pytest.mark.parametrize("width", range(2, 34))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=_seeds,
+        mixes=st.integers(min_value=1, max_value=5),
+        programs=st.integers(min_value=1, max_value=4),
+        lookups=st.integers(min_value=1, max_value=3),
+        contiguous=st.booleans(),
+    )
+    def test_matches_misses_for_ways(self, width, seed, mixes, programs, lookups, contiguous):
+        from repro.contention.base import suffix_misses
+
+        rng = np.random.default_rng(seed)
+        counts = _counter_rows(rng, (mixes, programs), width, integral=False)
+        if contiguous:
+            counts = np.ascontiguousarray(counts)
+        ways = rng.integers(0, width, size=(lookups, mixes, programs))
+        got = suffix_misses(counts, ways)
+        assert got.shape == ways.shape
+        for index in np.ndindex(ways.shape):
+            sdc = StackDistanceCounters(associativity=width - 1, counts=counts[index[1:]])
+            assert _bits(got[index]) == _bits(sdc.misses_for_ways(int(ways[index])))
+
+    @pytest.mark.parametrize("width", [2, 8, 9, 16, 17, 33])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_seeds, mixes=st.integers(min_value=1, max_value=5))
+    def test_interpolation_matches_misses_for_effective_ways(self, width, seed, mixes):
+        from repro.contention.base import interpolated_misses
+
+        rng = np.random.default_rng(seed)
+        associativity = width - 1
+        counts = _counter_rows(rng, (mixes, 3), width, integral=False)
+        effective = rng.uniform(-1.0, associativity + 1.0, size=(mixes, 3))
+        # Exact integers and the clamps' edges, too.
+        effective[:, 0] = rng.integers(0, width, size=mixes)
+        effective[0, 1] = associativity
+        got = interpolated_misses(counts, effective)
+        for index in np.ndindex(effective.shape):
+            sdc = StackDistanceCounters(associativity=associativity, counts=counts[index])
+            want = sdc.misses_for_effective_ways(float(effective[index]))
+            assert _bits(got[index]) == _bits(want)
+
+
+class TestEstimateBatchBitIdentity:
+    """Every built-in model's ``estimate_batch`` equals ``estimate`` run on
+    each mix alone, bit for bit (ties, zero-access programs, 1-4 cores)."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.name)
+    @pytest.mark.parametrize("associativity", [2, 8, 16, 32])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=_seeds,
+        mixes=st.integers(min_value=1, max_value=6),
+        programs=st.integers(min_value=1, max_value=4),
+        integral=st.booleans(),
+    )
+    def test_matches_scalar_estimate(self, model, associativity, seed, mixes, programs, integral):
+        rng = np.random.default_rng(seed)
+        llc = _llc(associativity)
+        counts = _counter_rows(rng, (mixes, programs), associativity + 1, integral)
+        counts[rng.random((mixes, programs)) < 0.1] = 0.0  # zero-access programs
+        instructions = rng.uniform(1.0, 1e5, size=(mixes, programs))
+        got = model.estimate_batch(counts, instructions, llc)
+        for m in range(mixes):
+            demands = [
+                ProgramCacheDemand(
+                    name=f"core{c}",
+                    sdc=StackDistanceCounters(associativity=associativity, counts=counts[m, c]),
+                    instructions=float(instructions[m, c]),
+                )
+                for c in range(programs)
+            ]
+            want = [estimate.shared_misses for estimate in model.estimate(demands, llc)]
+            np.testing.assert_array_equal(_bits(got[m]), _bits(want))

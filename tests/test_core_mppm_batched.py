@@ -175,3 +175,58 @@ class TestKernelRouting:
         )
         assert reference[0] is reference[2]
         assert_bit_identical([reference[0]], [predictions[0]])
+
+
+class TestRaggedRetirement:
+    """Mixes of one batch that retire at different iterations: the batched
+    kernel writes each result back when its mix retires and compacts the
+    live state, so every mix must still equal its own one-mix solve and
+    the reference kernel."""
+
+    @pytest.fixture(scope="class")
+    def ragged_batch(self, tiny_suite, machine4, profiles4, short_profiles):
+        store = ProfileStore(
+            num_instructions=TEST_INSTRUCTIONS // 4,
+            interval_instructions=TEST_INTERVAL,
+            seed=0,
+        )
+        quarter = {spec.name: store.get_profile(spec, machine4) for spec in tiny_suite}
+        full, half = profiles4, short_profiles
+        names = sorted(profiles4)
+        # Trace lengths of 50k, 25k and 12.5k instructions: the mixes get
+        # different chunks (a fifth of their shortest trace) and, under
+        # mppm:foa, retire after 25, 50, 100 and 37 iterations.
+        return [
+            [full[names[0]], full[names[1]], full[names[2]]],
+            [full[names[3]], full[names[4]], half[names[5]]],
+            [full[names[1]], full[names[3]], quarter[names[5]]],
+            [quarter[names[0]], half[names[1]], half[names[2]]],
+        ]
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_each_mix_equals_its_own_solve(self, machine4, ragged_batch, variant):
+        contention, config = VARIANTS[variant]
+        free = MPPM(machine4, make_contention_model(contention), config).predict_batch(
+            ragged_batch, kernel="reference"
+        )
+        counts = sorted({prediction.iterations for prediction in free})
+        # Cap between the two longest runs: the longest mix retires at the cap.
+        cap = (counts[-1] + counts[-2]) // 2
+        model = MPPM(
+            machine4,
+            make_contention_model(contention),
+            dataclasses.replace(config, max_iterations=cap),
+        )
+        batched = model.predict_batch(ragged_batch, kernel="batched")
+        retired_at = [prediction.iterations for prediction in batched]
+        assert len(set(retired_at)) >= 3
+        assert retired_at.count(cap) == 1
+        assert [p.converged for p in batched] == [n < cap for n in retired_at]
+        assert_bit_identical(model.predict_batch(ragged_batch, kernel="reference"), batched)
+        for mix, prediction in zip(ragged_batch, batched):
+            (alone,) = model.predict_batch([mix], kernel="batched")
+            assert alone.iterations == prediction.iterations
+            assert alone.converged == prediction.converged
+            assert [p.predicted_cpi for p in alone.programs] == [
+                p.predicted_cpi for p in prediction.programs
+            ]

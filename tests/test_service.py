@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,15 +29,14 @@ from repro.service import (
     ServiceStats,
     ServiceThread,
 )
-from repro.service.batching import PredictionBatcher, PredictOp
+from repro.service.batching import BatcherClosed, PredictionBatcher, PredictOp
 from repro.service.http import HttpError, Request
 from repro.service.payloads import models_payload, prediction_payload, workloads_payload
 from repro.workloads import WorkloadMix, make_workload
 
-#: Small workload + short traces keep the whole module fast; the window
-#: is generous so concurrent submissions reliably share one batch.
+#: Small workload + short traces keep the whole module fast.
 WORKLOAD = "suite:spec29/scaled@5"
-CONFIG = ServiceConfig(workload=WORKLOAD, instructions=20_000, window=0.02)
+CONFIG = ServiceConfig(workload=WORKLOAD, instructions=20_000)
 
 NAMES = make_workload(WORKLOAD).suite().names
 
@@ -455,32 +455,6 @@ class TestBatchingAndCaching:
         # All four concurrent requests cost at most one computed prediction.
         assert stats.predictions_computed <= computed_before + 1
 
-    def test_concurrent_distinct_requests_coalesce_into_one_batch(self, live):
-        stats = live.service.stats
-        batches_before = stats.batches
-        rows = [[NAMES[i], NAMES[(i + 1) % len(NAMES)]] for i in range(3)]
-
-        async def storm():
-            clients = [ServiceClient(live.host, live.port) for _ in range(3)]
-            try:
-                for client in clients:
-                    await client.connect()
-                return await asyncio.gather(
-                    *(
-                        c.predict(mix=row, predictor="baseline:no-contention")
-                        for c, row in zip(clients, rows)
-                    )
-                )
-            finally:
-                for client in clients:
-                    await client.close()
-
-        asyncio.run(storm())
-        new_batches = stats.batches - batches_before
-        # Three concurrent submissions within one 20ms window: fewer
-        # batches than requests (usually exactly one).
-        assert 1 <= new_batches < 3
-
     def test_stats_served_counter_tracks_predictions(self, live):
         served_before = live.service.stats.predictions_served
         call(live, lambda c: c.predict(mixes=[NAMES[:2], NAMES[1:3]]))
@@ -529,7 +503,7 @@ class TestInflightDedupMachineNames:
 
         async def main():
             with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = PredictionBatcher(runner, executor, window=0.02)
+                batcher = PredictionBatcher(runner, executor)
                 return await asyncio.gather(
                     batcher.submit(PredictOp(setup, "mppm:foa", mix, machine)),
                     batcher.submit(PredictOp(setup, "mppm:foa", mix, renamed)),
@@ -539,6 +513,147 @@ class TestInflightDedupMachineNames:
         assert calls == [1] and deduped == 1
         assert (first.machine_name, second.machine_name) == ("first", "second")
         assert first.programs == second.programs
+
+
+class _GatedRunner:
+    """A batch runner that records batch sizes and blocks until released."""
+
+    def __init__(self):
+        self.calls = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, ops):
+        self.calls.append(len(ops))
+        self.entered.set()
+        assert self.release.wait(timeout=30), "the test never released the runner"
+        return [
+            MixPrediction(
+                machine_name=op.machine.name,
+                programs=(ProgramPrediction(op.mix.programs[0], 0, 1.0, 1.5),),
+                iterations=1,
+                converged=True,
+            )
+            for op in ops
+        ]
+
+
+def _ops(count):
+    """``count`` ops with distinct dedup keys."""
+    setup = types.SimpleNamespace(workload_spec="suite:spec29/scaled@5")
+    machine = MachineConfig(num_cores=2)
+    return [
+        PredictOp(setup, "mppm:foa", WorkloadMix(programs=(f"p{index}", "q")), machine)
+        for index in range(count)
+    ]
+
+
+async def _turns(count):
+    """Let the event loop run ``count`` turns without advancing any timer."""
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
+async def _entered(runner):
+    """Wait (off the loop) until the runner has been entered."""
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, runner.entered.wait, 30)
+    runner.entered.clear()
+
+
+class TestBatcherFlushesWhenIdle:
+    """The batcher has no timer: an idle batcher runs a submission on the
+    next loop turn, and work arriving during a batch forms the next one.
+    The runner blocks on a ``threading.Event``, so every test decides
+    exactly when a batch finishes."""
+
+    @staticmethod
+    def run(main):
+        runner = _GatedRunner()
+
+        async def wrapped():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                try:
+                    # A waiter the batcher never answers fails, not hangs.
+                    return await asyncio.wait_for(main(runner, executor), timeout=60)
+                finally:
+                    runner.release.set()
+
+        return runner, asyncio.run(wrapped())
+
+    def test_idle_batcher_enters_the_runner_without_a_timer(self):
+        async def main(runner, executor):
+            batcher = PredictionBatcher(runner, executor)
+            (op,) = _ops(1)
+            task = asyncio.ensure_future(batcher.submit(op))
+            # A few zero-length loop turns suffice; no timer has to expire.
+            await _turns(3)
+            assert batcher.stats.batches == 1
+            await _entered(runner)
+            runner.release.set()
+            return await task
+
+        runner, prediction = self.run(main)
+        assert runner.calls == [1]
+        assert prediction.programs[0].name == "p0"
+
+    def test_submissions_during_a_batch_form_exactly_one_next_batch(self):
+        async def main(runner, executor):
+            batcher = PredictionBatcher(runner, executor)
+            first, *rest = _ops(6)
+            head = asyncio.ensure_future(batcher.submit(first))
+            await _entered(runner)
+            tail = [asyncio.ensure_future(batcher.submit(op)) for op in rest]
+            await _turns(3)
+            assert runner.calls == [1]
+            runner.release.set()
+            return await asyncio.gather(head, *tail)
+
+        runner, predictions = self.run(main)
+        assert runner.calls == [1, 5]
+        assert [p.programs[0].name for p in predictions] == [f"p{i}" for i in range(6)]
+
+    def test_submissions_of_one_tick_form_one_batch(self):
+        async def main(runner, executor):
+            runner.release.set()
+            batcher = PredictionBatcher(runner, executor)
+            return await asyncio.gather(*(batcher.submit(op) for op in _ops(4)))
+
+        runner, predictions = self.run(main)
+        assert runner.calls == [4]
+        assert len(predictions) == 4
+
+    def test_more_than_max_batch_runs_back_to_back(self):
+        async def main(runner, executor):
+            runner.release.set()
+            batcher = PredictionBatcher(runner, executor, max_batch=3)
+            return await asyncio.gather(*(batcher.submit(op) for op in _ops(7)))
+
+        runner, predictions = self.run(main)
+        assert runner.calls == [3, 3, 1]
+        assert [p.programs[0].name for p in predictions] == [f"p{i}" for i in range(7)]
+
+    def test_close_fails_queued_ops(self):
+        async def main(runner, executor):
+            batcher = PredictionBatcher(runner, executor)
+            first, *queued = _ops(3)
+            running = asyncio.ensure_future(batcher.submit(first))
+            await _entered(runner)
+            waiting = [asyncio.ensure_future(batcher.submit(op)) for op in queued]
+            await _turns(3)
+            closing = asyncio.ensure_future(batcher.close())
+            await _turns(3)
+            runner.release.set()
+            await closing
+            with pytest.raises(BatcherClosed):
+                await batcher.submit(first)
+            return await running, await asyncio.gather(*waiting, return_exceptions=True)
+
+        runner, (answered, failed) = self.run(main)
+        # The running batch finishes; the queued ops never reach the runner.
+        assert runner.calls == [1]
+        assert answered.programs[0].name == "p0"
+        assert all(isinstance(error, BatcherClosed) for error in failed)
 
 
 # ---------------------------------------------------------------------------
@@ -623,3 +738,36 @@ class TestContentLengthFraming:
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
         assert b"malformed Content-Length" not in body
+
+
+class TestOverlongLines:
+    """A request or header line beyond the stream limit (64 KiB) is a
+    structured 400, and the server keeps serving."""
+
+    @staticmethod
+    def raw_exchange(live, request):
+        async def send():
+            reader, writer = await asyncio.open_connection(live.host, live.port)
+            writer.write(request)
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return raw
+
+        return asyncio.run(send())
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_overlong_line_is_a_structured_400(self, live, request_bytes):
+        raw = self.raw_exchange(live, request_bytes)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert "too long" in json.loads(body)["error"]
+        assert call(live, lambda c: c.healthz())["status"] == "ok"
