@@ -2,15 +2,16 @@
 
 An in-memory dictionary backed by JSON files holds every expensive
 artefact of an experiment campaign: reference multi-core simulations,
-MPPM predictions and single-core profiles.  Entries are keyed by a
-content hash of everything the result depends on.  Engine results
-cover the machine configuration, the workload spec string, the
-benchmark/mix specification, model configuration, trace length and
-seed (see :func:`repro.engine.tasks._config_parts`), so two workloads
-sharing a benchmark name can never collide in one cache directory.
-Profiles (:class:`~repro.profiling.store.ProfileStore`) are keyed by
-the full benchmark spec and profiling configuration, so workloads that
-share a bit-identical spec share its profile.  A repeated sweep is
+MPPM predictions, single-core profiles and the LLC streams of the
+profiling runs.  Entries are keyed by a content hash of everything the
+result depends on.  Engine results cover the machine configuration,
+the workload spec string, the benchmark/mix specification, model
+configuration, trace length and seed (see
+:func:`repro.engine.tasks._config_parts`), so two workloads sharing a
+benchmark name can never collide in one cache directory.  Profiles and
+LLC streams (:class:`~repro.profiling.store.ProfileStore`) are keyed
+by the full benchmark spec and profiling configuration, so workloads
+that share a bit-identical spec share them.  A repeated sweep is
 near-free across processes and sessions.
 
 Results are serialised through a small type registry: any dataclass
@@ -82,9 +83,9 @@ def serialize_result(value: Any) -> Optional[Dict]:
 def deserialize_result(data: Any) -> Any:
     """Rebuild a value from its registry envelope.
 
-    Raises ``KeyError``/``TypeError`` for foreign or truncated payloads;
-    the disk cache treats those as a miss, the fleet protocol treats
-    them as a corrupt worker payload.
+    Raises ``KeyError``/``TypeError``/``ValueError`` for foreign,
+    truncated or invalid payloads; the disk cache treats those as a
+    miss, the fleet protocol treats them as a corrupt worker payload.
     """
     entry = _SERIALIZERS[data["type"]]
     return entry[2](data["payload"])
@@ -172,9 +173,9 @@ class ResultCache:
             return MISS
         data = read_json_tolerant(path)
         try:
-            # A foreign or truncated payload is a miss, like corruption.
+            # A foreign, truncated or invalid payload is a miss, like corruption.
             return deserialize_result(data)
-        except (TypeError, KeyError):
+        except (TypeError, KeyError, ValueError):
             return MISS
 
     def _save_to_disk(self, key: str, value: Any) -> None:
@@ -190,10 +191,14 @@ class ResultCache:
 def _register_builtin_types() -> None:
     from repro.core.result import MixPrediction
     from repro.profiling.profile import SingleCoreProfile
+    from repro.profiling.profiler import ProfiledBenchmark
+    from repro.simulators.llc_trace import LLCStream
     from repro.simulators.multi_core import MultiCoreRunResult
 
     register_result_type(MixPrediction)
     register_result_type(SingleCoreProfile)
+    register_result_type(ProfiledBenchmark)
+    register_result_type(LLCStream)
     register_result_type(MultiCoreRunResult)
 
 

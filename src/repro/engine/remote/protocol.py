@@ -5,14 +5,16 @@ dataclass of picklable parts — the same property the process-pool
 backend relies on), base64-wrapped inside a JSON body so the transport
 stays the service tier's JSON-over-HTTP.
 
-Results travel as JSON envelopes.  Registered result types use the
-:class:`~repro.engine.cache.ResultCache` type registry's
-``{"type", "payload"}`` envelope — the exact bytes the driver's disk
-cache would persist — so harvesting a remote result is
-indistinguishable from computing it locally.  Three transparent
-wrappers cover the rest: ``@list`` for batch tasks returning lists of
-registered results, ``@json`` for plain scalars, and ``@pickle`` for
-types outside the registry (profile bundles with numpy traces).
+Results travel as JSON envelopes and are never unpickled.  Registered
+result types use the :class:`~repro.engine.cache.ResultCache` type
+registry's ``{"type", "payload"}`` envelope — the exact bytes the
+driver's disk cache would persist — so harvesting a remote result is
+indistinguishable from computing it locally.  Every built-in task
+returns a registered type (profile bundles included: their LLC traces
+encode their arrays as base64), a list of them or a plain scalar; two
+transparent wrappers cover the latter two: ``@list`` and ``@json``.  A
+result of any other type fails to encode with
+:class:`FleetProtocolError`.
 
 Anything that fails to decode raises :class:`FleetProtocolError`; the
 backend treats a worker that ships undecodable payloads as dead and
@@ -85,10 +87,10 @@ def encode_result(value: Any) -> Dict[str, Any]:
         return {"type": "@list", "items": [encode_result(item) for item in value]}
     if value is None or isinstance(value, (bool, int, float, str)):
         return {"type": "@json", "value": value}
-    return {
-        "type": "@pickle",
-        "data": _b64encode(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)),
-    }
+    raise FleetProtocolError(
+        f"{type(value).__name__} results cannot travel: register the type "
+        "with repro.engine.cache.register_result_type"
+    )
 
 
 def decode_result(envelope: Any) -> Any:
@@ -103,13 +105,7 @@ def decode_result(envelope: Any) -> Any:
         return [decode_result(item) for item in items]
     if kind == "@json":
         return envelope.get("value")
-    if kind == "@pickle":
-        raw = _b64decode(envelope.get("data"))
-        try:
-            return pickle.loads(raw)
-        except Exception as error:  # noqa: BLE001 - pickle raises open-endedly
-            raise FleetProtocolError(f"result payload does not unpickle: {error}") from None
     try:
         return deserialize_result(envelope)
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise FleetProtocolError(f"unknown or truncated result envelope: {error}") from None

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 from repro.engine.cache import MISS, ResultCache
 from repro.engine.remote.errors import FleetProtocolError
 from repro.engine.remote.protocol import decode_job, encode_result
+from repro.engine.tasks import reconstructed_store_stats
 from repro.service.http import HttpError, HttpServer, Request, Response
 
 #: With ``--port 0`` this line is how launchers discover the bound port.
@@ -101,6 +102,7 @@ class FleetWorker:
             "cache_hits": self.cache_hits,
             "errors": self.errors,
             "cache": self.cache.stats(),
+            "store": reconstructed_store_stats(),
         }
 
     # ------------------------------------------------------------------
@@ -117,9 +119,7 @@ class FleetWorker:
             value = self.cache.get(cache_key)
             if value is not MISS:
                 self.cache_hits += 1
-                return Response(
-                    {"key": key, "status": "ok", "cached": True, "result": encode_result(value)}
-                )
+                return self._result(key, value, cached=True)
 
         try:
             job = decode_job(payload)
@@ -130,20 +130,29 @@ class FleetWorker:
         try:
             value = await loop.run_in_executor(self._executor, job.run)
         except Exception as error:  # noqa: BLE001 - shipped to the driver, not swallowed
-            self.errors += 1
-            return Response(
-                {
-                    "key": key,
-                    "status": "error",
-                    "error": f"{type(error).__name__}: {error}",
-                    "traceback": traceback.format_exc(),
-                }
-            )
+            return self._error(key, error)
         self.executed += 1
         if job.cache_key is not None:
             self.cache.put(job.cache_key, value)
+        return self._result(key, value, cached=False)
+
+    def _result(self, key: Optional[str], value: object, cached: bool) -> Response:
+        try:
+            result = encode_result(value)
+        except FleetProtocolError as error:
+            # An unregistered result type is a deterministic job failure.
+            return self._error(key, error)
+        return Response({"key": key, "status": "ok", "cached": cached, "result": result})
+
+    def _error(self, key: Optional[str], error: Exception) -> Response:
+        self.errors += 1
         return Response(
-            {"key": key, "status": "ok", "cached": False, "result": encode_result(value)}
+            {
+                "key": key,
+                "status": "error",
+                "error": f"{type(error).__name__}: {error}",
+                "traceback": "".join(traceback.format_exception(error)),
+            }
         )
 
     def _handle_cache_query(self, request: Request) -> Response:

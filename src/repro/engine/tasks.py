@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import os
 import weakref
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.engine.cache import content_key
 from repro.engine.job import Job
@@ -82,6 +82,17 @@ def _resolve_setup(
         )
         _RECONSTRUCTED[token] = setup
     return setup
+
+
+def reconstructed_store_stats() -> Dict[str, int]:
+    """Profile-store counters summed over the setups rebuilt in this process.
+
+    A fleet worker's ``/stats`` reports these: how many profiles and LLC
+    traces its jobs simulated and how many they loaded from the cache.
+    """
+    stores = [setup.store for setup in list(_RECONSTRUCTED.values())]
+    names = ("simulated_profiles", "loaded_profiles", "generated_traces", "loaded_traces")
+    return {name: sum(getattr(store, name) for store in stores) for name in names}
 
 
 # ---------------------------------------------------------------------------

@@ -479,8 +479,8 @@ class ExperimentSetup:
             return
         # Which profile jobs do the surviving mix jobs depend on — and
         # do any of them need the LLC trace (reference simulation) or
-        # just the profile (prediction)?  A disk-cached profile settles
-        # the latter without any simulation at all.
+        # just the profile (prediction)?  Disk-cached artefacts settle
+        # a pair without any simulation at all.
         needs_profile = {dep for job in uncached for dep in job.deps}
         needs_trace = {
             dep for job in uncached if job.kind == "simulate" for dep in job.deps
@@ -495,7 +495,7 @@ class ExperimentSetup:
             spec, machine = job.args[-2], job.args[-1]
             if self.store.has(spec, machine):
                 continue
-            if job.key not in needs_trace and self.store.load_if_cached(spec, machine):
+            if self.store.load_if_cached(spec, machine, trace=job.key in needs_trace):
                 continue
             needed.setdefault(spec, []).append(machine)
         if not needed:
@@ -507,8 +507,7 @@ class ExperimentSetup:
             ]
         )
         for (spec, machines), profiled_list in zip(needed.items(), bundles):
-            for machine, profiled in zip(machines, profiled_list):
-                self.store.absorb(spec, machine, profiled)
+            self.store.absorb(spec, machines, profiled_list)
         self.engine.refresh_workers()
 
     def _run_ops(

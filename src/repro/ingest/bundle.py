@@ -23,12 +23,7 @@ from typing import Dict, List, Tuple, Union
 from repro.ingest.fit import CoreFit, FitOptions, PhaseFit
 from repro.ingest.samples import IngestError, MachineDescriptor
 from repro.io import atomic_write_json, read_json_tolerant
-from repro.workloads.benchmark import (
-    BenchmarkSpec,
-    PhaseSpec,
-    ReuseProfile,
-    WorkloadError,
-)
+from repro.workloads.benchmark import BenchmarkSpec, WorkloadError
 
 #: Bump on incompatible bundle layout changes.
 FORMAT_VERSION = 1
@@ -42,49 +37,9 @@ BUNDLE_FILENAME = "bundle.json"
 # ---------------------------------------------------------------------------
 
 
-def spec_to_dict(spec: BenchmarkSpec) -> Dict:
-    return {
-        "name": spec.name,
-        "base_cpi": spec.base_cpi,
-        "mem_ref_fraction": spec.mem_ref_fraction,
-        "reuse": {
-            "buckets": [[depth, weight] for depth, weight in spec.reuse.buckets],
-            "new_weight": spec.reuse.new_weight,
-        },
-        "working_set_lines": spec.working_set_lines,
-        "mlp": spec.mlp,
-        "phases": [
-            {
-                "fraction": phase.fraction,
-                "cpi_multiplier": phase.cpi_multiplier,
-                "mem_fraction_multiplier": phase.mem_fraction_multiplier,
-                "reuse_depth_multiplier": phase.reuse_depth_multiplier,
-                "new_line_multiplier": phase.new_line_multiplier,
-            }
-            for phase in spec.phases
-        ],
-        "seed": spec.seed,
-    }
-
-
 def spec_from_dict(data: Dict) -> BenchmarkSpec:
     try:
-        reuse = data["reuse"]
-        return BenchmarkSpec(
-            name=data["name"],
-            base_cpi=data["base_cpi"],
-            mem_ref_fraction=data["mem_ref_fraction"],
-            reuse=ReuseProfile(
-                buckets=tuple(
-                    (int(depth), float(weight)) for depth, weight in reuse["buckets"]
-                ),
-                new_weight=float(reuse["new_weight"]),
-            ),
-            working_set_lines=data["working_set_lines"],
-            mlp=data["mlp"],
-            phases=tuple(PhaseSpec(**phase) for phase in data["phases"]),
-            seed=data["seed"],
-        )
+        return BenchmarkSpec.from_dict(data)
     except (KeyError, TypeError, ValueError) as error:
         if isinstance(error, WorkloadError):
             raise
@@ -120,7 +75,7 @@ def _phase_fit_from_dict(data: Dict) -> PhaseFit:
 def core_fit_to_dict(fit: CoreFit) -> Dict:
     return {
         "core": fit.core,
-        "spec": spec_to_dict(fit.spec),
+        "spec": fit.spec.to_dict(),
         "phases": [_phase_fit_to_dict(phase) for phase in fit.phases],
         "coverage": fit.coverage,
         "num_samples": fit.num_samples,

@@ -1,8 +1,9 @@
 """Crash-safe JSON persistence shared by the on-disk caches.
 
 The engine's result cache (which also holds the profile store's
-profiles) persists artefacts as JSON files in directories that
-parallel workers and concurrent campaigns may share.  Two rules keep that safe:
+profiles and LLC streams) persists artefacts as JSON files in
+directories that parallel workers and concurrent campaigns may share.
+Two rules keep that safe:
 
 * writes go to a unique temporary file first and are renamed into
   place (`os.replace` is atomic on POSIX), so readers never observe a
@@ -26,7 +27,9 @@ def atomic_write_json(path: Path, data: Any) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
+            # One dumps call runs the C encoder; json.dump streams
+            # through the pure-Python one for the same bytes.
+            handle.write(json.dumps(data))
         os.replace(tmp_name, path)
     except BaseException:
         try:

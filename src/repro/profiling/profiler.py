@@ -34,6 +34,18 @@ class ProfiledBenchmark:
     def name(self) -> str:
         return self.profile.benchmark
 
+    def to_dict(self) -> Dict:
+        """Plain-data representation suitable for JSON (bit-exact)."""
+        return {"profile": self.profile.to_dict(), "llc_trace": self.llc_trace.to_dict()}
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ProfiledBenchmark":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            profile=SingleCoreProfile.from_dict(data["profile"]),
+            llc_trace=LLCAccessTrace.from_dict(data["llc_trace"]),
+        )
+
 
 class Profiler:
     """Profiles benchmarks on a given machine.

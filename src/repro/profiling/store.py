@@ -1,22 +1,27 @@
-"""Caching store for single-core profiles (and their LLC traces).
+"""Caching store for single-core profiles and their LLC traces.
 
 Single-core simulation is the one-time cost of the paper's methodology;
 the store makes sure it really is paid only once per (benchmark,
 machine) pair within a process, and — optionally — across processes by
-persisting profiles as ordinary :class:`~repro.engine.cache.ResultCache`
-entries in a cache directory.
+persisting its artefacts as ordinary
+:class:`~repro.engine.cache.ResultCache` entries in a cache directory
+(the campaign cache, which fleet workers on one host share).
 
 Three kinds of artefacts are cached:
 
-* the :class:`SingleCoreProfile` — all MPPM ever needs; persisted to
-  disk when a cache directory is configured;
+* the :class:`SingleCoreProfile` — all MPPM ever needs; one entry per
+  (benchmark spec, machine);
 * the :class:`LLCAccessTrace` of the same isolated run — needed only by
-  the multi-core *reference* simulator; kept in memory and regenerated
-  on demand (it is deterministic, so regeneration is always consistent
-  with the profile);
+  the multi-core *reference* simulator; persisted as an
+  :class:`LLCStream`, one entry per (benchmark spec, private
+  hierarchy): the arrays once, beside the isolated cycle count of every
+  LLC resolved on top of them.  A process that finds a trace there
+  never generates it;
 * the :class:`~repro.simulators.single_core.PrivateRun` of each
   (benchmark, private hierarchy) — the first profiling stage, shared
   by every LLC on top of it; kept in memory only.
+
+Without a cache directory nothing is persisted.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.config.machine import MachineConfig
 from repro.engine.cache import MISS, ResultCache, content_key
 from repro.profiling.profile import SingleCoreProfile
 from repro.profiling.profiler import ProfiledBenchmark, profile_from_run
-from repro.simulators.llc_trace import LLCAccessTrace
+from repro.simulators.llc_trace import LLCAccessTrace, LLCStream
 from repro.simulators.single_core import PrivateRun, SingleCoreRunResult, SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.generator import TraceGenerator
@@ -53,13 +58,13 @@ class ProfileStore:
         bit-identical profiles, so cached artefacts are shared between
         them.
     cache_dir:
-        Optional directory for JSON persistence of profiles, as entries
-        of the store's own :class:`ResultCache` (memory-only without
-        one).  A profile's content key covers the full benchmark spec
-        and the profiling configuration — never the workload — so
-        workloads that share a bit-identical benchmark spec
-        (``suite:spec29`` vs ``suite:spec29/scaled@8``) share one
-        entry, and two different specs with the same name never
+        Optional directory for JSON persistence of profiles and LLC
+        streams, as entries of the store's own :class:`ResultCache`
+        (memory-only without one).  Their content keys cover the full
+        benchmark spec and the profiling configuration — never the
+        workload — so workloads that share a bit-identical benchmark
+        spec (``suite:spec29`` vs ``suite:spec29/scaled@8``) share
+        entries, and two different specs with the same name never
         collide.
     """
 
@@ -84,6 +89,8 @@ class ProfileStore:
         self.simulated_profiles = 0
         self.loaded_profiles = 0
         self.absorbed_profiles = 0
+        self.generated_traces = 0
+        self.loaded_traces = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -115,11 +122,12 @@ class ProfileStore:
     ) -> List[ProfiledBenchmark]:
         """Profiles and LLC traces of one benchmark on several machines.
 
-        Machines sharing a private hierarchy share one trace and one
-        private replay, and the LLC stage computes stack distances once
-        per distinct LLC set count.  A pair whose profile is already
-        resident (e.g. loaded from disk) keeps it: only its LLC trace
-        is built, and nothing is written back.
+        A pair whose trace is cached (with its profile) is loaded, not
+        simulated.  The rest share one trace and one private replay per
+        private hierarchy, and the LLC stage computes stack distances
+        once per distinct LLC set count.  A pair whose profile is
+        already resident (e.g. loaded from disk) keeps it: only its LLC
+        trace is built, and the profile is not written back.
         """
         pending: Dict[str, Dict[str, MachineConfig]] = {}
         for machine in machines:
@@ -127,11 +135,20 @@ class ProfileStore:
                 by_profile = pending.setdefault(machine.private_key(), {})
                 by_profile.setdefault(machine.profile_key(), machine)
         for by_profile in pending.values():
-            group = list(by_profile.values())
+            trace_key = self._trace_key(spec, next(iter(by_profile.values())))
+            stream = self._cached_stream(trace_key)
+            group = [
+                machine
+                for machine in by_profile.values()
+                if not self._load_trace(spec, machine, stream)
+            ]
+            if not group:
+                continue
             simulator = self._simulator_for(group[0])
             runs = simulator.resolve_llc_many(self._private_run(spec, group[0]), group)
             for machine, run in zip(group, runs):
                 self._record(spec, machine, run)
+            self._put_stream(trace_key, spec, group, stream)
         out = []
         for machine in machines:
             key = self._key(spec, machine)
@@ -155,16 +172,20 @@ class ProfileStore:
         """Whether the pair has an in-memory profile (disk is not probed)."""
         return self._key(spec, machine) in self._profiles
 
-    def load_if_cached(self, spec: BenchmarkSpec, machine: MachineConfig) -> bool:
-        """Pull the pair's profile into memory if it is cached anywhere.
+    def load_if_cached(
+        self, spec: BenchmarkSpec, machine: MachineConfig, trace: bool = False
+    ) -> bool:
+        """Pull the pair's profile — and with ``trace`` its LLC trace — into memory.
 
         Unlike :meth:`get_profile` this never simulates: it returns
-        ``True`` when the profile was already in memory or could be
-        loaded from disk, ``False`` otherwise.  Note a disk hit only
-        provides the profile — the LLC trace still requires a
-        simulation, so callers that need traces must not rely on this.
+        ``True`` when the artefacts were already in memory or could be
+        loaded from disk, ``False`` otherwise.
         """
         key = self._key(spec, machine)
+        if trace:
+            return key in self._traces or self._load_trace(
+                spec, machine, self._cached_stream(self._trace_key(spec, machine))
+            )
         if key in self._profiles:
             return True
         loaded = self._cache.get(self._content_key(spec, machine))
@@ -175,19 +196,31 @@ class ProfileStore:
         return True
 
     def absorb(
-        self, spec: BenchmarkSpec, machine: MachineConfig, profiled: ProfiledBenchmark
+        self,
+        spec: BenchmarkSpec,
+        machines: Sequence[MachineConfig],
+        bundles: Sequence[ProfiledBenchmark],
     ) -> None:
-        """Adopt a profile computed elsewhere (e.g. by an engine worker).
+        """Adopt one benchmark's bundles computed elsewhere (e.g. by an engine worker).
 
         The artefacts enter the in-memory and on-disk caches exactly as
         if this store had simulated them, but ``simulated_profiles`` is
         untouched — the simulation work was paid in another process.
+        A stream entry already on disk is left alone: workers that share
+        the cache dir wrote it for these very machines.
         """
-        key = self._key(spec, machine)
-        self._profiles[key] = profiled.profile
-        self._traces[key] = profiled.llc_trace
-        self._cache.put(self._content_key(spec, machine), profiled.profile)
-        self.absorbed_profiles += 1
+        by_private: Dict[str, List[MachineConfig]] = {}
+        for machine, profiled in zip(machines, bundles):
+            key = self._key(spec, machine)
+            self._profiles[key] = profiled.profile
+            self._traces[key] = profiled.llc_trace
+            self._cache.put(self._content_key(spec, machine), profiled.profile)
+            self.absorbed_profiles += 1
+            by_private.setdefault(machine.private_key(), []).append(machine)
+        for group in by_private.values():
+            trace_key = self._trace_key(spec, group[0])
+            if trace_key not in self._cache:
+                self._put_stream(trace_key, spec, group, None)
 
     def cached_pairs(self) -> int:
         """Number of (benchmark, machine) pairs with an in-memory profile."""
@@ -215,6 +248,54 @@ class ProfileStore:
             spec,
         )
 
+    def _trace_key(self, spec: BenchmarkSpec, machine: MachineConfig) -> str:
+        # Like ``_content_key``, but per private hierarchy: the LLCStream
+        # entry holds every LLC's trace on top of it.
+        return content_key(
+            "llc-trace",
+            machine.private_key(),
+            self.num_instructions,
+            self.interval_instructions,
+            self.seed,
+            spec,
+        )
+
+    def _cached_stream(self, trace_key: str) -> Optional[LLCStream]:
+        stream = self._cache.get(trace_key)
+        return None if stream is MISS else stream
+
+    def _load_trace(
+        self, spec: BenchmarkSpec, machine: MachineConfig, stream: Optional[LLCStream]
+    ) -> bool:
+        """Take the pair's trace from ``stream`` (and its profile from the cache)."""
+        if stream is None or machine.profile_key() not in stream.isolated_cycles:
+            return False
+        if not self.load_if_cached(spec, machine):
+            return False
+        self._traces[self._key(spec, machine)] = stream.trace(machine.profile_key())
+        self.loaded_traces += 1
+        return True
+
+    def _put_stream(
+        self,
+        trace_key: str,
+        spec: BenchmarkSpec,
+        machines: Sequence[MachineConfig],
+        known: Optional[LLCStream],
+    ) -> None:
+        """Cache the traces of ``machines`` (one private hierarchy) under ``trace_key``.
+
+        ``known`` is the stream already cached under that key; its
+        other LLCs are kept.  Of two processes writing one key at once
+        the last write wins, and an LLC it lacks is resolved again on
+        its next use.
+        """
+        traces = [self._traces[self._key(spec, machine)] for machine in machines]
+        cycles = dict(known.isolated_cycles) if known is not None else {}
+        for machine, trace in zip(machines, traces):
+            cycles[machine.profile_key()] = trace.isolated_cycles
+        self._cache.put(trace_key, LLCStream.of(traces[0], cycles))
+
     def _simulator_for(self, machine: MachineConfig) -> SingleCoreSimulator:
         # One simulator per private hierarchy: stage 1 reads only the
         # private levels, stage 2 takes the machine explicitly.
@@ -233,6 +314,7 @@ class ProfileStore:
         if private_run is None:
             # The full trace is dropped as soon as stage 1 returns.
             trace = self._generator.generate(spec)
+            self.generated_traces += 1
             private_run = self._simulator_for(machine).filter_private(trace)
             self._private_runs[key] = private_run
         return private_run

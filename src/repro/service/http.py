@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional
+from typing import Awaitable, Callable, Dict, Optional, Set
 from urllib.parse import parse_qsl, urlsplit
 
 #: Request bodies above this are rejected with 413 (a predict request
@@ -99,6 +99,9 @@ class HttpServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def start(self) -> "HttpServer":
         self._server = await asyncio.start_server(self._serve_connection, self.host, self.port)
@@ -106,8 +109,21 @@ class HttpServer:
         return self
 
     async def close(self) -> None:
+        """Stop listening and end every connection before returning.
+
+        Idle keep-alive connections are closed; a busy one ends after
+        its response.  Waiting for all of them means none is left for
+        the event loop's teardown to cancel, which Python 3.11 reports
+        as a traceback.
+        """
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
+            pending = self._connections - {asyncio.current_task()}
+            if pending:
+                await asyncio.wait(pending)
             await self._server.wait_closed()
             self._server = None
 
@@ -118,10 +134,17 @@ class HttpServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while not self._closing:
                 try:
-                    request = await self._read_request(reader)
+                    # Waiting for a request: close() may end the connection.
+                    self._idle.add(writer)
+                    try:
+                        request = await self._read_request(reader)
+                    finally:
+                        self._idle.discard(writer)
                 except HttpError as error:
                     await self._write_response(
                         writer, Response({"error": error.message}, status=error.status), False
@@ -149,6 +172,7 @@ class HttpServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            self._connections.discard(task)
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[Request]:
         line = await _read_line(reader)

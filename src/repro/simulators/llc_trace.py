@@ -7,11 +7,19 @@ filtered streams — one per co-running program — against a single shared
 LLC, so it needs, per LLC access, the line address and the number of
 core cycles the program spends *upstream* (computing, hitting in
 private caches) between consecutive LLC accesses.
+
+Traces persist (and travel between fleet hosts) as JSON: each array is
+the base64 of its raw bytes plus its dtype, so a decoded trace is bit
+for bit the one that was encoded.  :class:`LLCStream` is the persisted
+form: the arrays depend only on the private levels that filtered the
+stream, so every LLC on top of one private hierarchy shares them.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
+from typing import Dict, Mapping, Union
 
 import numpy as np
 
@@ -20,6 +28,39 @@ from repro.workloads.benchmark import BenchmarkSpec
 
 class LLCTraceError(ValueError):
     """Raised for inconsistent LLC access traces."""
+
+
+def encode_array(array: np.ndarray) -> Dict[str, str]:
+    """A JSON-safe, bit-exact encoding of ``array`` (1-D, any dtype)."""
+    array = np.ascontiguousarray(array)
+    return {"dtype": array.dtype.str, "data": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def decode_array(data: Mapping[str, str]) -> np.ndarray:
+    """Inverse of :func:`encode_array`; the result is read-only."""
+    return np.frombuffer(base64.b64decode(data["data"]), dtype=np.dtype(data["dtype"]))
+
+
+_ARRAYS = ("line", "insn", "upstream_cycle_gap")
+
+
+def _stream_to_dict(stream: "Union[LLCAccessTrace, LLCStream]") -> Dict:
+    # The fields LLCAccessTrace and LLCStream share.
+    return {
+        "spec": stream.spec.to_dict(),
+        "num_instructions": stream.num_instructions,
+        **{name: encode_array(getattr(stream, name)) for name in _ARRAYS},
+        "tail_cycles": stream.tail_cycles,
+    }
+
+
+def _stream_from_dict(data: Mapping) -> Dict:
+    return {
+        "spec": BenchmarkSpec.from_dict(data["spec"]),
+        "num_instructions": int(data["num_instructions"]),
+        **{name: decode_array(data[name]) for name in _ARRAYS},
+        "tail_cycles": float(data["tail_cycles"]),
+    }
 
 
 @dataclass(frozen=True)
@@ -107,3 +148,68 @@ class LLCAccessTrace:
             f"({self.llc_accesses_per_kilo_instruction:.1f} per kilo-instruction), "
             f"isolated CPI {self.isolated_cpi:.3f}"
         )
+
+    def to_dict(self) -> Dict:
+        """Plain-data representation suitable for JSON (bit-exact)."""
+        return {**_stream_to_dict(self), "isolated_cycles": self.isolated_cycles}
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "LLCAccessTrace":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**_stream_from_dict(data), isolated_cycles=float(data["isolated_cycles"]))
+
+
+@dataclass(frozen=True)
+class LLCStream:
+    """One program's LLC stream behind one private hierarchy.
+
+    Everything of an :class:`LLCAccessTrace` except ``isolated_cycles``
+    depends only on the trace and the private levels that filtered it,
+    so one stream serves every LLC on top of that hierarchy.
+    ``isolated_cycles`` maps the :meth:`MachineConfig.profile_key` of
+    each LLC the stream was resolved against to that run's isolated
+    cycle count; :meth:`trace` rebuilds the machine's trace from it.
+    """
+
+    spec: BenchmarkSpec
+    num_instructions: int
+    line: np.ndarray
+    insn: np.ndarray
+    upstream_cycle_gap: np.ndarray
+    tail_cycles: float
+    isolated_cycles: Mapping[str, float]
+
+    @classmethod
+    def of(cls, trace: LLCAccessTrace, isolated_cycles: Mapping[str, float]) -> "LLCStream":
+        """The stream behind ``trace``, with the given per-LLC cycle counts."""
+        return cls(
+            spec=trace.spec,
+            num_instructions=trace.num_instructions,
+            line=trace.line,
+            insn=trace.insn,
+            upstream_cycle_gap=trace.upstream_cycle_gap,
+            tail_cycles=trace.tail_cycles,
+            isolated_cycles=dict(isolated_cycles),
+        )
+
+    def trace(self, profile_key: str) -> LLCAccessTrace:
+        """The trace of the LLC with ``profile_key`` (``KeyError`` if never resolved)."""
+        return LLCAccessTrace(
+            spec=self.spec,
+            num_instructions=self.num_instructions,
+            line=self.line,
+            insn=self.insn,
+            upstream_cycle_gap=self.upstream_cycle_gap,
+            tail_cycles=self.tail_cycles,
+            isolated_cycles=self.isolated_cycles[profile_key],
+        )
+
+    def to_dict(self) -> Dict:
+        """Plain-data representation suitable for JSON (bit-exact)."""
+        return {**_stream_to_dict(self), "isolated_cycles": dict(self.isolated_cycles)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "LLCStream":
+        """Inverse of :meth:`to_dict`."""
+        cycles = {key: float(value) for key, value in data["isolated_cycles"].items()}
+        return cls(**_stream_from_dict(data), isolated_cycles=cycles)

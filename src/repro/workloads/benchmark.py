@@ -24,7 +24,7 @@ cache behaviour mimics a particular kind of program:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -203,6 +203,53 @@ class BenchmarkSpec:
             boundaries.append(int(round(cumulative * num_instructions)))
         boundaries[-1] = num_instructions
         return tuple(boundaries)
+
+    def to_dict(self) -> Dict:
+        """Plain-data representation suitable for JSON (see :meth:`from_dict`)."""
+        return {
+            "name": self.name,
+            "base_cpi": self.base_cpi,
+            "mem_ref_fraction": self.mem_ref_fraction,
+            "reuse": {
+                "buckets": [[depth, weight] for depth, weight in self.reuse.buckets],
+                "new_weight": self.reuse.new_weight,
+            },
+            "working_set_lines": self.working_set_lines,
+            "mlp": self.mlp,
+            "phases": [
+                {
+                    "fraction": phase.fraction,
+                    "cpi_multiplier": phase.cpi_multiplier,
+                    "mem_fraction_multiplier": phase.mem_fraction_multiplier,
+                    "reuse_depth_multiplier": phase.reuse_depth_multiplier,
+                    "new_line_multiplier": phase.new_line_multiplier,
+                }
+                for phase in self.phases
+            ],
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "BenchmarkSpec":
+        """Inverse of :meth:`to_dict`; the rebuilt spec compares equal.
+
+        Raises ``KeyError``/``TypeError``/``ValueError`` (including
+        :class:`WorkloadError`) for malformed data.
+        """
+        reuse = data["reuse"]
+        return cls(
+            name=data["name"],
+            base_cpi=data["base_cpi"],
+            mem_ref_fraction=data["mem_ref_fraction"],
+            reuse=ReuseProfile(
+                buckets=tuple((int(depth), float(weight)) for depth, weight in reuse["buckets"]),
+                new_weight=float(reuse["new_weight"]),
+            ),
+            working_set_lines=data["working_set_lines"],
+            mlp=data["mlp"],
+            phases=tuple(PhaseSpec(**phase) for phase in data["phases"]),
+            seed=data["seed"],
+        )
 
     def describe(self) -> str:
         """One-line summary used in reports."""

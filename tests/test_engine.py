@@ -12,6 +12,8 @@ experiment stack (at test scale):
   into deterministic waves; progress hooks see every job's fate.
 """
 
+import json
+
 import pytest
 
 from repro.core.mppm import MPPM
@@ -28,9 +30,11 @@ from repro.engine import (
     content_key,
     create_engine,
 )
+from repro.engine.cache import serialize_result
 from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.io import atomic_write_json, read_json_tolerant
 from repro.simulators.multi_core import MultiCoreSimulator
-from repro.workloads import sample_mixes, small_suite
+from repro.workloads import WorkloadMix, sample_mixes, small_suite
 
 
 ENGINE_CONFIG = ExperimentConfig(scale=16, num_instructions=20_000, interval_instructions=1_000)
@@ -162,6 +166,19 @@ class TestResultCache:
         assert reader.get("measurement") == measurement
         assert reader.loaded == 2
 
+    def test_written_bytes_are_exactly_json_dumps(self, tmp_path, mixes):
+        setup = engine_setup()
+        data = {
+            "envelope": serialize_result(setup.predict(mixes[0], setup.machine(num_cores=2))),
+            "floats": [0.1, -0.0, 1e-320, 1.7976931348623157e308],
+            "text": "gamess \u00e9\u4e2d",
+            "nested": [None, True, {"k": [1, 2]}],
+        }
+        path = tmp_path / "entry.json"
+        atomic_write_json(path, data)
+        assert path.read_bytes() == json.dumps(data).encode("utf-8")
+        assert read_json_tolerant(path) == data
+
     def test_corrupt_cache_file_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         (tmp_path / f"{'k'}.json").write_text("{not json", encoding="utf-8")
@@ -191,6 +208,24 @@ class TestResultCache:
         for cold_one, warm_one in zip(cold_evaluations, warm_evaluations):
             assert cold_one.predicted == warm_one.predicted
             assert cold_one.measured == warm_one.measured
+
+    def test_second_process_simulates_new_mixes_without_generating_traces(self, tmp_path):
+        names = small_suite(5).names
+        first_mixes = [WorkloadMix(programs=pair) for pair in zip(names, names[1:] + names[:1])]
+        new_mixes = [WorkloadMix(programs=pair) for pair in zip(names, names[2:] + names[:2])]
+        cold = engine_setup(cache_dir=tmp_path)
+        machine = cold.machine(num_cores=2)
+        cold.simulate_many(first_mixes, machine)
+        assert cold.store.generated_traces == len(names)
+
+        # A fresh setup on the same cache dir stands in for a second process.
+        warm = engine_setup(cache_dir=tmp_path)
+        runs = warm.simulate_many(new_mixes, machine)
+        assert warm.store.generated_traces == 0 and warm.store.simulated_profiles == 0
+        assert warm.store.loaded_traces == len(names)
+        assert warm.reference_runs() == len(new_mixes)
+        fresh = engine_setup().simulate_many(new_mixes, machine)
+        assert [run.to_dict() for run in runs] == [run.to_dict() for run in fresh]
 
     def test_warm_cache_skips_the_profile_warmup_wave(self, tmp_path, mixes):
         cache_dir = tmp_path / "campaign"

@@ -33,12 +33,16 @@ from repro.engine.remote import (
     FleetBackend,
     FleetError,
     FleetJobError,
+    FleetProtocolError,
     FleetSpecError,
+    decode_result,
+    encode_result,
     launch_local_workers,
     normalize_fleet_flag,
     parse_fleet_spec,
 )
 from repro.engine.remote import launch
+from repro.engine.remote.client import WorkerClient
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.workloads import small_suite
 
@@ -176,6 +180,28 @@ class TestLoopbackFleet:
         for worker in stats["workers"]:
             assert worker["tag"] and worker["url"].startswith("http://127.0.0.1:")
 
+    def test_each_trace_is_generated_once_fleet_wide(self, serial, tmp_path):
+        # The warm-up wave splits the benchmarks across the workers; the
+        # simulate wave then loads every trace a worker did not profile
+        # from the shared cache dir instead of regenerating it.
+        setup = fleet_setup(jobs="fleet:localhost:2", cache_dir=tmp_path)
+        try:
+            machine = setup.machine(num_cores=2)
+            mixes = setup.mixes(2, 8, seed=11)
+            runs = setup.simulate_many(mixes, machine)
+            workers = [
+                WorkerClient(worker["url"]).stats()["store"]
+                for worker in setup.engine.backend.stats()["workers"]
+            ]
+        finally:
+            setup.close()
+        benchmarks = {name for mix in mixes for name in mix.programs}
+        assert sum(worker["generated_traces"] for worker in workers) == len(benchmarks)
+        assert sum(worker["simulated_profiles"] for worker in workers) == len(benchmarks)
+        assert setup.store.generated_traces == 0
+        expected = serial.simulate_many(mixes, serial.machine(num_cores=2))
+        assert [run.to_dict() for run in runs] == [run.to_dict() for run in expected]
+
     def test_workers_answer_from_their_caches_across_drivers(self, tmp_path):
         # Two drivers, no driver-side cache, sharing one fleet whose
         # workers persist results: the second driver's jobs are all
@@ -206,6 +232,44 @@ class TestLoopbackFleet:
             assert backend.stats()["remote_cache_hits"] == len(mixes)
         finally:
             backend.close()
+
+
+# ---------------------------------------------------------------------------
+# Wire protocol: results are registry envelopes, never pickles
+# ---------------------------------------------------------------------------
+
+
+class TestResultProtocol:
+    def test_scalars_and_lists_round_trip(self):
+        value = [1, "two", None, [3.5, True]]
+        assert decode_result(json.loads(json.dumps(encode_result(value)))) == value
+
+    def test_unregistered_results_do_not_encode(self):
+        with pytest.raises(FleetProtocolError, match="object"):
+            encode_result(object())
+        with pytest.raises(FleetProtocolError):
+            encode_result([1, object()])
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            {"type": "@pickle", "data": "gASVAAAAAAAAAAB9lC4="},
+            {"type": "SingleCoreProfile", "payload": {}},
+            {"items": []},
+        ],
+        ids=["pickle", "truncated", "untyped"],
+    )
+    def test_foreign_envelopes_are_protocol_errors(self, envelope):
+        with pytest.raises(FleetProtocolError):
+            decode_result(envelope)
+
+    def test_invalid_array_payload_is_a_protocol_error(self, serial):
+        bundle = serial.store.get(serial.suite.specs[0], serial.machine(num_cores=2))
+        envelope = json.loads(json.dumps(encode_result(bundle)))
+        assert decode_result(envelope).llc_trace.line.tobytes() == bundle.llc_trace.line.tobytes()
+        envelope["payload"]["llc_trace"]["line"]["data"] = "not base64!"
+        with pytest.raises(FleetProtocolError):
+            decode_result(envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +431,17 @@ class TestFleetFailures:
             # fleet stays usable for the next wave.
             assert backend.stats()["alive"] == 1
             assert backend.run(_arith_jobs(2)) == [100, 101]
+        finally:
+            backend.close()
+
+    def test_unregistered_result_is_a_job_error_not_a_pickle(self):
+        backend = FleetBackend("fleet:localhost:1")
+        try:
+            with pytest.raises(FleetJobError) as excinfo:
+                backend.run([Job(key="odd", fn=complex, args=(1.0, 2.0))])
+            assert "FleetProtocolError" in str(excinfo.value)
+            assert "complex" in str(excinfo.value)
+            assert backend.stats()["alive"] == 1
         finally:
             backend.close()
 

@@ -206,9 +206,14 @@ class TestCampaignCacheLayout:
         entries = [json.loads(path.read_text()) for path in (tmp_path / "results").iterdir()]
         types = Counter(entry["type"] for entry in entries)
         assert types["SingleCoreProfile"] == setup.store.simulated_profiles > 0
+        # One stream per benchmark: every profile here shares one
+        # private hierarchy.
+        assert types["LLCStream"] == setup.store.generated_traces == types["SingleCoreProfile"]
         # The engine's counters (read by the service's /stats) count
-        # engine results only, never the store's profiles.
-        assert setup.engine.cache_stats()["stores"] == len(entries) - types["SingleCoreProfile"]
+        # engine results only, never the store's artefacts.
+        assert setup.engine.cache_stats()["stores"] == (
+            len(entries) - types["SingleCoreProfile"] - types["LLCStream"]
+        )
 
         rerun = self._setup(tmp_path)
         assert rerun.predict_batch(pairs) == first

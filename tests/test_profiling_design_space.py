@@ -8,7 +8,7 @@ check the sharing, read-only and cache-write guarantees that come with
 it.
 """
 
-import os
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -197,12 +197,18 @@ class TestSharedReadOnlyTraces:
                 getattr(first, attr)[0] = 0
 
 
+def _entries(cache_dir):
+    """Cache entry path by registry type name."""
+    return {json.loads(path.read_text())["type"]: path for path in cache_dir.iterdir()}
+
+
 class TestDiskLoadedProfiles:
     def test_trace_fetch_keeps_the_resident_profile_and_writes_nothing(self, tmp_path):
         spec, machine = SPECS[0], MACHINES[0]
-        _store(cache_dir=tmp_path).get_profile(spec, machine)
-        (entry,) = tmp_path.iterdir()
-        mtime = entry.stat().st_mtime_ns
+        written = _store(cache_dir=tmp_path).get(spec, machine)
+        entries = _entries(tmp_path)
+        assert sorted(entries) == ["LLCStream", "SingleCoreProfile"]
+        mtimes = {name: path.stat().st_mtime_ns for name, path in entries.items()}
 
         reader = _store(cache_dir=tmp_path)
         loaded = reader.get_profile(spec, machine)
@@ -212,10 +218,82 @@ class TestDiskLoadedProfiles:
         assert profiled.profile is loaded
         assert profiled.llc_trace is trace
         assert reader._cache.stats()["stores"] == stores
-        assert reader.simulated_profiles == 0
-        assert reader.loaded_profiles == 1
-        assert os.stat(entry).st_mtime_ns == mtime
+        assert reader.simulated_profiles == 0 and reader.generated_traces == 0
+        assert reader.loaded_profiles == 1 and reader.loaded_traces == 1
+        assert {name: path.stat().st_mtime_ns for name, path in entries.items()} == mtimes
+        assert_traces_equal(trace, written.llc_trace)
         assert trace.isolated_cycles == pytest.approx(loaded.total_cycles)
+
+    def test_missing_trace_is_simulated_beside_the_resident_profile(self, tmp_path):
+        spec, machine = SPECS[0], MACHINES[0]
+        written = _store(cache_dir=tmp_path).get(spec, machine)
+        entries = _entries(tmp_path)
+        entries["LLCStream"].unlink()
+        mtime = entries["SingleCoreProfile"].stat().st_mtime_ns
+
+        reader = _store(cache_dir=tmp_path)
+        loaded = reader.get_profile(spec, machine)
+        stores = reader._cache.stats()["stores"]
+        trace = reader.get_llc_trace(spec, machine)
+        assert reader.get(spec, machine).profile is loaded
+        # Only the stream is written back; the profile file is untouched.
+        assert reader._cache.stats()["stores"] == stores + 1
+        assert reader.simulated_profiles == 0 and reader.generated_traces == 1
+        assert sorted(_entries(tmp_path)) == ["LLCStream", "SingleCoreProfile"]
+        assert entries["SingleCoreProfile"].stat().st_mtime_ns == mtime
+        assert_traces_equal(trace, written.llc_trace)
+
+    def test_invalid_stream_entry_is_a_miss_and_gets_overwritten(self, tmp_path):
+        spec, machine = SPECS[3], MACHINES[0]
+        written = _store(cache_dir=tmp_path).get(spec, machine)
+        entry = _entries(tmp_path)["LLCStream"]
+        data = json.loads(entry.read_text())
+        data["payload"]["line"]["data"] = "not base64!"
+        entry.write_text(json.dumps(data))
+
+        reader = _store(cache_dir=tmp_path)
+        assert_traces_equal(reader.get_llc_trace(spec, machine), written.llc_trace)
+        assert reader.generated_traces == 1 and reader.loaded_traces == 0
+        again = _store(cache_dir=tmp_path)
+        assert_traces_equal(again.get_llc_trace(spec, machine), written.llc_trace)
+        assert again.generated_traces == 0 and again.loaded_traces == 1
+
+    def test_absorbed_bundles_are_persisted_like_simulated_ones(self, tmp_path):
+        spec = SPECS[4]
+        bundles = _store().get_many(spec, MACHINES[:3])
+        adopter = _store(cache_dir=tmp_path)
+        adopter.absorb(spec, MACHINES[:3], bundles)
+        assert adopter.absorbed_profiles == 3 and adopter.generated_traces == 0
+        types = sorted(json.loads(path.read_text())["type"] for path in tmp_path.iterdir())
+        assert types == ["LLCStream"] + ["SingleCoreProfile"] * 3
+
+        reader = _store(cache_dir=tmp_path)
+        for machine, profiled in zip(MACHINES[:3], bundles):
+            assert_traces_equal(reader.get_llc_trace(spec, machine), profiled.llc_trace)
+        assert reader.generated_traces == 0 and reader.loaded_traces == 3
+
+    def test_every_llc_of_a_private_hierarchy_shares_one_stream_entry(self, tmp_path):
+        spec = SPECS[1]
+        written = _store(cache_dir=tmp_path).get_many(spec, MACHINES)
+        types = sorted(json.loads(path.read_text())["type"] for path in tmp_path.iterdir())
+        assert types == ["LLCStream"] + ["SingleCoreProfile"] * len(MACHINES)
+
+        reader = _store(cache_dir=tmp_path)
+        for machine, profiled in zip(MACHINES, written):
+            assert_traces_equal(reader.get_llc_trace(spec, machine), profiled.llc_trace)
+        assert reader.generated_traces == 0 and reader.simulated_profiles == 0
+        assert reader.loaded_traces == len(MACHINES)
+
+    def test_a_new_llc_extends_the_stream_entry(self, tmp_path):
+        spec = SPECS[2]
+        _store(cache_dir=tmp_path).get(spec, MACHINES[0])
+        _store(cache_dir=tmp_path).get(spec, MACHINES[1])
+        types = sorted(json.loads(path.read_text())["type"] for path in tmp_path.iterdir())
+        assert types == ["LLCStream", "SingleCoreProfile", "SingleCoreProfile"]
+
+        reader = _store(cache_dir=tmp_path)
+        reader.get_many(spec, MACHINES[:2])
+        assert reader.generated_traces == 0 and reader.loaded_traces == 2
 
 
 class TestParallelWarmUp:

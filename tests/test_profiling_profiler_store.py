@@ -108,10 +108,10 @@ class TestProfileStore:
             num_instructions=20_000, interval_instructions=1_000, cache_dir=tmp_path
         )
         original = writer.get_profile(spec, machine4)
-        # One ordinary result-cache entry: a registry envelope keyed by
-        # the profile's content hash.
-        (entry,) = tmp_path.iterdir()
-        assert json.loads(entry.read_text())["type"] == "SingleCoreProfile"
+        # Two ordinary result-cache entries, registry envelopes keyed by
+        # content hash: the profile and the LLC stream of the same run.
+        types = sorted(json.loads(entry.read_text())["type"] for entry in tmp_path.iterdir())
+        assert types == ["LLCStream", "SingleCoreProfile"]
 
         reader = ProfileStore(
             num_instructions=20_000, interval_instructions=1_000, cache_dir=tmp_path

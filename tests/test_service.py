@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import http.client
 import json
+import logging
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -669,6 +671,22 @@ class TestLifecycle:
         assert payload["status"] == "shutting down"
         thread._thread.join(timeout=10)
         assert not thread._thread.is_alive()
+
+    def test_shutdown_with_an_idle_keep_alive_client_logs_nothing(self, caplog):
+        config = ServiceConfig(workload=WORKLOAD, instructions=20_000, preload=False)
+        thread = ServiceThread(config).start()
+        idle = http.client.HTTPConnection(thread.host, thread.port, timeout=10)
+        try:
+            idle.request("GET", "/healthz")
+            assert json.loads(idle.getresponse().read())["status"] == "ok"
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                payload = call(thread, lambda c: c.shutdown())
+                thread._thread.join(timeout=10)
+        finally:
+            idle.close()
+        assert payload["status"] == "shutting down"
+        assert not thread._thread.is_alive()
+        assert [record for record in caplog.records if record.levelno >= logging.WARNING] == []
 
     def test_no_preload_starts_with_an_empty_store(self):
         config = ServiceConfig(workload=WORKLOAD, instructions=20_000, preload=False)

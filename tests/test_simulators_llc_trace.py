@@ -1,9 +1,23 @@
-"""Unit tests for the LLC access trace type."""
+"""Unit tests for the LLC access trace type and its JSON codec."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.simulators.llc_trace import LLCAccessTrace, LLCTraceError
+from repro.engine.cache import deserialize_result, serialize_result
+from repro.profiling.profiler import ProfiledBenchmark
+from repro.simulators.llc_trace import (
+    LLCAccessTrace,
+    LLCStream,
+    LLCTraceError,
+    decode_array,
+    encode_array,
+)
+from repro.workloads import make_workload
 from repro.workloads.benchmark import BenchmarkSpec
 
 
@@ -68,3 +82,83 @@ class TestLLCAccessTrace:
             assert trace.num_instructions == profile.num_instructions
             assert trace.isolated_cpi == pytest.approx(profile.cpi)
             assert trace.num_llc_accesses == pytest.approx(profile.total_llc_accesses)
+
+
+# ---------------------------------------------------------------------------
+# JSON codec: bit-exact round trips
+# ---------------------------------------------------------------------------
+
+#: Benchmarks of every built-in workload family (phased, random, service).
+CODEC_SPECS = [
+    spec
+    for family in ("suite:spec29", "random:n=3,seed=2", "service:n=3,seed=1")
+    for spec in make_workload(family).suite()
+]
+
+_lengths = st.integers(min_value=1, max_value=64)
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def traces(draw):
+    n = draw(_lengths)
+    return LLCAccessTrace(
+        spec=draw(st.sampled_from(CODEC_SPECS)),
+        num_instructions=draw(st.integers(min_value=1, max_value=2**62)),
+        line=draw(hnp.arrays(np.int64, n)),
+        insn=draw(hnp.arrays(np.int64, n)),
+        upstream_cycle_gap=draw(hnp.arrays(np.float64, n, elements=_any_float)),
+        tail_cycles=draw(st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True)),
+        isolated_cycles=draw(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True)
+        ),
+    )
+
+
+def _through_json(data):
+    return json.loads(json.dumps(data))
+
+
+def assert_bit_identical(a, b):
+    assert a.spec == b.spec and repr(a.spec) == repr(b.spec)
+    assert a.num_instructions == b.num_instructions
+    for name in ("line", "insn", "upstream_cycle_gap"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype
+        assert left.tobytes() == right.tobytes()
+    for name in ("tail_cycles", "isolated_cycles"):
+        assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes()
+
+
+class TestTraceCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(hnp.scalar_dtypes(), _lengths))
+    def test_arrays_round_trip_bit_for_bit(self, array):
+        decoded = decode_array(_through_json(encode_array(array)))
+        assert decoded.dtype == array.dtype
+        assert decoded.tobytes() == array.tobytes()
+        assert not decoded.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(traces())
+    def test_trace_round_trips_bit_for_bit(self, trace):
+        assert_bit_identical(LLCAccessTrace.from_dict(_through_json(trace.to_dict())), trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(traces(), st.dictionaries(st.text(min_size=1), st.floats(min_value=1e-300, max_value=1e300)))
+    def test_stream_round_trips_every_llc_bit_for_bit(self, trace, others):
+        cycles = {**others, "mine": trace.isolated_cycles}
+        envelope = _through_json(serialize_result(LLCStream.of(trace, cycles)))
+        assert envelope["type"] == "LLCStream"
+        stream = deserialize_result(envelope)
+        assert_bit_identical(stream.trace("mine"), trace)
+        assert stream.isolated_cycles == cycles
+
+    def test_profile_bundles_travel_as_registry_envelopes(self, store, tiny_suite, machine4):
+        bundle = store.get(tiny_suite["mcf"], machine4)
+        envelope = _through_json(serialize_result(bundle))
+        assert envelope["type"] == "ProfiledBenchmark"
+        decoded = deserialize_result(envelope)
+        assert isinstance(decoded, ProfiledBenchmark)
+        assert decoded.profile.to_dict() == bundle.profile.to_dict()
+        assert_bit_identical(decoded.llc_trace, bundle.llc_trace)

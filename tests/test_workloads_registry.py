@@ -9,6 +9,8 @@ and with engine workers); and the workload spec string qualifies the
 experiment setup, its profile store and the engine cache keys.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -266,7 +268,8 @@ class TestProfileStoreQualification:
         second.store.get_profile(spec, machine)
         assert second.store.simulated_profiles == 0
         assert second.store.loaded_profiles == 1
-        assert len(list((tmp_path / "results").iterdir())) == 1
+        # gamess's profile and its LLC stream, one entry each.
+        assert len(list((tmp_path / "results").iterdir())) == 2
         assert not (tmp_path / "profiles").exists()
 
     def test_same_name_different_specs_load_their_own_profiles(self, tmp_path):
@@ -305,7 +308,11 @@ class TestProfileStoreQualification:
         spec = spec_cpu2006_like_suite()["gamess"]
         machine = ExperimentSetup(config=CONFIG).machine(num_cores=1)
         saved = self._store(tmp_path).get_profile(spec, machine)
-        (entry,) = tmp_path.iterdir()
+        (entry,) = [
+            path
+            for path in tmp_path.iterdir()
+            if json.loads(path.read_text())["type"] == "SingleCoreProfile"
+        ]
         entry.write_text(payload)
 
         reader = self._store(tmp_path)
