@@ -8,10 +8,12 @@ must equal, line for line, what the batch CLI prints for the same spec
 strings.  Then hits ``/healthz`` and ``/stats`` (asserting the served
 counter moved) and shuts the server down cleanly via ``POST /shutdown``.
 
-Everything is stdlib: ``subprocess`` + ``urllib``.  Run from the repo
-root::
+Arguments after ``--`` are passed through to ``repro serve``; with
+``--fleet`` the server must report every fleet worker alive and every
+dispatched job completed.  Everything is stdlib: ``subprocess`` +
+``urllib``.  Run from the repo root::
 
-    PYTHONPATH=src python scripts/service_smoke.py
+    PYTHONPATH=src python scripts/service_smoke.py [-- --fleet localhost:2]
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import urllib.request
 from pathlib import Path
+from typing import List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = str(REPO_ROOT / "src")
@@ -83,13 +86,17 @@ def _cli_predict(predictor: str) -> str:
     return result.stdout.strip()
 
 
-def main() -> int:
+def main(argv: List[str]) -> int:
+    if argv and argv[0] != "--":
+        sys.exit(f"usage: service_smoke.py [-- REPRO_SERVE_ARGS...]; got {argv[0]!r}")
+    serve_args = [*SERVE_ARGS, *argv[1:]]
     sys.path.insert(0, SRC)
     from repro.core.result import MixPrediction
     from repro.service.runner import ANNOUNCE_PREFIX
 
+    print(f"smoke: repro {' '.join(serve_args)}")
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *SERVE_ARGS],
+        [sys.executable, "-m", "repro.cli", *serve_args],
         env=_env(),
         stdout=subprocess.PIPE,
         text=True,
@@ -126,6 +133,14 @@ def main() -> int:
             f"computed {stats['predictions']['computed']}, "
             f"cache hits {stats['engine_cache']['hits']})"
         )
+        fleet = stats.get("fleet")
+        if fleet is not None:
+            assert fleet["alive"] == len(fleet["workers"]) > 0, fleet
+            assert fleet["completed"] == fleet["dispatched"] > 0, fleet
+            print(
+                f"smoke: fleet ok ({fleet['alive']} workers, "
+                f"{fleet['completed']} jobs completed)"
+            )
 
         _http("POST", f"{base}/shutdown")
         code = server.wait(timeout=30)
@@ -139,4 +154,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -225,7 +225,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "run the engine on a worker fleet instead of a process pool: "
-            "localhost:N (loopback subprocesses), ssh=host1,host2, or "
+            "localhost:N (loopback workers forked from this process), "
+            "ssh=host1,host2, or "
             "attach=host:port+host:port (see src/repro/engine/remote/)"
         ),
     )

@@ -8,6 +8,7 @@ parallel run of the same graph are bit-identical.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
@@ -55,11 +56,12 @@ def _run_job(job: Job) -> Any:
 class ProcessPoolBackend(ExecutorBackend):
     """Fan jobs out over a ``concurrent.futures`` process pool.
 
-    The pool is created lazily on the first parallel batch: with the
-    default ``fork`` start method the workers therefore inherit every
-    side effect of earlier *local* jobs — most importantly a warm
-    profile store — for free.  Results are gathered in submission
-    order, so completion-order races cannot reorder anything.
+    The pool is created lazily on the first parallel batch, and its
+    workers are always *forked* (whatever the platform's default start
+    method): they therefore inherit every side effect of earlier
+    *local* jobs — most importantly a warm profile store — for free.
+    Results are gathered in submission order, so completion-order races
+    cannot reorder anything.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -70,7 +72,9 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, mp_context=multiprocessing.get_context("fork")
+            )
         return self._pool
 
     def run(self, jobs: Sequence[Job]) -> List[Any]:

@@ -12,7 +12,7 @@ backend produces the same bytes.
   result envelopes back
 * :mod:`repro.engine.remote.worker` — the ``repro worker`` agent
 * :mod:`repro.engine.remote.client` — blocking per-worker HTTP client
-* :mod:`repro.engine.remote.launch` — loopback subprocess / ssh launch
+* :mod:`repro.engine.remote.launch` — forked loopback / ssh launch
 * :mod:`repro.engine.remote.backend` — :class:`FleetBackend`:
   cache-aware dispatch, retry-on-worker-failure, heartbeats
 """

@@ -1,44 +1,108 @@
-"""Launching fleet workers: loopback subprocesses and ssh remotes.
+"""Launching fleet workers: forked loopback workers and ssh remotes.
 
-Loopback workers (``fleet:localhost:N``) are real ``repro worker``
-subprocesses on ``127.0.0.1`` — the CI-testable path exercising the
-full wire protocol, process isolation included.  Each is started with
-``--port 0``; the launcher reads the announce line
-(:data:`~repro.engine.remote.worker.ANNOUNCE_PREFIX`) from its stdout
-to discover the bound port.
+Loopback workers (``fleet:localhost:N``) are ``repro worker`` agents on
+``127.0.0.1`` — the CI-testable path exercising the full wire protocol,
+process isolation included.  Each is **forked** from the driver, which
+already has numpy and ``repro`` imported, so a worker is serving within
+milliseconds instead of after an interpreter start and a re-import
+(about 0.5 s each).  The child points fds 0/1/2 at ``/dev/null``,
+restores the default SIGINT/SIGTERM handlers, forgets the driver's
+experiment setups (:func:`~repro.engine.tasks.forget_setups`: it
+rebuilds them from job recipes, exactly as a worker on another host
+does), binds port 0, writes its announce line
+(:data:`~repro.engine.remote.worker.ANNOUNCE_PREFIX`) to a pipe the
+driver reads, and leaves only through ``os._exit``.  The driver holds
+it through :class:`ForkedWorker`, which offers the slice of the
+:class:`subprocess.Popen` API fleet code uses.  Fork from a
+single-threaded process: the CLI and ``repro serve`` build their engine
+before they start any thread.
 
-Both kinds go through one launch path: every process is started
-before any announce is read, so N workers cost about one interpreter
-startup, not N.  The announces are then collected under one deadline;
-a worker that exits, announces garbage or stays silent past it raises
-:class:`~repro.engine.remote.errors.FleetError` naming its tag, and
-every process already started is terminated.
+SSH workers (``fleet:ssh=host1,host2``) exec ``python -m repro.cli
+worker`` over ``ssh -o BatchMode=yes``: the remote worker binds
+``0.0.0.0`` and announces its port on stdout; the driver then connects
+directly to ``host:port`` (trusted-network assumption, like every MPI
+launcher).  The hosts need key-based auth and the repro package
+importable by the remote interpreter.
 
-SSH workers (``fleet:ssh=host1,host2``) use the same announce
-handshake over ``ssh -o BatchMode=yes``: the remote worker binds
-``0.0.0.0`` and announces its port; the driver then connects directly
-to ``host:port`` (trusted-network assumption, like every MPI launcher).
-The hosts need key-based auth and the repro package importable by the
-remote interpreter.
+Both kinds share one handshake: every worker is started before any
+announce is read, and the announces are then collected under one
+deadline; a worker that exits, announces garbage or stays silent past
+it raises :class:`~repro.engine.remote.errors.FleetError` naming its
+tag, and every process already started is terminated and reaped.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import selectors
+import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.engine.remote.errors import FleetError
-from repro.engine.remote.worker import ANNOUNCE_PREFIX
+from repro.engine.remote.worker import ANNOUNCE_PREFIX, run_worker
+from repro.engine.tasks import forget_setups
 
 #: Wall-clock budget for a launched worker to print its announce line.
 STARTUP_TIMEOUT = 60.0
+
+
+class ForkedWorker:
+    """A loopback worker forked from the driver, behind a Popen-like surface.
+
+    ``stdout`` is the announce pipe.  :meth:`poll` and :meth:`wait` reap
+    the child, and signals are only sent to a child not yet reaped, so
+    its pid can never have been recycled.
+    """
+
+    def __init__(self, pid: int, stdout) -> None:
+        self.pid = pid
+        self.stdout = stdout
+        self.returncode: Optional[int] = None
+        self._lock = threading.RLock()
+
+    def poll(self) -> Optional[int]:
+        with self._lock:
+            if self.returncode is None:
+                try:
+                    pid, status = os.waitpid(self.pid, os.WNOHANG)
+                except ChildProcessError:
+                    # Reaped behind our back (SIGCHLD ignored): the code is lost.
+                    self.returncode = 0
+                else:
+                    if pid:
+                        self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise subprocess.TimeoutExpired(f"forked worker {self.pid}", timeout)
+                delay = min(delay, remaining)
+            time.sleep(delay)
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        with self._lock:
+            if self.poll() is None:
+                os.kill(self.pid, sig)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
 
 
 @dataclass
@@ -47,9 +111,9 @@ class WorkerHandle:
 
     url: str
     tag: str
-    #: The local subprocess (loopback) or ssh client process; ``None``
+    #: The forked loopback worker or the ssh client process; ``None``
     #: for attached endpoints the fleet does not own.
-    process: Optional[subprocess.Popen] = None
+    process: Optional[Union[ForkedWorker, subprocess.Popen]] = None
 
     @property
     def owned(self) -> bool:
@@ -69,21 +133,11 @@ class WorkerHandle:
             self.process.stdout.close()
 
 
-def _worker_env() -> dict:
-    """The subprocess environment, with the repro package importable."""
-    src_dir = str(Path(__file__).resolve().parents[3])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_dir if not existing else f"{src_dir}{os.pathsep}{existing}"
-    return env
-
-
-def _launch_workers(
-    commands: Sequence[Tuple[str, List[str]]],
+def _launch(
+    starters: Sequence[Tuple[str, Callable[[], Union[ForkedWorker, subprocess.Popen]]]],
     startup_timeout: float,
-    env: Optional[dict] = None,
 ) -> List[WorkerHandle]:
-    """Start every ``(tag, command)`` worker, then collect their announces.
+    """Start every ``(tag, start)`` worker, then collect their announces.
 
     Each handle's ``url`` is the URL its worker announced. If any worker
     fails to start, exits or announces garbage, or the deadline passes,
@@ -92,17 +146,36 @@ def _launch_workers(
     """
     handles: List[WorkerHandle] = []
     try:
-        for tag, command in commands:
-            process = subprocess.Popen(
-                command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env
-            )
-            handles.append(WorkerHandle(url="", tag=tag, process=process))
+        for tag, start in starters:
+            handles.append(WorkerHandle(url="", tag=tag, process=start()))
         _read_announces(handles, startup_timeout)
     except BaseException:
         for handle in handles:
             handle.terminate()
         raise
     return handles
+
+
+def _launch_workers(
+    commands: Sequence[Tuple[str, List[str]]],
+    startup_timeout: float = STARTUP_TIMEOUT,
+) -> List[WorkerHandle]:
+    """Exec every ``(tag, command)`` worker, then collect their announces."""
+    return _launch(
+        [
+            (
+                tag,
+                functools.partial(
+                    subprocess.Popen,
+                    command,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                ),
+            )
+            for tag, command in commands
+        ],
+        startup_timeout,
+    )
 
 
 def _read_announces(handles: List[WorkerHandle], timeout: float) -> None:
@@ -139,31 +212,60 @@ def _read_announces(handles: List[WorkerHandle], timeout: float) -> None:
                 selector.unregister(key.fileobj)
 
 
+def _fork_worker(tag: str, cache_dir: Optional[str]) -> ForkedWorker:
+    """Fork one loopback worker; the child announces on a pipe."""
+    # Text buffered in the driver would otherwise be copied into the child.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _worker_child(tag, cache_dir, write_fd)
+    os.close(write_fd)
+    return ForkedWorker(pid, os.fdopen(read_fd, "rb", buffering=0))
+
+
+def _worker_child(tag: str, cache_dir: Optional[str], announce_fd: int) -> NoReturn:
+    """The forked worker's whole life: serve until shutdown, then ``os._exit``."""
+    code = 1
+    try:
+        devnull = os.open(os.devnull, os.O_RDWR)
+        for fd in (0, 1, 2):
+            os.dup2(devnull, fd)
+        if devnull > 2:
+            os.close(devnull)
+        # The driver's handlers (asyncio's SIGINT one under `repro serve`)
+        # belong to its event loop, not to this process.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        forget_setups()
+
+        def announce(line: str) -> None:
+            os.write(announce_fd, f"{line}\n".encode("utf-8"))
+
+        code = run_worker("127.0.0.1", 0, cache_dir=cache_dir, tag=tag, printer=announce)
+    finally:
+        os._exit(code)
+
+
 def launch_local_workers(
     count: int,
     cache_dir: Optional[str] = None,
     startup_timeout: float = STARTUP_TIMEOUT,
 ) -> List[WorkerHandle]:
-    """Start ``count`` loopback worker subprocesses; returns their handles."""
-    commands = []
-    for index in range(count):
-        tag = f"local-{index}"
-        command = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            "0",
-            "--tag",
-            tag,
-        ]
-        if cache_dir is not None:
-            command += ["--cache-dir", str(cache_dir)]
-        commands.append((tag, command))
-    return _launch_workers(commands, startup_timeout, env=_worker_env())
+    """Fork ``count`` loopback workers from this process; returns their handles."""
+    starters = [
+        (f"local-{index}", functools.partial(_fork_worker, f"local-{index}", cache_dir))
+        for index in range(count)
+    ]
+    return _launch(starters, startup_timeout)
 
 
 def launch_ssh_workers(

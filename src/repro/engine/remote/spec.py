@@ -5,8 +5,8 @@ an engine ``jobs`` count is (``create_engine(jobs="fleet:...")``,
 ``ExperimentSetup(jobs=...)``, ``repro run --fleet ...``).  Three
 worker sources:
 
-* ``fleet:localhost:N`` — N loopback subprocess workers, launched and
-  owned by the driver.  The CI-testable path.
+* ``fleet:localhost:N`` — N loopback workers forked from the driver
+  and owned by it.  The CI-testable path.
 * ``fleet:ssh=host1,host2`` — one worker per host, launched over
   ``ssh`` (``BatchMode``; the hosts need key auth and the repro
   package on their python path).

@@ -10,12 +10,14 @@ cache directory — and resolves it through a per-process registry:
 * in the submitting process (serial backend, local jobs) the token maps
   to the live setup, so in-memory caches keep working exactly as for
   the inline code paths;
-* in a forked worker the registry — including the live setup and every
-  profile it had already computed — is inherited at fork time;
-* in a spawned worker (or a fork that predates the setup) the setup is
-  rebuilt once from the recipe and reused for every subsequent task the
-  worker executes; with a cache directory configured it loads profiles
-  from disk instead of re-simulating them.
+* in a forked pool worker the registry — including the live setup and
+  every profile it had already computed — is inherited at fork time;
+* in a fleet worker (forked loopback workers first drop what they
+  inherited, :func:`forget_setups`), a spawned worker, or a fork that
+  predates the setup, the setup is rebuilt once from the recipe and
+  reused for every subsequent task the worker executes; with a cache
+  directory configured it loads profiles from disk instead of
+  re-simulating them.
 
 The ``*_job`` constructors build :class:`~repro.engine.job.Job` objects
 with content-hash cache keys covering everything the result depends on:
@@ -56,6 +58,17 @@ def register_setup(setup: "ExperimentSetup") -> str:
     token = f"setup-{os.getpid()}-{next(_TOKENS)}"
     _REGISTERED[token] = setup
     return token
+
+
+def forget_setups() -> None:
+    """Drop every registered and rebuilt setup (a freshly forked fleet worker).
+
+    The worker then rebuilds each setup from its job recipe, as a worker
+    on another host does, instead of sharing driver state that another
+    driver thread may have been mutating at fork time.
+    """
+    _REGISTERED.clear()
+    _RECONSTRUCTED.clear()
 
 
 def _resolve_setup(

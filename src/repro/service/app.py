@@ -121,8 +121,9 @@ class PredictionService:
         await self.batcher.close()
         await self.server.close()
         self._worker.shutdown(wait=True)
-        for setup in self._setups.values():
-            setup.close()
+        # Every setup shares this engine; closing it here also stops a
+        # fleet's workers when no setup was ever built (`--no-preload`).
+        self.engine.close()
 
     @property
     def port(self) -> int:

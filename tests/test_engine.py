@@ -254,11 +254,29 @@ def _double(value: int) -> int:
     return 2 * value
 
 
+#: Changed by a test after import: only a forked pool worker sees the change.
+_PARENT_STATE = {"value": "as imported"}
+
+
+def _read_parent_state() -> str:
+    return _PARENT_STATE["value"]
+
+
 class TestExecutor:
     def test_results_keep_submission_order(self):
         jobs = [Job(key=f"j{i}", fn=_double, args=(i,)) for i in range(20)]
         with Executor(ProcessPoolBackend(2)) as executor:
             assert executor.map(jobs) == [2 * i for i in range(20)]
+
+    def test_pool_workers_inherit_state_set_after_import(self, monkeypatch):
+        # Pool workers must be forked whatever the platform's default
+        # start method is; a spawned or forkserver worker would
+        # re-import this module and see the import-time value.
+        monkeypatch.setitem(_PARENT_STATE, "value", "set by the parent")
+        with Executor(ProcessPoolBackend(1)) as executor:
+            assert executor.map([Job(key="peek", fn=_read_parent_state)]) == [
+                "set by the parent"
+            ]
 
     def test_identical_cache_keys_are_deduplicated_within_a_wave(self):
         reporter = CollectingReporter()

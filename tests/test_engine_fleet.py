@@ -15,8 +15,10 @@ either completes on the survivors or surfaces as a structured
 
 from __future__ import annotations
 
+import asyncio
 import json
 import operator
+import os
 import signal
 import subprocess
 import sys
@@ -24,6 +26,7 @@ import threading
 import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,7 @@ from repro.engine.remote import (
 from repro.engine.remote import launch
 from repro.engine.remote.client import WorkerClient
 from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.service import ServiceClient, ServiceConfig, serve
 from repro.workloads import small_suite
 
 CONFIG = ExperimentConfig(scale=16, num_instructions=20_000, interval_instructions=1_000)
@@ -276,6 +280,49 @@ class TestResultProtocol:
 # Launch: every worker is started before any announce is read
 # ---------------------------------------------------------------------------
 
+def _pythonpath() -> str:
+    """``PYTHONPATH`` for a fresh interpreter that must import this ``repro``."""
+    src = str(Path(launch.__file__).resolve().parents[3])
+    existing = os.environ.get("PYTHONPATH")
+    return src if not existing else f"{src}{os.pathsep}{existing}"
+
+
+#: Run as a fresh process so its stdout is a block-buffered pipe.
+FORKING_DRIVER = """
+import json
+import sys
+
+from repro.engine import tasks
+from repro.engine.remote import FleetBackend
+from repro.engine.remote.client import WorkerClient
+from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.workloads import small_suite
+
+config = ExperimentConfig(scale=16, num_instructions=20_000, interval_instructions=1_000)
+setup = ExperimentSetup(config=config, suite=small_suite(3))
+machine = setup.machine(num_cores=2)
+spec = setup.suite.specs[0]
+warm = setup.store.get_profile(spec, machine)
+rebuilt = tasks._resolve_setup("setup-rebuilt", *tasks._recipe(setup)[1:])
+rebuilt.store.get_profile(spec, machine)
+assert tasks.reconstructed_store_stats()["simulated_profiles"] == 1
+print("buffered before the fork")
+assert not (sys.stdout.line_buffering or sys.stdout.write_through)
+
+backend = FleetBackend("fleet:localhost:2")
+clients = [WorkerClient(slot.handle.url) for slot in backend._slots]
+before = [client.stats()["store"] for client in clients]
+[profile] = backend.run([tasks.profile_job(setup, spec, machine)])
+after = [client.stats()["store"] for client in clients]
+backend.close()
+print(json.dumps({
+    "before": before,
+    "simulated_after": sum(store["simulated_profiles"] for store in after),
+    "profile_matches": profile.to_dict() == warm.to_dict(),
+    "reaped": [slot.handle.process.poll() is not None for slot in backend._slots],
+}))
+"""
+
 #: A process that would outlive the test if the launcher leaked it.
 SLEEPER = [sys.executable, "-c", "import time; time.sleep(60)"]
 
@@ -311,6 +358,59 @@ class TestLaunch:
         finally:
             for handle in handles:
                 handle.terminate()
+
+    def test_exec_worker_entry_point_is_bit_identical_to_serial(
+        self, serial, mixes, monkeypatch
+    ):
+        # Only ssh fleets exec `python -m repro.cli worker`; this keeps
+        # that entry point driven end to end on this machine.
+        monkeypatch.setenv("PYTHONPATH", _pythonpath())
+        command = [sys.executable, "-m", "repro.cli", "worker", "--port", "0"]
+        [handle] = launch._launch_workers([("exec-0", command)])
+        try:
+            assert isinstance(handle.process, subprocess.Popen)
+            setup = fleet_setup(jobs=f"fleet:attach={handle.url[len('http://'):]}")
+            try:
+                machine = setup.machine(num_cores=2)
+                predictions = setup.predict_many(mixes[:3], machine)
+                runs = [run.to_dict() for run in setup.simulate_many(mixes[:2], machine)]
+                assert setup.engine.backend.stats()["completed"] > 0
+            finally:
+                setup.close()
+        finally:
+            handle.terminate()
+        assert handle.process.poll() is not None
+        machine = serial.machine(num_cores=2)
+        assert predictions == serial.predict_many(mixes[:3], machine)
+        assert runs == [run.to_dict() for run in serial.simulate_many(mixes[:2], machine)]
+
+    def test_forked_workers_start_clean(self, tmp_path):
+        # A driver with a registered, warmed setup, a setup rebuilt from
+        # a recipe (as a worker holds them) and text still buffered in
+        # its stdout forks a worker. The text must be written once, the
+        # worker's store counters must start at zero, and its first job
+        # must rebuild the setup from the recipe instead of using the
+        # inherited one.
+        script = tmp_path / "driver.py"
+        script.write_text(FORKING_DRIVER)
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            env={
+                **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                "PYTHONPATH": _pythonpath(),
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        lines = completed.stdout.splitlines()
+        assert lines.count("buffered before the fork") == 1
+        report = json.loads(lines[-1])
+        assert [set(store.values()) for store in report["before"]] == [{0}, {0}]
+        assert report["simulated_after"] == 1
+        assert report["profile_matches"]
+        assert report["reaped"] == [True, True]
 
     def test_worker_exiting_before_announcing_fails_and_reaps_the_others(self, started):
         commands = [
@@ -473,6 +573,71 @@ class TestFleetFailures:
         finally:
             reference.close()
         assert fleet_runs == serial_runs
+
+
+# ---------------------------------------------------------------------------
+# Service: `repro serve --fleet`
+# ---------------------------------------------------------------------------
+
+
+class TestFleetService:
+    WORKLOAD = "suite:spec29/scaled@5"
+    MIX = ["gamess", "hmmer"]
+    PREDICTORS = ("mppm:foa", "baseline:one-shot")
+
+    def _serve(self, jobs):
+        """Serve on this thread's event loop as `repro serve` does; returns the answers.
+
+        The fleet (and with it every worker fork) is built inside the
+        running loop, in the order :func:`repro.service.serve` uses.
+        """
+        config = ServiceConfig(workload=self.WORKLOAD, instructions=20_000, jobs=jobs)
+        answers = {}
+        processes = []
+
+        async def ask(service):
+            try:
+                async with ServiceClient(config.host, service.port) as client:
+                    for spec in self.PREDICTORS:
+                        answers[spec] = await client.predict(mix=self.MIX, predictor=spec)
+                backend = service.engine.backend
+                if isinstance(backend, FleetBackend):
+                    assert backend.stats()["completed"] > 0
+                    processes.extend(slot.handle.process for slot in backend._slots)
+            finally:
+                service.shutdown_event.set()
+
+        tasks = []
+
+        def ready(service):
+            tasks.append(asyncio.get_running_loop().create_task(ask(service)))
+
+        asyncio.run(serve(config, printer=lambda line: None, ready=ready))
+        [task] = tasks
+        task.result()
+        return answers, processes
+
+    def test_fleet_service_is_bit_identical_to_serial_and_reaps_its_workers(self):
+        fleet_answers, processes = self._serve("fleet:localhost:2")
+        serial_answers, _ = self._serve(1)
+        for spec in self.PREDICTORS:
+            assert fleet_answers[spec]["prediction"] == serial_answers[spec]["prediction"]
+        assert len(processes) == 2
+        assert all(process.poll() is not None for process in processes)
+
+    def test_idle_fleet_service_reaps_its_workers(self):
+        # No preload and no request: no setup is ever built, but closing
+        # the service must still stop the fleet.
+        processes = []
+
+        def ready(service):
+            processes.extend(slot.handle.process for slot in service.engine.backend._slots)
+            service.shutdown_event.set()
+
+        config = ServiceConfig(jobs="fleet:localhost:2", preload=False)
+        asyncio.run(serve(config, printer=lambda line: None, ready=ready))
+        assert len(processes) == 2
+        assert all(process.poll() is not None for process in processes)
 
 
 # ---------------------------------------------------------------------------
