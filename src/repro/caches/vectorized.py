@@ -38,9 +38,13 @@ order) and has three stages:
    The distance of a non-cold access is then ``cov(q) - G(prev(q))``:
    stack depth minus the lines buried deeper than the reused one.
 
-Callers that only need hit or miss for one associativity A — the
-detailed multi-core interleave — use :func:`llc_hits`, which decides
-each access without its distance.  In the same grouped coordinates, a
+Callers that only need hit or miss for one associativity A — each
+private level of the single-core replay
+(:func:`replay_private_levels`) and the detailed multi-core
+interleave's shared LLC — use :func:`llc_hits`, which decides each
+access without its distance.  Only the LLC pass of the single-core
+replay (:func:`replay_llc`) needs the distances themselves, to fill the
+stack-distance counters.  In the same grouped coordinates, a
 reuse ``q`` of position ``p`` has distance one more than the number of
 other lines accessed between them, which lies between the number of
 *first* occurrences in ``(p, q)`` and ``q - p - 1``.  So:
@@ -442,7 +446,9 @@ def replay_private_levels(
     array with every access that missed all private levels still marked
     ``P + 1``, the indices of those surviving accesses, and their line
     addresses.  :func:`replay_llc` resolves the LLC on top of the
-    surviving stream.
+    surviving stream.  A private level needs hit or miss only, so each
+    is decided by :func:`llc_hits` (exactly the distance-based
+    :func:`lru_hit_mask`) without computing distances.
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = len(lines)
@@ -451,8 +457,7 @@ def replay_private_levels(
     surviving = np.arange(n, dtype=np.int64)
     stream = lines
     for level_index, level in enumerate(machine.private_levels):
-        distances = stack_distances(stream, level.num_sets)
-        hits = lru_hit_mask(distances, level.associativity)
+        hits = llc_hits(stream, level.num_sets, level.associativity)
         served_level[surviving[hits]] = level_index
         surviving = surviving[~hits]
         stream = stream[~hits]

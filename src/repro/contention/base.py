@@ -11,8 +11,8 @@ count (the ``C>A`` counter).
 Every built-in model also has a batched ``estimate_batch`` that must
 equal its scalar ``estimate`` bit for bit, because the batched MPPM
 solver relies on it.  Their miss counts at a number of ways go through
-:func:`suffix_misses`, which reduces the same contiguous slice
-``counts[w:]`` along the last axis as the scalar
+:func:`suffix_misses`, which must equal the contiguous slice sum
+``counts[w:].sum()`` of the scalar
 :meth:`~repro.caches.stack_distance.StackDistanceCounters.misses_for_ways`.
 numpy's pairwise summation blocks the reduced axis by its length (in
 eight-way unrolled blocks), so equivalent-looking shortcuts round
@@ -24,12 +24,23 @@ differently and must not replace it:
   blocking;
 * in the window table's interval lookup, replacing
   ``K - count(boundaries > x)`` with ``(boundaries <= x).sum()`` changes
-  the lookup of a NaN position.
+  the lookup of a NaN position (the lookup is a ``searchsorted`` that
+  maps NaN explicitly, see :class:`~repro.profiling.profile.WindowSlots`).
+
+One shortcut does match: a ``where=``-masked ``np.add.reduce`` over the
+full vector whose mask keeps the columns ``>= w``.  numpy's masked loop
+hands each unmasked run to the same pairwise kernel, and the kept
+columns of a suffix mask are one contiguous run ``counts[w:]``, so the
+kernel sees exactly the slice and blocks it the same way.
+``TestSuffixMissesBitIdentity`` in ``tests/test_contention_models.py``
+guards this at every width from 2 to 33 (both sides of the eight-way
+unroll), on contiguous arrays and ``[..., 5:]`` views, for ``w = 0``,
+``w = A``, all-zero rows, a ``[125, 4, 17]`` batch and FOA's
+broadcast ``(2, M, C)`` lookups.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -46,18 +57,17 @@ def suffix_misses(counts: np.ndarray, ways: np.ndarray) -> np.ndarray:
     ``counts[..., A+1]`` are stack-distance counter vectors and ``ways``
     holds integer way counts in ``[0, A]``, of shape ``counts.shape[:-1]``
     behind any number of extra leading axes (one lookup per leading
-    index).  Only the way columns some element reads are summed, each
-    as ``np.add.reduce(counts[..., w:], axis=-1)`` over every vector;
-    every element then reads its own column through one flat gather.
-    Each column is the scalar method's slice sum, bit for bit (see the
-    module docstring for the shortcuts that are not).
+    index).  Every lookup is one row of a single ``where=``-masked
+    reduce that keeps the columns at or beyond its ``w``, so the call
+    reads each vector once per lookup rather than once per distinct
+    way count.  Each result is the scalar method's slice sum, bit for
+    bit (see the module docstring for why, and for the shortcuts that
+    are not).
     """
-    shape = counts.shape[:-1]
-    size = math.prod(shape)
-    sums = np.empty((counts.shape[-1],) + shape)
-    for column in set(ways.reshape(-1).tolist()):
-        np.add.reduce(counts[..., column:], axis=-1, out=sums[column, ...])
-    return sums.reshape(-1)[ways * size + np.arange(size).reshape(shape)]
+    mask = np.arange(counts.shape[-1]) >= ways[..., None]
+    if mask.shape != counts.shape:
+        counts = np.broadcast_to(counts, mask.shape)
+    return np.add.reduce(counts, axis=-1, where=mask)
 
 
 def interpolated_misses(counts: np.ndarray, effective_ways: np.ndarray) -> np.ndarray:

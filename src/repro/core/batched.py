@@ -250,14 +250,21 @@ def _solve_uniform(
         state = state.compacted(keep)
         slots = table.slots(state.profile_ids)
 
+    # Python floats for the result objects: the products are the same
+    # IEEE multiplications as ``profile.cpi * float(slowdown[m, core])``.
+    single_cpi = unique_cpi[profile_ids]
+    predicted_cpi = (single_cpi * slowdown).tolist()
+    single_cpi = single_cpi.tolist()
     predictions: List[MixPrediction] = []
-    for m, profiles in enumerate(mixes):
+    for m, (profiles, count, done) in enumerate(
+        zip(mixes, iterations.tolist(), converged.tolist())
+    ):
         programs = tuple(
             ProgramPrediction(
                 name=profile.benchmark,
                 core=core,
-                single_core_cpi=profile.cpi,
-                predicted_cpi=profile.cpi * float(slowdown[m, core]),
+                single_core_cpi=single_cpi[m][core],
+                predicted_cpi=predicted_cpi[m][core],
             )
             for core, profile in enumerate(profiles)
         )
@@ -265,8 +272,8 @@ def _solve_uniform(
             MixPrediction(
                 machine_name=machine.name,
                 programs=programs,
-                iterations=int(iterations[m]),
-                converged=bool(converged[m]),
+                iterations=count,
+                converged=done,
                 kernel="batched",
             )
         )

@@ -5,11 +5,15 @@ Loopback workers (``fleet:localhost:N``) are ``repro worker`` agents on
 process isolation included.  Each is **forked** from the driver, which
 already has numpy and ``repro`` imported, so a worker is serving within
 milliseconds instead of after an interpreter start and a re-import
-(about 0.5 s each).  The child points fds 0/1/2 at ``/dev/null``,
-restores the default SIGINT/SIGTERM handlers, forgets the driver's
-experiment setups (:func:`~repro.engine.tasks.forget_setups`: it
-rebuilds them from job recipes, exactly as a worker on another host
-does), binds port 0, writes its announce line
+(about 0.5 s each).  The child points fds 0/1/2 and every descriptor
+it inherited besides its announce pipe at ``/dev/null``, restores the
+default SIGINT/SIGTERM handlers, starts a thread that ends the worker
+once the driver dies (the child is reparented, so ``os.getppid()``
+changes: a driver killed by SIGKILL leaves no orphan serving), forgets
+the driver's experiment setups
+(:func:`~repro.engine.tasks.forget_setups`: it rebuilds them from job
+recipes, exactly as a worker on another host does), binds port 0,
+writes its announce line
 (:data:`~repro.engine.remote.worker.ANNOUNCE_PREFIX`) to a pipe the
 driver reads, and leaves only through ``os._exit``.  The driver holds
 it through :class:`ForkedWorker`, which offers the slice of the
@@ -51,6 +55,9 @@ from repro.engine.tasks import forget_setups
 
 #: Wall-clock budget for a launched worker to print its announce line.
 STARTUP_TIMEOUT = 60.0
+
+#: Seconds between a forked worker's checks that its driver is alive.
+DRIVER_POLL_INTERVAL = 0.2
 
 
 class ForkedWorker:
@@ -218,6 +225,7 @@ def _fork_worker(tag: str, cache_dir: Optional[str]) -> ForkedWorker:
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
+    driver = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -226,18 +234,19 @@ def _fork_worker(tag: str, cache_dir: Optional[str]) -> ForkedWorker:
         os.close(write_fd)
         raise
     if pid == 0:
-        os.close(read_fd)
-        _worker_child(tag, cache_dir, write_fd)
+        _worker_child(tag, cache_dir, write_fd, driver)
     os.close(write_fd)
     return ForkedWorker(pid, os.fdopen(read_fd, "rb", buffering=0))
 
 
-def _worker_child(tag: str, cache_dir: Optional[str], announce_fd: int) -> NoReturn:
+def _worker_child(
+    tag: str, cache_dir: Optional[str], announce_fd: int, driver: int
+) -> NoReturn:
     """The forked worker's whole life: serve until shutdown, then ``os._exit``."""
     code = 1
     try:
         devnull = os.open(os.devnull, os.O_RDWR)
-        for fd in (0, 1, 2):
+        for fd in (0, 1, 2, *_inherited_fds((announce_fd, devnull))):
             os.dup2(devnull, fd)
         if devnull > 2:
             os.close(devnull)
@@ -245,6 +254,7 @@ def _worker_child(tag: str, cache_dir: Optional[str], announce_fd: int) -> NoRet
         # belong to its event loop, not to this process.
         signal.signal(signal.SIGINT, signal.default_int_handler)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        threading.Thread(target=_exit_without_driver, args=(driver,), daemon=True).start()
         forget_setups()
 
         def announce(line: str) -> None:
@@ -253,6 +263,40 @@ def _worker_child(tag: str, cache_dir: Optional[str], announce_fd: int) -> NoRet
         code = run_worker("127.0.0.1", 0, cache_dir=cache_dir, tag=tag, printer=announce)
     finally:
         os._exit(code)
+
+
+def _inherited_fds(keep: Sequence[int]) -> List[int]:
+    """Open descriptors above 2 that are not in ``keep``.
+
+    The forked worker points these at ``/dev/null`` instead of closing
+    them: that drops its references to the driver's pipes, sockets and
+    files, but keeps their numbers taken, so a driver object the child
+    still holds cannot close a descriptor the worker opened later
+    under a reused number.
+    """
+    try:
+        names = os.listdir("/dev/fd")
+    except OSError:
+        candidates = range(3, os.sysconf("SC_OPEN_MAX"))
+    else:
+        candidates = [int(name) for name in names]
+    inherited = []
+    for fd in candidates:
+        if fd <= 2 or fd in keep:
+            continue
+        try:
+            os.fstat(fd)
+        except OSError:  # not open (or the listing's own descriptor)
+            continue
+        inherited.append(fd)
+    return inherited
+
+
+def _exit_without_driver(driver: int) -> None:
+    """End the forked worker once ``driver`` is no longer its parent."""
+    while os.getppid() == driver:
+        time.sleep(DRIVER_POLL_INTERVAL)
+    os._exit(0)
 
 
 def launch_local_workers(

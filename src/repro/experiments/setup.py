@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig, llc_design_space, machine_with_llc, scaled
 from repro.contention.base import ContentionModel
@@ -263,9 +263,14 @@ class ExperimentSetup:
         up front) keeps engine workers from paying for benchmarks they
         never touch.
         """
+        return self.benchmark_profiles(mix.programs, machine)
+
+    def benchmark_profiles(
+        self, names: Iterable[str], machine: MachineConfig
+    ) -> Dict[str, SingleCoreProfile]:
+        """Single-core profiles of the named benchmarks, each resolved once."""
         return {
-            name: self.store.get_profile(self.suite[name], machine)
-            for name in sorted(set(mix.programs))
+            name: self.store.get_profile(self.suite[name], machine) for name in sorted(set(names))
         }
 
     # ------------------------------------------------------------------

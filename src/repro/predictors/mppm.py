@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPMConfig
 from repro.core.result import MixPrediction
-from repro.predictors.base import for_machine, tag_prediction
+from repro.predictors.base import tag_prediction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config.machine import MachineConfig
@@ -80,16 +80,11 @@ class MPPMPredictor:
             machines.setdefault(group_key, machine)
         for group_key, indices in groups.items():
             machine = machines[group_key]
-            model = self._model(machine)
-            batches = []
-            for index in indices:
-                mix = items[index][0]
-                profiles = self.setup.mix_profiles(mix, machine)
-                batches.append([profiles[name] for name in mix.programs])
-            for index, prediction in zip(indices, model.predict_batch(batches)):
-                predictions[index] = tag_prediction(
-                    for_machine(prediction, items[index][1]), self.spec
-                )
+            names = {name for index in indices for name in items[index][0].programs}
+            profiles = self.setup.benchmark_profiles(names, machine)
+            batches = [[profiles[name] for name in items[index][0].programs] for index in indices]
+            for index, prediction in zip(indices, self._model(machine).predict_batch(batches)):
+                predictions[index] = tag_prediction(prediction, self.spec, items[index][1])
         return predictions
 
     def describe(self) -> str:

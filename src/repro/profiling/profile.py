@@ -42,8 +42,10 @@ class IntervalProfile:
     sdc: StackDistanceCounters
 
     def __post_init__(self) -> None:
-        if self.instructions <= 0:
-            raise ProfileError(f"interval {self.index}: instructions must be positive")
+        if self.instructions <= 0 or self.instructions != int(self.instructions):
+            raise ProfileError(
+                f"interval {self.index}: instructions must be a positive integer"
+            )
         if self.cpi <= 0:
             raise ProfileError(f"interval {self.index}: CPI must be positive, got {self.cpi}")
         if self.memory_cpi < 0 or self.memory_cpi > self.cpi:
@@ -123,8 +125,8 @@ class ProfileWindowTable:
     aggregates to ``(P(r) - P(s)) + q * totals``.
 
     Row ``k`` of profile ``p`` is its interval ``k``; profiles with
-    fewer intervals are padded with zero counters and ``+inf``
-    boundaries, which an interval lookup never selects.
+    fewer intervals are padded with zero counters, which an interval
+    lookup never selects (it is capped at the profile's last interval).
     """
 
     #: Column layout of :attr:`values` / :attr:`prefix` / window rows:
@@ -143,22 +145,30 @@ class ProfileWindowTable:
         #: Per-interval counter matrices, ``values[p, k]`` for interval k.
         #: All profiles share one LLC associativity, hence one width.
         self.values = np.zeros(shape + (width,))
-        #: Exclusive prefix sums: ``prefix[p, k]`` = counters over intervals < k.
-        self.prefix = np.zeros((shape[0], shape[1] + 1, width))
-        #: Instruction positions where each interval ends.  Interval
-        #: lengths are integers, so the cumulative sums are exact in
-        #: float64 and partial-interval fractions land in [0, 1].
-        self.boundaries = np.full(shape, np.inf)
         for p, values in enumerate(counters):
-            rows = len(values)
-            self.values[p, :rows] = values
-            self.prefix[p, 1 : rows + 1] = np.cumsum(values, axis=0)
-            self.boundaries[p, :rows] = self.prefix[p, 1 : rows + 1, self.COL_INSTRUCTIONS]
+            self.values[p, : len(values)] = values
+        #: Exclusive prefix sums: ``prefix[p, k]`` = counters over intervals
+        #: < k.  A running sum is sequential, so one ``cumsum`` over the
+        #: padded stack gives each profile's rows bit for bit; padding
+        #: rows add zeros and repeat the profile's totals.
+        self.prefix = np.zeros((shape[0], shape[1] + 1, width))
+        np.cumsum(self.values, axis=1, out=self.prefix[:, 1:])
         #: Index of each profile's last interval.
         self.last = np.array([len(values) - 1 for values in counters])
         #: Whole-trace totals (each profile's last prefix row).
         self.totals = self.prefix[np.arange(shape[0]), self.last + 1]
         self.trace_length = np.array([float(profile.num_instructions) for profile in profiles])
+        #: Flat interval lookup keys (see :meth:`WindowSlots.point`):
+        #: profile p's interval end positions (padding repeats its trace
+        #: length) plus ``p * key_stride``.  Interval lengths are integers
+        #: (checked by :class:`IntervalProfile`), so the end positions are
+        #: exact in float64 and as int64, and partial-interval fractions
+        #: land in [0, 1].  The stride exceeds every trace length, so the
+        #: keys are sorted and no query for one profile reaches another
+        #: profile's keys.
+        self.key_stride = int(self.trace_length.max()) + 1
+        ends = self.prefix[:, 1:, self.COL_INSTRUCTIONS].astype(np.int64)
+        self.keys = (ends + np.arange(shape[0])[:, None] * self.key_stride).ravel()
         # Interval rows flattened to one axis (row ``p * K + k``), so a
         # point evaluation gathers its rows with one flat index.  An
         # interval's start is its prefix row's instruction column and
@@ -194,36 +204,42 @@ class WindowSlots:
     Slot ``i`` reads profile ``profile_ids[i]``.  The batched MPPM
     solver keeps one instance per set of live mixes and asks it for
     every iteration's windows, so the per-profile rows (trace length,
-    boundaries, last interval, totals and flat row bases) are gathered
+    last interval, totals and lookup key bases) are gathered
     once per live set instead of once per iteration.
     """
 
     def __init__(self, table: ProfileWindowTable, profile_ids: np.ndarray) -> None:
         self.table = table
         self.length = table.trace_length[profile_ids]
-        self.boundaries = table.boundaries[profile_ids]
         self.totals = table.totals[profile_ids]
-        base = np.asarray(profile_ids) * table.boundaries.shape[1]
-        # Flat row of the last interval, and the first row past the
-        # profile's padded rows: the interval lookup below is
-        # ``min(top - #boundaries above x, last_row)``.
-        self.last_row = table.last[profile_ids] + base
-        self.top = base + table.boundaries.shape[1]
+        ids = np.asarray(profile_ids)
+        # Flat row of the last interval, and each slot's lookup key base.
+        self.last_row = table.last[profile_ids] + ids * table.values.shape[1]
+        self.key_base = ids * table.key_stride
 
     def point(self, positions: np.ndarray) -> np.ndarray:
         """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
 
         ``positions`` has the slots' shape, optionally behind extra
         leading axes.  The interval index is the number of boundaries
-        not above ``x`` (``searchsorted(boundaries, x, side="right")``;
-        padded ``+inf`` boundaries never count), capped at the
-        profile's last interval.  Counting ``boundaries > x`` (not
-        summing ``boundaries <= x``) keeps a NaN position's lookup.
+        not above ``x``, capped at the profile's last interval; a NaN
+        position, or one beyond ``L``, reads the last interval.  It is
+        one ``searchsorted`` over the table's integer keys, exact
+        because every boundary ``b`` is an integer: ``b <= x`` holds
+        exactly when ``b <= floor(x)``.  ``fmin`` clamps ``x`` to ``L``
+        first (NaN included), which changes no capped count since the
+        last boundary is ``L``; for ``x >= 0`` the truncating int64 cast
+        is then a floor.  The query ``p * stride + floor(x)`` lies above every key
+        of the profiles before ``p`` and below every key after it, so the
+        search returns ``p * K`` plus the number of ``p``'s keys not
+        above ``floor(x)``: its boundary count, plus its padding keys
+        (which repeat ``L``) only when ``x`` reached ``L``, where the cap
+        applies anyway.
         """
-        above = np.add.reduce(self.boundaries > positions[..., None], axis=-1)
-        rows = np.minimum(self.top - above, self.last_row)
-        prefix = self.table.prefix_rows[rows]
-        values = self.table.value_rows[rows]
+        keys = self.key_base + np.fmin(positions, self.length).astype(np.int64)
+        rows = np.minimum(np.searchsorted(self.table.keys, keys, side="right"), self.last_row)
+        prefix = self.table.prefix_rows.take(rows, axis=0)
+        values = self.table.value_rows.take(rows, axis=0)
         col = ProfileWindowTable.COL_INSTRUCTIONS
         fraction = (positions - prefix[..., col]) / values[..., col]
         return prefix + fraction[..., None] * values

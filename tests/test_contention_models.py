@@ -219,9 +219,10 @@ _seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestSuffixMissesBitIdentity:
-    """``suffix_misses`` must equal ``misses_for_ways`` bit for bit at every
-    width, including 8/9 and 16/17 around numpy's eight-way pairwise unroll,
-    on non-contiguous ``windows[..., 5:]`` views and on contiguous copies."""
+    """``suffix_misses`` (a ``where=``-masked reduce) must equal
+    ``misses_for_ways`` (a slice sum) bit for bit at every width, including
+    8/9 and 16/17 around numpy's eight-way pairwise unroll, on
+    non-contiguous ``windows[..., 5:]`` views and on contiguous copies."""
 
     @pytest.mark.parametrize("width", range(2, 34))
     @settings(max_examples=15, deadline=None)
@@ -245,6 +246,39 @@ class TestSuffixMissesBitIdentity:
         for index in np.ndindex(ways.shape):
             sdc = StackDistanceCounters(associativity=width - 1, counts=counts[index[1:]])
             assert _bits(got[index]) == _bits(sdc.misses_for_ways(int(ways[index])))
+
+    @pytest.mark.parametrize("width", [2, 8, 9, 16, 17, 33])
+    @pytest.mark.parametrize("contiguous", [False, True], ids=["view", "contiguous"])
+    def test_edge_lookups_on_a_sweep_sized_batch(self, width, contiguous):
+        # A [125, 4, W] batch (one sweep unit's mixes), with all-zero
+        # rows, read at w = A (the C>A column alone), at w = 0 (the
+        # whole vector), at random ways, and through FOA's broadcast
+        # (2, M, C) lookups of neighbouring way counts.
+        from repro.contention.base import suffix_misses
+
+        rng = np.random.default_rng(width)
+        associativity = width - 1
+        counts = _counter_rows(rng, (125, 4), width, integral=False)
+        counts[3] = 0.0
+        counts[7, 2] = 0.0
+        if contiguous:
+            counts = np.ascontiguousarray(counts)
+        lower = rng.integers(0, max(associativity, 1), size=(125, 4))
+        lookups = {
+            "w=A": np.full((125, 4), associativity),
+            "w=0": np.zeros((125, 4), dtype=np.int64),
+            "random": rng.integers(0, width, size=(125, 4)),
+            "foa": np.array((lower, lower + 1)),
+        }
+        for name, ways in lookups.items():
+            got = suffix_misses(counts, ways)
+            assert got.shape == ways.shape, name
+            for index in np.ndindex(ways.shape):
+                sdc = StackDistanceCounters(associativity=associativity, counts=counts[index[-2:]])
+                want = sdc.misses_for_ways(int(ways[index]))
+                assert _bits(got[index]) == _bits(want), (name, index)
+        zero_rows = suffix_misses(counts, lookups["random"])[3]
+        assert not _bits(zero_rows).any()  # +0.0, not -0.0
 
     @pytest.mark.parametrize("width", [2, 8, 9, 16, 17, 33])
     @settings(max_examples=25, deadline=None)

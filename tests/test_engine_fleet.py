@@ -323,6 +323,37 @@ print(json.dumps({
 }))
 """
 
+#: Opens a pipe, forks two loopback workers, prints the pipe's write end
+#: and the workers' pids, then waits to be killed.
+ORPHANING_DRIVER = """
+import os
+import time
+
+from repro.engine.remote.launch import launch_local_workers
+
+_, write_end = os.pipe()
+handles = launch_local_workers(2)
+print(write_end, *(handle.process.pid for handle in handles), flush=True)
+time.sleep(120)
+"""
+
+
+def _process_gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie nobody has reaped yet counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+    except OSError:
+        pass
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 #: A process that would outlive the test if the launcher leaked it.
 SLEEPER = [sys.executable, "-c", "import time; time.sleep(60)"]
 
@@ -412,6 +443,42 @@ class TestLaunch:
         assert report["profile_matches"]
         assert report["reaped"] == [True, True]
 
+    def test_forked_workers_die_with_a_killed_driver(self, tmp_path):
+        # A driver killed by SIGKILL never closes its backend: its forked
+        # workers must notice and exit on their own. While they live,
+        # they must not hold the driver's descriptors either.
+        script = tmp_path / "driver.py"
+        script.write_text(ORPHANING_DRIVER)
+        driver = subprocess.Popen(
+            [sys.executable, str(script)],
+            env={**os.environ, "PYTHONPATH": _pythonpath()},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        pids = []
+        try:
+            fd, *pids = [int(word) for word in driver.stdout.readline().split()]
+            assert len(pids) == 2
+            if os.path.isdir(f"/proc/{driver.pid}/fd"):
+                assert os.readlink(f"/proc/{driver.pid}/fd/{fd}").startswith("pipe:")
+                for pid in pids:
+                    assert os.readlink(f"/proc/{pid}/fd/{fd}") == os.devnull
+            driver.kill()
+            driver.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while not all(map(_process_gone, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(_process_gone, pids)), f"workers {pids} outlived their driver"
+        finally:
+            driver.stdout.close()
+            if driver.poll() is None:
+                driver.kill()
+                driver.wait()
+            for pid in pids:
+                if not _process_gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_worker_exiting_before_announcing_fails_and_reaps_the_others(self, started):
         commands = [
             ("sleeper-0", SLEEPER),
@@ -482,6 +549,7 @@ def rogue_server():
     thread.start()
     yield f"127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 

@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 from repro.caches.stack_distance import StackDistanceCounters
 from repro.config import MachineConfig, machine_with_llc, scaled
 from repro.engine.cache import content_key
-from repro.profiling.profile import IntervalProfile, ProfileWindowTable, SingleCoreProfile
+from repro.profiling.profile import (
+    IntervalProfile,
+    ProfileError,
+    ProfileWindowTable,
+    SingleCoreProfile,
+)
 
 
 class _PerProfileTable:
@@ -178,6 +183,85 @@ class TestStackedTableMatchesPerProfileFormula:
         assert rows.shape == ids.shape + (table.values.shape[2],)
         flat = table.windows(ids.ravel(), starts.ravel(), lengths.ravel())
         np.testing.assert_array_equal(_bits(rows.reshape(flat.shape)), _bits(flat))
+
+
+def _count_lookup_point(table, ids, positions):
+    """``P(x)`` through the interval lookup the searched one replaced (the oracle).
+
+    The interval index is ``K - count(boundaries > x)``, capped at the
+    profile's last interval; padded boundaries are ``+inf``.
+    """
+    col = ProfileWindowTable.COL_INSTRUCTIONS
+    width = table.values.shape[1]
+    boundaries = np.where(
+        np.arange(width) <= table.last[:, None], table.prefix[:, 1:, col], np.inf
+    )[ids]
+    base = ids * width
+    above = np.add.reduce(boundaries > positions[..., None], axis=-1)
+    rows = np.minimum(base + width - above, table.last[ids] + base)
+    prefix = table.prefix_rows[rows]
+    values = table.value_rows[rows]
+    fraction = (positions - prefix[..., col]) / values[..., col]
+    return prefix + fraction[..., None] * values
+
+
+def _edge_positions(profile):
+    """0, L, beyond L, NaN, and on, one ulp below and one ulp above every boundary."""
+    length = float(profile.num_instructions)
+    edges = [0.0, length, length + 0.5, 3.0 * length, 1e300, np.nan]
+    for boundary in np.cumsum([interval.instructions for interval in profile.intervals]):
+        boundary = float(boundary)
+        edges += [boundary, np.nextafter(boundary, -np.inf), np.nextafter(boundary, np.inf)]
+    return edges
+
+
+class TestSearchedIntervalLookup:
+    """``WindowSlots.point`` finds a position's interval with one
+    ``searchsorted`` over integer keys; it must pick the interval the
+    boundary count picks, at and around every boundary."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(profiles(), min_size=1, max_size=4))
+    def test_point_matches_the_boundary_count(self, stack):
+        table = ProfileWindowTable(stack)
+        ids = np.array(
+            [p for p, profile in enumerate(stack) for _ in _edge_positions(profile)]
+        )
+        xs = np.array([x for profile in stack for x in _edge_positions(profile)])
+        got = table.slots(ids).point(xs)
+        want = _count_lookup_point(table, ids, xs)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        # The same lookups behind an extra leading axis, as the solver
+        # stacks its two points per window.
+        stacked = table.slots(ids).point(np.stack([xs, xs[::-1]]))
+        np.testing.assert_array_equal(_bits(stacked[0]), _bits(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(profiles(), min_size=1, max_size=4), st.data())
+    def test_edge_windows_match_the_profile_window(self, stack, data):
+        table = ProfileWindowTable(stack)
+        for p, profile in enumerate(stack):
+            for start in _edge_positions(profile):
+                length = data.draw(st.sampled_from([1.0, 0.5, float(profile.num_instructions)]))
+                row = table.windows(p, start, length)
+                window = profile.window(start, length)
+                assert _bits(row[ProfileWindowTable.COL_INSTRUCTIONS]) == _bits(
+                    window.instructions
+                )
+                assert _bits(row[ProfileWindowTable.COL_CYCLES]) == _bits(window.cycles)
+                np.testing.assert_array_equal(
+                    _bits(row[ProfileWindowTable.SDC_OFFSET :]), _bits(window.sdc.counts)
+                )
+
+    def test_non_integral_interval_lengths_are_rejected(self):
+        # The lookup keys are interval end positions as integers.
+        with pytest.raises(ProfileError, match="positive integer"):
+            IntervalProfile(
+                index=0, instructions=10.5, cpi=1.0, memory_cpi=0.5, llc_accesses=1.0,
+                llc_misses=0.0, sdc=StackDistanceCounters(
+                    associativity=ASSOCIATIVITY, counts=np.zeros(ASSOCIATIVITY + 1)
+                ),
+            )
 
 
 def _fresh_sums(profile):
