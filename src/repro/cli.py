@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Callable, List, Optional, Sequence
@@ -125,6 +126,19 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _local_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _jobs(value: str) -> int:
+    """``--jobs``: a positive integer, or ``auto`` for one worker per local CPU."""
+    return _local_cpus() if value.strip().lower() == "auto" else _positive_int(value)
+
+
 def _spec_type(canonicalise: Callable[[str], str]) -> Callable[[str], str]:
     """argparse type for a spec flag: the canonical spec, or a usage error."""
 
@@ -175,7 +189,7 @@ def _selected_models(args: argparse.Namespace) -> List[str]:
     return args.models if args.models else [DEFAULT_PREDICTOR]
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_common_arguments(parser: argparse.ArgumentParser, jobs: str = "1") -> None:
     workload_group = parser.add_mutually_exclusive_group()
     workload_group.add_argument(
         "--suite",
@@ -215,9 +229,12 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     engine_group = parser.add_mutually_exclusive_group()
     engine_group.add_argument(
         "--jobs",
-        type=_positive_int,
-        default=1,
-        help="engine worker processes; 1 runs everything in-process (default: 1)",
+        type=_jobs,
+        default=jobs,
+        help=(
+            "engine worker processes, or auto for one per local CPU; 1 runs "
+            f"everything in-process (default: {jobs})"
+        ),
     )
     engine_group.add_argument(
         "--fleet",
@@ -765,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser(
         "run", help="run whole paper experiments through the parallel engine"
     )
-    _add_common_arguments(run_parser)
+    _add_common_arguments(run_parser, jobs="auto")
     _add_model_argument(run_parser, repeatable=True)
     run_parser.add_argument(
         "--experiment",
@@ -861,9 +878,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_engine_group = serve_parser.add_mutually_exclusive_group()
     serve_engine_group.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_jobs,
         default=1,
-        help="engine worker processes; 1 runs everything in-process (default: 1)",
+        help=(
+            "engine worker processes, or auto for one per local CPU; 1 runs "
+            "everything in-process (default: 1)"
+        ),
     )
     serve_engine_group.add_argument(
         "--fleet",

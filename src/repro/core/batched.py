@@ -63,23 +63,33 @@ def solve_batch(
     contention_model: ContentionModel,
     config: "MPPMConfig",
     mixes: Sequence[Sequence[SingleCoreProfile]],
+    predictor: Optional[str] = None,
+    machine_names: Optional[Sequence[str]] = None,
 ) -> List[MixPrediction]:
     """Solve the MPPM fixed point for every mix in ``mixes`` at once.
 
     ``mixes`` holds one profile list per mix (one profile per core);
     mixes of different core counts are grouped and solved per uniform
     group.  Returns one :class:`MixPrediction` per input mix, in input
-    order, tagged ``kernel="batched"``.  Inputs are assumed validated
-    (:meth:`repro.core.mppm.MPPM.predict_batch` checks profiles against
-    the machine before calling in).
+    order, tagged ``kernel="batched"`` and ``predictor``, and labelled
+    with ``machine_names[i]`` (default: ``machine.name``).  Inputs are
+    assumed validated (:meth:`repro.core.mppm.MPPM.predict_batch` checks
+    profiles against the machine before calling in).
     """
+    if machine_names is None:
+        machine_names = [machine.name] * len(mixes)
     predictions: List[Optional[MixPrediction]] = [None] * len(mixes)
     groups: Dict[int, List[int]] = {}
     for index, profiles in enumerate(mixes):
         groups.setdefault(len(profiles), []).append(index)
     for _, indices in sorted(groups.items()):
         solved = _solve_uniform(
-            machine, contention_model, config, [mixes[index] for index in indices]
+            machine,
+            contention_model,
+            config,
+            [mixes[index] for index in indices],
+            predictor,
+            [machine_names[index] for index in indices],
         )
         for index, prediction in zip(indices, solved):
             predictions[index] = prediction
@@ -116,6 +126,8 @@ def _solve_uniform(
     contention_model: ContentionModel,
     config: "MPPMConfig",
     mixes: Sequence[Sequence[SingleCoreProfile]],
+    predictor: Optional[str],
+    machine_names: Sequence[str],
 ) -> List[MixPrediction]:
     """Solve a batch of mixes that all have the same core count."""
     num_mixes = len(mixes)
@@ -256,8 +268,8 @@ def _solve_uniform(
     predicted_cpi = (single_cpi * slowdown).tolist()
     single_cpi = single_cpi.tolist()
     predictions: List[MixPrediction] = []
-    for m, (profiles, count, done) in enumerate(
-        zip(mixes, iterations.tolist(), converged.tolist())
+    for m, (profiles, name, count, done) in enumerate(
+        zip(mixes, machine_names, iterations.tolist(), converged.tolist())
     ):
         programs = tuple(
             ProgramPrediction(
@@ -270,10 +282,11 @@ def _solve_uniform(
         )
         predictions.append(
             MixPrediction(
-                machine_name=machine.name,
+                machine_name=name,
                 programs=programs,
                 iterations=count,
                 converged=done,
+                predictor=predictor,
                 kernel="batched",
             )
         )

@@ -190,6 +190,8 @@ class MPPM:
         self,
         mixes: Sequence[Sequence[SingleCoreProfile]],
         kernel: Optional[str] = None,
+        predictor: Optional[str] = None,
+        machine_names: Optional[Sequence[str]] = None,
     ) -> List[MixPrediction]:
         """Predict every mix (one profile list per mix) in one call.
 
@@ -197,16 +199,25 @@ class MPPM:
         mix-major fixed-point pass (:func:`repro.core.batched.solve_batch`);
         with the reference kernel the mixes are solved one by one.  The
         results are bit-identical either way and are returned in input
-        order.
+        order, built with ``predictor`` as their spec and
+        ``machine_names[i]`` (default: this machine's name) as their
+        machine name.
         """
         batches = [list(profiles) for profiles in mixes]
         for profiles in batches:
             if not profiles:
                 raise MPPMError("at least one program profile is required")
             self._check_profiles(profiles)
+        if machine_names is None:
+            machine_names = [self.machine.name] * len(batches)
         if self._resolve_kernel(kernel) == "reference":
-            return [self._predict_reference(profiles) for profiles in batches]
-        return solve_batch(self.machine, self.contention_model, self.config, batches)
+            return [
+                self._predict_reference(profiles, predictor, name)
+                for profiles, name in zip(batches, machine_names)
+            ]
+        return solve_batch(
+            self.machine, self.contention_model, self.config, batches, predictor, machine_names
+        )
 
     def _resolve_kernel(self, kernel: Optional[str]) -> str:
         resolved = kernel if kernel is not None else self.kernel
@@ -218,7 +229,9 @@ class MPPM:
             return "reference"
         return resolved
 
-    def _predict_reference(self, profiles: Sequence[SingleCoreProfile]) -> MixPrediction:
+    def _predict_reference(
+        self, profiles: Sequence[SingleCoreProfile], predictor: Optional[str], machine_name: str
+    ) -> MixPrediction:
         """The original per-mix Python loop (ground truth for the batched kernel)."""
         states = [
             _ProgramState(
@@ -266,11 +279,12 @@ class MPPM:
             for state in states
         )
         return MixPrediction(
-            machine_name=self.machine.name,
+            machine_name=machine_name,
             programs=programs,
             iterations=iterations,
             converged=converged,
             history=tuple(history),
+            predictor=predictor,
             kernel="reference",
         )
 

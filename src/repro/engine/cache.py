@@ -191,13 +191,13 @@ class ResultCache:
 def _register_builtin_types() -> None:
     from repro.core.result import MixPrediction
     from repro.profiling.profile import SingleCoreProfile
-    from repro.profiling.profiler import ProfiledBenchmark
+    from repro.profiling.profiler import ProfileBundle
     from repro.simulators.llc_trace import LLCStream
     from repro.simulators.multi_core import MultiCoreRunResult
 
     register_result_type(MixPrediction)
     register_result_type(SingleCoreProfile)
-    register_result_type(ProfiledBenchmark)
+    register_result_type(ProfileBundle)
     register_result_type(LLCStream)
     register_result_type(MultiCoreRunResult)
 

@@ -10,9 +10,10 @@ result types use the :class:`~repro.engine.cache.ResultCache` type
 registry's ``{"type", "payload"}`` envelope — the exact bytes the
 driver's disk cache would persist — so harvesting a remote result is
 indistinguishable from computing it locally.  Every built-in task
-returns a registered type (profile bundles included: their LLC traces
-encode their arrays as base64), a list of them or a plain scalar; two
-transparent wrappers cover the latter two: ``@list`` and ``@json``.  A
+returns a registered type (profile bundles included: their stage-1
+runs and LLC traces encode their arrays as base64), a list of them or
+a plain scalar; two transparent wrappers cover the latter two:
+``@list`` and ``@json``.  A
 result of any other type fails to encode with
 :class:`FleetProtocolError`.
 

@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.result import MixPrediction
     from repro.experiments.setup import ExperimentConfig, ExperimentSetup
     from repro.profiling.profile import SingleCoreProfile
+    from repro.profiling.profiler import ProfileBundle
     from repro.simulators.multi_core import MultiCoreRunResult
     from repro.workloads.benchmark import BenchmarkSpec
     from repro.workloads.mixes import WorkloadMix
@@ -134,8 +135,8 @@ def profile_bundle_task(
     cache_dir: Optional[str],
     spec: "BenchmarkSpec",
     machines: Tuple["MachineConfig", ...],
-):
-    """Profile one benchmark on several machines; return the (profile, LLC trace) bundles.
+) -> "ProfileBundle":
+    """Profile one benchmark on several machines; return its :class:`ProfileBundle`.
 
     Unlike :func:`profile_task` — whose point is the *side effect* of a
     warm store in the executing process — this task returns everything
@@ -143,10 +144,11 @@ def profile_bundle_task(
     store (:meth:`ProfileStore.absorb`), so the one-time profiling cost
     itself can fan out over pool workers.  One task covers all of a
     benchmark's machines, so the trace and the private replay are paid
-    once per benchmark (:meth:`ProfileStore.get_many`).
+    once per benchmark (:meth:`ProfileStore.get_many`); the bundle
+    carries that stage-1 result too, so no later LLC pays them again.
     """
     setup = _resolve_setup(token, config, suite, workload_spec, cache_dir)
-    return setup.store.get_many(spec, machines)
+    return setup.store.bundle(spec, machines)
 
 
 def simulate_task(
@@ -273,24 +275,6 @@ def profile_bundle_job(
     )
 
 
-def simulate_cache_key(
-    setup: "ExperimentSetup", mix: "WorkloadMix", machine: "MachineConfig"
-) -> str:
-    """The content key one (mix, machine) reference simulation is cached under.
-
-    Shared between simulate jobs and consumers that *read* detailed
-    results from the cache (the ``learned:`` predictor trains on these
-    entries), so a simulation computed by any path is found by all.
-    """
-    return content_key(
-        "simulate",
-        machine.profile_key(),
-        mix.num_programs,
-        mix.programs,
-        *_config_parts(setup),
-    )
-
-
 def simulate_job(
     setup: "ExperimentSetup",
     mix: "WorkloadMix",
@@ -299,14 +283,19 @@ def simulate_job(
     deps: Tuple[str, ...] = (),
 ) -> Job:
     """Reference-simulate one mix on one machine (result-cached)."""
-    cache_key = simulate_cache_key(setup, mix, machine)
     return Job(
         key=key,
         fn=simulate_task,
         args=_recipe(setup) + (mix, machine),
         deps=deps,
         kind="simulate",
-        cache_key=cache_key,
+        cache_key=content_key(
+            "simulate",
+            machine.profile_key(),
+            mix.num_programs,
+            mix.programs,
+            *_config_parts(setup),
+        ),
     )
 
 

@@ -393,20 +393,26 @@ class ExperimentSetup:
         """
         graph = JobGraph()
         profile_keys: Dict[Tuple[str, str], str] = {}
+        # (machine profile key, programs) -> the profile jobs its ops depend on
+        deps_by_pair: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
+        op_deps: List[Tuple[str, ...]] = []
         for _, mix, machine in ops:
-            for name in sorted(set(mix.programs)):
-                pair_key = (machine.profile_key(), name)
-                if pair_key not in profile_keys:
-                    job = graph.add(
-                        engine_tasks.profile_job(self, self.suite[name], machine, optional=True)
-                    )
-                    profile_keys[pair_key] = job.key
+            machine_key = machine.profile_key()
+            deps = deps_by_pair.get((machine_key, mix.programs))
+            if deps is None:
+                names = sorted(set(mix.programs))
+                for name in names:
+                    if (machine_key, name) not in profile_keys:
+                        job = graph.add(
+                            engine_tasks.profile_job(self, self.suite[name], machine, optional=True)
+                        )
+                        profile_keys[(machine_key, name)] = job.key
+                deps = tuple(profile_keys[(machine_key, name)] for name in names)
+                deps_by_pair[(machine_key, mix.programs)] = deps
+            op_deps.append(deps)
         # spec -> per-op cache key -> ([op indices], (mix, machine), deps)
         batchable: Dict[str, Dict[str, Tuple[List[int], MixJob, Tuple[str, ...]]]] = {}
-        for i, (spec, mix, machine) in enumerate(ops):
-            deps = tuple(
-                profile_keys[(machine.profile_key(), name)] for name in sorted(set(mix.programs))
-            )
+        for i, ((spec, mix, machine), deps) in enumerate(zip(ops, op_deps)):
             if spec in (_SIMULATE, "detailed"):
                 graph.add(
                     engine_tasks.simulate_job(self, mix, machine, key=f"op:{i}", deps=deps)
@@ -511,8 +517,8 @@ class ExperimentSetup:
                 for i, (spec, machines) in enumerate(needed.items())
             ]
         )
-        for (spec, machines), profiled_list in zip(needed.items(), bundles):
-            self.store.absorb(spec, machines, profiled_list)
+        for (spec, machines), bundle in zip(needed.items(), bundles):
+            self.store.absorb(spec, machines, bundle)
         self.engine.refresh_workers()
 
     def _run_ops(

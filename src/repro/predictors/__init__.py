@@ -17,8 +17,6 @@ Spec                     Estimator
 ``baseline:no-contention`` cache sharing assumed free (single-core CPIs)
 ``baseline:one-shot``    one contention pass, no iterative entanglement
 ``hybrid:k=K``           MPPM bulk + detailed spot-checks for the worst K
-``learned:n=N,seed=S``   ridge regression trained on cached detailed runs
-``interp:anchors=A+B``   design-space interpolation from two detailed anchors
 ``detailed``             the detailed shared-LLC reference simulation
 ======================== ==================================================
 
@@ -27,9 +25,9 @@ Spec                     Estimator
 and, for ``detailed``, its memoised reference simulations).  Every
 experiment and CLI command accepts these specs, and
 :mod:`repro.engine.tasks` caches and parallelises them keyed by
-``(spec, mix, machine)`` — so any new estimator (a learned model, a
-hybrid scheme, a new contention model) becomes available to the whole
-stack through a single registry entry here.
+``(spec, mix, machine)`` — so any new estimator (a hybrid scheme, a
+new contention model) becomes available to the whole stack through a
+single registry entry here.
 
 Spec strings follow the shared ``family[:head][,key=value]*`` grammar of
 :mod:`repro.specs`: each family is one :class:`~repro.specs.Family` row
@@ -46,10 +44,8 @@ from repro.predictors.base import Predictor, PredictorError, tag_prediction
 from repro.predictors.baseline import VARIANTS as _BASELINE_VARIANTS, BaselinePredictor
 from repro.predictors.detailed import DetailedSimulationPredictor, prediction_from_run
 from repro.predictors.hybrid import HybridPredictor
-from repro.predictors.interp import InterpolatedPredictor
-from repro.predictors.learned import LearnedPredictor
 from repro.predictors.mppm import MPPMPredictor
-from repro.specs import Anchors, Choice, Family, Grammar, Integer, Param, ParsedSpec
+from repro.specs import Choice, Family, Grammar, Integer, Param, ParsedSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.setup import ExperimentSetup
@@ -61,13 +57,8 @@ __all__ = [
     "BaselinePredictor",
     "DetailedSimulationPredictor",
     "HybridPredictor",
-    "InterpolatedPredictor",
-    "LearnedPredictor",
     "DEFAULT_PREDICTOR",
     "DEFAULT_HYBRID_K",
-    "DEFAULT_LEARNED_MIXES",
-    "DEFAULT_LEARNED_SEED",
-    "DEFAULT_INTERP_ANCHORS",
     "available_predictors",
     "canonical_spec",
     "describe_predictors",
@@ -84,17 +75,6 @@ DEFAULT_PREDICTOR = "mppm:foa"
 
 #: Spot-check budget of the bare ``hybrid`` shorthand.
 DEFAULT_HYBRID_K = 4
-
-#: Training-set size and sampling seed of the bare ``learned`` shorthand.
-DEFAULT_LEARNED_MIXES = 24
-DEFAULT_LEARNED_SEED = 0
-
-#: Anchor configurations of the bare ``interp`` shorthand: the Table 2
-#: design-space extremes (smallest and largest LLC).
-DEFAULT_INTERP_ANCHORS = (1, 6)
-
-#: Size of the Table 2 LLC design space (valid interp anchor range).
-_DESIGN_SPACE_SIZE = 6
 
 #: MPPM model variants exposed as their own specs (ablation entries):
 #: variant name -> (MPPMConfig, one-line description).  Both run over
@@ -144,25 +124,6 @@ _SPECS = Grammar(
                 "MPPM for the bulk, detailed spot-checks for each pool's predicted worst-K mixes",
             ),),
             params={"k": Param(Integer(1), DEFAULT_HYBRID_K)},
-        ),
-        Family(
-            "learned",
-            ((
-                "learned",
-                "ridge regression over single-core profile features, trained on cached detailed runs",
-            ),),
-            params={
-                "n": Param(Integer(2), DEFAULT_LEARNED_MIXES),
-                "seed": Param(Integer(0), DEFAULT_LEARNED_SEED),
-            },
-        ),
-        Family(
-            "interp",
-            ((
-                "interp",
-                "per-program CPI interpolated across the LLC design space from two detailed anchors",
-            ),),
-            params={"anchors": Param(Anchors(1, _DESIGN_SPACE_SIZE), DEFAULT_INTERP_ANCHORS)},
         ),
         Family(
             "detailed",
@@ -230,12 +191,6 @@ def make_predictor(
         return BaselinePredictor(setup, variant=variant)
     if family == "hybrid":
         return HybridPredictor(setup, worst_k=parsed.params["k"], spec=canonical)
-    if family == "learned":
-        return LearnedPredictor(
-            setup, num_mixes=parsed.params["n"], seed=parsed.params["seed"], spec=canonical
-        )
-    if family == "interp":
-        return InterpolatedPredictor(setup, anchors=parsed.params["anchors"], spec=canonical)
     return DetailedSimulationPredictor(setup)
 
 
@@ -258,11 +213,10 @@ def predictor_requires_traces(spec: str) -> bool:
 
     The engine's parallel warm-up phase uses this to decide whether a
     disk-cached profile is enough or the full (profile, trace) bundle
-    must be simulated before mix jobs fan out.  ``hybrid:*``,
-    ``learned:*`` and ``interp:*`` need traces too: their spot-check /
-    training / anchor stages all run the detailed simulator.
+    must be simulated before mix jobs fan out.  ``hybrid:*`` needs
+    traces too: its spot-check stage runs the detailed simulator.
     """
-    return _SPECS.parse(spec).family in ("detailed", "hybrid", "learned", "interp")
+    return _SPECS.parse(spec).family in ("detailed", "hybrid")
 
 
 def describe_predictors() -> List[Tuple[str, str]]:

@@ -24,7 +24,7 @@ traces) they consume.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.result import MixPrediction
 from repro.specs import SpecError
@@ -54,20 +54,16 @@ class Predictor(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def tag_prediction(
-    prediction: MixPrediction, spec: str, machine: Optional["MachineConfig"] = None
-) -> MixPrediction:
+def tag_prediction(prediction: MixPrediction, spec: str) -> MixPrediction:
     """Attach the predictor spec to a prediction (self-describing results).
 
-    With ``machine``, also label it with that machine's name (see
-    :func:`for_machine`), in the same copy.  Only metadata fields
-    change; every numeric field is carried over untouched, so tagged
-    predictions stay bit-identical to the underlying estimator's output.
+    Only the metadata field changes; every numeric field is carried
+    over untouched, so tagged predictions stay bit-identical to the
+    underlying estimator's output.
     """
-    changes = {} if prediction.predictor == spec else {"predictor": spec}
-    if machine is not None and prediction.machine_name != machine.name:
-        changes["machine_name"] = machine.name
-    return replace(prediction, **changes) if changes else prediction
+    if prediction.predictor == spec:
+        return prediction
+    return replace(prediction, predictor=spec)
 
 
 def for_machine(result, machine: "MachineConfig"):

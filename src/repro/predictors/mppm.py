@@ -69,7 +69,7 @@ class MPPMPredictor:
         homogeneous sweep over thousands of mixes costs one numpy pass
         instead of thousands of Python loops.  Results come back in
         input order, bit-identical to per-pair :meth:`predict` calls,
-        each labelled with its own machine's name.
+        each built with this spec and its own machine's name.
         """
         predictions: List[Optional[MixPrediction]] = [None] * len(items)
         groups: Dict[Tuple[str, int], List[int]] = {}
@@ -83,8 +83,13 @@ class MPPMPredictor:
             names = {name for index in indices for name in items[index][0].programs}
             profiles = self.setup.benchmark_profiles(names, machine)
             batches = [[profiles[name] for name in items[index][0].programs] for index in indices]
-            for index, prediction in zip(indices, self._model(machine).predict_batch(batches)):
-                predictions[index] = tag_prediction(prediction, self.spec, items[index][1])
+            solved = self._model(machine).predict_batch(
+                batches,
+                predictor=self.spec,
+                machine_names=[items[index][1].name for index in indices],
+            )
+            for index, prediction in zip(indices, solved):
+                predictions[index] = prediction
         return predictions
 
     def describe(self) -> str:

@@ -10,7 +10,7 @@ single-core simulation cost twice.
 """
 
 from repro.profiling.profile import IntervalProfile, ProfileWindow, SingleCoreProfile
-from repro.profiling.profiler import Profiler, ProfiledBenchmark
+from repro.profiling.profiler import ProfileBundle, Profiler, ProfiledBenchmark
 from repro.profiling.store import ProfileStore
 
 __all__ = [
@@ -19,5 +19,6 @@ __all__ = [
     "SingleCoreProfile",
     "Profiler",
     "ProfiledBenchmark",
+    "ProfileBundle",
     "ProfileStore",
 ]

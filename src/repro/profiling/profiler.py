@@ -12,12 +12,12 @@ for detailed CMP$im simulation) replays it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.profiling.profile import IntervalProfile, SingleCoreProfile
 from repro.simulators.llc_trace import LLCAccessTrace
-from repro.simulators.single_core import SingleCoreRunResult, SingleCoreSimulator
+from repro.simulators.single_core import PrivateRun, SingleCoreRunResult, SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.suite import BenchmarkSuite
@@ -34,17 +34,65 @@ class ProfiledBenchmark:
     def name(self) -> str:
         return self.profile.benchmark
 
+
+@dataclass(frozen=True)
+class ProfileBundle:
+    """One benchmark profiled on several machines, as one store hands it to another.
+
+    ``profiled`` holds each machine's profile and LLC trace, in the
+    order the machines were asked for.  ``private_runs`` holds the
+    stage-1 results behind them: one per private hierarchy that the
+    producing store had in memory (none for pairs it loaded from the
+    cache).  A store that absorbs them resolves any further LLC of the
+    benchmark without generating its trace again.
+
+    In JSON each private run carries its LLC stream once, and a trace
+    that shares a run's arrays travels as that run's index plus its
+    isolated cycle count.
+    """
+
+    profiled: Tuple[ProfiledBenchmark, ...]
+    private_runs: Tuple[PrivateRun, ...] = ()
+
     def to_dict(self) -> Dict:
         """Plain-data representation suitable for JSON (bit-exact)."""
-        return {"profile": self.profile.to_dict(), "llc_trace": self.llc_trace.to_dict()}
+        run_of = {id(run.line): index for index, run in enumerate(self.private_runs)}
+
+        def trace_dict(trace: LLCAccessTrace) -> Dict:
+            index = run_of.get(id(trace.line))
+            if index is None:
+                return trace.to_dict()
+            return {"run": index, "isolated_cycles": trace.isolated_cycles}
+
+        return {
+            "private_runs": [run.to_dict() for run in self.private_runs],
+            "profiled": [
+                {"profile": item.profile.to_dict(), "llc_trace": trace_dict(item.llc_trace)}
+                for item in self.profiled
+            ],
+        }
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "ProfiledBenchmark":
+    def from_dict(cls, data: Dict) -> "ProfileBundle":
         """Inverse of :meth:`to_dict`."""
-        return cls(
-            profile=SingleCoreProfile.from_dict(data["profile"]),
-            llc_trace=LLCAccessTrace.from_dict(data["llc_trace"]),
+        runs = tuple(PrivateRun.from_dict(run) for run in data["private_runs"])
+
+        def trace(entry: Dict) -> LLCAccessTrace:
+            if "run" not in entry:
+                return LLCAccessTrace.from_dict(entry)
+            index = int(entry["run"])
+            if not 0 <= index < len(runs):
+                raise ValueError(f"trace names stage-1 run {index} of {len(runs)}")
+            return runs[index].llc_trace(float(entry["isolated_cycles"]))
+
+        profiled = tuple(
+            ProfiledBenchmark(
+                profile=SingleCoreProfile.from_dict(item["profile"]),
+                llc_trace=trace(item["llc_trace"]),
+            )
+            for item in data["profiled"]
         )
+        return cls(profiled=profiled, private_runs=runs)
 
 
 class Profiler:

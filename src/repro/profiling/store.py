@@ -19,7 +19,8 @@ Three kinds of artefacts are cached:
   never generates it;
 * the :class:`~repro.simulators.single_core.PrivateRun` of each
   (benchmark, private hierarchy) — the first profiling stage, shared
-  by every LLC on top of it; kept in memory only.
+  by every LLC on top of it; kept in memory, never persisted, but
+  handed from store to store inside a :class:`ProfileBundle`.
 
 Without a cache directory nothing is persisted.
 """
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config.machine import MachineConfig
 from repro.engine.cache import MISS, ResultCache, content_key
 from repro.profiling.profile import SingleCoreProfile
-from repro.profiling.profiler import ProfiledBenchmark, profile_from_run
+from repro.profiling.profiler import ProfileBundle, ProfiledBenchmark, profile_from_run
 from repro.simulators.llc_trace import LLCAccessTrace, LLCStream
 from repro.simulators.single_core import PrivateRun, SingleCoreRunResult, SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec
@@ -195,22 +196,31 @@ class ProfileStore:
         self.loaded_profiles += 1
         return True
 
+    def bundle(self, spec: BenchmarkSpec, machines: Sequence[MachineConfig]) -> ProfileBundle:
+        """:meth:`get_many`, packed with its stage-1 results for another store."""
+        profiled = tuple(self.get_many(spec, machines))
+        keys = dict.fromkeys((spec, machine.private_key()) for machine in machines)
+        runs = tuple(self._private_runs[key] for key in keys if key in self._private_runs)
+        return ProfileBundle(profiled=profiled, private_runs=runs)
+
     def absorb(
-        self,
-        spec: BenchmarkSpec,
-        machines: Sequence[MachineConfig],
-        bundles: Sequence[ProfiledBenchmark],
+        self, spec: BenchmarkSpec, machines: Sequence[MachineConfig], bundle: ProfileBundle
     ) -> None:
-        """Adopt one benchmark's bundles computed elsewhere (e.g. by an engine worker).
+        """Adopt one benchmark's bundle computed elsewhere (e.g. by an engine worker).
 
         The artefacts enter the in-memory and on-disk caches exactly as
         if this store had simulated them, but ``simulated_profiles`` is
         untouched — the simulation work was paid in another process.
-        A stream entry already on disk is left alone: workers that share
-        the cache dir wrote it for these very machines.
+        The bundle's stage-1 results join the in-memory memo, so a later
+        LLC of the benchmark costs only the LLC stage, here and in
+        workers forked from here.  A stream entry already on disk is
+        left alone: workers that share the cache dir wrote it for these
+        very machines.
         """
+        for run in bundle.private_runs:
+            self._private_runs.setdefault((spec, run.private_key), run)
         by_private: Dict[str, List[MachineConfig]] = {}
-        for machine, profiled in zip(machines, bundles):
+        for machine, profiled in zip(machines, bundle.profiled):
             key = self._key(spec, machine)
             self._profiles[key] = profiled.profile
             self._traces[key] = profiled.llc_trace

@@ -10,7 +10,10 @@ private caches) between consecutive LLC accesses.
 
 Traces persist (and travel between fleet hosts) as JSON: each array is
 the base64 of its raw bytes plus its dtype, so a decoded trace is bit
-for bit the one that was encoded.  :class:`LLCStream` is the persisted
+for bit the one that was encoded.  The stream fields are shared with
+the profiling stage-1 result
+(:class:`~repro.simulators.single_core.PrivateRun`), which serialises
+them the same way.  :class:`LLCStream` is the persisted
 form: the arrays depend only on the private levels that filtered the
 stream, so every LLC on top of one private hierarchy shares them.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -44,8 +47,12 @@ def decode_array(data: Mapping[str, str]) -> np.ndarray:
 _ARRAYS = ("line", "insn", "upstream_cycle_gap")
 
 
-def _stream_to_dict(stream: "Union[LLCAccessTrace, LLCStream]") -> Dict:
-    # The fields LLCAccessTrace and LLCStream share.
+def stream_to_dict(stream) -> Dict:
+    """JSON form of an LLC stream: spec, length, the three arrays, tail cycles.
+
+    :class:`LLCAccessTrace`, :class:`LLCStream` and
+    :class:`~repro.simulators.single_core.PrivateRun` all carry these.
+    """
     return {
         "spec": stream.spec.to_dict(),
         "num_instructions": stream.num_instructions,
@@ -54,7 +61,8 @@ def _stream_to_dict(stream: "Union[LLCAccessTrace, LLCStream]") -> Dict:
     }
 
 
-def _stream_from_dict(data: Mapping) -> Dict:
+def stream_from_dict(data: Mapping) -> Dict:
+    """Inverse of :func:`stream_to_dict`, as constructor keyword arguments."""
     return {
         "spec": BenchmarkSpec.from_dict(data["spec"]),
         "num_instructions": int(data["num_instructions"]),
@@ -151,12 +159,12 @@ class LLCAccessTrace:
 
     def to_dict(self) -> Dict:
         """Plain-data representation suitable for JSON (bit-exact)."""
-        return {**_stream_to_dict(self), "isolated_cycles": self.isolated_cycles}
+        return {**stream_to_dict(self), "isolated_cycles": self.isolated_cycles}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LLCAccessTrace":
         """Inverse of :meth:`to_dict`."""
-        return cls(**_stream_from_dict(data), isolated_cycles=float(data["isolated_cycles"]))
+        return cls(**stream_from_dict(data), isolated_cycles=float(data["isolated_cycles"]))
 
 
 @dataclass(frozen=True)
@@ -206,10 +214,10 @@ class LLCStream:
 
     def to_dict(self) -> Dict:
         """Plain-data representation suitable for JSON (bit-exact)."""
-        return {**_stream_to_dict(self), "isolated_cycles": dict(self.isolated_cycles)}
+        return {**stream_to_dict(self), "isolated_cycles": dict(self.isolated_cycles)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LLCStream":
         """Inverse of :meth:`to_dict`."""
         cycles = {key: float(value) for key, value in data["isolated_cycles"].items()}
-        return cls(**_stream_from_dict(data), isolated_cycles=cycles)
+        return cls(**stream_from_dict(data), isolated_cycles=cycles)

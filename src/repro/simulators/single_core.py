@@ -59,7 +59,13 @@ from repro.caches.vectorized import lru_hit_mask, replay_llc, replay_private_lev
 from repro.config.machine import MachineConfig
 from repro.cores.core_model import CoreTimingModel
 from repro.cores.cpi_stack import CPIStack
-from repro.simulators.llc_trace import LLCAccessTrace
+from repro.simulators.llc_trace import (
+    LLCAccessTrace,
+    decode_array,
+    encode_array,
+    stream_from_dict,
+    stream_to_dict,
+)
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.trace import MemoryTrace
 
@@ -118,6 +124,58 @@ class PrivateRun:
     @property
     def num_intervals(self) -> int:
         return len(self.base_cycles)
+
+    def llc_trace(self, isolated_cycles: float) -> LLCAccessTrace:
+        """The trace of an LLC resolved on this run (it shares the arrays)."""
+        return LLCAccessTrace(
+            spec=self.spec,
+            num_instructions=self.num_instructions,
+            line=self.line,
+            insn=self.insn,
+            upstream_cycle_gap=self.upstream_cycle_gap,
+            tail_cycles=self.tail_cycles,
+            isolated_cycles=isolated_cycles,
+        )
+
+    def to_dict(self) -> Dict:
+        """Plain-data representation suitable for JSON (bit-exact).
+
+        ``interval_id`` never decreases along the stream, so it travels
+        as the number of LLC accesses per interval.
+        """
+        return {
+            **stream_to_dict(self),
+            "private_key": self.private_key,
+            "interval_instructions": self.interval_instructions,
+            "interval_accesses": encode_array(
+                np.bincount(self.interval_id, minlength=self.num_intervals)
+            ),
+            "instructions": encode_array(self.instructions),
+            "base_cycles": encode_array(self.base_cycles),
+            "private_hits": encode_array(self.private_hits.ravel()),
+            "private_levels": self.private_hits.shape[1],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "PrivateRun":
+        """Inverse of :meth:`to_dict`."""
+        accesses = decode_array(data["interval_accesses"])
+        interval_id = np.repeat(np.arange(len(accesses), dtype=np.int64), accesses)
+        private_hits = decode_array(data["private_hits"])
+        stream = stream_from_dict(data)
+        if len(interval_id) != len(stream["line"]):
+            raise ValueError(
+                f"{len(interval_id)} interval ids for {len(stream['line'])} LLC accesses"
+            )
+        return cls(
+            **stream,
+            private_key=str(data["private_key"]),
+            interval_instructions=int(data["interval_instructions"]),
+            interval_id=_read_only(interval_id),
+            instructions=decode_array(data["instructions"]),
+            base_cycles=decode_array(data["base_cycles"]),
+            private_hits=private_hits.reshape(len(accesses), int(data["private_levels"])),
+        )
 
 
 @dataclass(frozen=True)
@@ -491,21 +549,11 @@ class SingleCoreSimulator:
             )
             overall = overall.merged_with(interval_stack)
 
-        llc_trace = LLCAccessTrace(
-            spec=private_run.spec,
-            num_instructions=private_run.num_instructions,
-            line=private_run.line,
-            insn=private_run.insn,
-            upstream_cycle_gap=private_run.upstream_cycle_gap,
-            tail_cycles=private_run.tail_cycles,
-            isolated_cycles=overall.total_cycles,
-        )
-
         return SingleCoreRunResult(
             benchmark=private_run.spec.name,
             machine_name=machine.name,
             interval_instructions=private_run.interval_instructions,
             intervals=intervals,
             cpi_stack=overall,
-            llc_trace=llc_trace,
+            llc_trace=private_run.llc_trace(overall.total_cycles),
         )

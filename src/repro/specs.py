@@ -200,22 +200,6 @@ class Integer(ValueType):
         return value
 
 
-class Anchors(Integer):
-    """``A+B``: two distinct integers in ``[low, high]``, in ascending order."""
-
-    def parse(self, text: str) -> Tuple[int, int]:
-        pieces = text.split("+")
-        if len(pieces) != 2:
-            raise ValueError(f"must be two anchors A+B, got {text!r}")
-        low, high = sorted(Integer.parse(self, piece.strip()) for piece in pieces)
-        if low == high:
-            raise ValueError(f"must name two distinct configurations, got #{low} twice")
-        return low, high
-
-    def format(self, value: Tuple[int, int]) -> str:
-        return f"{value[0]}+{value[1]}"
-
-
 class Seconds(ValueType):
     """A positive, finite number of seconds, printed with ``%g``."""
 

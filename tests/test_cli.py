@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads.generator import TraceGenerator
 
 
 #: Arguments that keep every CLI invocation fast (tiny suite and traces).
@@ -35,6 +38,23 @@ class TestParser:
         assert args.max_batch == 64
         args = build_parser().parse_args(["serve", "--port", "0", "--suite", "random"])
         assert args.port == 0 and args.suite == "random:n=8,seed=0"
+
+    def test_jobs_auto_is_the_affinity_count_and_the_run_default(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        parser = build_parser()
+        assert parser.parse_args(["run", "--jobs", "auto"]).jobs == 3
+        assert parser.parse_args(["run"]).jobs == 3
+        assert parser.parse_args(["run", "--jobs", "1"]).jobs == 1
+        assert parser.parse_args(["serve", "--jobs", "auto"]).jobs == 3
+        for command in (["predict", "gamess", "hmmer"], ["rank"], ["stress"], ["serve"]):
+            assert parser.parse_args(command).jobs == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parser.parse_args(["run"]).jobs == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert parser.parse_args(["run"]).jobs == 5
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--jobs", "0"])
 
     def test_suite_specs_are_canonicalised_and_validated(self, capsys):
         args = build_parser().parse_args(["suite", "--suite", "RANDOM"])
@@ -256,3 +276,33 @@ class TestIngestCommand:
     def test_workloads_advertises_the_perf_family(self, capsys):
         assert main(["workloads"]) == 0
         assert "perf:" in capsys.readouterr().out
+
+
+class TestParallelRun:
+    ARGS = [
+        "run", "--experiment", "variability", "--experiment", "ranking",
+        "--benchmarks", "6", "--instructions", "20000", "--scale", "16", "--mixes", "4",
+    ]
+
+    def test_two_jobs_print_the_serial_tables_and_trace_each_benchmark_once(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Forked pool workers inherit the patch and append to the same log.
+        log = tmp_path / "generated.txt"
+        original = TraceGenerator.generate
+
+        def logging_generate(self, spec, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{spec.name}\n")
+            return original(self, spec, *args, **kwargs)
+
+        monkeypatch.setattr(TraceGenerator, "generate", logging_generate)
+        outputs, generated = {}, {}
+        for jobs in ("1", "2"):
+            log.unlink(missing_ok=True)
+            assert main([*self.ARGS, "--jobs", jobs]) == 0
+            out = capsys.readouterr().out
+            outputs[jobs] = [line for line in out.splitlines() if "finished in" not in line]
+            generated[jobs] = sorted(log.read_text().split())
+        assert outputs["2"] == outputs["1"]
+        assert generated["2"] == generated["1"] == sorted(set(generated["1"]))

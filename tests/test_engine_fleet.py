@@ -268,12 +268,23 @@ class TestResultProtocol:
             decode_result(envelope)
 
     def test_invalid_array_payload_is_a_protocol_error(self, serial):
-        bundle = serial.store.get(serial.suite.specs[0], serial.machine(num_cores=2))
+        bundle = serial.store.bundle(serial.suite.specs[0], [serial.machine(num_cores=2)])
         envelope = json.loads(json.dumps(encode_result(bundle)))
-        assert decode_result(envelope).llc_trace.line.tobytes() == bundle.llc_trace.line.tobytes()
-        envelope["payload"]["llc_trace"]["line"]["data"] = "not base64!"
-        with pytest.raises(FleetProtocolError):
-            decode_result(envelope)
+        (profiled,) = decode_result(envelope).profiled
+        assert profiled.llc_trace.line.tobytes() == bundle.profiled[0].llc_trace.line.tobytes()
+        corruptions = (
+            lambda payload: payload["private_runs"][0]["line"].update(data="not base64!"),
+            # Per-interval counts that do not add up to the stream's length.
+            lambda payload: payload["private_runs"][0].update(
+                interval_accesses=payload["private_runs"][0]["instructions"]
+            ),
+            lambda payload: payload["profiled"][0]["llc_trace"].update(run=-1),
+        )
+        for corrupt in corruptions:
+            broken = json.loads(json.dumps(envelope))
+            corrupt(broken["payload"])
+            with pytest.raises(FleetProtocolError):
+                decode_result(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +749,7 @@ class TestFleetCLI:
             "--model",
             "mppm:foa",
         ]
-        assert main(base) == 0
+        assert main([*base, "--jobs", "1"]) == 0
         serial_out = self._strip_timing(capsys.readouterr().out)
         assert main([*base, "--fleet", "localhost:2"]) == 0
         fleet_out = self._strip_timing(capsys.readouterr().out)

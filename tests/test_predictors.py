@@ -64,8 +64,6 @@ class TestRegistry:
             "baseline:no-contention",
             "baseline:one-shot",
             "hybrid:k=4",
-            "learned:n=24,seed=0",
-            "interp:anchors=1+6",
             "detailed",
         ]
         assert DEFAULT_PREDICTOR == "mppm:foa"

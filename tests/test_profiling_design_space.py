@@ -9,13 +9,14 @@ it.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.config import llc_design_space, scaled
 from repro.engine import tasks as engine_tasks
+from repro.engine.cache import deserialize_result, serialize_result
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.profiling import Profiler, ProfileStore
 from repro.simulators import single_core
@@ -260,15 +261,15 @@ class TestDiskLoadedProfiles:
 
     def test_absorbed_bundles_are_persisted_like_simulated_ones(self, tmp_path):
         spec = SPECS[4]
-        bundles = _store().get_many(spec, MACHINES[:3])
+        bundle = _store().bundle(spec, MACHINES[:3])
         adopter = _store(cache_dir=tmp_path)
-        adopter.absorb(spec, MACHINES[:3], bundles)
+        adopter.absorb(spec, MACHINES[:3], bundle)
         assert adopter.absorbed_profiles == 3 and adopter.generated_traces == 0
         types = sorted(json.loads(path.read_text())["type"] for path in tmp_path.iterdir())
         assert types == ["LLCStream"] + ["SingleCoreProfile"] * 3
 
         reader = _store(cache_dir=tmp_path)
-        for machine, profiled in zip(MACHINES[:3], bundles):
+        for machine, profiled in zip(MACHINES[:3], bundle.profiled):
             assert_traces_equal(reader.get_llc_trace(spec, machine), profiled.llc_trace)
         assert reader.generated_traces == 0 and reader.loaded_traces == 3
 
@@ -294,6 +295,63 @@ class TestDiskLoadedProfiles:
         reader = _store(cache_dir=tmp_path)
         reader.get_many(spec, MACHINES[:2])
         assert reader.generated_traces == 0 and reader.loaded_traces == 2
+
+
+class TestBundledStageOne:
+    """A :class:`ProfileBundle` carries the stage-1 result to the absorbing store."""
+
+    @staticmethod
+    def _through_json(bundle):
+        envelope = json.loads(json.dumps(serialize_result(bundle)))
+        assert envelope["type"] == "ProfileBundle"
+        return deserialize_result(envelope)
+
+    @pytest.mark.parametrize("travel", ["in-memory", "json"])
+    def test_absorbed_bundle_spares_the_trace_of_a_new_llc(self, travel):
+        spec = SPECS[3]
+        bundle = _store().bundle(spec, MACHINES[:2])
+        assert len(bundle.private_runs) == 1
+        if travel == "json":
+            bundle = self._through_json(bundle)
+        adopter = _store()
+        adopter.absorb(spec, MACHINES[:2], bundle)
+        later = adopter.get_many(spec, MACHINES[2:])
+        assert adopter.generated_traces == 0 and adopter.simulated_profiles == len(MACHINES) - 2
+        for machine, profiled in zip(MACHINES[2:], later):
+            reference = _store().get(spec, machine)
+            assert_profiles_equal(profiled.profile, reference.profile)
+            assert_traces_equal(profiled.llc_trace, reference.llc_trace)
+
+    def test_json_bundle_is_bit_exact_and_ships_each_stream_once(self):
+        spec = SPECS[0]
+        bundle = _store().bundle(spec, MACHINES)
+        (run,) = bundle.private_runs
+        payload = serialize_result(bundle)["payload"]
+        assert [item["llc_trace"].keys() for item in payload["profiled"]] == [
+            {"run", "isolated_cycles"}
+        ] * len(MACHINES)
+        decoded = self._through_json(bundle)
+        (copy,) = decoded.private_runs
+        for field in fields(run):
+            left, right = getattr(run, field.name), getattr(copy, field.name)
+            if isinstance(left, np.ndarray):
+                assert left.dtype == right.dtype and left.shape == right.shape
+                assert np.array_equal(left, right) and not right.flags.writeable
+            else:
+                assert left == right
+        for original, item in zip(bundle.profiled, decoded.profiled):
+            assert_profiles_equal(item.profile, original.profile)
+            assert_traces_equal(item.llc_trace, original.llc_trace)
+            assert item.llc_trace.line is copy.line
+
+    def test_a_bundle_loaded_from_the_cache_carries_no_stage_one(self, tmp_path):
+        spec = SPECS[5]
+        _store(cache_dir=tmp_path).get_many(spec, MACHINES[:2])
+        bundle = _store(cache_dir=tmp_path).bundle(spec, MACHINES[:2])
+        assert bundle.private_runs == ()
+        decoded = self._through_json(bundle)
+        for original, item in zip(bundle.profiled, decoded.profiled):
+            assert_traces_equal(item.llc_trace, original.llc_trace)
 
 
 class TestParallelWarmUp:

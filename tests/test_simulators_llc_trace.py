@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.engine.cache import deserialize_result, serialize_result
-from repro.profiling.profiler import ProfiledBenchmark
+from repro.profiling.profiler import ProfileBundle
 from repro.simulators.llc_trace import (
     LLCAccessTrace,
     LLCStream,
@@ -155,10 +155,12 @@ class TestTraceCodec:
         assert stream.isolated_cycles == cycles
 
     def test_profile_bundles_travel_as_registry_envelopes(self, store, tiny_suite, machine4):
-        bundle = store.get(tiny_suite["mcf"], machine4)
+        bundle = store.bundle(tiny_suite["mcf"], [machine4])
         envelope = _through_json(serialize_result(bundle))
-        assert envelope["type"] == "ProfiledBenchmark"
+        assert envelope["type"] == "ProfileBundle"
         decoded = deserialize_result(envelope)
-        assert isinstance(decoded, ProfiledBenchmark)
-        assert decoded.profile.to_dict() == bundle.profile.to_dict()
-        assert_bit_identical(decoded.llc_trace, bundle.llc_trace)
+        assert isinstance(decoded, ProfileBundle)
+        (profiled,) = bundle.profiled
+        (copy,) = decoded.profiled
+        assert copy.profile.to_dict() == profiled.profile.to_dict()
+        assert_bit_identical(copy.llc_trace, profiled.llc_trace)

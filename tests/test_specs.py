@@ -46,15 +46,8 @@ CORPUS = [
     ('predictor', 'hybrid: k=4', 'hybrid:k=4'),
     ('predictor', 'hybrid:k=07', 'hybrid:k=7'),
     ('predictor', 'hybrid:k=1_0', 'hybrid:k=10'),
-    ('predictor', 'learned', 'learned:n=24,seed=0'),
-    ('predictor', 'learned:n=24,seed=0', 'learned:n=24,seed=0'),
-    ('predictor', ' LEARNED:seed=3,n=8 ', 'learned:n=8,seed=3'),
-    ('predictor', 'learned:n=8, seed=3', 'learned:n=8,seed=3'),
-    ('predictor', 'learned:n=6', 'learned:n=6,seed=0'),
-    ('predictor', 'interp', 'interp:anchors=1+6'),
-    ('predictor', 'interp:anchors=1+6', 'interp:anchors=1+6'),
-    ('predictor', 'interp:anchors=6+2', 'interp:anchors=2+6'),
-    ('predictor', 'interp:anchors= 2 + 5', 'interp:anchors=2+5'),
+    ('predictor', 'learned', PredictorError),  # family removed
+    ('predictor', 'interp', PredictorError),  # family removed
     ('predictor', 'mppm: foa', 'mppm:foa'),  # whitespace around the head
     ('predictor', 'mppm:', 'mppm:foa'),  # `family:` is the bare shorthand
     ('predictor', 'baseline', PredictorError),

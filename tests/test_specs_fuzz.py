@@ -101,8 +101,6 @@ def test_registry_agrees_with_the_parser(registry, data):
     "registry, spec",
     [
         ("predictor", "hybrid:k=4,k=5"),
-        ("predictor", "learned:seed=1,n=4,seed=2"),
-        ("predictor", "interp:anchors=1+6,anchors=2+5"),
         ("workload", "random:n=4,n=8"),
         ("workload", "perf:samples.csv,seed=1,SEED=2"),
         ("fleet", "fleet:localhost:2,timeout=5,timeout=10"),
