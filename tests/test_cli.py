@@ -56,6 +56,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--jobs", "0"])
 
+    @pytest.mark.parametrize(
+        "value, expected", [("auto", 3), (" AUTO ", 3), ("Auto", 3), ("2", 2), ("7", 7)]
+    )
+    def test_jobs_spellings_that_parse(self, monkeypatch, value, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 4}, raising=False)
+        for command in (["run"], ["serve"], ["rank"]):
+            assert build_parser().parse_args([*command, "--jobs", value]).jobs == expected
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", "", "auto2"])
+    def test_jobs_spellings_that_are_usage_errors(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--jobs", value])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_suite_specs_are_canonicalised_and_validated(self, capsys):
         args = build_parser().parse_args(["suite", "--suite", "RANDOM"])
         assert args.suite == "random:n=8,seed=0"

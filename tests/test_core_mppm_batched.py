@@ -151,6 +151,26 @@ class TestKernelRouting:
             with pytest.raises(MPPMError):
                 MPPM(machine4, kernel=kernel).predict([])
 
+    @pytest.mark.parametrize("kernel", MPPM_KERNELS)
+    def test_predictions_are_built_with_their_spec_and_machine_names(
+        self, machine4, mixed_batches, kernel
+    ):
+        model = MPPM(machine4)
+        plain = model.predict_batch(mixed_batches, kernel=kernel)
+        names = [f"host-{index}" for index in range(len(mixed_batches))]
+        labelled = model.predict_batch(
+            mixed_batches, kernel=kernel, predictor="mppm:foa", machine_names=names
+        )
+        assert [p.predictor for p in plain] == [None] * len(plain)
+        assert [p.machine_name for p in plain] == [machine4.name] * len(plain)
+        assert [p.predictor for p in labelled] == ["mppm:foa"] * len(labelled)
+        assert [p.machine_name for p in labelled] == names
+        for untagged, tagged in zip(plain, labelled):
+            assert tagged.kernel == untagged.kernel == kernel
+            assert dataclasses.replace(
+                tagged, predictor=None, machine_name=machine4.name
+            ) == untagged
+
     def test_kernel_round_trips_through_serialisation(self, machine4, profiles4):
         names = sorted(profiles4)
         prediction = MPPM(machine4).predict([profiles4[name] for name in names[:4]])

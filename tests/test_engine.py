@@ -12,6 +12,7 @@ experiment stack (at test scale):
   into deterministic waves; progress hooks see every job's fate.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -30,6 +31,7 @@ from repro.engine import (
     content_key,
     create_engine,
 )
+from repro.engine import tasks as engine_tasks
 from repro.engine.cache import serialize_result
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.io import atomic_write_json, read_json_tolerant
@@ -143,6 +145,26 @@ class TestResultCache:
         key = content_key("simulate", "machine", (1, 2), 42)
         assert key == content_key("simulate", "machine", (1, 2), 42)
         assert key != content_key("predict", "machine", (1, 2), 42)
+
+    def test_simulate_jobs_key_on_the_pair_and_the_config(self):
+        setup = engine_setup()
+        machine = setup.machine(num_cores=2)
+        names = setup.benchmark_names
+        mix = WorkloadMix(programs=(names[0], names[1]))
+
+        def key(mix, machine, setup=setup):
+            return engine_tasks.simulate_job(setup, mix, machine, key="op").cache_key
+
+        assert key(mix, machine) == key(mix, machine)
+        # The machine's name is a label, not part of the result.
+        assert key(mix, dataclasses.replace(machine, name="renamed")) == key(mix, machine)
+        assert key(mix, machine) != key(WorkloadMix(programs=(names[0], names[2])), machine)
+        assert key(mix, machine) != key(mix, setup.machine(num_cores=2, llc_config=6))
+        other = ExperimentSetup(
+            config=dataclasses.replace(ENGINE_CONFIG, num_instructions=30_000),
+            suite=small_suite(5),
+        )
+        assert key(mix, machine, other) != key(mix, machine)
 
     def test_memory_miss_then_hit(self):
         cache = ResultCache()

@@ -186,6 +186,46 @@ class TestBatchedMppmSweeps:
             ]
 
 
+class TestSweepGraph:
+    """The job graph one sweep plans: a profile warm-up wave, then its ops."""
+
+    def test_profile_jobs_are_planned_once_per_machine_and_benchmark(self, small_setup):
+        machine = small_setup.machine(num_cores=2)
+        renamed = dataclasses.replace(machine, name="renamed")  # same profile key
+        names = small_setup.benchmark_names
+        mix = WorkloadMix(programs=(names[0], names[1]))
+        swapped = WorkloadMix(programs=(names[1], names[0]))
+        twin = WorkloadMix(programs=(names[2], names[2]))
+        ops = [
+            ("baseline:one-shot", mix, machine),
+            ("simulate", swapped, machine),
+            ("baseline:no-contention", twin, renamed),
+            ("detailed", mix, renamed),
+            ("baseline:one-shot", twin, machine),
+        ]
+        graph, scatter = small_setup._sweep_graph(ops)
+        assert scatter == {}
+        profiles = sorted(job.key for job in graph if job.kind == "profile")
+        key = machine.profile_key()
+        assert profiles == sorted(f"profile:{key}:{name}" for name in names[:3])
+        for i, (_, op_mix, _) in enumerate(ops):
+            expected = tuple(f"profile:{key}:{name}" for name in sorted(set(op_mix.programs)))
+            assert graph.job(f"op:{i}").deps == expected
+        assert len(graph) == len(profiles) + len(ops)
+
+    def test_ops_on_different_llcs_get_their_own_profile_jobs(self, small_setup):
+        small = small_setup.machine(num_cores=2, llc_config=1)
+        large = small_setup.machine(num_cores=2, llc_config=6)
+        mix = WorkloadMix(programs=tuple(small_setup.benchmark_names[:2]))
+        graph, _ = small_setup._sweep_graph(
+            [("baseline:one-shot", mix, small), ("baseline:one-shot", mix, large)]
+        )
+        first, second = graph.job("op:0").deps, graph.job("op:1").deps
+        assert len(first) == len(second) == 2 and not set(first) & set(second)
+        assert all(small.profile_key() in dep for dep in first)
+        assert all(large.profile_key() in dep for dep in second)
+
+
 class TestCampaignCacheLayout:
     """Profiles and engine results share one content-addressed directory."""
 

@@ -27,6 +27,7 @@ from repro.predictors import (
     describe_predictors,
     make_predictor,
     predictor_requires_traces,
+    tag_prediction,
 )
 from repro.workloads import WorkloadMix, small_suite
 
@@ -233,6 +234,16 @@ class TestSelfDescribingPredictions:
     def test_describe_names_the_predictor(self, setup, mix, machine):
         text = setup.predict(mix, machine, predictor="baseline:no-contention").describe()
         assert "baseline:no-contention" in text
+
+    def test_tagging_an_already_tagged_prediction_returns_it(self, setup, mix, machine):
+        prediction = setup.predict(mix, machine, predictor="mppm:sdc")
+        assert tag_prediction(prediction, "mppm:sdc") is prediction
+
+    def test_tagging_changes_only_the_predictor_field(self, setup, mix, machine):
+        prediction = setup.predict(mix, machine, predictor="mppm:sdc")
+        tagged = tag_prediction(prediction, "mppm:foa")
+        assert tagged.predictor == "mppm:foa" and prediction.predictor == "mppm:sdc"
+        assert replace(tagged, predictor="mppm:sdc") == prediction
 
 
 class TestEngineWiring:

@@ -18,7 +18,7 @@ from repro.config import llc_design_space, scaled
 from repro.engine import tasks as engine_tasks
 from repro.engine.cache import deserialize_result, serialize_result
 from repro.experiments import ExperimentConfig, ExperimentSetup
-from repro.profiling import Profiler, ProfileStore
+from repro.profiling import ProfileBundle, Profiler, ProfileStore
 from repro.simulators import single_core
 from repro.workloads import WorkloadMix, workload_for
 from repro.workloads.generator import TraceGenerator
@@ -343,6 +343,44 @@ class TestBundledStageOne:
             assert_profiles_equal(item.profile, original.profile)
             assert_traces_equal(item.llc_trace, original.llc_trace)
             assert item.llc_trace.line is copy.line
+
+    def test_bundle_carries_one_run_per_private_hierarchy(self):
+        spec = SPECS[1]
+        other = scaled(llc_design_space(4)[0], 8)
+        assert other.private_key() != MACHINES[0].private_key()
+        machines = [MACHINES[0], other, MACHINES[1]]
+        bundle = _store().bundle(spec, machines)
+        assert [run.private_key for run in bundle.private_runs] == [
+            MACHINES[0].private_key(),
+            other.private_key(),
+        ]
+        decoded = self._through_json(bundle)
+        first, second = decoded.private_runs
+        assert [item.llc_trace.line is first.line for item in decoded.profiled] == [
+            True,
+            False,
+            True,
+        ]
+        assert decoded.profiled[1].llc_trace.line is second.line
+        for original, item in zip(bundle.profiled, decoded.profiled):
+            assert_traces_equal(item.llc_trace, original.llc_trace)
+
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_a_trace_naming_a_missing_run_is_rejected(self, index):
+        payload = _store().bundle(SPECS[2], MACHINES[:2]).to_dict()
+        payload["profiled"][1]["llc_trace"]["run"] = index
+        with pytest.raises(ValueError, match="stage-1 run"):
+            ProfileBundle.from_dict(payload)
+
+    def test_absorb_keeps_the_stage_one_run_already_in_memory(self):
+        spec = SPECS[6]
+        adopter = _store()
+        adopter.get(spec, MACHINES[0])
+        (own,) = adopter.bundle(spec, MACHINES[:1]).private_runs
+        adopter.absorb(spec, MACHINES[1:3], _store().bundle(spec, MACHINES[1:3]))
+        (kept,) = adopter.bundle(spec, MACHINES[:3]).private_runs
+        assert kept is own
+        assert adopter.generated_traces == 1
 
     def test_a_bundle_loaded_from_the_cache_carries_no_stage_one(self, tmp_path):
         spec = SPECS[5]

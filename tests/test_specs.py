@@ -48,6 +48,13 @@ CORPUS = [
     ('predictor', 'hybrid:k=1_0', 'hybrid:k=10'),
     ('predictor', 'learned', PredictorError),  # family removed
     ('predictor', 'interp', PredictorError),  # family removed
+    ('predictor', 'learned:n=24,seed=0', PredictorError),  # family removed
+    ('predictor', 'interp:anchors=1+6', PredictorError),  # family removed
+    ('predictor', 'hybrid:k=0', PredictorError),
+    ('predictor', 'hybrid:k=x', PredictorError),
+    ('predictor', 'hybrid:n=4', PredictorError),
+    ('predictor', 'detailed:k=4', PredictorError),
+    ('predictor', 'mppm:foa,k=1', PredictorError),
     ('predictor', 'mppm: foa', 'mppm:foa'),  # whitespace around the head
     ('predictor', 'mppm:', 'mppm:foa'),  # `family:` is the bare shorthand
     ('predictor', 'baseline', PredictorError),
