@@ -1,6 +1,6 @@
 """Ablations on the iterative model itself.
 
-Two design choices called out in DESIGN.md:
+Two design choices of the model:
 
 * the exponential-moving-average smoothing factor of the slowdown
   update (§2.2 of the paper says smoothing matters for phased

@@ -49,22 +49,25 @@ def _fresh_setup(**kwargs):
     )
 
 
+def _evaluate(setup):
+    """The default predictor and the reference over the whole sweep."""
+    return setup.evaluate_predictors(_sweep_pairs(setup), ["mppm:foa"])["mppm:foa"]
+
+
 @pytest.fixture(scope="module")
 def reference_evaluations():
-    setup = _fresh_setup()
-    return setup.evaluate_batch(_sweep_pairs(setup))
+    return _evaluate(_fresh_setup())
 
 
 def test_engine_serial(benchmark, reference_evaluations):
-    setup = _fresh_setup()
-    evaluations = run_once(benchmark, setup.evaluate_batch, _sweep_pairs(setup))
+    evaluations = run_once(benchmark, _evaluate, _fresh_setup())
     assert evaluations == reference_evaluations
 
 
 def test_engine_process_pool_4(benchmark, reference_evaluations):
     setup = _fresh_setup(jobs=4)
     try:
-        evaluations = run_once(benchmark, setup.evaluate_batch, _sweep_pairs(setup))
+        evaluations = run_once(benchmark, _evaluate, setup)
     finally:
         setup.close()
     assert evaluations == reference_evaluations
@@ -74,10 +77,10 @@ def test_engine_warm_cache(benchmark, reference_evaluations):
     cache_dir = tempfile.mkdtemp(prefix="repro-engine-bench-")
     try:
         cold = _fresh_setup(cache_dir=cache_dir)
-        cold.evaluate_batch(_sweep_pairs(cold))
+        _evaluate(cold)
 
         warm = _fresh_setup(cache_dir=cache_dir)
-        evaluations = run_once(benchmark, warm.evaluate_batch, _sweep_pairs(warm))
+        evaluations = run_once(benchmark, _evaluate, warm)
         assert evaluations == reference_evaluations
         assert warm.store.simulated_profiles == 0
         assert warm.reference_runs() == 0

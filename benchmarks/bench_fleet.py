@@ -53,10 +53,12 @@ def run_benchmark(quick: bool, tmp_dir) -> dict:
     serial = _setup(config, benchmarks)
     machine = serial.machine(num_cores=2)
     mixes = serial.mixes(2, num_mixes, seed=3)
+    ops = [("mppm:foa", mix, machine) for mix in mixes]
+    pairs = [(mix, machine) for mix in mixes]
 
     start = time.perf_counter()
-    serial_predictions = serial.predict_many(mixes, machine)
-    serial_runs = [run.to_dict() for run in serial.simulate_many(mixes, machine)]
+    serial_predictions = serial.predictor_batch(ops)
+    serial_runs = [run.to_dict() for run in serial.simulate_batch(pairs)]
     serial_seconds = time.perf_counter() - start
     serial.close()
 
@@ -67,8 +69,8 @@ def run_benchmark(quick: bool, tmp_dir) -> dict:
     launch_seconds = time.perf_counter() - launch_start
     try:
         start = time.perf_counter()
-        fleet_predictions = fleet.predict_many(mixes, machine)
-        fleet_runs = [run.to_dict() for run in fleet.simulate_many(mixes, machine)]
+        fleet_predictions = fleet.predictor_batch(ops)
+        fleet_runs = [run.to_dict() for run in fleet.simulate_batch(pairs)]
         cold_seconds = time.perf_counter() - start
 
         assert fleet_predictions == serial_predictions, (
@@ -82,7 +84,7 @@ def run_benchmark(quick: bool, tmp_dir) -> dict:
         stores = fleet.engine.cache.stores
 
         start = time.perf_counter()
-        again = fleet.predict_many(mixes, machine)
+        again = fleet.predictor_batch(ops)
         warm_seconds = time.perf_counter() - start
         assert again == serial_predictions
         warm_stats = fleet.engine.backend.stats()
@@ -113,9 +115,11 @@ def run_benchmark(quick: bool, tmp_dir) -> dict:
         second_driver = _setup(config, benchmarks, engine=Executor(backend=backend))
         second_runs = [
             run.to_dict()
-            for run in second_driver.simulate_many(
-                second_driver.mixes(2, num_mixes, seed=3),
-                second_driver.machine(num_cores=2),
+            for run in second_driver.simulate_batch(
+                [
+                    (mix, second_driver.machine(num_cores=2))
+                    for mix in second_driver.mixes(2, num_mixes, seed=3)
+                ]
             )
         ]
         assert second_runs == serial_runs

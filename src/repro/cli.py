@@ -482,7 +482,8 @@ def _command_rank(args: argparse.Namespace, setup: ExperimentSetup) -> int:
 def _command_stress(args: argparse.Namespace, setup: ExperimentSetup) -> int:
     machine = setup.machine(num_cores=args.cores, llc_config=args.llc_config)
     mixes = setup.mixes(args.cores, args.mixes, seed=args.seed)
-    scored = list(zip(setup.predict_many(mixes, machine, predictor=args.model), mixes))
+    predictions = setup.predictor_batch([(args.model, mix, machine) for mix in mixes])
+    scored = list(zip(predictions, mixes))
     scored.sort(key=lambda pair: pair[0].system_throughput)
     rows = []
     for prediction, mix in scored[: args.worst]:

@@ -13,7 +13,7 @@ code obtains the paper's configurations from
 :func:`baseline_machine` and :func:`llc_design_space`, optionally
 scaled down with :func:`scaled` so that short synthetic traces exercise
 the hierarchy the way the paper's 1B-instruction traces exercise the
-real sizes (see DESIGN.md, "Substitutions").
+real sizes (see :mod:`repro.config.scaling`).
 """
 
 from repro.config.cache_config import CacheConfig, MemoryConfig

@@ -8,7 +8,7 @@ therefore scales every cache capacity down by a common factor while
 keeping associativities, latencies and capacity *ratios* intact.  The
 contention behaviour MPPM models depends on the ratio of the combined
 working sets to the LLC capacity and on the associativity, both of
-which survive this joint scaling (see DESIGN.md, "Substitutions").
+which survive this joint scaling.
 """
 
 from __future__ import annotations

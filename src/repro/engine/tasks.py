@@ -22,7 +22,7 @@ cache directory — and resolves it through a per-process registry:
 The ``*_job`` constructors build :class:`~repro.engine.job.Job` objects
 with content-hash cache keys covering everything the result depends on:
 machine configuration, workload spec, benchmark/mix specification,
-model configuration, trace length and seed.
+predictor spec, trace length and seed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.engine.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config.machine import MachineConfig
-    from repro.core.mppm import MPPMConfig
     from repro.core.result import MixPrediction
     from repro.experiments.setup import ExperimentConfig, ExperimentSetup
     from repro.profiling.profile import SingleCoreProfile
@@ -173,17 +172,9 @@ def predict_task(
     predictor: str,
     mix: "WorkloadMix",
     machine: "MachineConfig",
-    contention_model=None,
-    mppm_config: Optional["MPPMConfig"] = None,
 ) -> "MixPrediction":
     setup = _resolve_setup(token, config, suite, workload_spec, cache_dir)
-    if contention_model is not None:
-        # Ablation override: the instance replaces the spec's model
-        # (setup.predict rejects spec + instance together).
-        return setup.predict(
-            mix, machine, contention_model=contention_model, mppm_config=mppm_config
-        )
-    return setup.predict(mix, machine, predictor=predictor, mppm_config=mppm_config)
+    return setup.predict(mix, machine, predictor=predictor)
 
 
 def predict_mppm_batch_task(
@@ -194,7 +185,6 @@ def predict_mppm_batch_task(
     cache_dir: Optional[str],
     predictor: str,
     items: Tuple[Tuple["WorkloadMix", "MachineConfig"], ...],
-    mppm_config: Optional["MPPMConfig"] = None,
 ):
     """Solve many (mix, machine) pairs of one ``mppm:*`` spec in one pass.
 
@@ -204,7 +194,7 @@ def predict_mppm_batch_task(
     the same cache entries as per-op jobs would have.
     """
     setup = _resolve_setup(token, config, suite, workload_spec, cache_dir)
-    return setup.predictor(predictor, mppm_config=mppm_config).predict_batch(items)
+    return setup.predictor(predictor).predict_batch(items)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +296,6 @@ def predict_job(
     key: str,
     deps: Tuple[str, ...] = (),
     predictor: Optional[str] = None,
-    contention_model=None,
-    mppm_config: Optional["MPPMConfig"] = None,
 ) -> Job:
     """Predict one mix on one machine with one registry predictor.
 
@@ -315,28 +303,20 @@ def predict_job(
     ``mppm:foa``); the cache key covers ``(spec, mix, machine)`` plus
     the setup recipe, so heterogeneous predictor sweeps cache and
     parallelise through the same :class:`ResultCache`/process pool as
-    homogeneous ones.  Predictions are result-cached when they are a
-    pure function of the recipe: a registry spec, and either the
-    default MPPM configuration or an explicit (frozen, reproducibly
-    ``repr``-able) :class:`MPPMConfig`.  A custom contention model
-    instance has no content-stable representation, so those
-    predictions always run.  A ``detailed``-spec job is labelled
+    homogeneous ones.  A ``detailed``-spec job is labelled
     ``kind="simulate"`` because it replays LLC traces — the parallel
     warm-up phase uses the kind to decide what to pre-compute.
     """
     from repro.predictors import DEFAULT_PREDICTOR, canonical_spec, predictor_requires_traces
 
     spec = canonical_spec(predictor if predictor is not None else DEFAULT_PREDICTOR)
-    cache_key = None
-    if contention_model is None:
-        cache_key = predict_cache_key(setup, spec, mix, machine, mppm_config)
     return Job(
         key=key,
         fn=predict_task,
-        args=_recipe(setup) + (spec, mix, machine, contention_model, mppm_config),
+        args=_recipe(setup) + (spec, mix, machine),
         deps=deps,
         kind="simulate" if predictor_requires_traces(spec) else "predict",
-        cache_key=cache_key,
+        cache_key=predict_cache_key(setup, spec, mix, machine),
     )
 
 
@@ -345,7 +325,6 @@ def predict_cache_key(
     spec: str,
     mix: "WorkloadMix",
     machine: "MachineConfig",
-    mppm_config: Optional["MPPMConfig"] = None,
 ) -> str:
     """The content key one (spec, mix, machine) prediction is cached under.
 
@@ -359,7 +338,6 @@ def predict_cache_key(
         machine.profile_key(),
         machine.num_cores,
         mix.programs,
-        repr(mppm_config),
         *_config_parts(setup),
     )
 
@@ -370,7 +348,6 @@ def predict_mppm_batch_job(
     key: str,
     deps: Tuple[str, ...] = (),
     predictor: str = "mppm:foa",
-    mppm_config: Optional["MPPMConfig"] = None,
 ) -> Job:
     """Batch-solve many (mix, machine) pairs of one ``mppm:*`` spec.
 
@@ -381,7 +358,7 @@ def predict_mppm_batch_job(
     return Job(
         key=key,
         fn=predict_mppm_batch_task,
-        args=_recipe(setup) + (predictor, tuple(items), mppm_config),
+        args=_recipe(setup) + (predictor, tuple(items)),
         deps=deps,
         kind="predict",
         cache_key=None,

@@ -27,12 +27,11 @@ Module                 Paper artefact
 """
 
 from repro.experiments.setup import ExperimentConfig, ExperimentSetup, default_setup
-from repro.experiments.results import MixEvaluation, evaluate_mixes
+from repro.experiments.results import MixEvaluation
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentSetup",
     "default_setup",
     "MixEvaluation",
-    "evaluate_mixes",
 ]

@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md.
+"""Design-choice ablations of the iterative model.
 
 The paper makes two explicit modelling choices without publishing a
 sensitivity analysis: the cache-contention model (FOA, §2.3, "we found
@@ -11,6 +11,11 @@ reproduction:
   SDC-competition and inductive-probability models;
 * :func:`smoothing_ablation` — MPPM accuracy as a function of the EMA
   factor ``f`` (``f = 0`` disables smoothing entirely).
+
+Every variant but the smoothing factors is a registry predictor spec
+(:mod:`repro.predictors`); the smoothing sweep builds its models through
+the :class:`~repro.core.MPPM` class API, since ``f`` is not part of the
+spec grammar.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from typing import List, Mapping, Sequence
 
 import numpy as np
 
-from repro.core import MPPMConfig
+from repro.core import MPPM, MPPMConfig
+from repro.core.result import MixPrediction
 from repro.experiments.reporting import format_table
-from repro.experiments.results import MixEvaluation
 from repro.experiments.setup import ExperimentSetup
 from repro.metrics import absolute_relative_error
 from repro.workloads import WorkloadMix
@@ -74,19 +79,10 @@ def _evaluate_variant(
     mixes: Sequence[WorkloadMix],
     machine,
     variant: str,
-    predictor=None,
-    contention_model=None,
-    mppm_config=None,
+    predictions: Sequence[MixPrediction],
 ) -> AblationRow:
     stp_errors, antt_errors, slowdown_errors = [], [], []
-    for mix in mixes:
-        predicted = setup.predict(
-            mix,
-            machine,
-            predictor=predictor,
-            contention_model=contention_model,
-            mppm_config=mppm_config,
-        )
+    for mix, predicted in zip(mixes, predictions):
         measured = setup.simulate(mix, machine)
         stp_errors.append(
             absolute_relative_error(predicted.system_throughput, measured.system_throughput)
@@ -107,6 +103,14 @@ def _evaluate_variant(
     )
 
 
+def _spec_row(
+    setup: ExperimentSetup, mixes: Sequence[WorkloadMix], machine, variant: str, spec: str
+) -> AblationRow:
+    """The row of one registry predictor spec."""
+    predictions = [setup.predict(mix, machine, predictor=spec) for mix in mixes]
+    return _evaluate_variant(setup, mixes, machine, variant, predictions)
+
+
 def contention_model_ablation(
     setup: ExperimentSetup,
     models: Sequence[str] = ("foa", "sdc", "prob"),
@@ -118,10 +122,8 @@ def contention_model_ablation(
     """Compare MPPM accuracy across cache-contention models."""
     machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
     mixes = setup.mixes(num_cores, num_mixes, seed=seed)
-    # Registry specs (mppm:foa, mppm:sdc, …) instead of model
-    # instances: the predictions are bit-identical but memoised.
     rows = [
-        _evaluate_variant(setup, mixes, machine, model_name, predictor=f"mppm:{model_name}")
+        _spec_row(setup, mixes, machine, model_name, f"mppm:{model_name}")
         for model_name in models
     ]
     return AblationResult(
@@ -144,12 +146,13 @@ def smoothing_ablation(
     """Sweep the EMA smoothing factor of the slowdown update."""
     machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
     mixes = setup.mixes(num_cores, num_mixes, seed=seed)
-    rows = [
-        _evaluate_variant(
-            setup, mixes, machine, f"f={factor:.2f}", mppm_config=MPPMConfig(smoothing=factor)
+    rows = []
+    for factor in smoothing_factors:
+        model = MPPM(
+            machine, config=MPPMConfig(smoothing=factor), kernel=setup.config.mppm_kernel
         )
-        for factor in smoothing_factors
-    ]
+        predictions = [model.predict_mix(mix, setup.mix_profiles(mix, machine)) for mix in mixes]
+        rows.append(_evaluate_variant(setup, mixes, machine, f"f={factor:.2f}", predictions))
     return AblationResult(
         title=(
             "Ablation — exponential-moving-average smoothing factor of the slowdown update "
@@ -181,10 +184,7 @@ def iteration_ablation(
         "no contention": "baseline:no-contention",
     }
 
-    rows = [
-        _evaluate_variant(setup, mixes, machine, variant, predictor=spec)
-        for variant, spec in variants.items()
-    ]
+    rows = [_spec_row(setup, mixes, machine, variant, spec) for variant, spec in variants.items()]
     return AblationResult(
         title=(
             "Ablation — value of the iterative entanglement model "
@@ -204,12 +204,8 @@ def update_rule_ablation(
     """Compare the literal Figure 2 slowdown update with the self-consistent one."""
     machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
     mixes = setup.mixes(num_cores, num_mixes, seed=seed)
-    rows = [
-        _evaluate_variant(
-            setup, mixes, machine, variant, mppm_config=MPPMConfig(literal_figure2_update=literal)
-        )
-        for variant, literal in (("self-consistent", False), ("literal Figure 2", True))
-    ]
+    variants = {"self-consistent": "mppm:foa", "literal Figure 2": "mppm:figure2"}
+    rows = [_spec_row(setup, mixes, machine, variant, spec) for variant, spec in variants.items()]
     return AblationResult(
         title=(
             "Ablation — slowdown-update normalisation "

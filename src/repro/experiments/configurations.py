@@ -31,7 +31,7 @@ class ConfigurationTables:
         lines = ["Table 1 — baseline processor configuration (paper scale):"]
         lines.append(self.baseline.describe())
         lines.append("")
-        lines.append("Experiment scale (see DESIGN.md):")
+        lines.append("Experiment scale (see repro.config.scaling):")
         lines.append(self.scaled_baseline.describe())
         lines.append("")
         lines.append(

@@ -9,7 +9,7 @@ currency of the accuracy, ranking and stress experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.core.result import MixPrediction
 from repro.metrics import absolute_relative_error
@@ -83,13 +83,3 @@ class MixEvaluation:
             f"({self.antt_error:.1%} error)"
         )
 
-
-def evaluate_mixes(setup, mixes: Sequence[WorkloadMix], machine) -> List[MixEvaluation]:
-    """Evaluate every mix with both MPPM and the reference simulator.
-
-    ``setup`` is an :class:`repro.experiments.setup.ExperimentSetup`;
-    the import is kept out of the signature to avoid a circular import.
-    The work is submitted through the setup's engine, so it fans out
-    over worker processes when the setup was built with ``jobs > 1``.
-    """
-    return setup.evaluate_many(list(mixes), machine)

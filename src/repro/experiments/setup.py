@@ -8,32 +8,36 @@ so that a whole benchmark session pays each single-core simulation and
 each reference multi-core simulation exactly once, mirroring the
 "one-time cost" structure of the paper's methodology.
 
-Bulk work goes through the :mod:`repro.engine`: the ``*_many`` /
-``*_batch`` methods express a sweep as a job graph (a local profile
-warm-up wave followed by one independent job per mix) and hand it to
+There are five ways in.  :meth:`~ExperimentSetup.predict` and
+:meth:`~ExperimentSetup.simulate` handle one mix in process.  Sweeps go
+through the :mod:`repro.engine`: :meth:`~ExperimentSetup.predictor_batch`
+takes ``(predictor spec, mix, machine)`` triples,
+:meth:`~ExperimentSetup.simulate_batch` takes ``(mix, machine)`` pairs
+and returns the raw reference runs, and
+:meth:`~ExperimentSetup.evaluate_predictors` pairs several specs with
+one shared reference sweep.  Each sweep is one job graph (a local
+profile warm-up wave followed by one independent job per mix) run on
 the setup's executor.  With the default serial backend this behaves
-exactly like the historical inline loops; with ``jobs=N`` the mix jobs
-fan out over a process pool, and with ``cache_dir`` set both profiles
-and mix results persist across processes — serial and parallel runs
-are bit-identical either way.
+exactly like inline loops; with ``jobs=N`` the mix jobs fan out over a
+process pool, and with ``cache_dir`` set both profiles and mix results
+persist across processes — serial and parallel runs are bit-identical
+either way.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig, llc_design_space, machine_with_llc, scaled
-from repro.contention.base import ContentionModel
-from repro.core import MPPM, MPPM_KERNELS, MPPMConfig
+from repro.core import MPPM, MPPM_KERNELS
 from repro.core.result import MixPrediction
 from repro.engine import Executor, JobGraph, create_engine
 from repro.engine import tasks as engine_tasks
 from repro.predictors import (
     DEFAULT_PREDICTOR,
-    PredictorError,
     canonical_spec,
     make_predictor,
     parse_spec,
@@ -81,8 +85,8 @@ class ExperimentConfig:
 
     The defaults reproduce the paper's structure at laptop scale:
     29 benchmarks, 50 profiling intervals per trace and the Table 1/2
-    machines scaled down by 16 (see DESIGN.md).  ``seed`` controls all
-    randomness (trace generation and mix sampling).
+    machines scaled down by 16 (see :mod:`repro.config.scaling`).
+    ``seed`` controls all randomness (trace generation and mix sampling).
     """
 
     scale: int = 16
@@ -277,64 +281,32 @@ class ExperimentSetup:
     # Model and reference simulation
     # ------------------------------------------------------------------
 
-    def mppm(
-        self,
-        machine: MachineConfig,
-        contention_model: Optional[ContentionModel] = None,
-        mppm_config: Optional[MPPMConfig] = None,
-    ) -> MPPM:
+    def mppm(self, machine: MachineConfig) -> MPPM:
         """An MPPM instance for ``machine`` (on the configured solver kernel)."""
-        return MPPM(
-            machine,
-            contention_model=contention_model,
-            config=mppm_config,
-            kernel=self.config.mppm_kernel,
-        )
+        return MPPM(machine, kernel=self.config.mppm_kernel)
 
-    def predictor(self, spec: str, mppm_config: Optional[MPPMConfig] = None):
+    def predictor(self, spec: str):
         """A :class:`~repro.predictors.Predictor` bound to this setup."""
-        return make_predictor(spec, self, mppm_config=mppm_config)
+        return make_predictor(spec, self)
 
     def predict(
-        self,
-        mix: WorkloadMix,
-        machine: MachineConfig,
-        predictor: Optional[str] = None,
-        contention_model: Optional[ContentionModel] = None,
-        mppm_config: Optional[MPPMConfig] = None,
+        self, mix: WorkloadMix, machine: MachineConfig, predictor: Optional[str] = None
     ) -> MixPrediction:
         """One predictor's estimate for one mix on one machine.
 
         ``predictor`` is a registry spec (see :mod:`repro.predictors`);
         the default is the paper's model, ``"mppm:foa"``.  Predictions
-        with a default configuration are cached (they are
-        deterministic), so experiments that revisit the same mixes —
-        e.g. the ranking and agreement studies — pay for each
-        prediction once.
-
-        ``contention_model`` takes an explicit model *instance* for the
-        ablations; that path bypasses the registry (an instance has no
-        content-stable spec) and is never cached.  It contradicts any
-        explicit ``predictor`` spec (specs encode their own contention
-        model), so passing both is an error rather than a silent pick.
+        are cached (they are deterministic), so experiments that revisit
+        the same mixes — e.g. the ranking and agreement studies — pay
+        for each prediction once.
         """
-        if contention_model is not None:
-            if predictor is not None:
-                raise PredictorError(
-                    "pass either a predictor spec or an explicit contention_model "
-                    "instance, not both (specs encode their own contention model)"
-                )
-            # Ablation path: an explicit contention-model instance.
-            model = self.mppm(machine, contention_model=contention_model, mppm_config=mppm_config)
-            return model.predict_mix(mix, self.mix_profiles(mix, machine))
         spec = canonical_spec(predictor if predictor is not None else DEFAULT_PREDICTOR)
-        cacheable = mppm_config is None
         key = (spec, mix.programs, machine.profile_key(), machine.num_cores)
-        if cacheable and key in self._prediction_cache:
-            return for_machine(self._prediction_cache[key], machine)
-        prediction = self.predictor(spec, mppm_config=mppm_config).predict(mix, machine)
-        if cacheable:
-            self._prediction_cache[key] = prediction
+        cached = self._prediction_cache.get(key)
+        if cached is not None:
+            return for_machine(cached, machine)
+        prediction = self.predictor(spec).predict(mix, machine)
+        self._prediction_cache[key] = prediction
         return prediction
 
     def simulate(self, mix: WorkloadMix, machine: MachineConfig) -> MultiCoreRunResult:
@@ -359,12 +331,7 @@ class ExperimentSetup:
     # Bulk evaluation through the engine
     # ------------------------------------------------------------------
 
-    def _sweep_graph(
-        self,
-        ops: Sequence[PredictJob],
-        contention_model: Optional[ContentionModel] = None,
-        mppm_config: Optional[MPPMConfig] = None,
-    ) -> Tuple[JobGraph, "BatchScatter"]:
+    def _sweep_graph(self, ops: Sequence[PredictJob]) -> Tuple[JobGraph, "BatchScatter"]:
         """One graph for a sweep: a profile warm-up wave, then mix jobs.
 
         Each op is ``(spec, mix, machine)`` where ``spec`` is a
@@ -418,10 +385,8 @@ class ExperimentSetup:
                     engine_tasks.simulate_job(self, mix, machine, key=f"op:{i}", deps=deps)
                 )
                 continue
-            if contention_model is None and spec.startswith("mppm:"):
-                cache_key = engine_tasks.predict_cache_key(
-                    self, spec, mix, machine, mppm_config
-                )
+            if spec.startswith("mppm:"):
+                cache_key = engine_tasks.predict_cache_key(self, spec, mix, machine)
                 if not self.engine.is_cached(cache_key):
                     entries = batchable.setdefault(spec, {})
                     if cache_key in entries:
@@ -431,14 +396,7 @@ class ExperimentSetup:
                     continue
             graph.add(
                 engine_tasks.predict_job(
-                    self,
-                    mix,
-                    machine,
-                    key=f"op:{i}",
-                    deps=deps,
-                    predictor=spec,
-                    contention_model=contention_model,
-                    mppm_config=mppm_config,
+                    self, mix, machine, key=f"op:{i}", deps=deps, predictor=spec
                 )
             )
         scatter: BatchScatter = {}
@@ -459,7 +417,6 @@ class ExperimentSetup:
                         key=job_key,
                         deps=deps,
                         predictor=spec,
-                        mppm_config=mppm_config,
                     )
                 )
                 scatter[job_key] = [
@@ -521,12 +478,7 @@ class ExperimentSetup:
             self.store.absorb(spec, machines, bundle)
         self.engine.refresh_workers()
 
-    def _run_ops(
-        self,
-        ops: Sequence[PredictJob],
-        contention_model: Optional[ContentionModel] = None,
-        mppm_config: Optional[MPPMConfig] = None,
-    ) -> List[object]:
+    def _run_ops(self, ops: Sequence[PredictJob]) -> List[object]:
         """Run a sweep, expanding two-stage ``hybrid:*`` ops if present.
 
         Plain sweeps go straight to :meth:`_run_plain_ops`.  Hybrid ops
@@ -540,13 +492,7 @@ class ExperimentSetup:
         """
         hybrid_present = any(spec.startswith("hybrid:") for spec, _, _ in ops)
         if not hybrid_present:
-            return self._run_plain_ops(ops, contention_model, mppm_config)
-        if contention_model is not None or mppm_config is not None:
-            raise PredictorError(
-                "hybrid:* specs carry their own two-stage configuration; "
-                "they accept neither an explicit contention model nor an "
-                "MPPMConfig"
-            )
+            return self._run_plain_ops(ops)
         base_ops = [
             (DEFAULT_PREDICTOR, mix, machine) if spec.startswith("hybrid:") else (spec, mix, machine)
             for spec, mix, machine in ops
@@ -573,12 +519,7 @@ class ExperimentSetup:
                 out[index] = tag_prediction(out[index], spec)
         return out
 
-    def _run_plain_ops(
-        self,
-        ops: Sequence[PredictJob],
-        contention_model: Optional[ContentionModel] = None,
-        mppm_config: Optional[MPPMConfig] = None,
-    ) -> List[object]:
+    def _run_plain_ops(self, ops: Sequence[PredictJob]) -> List[object]:
         """Run one sweep graph and return op results in input order.
 
         ``detailed`` ops come back from the graph as raw
@@ -590,7 +531,7 @@ class ExperimentSetup:
         result is labelled with its own op's machine name (cache keys
         leave the name out, see :func:`~repro.predictors.base.for_machine`).
         """
-        graph, scatter = self._sweep_graph(ops, contention_model, mppm_config)
+        graph, scatter = self._sweep_graph(ops)
         self._parallel_warm(graph)
         results = self.engine.run(graph)
         out: List[object] = [None] * len(ops)
@@ -621,23 +562,6 @@ class ExperimentSetup:
         """
         ops = [(canonical_spec(spec), mix, machine) for spec, mix, machine in items]
         return self._run_ops(ops)
-
-    def predict_batch(
-        self,
-        pairs: Sequence[MixJob],
-        predictor: Optional[str] = None,
-        contention_model: Optional[ContentionModel] = None,
-        mppm_config: Optional[MPPMConfig] = None,
-    ) -> List[MixPrediction]:
-        """One predictor's estimates for many (mix, machine) pairs, in input order."""
-        if contention_model is not None and predictor is not None:
-            raise PredictorError(
-                "pass either a predictor spec or an explicit contention_model "
-                "instance, not both (specs encode their own contention model)"
-            )
-        spec = canonical_spec(predictor if predictor is not None else DEFAULT_PREDICTOR)
-        ops = [(spec, mix, machine) for mix, machine in pairs]
-        return self._run_ops(ops, contention_model, mppm_config)
 
     def simulate_batch(self, pairs: Sequence[MixJob]) -> List[MultiCoreRunResult]:
         """Reference simulations for many (mix, machine) pairs, in input order."""
@@ -683,41 +607,6 @@ class ExperimentSetup:
                 )
             ]
         return evaluated
-
-    def evaluate_batch(
-        self, pairs: Sequence[MixJob], predictor: Optional[str] = None
-    ) -> List["MixEvaluation"]:
-        """One predictor and the reference for many (mix, machine) pairs."""
-        spec = canonical_spec(predictor if predictor is not None else DEFAULT_PREDICTOR)
-        return self.evaluate_predictors(pairs, (spec,))[spec]
-
-    def predict_many(
-        self,
-        mixes: Sequence[WorkloadMix],
-        machine: MachineConfig,
-        predictor: Optional[str] = None,
-        contention_model: Optional[ContentionModel] = None,
-        mppm_config: Optional[MPPMConfig] = None,
-    ) -> List[MixPrediction]:
-        """One predictor's estimates for many mixes on one machine."""
-        return self.predict_batch(
-            [(mix, machine) for mix in mixes], predictor, contention_model, mppm_config
-        )
-
-    def simulate_many(
-        self, mixes: Sequence[WorkloadMix], machine: MachineConfig
-    ) -> List[MultiCoreRunResult]:
-        """Reference simulations for many mixes on one machine."""
-        return self.simulate_batch([(mix, machine) for mix in mixes])
-
-    def evaluate_many(
-        self,
-        mixes: Sequence[WorkloadMix],
-        machine: MachineConfig,
-        predictor: Optional[str] = None,
-    ) -> List["MixEvaluation"]:
-        """Predictions and reference simulations for many mixes on one machine."""
-        return self.evaluate_batch([(mix, machine) for mix in mixes], predictor)
 
     def close(self) -> None:
         """Release the engine's worker pool (idempotent; serial is a no-op)."""

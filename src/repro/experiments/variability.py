@@ -113,7 +113,7 @@ def variability_experiment(
     machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
     mixes = setup.mixes(num_cores, max_mixes, seed=seed)
 
-    results = setup.predict_many(mixes, machine, predictor=spec)
+    results = setup.predictor_batch([(spec, mix, machine) for mix in mixes])
     stp_values: List[float] = [result.system_throughput for result in results]
     antt_values: List[float] = [
         result.average_normalized_turnaround_time for result in results

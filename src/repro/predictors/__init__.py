@@ -157,36 +157,17 @@ def canonical_spec(spec: str) -> str:
     return _SPECS.parse(spec).canonical
 
 
-def make_predictor(
-    spec: str,
-    setup: "ExperimentSetup",
-    mppm_config: Optional[MPPMConfig] = None,
-) -> Predictor:
-    """Construct a predictor by spec, bound to an experiment setup.
-
-    ``mppm_config`` tunes the iterative model and is only meaningful
-    for ``mppm:<contention>`` specs; passing it with any other spec —
-    including the ``mppm:windowed`` / ``mppm:figure2`` variants, whose
-    configuration *is* their identity — is an error.
-    """
+def make_predictor(spec: str, setup: "ExperimentSetup") -> Predictor:
+    """Construct a predictor by spec, bound to an experiment setup."""
     parsed = _SPECS.parse(spec)
     family, variant, canonical = parsed.family, parsed.head, parsed.canonical
     if family == "mppm" and variant in _MPPM_VARIANTS:
-        if mppm_config is not None:
-            raise PredictorError(
-                f"{canonical!r} carries its own MPPMConfig; pass a plain "
-                "mppm:<contention> spec to tune the model explicitly"
-            )
         variant_config, _ = _MPPM_VARIANTS[variant]
         return MPPMPredictor(
             setup, contention="foa", mppm_config=variant_config, spec=canonical
         )
-    if family != "mppm" and mppm_config is not None:
-        raise PredictorError(
-            f"mppm_config only applies to mppm:* predictors, not {canonical!r}"
-        )
     if family == "mppm":
-        return MPPMPredictor(setup, contention=variant, mppm_config=mppm_config)
+        return MPPMPredictor(setup, contention=variant)
     if family == "baseline":
         return BaselinePredictor(setup, variant=variant)
     if family == "hybrid":

@@ -1,7 +1,7 @@
 """Detailed trace-driven simulators.
 
 This package is the stand-in for CMP$im, the detailed reference
-simulator of the paper (see DESIGN.md, "Substitutions"):
+simulator of the paper:
 
 * :class:`SingleCoreSimulator` runs one benchmark in isolation through
   the full cache hierarchy; it produces the per-interval measurements

@@ -2,12 +2,11 @@
 
 The paper evaluates MPPM on SPEC CPU2006 (29 benchmarks, 1B-instruction
 SimPoints traced with Pin).  That artefact is proprietary, so this
-package provides the substitution described in DESIGN.md: a suite of 29
-named *synthetic* benchmarks, each defined by a :class:`BenchmarkSpec`
-that parameterises an LRU-stack-model address-stream generator
-(temporal-reuse profile, working-set size, streaming fraction,
-memory-reference rate, base CPI, memory-level parallelism and
-per-phase parameter drift).
+package substitutes a suite of 29 named *synthetic* benchmarks, each
+defined by a :class:`BenchmarkSpec` that parameterises an
+LRU-stack-model address-stream generator (temporal-reuse profile,
+working-set size, streaming fraction, memory-reference rate, base CPI,
+memory-level parallelism and per-phase parameter drift).
 
 Workloads are first-class registry objects: :func:`make_workload`
 resolves a spec string (``"suite:spec29"``, ``"suite:spec29/scaled@8"``,

@@ -97,8 +97,8 @@ class TraceGenerator:
     ----------
     num_instructions:
         Trace length in dynamic instructions.  The default of 200,000
-        stands in for the paper's 1B-instruction SimPoints (DESIGN.md
-        explains the 1:5000 scale).
+        stands in for the paper's 1B-instruction SimPoints (a 1:5000
+        scale; :mod:`repro.config.scaling` shrinks the caches to match).
     seed:
         Global seed combined with each benchmark's own seed, so that a
         whole suite can be re-generated under a different seed for

@@ -100,10 +100,10 @@ class TestSerialVersusProcessPool:
     def test_predictions_are_bit_identical(self, mixes):
         serial = engine_setup()
         parallel = engine_setup(jobs=2)
-        machine = serial.machine(num_cores=2)
+        ops = [("mppm:foa", mix, serial.machine(num_cores=2)) for mix in mixes]
         try:
-            serial_predictions = serial.predict_many(mixes, machine)
-            parallel_predictions = parallel.predict_many(mixes, machine)
+            serial_predictions = serial.predictor_batch(ops)
+            parallel_predictions = parallel.predictor_batch(ops)
         finally:
             parallel.close()
         # Dataclass equality compares every float exactly: bit-identical.
@@ -112,10 +112,10 @@ class TestSerialVersusProcessPool:
     def test_evaluations_are_bit_identical(self, mixes):
         serial = engine_setup()
         parallel = engine_setup(jobs=2)
-        machine = serial.machine(num_cores=2)
+        pairs = [(mix, serial.machine(num_cores=2)) for mix in mixes]
         try:
-            serial_evaluations = serial.evaluate_many(mixes, machine)
-            parallel_evaluations = parallel.evaluate_many(mixes, machine)
+            serial_evaluations = serial.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
+            parallel_evaluations = parallel.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
         finally:
             parallel.close()
         for serial_one, parallel_one in zip(serial_evaluations, parallel_evaluations):
@@ -127,7 +127,7 @@ class TestSerialVersusProcessPool:
         parallel = engine_setup(jobs=2)
         machine = parallel.machine(num_cores=2)
         try:
-            parallel.predict_many(mixes, machine)
+            parallel.predictor_batch([("mppm:foa", mix, machine) for mix in mixes])
         finally:
             parallel.close()
         # The one-time profiling cost was paid on the pool, not inline.
@@ -209,8 +209,8 @@ class TestResultCache:
     def test_warm_cache_performs_zero_recomputation(self, tmp_path, mixes, monkeypatch):
         cache_dir = tmp_path / "campaign"
         cold = engine_setup(cache_dir=cache_dir)
-        machine = cold.machine(num_cores=2)
-        cold_evaluations = cold.evaluate_many(mixes, machine)
+        pairs = [(mix, cold.machine(num_cores=2)) for mix in mixes]
+        cold_evaluations = cold.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
         assert cold.store.simulated_profiles > 0
 
         # Any attempt to recompute would now blow up.
@@ -224,7 +224,7 @@ class TestResultCache:
         monkeypatch.setattr(Profiler, "profile", forbidden)
 
         warm = engine_setup(cache_dir=cache_dir)
-        warm_evaluations = warm.evaluate_many(mixes, machine)
+        warm_evaluations = warm.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
         assert warm.store.simulated_profiles == 0
         assert warm.reference_runs() == 0
         for cold_one, warm_one in zip(cold_evaluations, warm_evaluations):
@@ -237,29 +237,29 @@ class TestResultCache:
         new_mixes = [WorkloadMix(programs=pair) for pair in zip(names, names[2:] + names[:2])]
         cold = engine_setup(cache_dir=tmp_path)
         machine = cold.machine(num_cores=2)
-        cold.simulate_many(first_mixes, machine)
+        cold.simulate_batch([(mix, machine) for mix in first_mixes])
         assert cold.store.generated_traces == len(names)
 
         # A fresh setup on the same cache dir stands in for a second process.
         warm = engine_setup(cache_dir=tmp_path)
-        runs = warm.simulate_many(new_mixes, machine)
+        runs = warm.simulate_batch([(mix, machine) for mix in new_mixes])
         assert warm.store.generated_traces == 0 and warm.store.simulated_profiles == 0
         assert warm.store.loaded_traces == len(names)
         assert warm.reference_runs() == len(new_mixes)
-        fresh = engine_setup().simulate_many(new_mixes, machine)
+        fresh = engine_setup().simulate_batch([(mix, machine) for mix in new_mixes])
         assert [run.to_dict() for run in runs] == [run.to_dict() for run in fresh]
 
     def test_warm_cache_skips_the_profile_warmup_wave(self, tmp_path, mixes):
         cache_dir = tmp_path / "campaign"
         cold = engine_setup(cache_dir=cache_dir)
-        machine = cold.machine(num_cores=2)
-        cold.evaluate_many(mixes, machine)
+        pairs = [(mix, cold.machine(num_cores=2)) for mix in mixes]
+        cold.evaluate_predictors(pairs, ["mppm:foa"])
 
         reporter = CollectingReporter()
         warm = engine_setup(
             engine=create_engine(cache_dir=cache_dir, reporter=reporter), cache_dir=cache_dir
         )
-        warm.evaluate_many(mixes, machine)
+        warm.evaluate_predictors(pairs, ["mppm:foa"])
         assert reporter.count("cached") == 2 * len(mixes)
         assert reporter.count("done") == 0
         assert reporter.count("skipped") > 0  # the optional profile wave

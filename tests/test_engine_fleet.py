@@ -152,21 +152,20 @@ def mixes(serial):
 class TestLoopbackFleet:
     def test_predictions_are_bit_identical_to_serial(self, serial, fleet, mixes):
         machine = serial.machine(num_cores=2)
-        assert fleet.predict_many(mixes, machine) == serial.predict_many(mixes, machine)
+        ops = [("mppm:foa", mix, machine) for mix in mixes]
+        assert fleet.predictor_batch(ops) == serial.predictor_batch(ops)
 
     def test_simulations_are_bit_identical_to_serial(self, serial, fleet, mixes):
-        machine = serial.machine(num_cores=2)
-        for ours, theirs in zip(
-            fleet.simulate_many(mixes, machine), serial.simulate_many(mixes, machine)
-        ):
+        pairs = [(mix, serial.machine(num_cores=2)) for mix in mixes]
+        for ours, theirs in zip(fleet.simulate_batch(pairs), serial.simulate_batch(pairs)):
             assert ours.to_dict() == theirs.to_dict()
 
     def test_warm_fleet_recomputes_nothing(self, fleet, mixes):
-        machine = fleet.machine(num_cores=2)
-        first = fleet.predict_many(mixes, machine)
+        ops = [("mppm:foa", mix, fleet.machine(num_cores=2)) for mix in mixes]
+        first = fleet.predictor_batch(ops)
         stores = fleet.engine.cache.stores
         dispatched = fleet.engine.backend.stats()["dispatched"]
-        again = fleet.predict_many(mixes, machine)
+        again = fleet.predictor_batch(ops)
         assert again == first
         # Every job resolved from the driver's cache: nothing stored,
         # nothing even dispatched to a worker.
@@ -174,8 +173,7 @@ class TestLoopbackFleet:
         assert fleet.engine.backend.stats()["dispatched"] == dispatched
 
     def test_stats_expose_per_worker_counters(self, fleet, mixes):
-        machine = fleet.machine(num_cores=2)
-        fleet.predict_many(mixes, machine)
+        fleet.predictor_batch([("mppm:foa", mix, fleet.machine(num_cores=2)) for mix in mixes])
         stats = fleet.engine.backend.stats()
         assert stats["spec"] == "fleet:localhost:2"
         assert stats["alive"] == 2 and len(stats["workers"]) == 2
@@ -192,7 +190,7 @@ class TestLoopbackFleet:
         try:
             machine = setup.machine(num_cores=2)
             mixes = setup.mixes(2, 8, seed=11)
-            runs = setup.simulate_many(mixes, machine)
+            runs = setup.simulate_batch([(mix, machine) for mix in mixes])
             workers = [
                 WorkerClient(worker["url"]).stats()["store"]
                 for worker in setup.engine.backend.stats()["workers"]
@@ -203,7 +201,7 @@ class TestLoopbackFleet:
         assert sum(worker["generated_traces"] for worker in workers) == len(benchmarks)
         assert sum(worker["simulated_profiles"] for worker in workers) == len(benchmarks)
         assert setup.store.generated_traces == 0
-        expected = serial.simulate_many(mixes, serial.machine(num_cores=2))
+        expected = serial.simulate_batch([(mix, serial.machine(num_cores=2)) for mix in mixes])
         assert [run.to_dict() for run in runs] == [run.to_dict() for run in expected]
 
     def test_workers_answer_from_their_caches_across_drivers(self, tmp_path):
@@ -218,15 +216,16 @@ class TestLoopbackFleet:
             )
             mixes = cold.mixes(2, 3, seed=5)
             machine = cold.machine(num_cores=2)
-            first = [run.to_dict() for run in cold.simulate_many(mixes, machine)]
+            pairs = [(mix, machine) for mix in mixes]
+            first = [run.to_dict() for run in cold.simulate_batch(pairs)]
             assert backend.stats()["remote_cache_hits"] == 0
             warm = ExperimentSetup(
                 config=CONFIG, suite=small_suite(5), engine=Executor(backend=backend)
             )
             second = [
                 run.to_dict()
-                for run in warm.simulate_many(
-                    warm.mixes(2, 3, seed=5), warm.machine(num_cores=2)
+                for run in warm.simulate_batch(
+                    [(mix, warm.machine(num_cores=2)) for mix in warm.mixes(2, 3, seed=5)]
                 )
             ]
             assert second == first
@@ -414,17 +413,18 @@ class TestLaunch:
             setup = fleet_setup(jobs=f"fleet:attach={handle.url[len('http://'):]}")
             try:
                 machine = setup.machine(num_cores=2)
-                predictions = setup.predict_many(mixes[:3], machine)
-                runs = [run.to_dict() for run in setup.simulate_many(mixes[:2], machine)]
+                ops = [("mppm:foa", mix, machine) for mix in mixes[:3]]
+                pairs = [(mix, machine) for mix in mixes[:2]]
+                predictions = setup.predictor_batch(ops)
+                runs = [run.to_dict() for run in setup.simulate_batch(pairs)]
                 assert setup.engine.backend.stats()["completed"] > 0
             finally:
                 setup.close()
         finally:
             handle.terminate()
         assert handle.process.poll() is not None
-        machine = serial.machine(num_cores=2)
-        assert predictions == serial.predict_many(mixes[:3], machine)
-        assert runs == [run.to_dict() for run in serial.simulate_many(mixes[:2], machine)]
+        assert predictions == serial.predictor_batch(ops)
+        assert runs == [run.to_dict() for run in serial.simulate_batch(pairs)]
 
     def test_forked_workers_start_clean(self, tmp_path):
         # A driver with a registered, warmed setup, a setup rebuilt from
@@ -631,24 +631,21 @@ class TestFleetFailures:
             victim = backend._slots[0].handle.process
             # Fresh (uncached) simulations keep the wave busy long
             # enough for the kill to land mid-flight.
-            mixes = setup.mixes(2, 6, seed=11)
             machine = setup.machine(num_cores=2)
+            pairs = [(mix, machine) for mix in setup.mixes(2, 6, seed=11)]
             timer = threading.Timer(0.05, victim.send_signal, args=(signal.SIGKILL,))
             timer.start()
             try:
-                fleet_runs = [run.to_dict() for run in setup.simulate_many(mixes, machine)]
+                fleet_runs = [run.to_dict() for run in setup.simulate_batch(pairs)]
             finally:
                 timer.cancel()
         finally:
             setup.close()
         reference = fleet_setup()
         try:
-            serial_runs = [
-                run.to_dict()
-                for run in reference.simulate_many(
-                    reference.mixes(2, 6, seed=11), reference.machine(num_cores=2)
-                )
-            ]
+            machine = reference.machine(num_cores=2)
+            pairs = [(mix, machine) for mix in reference.mixes(2, 6, seed=11)]
+            serial_runs = [run.to_dict() for run in reference.simulate_batch(pairs)]
         finally:
             reference.close()
         assert fleet_runs == serial_runs

@@ -11,6 +11,7 @@ import pytest
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.experiments.ablations import (
     contention_model_ablation,
+    iteration_ablation,
     smoothing_ablation,
     update_rule_ablation,
 )
@@ -18,7 +19,6 @@ from repro.experiments.accuracy import accuracy_experiment
 from repro.experiments.agreement import agreement_experiment
 from repro.experiments.configurations import configuration_tables
 from repro.experiments.ranking import ranking_experiment
-from repro.experiments.results import evaluate_mixes
 from repro.experiments.speed import speed_experiment
 from repro.experiments.stress import (
     benchmark_sensitivity,
@@ -88,12 +88,13 @@ class TestAccuracy:
         with pytest.raises(KeyError):
             result.for_cores(16)
 
-    def test_evaluate_mixes_pairs_predictions_with_measurements(self, setup):
+    def test_evaluate_predictors_pairs_predictions_with_measurements(self, setup):
         from repro.workloads import sample_mixes
 
         machine = setup.machine(num_cores=2)
         mixes = sample_mixes(setup.benchmark_names, 2, 3, seed=5)
-        evaluations = evaluate_mixes(setup, mixes, machine)
+        pairs = [(mix, machine) for mix in mixes]
+        evaluations = setup.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
         assert len(evaluations) == 3
         for evaluation in evaluations:
             assert evaluation.predicted.num_programs == 2
@@ -229,3 +230,62 @@ class TestAblations:
     def test_update_rule_ablation(self, setup):
         result = update_rule_ablation(setup, num_mixes=4)
         assert {row.variant for row in result.rows} == {"self-consistent", "literal Figure 2"}
+
+
+def _row(variant, stp, antt, slowdown):
+    return {
+        "variant": variant,
+        "STP_error_%": stp,
+        "ANTT_error_%": antt,
+        "slowdown_error_%": slowdown,
+    }
+
+
+#: Exact ``to_rows()`` of every ablation on the module fixture at
+#: ``num_mixes=4`` and each ablation's default seed.  The predictions
+#: are deterministic and bit-identical across kernels, so any change to
+#: how an ablation reaches the model shows up here as a float mismatch.
+ABLATION_GOLDEN = {
+    "contention": [
+        _row("foa", 1.6110655701080199, 2.031377911034072, 2.62612765345607),
+        _row("sdc", 1.2301715595168101, 1.4647277451349914, 3.697524005724732),
+        _row("prob", 1.2939630916699312, 1.7123816638699503, 2.916936770785987),
+    ],
+    "smoothing": [
+        _row("f=0.00", 4.517502120120703, 6.28742681301129, 6.753847226918336),
+        _row("f=0.50", 2.2142868281549766, 2.9864239272256663, 4.1369459367854935),
+        _row("f=0.90", 0.32084552810359357, 0.3877299759585531, 0.6378316320357821),
+    ],
+    "update rule": [
+        _row("self-consistent", 2.2110502824487925, 3.0922069952851614, 4.989476582631792),
+        _row("literal Figure 2", 1.231112612207769, 1.6253662142953362, 4.280605761098269),
+    ],
+    "iteration": [
+        _row("MPPM (iterative)", 0.8776031300444243, 1.2657863907707034, 2.190917117914414),
+        _row("one-shot contention", 0.30477782213283316, 0.34346147397455473, 0.5131249175043909),
+        _row("no contention", 4.773799328519887, 4.819063548510133, 4.48778874674481),
+    ],
+}
+
+
+class TestAblationGolden:
+    def test_every_ablation_reproduces_its_pinned_rows(self, setup):
+        results = {
+            "contention": contention_model_ablation(setup, num_mixes=4),
+            "smoothing": smoothing_ablation(setup, smoothing_factors=(0.0, 0.5, 0.9), num_mixes=4),
+            "update rule": update_rule_ablation(setup, num_mixes=4),
+            "iteration": iteration_ablation(setup, num_mixes=4),
+        }
+        assert {name: result.to_rows() for name, result in results.items()} == ABLATION_GOLDEN
+
+    def test_default_smoothing_is_the_self_consistent_update_rule(self, setup):
+        # f = 0.5 is MPPMConfig's default, so on the same mixes the
+        # smoothing sweep's f=0.50 row is update-rule's self-consistent row.
+        seed = 79  # update_rule_ablation's default seed
+        (smoothed,) = smoothing_ablation(
+            setup, smoothing_factors=(0.5,), num_mixes=4, seed=seed
+        ).to_rows()
+        self_consistent, _ = update_rule_ablation(setup, num_mixes=4, seed=seed).to_rows()
+        assert smoothed.pop("variant") == "f=0.50"
+        assert self_consistent.pop("variant") == "self-consistent"
+        assert smoothed == self_consistent

@@ -81,16 +81,12 @@ class TestExperimentSetup:
         assert first is second
         assert small_setup.reference_runs() == before + 1
 
-    def test_predictions_are_cached_only_for_default_model(self, small_setup):
-        from repro.core import MPPMConfig
-
+    def test_predictions_are_cached(self, small_setup):
         machine = small_setup.machine()
         mix = WorkloadMix(programs=tuple(small_setup.benchmark_names[:4]))
         first = small_setup.predict(mix, machine)
         second = small_setup.predict(mix, machine)
         assert first is second
-        custom = small_setup.predict(mix, machine, mppm_config=MPPMConfig(smoothing=0.9))
-        assert custom is not first
 
     def test_simulate_adapts_machine_core_count_to_mix_size(self, small_setup):
         machine = small_setup.machine(num_cores=4)
@@ -109,7 +105,7 @@ class TestExperimentSetup:
 
 
 class TestBatchedMppmSweeps:
-    """The batched solver path through ``predict_batch`` is invisible:
+    """The batched solver path through ``predictor_batch`` is invisible:
     bit-identical results, per-op cache entries, shared dedup objects."""
 
     MPPM_SPECS = ("mppm:foa", "mppm:sdc", "mppm:prob", "mppm:windowed", "mppm:figure2")
@@ -134,14 +130,13 @@ class TestBatchedMppmSweeps:
         batched_setup = self._setup("batched")
         reference_setup = self._setup("reference")
         machine = batched_setup.machine(num_cores=2)
-        pairs = [
-            (mix, machine) for mix in batched_setup.mixes(num_programs=2, num_mixes=4)
-        ]
+        mixes = batched_setup.mixes(num_programs=2, num_mixes=4)
         for spec in self.MPPM_SPECS:
-            batched = batched_setup.predict_batch(pairs, predictor=spec)
-            reference = reference_setup.predict_batch(pairs, predictor=spec)
-            assert [p.kernel for p in batched] == ["batched"] * len(pairs)
-            assert [p.kernel for p in reference] == ["reference"] * len(pairs)
+            ops = [(spec, mix, machine) for mix in mixes]
+            batched = batched_setup.predictor_batch(ops)
+            reference = reference_setup.predictor_batch(ops)
+            assert [p.kernel for p in batched] == ["batched"] * len(ops)
+            assert [p.kernel for p in reference] == ["reference"] * len(ops)
             for fast, slow in zip(batched, reference):
                 assert fast.iterations == slow.iterations
                 assert fast.converged == slow.converged
@@ -155,8 +150,8 @@ class TestBatchedMppmSweeps:
         machine = setup.machine(num_cores=2)
         mix = WorkloadMix(programs=tuple(setup.benchmark_names[:2]))
         other = WorkloadMix(programs=tuple(setup.benchmark_names[2:4]))
-        results = setup.predict_batch(
-            [(mix, machine), (other, machine), (mix, machine)], predictor="mppm:foa"
+        results = setup.predictor_batch(
+            [("mppm:foa", mix, machine), ("mppm:foa", other, machine), ("mppm:foa", mix, machine)]
         )
         assert results[0] is results[2]
         assert results[0] is not results[1]
@@ -164,9 +159,9 @@ class TestBatchedMppmSweeps:
     def test_batch_path_populates_per_op_cache_entries(self, tmp_path):
         setup = self._setup("batched", cache_dir=tmp_path)
         machine = setup.machine(num_cores=2)
-        pairs = [(mix, machine) for mix in setup.mixes(num_programs=2, num_mixes=3)]
-        pairs.append(pairs[0])  # duplicate op: one store, two results
-        first = setup.predict_batch(pairs, predictor="mppm:sdc")
+        ops = [("mppm:sdc", mix, machine) for mix in setup.mixes(num_programs=2, num_mixes=3)]
+        ops.append(ops[0])  # duplicate op: one store, two results
+        first = setup.predictor_batch(ops)
         stats = setup.engine.cache_stats()
         predict_stores = 3  # unique (mix, machine) ops, not batch jobs
         assert stats["stores"] >= predict_stores
@@ -175,9 +170,9 @@ class TestBatchedMppmSweeps:
         # from the per-op cache entries the batch job scattered out.
         rerun_setup = self._setup("batched", cache_dir=tmp_path)
         rerun_machine = rerun_setup.machine(num_cores=2)
-        rerun_pairs = [(mix, rerun_machine) for mix, _ in pairs]
+        rerun_ops = [(spec, mix, rerun_machine) for spec, mix, _ in ops]
         before = rerun_setup.engine.cache_stats()
-        rerun = rerun_setup.predict_batch(rerun_pairs, predictor="mppm:sdc")
+        rerun = rerun_setup.predictor_batch(rerun_ops)
         after = rerun_setup.engine.cache_stats()
         assert after["hits"] - before["hits"] >= predict_stores
         for fresh, cached in zip(first, rerun):
@@ -239,8 +234,8 @@ class TestCampaignCacheLayout:
     def test_profiles_are_result_entries_outside_the_engine_counters(self, tmp_path):
         setup = self._setup(tmp_path)
         machine = setup.machine(num_cores=2)
-        pairs = [(mix, machine) for mix in setup.mixes(2, 3, seed=1)]
-        first = setup.predict_batch(pairs)
+        ops = [("mppm:foa", mix, machine) for mix in setup.mixes(2, 3, seed=1)]
+        first = setup.predictor_batch(ops)
 
         assert not (tmp_path / "profiles").exists()
         entries = [json.loads(path.read_text()) for path in (tmp_path / "results").iterdir()]
@@ -256,7 +251,7 @@ class TestCampaignCacheLayout:
         )
 
         rerun = self._setup(tmp_path)
-        assert rerun.predict_batch(pairs) == first
+        assert rerun.predictor_batch(ops) == first
         assert rerun.store.simulated_profiles == 0
 
 
@@ -300,7 +295,7 @@ class TestMulticoreKernelPlumbing:
         assert direct.predictor == "detailed"
         assert direct.kernel == "heap"
         # The sweep path repackages simulate jobs the same way.
-        swept = setup.predict_batch([(mix, machine)], predictor="detailed")[0]
+        swept = setup.predictor_batch([("detailed", mix, machine)])[0]
         assert swept.kernel == "heap"
         assert swept.programs == direct.programs
 

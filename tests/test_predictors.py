@@ -103,27 +103,6 @@ class TestRegistry:
         for name in repro.available_contention_models():
             assert name in str(excinfo.value)
 
-    def test_mppm_config_rejected_for_non_mppm_specs(self, setup):
-        from repro.core import MPPMConfig
-
-        with pytest.raises(PredictorError):
-            make_predictor("detailed", setup, mppm_config=MPPMConfig(smoothing=0.9))
-
-    def test_spec_and_contention_model_instance_conflict(self, setup, mix, machine):
-        from repro.contention import FOAModel
-
-        with pytest.raises(PredictorError):
-            setup.predict(
-                mix, machine, predictor="baseline:no-contention", contention_model=FOAModel()
-            )
-        with pytest.raises(PredictorError):
-            setup.predict_many(
-                [mix], machine, predictor="mppm:sdc", contention_model=FOAModel()
-            )
-        # The instance-only ablation path still works (and is untagged).
-        ablated = setup.predict(mix, machine, contention_model=FOAModel())
-        assert ablated.predictor is None
-
     def test_trace_requirement_flags(self):
         assert predictor_requires_traces("detailed")
         assert not predictor_requires_traces("mppm:foa")
@@ -197,12 +176,6 @@ class TestBitIdentityWithReplacedPaths:
         # Variants run through the cached registry path: a repeat is a
         # cache hit returning the same object.
         assert setup.predict(mix, machine, predictor=f"mppm:{variant}") is via_registry
-
-    def test_mppm_variant_specs_reject_explicit_configs(self, setup):
-        from repro.core import MPPMConfig
-
-        with pytest.raises(PredictorError):
-            make_predictor("mppm:windowed", setup, mppm_config=MPPMConfig(smoothing=0.9))
 
     def test_detailed_spec_matches_reference_simulation(self, setup, mix, machine):
         measured = setup.simulate(mix, machine)

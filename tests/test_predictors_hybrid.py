@@ -31,6 +31,11 @@ def make_setup(**kwargs) -> ExperimentSetup:
     return ExperimentSetup(config=CONFIG, suite=small_suite(5), **kwargs)
 
 
+def sweep(setup, spec, mixes, machine):
+    """One spec's predictions for every mix on ``machine``, in order."""
+    return setup.predictor_batch([(spec, mix, machine) for mix in mixes])
+
+
 @pytest.fixture(scope="module")
 def setup():
     return make_setup()
@@ -78,10 +83,9 @@ class TestPoolSweep:
         self, setup, machine, pool
     ):
         k = 2
-        pairs = [(mix, machine) for mix in pool]
-        hybrid = setup.predict_batch(pairs, predictor=f"hybrid:k={k}")
-        mppm = setup.predict_batch(pairs)
-        detailed = setup.predict_batch(pairs, predictor="detailed")
+        hybrid = sweep(setup, f"hybrid:k={k}", pool, machine)
+        mppm = sweep(setup, "mppm:foa", pool, machine)
+        detailed = sweep(setup, "detailed", pool, machine)
         ranked = sorted(
             range(len(pool)), key=lambda i: (mppm[i].system_throughput, i)
         )
@@ -92,9 +96,8 @@ class TestPoolSweep:
             assert prediction == replace(expected, predictor=prediction.predictor)
 
     def test_k_larger_than_the_pool_is_all_detailed(self, setup, machine, pool):
-        pairs = [(mix, machine) for mix in pool]
-        hybrid = setup.predict_batch(pairs, predictor="hybrid:k=99")
-        detailed = setup.predict_batch(pairs, predictor="detailed")
+        hybrid = sweep(setup, "hybrid:k=99", pool, machine)
+        detailed = sweep(setup, "detailed", pool, machine)
         for got, expected in zip(hybrid, detailed):
             assert got == replace(expected, predictor="hybrid:k=99")
 
@@ -103,10 +106,9 @@ class TestPoolSweep:
         parallel = make_setup(jobs=2, cache_dir=tmp_path / "cache")
         try:
             machine = serial.machine(num_cores=2)
-            pairs = [(mix, machine) for mix in pool]
-            assert parallel.predict_batch(
-                pairs, predictor="hybrid:k=2"
-            ) == serial.predict_batch(pairs, predictor="hybrid:k=2")
+            assert sweep(parallel, "hybrid:k=2", pool, machine) == sweep(
+                serial, "hybrid:k=2", pool, machine
+            )
         finally:
             parallel.close()
             serial.close()
@@ -118,8 +120,7 @@ class TestPoolSweep:
         cache_dir = tmp_path / "cache"
         cold = make_setup(cache_dir=cache_dir)
         machine = cold.machine(num_cores=2)
-        pairs = [(mix, machine) for mix in pool]
-        detailed = cold.predict_batch(pairs, predictor="detailed")
+        detailed = sweep(cold, "detailed", pool, machine)
         cold.close()
 
         def forbidden(self, *args, **kwargs):
@@ -128,20 +129,11 @@ class TestPoolSweep:
         monkeypatch.setattr(MultiCoreSimulator, "run", forbidden)
         warm = make_setup(cache_dir=cache_dir)
         try:
-            hybrid = warm.predict_batch(pairs, predictor="hybrid:k=99")
+            hybrid = sweep(warm, "hybrid:k=99", pool, machine)
             for got, expected in zip(hybrid, detailed):
                 assert got == replace(expected, predictor="hybrid:k=99")
         finally:
             warm.close()
-
-    def test_mppm_config_is_rejected_with_hybrid(self, setup, machine, pool):
-        from repro.core.mppm import MPPMConfig
-
-        pairs = [(mix, machine) for mix in pool]
-        with pytest.raises(PredictorError, match="two-stage"):
-            setup.predict_batch(
-                pairs, predictor="hybrid:k=2", mppm_config=MPPMConfig()
-            )
 
     def test_mixed_spec_sweeps_expand_only_the_hybrid_ops(self, setup, machine, pool):
         items = [

@@ -141,11 +141,11 @@ class TestPerfThroughTheStack:
         )
         try:
             machine = serial.machine(num_cores=2)
-            pairs = [
-                (WorkloadMix(programs=("pmu-c0", "pmu-c1")), machine),
-                (WorkloadMix(programs=("pmu-c2", "pmu-c0")), machine),
+            ops = [
+                ("mppm:foa", WorkloadMix(programs=("pmu-c0", "pmu-c1")), machine),
+                ("mppm:foa", WorkloadMix(programs=("pmu-c2", "pmu-c0")), machine),
             ]
-            assert parallel.predict_batch(pairs) == serial.predict_batch(pairs)
+            assert parallel.predictor_batch(ops) == serial.predictor_batch(ops)
         finally:
             parallel.close()
 

@@ -223,8 +223,8 @@ class TestExperimentSetupWiring:
         try:
             mixes = serial.mixes(2, 3, seed=5)
             machine = serial.machine(num_cores=2)
-            pairs = [(mix, machine) for mix in mixes]
-            assert parallel.predict_batch(pairs) == serial.predict_batch(pairs)
+            ops = [("mppm:foa", mix, machine) for mix in mixes]
+            assert parallel.predictor_batch(ops) == serial.predictor_batch(ops)
         finally:
             parallel.close()
 
