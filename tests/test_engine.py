@@ -35,6 +35,7 @@ from repro.engine import tasks as engine_tasks
 from repro.engine.cache import serialize_result
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.io import atomic_write_json, read_json_tolerant
+from repro.predictors import canonical_spec
 from repro.simulators.multi_core import MultiCoreSimulator
 from repro.workloads import WorkloadMix, sample_mixes, small_suite
 
@@ -165,6 +166,42 @@ class TestResultCache:
             suite=small_suite(5),
         )
         assert key(mix, machine, other) != key(mix, machine)
+
+    def test_predict_jobs_key_on_the_spec_the_pair_and_the_config(self):
+        setup = engine_setup()
+        machine = setup.machine(num_cores=2)
+        names = setup.benchmark_names
+        mix = WorkloadMix(programs=(names[0], names[1]))
+
+        def key(spec, mix, machine, setup=setup):
+            job = engine_tasks.predict_job(setup, mix, machine, key="op", predictor=spec)
+            # Batched sweeps store each prediction under the per-op key.
+            assert job.cache_key == engine_tasks.predict_cache_key(
+                setup, canonical_spec(spec or "mppm"), mix, machine
+            )
+            return job.cache_key
+
+        assert key("mppm:foa", mix, machine) == key("mppm:foa", mix, machine)
+        # The default and the spec's aliases name the same prediction.
+        assert key(None, mix, machine) == key("mppm:foa", mix, machine)
+        assert key("mppm", mix, machine) == key("mppm:foa", mix, machine)
+        assert key("hybrid:k=02", mix, machine) == key("hybrid:k=2", mix, machine)
+        assert key("mppm:foa", mix, machine) != key("mppm:sdc", mix, machine)
+        assert key("mppm:foa", mix, machine) != key("detailed", mix, machine)
+        assert key("mppm:foa", mix, dataclasses.replace(machine, name="renamed")) == key(
+            "mppm:foa", mix, machine
+        )
+        assert key("mppm:foa", mix, machine) != key(
+            "mppm:foa", WorkloadMix(programs=(names[0], names[2])), machine
+        )
+        assert key("mppm:foa", mix, machine) != key(
+            "mppm:foa", mix, setup.machine(num_cores=2, llc_config=6)
+        )
+        other = ExperimentSetup(
+            config=dataclasses.replace(ENGINE_CONFIG, num_instructions=30_000),
+            suite=small_suite(5),
+        )
+        assert key("mppm:foa", mix, machine, other) != key("mppm:foa", mix, machine)
 
     def test_memory_miss_then_hit(self):
         cache = ResultCache()

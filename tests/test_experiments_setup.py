@@ -104,6 +104,49 @@ class TestExperimentSetup:
         assert default_setup(seed=1) is not default_setup(seed=0)
 
 
+class TestSweepEntryPoints:
+    """Every prediction is named by a spec string: one way into a sweep."""
+
+    ENTRY_POINTS = ("predict", "simulate", "predictor_batch", "simulate_batch", "evaluate_predictors")
+
+    def test_setup_sweeps_through_the_five_entry_points(self):
+        import repro.experiments as experiments
+
+        public = {
+            name
+            for name in dir(ExperimentSetup)
+            if not name.startswith("_")
+            and name.startswith(("predict", "simulate", "evaluate"))
+        }
+        # ``predictor`` builds a predictor object; it runs no sweep.
+        assert public == set(self.ENTRY_POINTS) | {"predictor"}
+        assert not hasattr(experiments, "evaluate_mixes")
+
+    def test_no_function_to_the_solver_takes_a_model_object(self):
+        import inspect
+
+        import repro.engine.tasks as tasks
+        import repro.experiments.ablations as ablations
+        import repro.experiments.setup as setup_module
+        import repro.predictors as predictors
+
+        functions = [
+            member
+            for module in (tasks, ablations, setup_module, predictors)
+            for _, member in inspect.getmembers(module, inspect.isfunction)
+            if member.__module__ == module.__name__
+        ]
+        functions += [
+            member
+            for _, member in inspect.getmembers(ExperimentSetup, inspect.isfunction)
+        ]
+        assert len(functions) > 20
+        for function in functions:
+            parameters = inspect.signature(function).parameters
+            assert "contention_model" not in parameters, function.__qualname__
+            assert "mppm_config" not in parameters, function.__qualname__
+
+
 class TestBatchedMppmSweeps:
     """The batched solver path through ``predictor_batch`` is invisible:
     bit-identical results, per-op cache entries, shared dedup objects."""
