@@ -109,18 +109,18 @@ def measure_kernels(
     batches = [[profiles[name] for name in mix.programs] for mix in mixes]
 
     for contention, config in VARIANTS.values():
-        model = MPPM(machine, make_contention_model(contention), config)
+        model = (machine, make_contention_model(contention), config)
         slice_ = batches[:IDENTITY_SLICE]
         _assert_identical(
-            model.predict_batch(slice_, kernel="reference"),
-            model.predict_batch(slice_, kernel="batched"),
+            MPPM(*model, kernel="reference").predict_batch(slice_),
+            MPPM(*model, kernel="batched").predict_batch(slice_),
         )
 
     result = {
         "num_instructions": num_instructions,
         "num_mixes": num_mixes,
         "variants_checked": sorted(VARIANTS),
-        **_time_kernels(MPPM(machine), batches, rounds),  # mppm:foa defaults
+        **_time_kernels(machine, batches, rounds),  # mppm:foa defaults
     }
 
     many_machine = setup.machine(num_cores=4, llc_config=MANY_PROFILE_LLC)
@@ -136,30 +136,31 @@ def measure_kernels(
         "llc_config": MANY_PROFILE_LLC,
         "num_mixes": MANY_PROFILE_MIXES,
         "distinct_profiles": distinct,
-        **_time_kernels(MPPM(many_machine), many_batches, rounds),
+        **_time_kernels(many_machine, many_batches, rounds),
     }
 
     one_mixes = setup.mixes(num_programs=4, num_mixes=ONE_MIX_SOLVES, seed=2)
     one_batches = [[profiles[name] for name in mix.programs] for mix in one_mixes]
     result["batch_of_one"] = {
         "num_mixes": ONE_MIX_SOLVES,
-        **_time_kernels(MPPM(machine), one_batches, rounds, one_at_a_time=True),
+        **_time_kernels(machine, one_batches, rounds, one_at_a_time=True),
     }
     return result
 
 
-def _time_kernels(model: MPPM, batches, rounds: int, one_at_a_time: bool = False) -> dict:
+def _time_kernels(machine, batches, rounds: int, one_at_a_time: bool = False) -> dict:
     """Check both kernels agree on every mix, then time each best-of-``rounds``.
 
-    With ``one_at_a_time`` the batched kernel solves each mix as its own
-    batch of one.  The minimum is the least noisy estimator of the true
-    cost.
+    Both solve ``mppm:foa`` on ``machine``.  With ``one_at_a_time`` the
+    batched kernel solves each mix as its own batch of one.  The minimum
+    is the least noisy estimator of the true cost.
     """
 
     def solve(kernel: str):
+        model = MPPM(machine, kernel=kernel)
         if one_at_a_time and kernel == "batched":
-            return [model.predict_batch([mix], kernel=kernel)[0] for mix in batches]
-        return model.predict_batch(batches, kernel=kernel)
+            return [model.predict_batch([mix])[0] for mix in batches]
+        return model.predict_batch(batches)
 
     _assert_identical(solve("reference"), solve("batched"))
 

@@ -1,16 +1,16 @@
-"""Benchmark guard: the chunked interleaving kernel versus the reference loop.
+"""Benchmark guard: the chunked interleave versus its per-access reference.
 
 The detailed multi-core simulator interleaves per-core LLC traces into
-one shared-LLC access stream.  The per-access reference kernel
-(``heap``) walks that stream one element at a time in Python;
-the default ``chunked`` kernel speculates whole windows — it proposes a
-global order from estimated ready times, replays it against the batched
-per-set LRU, and commits the prefix whose exact ready times confirm the
-proposal, rolling the rest back.  This guard asserts that the two
-kernels stay bit-identical (including on a duplicated-program mix,
-where ready-time ties are the common case) *and* that the chunked
-kernel keeps its speedup — so a silent fallback to the reference path
-(or a regression that slows the kernel to parity) fails the build.
+one shared-LLC access stream.  ``MultiCoreSimulator.run_reference``,
+the test witness, walks that stream one element at a time in Python
+over a heap of ready times; ``MultiCoreSimulator.run`` speculates whole
+windows — it proposes a global order from estimated ready times,
+replays it against the batched per-set LRU, and commits the prefix
+whose exact ready times confirm the proposal, rolling the rest back.
+This guard asserts that the two stay bit-identical (including on a
+duplicated-program mix, where ready-time ties are the common case)
+*and* that the chunked walk keeps its speedup — so a regression that
+slows it to parity fails the build.
 
 Two mixes are timed: four heterogeneous programs of similar pass
 lengths, and a mix that pairs a short-trace program with long ones, so
@@ -25,11 +25,11 @@ on an adversarial stream (a 4,096-line cycle, 8 laps, one 16-way
 set: every reuse but the first needs an exact count) and require it
 to be no slower.
 
-Timing methodology: the kernels are measured *interleaved* (each round
-times every kernel back to back) and scored by per-kernel minimum
-across rounds.  Host frequency drift on shared runners can swing
-repeated runs of identical code by >10%; interleaving keeps both
-kernels inside the same drift envelope so the ratio stays meaningful.
+Timing methodology: the two walks are measured *interleaved* (each
+round times both back to back) and scored by per-walk minimum across
+rounds.  Host frequency drift on shared runners can swing repeated runs
+of identical code by >10%; interleaving keeps both walks inside the
+same drift envelope so the ratio stays meaningful.
 
 Run standalone (CI uses ``--quick``)::
 
@@ -62,7 +62,7 @@ SCALE = 16
 DEFAULT_INSTRUCTIONS = 800_000
 #: Speedup floor at the default scale (measured 2.1-2.8x across idle
 #: hosts; the margin absorbs machine noise while still catching a
-#: fallback, which would measure ~1x).
+#: collapse to per-access speed, which would measure ~1x).
 DEFAULT_FLOOR = 1.7
 #: Quick mode: shorter traces for CI smoke.  Fixed numpy overheads eat
 #: into the ratio at this size, so the floor only needs to prove the
@@ -88,24 +88,22 @@ ADVERSARIAL_WAYS = 16
 
 
 def _assert_identical(machine, traces):
-    """Both kernels must produce frozen-dataclass-equal run results."""
-    heap = MultiCoreSimulator(machine, kernel="heap").run(traces)
-    chunked = MultiCoreSimulator(machine, kernel="chunked").run(traces)
-    assert chunked == heap, "kernel 'chunked' diverged from the heap reference"
+    """Both walks must produce frozen-dataclass-equal run results."""
+    simulator = MultiCoreSimulator(machine)
+    heap = simulator.run_reference(traces)
+    assert simulator.run(traces) == heap, "the chunked walk diverged from the heap reference"
 
 
 def _time_kernels(machine, traces, rounds: int) -> dict:
-    """Interleaved best-of-``rounds`` seconds per kernel, plus the speedup."""
-    simulators = {
-        kernel: MultiCoreSimulator(machine, kernel=kernel)
-        for kernel in ("chunked", "heap")
-    }
-    timings = {kernel: [] for kernel in simulators}
+    """Interleaved best-of-``rounds`` seconds per walk, plus the speedup."""
+    simulator = MultiCoreSimulator(machine)
+    walks = {"chunked": simulator.run, "heap": simulator.run_reference}
+    timings = {name: [] for name in walks}
     for _ in range(rounds):
-        for kernel, simulator in simulators.items():
+        for name, walk in walks.items():
             start = time.perf_counter()
-            simulator.run(traces)
-            timings[kernel].append(time.perf_counter() - start)
+            walk(traces)
+            timings[name].append(time.perf_counter() - start)
     chunked_seconds = min(timings["chunked"])
     heap_seconds = min(timings["heap"])
     return {
@@ -169,9 +167,9 @@ def time_adversarial_stream(rounds: int = 5) -> dict:
 def measure_kernels(
     num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3, sweep: bool = False
 ) -> dict:
-    """Time the kernels over two 4-core simulations; returns seconds + speedups.
+    """Time both walks over two 4-core simulations; returns seconds + speedups.
 
-    Interleaved best-of-``rounds`` per kernel (the minimum is the least
+    Interleaved best-of-``rounds`` per walk (the minimum is the least
     noisy estimator of the true cost), with bit-identity asserted on
     both timed mixes and a duplicated-program mix first — and, with
     ``sweep``, on the Table 2 LLC x core-count sweep.
@@ -221,8 +219,8 @@ def run_guard(quick: bool = False) -> dict:
             f"-> speedup {timed['speedup']:.1f}x (floor {floor:.1f}x)"
         )
         assert timed["speedup"] >= floor, (
-            f"chunked interleaving kernel regressed (or silently fell back "
-            f"to the reference path) on {'/'.join(timed['mix'])}: "
+            f"chunked interleave regressed toward the per-access reference "
+            f"on {'/'.join(timed['mix'])}: "
             f"{timed['speedup']:.2f}x < required {floor:.1f}x"
         )
     if "identity_sweep_mixes" in result:
@@ -254,7 +252,7 @@ def main() -> None:
         "--quick",
         action="store_true",
         help="short traces + relaxed floor + the Table 2 LLC x 2/4/8-core "
-        "identity sweep (CI smoke: catches a fallback or a divergence, "
+        "identity sweep (CI smoke: catches a collapse to parity or a divergence, "
         "tolerates shared-runner noise)",
     )
     args = parser.parse_args()

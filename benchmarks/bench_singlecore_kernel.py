@@ -1,14 +1,14 @@
-"""Benchmark guard: the vectorized replay kernel versus the reference loop.
+"""Benchmark guard: the vectorized replay versus its per-access reference.
 
 The single-core profiler is the repo's hottest path: every profile of
-every (benchmark, machine) pair replays a full memory trace.  The
-default ``"vectorized"`` kernel resolves all cache levels with batched
-per-set stack distances (a handful of array passes); the
-``"reference"`` kernel walks every access through stateful cache
-objects.  This guard asserts, on the default experiment trace scale,
-that the two kernels stay bit-identical *and* that the vectorized
-kernel keeps its speedup — so a silent fallback to the reference path
-(or a regression that slows the kernel to parity) fails the build.
+every (benchmark, machine) pair replays a full memory trace.
+``SingleCoreSimulator.run`` resolves all cache levels with batched
+per-set stack distances (a handful of array passes);
+``SingleCoreSimulator.run_reference``, the test witness, walks every
+access through stateful cache objects.  This guard asserts, on the
+default experiment trace scale, that the two stay bit-identical *and*
+that the vectorized replay keeps its speedup — so a regression that
+slows it to parity fails the build.
 
 Run standalone (CI uses ``--quick``)::
 
@@ -34,11 +34,11 @@ BENCHMARKS = ("gamess", "hmmer", "soplex", "mcf", "libquantum")
 #: Default experiment trace scale (matches ExperimentConfig).
 DEFAULT_INSTRUCTIONS = 200_000
 #: Speedup floor at the default scale (measured ~6-6.5x; the margin
-#: absorbs machine noise while still catching a fallback or regression).
+#: absorbs machine noise while still catching a regression).
 DEFAULT_FLOOR = 5.0
 #: Quick mode: small traces for CI smoke; at this size numpy fixed
 #: overheads eat into the ratio, so the floor only needs to prove the
-#: vectorized path is live (a fallback would measure ~1x).
+#: vectorized path is live (per-access speed would measure ~1x).
 QUICK_INSTRUCTIONS = 50_000
 QUICK_FLOOR = 2.0
 
@@ -62,9 +62,9 @@ def _assert_identical(vectorized, reference):
 
 
 def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3) -> dict:
-    """Time both kernels over the benchmark slice; returns seconds + speedup.
+    """Time both replays over the benchmark slice; returns seconds + speedup.
 
-    Uses best-of-``rounds`` per kernel (standard practice for benchmark
+    Uses best-of-``rounds`` per replay (standard practice for benchmark
     guards: the minimum is the least noisy estimator of the true cost)
     and asserts bit-identical results along the way.
     """
@@ -75,23 +75,20 @@ def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 
     traces = [generator.generate(suite[name]) for name in BENCHMARKS]
     simulator.run(traces[0])  # warm-up (imports, allocator)
 
-    def best_of(kernel: str) -> float:
+    def best_of(run) -> float:
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
             for trace in traces:
-                simulator.run(trace, kernel=kernel)
+                run(trace)
             timings.append(time.perf_counter() - start)
         return min(timings)
 
     for trace in traces:
-        _assert_identical(
-            simulator.run(trace, kernel="vectorized"),
-            simulator.run(trace, kernel="reference"),
-        )
+        _assert_identical(simulator.run(trace), simulator.run_reference(trace))
 
-    vectorized_seconds = best_of("vectorized")
-    reference_seconds = best_of("reference")
+    vectorized_seconds = best_of(simulator.run)
+    reference_seconds = best_of(simulator.run_reference)
     return {
         "num_instructions": num_instructions,
         "vectorized_seconds": vectorized_seconds,
@@ -113,8 +110,8 @@ def run_guard(quick: bool = False) -> dict:
         f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
     )
     assert result["speedup"] >= floor, (
-        f"vectorized kernel regressed (or silently fell back to the reference "
-        f"path): {result['speedup']:.2f}x < required {floor:.1f}x"
+        f"vectorized replay regressed toward the per-access reference: "
+        f"{result['speedup']:.2f}x < required {floor:.1f}x"
     )
     return result
 
@@ -129,8 +126,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small traces + relaxed floor (CI smoke: catches a fallback, "
-        "tolerates shared-runner noise)",
+        help="small traces + relaxed floor (CI smoke: catches a collapse to "
+        "parity, tolerates shared-runner noise)",
     )
     args = parser.parse_args()
     result = run_guard(quick=args.quick)

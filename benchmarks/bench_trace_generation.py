@@ -1,16 +1,16 @@
-"""Benchmark guard: the vectorized trace-generation kernel vs the reference loop.
+"""Benchmark guard: vectorized trace generation vs its per-access reference.
 
 Trace generation feeds every profile of every (benchmark, machine)
 pair, and ROADMAP named it the largest remaining per-access Python
-cost.  The default ``"vectorized"`` kernel draws reuse depths, access
-positions and base-cycle gaps as whole numpy arrays and resolves
-LRU-stack depths to addresses with a tight O(depth) move-to-front
-kernel; the ``"reference"`` kernel walks every access through the
-original MRU-first list (an O(footprint) memmove per access).  This
-guard asserts, on the default experiment trace scale, that the two
-kernels stay bit-identical *and* that the vectorized kernel keeps its
-speedup — so a silent fallback to the reference path (or a regression
-that slows the kernel to parity) fails the build.
+cost.  ``TraceGenerator.generate`` draws reuse depths, access positions
+and base-cycle gaps as whole numpy arrays and resolves LRU-stack depths
+to addresses with a tight O(depth) move-to-front kernel;
+``TraceGenerator.generate_reference``, the test witness, walks every
+access through the original MRU-first list (an O(footprint) memmove
+per access).  This guard asserts, on the default experiment trace
+scale, that the two stay bit-identical *and* that the vectorized path
+keeps its speedup — so a regression that slows it to parity fails the
+build.
 
 Run standalone (CI uses ``--quick``)::
 
@@ -36,11 +36,11 @@ BENCHMARKS = ("gamess", "hmmer", "soplex", "mcf", "libquantum")
 #: Default experiment trace scale (matches ExperimentConfig).
 DEFAULT_INSTRUCTIONS = 200_000
 #: Speedup floor at the default scale (measured ~8-10x; the margin
-#: absorbs machine noise while still catching a fallback or regression).
+#: absorbs machine noise while still catching a regression).
 DEFAULT_FLOOR = 5.0
 #: Quick mode: small traces for CI smoke; at this size fixed overheads
 #: eat into the ratio, so the floor only needs to prove the vectorized
-#: path is live (a fallback would measure ~1x).
+#: path is live (per-access speed would measure ~1x).
 QUICK_INSTRUCTIONS = 50_000
 QUICK_FLOOR = 2.0
 
@@ -55,9 +55,9 @@ def _assert_identical(vectorized, reference):
 
 
 def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3) -> dict:
-    """Time both kernels over the benchmark slice; returns seconds + speedup.
+    """Time both generators over the benchmark slice; returns seconds + speedup.
 
-    Uses best-of-``rounds`` per kernel (standard practice for benchmark
+    Uses best-of-``rounds`` per generator (standard practice for benchmark
     guards: the minimum is the least noisy estimator of the true cost)
     and asserts bit-identical traces along the way.
     """
@@ -66,23 +66,20 @@ def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 
     specs = [suite[name] for name in BENCHMARKS]
     generator.generate(specs[0])  # warm-up (imports, allocator)
 
-    def best_of(kernel: str) -> float:
+    def best_of(generate) -> float:
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
             for spec in specs:
-                generator.generate(spec, kernel=kernel)
+                generate(spec)
             timings.append(time.perf_counter() - start)
         return min(timings)
 
     for spec in specs:
-        _assert_identical(
-            generator.generate(spec, kernel="vectorized"),
-            generator.generate(spec, kernel="reference"),
-        )
+        _assert_identical(generator.generate(spec), generator.generate_reference(spec))
 
-    vectorized_seconds = best_of("vectorized")
-    reference_seconds = best_of("reference")
+    vectorized_seconds = best_of(generator.generate)
+    reference_seconds = best_of(generator.generate_reference)
     return {
         "num_instructions": num_instructions,
         "vectorized_seconds": vectorized_seconds,
@@ -104,8 +101,8 @@ def run_guard(quick: bool = False) -> dict:
         f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
     )
     assert result["speedup"] >= floor, (
-        f"vectorized generation kernel regressed (or silently fell back to "
-        f"the reference path): {result['speedup']:.2f}x < required {floor:.1f}x"
+        f"vectorized trace generation regressed toward the per-access "
+        f"reference: {result['speedup']:.2f}x < required {floor:.1f}x"
     )
     return result
 
@@ -120,8 +117,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small traces + relaxed floor (CI smoke: catches a fallback, "
-        "tolerates shared-runner noise)",
+        help="small traces + relaxed floor (CI smoke: catches a collapse to "
+        "parity, tolerates shared-runner noise)",
     )
     args = parser.parse_args()
     result = run_guard(quick=args.quick)

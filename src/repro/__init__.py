@@ -48,10 +48,8 @@ from repro.predictors import (
     available_predictors,
     make_predictor,
 )
-from repro.simulators import KERNELS
 from repro.workloads import (
     DEFAULT_WORKLOAD,
-    GENERATOR_KERNELS,
     WorkloadMix,
     WorkloadSource,
     available_workloads,
@@ -69,8 +67,6 @@ __all__ = [
     "Predictor",
     "DEFAULT_PREDICTOR",
     "DEFAULT_WORKLOAD",
-    "KERNELS",
-    "GENERATOR_KERNELS",
     "WorkloadMix",
     "WorkloadSource",
     "available_contention_models",

@@ -35,7 +35,7 @@ def distance_slots(distances: np.ndarray, associativity: int) -> np.ndarray:
     :meth:`StackDistanceCounters.from_distances` and the simulator's
     per-interval histograms; :meth:`StackDistanceCounters.record`
     applies the same rule inline for scalars (it sits on the reference
-    kernel's per-access path), with the unit suite pinning the two
+    replay's per-access path), with the unit suite pinning the two
     together.
     """
     if associativity <= 0:

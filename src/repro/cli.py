@@ -291,13 +291,8 @@ def _command_models(args: argparse.Namespace) -> int:
     )
     print(f"\ndefault: {DEFAULT_PREDICTOR}")
     from repro.core import MPPM_KERNELS
-    from repro.simulators import MULTI_CORE_KERNELS
 
     print(f"mppm kernels: {', '.join(MPPM_KERNELS)} (default: batched, bit-identical)")
-    print(
-        f"multicore kernels: {', '.join(MULTI_CORE_KERNELS)} "
-        "(default: chunked, bit-identical)"
-    )
     return 0
 
 

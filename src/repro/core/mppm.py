@@ -154,10 +154,9 @@ class MPPM:
     config:
         Iteration parameters (see :class:`MPPMConfig`).
     kernel:
-        Default solver kernel, one of :data:`MPPM_KERNELS`.  Both
+        Solver kernel, one of :data:`MPPM_KERNELS`.  Both
         kernels produce bit-identical predictions; ``"batched"`` is an
-        order of magnitude faster on bulk sweeps.  Per-call overrides
-        are accepted by every predict method.  Configurations with
+        order of magnitude faster on bulk sweeps.  Configurations with
         ``store_history=True`` always run the reference loop (history
         is per-iteration bookkeeping only the sequential kernel keeps).
     """
@@ -180,16 +179,13 @@ class MPPM:
     # Public API
     # ------------------------------------------------------------------
 
-    def predict(
-        self, profiles: Sequence[SingleCoreProfile], kernel: Optional[str] = None
-    ) -> MixPrediction:
+    def predict(self, profiles: Sequence[SingleCoreProfile]) -> MixPrediction:
         """Predict multi-core performance for one mix (one profile per core)."""
-        return self.predict_batch([profiles], kernel=kernel)[0]
+        return self.predict_batch([profiles])[0]
 
     def predict_batch(
         self,
         mixes: Sequence[Sequence[SingleCoreProfile]],
-        kernel: Optional[str] = None,
         predictor: Optional[str] = None,
         machine_names: Optional[Sequence[str]] = None,
     ) -> List[MixPrediction]:
@@ -210,7 +206,9 @@ class MPPM:
             self._check_profiles(profiles)
         if machine_names is None:
             machine_names = [self.machine.name] * len(batches)
-        if self._resolve_kernel(kernel) == "reference":
+        if self.kernel == "reference" or self.config.store_history:
+            # Per-iteration history is sequential bookkeeping that only
+            # the reference loop records.
             return [
                 self._predict_reference(profiles, predictor, name)
                 for profiles, name in zip(batches, machine_names)
@@ -218,16 +216,6 @@ class MPPM:
         return solve_batch(
             self.machine, self.contention_model, self.config, batches, predictor, machine_names
         )
-
-    def _resolve_kernel(self, kernel: Optional[str]) -> str:
-        resolved = kernel if kernel is not None else self.kernel
-        if resolved not in MPPM_KERNELS:
-            raise MPPMError(f"unknown MPPM kernel {resolved!r}; choose from {MPPM_KERNELS}")
-        if resolved == "batched" and self.config.store_history:
-            # Per-iteration history is sequential bookkeeping that only
-            # the reference loop records; fall back transparently.
-            return "reference"
-        return resolved
 
     def _predict_reference(
         self, profiles: Sequence[SingleCoreProfile], predictor: Optional[str], machine_name: str
@@ -289,19 +277,13 @@ class MPPM:
         )
 
     def predict_mix(
-        self,
-        mix: WorkloadMix,
-        profiles: Mapping[str, SingleCoreProfile],
-        kernel: Optional[str] = None,
+        self, mix: WorkloadMix, profiles: Mapping[str, SingleCoreProfile]
     ) -> MixPrediction:
         """Predict performance for a :class:`WorkloadMix` given a profile library."""
-        return self.predict(self._mix_profiles(mix, profiles), kernel=kernel)
+        return self.predict(self._mix_profiles(mix, profiles))
 
     def predict_many(
-        self,
-        mixes: Sequence[WorkloadMix],
-        profiles: Mapping[str, SingleCoreProfile],
-        kernel: Optional[str] = None,
+        self, mixes: Sequence[WorkloadMix], profiles: Mapping[str, SingleCoreProfile]
     ) -> List[MixPrediction]:
         """Predict performance for many mixes (the bulk-evaluation use case).
 
@@ -320,7 +302,7 @@ class MPPM:
                 unique_index[key] = index
                 unique_batches.append(self._mix_profiles(mix, profiles))
             order.append(index)
-        solved = self.predict_batch(unique_batches, kernel=kernel)
+        solved = self.predict_batch(unique_batches)
         return [solved[index] for index in order]
 
     @staticmethod

@@ -51,8 +51,8 @@ class MixPrediction:
     ``predictor`` is the registry spec of the estimator that produced
     the prediction (``"mppm:foa"``, ``"detailed"``, …; see
     :mod:`repro.predictors`).  ``kernel`` names the solver kernel that
-    produced it (``"batched"`` / ``"reference"`` for MPPM; ``None`` for
-    estimators without kernel variants).  Both round-trip through the
+    produced it (``"batched"`` / ``"reference"`` for MPPM, the constant
+    ``"chunked"`` for detailed simulation, ``None`` for the baselines).  Both round-trip through the
     JSON serialisation, so cached and exported results are
     self-describing; the kernels are bit-identical, so the field is
     pure provenance and never part of a cache key.

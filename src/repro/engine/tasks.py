@@ -208,13 +208,10 @@ def _recipe(setup: "ExperimentSetup") -> Tuple:
 
 
 def _config_parts(setup: "ExperimentSetup") -> Tuple:
-    # The replay kernel is deliberately NOT part of the cache key: the
-    # vectorized and reference kernels produce bit-identical results
-    # (asserted by the equivalence suite), so artefacts computed under
-    # either remain valid for both.  The MPPM solver kernel and the
-    # multi-core interleaving kernel are excluded for the same reason
-    # (batched/reference predictions and chunked/heap reference
-    # simulations are bit-identical).
+    # The MPPM solver kernel is deliberately NOT part of the cache key:
+    # batched and reference predictions are bit-identical (asserted by
+    # the equivalence suite), so a prediction computed under either
+    # remains valid for both.
     # The workload spec qualifies every result: two workloads that
     # both contain a benchmark named "gamess" must never share a cache
     # entry, even inside one campaign cache directory.

@@ -46,13 +46,7 @@ from repro.predictors import (
 )
 from repro.predictors.base import for_machine
 from repro.profiling import ProfileStore, SingleCoreProfile
-from repro.simulators import (
-    KERNELS as SINGLE_CORE_KERNELS,
-    LLCAccessTrace,
-    MULTI_CORE_KERNELS,
-    MultiCoreRunResult,
-    MultiCoreSimulator,
-)
+from repro.simulators import LLCAccessTrace, MultiCoreRunResult, MultiCoreSimulator
 from repro.workloads import (
     BenchmarkClass,
     BenchmarkSpec,
@@ -93,32 +87,16 @@ class ExperimentConfig:
     num_instructions: int = 200_000
     interval_instructions: int = 4_000
     seed: int = 0
-    #: Single-core replay kernel ("vectorized" or "reference"); the two
-    #: are bit-identical, so the choice never invalidates cached results.
-    kernel: str = "vectorized"
-    #: MPPM solver kernel ("batched" or "reference"); bit-identical like
-    #: the replay kernels, so — again — never part of a cache key.
+    #: MPPM solver kernel ("batched" or "reference"); the two are
+    #: bit-identical, so the choice is never part of a cache key.
     mppm_kernel: str = "batched"
-    #: Multi-core interleaving kernel ("chunked" or "heap");
-    #: bit-identical like the other kernel choices, so reference
-    #: simulations cached under one kernel stay valid for all.
-    multicore_kernel: str = "chunked"
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.kernel not in SINGLE_CORE_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {SINGLE_CORE_KERNELS}, got {self.kernel!r}"
-            )
         if self.mppm_kernel not in MPPM_KERNELS:
             raise ValueError(
                 f"mppm_kernel must be one of {MPPM_KERNELS}, got {self.mppm_kernel!r}"
-            )
-        if self.multicore_kernel not in MULTI_CORE_KERNELS:
-            raise ValueError(
-                f"multicore_kernel must be one of {MULTI_CORE_KERNELS}, "
-                f"got {self.multicore_kernel!r}"
             )
         if self.num_instructions <= 0 or self.interval_instructions <= 0:
             raise ValueError("instruction counts must be positive")
@@ -191,7 +169,6 @@ class ExperimentSetup:
             interval_instructions=self.config.interval_instructions,
             seed=self.config.seed,
             cache_dir=self.cache_dir / "results" if self.cache_dir is not None else None,
-            kernel=self.config.kernel,
         )
         self.engine = engine if engine is not None else create_engine(jobs, self.cache_dir)
         self.token = engine_tasks.register_setup(self)
@@ -317,9 +294,7 @@ class ExperimentSetup:
             return for_machine(cached, machine)
         if machine.num_cores != mix.num_programs:
             machine = machine.with_num_cores(mix.num_programs)
-        result = MultiCoreSimulator(
-            machine, kernel=self.config.multicore_kernel
-        ).run(self.llc_traces(mix, machine))
+        result = MultiCoreSimulator(machine).run(self.llc_traces(mix, machine))
         self._reference_cache[key] = result
         return result
 
@@ -545,11 +520,7 @@ class ExperimentSetup:
             key = f"op:{i}"
             if key in results:
                 value = for_machine(results[key], machine)
-                out[i] = (
-                    prediction_from_run(value, kernel=self.config.multicore_kernel)
-                    if spec == "detailed"
-                    else value
-                )
+                out[i] = prediction_from_run(value) if spec == "detailed" else value
         return out
 
     def predictor_batch(self, items: Sequence[PredictJob]) -> List[MixPrediction]:
@@ -594,10 +565,7 @@ class ExperimentSetup:
             for index, spec in enumerate(model_specs)
         }
         if "detailed" in specs:
-            predicted_by_spec["detailed"] = [
-                prediction_from_run(run, kernel=self.config.multicore_kernel)
-                for run in measured
-            ]
+            predicted_by_spec["detailed"] = [prediction_from_run(run) for run in measured]
         evaluated: Dict[str, List[MixEvaluation]] = {}
         for spec in specs:
             evaluated[spec] = [

@@ -1,7 +1,7 @@
 """Fit phase-segmented :class:`BenchmarkSpec` models to PMU samples.
 
 The fitter turns one core's sample series into a synthetic benchmark
-whose vectorized-kernel replay reproduces the observed behaviour on the
+whose single-core replay reproduces the observed behaviour on the
 profiled machine:
 
 1. **Segment** the per-window (miss rate, access rate, CPI) series into
@@ -345,13 +345,9 @@ def _replay_rates(
     spec: BenchmarkSpec, machine: MachineDescriptor, options: FitOptions
 ) -> List[Tuple[float, float, float]]:
     """Replay ``spec`` on the fit machine; per-phase (access rate, miss rate, CPI)."""
-    trace = TraceGenerator(
-        num_instructions=options.num_instructions, seed=0, kernel="vectorized"
-    ).generate(spec)
+    trace = TraceGenerator(num_instructions=options.num_instructions, seed=0).generate(spec)
     run = SingleCoreSimulator(
-        machine.to_machine_config(),
-        interval_instructions=options.interval_instructions,
-        kernel="vectorized",
+        machine.to_machine_config(), interval_instructions=options.interval_instructions
     ).run(trace)
     boundaries = spec.phase_boundaries(options.num_instructions)
     sums = np.zeros((len(boundaries), 4), dtype=np.float64)  # insn, loads, misses, cycles

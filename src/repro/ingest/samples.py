@@ -21,6 +21,7 @@ consistent message shape.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -32,6 +33,12 @@ from repro.workloads.benchmark import WorkloadError
 
 #: Columns every sample row must carry (CSV header / JSONL keys).
 REQUIRED_COLUMNS = ("core", "timestamp", "llc_loads", "llc_misses", "instructions")
+
+#: Largest accepted count: counts are parsed through a float, which
+#: holds every integer up to 2**53 exactly.
+MAX_COUNT = 2**53
+
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 class IngestError(WorkloadError):
@@ -70,8 +77,10 @@ class MachineDescriptor:
     cores: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.frequency_ghz <= 0:
-            raise IngestError(f"frequency_ghz must be positive, got {self.frequency_ghz}")
+        if not 0 < self.frequency_ghz < math.inf:
+            raise IngestError(
+                f"frequency_ghz must be positive and finite, got {self.frequency_ghz}"
+            )
         if self.line_size <= 0:
             raise IngestError(f"line_size must be positive, got {self.line_size}")
         for label, lines, ways in (
@@ -246,24 +255,28 @@ class SampleStream:
 
 
 def _to_int(value: object, column: str, row: int) -> int:
-    try:
-        number = int(float(value))  # tolerate "4000.0" from spreadsheet exports
-    except (TypeError, ValueError):
-        raise IngestError(
-            f"row {row}: column {column!r} must be a number, got {value!r}"
-        ) from None
+    # Through float: tolerates "4000.0" from spreadsheet exports.
+    number = _to_float(value, column, row)
     if number < 0:
-        raise IngestError(f"row {row}: column {column!r} must be non-negative, got {number}")
-    return number
+        raise IngestError(f"row {row}: column {column!r} must be non-negative, got {value!r}")
+    if number > MAX_COUNT:
+        raise IngestError(
+            f"row {row}: column {column!r} is out of range, got {value!r} "
+            f"(counts are at most 2**53)"
+        )
+    return int(number)
 
 
 def _to_float(value: object, column: str, row: int) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
         raise IngestError(
             f"row {row}: column {column!r} must be a number, got {value!r}"
         ) from None
+    if not math.isfinite(number):
+        raise IngestError(f"row {row}: column {column!r} must be finite, got {value!r}")
+    return number
 
 
 def _rows_from_csv(text: str) -> List[Dict[str, object]]:
@@ -322,7 +335,7 @@ def parse_samples(
     else:
         raise IngestError(f"unknown sample format {fmt!r}; use 'csv' or 'jsonl'")
 
-    per_core: Dict[int, List[Tuple[float, int, int, int]]] = {}
+    per_core: Dict[int, List[Tuple[float, int, int, int, int]]] = {}
     known_cores = set(machine.cores)
     first_data_row = 2 if fmt == "csv" else 1
     for offset, record in enumerate(rows):
@@ -343,7 +356,7 @@ def parse_samples(
             raise IngestError(
                 f"row {row}: llc_misses ({misses}) exceeds llc_loads ({loads})"
             )
-        per_core.setdefault(core, []).append((timestamp, instructions, loads, misses))
+        per_core.setdefault(core, []).append((timestamp, instructions, loads, misses, row))
 
     cores: List[CoreSamples] = []
     cycles_per_second = machine.frequency_ghz * 1e9
@@ -358,7 +371,15 @@ def parse_samples(
         instructions = np.array([entry[1] for entry in series], dtype=np.int64)
         if instructions.sum() <= 0:
             raise IngestError(f"core {core}: no instructions retired in any sample")
-        cycles = np.diff(timestamps, prepend=0.0) * cycles_per_second
+        windows = np.diff(timestamps, prepend=0.0)
+        too_long = windows > _MAX_FLOAT / cycles_per_second / 2
+        if too_long.any():
+            row = series[int(np.argmax(too_long))][4]
+            raise IngestError(
+                f"row {row}: column 'timestamp' is out of range: its window "
+                f"overflows the cycle count at {machine.frequency_ghz} GHz"
+            )
+        cycles = windows * cycles_per_second
         cores.append(
             CoreSamples(
                 core=core,

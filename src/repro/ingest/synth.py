@@ -2,7 +2,7 @@
 
 The inverse of the ingest pipeline, and the thing that makes it
 testable without hardware: take any existing :class:`BenchmarkSpec`,
-replay it through the vectorized single-core kernel on a chosen
+replay it through the single-core simulator on a chosen
 machine, and write the per-interval LLC-loads / LLC-misses /
 instructions-retired series in exactly the CSV shape a real PMU
 sampler produces — one "core" per benchmark, timestamps from the
@@ -46,13 +46,9 @@ def synthesize_rows(
     isolated run becomes one sample window, timestamped at the window's
     end by the simulated cycle count.
     """
-    generator = TraceGenerator(
-        num_instructions=num_instructions, seed=seed, kernel="vectorized"
-    )
+    generator = TraceGenerator(num_instructions=num_instructions, seed=seed)
     simulator = SingleCoreSimulator(
-        machine.single_core(),
-        interval_instructions=interval_instructions,
-        kernel="vectorized",
+        machine.single_core(), interval_instructions=interval_instructions
     )
     cycles_per_second = frequency_ghz * 1e9
     rows: List[Tuple[int, float, int, int, int]] = []

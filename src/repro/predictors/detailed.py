@@ -12,7 +12,7 @@ divisions over the same per-program CPI floats.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.result import MixPrediction, ProgramPrediction
 
@@ -23,17 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.mixes import WorkloadMix
 
 
-def prediction_from_run(
-    result: "MultiCoreRunResult", kernel: Optional[str] = None
-) -> MixPrediction:
+def prediction_from_run(result: "MultiCoreRunResult") -> MixPrediction:
     """Package a finished reference simulation as a ``detailed`` prediction.
 
     Pure transformation (no simulation): callers that already hold the
     :class:`MultiCoreRunResult` — e.g. an evaluation sweep whose
     reference jobs just ran — reuse it instead of simulating again.
-    ``kernel`` records which interleaving kernel produced the run (see
-    :data:`~repro.simulators.MULTI_CORE_KERNELS`); the kernels are
-    bit-identical, so the field is provenance, not semantics.
+    The prediction's ``kernel`` field is always ``"chunked"``, the
+    interleave :meth:`~repro.simulators.MultiCoreSimulator.run`
+    performs: provenance, not semantics.
     """
     programs = tuple(
         ProgramPrediction(
@@ -50,7 +48,7 @@ def prediction_from_run(
         iterations=0,
         converged=True,
         predictor=DetailedSimulationPredictor.spec,
-        kernel=kernel,
+        kernel="chunked",
     )
 
 
@@ -64,10 +62,7 @@ class DetailedSimulationPredictor:
 
     def predict(self, mix: "WorkloadMix", machine: "MachineConfig") -> MixPrediction:
         """Reference-simulate the mix and package the outcome as a prediction."""
-        return prediction_from_run(
-            self.setup.simulate(mix, machine),
-            kernel=self.setup.config.multicore_kernel,
-        )
+        return prediction_from_run(self.setup.simulate(mix, machine))
 
     def describe(self) -> str:
         return "detailed shared-LLC multi-core simulation (the reference, not a model)"

@@ -44,10 +44,7 @@ class HybridPredictor:
         # A pool of one mix IS its own predicted worst-K (K >= 1), so the
         # single-mix answer is always the detailed spot-check.
         run = self.setup.simulate(mix, machine)
-        prediction = prediction_from_run(
-            run, kernel=self.setup.config.multicore_kernel
-        )
-        return tag_prediction(prediction, self.spec)
+        return tag_prediction(prediction_from_run(run), self.spec)
 
     def describe(self) -> str:
         return (

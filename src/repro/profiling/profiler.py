@@ -115,10 +115,6 @@ class Profiler:
         matching the paper's 50 x 20M structure).
     seed:
         Trace-generation seed.
-    kernel:
-        Replay kernel of the underlying simulator: ``"vectorized"``
-        (default, batched stack distances) or ``"reference"``
-        (per-access simulation).  Both yield bit-identical profiles.
     """
 
     def __init__(
@@ -127,12 +123,11 @@ class Profiler:
         num_instructions: int = 200_000,
         interval_instructions: int = 4_000,
         seed: int = 0,
-        kernel: str = "vectorized",
     ) -> None:
         self.machine = machine
         self.generator = TraceGenerator(num_instructions=num_instructions, seed=seed)
         self.simulator = SingleCoreSimulator(
-            machine=machine, interval_instructions=interval_instructions, kernel=kernel
+            machine=machine, interval_instructions=interval_instructions
         )
 
     def profile(self, spec: BenchmarkSpec) -> ProfiledBenchmark:

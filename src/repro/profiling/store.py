@@ -53,11 +53,8 @@ class ProfileStore:
 
     Parameters
     ----------
-    num_instructions, interval_instructions, seed, kernel:
-        The profiling configuration.  ``kernel`` selects the replay
-        kernel (``"vectorized"`` by default); both kernels yield
-        bit-identical profiles, so cached artefacts are shared between
-        them.
+    num_instructions, interval_instructions, seed:
+        The profiling configuration.
     cache_dir:
         Optional directory for JSON persistence of profiles and LLC
         streams, as entries of the store's own :class:`ResultCache`
@@ -75,12 +72,10 @@ class ProfileStore:
         interval_instructions: int = 4_000,
         seed: int = 0,
         cache_dir: Optional[Path] = None,
-        kernel: str = "vectorized",
     ) -> None:
         self.num_instructions = num_instructions
         self.interval_instructions = interval_instructions
         self.seed = seed
-        self.kernel = kernel
         self._cache = ResultCache(cache_dir)
         self._generator = TraceGenerator(num_instructions=num_instructions, seed=seed)
         self._profiles: Dict[Tuple[BenchmarkSpec, str], SingleCoreProfile] = {}
@@ -312,9 +307,7 @@ class ProfileStore:
         key = machine.private_key()
         if key not in self._simulators:
             self._simulators[key] = SingleCoreSimulator(
-                machine=machine,
-                interval_instructions=self.interval_instructions,
-                kernel=self.kernel,
+                machine=machine, interval_instructions=self.interval_instructions
             )
         return self._simulators[key]
 

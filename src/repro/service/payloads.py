@@ -16,7 +16,6 @@ from typing import Dict, List
 from repro.core import MPPM_KERNELS
 from repro.core.result import MixPrediction
 from repro.predictors import DEFAULT_PREDICTOR, describe_predictors
-from repro.simulators import MULTI_CORE_KERNELS
 from repro.workloads import (
     DEFAULT_WORKLOAD,
     available_workloads,
@@ -29,18 +28,12 @@ def models_payload() -> Dict:
 
     ``mppm_kernels`` names the solver kernels every ``mppm:*`` entry can
     run on; the default is the batched mix-major kernel, and each served
-    prediction's ``kernel`` field records which one produced it.
-    ``multicore_kernels`` does the same for the ``detailed`` entry's
-    interleaving walk (chunked speculative merge vs the per-access
-    reference loops); all kernels are bit-identical.
+    prediction's ``kernel`` field records which one produced it.  The
+    two kernels are bit-identical.
     """
     return {
         "default": DEFAULT_PREDICTOR,
         "mppm_kernels": {"default": "batched", "available": list(MPPM_KERNELS)},
-        "multicore_kernels": {
-            "default": "chunked",
-            "available": list(MULTI_CORE_KERNELS),
-        },
         "predictors": [
             {"spec": spec, "description": description}
             for spec, description in describe_predictors()

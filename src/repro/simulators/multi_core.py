@@ -13,32 +13,27 @@ slowest one restarts from the beginning so that contention pressure is
 maintained, and each program's multi-core CPI is measured over its
 *first* complete pass.
 
-Two kernels produce the interleaved walk:
+:meth:`MultiCoreSimulator.run` advances all cores in numpy windows of
+a fixed size, each read from the core's *periodic* access stream, so a
+window runs across the trace end — the FAME restart — as often as it
+needs to.  Each core's window access times are estimated under its
+expected CPI (its measured hit rate so far, plus the exact penalties of
+any accesses rolled back from the previous round, plus the exact
+post-LLC tails at trace ends), the K-way merge of those estimates
+proposes a global order, the proposed order is replayed through
+:func:`repro.caches.vectorized.llc_hits` (a batched per-set LRU
+hit/miss decision, seeded with the LLC's live recency state), and the
+exact ready times implied by the replayed outcomes — one ``cumsum`` per
+core over ``[cycle, (gap, penalty, tail_or_0) × w]`` — are re-sorted to
+detect order violations.  Only the provably correct prefix commits, the
+rest rolls back and the next round re-speculates from the exact times
+(see :meth:`MultiCoreSimulator._run_chunked`).
 
-* ``"chunked"`` (the default) advances all cores in numpy windows of a
-  fixed size, each read from the core's *periodic* access stream, so a
-  window runs across the trace end — the FAME restart — as often as it
-  needs to.  Each core's window access times are estimated under its
-  expected CPI (its measured hit rate so far, plus the exact penalties
-  of any accesses rolled back from the previous round, plus the exact
-  post-LLC tails at trace ends), the K-way merge of those estimates
-  proposes a global order, the proposed order is replayed through
-  :func:`repro.caches.vectorized.llc_hits` (a batched per-set LRU
-  hit/miss decision, seeded with the LLC's live recency state), and
-  the exact ready times implied by the replayed outcomes — one
-  ``cumsum`` per core over ``[cycle, (gap, penalty, tail_or_0) × w]``
-  — are re-sorted to detect order violations.  Only the provably
-  correct prefix commits, the rest rolls back and the next round
-  re-speculates from the exact times.
-  Bit-identical to the reference by construction (see
-  :meth:`MultiCoreSimulator._run_chunked`).
-* ``"heap"`` keeps the per-core ready times in a binary heap — the
-  per-access reference loop, kept as ground truth.
-
-Both break ready-time ties by core index and share one result
-assembly, so they are bit-identical — asserted by the equivalence
-matrix in the test suite and guarded by
-``benchmarks/bench_multicore_interleave.py``.
+:meth:`MultiCoreSimulator.run_reference` keeps the per-core ready times
+in a binary heap and walks one access at a time: the test witness.
+Both break ready-time ties by core index and share one result assembly,
+so they are bit-identical — asserted by the equivalence matrix in the
+test suite and guarded by ``benchmarks/bench_multicore_interleave.py``.
 """
 
 from __future__ import annotations
@@ -56,13 +51,7 @@ from repro.config.machine import MachineConfig
 from repro.cores.core_model import CoreTimingModel
 from repro.simulators.llc_trace import LLCAccessTrace
 
-#: The interleaving kernels ``MultiCoreSimulator`` can use.  ``heap``
-#: is the per-access reference loop (a binary heap over the ready
-#: times); ``chunked`` is the vectorized merge-and-rollback walk.  The
-#: two are bit-identical.
-MULTI_CORE_KERNELS = ("chunked", "heap")
-
-#: Chunked-kernel window: accesses speculated per core per round, taken
+#: Chunked-walk window: accesses speculated per core per round, taken
 #: from the core's periodic access stream (windows run across the trace
 #: end).  A fixed size: measured faster than a window adapting to the
 #: commit rate, and larger windows (3072, 4096) were slower.
@@ -299,48 +288,37 @@ def _resident_stacks(stream: np.ndarray, num_sets: int, associativity: int) -> n
 class MultiCoreSimulator:
     """Shared-LLC simulation of a multi-program workload mix.
 
-    ``kernel`` selects the interleaving walk: ``"chunked"`` (the
-    default) vectorizes it in speculative merge-and-rollback rounds;
-    ``"heap"`` is the per-access reference loop (see the module
-    docstring).  The two are bit-identical.
+    :meth:`run` vectorizes the interleaving in speculative
+    merge-and-rollback rounds; :meth:`run_reference` is the per-access
+    heap loop it is tested against (see the module docstring).  The two
+    are bit-identical.
     """
 
-    def __init__(self, machine: MachineConfig, kernel: str = "chunked") -> None:
-        if kernel not in MULTI_CORE_KERNELS:
-            raise MultiCoreSimulationError(
-                f"kernel must be one of {MULTI_CORE_KERNELS}, got {kernel!r}"
-            )
+    def __init__(self, machine: MachineConfig) -> None:
         self.machine = machine
-        self.kernel = kernel
 
-    def run(
-        self, llc_traces: Sequence[LLCAccessTrace], kernel: Optional[str] = None
-    ) -> MultiCoreRunResult:
-        """Simulate one workload mix (one LLC trace per core).
+    def run(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
+        """Simulate one workload mix (one LLC trace per core)."""
+        self._check_core_count(llc_traces)
+        return self._run_chunked(llc_traces)
 
-        ``kernel`` overrides the simulator's interleaving kernel for
-        this run only.
+    def _check_core_count(self, llc_traces: Sequence[LLCAccessTrace]) -> None:
+        num_cores = self.machine.num_cores
+        if len(llc_traces) != num_cores:
+            raise MultiCoreSimulationError(
+                f"machine has {num_cores} cores but {len(llc_traces)} programs were given"
+            )
+
+    # ------------------------------------------------------------------
+    # Reference: one access at a time (test witness)
+    # ------------------------------------------------------------------
+
+    def run_reference(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
+        """:meth:`run` as a per-access loop over a binary heap of ready times.
+
+        The test witness for the chunked walk; bit-identical to it.
         """
-        machine = self.machine
-        if len(llc_traces) != machine.num_cores:
-            raise MultiCoreSimulationError(
-                f"machine has {machine.num_cores} cores but {len(llc_traces)} programs were given"
-            )
-        if kernel is None:
-            kernel = self.kernel
-        elif kernel not in MULTI_CORE_KERNELS:
-            raise MultiCoreSimulationError(
-                f"kernel must be one of {MULTI_CORE_KERNELS}, got {kernel!r}"
-            )
-        if kernel == "chunked":
-            return self._run_chunked(llc_traces)
-        return self._run_reference(llc_traces)
-
-    # ------------------------------------------------------------------
-    # Reference kernel: one access at a time
-    # ------------------------------------------------------------------
-
-    def _run_reference(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
+        self._check_core_count(llc_traces)
         machine = self.machine
         shared_llc = SetAssociativeCache(machine.llc)
         num_cores = machine.num_cores
@@ -418,7 +396,7 @@ class MultiCoreSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Chunked kernel: speculative vectorized merge with rollback
+    # Chunked walk: speculative vectorized merge with rollback
     # ------------------------------------------------------------------
 
     def _run_chunked(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:

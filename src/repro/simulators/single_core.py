@@ -22,21 +22,18 @@ composition:
    :class:`SingleCoreRunResult` with the interval measurements, the
    overall CPI stack and the :class:`LLCAccessTrace`.
 
-Two replay kernels implement both stages:
+Both stages resolve every cache level with batched per-set stack
+distances (:mod:`repro.caches.vectorized`) — a handful of array passes
+over the whole trace.  :meth:`~SingleCoreSimulator.run_reference` is
+their test witness: it walks every access through stateful
+:class:`~repro.caches.hierarchy.CacheHierarchy`,
+:class:`~repro.caches.set_associative.SetAssociativeCache` and
+:class:`~repro.caches.stack_distance.StackDistanceProfiler` objects,
+one at a time — the direct transcription of what profiling hardware
+would observe.
 
-* ``"vectorized"`` (the default) resolves every cache level with
-  batched per-set stack distances (:mod:`repro.caches.vectorized`) —
-  a handful of array passes over the whole trace;
-* ``"reference"`` walks every access through stateful
-  :class:`~repro.caches.hierarchy.CacheHierarchy`,
-  :class:`~repro.caches.set_associative.SetAssociativeCache` and
-  :class:`~repro.caches.stack_distance.StackDistanceProfiler` objects,
-  one at a time — the direct transcription of what profiling hardware
-  would observe, kept as the ground truth the fast kernel is tested
-  against.
-
-Both kernels emit the same outcome arrays and share one assembly
-routine per stage for all cycle accounting, so their
+Both paths emit the same outcome arrays and share one assembly routine
+per stage for all cycle accounting, so their
 :class:`SingleCoreRunResult`\\ s are bit-identical — asserted by the
 equivalence suite and guarded by ``benchmarks/bench_singlecore_kernel``.
 """
@@ -68,9 +65,6 @@ from repro.simulators.llc_trace import (
 )
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.trace import MemoryTrace
-
-#: The replay kernels ``SingleCoreSimulator`` can use.
-KERNELS = ("vectorized", "reference")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -248,54 +242,40 @@ class SingleCoreSimulator:
         Profiling interval length in dynamic instructions (the paper
         uses 20M out of 1B; the default of 4,000 out of 200,000 keeps
         the same 50-interval structure at our trace scale).
-    kernel:
-        Replay kernel: ``"vectorized"`` (default, batched stack
-        distances) or ``"reference"`` (per-access simulation).  The two
-        produce bit-identical results; the reference kernel exists as
-        ground truth and for non-LRU what-if studies.
     """
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        interval_instructions: int = 4_000,
-        kernel: str = "vectorized",
-    ) -> None:
+    def __init__(self, machine: MachineConfig, interval_instructions: int = 4_000) -> None:
         if interval_instructions <= 0:
             raise ValueError("interval_instructions must be positive")
         self.machine = machine
         self.interval_instructions = interval_instructions
-        self.kernel = self._validate_kernel(kernel)
 
-    @staticmethod
-    def _validate_kernel(kernel: str) -> str:
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-        return kernel
-
-    def run(self, trace: MemoryTrace, kernel: Optional[str] = None) -> SingleCoreRunResult:
+    def run(self, trace: MemoryTrace) -> SingleCoreRunResult:
         """Simulate ``trace`` in isolation and collect the profile data.
 
         The composition of :meth:`filter_private` and :meth:`resolve_llc`.
-        ``kernel`` overrides the simulator's default replay kernel for
-        this run only.
         """
-        return self.resolve_llc(self.filter_private(trace, kernel), kernel=kernel)
+        return self.resolve_llc(self.filter_private(trace))
 
-    def filter_private(self, trace: MemoryTrace, kernel: Optional[str] = None) -> PrivateRun:
+    def run_reference(self, trace: MemoryTrace) -> SingleCoreRunResult:
+        """:meth:`run` through stateful per-access cache objects.
+
+        The test witness for the vectorized stages: the same two
+        assembly routines over outcomes from :meth:`_reference_private`
+        and :meth:`_reference_llc`, so the result is bit-identical.
+        """
+        served_level, llc_index = self._reference_private(trace)
+        private_run = self._assemble_private_run(trace, served_level, llc_index)
+        hits, distances = self._reference_llc(private_run, self.machine)
+        return self._assemble_result(private_run, self.machine, hits, distances)
+
+    def filter_private(self, trace: MemoryTrace) -> PrivateRun:
         """Profiling stage 1: filter ``trace`` through the private cache levels."""
-        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
-        if kernel == "vectorized":
-            served_level, llc_index, _ = replay_private_levels(trace.access_line, self.machine)
-        else:
-            served_level, llc_index = self._reference_private(trace)
+        served_level, llc_index, _ = replay_private_levels(trace.access_line, self.machine)
         return self._assemble_private_run(trace, served_level, llc_index)
 
     def resolve_llc(
-        self,
-        private_run: PrivateRun,
-        machine: Optional[MachineConfig] = None,
-        kernel: Optional[str] = None,
+        self, private_run: PrivateRun, machine: Optional[MachineConfig] = None
     ) -> SingleCoreRunResult:
         """Profiling stage 2: resolve ``private_run``'s stream against an LLC.
 
@@ -304,21 +284,16 @@ class SingleCoreSimulator:
         the stream.
         """
         machine = self.machine if machine is None else machine
-        return self.resolve_llc_many(private_run, [machine], kernel)[0]
+        return self.resolve_llc_many(private_run, [machine])[0]
 
     def resolve_llc_many(
-        self,
-        private_run: PrivateRun,
-        machines: Sequence[MachineConfig],
-        kernel: Optional[str] = None,
+        self, private_run: PrivateRun, machines: Sequence[MachineConfig]
     ) -> List[SingleCoreRunResult]:
         """:meth:`resolve_llc` for several LLCs over one private hierarchy.
 
-        The vectorized kernel computes the stream's stack distances once
-        per distinct LLC set count and derives each associativity's hits
-        from them; the reference kernel simulates every LLC afresh.
+        The stream's stack distances are computed once per distinct LLC
+        set count; each associativity's hits derive from them.
         """
-        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
         distances_by_sets: Dict[int, np.ndarray] = {}
         results = []
         for machine in machines:
@@ -328,18 +303,15 @@ class SingleCoreSimulator:
                     f"the stream was filtered by {private_run.private_key!r}"
                 )
             llc = machine.llc
-            if kernel == "vectorized":
-                distances = distances_by_sets.get(llc.num_sets)
-                if distances is None:
-                    distances = replay_llc(private_run.line, llc.num_sets)
-                    distances_by_sets[llc.num_sets] = distances
-                hits = lru_hit_mask(distances, llc.associativity)
-            else:
-                hits, distances = self._reference_llc(private_run, machine)
+            distances = distances_by_sets.get(llc.num_sets)
+            if distances is None:
+                distances = replay_llc(private_run.line, llc.num_sets)
+                distances_by_sets[llc.num_sets] = distances
+            hits = lru_hit_mask(distances, llc.associativity)
             results.append(self._assemble_result(private_run, machine, hits, distances))
         return results
 
-    def run_with_perfect_llc(self, trace: MemoryTrace, kernel: Optional[str] = None) -> float:
+    def run_with_perfect_llc(self, trace: MemoryTrace) -> float:
         """CPI of a run where every LLC access hits (the paper's perfect-LLC run).
 
         The paper describes two ways of obtaining the memory CPI; the
@@ -347,11 +319,11 @@ class SingleCoreSimulator:
         Our accounting method gives the same number directly, but this
         run is kept for cross-validation in the test suite.
         """
-        private_run = self.filter_private(trace, kernel)
+        private_run = self.filter_private(trace)
         core_model = CoreTimingModel(self.machine, trace.spec)
         # With a perfect LLC every access that reaches it is a hit, so
         # the cycle count is a closed-form weighted sum of the level
-        # populations (identical for both kernels by construction).
+        # populations.
         cycles = float(trace.base_cycle_gap.sum()) + trace.tail_base_cycles
         for level_index in range(len(self.machine.private_levels)):
             penalty = core_model.private_hit_penalty(level_index)
@@ -361,7 +333,7 @@ class SingleCoreSimulator:
         return cycles / trace.num_instructions
 
     # ------------------------------------------------------------------
-    # Reference kernel: per-access stateful cache simulation
+    # Reference: per-access stateful cache simulation (test witness)
     # ------------------------------------------------------------------
 
     def _reference_private(self, trace: MemoryTrace) -> Tuple[np.ndarray, np.ndarray]:
@@ -391,7 +363,7 @@ class SingleCoreSimulator:
         """Walk the filtered stream through a stateful LLC and SDC profiler.
 
         Returns the per-access LLC hit mask and stack distances, as the
-        vectorized kernel derives them from :func:`replay_llc`.
+        vectorized stage derives them from :func:`replay_llc`.
         """
         llc = SetAssociativeCache(machine.llc)
         profiler = StackDistanceProfiler(
@@ -414,9 +386,9 @@ class SingleCoreSimulator:
         """Turn private-level outcomes into the stage-1 result.
 
         All cycle accounting that does not depend on the LLC happens
-        here, as weighted sums over the outcome arrays; both kernels
-        route through this method, which is what makes their results
-        bit-identical.
+        here, as weighted sums over the outcome arrays; the vectorized
+        stage and the reference both route through this method, which is
+        what makes their results bit-identical.
         """
         machine = self.machine
         core_model = CoreTimingModel(machine, trace.spec)
@@ -497,7 +469,8 @@ class SingleCoreSimulator:
 
         The LLC-dependent cycle accounting — LLC hit and memory
         penalties, SDC histograms and the isolated cycle count — happens
-        here; both kernels route through this method.
+        here; the vectorized stage and the reference both route through
+        this method.
         """
         core_model = CoreTimingModel(machine, private_run.spec)
         num_private = len(machine.private_levels)

@@ -22,7 +22,8 @@ The package also contains everything the paper needs around the suite:
   (``random:*`` over the ReuseProfile space, microservice-like
   ``service:*``),
 * :mod:`repro.workloads.generator` — deterministic trace generation
-  (vectorized, with a bit-identical ``"reference"`` kernel),
+  (vectorized, with a bit-identical per-access ``generate_reference``
+  kept as the test witness),
 * :mod:`repro.workloads.trace` — the in-memory trace representation,
 * :mod:`repro.workloads.classification` — MEM / COMP / MIX benchmark
   classes used by the "current practice" category sampling,
@@ -37,7 +38,7 @@ from repro.workloads.suite import (
     small_suite,
 )
 from repro.workloads.trace import MemoryTrace
-from repro.workloads.generator import GENERATOR_KERNELS, TraceGenerator, generate_trace
+from repro.workloads.generator import TraceGenerator, generate_trace
 from repro.workloads.families import (
     random_benchmark,
     random_suite,
@@ -78,7 +79,6 @@ __all__ = [
     "spec_cpu2006_like_suite",
     "small_suite",
     "MemoryTrace",
-    "GENERATOR_KERNELS",
     "TraceGenerator",
     "generate_trace",
     "random_benchmark",

@@ -17,38 +17,31 @@ memory-intensive programs — including time-varying phases.
 Everything is driven by :class:`numpy.random.Generator` seeded from the
 benchmark's ``seed``, so traces are bit-for-bit reproducible.
 
-Two generation kernels are available through the same API, mirroring
-the single-core replay kernels of :mod:`repro.simulators.single_core`:
+:meth:`TraceGenerator.generate` is vectorized: reuse depths, access
+positions and base-cycle gaps are drawn and resolved as whole numpy
+arrays; the only irreducibly sequential step, resolving LRU-stack
+depths to line addresses (the inverse of the stack-distance transform,
+i.e. a move-to-front decode), runs as a tight bottom-anchored list
+kernel whose per-access cost is O(reuse depth) instead of a
+front-inserting loop's O(footprint) memmove plus per-access numpy
+scalar arithmetic.
 
-* ``"vectorized"`` (default) — reuse depths, access positions and
-  base-cycle gaps are drawn and resolved as whole numpy arrays; the
-  only irreducibly sequential step, resolving LRU-stack depths to line
-  addresses (the inverse of the stack-distance transform, i.e. a
-  move-to-front decode), runs as a tight bottom-anchored list kernel
-  whose per-access cost is O(reuse depth) instead of the reference
-  loop's O(footprint) front-insertion memmove plus per-access numpy
-  scalar arithmetic.
-* ``"reference"`` — the original per-access loop, kept as ground
-  truth.
-
-The two kernels are **bit-identical** (asserted by the equivalence
-suite and guarded by ``benchmarks/bench_trace_generation.py``), so the
-choice never changes a trace, a profile or any downstream result.
+:meth:`TraceGenerator.generate_reference` is the original per-access
+loop over the same phase plans and random draws, kept as the test
+witness: the two are **bit-identical**, asserted by the equivalence
+suite and guarded by ``benchmarks/bench_trace_generation.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.workloads.benchmark import BenchmarkSpec, WorkloadError
 from repro.workloads.trace import MemoryTrace
 
-
-#: Generation kernels selectable through ``TraceGenerator(kernel=...)``.
-GENERATOR_KERNELS = ("vectorized", "reference")
 
 #: Large odd multiplier used to give every benchmark a disjoint,
 #: set-index-scrambled address space in the shared cache.
@@ -103,41 +96,35 @@ class TraceGenerator:
         Global seed combined with each benchmark's own seed, so that a
         whole suite can be re-generated under a different seed for
         sensitivity studies.
-    kernel:
-        Generation kernel: ``"vectorized"`` (default) or
-        ``"reference"``.  Both produce bit-identical traces; the
-        reference loop is kept as ground truth.
     """
 
-    def __init__(
-        self, num_instructions: int = 200_000, seed: int = 0, kernel: str = "vectorized"
-    ) -> None:
+    def __init__(self, num_instructions: int = 200_000, seed: int = 0) -> None:
         if num_instructions <= 0:
             raise WorkloadError("num_instructions must be positive")
-        if kernel not in GENERATOR_KERNELS:
-            raise WorkloadError(
-                f"kernel must be one of {GENERATOR_KERNELS}, got {kernel!r}"
-            )
         self.num_instructions = num_instructions
         self.seed = seed
-        self.kernel = kernel
 
-    def generate(self, spec: BenchmarkSpec, kernel: Optional[str] = None) -> MemoryTrace:
-        """Generate the trace for one benchmark.
+    def generate(self, spec: BenchmarkSpec) -> MemoryTrace:
+        """Generate the trace for one benchmark."""
+        return self._assemble_vectorized(spec, self._phase_data(spec))
 
-        ``kernel`` overrides the generator's default for this one call
-        (used by the equivalence tests and the benchmark guard).
+    def generate_reference(self, spec: BenchmarkSpec) -> MemoryTrace:
+        """:meth:`generate` through the per-access reference loop.
+
+        The test witness for the vectorized path: same phase plans, same
+        random draws, bit-identical trace.
         """
-        kernel = self.kernel if kernel is None else kernel
-        if kernel not in GENERATOR_KERNELS:
-            raise WorkloadError(
-                f"kernel must be one of {GENERATOR_KERNELS}, got {kernel!r}"
-            )
+        return self._assemble_reference(spec, self._phase_data(spec))
+
+    def _phase_data(
+        self, spec: BenchmarkSpec
+    ) -> List[Tuple[_PhasePlan, np.ndarray, np.ndarray]]:
         rng = np.random.default_rng((self.seed, spec.seed, _name_digest(spec.name)))
         plans = self._plan_phases(spec)
         # Draw every phase's access positions and reuse depths up front,
-        # in phase order — both kernels consume the exact same random
-        # stream, so the drawn arrays (and thus the traces) are shared.
+        # in phase order — both assembly paths consume the exact same
+        # random stream, so the drawn arrays (and thus the traces) are
+        # shared.
         phase_data: List[Tuple[_PhasePlan, np.ndarray, np.ndarray]] = [
             (plan, self._access_positions(plan), self._draw_depths(plan, rng))
             for plan in plans
@@ -145,12 +132,10 @@ class TraceGenerator:
         ]
         if not phase_data:
             raise WorkloadError(f"{spec.name}: generated trace contains no memory accesses")
-        if kernel == "reference":
-            return self._assemble_reference(spec, phase_data)
-        return self._assemble_vectorized(spec, phase_data)
+        return phase_data
 
     # ------------------------------------------------------------------
-    # Reference kernel: the original per-access loop (ground truth)
+    # Reference: the original per-access loop (test witness)
     # ------------------------------------------------------------------
 
     def _assemble_reference(self, spec: BenchmarkSpec, phase_data) -> MemoryTrace:
@@ -217,7 +202,7 @@ class TraceGenerator:
         )
 
     # ------------------------------------------------------------------
-    # Vectorized kernel
+    # Vectorized assembly (what generate() runs)
     # ------------------------------------------------------------------
 
     def _assemble_vectorized(self, spec: BenchmarkSpec, phase_data) -> MemoryTrace:
@@ -378,9 +363,6 @@ def generate_trace(
     spec: BenchmarkSpec,
     num_instructions: int = 200_000,
     seed: int = 0,
-    kernel: str = "vectorized",
 ) -> MemoryTrace:
     """Convenience wrapper: generate one benchmark's trace."""
-    return TraceGenerator(
-        num_instructions=num_instructions, seed=seed, kernel=kernel
-    ).generate(spec)
+    return TraceGenerator(num_instructions=num_instructions, seed=seed).generate(spec)

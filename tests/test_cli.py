@@ -284,6 +284,20 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e30"])
+    def test_ingest_rejects_an_unrepresentable_count(self, capsys, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "core,timestamp,llc_loads,llc_misses,instructions\n"
+            f"0,0.1,10,5,100\n0,0.2,10,5,{value}\n"
+        )
+        machine = "tests/data/perf_ingest_samples.machine.json"
+        argv = ["ingest", str(bad), "--machine", machine, "--out", str(tmp_path / "b")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 3: column 'instructions'")
+        assert not (tmp_path / "b").exists()
+
     def test_ingest_rejects_missing_file(self, capsys, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "b")]) == 2
         assert "not found" in capsys.readouterr().err

@@ -48,6 +48,12 @@ def assert_bit_identical(reference, batched):
             assert ref_program.predicted_cpi == bat_program.predicted_cpi
 
 
+def solve_both(batches, *args, **kwargs):
+    """``predict_batch`` on the reference kernel, then on the batched one."""
+    reference = MPPM(*args, kernel="reference", **kwargs).predict_batch(batches)
+    return reference, MPPM(*args, kernel="batched", **kwargs).predict_batch(batches)
+
+
 @pytest.fixture(scope="module")
 def mixed_batches(profiles4):
     """A batch exercising 1/2/4-core mixes and duplicated programs."""
@@ -79,13 +85,12 @@ class TestEquivalenceMatrix:
         self, machine4, mixed_batches, variant, smoothing
     ):
         contention, config = VARIANTS[variant]
-        model = MPPM(
+        reference, batched = solve_both(
+            mixed_batches,
             machine4,
             contention_model=make_contention_model(contention),
             config=dataclasses.replace(config, smoothing=smoothing),
         )
-        reference = model.predict_batch(mixed_batches, kernel="reference")
-        batched = model.predict_batch(mixed_batches, kernel="batched")
         assert_bit_identical(reference, batched)
         assert all(prediction.converged for prediction in batched)
 
@@ -102,10 +107,8 @@ class TestEquivalenceMatrix:
             [profiles4[names[0]], short_profiles[names[1]]],
             [short_profiles[names[2]], profiles4[names[3]], short_profiles[names[4]]],
         ]
-        model = MPPM(machine4, make_contention_model(contention), config)
         assert_bit_identical(
-            model.predict_batch(batches, kernel="reference"),
-            model.predict_batch(batches, kernel="batched"),
+            *solve_both(batches, machine4, make_contention_model(contention), config)
         )
 
     def test_single_mix_batch_equals_predict(self, machine4, profiles4):
@@ -120,9 +123,9 @@ class TestEquivalenceMatrix:
         ]
 
     def test_max_iterations_cap_is_identical(self, machine4, mixed_batches):
-        model = MPPM(machine4, config=MPPMConfig(max_iterations=2))
-        reference = model.predict_batch(mixed_batches, kernel="reference")
-        batched = model.predict_batch(mixed_batches, kernel="batched")
+        reference, batched = solve_both(
+            mixed_batches, machine4, config=MPPMConfig(max_iterations=2)
+        )
         assert_bit_identical(reference, batched)
         assert all(prediction.iterations == 2 for prediction in batched)
         assert not any(prediction.converged for prediction in batched)
@@ -132,12 +135,9 @@ class TestKernelRouting:
     def test_kernels_registry(self):
         assert MPPM_KERNELS == ("batched", "reference")
 
-    def test_unknown_kernel_rejected(self, machine4, profiles4):
+    def test_unknown_kernel_rejected(self, machine4):
         with pytest.raises(MPPMError):
             MPPM(machine4, kernel="magic")
-        model = MPPM(machine4)
-        with pytest.raises(MPPMError):
-            model.predict([profiles4[sorted(profiles4)[0]]] * 4, kernel="magic")
 
     def test_store_history_falls_back_to_reference(self, machine4, profiles4):
         names = sorted(profiles4)
@@ -155,11 +155,11 @@ class TestKernelRouting:
     def test_predictions_are_built_with_their_spec_and_machine_names(
         self, machine4, mixed_batches, kernel
     ):
-        model = MPPM(machine4)
-        plain = model.predict_batch(mixed_batches, kernel=kernel)
+        model = MPPM(machine4, kernel=kernel)
+        plain = model.predict_batch(mixed_batches)
         names = [f"host-{index}" for index in range(len(mixed_batches))]
         labelled = model.predict_batch(
-            mixed_batches, kernel=kernel, predictor="mppm:foa", machine_names=names
+            mixed_batches, predictor="mppm:foa", machine_names=names
         )
         assert [p.predictor for p in plain] == [None] * len(plain)
         assert [p.machine_name for p in plain] == [machine4.name] * len(plain)
@@ -226,25 +226,22 @@ class TestRaggedRetirement:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_each_mix_equals_its_own_solve(self, machine4, ragged_batch, variant):
         contention, config = VARIANTS[variant]
-        free = MPPM(machine4, make_contention_model(contention), config).predict_batch(
-            ragged_batch, kernel="reference"
-        )
+        free = MPPM(
+            machine4, make_contention_model(contention), config, kernel="reference"
+        ).predict_batch(ragged_batch)
         counts = sorted({prediction.iterations for prediction in free})
         # Cap between the two longest runs: the longest mix retires at the cap.
         cap = (counts[-1] + counts[-2]) // 2
-        model = MPPM(
-            machine4,
-            make_contention_model(contention),
-            dataclasses.replace(config, max_iterations=cap),
-        )
-        batched = model.predict_batch(ragged_batch, kernel="batched")
+        capped = (machine4, make_contention_model(contention))
+        capped += (dataclasses.replace(config, max_iterations=cap),)
+        reference, batched = solve_both(ragged_batch, *capped)
         retired_at = [prediction.iterations for prediction in batched]
         assert len(set(retired_at)) >= 3
         assert retired_at.count(cap) == 1
         assert [p.converged for p in batched] == [n < cap for n in retired_at]
-        assert_bit_identical(model.predict_batch(ragged_batch, kernel="reference"), batched)
+        assert_bit_identical(reference, batched)
         for mix, prediction in zip(ragged_batch, batched):
-            (alone,) = model.predict_batch([mix], kernel="batched")
+            (alone,) = MPPM(*capped).predict_batch([mix])
             assert alone.iterations == prediction.iterations
             assert alone.converged == prediction.converged
             assert [p.predicted_cpi for p in alone.programs] == [

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments import ExperimentConfig, ExperimentSetup, default_setup
+from repro.simulators import MultiCoreSimulator
 from repro.workloads import BenchmarkClass, WorkloadMix, small_suite
 
 
@@ -31,23 +32,12 @@ class TestExperimentConfig:
             dict(num_instructions=0),
             dict(interval_instructions=0),
             dict(num_instructions=1_000, interval_instructions=300),
-            dict(kernel="magic"),
             dict(mppm_kernel="magic"),
-            dict(multicore_kernel="magic"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
-
-    def test_kernel_defaults_to_vectorized_and_reaches_the_store(self):
-        assert ExperimentConfig().kernel == "vectorized"
-        setup = ExperimentSetup(
-            config=ExperimentConfig(
-                num_instructions=10_000, interval_instructions=1_000, kernel="reference"
-            )
-        )
-        assert setup.store.kernel == "reference"
 
 
 class TestExperimentSetup:
@@ -298,70 +288,45 @@ class TestCampaignCacheLayout:
         assert rerun.store.simulated_profiles == 0
 
 
-class TestMulticoreKernelPlumbing:
-    """The interleaving kernel threads from ExperimentConfig to the
-    reference simulator and into ``detailed`` provenance, without ever
-    entering a cache key (the kernels are bit-identical)."""
+class TestDetailedSimulation:
+    """The setup's reference simulations: bit-identical to the per-access
+    heap loop, tagged ``"chunked"`` in ``detailed`` provenance, and the
+    same serially and in parallel."""
 
     @staticmethod
-    def _setup(multicore_kernel, **kwargs):
+    def _setup(**kwargs):
         return ExperimentSetup(
-            config=ExperimentConfig(
-                scale=16,
-                num_instructions=30_000,
-                interval_instructions=1_000,
-                multicore_kernel=multicore_kernel,
-            ),
+            config=ExperimentConfig(scale=16, num_instructions=30_000, interval_instructions=1_000),
             suite=small_suite(6),
             **kwargs,
         )
 
-    def test_default_kernel_is_chunked(self):
-        assert ExperimentConfig().multicore_kernel == "chunked"
-
-    def test_all_kernels_simulate_bit_identically(self):
-        from repro.simulators import MULTI_CORE_KERNELS
-
-        setups = {kernel: self._setup(kernel) for kernel in MULTI_CORE_KERNELS}
-        machine = setups["chunked"].machine(num_cores=4)
-        mix = WorkloadMix(programs=tuple(setups["chunked"].benchmark_names[:4]))
-        results = {
-            kernel: setup.simulate(mix, machine) for kernel, setup in setups.items()
-        }
-        assert results["chunked"] == results["heap"]
+    def test_simulate_matches_the_heap_reference_bitwise(self):
+        setup = self._setup()
+        machine = setup.machine(num_cores=4)
+        mix = WorkloadMix(programs=tuple(setup.benchmark_names[:4]))
+        reference = MultiCoreSimulator(machine).run_reference(setup.llc_traces(mix, machine))
+        assert setup.simulate(mix, machine) == reference
 
     def test_detailed_prediction_records_kernel_provenance(self):
-        setup = self._setup("heap")
+        setup = self._setup()
         machine = setup.machine(num_cores=2)
         mix = WorkloadMix(programs=tuple(setup.benchmark_names[:2]))
         direct = setup.predict(mix, machine, predictor="detailed")
         assert direct.predictor == "detailed"
-        assert direct.kernel == "heap"
+        assert direct.kernel == "chunked"
         # The sweep path repackages simulate jobs the same way.
         swept = setup.predictor_batch([("detailed", mix, machine)])[0]
-        assert swept.kernel == "heap"
+        assert swept.kernel == "chunked"
         assert swept.programs == direct.programs
 
-    def test_kernel_is_not_part_of_the_cache_key(self, tmp_path):
-        mix_names = None
-        results = []
-        for kernel in ("chunked", "heap"):
-            setup = self._setup(kernel, cache_dir=tmp_path)
-            machine = setup.machine(num_cores=2)
-            if mix_names is None:
-                mix_names = tuple(setup.benchmark_names[:2])
-            results.append(setup.simulate_batch([(WorkloadMix(programs=mix_names), machine)])[0])
-        # The second setup must be served from the first one's cache
-        # entry (identical bytes either way).
-        assert results[0] == results[1]
-
     def test_parallel_simulation_matches_serial_bitwise(self):
-        serial = self._setup("chunked")
+        serial = self._setup()
         machine = serial.machine(num_cores=2)
         mixes = serial.mixes(num_programs=2, num_mixes=3)
         pairs = [(mix, machine) for mix in mixes]
         expected = serial.simulate_batch(pairs)
-        parallel = self._setup("chunked", jobs=2)
+        parallel = self._setup(jobs=2)
         try:
             assert parallel.simulate_batch(pairs) == expected
         finally:

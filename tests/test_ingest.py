@@ -15,6 +15,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import machine_with_llc, scaled
 from repro.experiments import ExperimentConfig, ExperimentSetup
@@ -53,6 +55,10 @@ def csv_text(rows):
     return "\n".join(lines) + "\n"
 
 
+def jsonl_text(rows):
+    return "\n".join(json.dumps(dict(zip(REQUIRED_COLUMNS, row))) for row in rows)
+
+
 GOOD_ROWS = [
     (0, 1.0e-5, 40, 20, 1000),
     (0, 2.0e-5, 42, 21, 1000),
@@ -73,11 +79,8 @@ class TestParsing:
         assert core0.cycles[1] == pytest.approx(1.0e-5 * 2.0e9)
 
     def test_jsonl_agrees_with_csv(self):
-        jsonl = "\n".join(
-            json.dumps(dict(zip(REQUIRED_COLUMNS, row))) for row in GOOD_ROWS
-        )
         a = parse_samples(csv_text(GOOD_ROWS), MACHINE)
-        b = parse_samples(jsonl, MACHINE, fmt="jsonl")
+        b = parse_samples(jsonl_text(GOOD_ROWS), MACHINE, fmt="jsonl")
         for left, right in zip(a.cores, b.cores):
             assert left.core == right.core
             assert np.array_equal(left.llc_misses, right.llc_misses)
@@ -122,10 +125,71 @@ class TestParsing:
         with pytest.raises(IngestError, match="no instructions"):
             parse_samples(csv_text(rows), MACHINE)
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "column,value",
+        [
+            ("instructions", float("inf")),
+            ("instructions", 1e30),
+            ("llc_loads", float("nan")),
+            ("core", 1e300),
+            ("timestamp", float("nan")),
+            ("timestamp", float("inf")),
+            ("timestamp", float("-inf")),
+            ("timestamp", 1e300),
+        ],
+    )
+    def test_unrepresentable_numbers_are_addressed_by_row_and_column(
+        self, fmt, column, value
+    ):
+        bad = dict(zip(REQUIRED_COLUMNS, (0, 2.0e-5, 42, 21, 1000)), **{column: value})
+        rows = [GOOD_ROWS[0], tuple(bad[name] for name in REQUIRED_COLUMNS)]
+        if fmt == "csv":
+            text, row = csv_text(rows), 3
+        else:
+            text, row = jsonl_text(rows), 2
+        with pytest.raises(IngestError, match=f"^row {row}: column '{column}' "):
+            parse_samples(text, MachineDescriptor(), fmt=fmt)
+
     def test_errors_are_workload_errors(self):
         from repro.workloads.benchmark import WorkloadError
 
         assert issubclass(IngestError, WorkloadError)
+
+
+#: Cell values a sampler, a spreadsheet export or a corrupt file could
+#: hand the parser: plausible counters and timestamps, every special
+#: float, integers past int64, and non-numbers.
+CELLS = st.one_of(
+    st.integers(0, 10_000),
+    st.floats(0.0, 1e-3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(["", "many", "1e400", "-0", "0x10", "4000.0"]),
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fmt=st.sampled_from(["csv", "jsonl"]),
+        rows=st.lists(st.tuples(*[CELLS] * len(REQUIRED_COLUMNS)), min_size=1, max_size=6),
+    )
+    def test_parse_yields_finite_arrays_or_an_ingest_error(self, fmt, rows):
+        text = csv_text(rows) if fmt == "csv" else jsonl_text(rows)
+        try:
+            stream = parse_samples(text, MachineDescriptor(), fmt=fmt)
+        except IngestError:
+            return
+        for core in stream.cores:
+            for series in (
+                core.timestamps,
+                core.instructions,
+                core.llc_loads,
+                core.llc_misses,
+                core.cycles,
+            ):
+                assert np.all(np.isfinite(series))
 
 
 class TestMachineDescriptor:

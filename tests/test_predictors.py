@@ -119,7 +119,6 @@ class TestRegistry:
             "available_predictors",
             "make_contention_model",
             "available_contention_models",
-            "KERNELS",
             "Predictor",
             "DEFAULT_PREDICTOR",
         ):
@@ -403,9 +402,7 @@ class TestExperimentsTakePredictorLists:
         # One simulation per pair, not one per (pair, detailed-ish op).
         assert setup.reference_runs() == len(pairs)
         for evaluation in evaluated["detailed"]:
-            assert evaluation.predicted == prediction_from_run(
-                evaluation.measured, kernel=setup.config.multicore_kernel
-            )
+            assert evaluation.predicted == prediction_from_run(evaluation.measured)
             assert evaluation.stp_error == 0.0
 
     def test_ranking_and_agreement_canonicalise_specs(self, experiment_setup):

@@ -19,6 +19,7 @@ from repro.engine import tasks as engine_tasks
 from repro.engine.cache import deserialize_result, serialize_result
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.profiling import ProfileBundle, Profiler, ProfileStore
+from repro.profiling.profiler import profile_from_run
 from repro.simulators import single_core
 from repro.workloads import WorkloadMix, workload_for
 from repro.workloads.generator import TraceGenerator
@@ -40,10 +41,8 @@ SPECS = _specs()
 MACHINES = [scaled(machine, 16) for machine in llc_design_space(4)]
 
 
-def _store(kernel="vectorized", **kwargs):
-    return ProfileStore(
-        num_instructions=INSTRUCTIONS, interval_instructions=INTERVAL, kernel=kernel, **kwargs
-    )
+def _store(**kwargs):
+    return ProfileStore(num_instructions=INSTRUCTIONS, interval_instructions=INTERVAL, **kwargs)
 
 
 def assert_profiles_equal(a, b):
@@ -86,10 +85,22 @@ def fresh():
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
+    def test_fresh_profiler_matches_the_reference_replay(self, fresh):
+        """The ground truth itself against the per-access test witness,
+        on every Table 2 LLC and every workload family."""
+        generator = TraceGenerator(num_instructions=INSTRUCTIONS)
+        for spec in SPECS:
+            trace = generator.generate(spec)
+            for machine in MACHINES:
+                simulator = single_core.SingleCoreSimulator(machine, interval_instructions=INTERVAL)
+                run = simulator.run_reference(trace)
+                expected = fresh[(spec, machine.profile_key())]
+                assert_profiles_equal(profile_from_run(run, machine), expected.profile)
+                assert_traces_equal(run.llc_trace, expected.llc_trace)
+
     @pytest.mark.parametrize("order", ["machine-major", "spec-major"])
-    def test_memoized_profiles_match_fresh_profiler(self, fresh, kernel, order):
-        store = _store(kernel)
+    def test_memoized_profiles_match_fresh_profiler(self, fresh, order):
+        store = _store()
         if order == "machine-major":
             pairs = [(spec, machine) for machine in MACHINES for spec in SPECS]
         else:
@@ -146,16 +157,15 @@ class TestStageOneCounting:
             monkeypatch.setattr(single_core, name, counting(name, getattr(single_core, name)))
         return counts
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
-    def test_one_trace_and_one_private_replay_per_spec(self, counters, kernel):
-        store = _store(kernel)
+    def test_one_trace_and_one_private_replay_per_spec(self, counters):
+        store = _store()
         for machine in MACHINES:
             for spec in SPECS:
                 store.get_profile(spec, machine)
         k = len(SPECS)
         assert counters["generate"] == k
         assert counters["filter_private"] == k
-        assert counters["replay_private_levels"] == (k if kernel == "vectorized" else 0)
+        assert counters["replay_private_levels"] == k
         assert store.simulated_profiles == len(MACHINES) * k
 
     def test_get_many_computes_distances_once_per_set_count(self, counters):

@@ -7,8 +7,6 @@ surface (and the package metadata) down.
 
 import importlib
 
-import pytest
-
 import repro
 
 
@@ -83,3 +81,94 @@ class TestSuiteContract:
         assert design_space[0].llc == machine.llc
         assert repro.machine_with_llc(6).llc.size_bytes == 2 * 1024 * 1024
         assert repro.scaled(machine, 16).llc.size_bytes == machine.llc.size_bytes // 16
+
+
+def _public_callables(package_name):
+    """Every public function, class and method defined under a package."""
+    import inspect
+    import pkgutil
+
+    package = importlib.import_module(package_name)
+    modules = [package]
+    if hasattr(package, "__path__"):
+        modules += [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(package.__path__, package_name + ".")
+        ]
+    found = {}
+    for module in modules:
+        for name, member in vars(module).items():
+            if name.startswith("_") or getattr(member, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(member):
+                found[f"{module.__name__}.{name}"] = member
+            elif inspect.isclass(member):
+                found[f"{module.__name__}.{name}"] = member
+                for attr, method in vars(member).items():
+                    if isinstance(method, (staticmethod, classmethod)):
+                        method = method.__func__
+                    if inspect.isfunction(method) and not attr.startswith("_"):
+                        found[f"{module.__name__}.{name}.{attr}"] = method
+    return found
+
+
+class TestNoRunTimeKernelChoice:
+    """Replay, trace generation and the interleave have one run-time
+    path each; their per-access references are reached by name
+    (``run_reference``, ``generate_reference``) from tests and guards.
+    Only MPPM keeps a solver kernel, chosen when the model is built."""
+
+    PACKAGES = (
+        "repro.simulators",
+        "repro.workloads.generator",
+        "repro.profiling",
+        "repro.ingest",
+        "repro.predictors",
+    )
+
+    def test_no_public_callable_takes_a_kernel(self):
+        import inspect
+
+        checked, offenders = 0, []
+        for package in self.PACKAGES:
+            for name, member in _public_callables(package).items():
+                if inspect.isclass(member) and issubclass(member, Exception):
+                    continue
+                checked += 1
+                if "kernel" in inspect.signature(member).parameters:
+                    offenders.append(name)
+        assert checked > 100
+        assert offenders == []
+
+    def test_mppm_predict_methods_take_no_kernel(self):
+        import inspect
+
+        from repro.core import MPPM
+
+        methods = [name for name in vars(MPPM) if name.startswith("predict")]
+        assert sorted(methods) == ["predict", "predict_batch", "predict_many", "predict_mix"]
+        for name in methods:
+            assert "kernel" not in inspect.signature(getattr(MPPM, name)).parameters, name
+
+    def test_experiment_config_has_exactly_five_fields(self):
+        import dataclasses
+
+        from repro.experiments import ExperimentConfig
+
+        assert [field.name for field in dataclasses.fields(ExperimentConfig)] == [
+            "scale",
+            "num_instructions",
+            "interval_instructions",
+            "seed",
+            "mppm_kernel",
+        ]
+
+    def test_the_references_are_reached_by_name(self):
+        from repro.simulators import MultiCoreSimulator, SingleCoreSimulator
+        from repro.workloads.generator import TraceGenerator
+
+        assert callable(SingleCoreSimulator.run_reference)
+        assert callable(MultiCoreSimulator.run_reference)
+        assert callable(TraceGenerator.generate_reference)
+        for registry in ("KERNELS", "GENERATOR_KERNELS", "MULTI_CORE_KERNELS"):
+            assert not hasattr(repro, registry)

@@ -31,6 +31,8 @@ class TestMultiCoreSimulator:
         traces = _traces(store, tiny_suite, machine4, ["gamess", "hmmer"])
         with pytest.raises(MultiCoreSimulationError):
             MultiCoreSimulator(machine4).run(traces)
+        with pytest.raises(MultiCoreSimulationError):
+            MultiCoreSimulator(machine4).run_reference(traces)
 
     def test_sharing_never_speeds_programs_up(self, store, tiny_suite, machine4):
         traces = _traces(store, tiny_suite, machine4, ["gamess", "mcf", "soplex", "lbm"])
@@ -160,9 +162,8 @@ class TestReadyQueueVariants:
         machine8 = machine4.with_num_cores(8)
         names = ["gamess", "soplex", "mcf", "hmmer", "gamess", "soplex", "mcf", "hmmer"]
         traces = _traces(store, tiny_suite, machine4, names)
-        heap_result = MultiCoreSimulator(machine8, kernel="heap").run(traces)
-        chunked_result = MultiCoreSimulator(machine8, kernel="chunked").run(traces)
-        assert chunked_result == heap_result
+        simulator = MultiCoreSimulator(machine8)
+        assert simulator.run(traces) == simulator.run_reference(traces)
 
     def test_serialisation_roundtrip_is_exact(self, store, tiny_suite, machine4):
         traces = _traces(store, tiny_suite, machine4, ["gamess", "hmmer", "soplex", "mcf"])

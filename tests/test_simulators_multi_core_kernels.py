@@ -1,10 +1,11 @@
-"""Equivalence matrix for the multi-core interleaving kernels.
+"""Equivalence matrix for the multi-core interleave and its reference.
 
-The chunked kernel claims *bit-identical* results to the per-access
-reference loop — not approximately equal.  Frozen-dataclass equality
-on :class:`MultiCoreRunResult` compares every cycle count, CPI input
-and counter exactly, so each case below asserts plain ``==`` between
-``chunked`` and ``heap`` on the situations where a speculative
+The chunked walk of :meth:`MultiCoreSimulator.run` claims
+*bit-identical* results to the per-access heap loop of
+:meth:`MultiCoreSimulator.run_reference` — not approximately equal.
+Frozen-dataclass equality on :class:`MultiCoreRunResult` compares every
+cycle count, CPI input and counter exactly, so each case below asserts
+plain ``==`` between the two on the situations where a speculative
 merge-and-rollback walk could diverge: duplicated-program mixes, exact
 ready-time ties, zero tails, traces shorter than (or exactly as long
 as) one speculation window, whose windows run across the trace end, and
@@ -20,27 +21,14 @@ from hypothesis import strategies as st
 
 from repro.simulators import multi_core
 from repro.simulators.llc_trace import LLCAccessTrace
-from repro.simulators.multi_core import (
-    MULTI_CORE_KERNELS,
-    MultiCoreSimulationError,
-    MultiCoreSimulator,
-)
+from repro.simulators.multi_core import MultiCoreSimulationError, MultiCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec, ReuseProfile
 
 
-def run_all_kernels(machine, traces):
-    """The same simulation on every kernel, as ``{kernel: result}``."""
-    return {
-        kernel: MultiCoreSimulator(machine, kernel=kernel).run(traces)
-        for kernel in MULTI_CORE_KERNELS
-    }
-
-
 def assert_all_identical(machine, traces):
-    results = run_all_kernels(machine, traces)
-    reference = results["heap"]
-    for kernel, result in results.items():
-        assert result == reference, f"kernel {kernel!r} diverged from heap"
+    simulator = MultiCoreSimulator(machine)
+    reference = simulator.run_reference(traces)
+    assert simulator.run(traces) == reference, "the chunked walk diverged from the heap loop"
     return reference
 
 
@@ -248,19 +236,8 @@ class TestPeriodicWindows:
         assert machine.llc.num_sets == 64
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(multi_core, "_WINDOW", window)
-            chunked = MultiCoreSimulator(machine, kernel="chunked").run(traces)
-        assert chunked == MultiCoreSimulator(machine, kernel="heap").run(traces)
-
-
-class TestKernelSelection:
-    def test_unknown_kernel_rejected(self, machine4):
-        with pytest.raises(MultiCoreSimulationError):
-            MultiCoreSimulator(machine4, kernel="quantum")
-
-    def test_run_level_kernel_override(self, store, tiny_suite, machine2):
-        traces = _traces(store, tiny_suite, machine2, ["gamess", "mcf"])
-        simulator = MultiCoreSimulator(machine2, kernel="heap")
-        assert simulator.run(traces, kernel="chunked") == simulator.run(traces)
+            chunked = MultiCoreSimulator(machine).run(traces)
+        assert chunked == MultiCoreSimulator(machine).run_reference(traces)
 
 
 class TestRunResultValidation:

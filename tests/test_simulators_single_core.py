@@ -7,7 +7,7 @@ from repro.config.cache_config import CacheConfig
 from repro.config.machine import MachineConfig
 from repro.simulators.single_core import SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec, ReuseProfile
-from repro.workloads.generator import TraceGenerator, generate_trace
+from repro.workloads.generator import TraceGenerator
 
 from testdefaults import TEST_INSTRUCTIONS, TEST_INTERVAL
 
@@ -92,8 +92,8 @@ class TestBenchmarkHeterogeneity:
 
     def test_kernel_equivalence_baseline(self, machine4, gamess_trace, gamess_run):
         reference = SingleCoreSimulator(
-            machine4, interval_instructions=TEST_INTERVAL, kernel="reference"
-        ).run(gamess_trace)
+            machine4, interval_instructions=TEST_INTERVAL
+        ).run_reference(gamess_trace)
         assert_runs_bit_identical(gamess_run, reference)
 
     def test_bigger_llc_reduces_misses(self, full_suite, generator):
@@ -111,7 +111,7 @@ class TestBenchmarkHeterogeneity:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized vs reference kernel equivalence
+# run() vs run_reference() equivalence
 # ---------------------------------------------------------------------------
 
 
@@ -204,7 +204,7 @@ def _equivalence_machines():
 
 
 class TestKernelEquivalence:
-    """Property suite: the two replay kernels are bit-identical."""
+    """Property suite: ``run`` and ``run_reference`` are bit-identical."""
 
     def test_randomized_equivalence_matrix(self):
         rng = np.random.default_rng(2024)
@@ -215,12 +215,7 @@ class TestKernelEquivalence:
             trace = TraceGenerator(num_instructions=num_instructions, seed=index).generate(spec)
             machine = machines[index % len(machines)]
             simulator = SingleCoreSimulator(machine, interval_instructions=4_000)
-            vectorized = simulator.run(trace, kernel="vectorized")
-            reference = simulator.run(trace, kernel="reference")
-            assert_runs_bit_identical(vectorized, reference)
-            assert simulator.run_with_perfect_llc(
-                trace, kernel="vectorized"
-            ) == simulator.run_with_perfect_llc(trace, kernel="reference")
+            assert_runs_bit_identical(simulator.run(trace), simulator.run_reference(trace))
 
     def test_trace_shorter_than_one_interval(self, full_suite):
         trace = TraceGenerator(num_instructions=1_500, seed=3).generate(
@@ -229,25 +224,9 @@ class TestKernelEquivalence:
         simulator = SingleCoreSimulator(
             _equivalence_machines()[0], interval_instructions=4_000
         )
-        vectorized = simulator.run(trace, kernel="vectorized")
-        reference = simulator.run(trace, kernel="reference")
+        vectorized = simulator.run(trace)
+        reference = simulator.run_reference(trace)
         assert len(vectorized.intervals) == 1
         assert vectorized.intervals[0].instructions == 1_500
         assert_runs_bit_identical(vectorized, reference)
 
-    def test_default_kernel_is_vectorized(self, machine4):
-        assert SingleCoreSimulator(machine4).kernel == "vectorized"
-
-    def test_unknown_kernel_rejected(self, machine4, gamess_trace):
-        with pytest.raises(ValueError):
-            SingleCoreSimulator(machine4, kernel="magic")
-        with pytest.raises(ValueError):
-            SingleCoreSimulator(machine4).run(gamess_trace, kernel="magic")
-
-    def test_per_run_kernel_override(self, machine4, gamess_trace):
-        simulator = SingleCoreSimulator(
-            machine4, interval_instructions=TEST_INTERVAL, kernel="reference"
-        )
-        assert_runs_bit_identical(
-            simulator.run(gamess_trace, kernel="vectorized"), simulator.run(gamess_trace)
-        )

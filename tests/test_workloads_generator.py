@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.benchmark import BenchmarkSpec, PhaseSpec, ReuseProfile, WorkloadError
-from repro.workloads.generator import GENERATOR_KERNELS, TraceGenerator, generate_trace
+from repro.workloads.generator import TraceGenerator, generate_trace
 from repro.workloads.trace import MemoryTrace
 
 
@@ -198,7 +198,7 @@ EQUIVALENCE_CASES = [
 
 
 class TestKernelEquivalence:
-    """The vectorized kernel is bit-identical to the reference loop."""
+    """``generate`` is bit-identical to ``generate_reference``."""
 
     @pytest.mark.parametrize(
         "spec,num_instructions",
@@ -208,31 +208,17 @@ class TestKernelEquivalence:
     def test_equivalence_matrix(self, spec, num_instructions):
         generator = TraceGenerator(num_instructions=num_instructions, seed=0)
         _assert_traces_identical(
-            generator.generate(spec, kernel="vectorized"),
-            generator.generate(spec, kernel="reference"),
+            generator.generate(spec),
+            generator.generate_reference(spec),
         )
 
     def test_suite_benchmarks_are_identical_across_kernels(self, full_suite, generator):
         for name in ("gamess", "lbm", "mcf", "gcc", "cactusADM"):
             spec = full_suite[name]
             _assert_traces_identical(
-                generator.generate(spec, kernel="vectorized"),
-                generator.generate(spec, kernel="reference"),
+                generator.generate(spec),
+                generator.generate_reference(spec),
             )
-
-    def test_default_kernel_is_vectorized_and_selectable(self):
-        assert GENERATOR_KERNELS == ("vectorized", "reference")
-        assert TraceGenerator().kernel == "vectorized"
-        spec = _small_spec()
-        via_ctor = TraceGenerator(num_instructions=5_000, kernel="reference").generate(spec)
-        via_call = TraceGenerator(num_instructions=5_000).generate(spec, kernel="reference")
-        _assert_traces_identical(via_call, via_ctor)
-
-    def test_unknown_kernel_is_rejected(self):
-        with pytest.raises(WorkloadError):
-            TraceGenerator(kernel="magic")
-        with pytest.raises(WorkloadError):
-            TraceGenerator(num_instructions=1_000).generate(_small_spec(), kernel="magic")
 
     @given(
         mem_fraction=st.floats(min_value=0.05, max_value=0.6),
@@ -256,8 +242,8 @@ class TestKernelEquivalence:
         )
         generator = TraceGenerator(num_instructions=num_instructions, seed=seed)
         _assert_traces_identical(
-            generator.generate(spec, kernel="vectorized"),
-            generator.generate(spec, kernel="reference"),
+            generator.generate(spec),
+            generator.generate_reference(spec),
         )
 
 

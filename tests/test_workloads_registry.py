@@ -111,7 +111,6 @@ class TestRegistry:
             "available_workloads",
             "WorkloadSource",
             "DEFAULT_WORKLOAD",
-            "GENERATOR_KERNELS",
         ):
             assert name in repro.__all__
             assert hasattr(repro, name)
@@ -333,8 +332,8 @@ class TestTraceGenerationThroughRegistry:
         generator = TraceGenerator(num_instructions=10_000, seed=0)
         for spec_string in ("random:n=3,seed=1", "service:n=3,seed=1"):
             for benchmark in make_workload(spec_string).suite():
-                vectorized = generator.generate(benchmark, kernel="vectorized")
-                reference = generator.generate(benchmark, kernel="reference")
+                vectorized = generator.generate(benchmark)
+                reference = generator.generate_reference(benchmark)
                 assert np.array_equal(vectorized.access_line, reference.access_line)
                 assert np.array_equal(
                     vectorized.base_cycle_gap, reference.base_cycle_gap
