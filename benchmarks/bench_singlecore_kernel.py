@@ -10,6 +10,12 @@ default experiment trace scale, that the two stay bit-identical *and*
 that the vectorized replay keeps its speedup — so a regression that
 slows it to parity fails the build.
 
+It also checks the private L1's hit decision on its own: at 1/16 scale
+the L1 is 4 sets x 8 ways, and ``llc_hits`` must return exactly the
+distance-based mask ``lru_hit_mask(stack_distances(...))`` over the
+same traces, and do so at least ``L1_FLOOR`` times faster — the L1
+is where most of the private replay's time goes.
+
 Run standalone (CI uses ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_singlecore_kernel.py [--quick]
@@ -22,6 +28,7 @@ import time
 
 import numpy as np
 
+from repro.caches.vectorized import llc_hits, lru_hit_mask, stack_distances
 from repro.config import baseline_machine, scaled
 from repro.simulators.single_core import SingleCoreSimulator
 from repro.workloads import spec_cpu2006_like_suite
@@ -41,6 +48,11 @@ DEFAULT_FLOOR = 5.0
 #: vectorized path is live (per-access speed would measure ~1x).
 QUICK_INSTRUCTIONS = 50_000
 QUICK_FLOOR = 2.0
+#: ``llc_hits`` over the distance-based mask on the L1 shape (measured
+#: about 2.8x at the default scale and 2.7x in quick mode; an undecided
+#: range scanned only over its first reuses measured 1.2x).
+L1_FLOOR = 2.0
+QUICK_L1_FLOOR = 1.6
 
 
 def _assert_identical(vectorized, reference):
@@ -61,8 +73,18 @@ def _assert_identical(vectorized, reference):
     assert vectorized.llc_trace.tail_cycles == reference.llc_trace.tail_cycles
 
 
+def _best_of(rounds: int, run, inputs) -> float:
+    timings = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for item in inputs:
+            run(item)
+        timings.append(time.perf_counter() - start)
+    return min(timings)
+
+
 def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3) -> dict:
-    """Time both replays over the benchmark slice; returns seconds + speedup.
+    """Time both replays, and the L1's two hit decisions, over the benchmark slice.
 
     Uses best-of-``rounds`` per replay (standard practice for benchmark
     guards: the minimum is the least noisy estimator of the true cost)
@@ -75,25 +97,34 @@ def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 
     traces = [generator.generate(suite[name]) for name in BENCHMARKS]
     simulator.run(traces[0])  # warm-up (imports, allocator)
 
-    def best_of(run) -> float:
-        timings = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for trace in traces:
-                run(trace)
-            timings.append(time.perf_counter() - start)
-        return min(timings)
-
     for trace in traces:
         _assert_identical(simulator.run(trace), simulator.run_reference(trace))
 
-    vectorized_seconds = best_of(simulator.run)
-    reference_seconds = best_of(simulator.run_reference)
+    vectorized_seconds = _best_of(rounds, simulator.run, traces)
+    reference_seconds = _best_of(rounds, simulator.run_reference, traces)
+
+    l1 = machine.private_levels[0]
+    streams = [trace.access_line for trace in traces]
+
+    def l1_hits(lines):
+        return llc_hits(lines, l1.num_sets, l1.associativity)
+
+    def l1_mask(lines):
+        return lru_hit_mask(stack_distances(lines, l1.num_sets), l1.associativity)
+
+    for lines in streams:
+        assert np.array_equal(l1_hits(lines), l1_mask(lines))
+    l1_hits_seconds = _best_of(rounds, l1_hits, streams)
+    l1_mask_seconds = _best_of(rounds, l1_mask, streams)
     return {
         "num_instructions": num_instructions,
         "vectorized_seconds": vectorized_seconds,
         "reference_seconds": reference_seconds,
         "speedup": reference_seconds / vectorized_seconds,
+        "l1_geometry": f"{l1.num_sets} sets x {l1.associativity} ways",
+        "l1_hits_seconds": l1_hits_seconds,
+        "l1_mask_seconds": l1_mask_seconds,
+        "l1_speedup": l1_mask_seconds / l1_hits_seconds,
     }
 
 
@@ -101,6 +132,7 @@ def run_guard(quick: bool = False) -> dict:
     """Measure and enforce the speedup floor; returns the measurement."""
     num_instructions = QUICK_INSTRUCTIONS if quick else DEFAULT_INSTRUCTIONS
     floor = QUICK_FLOOR if quick else DEFAULT_FLOOR
+    l1_floor = QUICK_L1_FLOOR if quick else L1_FLOOR
     result = measure_kernels(num_instructions=num_instructions)
     print(
         f"single-core replay of {len(BENCHMARKS)} benchmarks x "
@@ -109,9 +141,19 @@ def run_guard(quick: bool = False) -> dict:
         f"reference {result['reference_seconds']:.3f}s "
         f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
     )
+    print(
+        f"L1 ({result['l1_geometry']}) hit decision: "
+        f"llc_hits {result['l1_hits_seconds']:.3f}s, "
+        f"lru_hit_mask(stack_distances) {result['l1_mask_seconds']:.3f}s "
+        f"-> speedup {result['l1_speedup']:.1f}x (floor {l1_floor:.1f}x)"
+    )
     assert result["speedup"] >= floor, (
         f"vectorized replay regressed toward the per-access reference: "
         f"{result['speedup']:.2f}x < required {floor:.1f}x"
+    )
+    assert result["l1_speedup"] >= l1_floor, (
+        f"llc_hits on the L1 regressed toward the distance pass: "
+        f"{result['l1_speedup']:.2f}x < required {l1_floor:.1f}x"
     )
     return result
 

@@ -14,7 +14,7 @@ a private hierarchy that stops above it (``include_llc=False``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.config.machine import MachineConfig
 from repro.caches.set_associative import SetAssociativeCache

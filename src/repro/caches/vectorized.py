@@ -55,11 +55,22 @@ other lines accessed between them, which lies between the number of
   (one ``cumsum``);
 * only the rest is counted exactly.  The other lines are the first
   occurrences plus the reuses in ``(p, q)`` whose own previous
-  occurrence lies before ``p``.  The first A reuses of the range (at
-  most 32) usually settle it.  Longer ranges are scanned to their end
-  while the scans stay linear in the stream length, and otherwise
-  counted with one :func:`_count_preceding_greater` pass over the
-  reuses, so adversarial streams cost no more than the distances.
+  occurrence lies before ``p``.  The first ``W = min(A, 32)`` reuses
+  of the range (its head) usually settle it.
+
+Past the head only *long* reuses can still count.  Call a reuse ``r``
+short if its gap ``r - prev(r)`` is at most ``W``.  The j-th reuse of
+the range lies at ``p + j`` or later, so every reuse past the head lies
+beyond ``p + W``; if it is short, its previous occurrence is after
+``p``, and it adds no line.  One ``cumsum`` over the long reuses maps
+each range onto them: their first W are read as a second head, and
+what stays open is scanned over long reuses only while the scans stay
+linear in the stream length.  Beyond that, one
+:func:`_count_preceding_greater` pass over all reuses recounts the
+open ranges whole, so the result stays exact and adversarial streams
+(every reuse long, every range open) cost no more than the distances.
+On the 32-line L1 of the default machine at 1/16 scale, the second
+head settles all but about 1% of the ranges the first leaves open.
 """
 
 from __future__ import annotations
@@ -346,6 +357,22 @@ def _count_below(
     return np.bincount(owner[below], minlength=len(low))
 
 
+def _count_head_below(
+    values: np.ndarray, low: np.ndarray, high: np.ndarray, bounds: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_count_below` over the first ``width`` values of each range only.
+
+    Returns the counts and where each scanned head ends
+    (``min(high, low + width)``).  One row read of ``width`` values per
+    query.
+    """
+    head = np.minimum(high, low + width)
+    padded = np.concatenate((values, np.zeros(width, dtype=values.dtype)))
+    rows = sliding_window_view(padded, width)[low]  # contiguous row copies
+    below = (rows < bounds[:, None]) & (np.arange(width) < (head - low)[:, None])
+    return below.sum(axis=1), head
+
+
 def llc_hits(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
     """Which accesses of a stream hit an LRU cache of the given geometry.
 
@@ -393,21 +420,30 @@ def llc_hits(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray
         # The first reuses of the range settle most queries: enough
         # older lines among them, or nothing left to scan.
         head_width = min(associativity, _HEAD_SCAN)
-        head = np.minimum(high, low + head_width)
-        padded = np.concatenate((reuse_prev, np.zeros(head_width, dtype=np.int64)))
-        rows = sliding_window_view(padded, head_width)[low]  # contiguous row copies
-        older = (
-            (rows < query_prev[:, None]) & (np.arange(head_width) < (head - low)[:, None])
-        ).sum(axis=1)
+        older, head = _count_head_below(reuse_prev, low, high, query_prev, head_width)
         still_open = np.flatnonzero((older < needed) & (head < high))
         if len(still_open):
-            rest_low = head[still_open]
-            rest_high = high[still_open]
-            if int((rest_high - rest_low).sum()) <= n:
-                older[still_open] += _count_below(
-                    reuse_prev, rest_low, rest_high, query_prev[still_open]
-                )
-            else:
+            # Past the head, a reuse from before p is more than
+            # head_width positions after its previous occurrence: only
+            # these long reuses are left to read, their head first.
+            is_long = reuse - reuse_prev > head_width
+            long_cum = np.empty(len(reuse) + 1, dtype=np.int64)  # long reuses before j
+            long_cum[0] = 0
+            np.cumsum(is_long, out=long_cum[1:])
+            long_prev = reuse_prev[is_long]
+            open_prev = query_prev[still_open]
+            rest_high = long_cum[high[still_open]]
+            counted, rest_low = _count_head_below(
+                long_prev, long_cum[head[still_open]], rest_high, open_prev, head_width
+            )
+            older[still_open] += counted
+            keep = (older[still_open] < needed[still_open]) & (rest_low < rest_high)
+            still_open, open_prev = still_open[keep], open_prev[keep]
+            rest_low, rest_high = rest_low[keep], rest_high[keep]
+            open_width = int((rest_high - rest_low).sum())
+            if 0 < open_width <= n:
+                older[still_open] += _count_below(long_prev, rest_low, rest_high, open_prev)
+            elif open_width > n:
                 # Bounded worst case (long open ranges): previous
                 # positions of reuses are distinct, so the reuses in
                 # (p, q) whose previous occurrence lies *after* p are

@@ -31,8 +31,8 @@ passes of the slowest program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.contention import FOAModel

@@ -5,13 +5,14 @@ CPI spent waiting for memory — using the counter architecture of
 Eyerman et al. (ASPLOS 2006) or a perfect-LLC simulation run.  Our
 simulator tracks the equivalent information directly: every cycle it
 adds is attributed to exactly one CPI-stack component, so the memory
-CPI falls out of the accounting without a second run (though the
-profiler also supports the two-run method for cross-validation).
+CPI falls out of the accounting without a second run (the test suite
+cross-checks it against the two-run method, with a closed-form
+perfect-LLC CPI).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 

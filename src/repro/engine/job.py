@@ -127,11 +127,3 @@ class JobGraph:
                 done.add(job.key)
                 del remaining[job.key]
         return waves
-
-    def dependents(self) -> Dict[str, List[str]]:
-        """Reverse dependency map: job key -> keys of jobs that depend on it."""
-        reverse: Dict[str, List[str]] = {key: [] for key in self._jobs}
-        for job in self:
-            for dep in job.deps:
-                reverse[dep].append(job.key)
-        return reverse

@@ -13,8 +13,8 @@ both MPPM and the detailed reference simulator and reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -21,9 +21,7 @@ does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import List, Mapping, Optional, Sequence
 
 from repro.experiments.ranking import (
     DesignSpaceScores,

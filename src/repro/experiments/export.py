@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, List, Mapping, Sequence, Union
+from typing import List, Mapping, Sequence, Union
 
 Value = Union[str, int, float, bool]
 

@@ -17,7 +17,7 @@ correlations of 0.5 and below, while MPPM achieves 1.0 (STP) and 0.93
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Value = Union[str, int, float]
 

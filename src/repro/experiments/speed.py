@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence
+from typing import List, Mapping
 
 from repro.experiments.reporting import format_table
 from repro.experiments.setup import ExperimentSetup
-from repro.workloads import WorkloadMix
 
 
 @dataclass(frozen=True)

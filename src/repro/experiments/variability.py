@@ -21,7 +21,6 @@ from repro.experiments.reporting import format_table
 from repro.experiments.setup import ExperimentSetup
 from repro.metrics import confidence_interval
 from repro.predictors import PredictorError, available_predictors, canonical_spec
-from repro.workloads import WorkloadMix
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ vs replayed miss rate / access rate / CPI, plus per-core coverage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -96,14 +96,7 @@ class FitOptions:
         return max(1, self.num_instructions // 50)
 
     def to_dict(self) -> Dict:
-        return {
-            "num_instructions": self.num_instructions,
-            "max_phases": self.max_phases,
-            "min_phase_samples": self.min_phase_samples,
-            "min_gain": self.min_gain,
-            "rounds": self.rounds,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FitOptions":

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,6 +44,12 @@ _MAX_FLOAT = float(np.finfo(np.float64).max)
 
 class IngestError(WorkloadError):
     """Raised for malformed sample streams or machine descriptors."""
+
+
+#: Machine descriptor fields that must be integers (geometry, latencies).
+_INTEGER_FIELDS = ("line_size", "memory_latency") + tuple(
+    f"{level}_{kind}" for level in ("l1", "l2", "llc") for kind in ("lines", "associativity", "latency")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +84,10 @@ class MachineDescriptor:
     cores: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise IngestError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.frequency_ghz < math.inf:
             raise IngestError(
                 f"frequency_ghz must be positive and finite, got {self.frequency_ghz}"
@@ -173,22 +184,7 @@ class MachineDescriptor:
         )
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "frequency_ghz": self.frequency_ghz,
-            "line_size": self.line_size,
-            "l1_lines": self.l1_lines,
-            "l1_associativity": self.l1_associativity,
-            "l1_latency": self.l1_latency,
-            "l2_lines": self.l2_lines,
-            "l2_associativity": self.l2_associativity,
-            "l2_latency": self.l2_latency,
-            "llc_lines": self.llc_lines,
-            "llc_associativity": self.llc_associativity,
-            "llc_latency": self.llc_latency,
-            "memory_latency": self.memory_latency,
-            "cores": list(self.cores),
-        }
+        return {**asdict(self), "cores": list(self.cores)}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "MachineDescriptor":

@@ -12,7 +12,7 @@ for detailed CMP$im simulation) replays it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.profiling.profile import IntervalProfile, SingleCoreProfile

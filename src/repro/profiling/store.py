@@ -7,7 +7,7 @@ persisting its artefacts as ordinary
 :class:`~repro.engine.cache.ResultCache` entries in a cache directory
 (the campaign cache, which fleet workers on one host share).
 
-Three kinds of artefacts are cached:
+Four kinds of artefacts are cached:
 
 * the :class:`SingleCoreProfile` — all MPPM ever needs; one entry per
   (benchmark spec, machine);
@@ -20,7 +20,13 @@ Three kinds of artefacts are cached:
 * the :class:`~repro.simulators.single_core.PrivateRun` of each
   (benchmark, private hierarchy) — the first profiling stage, shared
   by every LLC on top of it; kept in memory, never persisted, but
-  handed from store to store inside a :class:`ProfileBundle`.
+  handed from store to store inside a :class:`ProfileBundle`;
+* beside it, the LLC stack distances of its stream, one array per LLC
+  set count: the Table 2 LLCs come in fewer set counts than sizes (at
+  1/16 scale #1 and #4 share 64 sets, #3 and #6 share 128), so LLCs
+  resolved in separate calls share one distance pass.  The arrays are
+  ``uint8``, capped at 255, which keeps every hit and SDC slot of an
+  LLC with fewer than 255 ways; memory only, never handed on.
 
 Without a cache directory nothing is persisted.
 """
@@ -29,6 +35,8 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config.machine import MachineConfig
 from repro.engine.cache import MISS, ResultCache, content_key
@@ -49,7 +57,8 @@ class ProfileStore:
     — trace generation plus private-level filtering, the expensive part
     — per (benchmark spec, :meth:`MachineConfig.private_key`), so the
     whole Table 2 design space costs one trace and one private replay
-    per benchmark; only the LLC stage runs per (benchmark, machine).
+    per benchmark; only the LLC stage runs per (benchmark, machine),
+    reading stack distances memoized per LLC set count.
 
     Parameters
     ----------
@@ -81,6 +90,7 @@ class ProfileStore:
         self._profiles: Dict[Tuple[BenchmarkSpec, str], SingleCoreProfile] = {}
         self._traces: Dict[Tuple[BenchmarkSpec, str], LLCAccessTrace] = {}
         self._private_runs: Dict[Tuple[BenchmarkSpec, str], PrivateRun] = {}
+        self._llc_distances: Dict[Tuple[BenchmarkSpec, str], Dict[int, np.ndarray]] = {}
         self._simulators: Dict[str, SingleCoreSimulator] = {}
         self.simulated_profiles = 0
         self.loaded_profiles = 0
@@ -141,7 +151,11 @@ class ProfileStore:
             if not group:
                 continue
             simulator = self._simulator_for(group[0])
-            runs = simulator.resolve_llc_many(self._private_run(spec, group[0]), group)
+            runs = simulator.resolve_llc_many(
+                self._private_run(spec, group[0]),
+                group,
+                self._llc_distances.setdefault((spec, group[0].private_key()), {}),
+            )
             for machine, run in zip(group, runs):
                 self._record(spec, machine, run)
             self._put_stream(trace_key, spec, group, stream)

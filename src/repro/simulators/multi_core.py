@@ -39,7 +39,7 @@ test suite and guarded by ``benchmarks/bench_multicore_interleave.py``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -94,12 +94,6 @@ class ProgramRunStats:
     def slowdown(self) -> float:
         """Per-program slowdown relative to isolated execution (the paper's R_p)."""
         return self.cycles / self.isolated_cycles
-
-    @property
-    def llc_miss_rate_first_pass(self) -> float:
-        if not self.llc_accesses_first_pass:
-            return 0.0
-        return self.llc_misses_first_pass / self.llc_accesses_first_pass
 
 
 @dataclass(frozen=True)
@@ -186,20 +180,7 @@ class MultiCoreRunResult:
             "num_cores": self.num_cores,
             "total_llc_accesses": self.total_llc_accesses,
             "total_llc_misses": self.total_llc_misses,
-            "programs": [
-                {
-                    "name": stats.name,
-                    "core": stats.core,
-                    "num_instructions": stats.num_instructions,
-                    "cycles": stats.cycles,
-                    "isolated_cycles": stats.isolated_cycles,
-                    "llc_accesses_first_pass": stats.llc_accesses_first_pass,
-                    "llc_hits_first_pass": stats.llc_hits_first_pass,
-                    "llc_misses_first_pass": stats.llc_misses_first_pass,
-                    "passes_completed": stats.passes_completed,
-                }
-                for stats in self.programs
-            ],
+            "programs": [asdict(stats) for stats in self.programs],
         }
 
     @classmethod

@@ -67,6 +67,10 @@ from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.trace import MemoryTrace
 
 
+#: Cap of the compact (``uint8``) LLC stack distances the LLC stage keeps.
+_DISTANCE_CAP = 255
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -223,12 +227,6 @@ class SingleCoreRunResult:
         """Memory CPI of the whole run (the paper's CPI_mem)."""
         return self.cpi_stack.memory_cpi
 
-    @property
-    def llc_miss_rate(self) -> float:
-        accesses = sum(interval.llc_accesses for interval in self.intervals)
-        misses = sum(interval.llc_misses for interval in self.intervals)
-        return misses / accesses if accesses else 0.0
-
 
 class SingleCoreSimulator:
     """Trace-driven simulation of one benchmark in isolation.
@@ -287,14 +285,21 @@ class SingleCoreSimulator:
         return self.resolve_llc_many(private_run, [machine])[0]
 
     def resolve_llc_many(
-        self, private_run: PrivateRun, machines: Sequence[MachineConfig]
+        self,
+        private_run: PrivateRun,
+        machines: Sequence[MachineConfig],
+        distances: Optional[Dict[int, np.ndarray]] = None,
     ) -> List[SingleCoreRunResult]:
         """:meth:`resolve_llc` for several LLCs over one private hierarchy.
 
         The stream's stack distances are computed once per distinct LLC
         set count; each associativity's hits derive from them.
+        ``distances`` (by set count) carries them across calls: the
+        profile store keeps one per private run.  They are held as
+        ``uint8`` capped at 255, which gives every associativity below
+        255 the same hits and SDC slots; a wider LLC gets its own pass.
         """
-        distances_by_sets: Dict[int, np.ndarray] = {}
+        distances = {} if distances is None else distances
         results = []
         for machine in machines:
             if machine.private_key() != private_run.private_key:
@@ -303,34 +308,17 @@ class SingleCoreSimulator:
                     f"the stream was filtered by {private_run.private_key!r}"
                 )
             llc = machine.llc
-            distances = distances_by_sets.get(llc.num_sets)
-            if distances is None:
-                distances = replay_llc(private_run.line, llc.num_sets)
-                distances_by_sets[llc.num_sets] = distances
-            hits = lru_hit_mask(distances, llc.associativity)
-            results.append(self._assemble_result(private_run, machine, hits, distances))
+            if llc.associativity >= _DISTANCE_CAP:
+                llc_distances = replay_llc(private_run.line, llc.num_sets)
+            else:
+                llc_distances = distances.get(llc.num_sets)
+                if llc_distances is None:
+                    full = replay_llc(private_run.line, llc.num_sets)
+                    llc_distances = np.minimum(full, _DISTANCE_CAP).astype(np.uint8)
+                    distances[llc.num_sets] = llc_distances
+            hits = lru_hit_mask(llc_distances, llc.associativity)
+            results.append(self._assemble_result(private_run, machine, hits, llc_distances))
         return results
-
-    def run_with_perfect_llc(self, trace: MemoryTrace) -> float:
-        """CPI of a run where every LLC access hits (the paper's perfect-LLC run).
-
-        The paper describes two ways of obtaining the memory CPI; the
-        two-run method subtracts the perfect-LLC CPI from the real CPI.
-        Our accounting method gives the same number directly, but this
-        run is kept for cross-validation in the test suite.
-        """
-        private_run = self.filter_private(trace)
-        core_model = CoreTimingModel(self.machine, trace.spec)
-        # With a perfect LLC every access that reaches it is a hit, so
-        # the cycle count is a closed-form weighted sum of the level
-        # populations.
-        cycles = float(trace.base_cycle_gap.sum()) + trace.tail_base_cycles
-        for level_index in range(len(self.machine.private_levels)):
-            penalty = core_model.private_hit_penalty(level_index)
-            if penalty:
-                cycles += float(private_run.private_hits[:, level_index].sum()) * penalty
-        cycles += float(len(private_run.line)) * core_model.llc_hit_penalty
-        return cycles / trace.num_instructions
 
     # ------------------------------------------------------------------
     # Reference: per-access stateful cache simulation (test witness)

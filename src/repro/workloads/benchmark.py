@@ -23,7 +23,7 @@ cache behaviour mimics a particular kind of program:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -216,16 +216,7 @@ class BenchmarkSpec:
             },
             "working_set_lines": self.working_set_lines,
             "mlp": self.mlp,
-            "phases": [
-                {
-                    "fraction": phase.fraction,
-                    "cpi_multiplier": phase.cpi_multiplier,
-                    "mem_fraction_multiplier": phase.mem_fraction_multiplier,
-                    "reuse_depth_multiplier": phase.reuse_depth_multiplier,
-                    "new_line_multiplier": phase.new_line_multiplier,
-                }
-                for phase in self.phases
-            ],
+            "phases": [asdict(phase) for phase in self.phases],
             "seed": self.seed,
         }
 

@@ -19,7 +19,7 @@ Two classifiers are available:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List, Mapping
 
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.suite import BenchmarkSuite

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.set_associative import SetAssociativeCache
+from repro.caches import vectorized
 from repro.caches.stack_distance import StackDistanceCounters, StackDistanceProfiler
 from repro.caches.vectorized import (
     _count_preceding_greater,
@@ -131,6 +132,38 @@ def _single_set_tiers(lines, associativity):
     return tuple(tiers)
 
 
+#: A hot line for the hand-built streams (far from their other lines).
+HOT = 999
+
+
+@pytest.fixture
+def counted_passes(monkeypatch):
+    """Which of :func:`llc_hits`' counting passes ran, and how often."""
+    counts = {}
+    for name in ("_count_head_below", "_count_below", "_count_preceding_greater"):
+        original = getattr(vectorized, name)
+
+        def counting(*args, _original=original, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(vectorized, name, counting)
+    return counts
+
+
+@st.composite
+def skewed_streams(draw):
+    """2,000-20,000 accesses, most of them to a few hot lines."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2_000, 20_000))
+    hot = draw(st.integers(1, 16))
+    warm = draw(st.integers(8, 2_000))
+    hot_share = draw(st.floats(0.5, 0.95))
+    return np.where(
+        rng.random(n) < hot_share, rng.integers(0, hot, n), hot + rng.integers(0, warm, n)
+    ).astype(np.int64)
+
+
 @st.composite
 def tiny_streams(draw):
     """Short streams over a small line alphabet, so reuses are common."""
@@ -147,6 +180,18 @@ class TestLlcHits:
     )
     def test_matches_reference(self, lines, num_sets, associativity):
         lines = np.asarray(lines, dtype=np.int64)
+        assert np.array_equal(
+            llc_hits(lines, num_sets, associativity),
+            _reference_hits(lines, num_sets, associativity),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=skewed_streams(), shape=st.sampled_from([(4, 8), (32, 8)]))
+    def test_matches_reference_on_long_skewed_streams(self, lines, shape):
+        """The private levels' shapes at 1/16 scale (L1: 4 sets x 8
+        ways, L2: 32 x 8) on long streams whose warm-line reuses enclose
+        many hot reuses, so ranges stay open past the first head."""
+        num_sets, associativity = shape
         assert np.array_equal(
             llc_hits(lines, num_sets, associativity),
             _reference_hits(lines, num_sets, associativity),
@@ -202,11 +247,11 @@ class TestLlcHits:
         assert np.array_equal(hits, _reference_hits(lines, 1, 16))
 
     @pytest.mark.parametrize("associativity", [4, 16])
-    def test_nested_reuses_take_the_bounded_count(self, associativity):
+    def test_nested_reuses_are_skipped_past_the_head(self, associativity):
         """Ten lines cycled with a hot line's MRU pair after each: the
         hot line's many reuses sit nested inside every outer reuse, so
-        the first A reuses of a range hold too few older lines and the
-        long open ranges go to the preceding-greater count."""
+        the first A reuses of a range hold too few older lines; past
+        them, only the outer lines' long reuses are read."""
         outer = np.arange(10, dtype=np.int64) * 5
         lap = np.stack([outer, np.full(10, 999), np.full(10, 999)], axis=1).ravel()
         lines = np.tile(lap, 6)
@@ -215,6 +260,48 @@ class TestLlcHits:
         outer_reuses = expected[len(lap) :: 3]
         assert (outer_reuses == (associativity >= 11)).all()
         assert np.array_equal(llc_hits(lines, 1, associativity), expected)
+
+    def test_the_long_reuse_head_settles_a_range(self, counted_passes):
+        """Line 0's reuse: ten hot reuses fill the first head with no
+        older line, and the long reuses of lines 1-5 (all from before
+        line 0's first access) settle it as a miss."""
+        lines = np.array([1, 2, 3, 4, 5, 0] + [HOT] * 10 + [1, 2, 3, 4, 5, 0], dtype=np.int64)
+        expected = _reference_hits(lines, 1, 4)
+        counted_passes.clear()
+        assert np.array_equal(llc_hits(lines, 1, 4), expected)
+        assert not expected[-1]
+        assert counted_passes == {"_count_head_below": 2}
+
+    def test_open_ranges_are_counted_over_long_reuses(self, counted_passes):
+        """Line 0's reuse: line 1 comes back four times, each a long
+        reuse but only the first from before line 0, so both heads leave
+        the range open; the linear count over long reuses finds line 2
+        at its end, and the reuse hits (distance 4 = A)."""
+        lines = np.array(
+            [1, 2, 0] + [HOT] * 5 + ([1] + [HOT] * 5) * 4 + [2, 0], dtype=np.int64
+        )
+        expected = _reference_hits(lines, 1, 4)
+        counted_passes.clear()
+        assert np.array_equal(llc_hits(lines, 1, 4), expected)
+        assert expected[-1]
+        assert counted_passes == {"_count_head_below": 2, "_count_below": 1}
+
+    def test_long_open_ranges_take_the_bounded_count(self, counted_passes):
+        """Ten outer lines around 30 laps of three inner lines, each
+        followed by five hot accesses: every inner reuse is long but
+        nested, so all ten outer reuses stay open to the end, over more
+        long reuses in total than the stream has accesses, and the
+        preceding-greater pass counts them."""
+        inner = []
+        for line in (50, 51, 52):
+            inner += [line] + [HOT] * 5
+        outer = list(range(10))
+        lines = np.array(outer + inner * 30 + outer, dtype=np.int64)
+        expected = _reference_hits(lines, 1, 16)
+        counted_passes.clear()
+        assert np.array_equal(llc_hits(lines, 1, 16), expected)
+        assert expected[-10:].all()
+        assert counted_passes == {"_count_head_below": 2, "_count_preceding_greater": 1}
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError, match="num_sets"):

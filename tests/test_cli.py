@@ -298,6 +298,15 @@ class TestIngestCommand:
         assert err.startswith("error: row 3: column 'instructions'")
         assert not (tmp_path / "b").exists()
 
+    def test_ingest_rejects_a_fractional_geometry(self, capsys, tmp_path):
+        machine = tmp_path / "machine.json"
+        machine.write_text('{"l1_lines": 32.5, "l1_associativity": 0.5}')
+        argv = [
+            "ingest", self.FIXTURE, "--machine", str(machine), "--out", str(tmp_path / "b")
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: l1_lines must be an integer")
+
     def test_ingest_rejects_missing_file(self, capsys, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "b")]) == 2
         assert "not found" in capsys.readouterr().err

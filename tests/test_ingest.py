@@ -207,6 +207,24 @@ class TestMachineDescriptor:
         with pytest.raises(IngestError, match="8-way sets"):
             MachineDescriptor(llc_lines=500, llc_associativity=8)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("l1_lines", 32.5),
+            ("l1_associativity", 0.5),
+            ("l2_lines", 256.0),
+            ("llc_associativity", "8"),
+            ("line_size", True),
+            ("l2_latency", 10.5),
+            ("llc_latency", None),
+            ("memory_latency", 200.0),
+        ],
+    )
+    def test_non_integer_geometry_is_rejected(self, field, value):
+        data = {**MACHINE.to_dict(), field: value}
+        with pytest.raises(IngestError, match=f"{field} must be an integer"):
+            MachineDescriptor.from_dict(data)
+
     def test_to_machine_config_has_three_levels(self):
         machine = MACHINE.to_machine_config()
         assert len(machine.private_levels) == 2

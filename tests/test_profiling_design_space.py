@@ -14,6 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from repro.caches import vectorized
 from repro.config import llc_design_space, scaled
 from repro.engine import tasks as engine_tasks
 from repro.engine.cache import deserialize_result, serialize_result
@@ -176,6 +177,36 @@ class TestStageOneCounting:
         assert len(set_counts) == 4
         assert counters["replay_llc"] == len(set_counts)
         assert (counters["generate"], counters["replay_private_levels"]) == (1, 1)
+
+    def test_llcs_with_one_set_count_share_a_distance_pass_across_calls(self, monkeypatch):
+        """Table 2 #1 and #4 both have 64 sets at 1/16 scale: resolved
+        in separate calls, they share one LLC distance pass, and every
+        profile and trace equals a fresh store's for that machine alone."""
+        passes = []
+        original = vectorized.stack_distances
+
+        def counting(lines, num_sets):
+            passes.append(num_sets)
+            return original(lines, num_sets)
+
+        monkeypatch.setattr(vectorized, "stack_distances", counting)
+        one, four = MACHINES[0], MACHINES[3]
+        assert one.llc.num_sets == four.llc.num_sets
+        assert one.llc.associativity != four.llc.associativity
+        store = _store()
+        for spec in SPECS:
+            store.get_profile(spec, one)
+            store.get_profile(spec, four)
+        assert passes == [one.llc.num_sets] * len(SPECS)
+        for machine in (one, four):
+            fresh_store = _store()
+            for spec in SPECS:
+                assert_profiles_equal(
+                    store.get_profile(spec, machine), fresh_store.get_profile(spec, machine)
+                )
+                assert_traces_equal(
+                    store.get_llc_trace(spec, machine), fresh_store.get_llc_trace(spec, machine)
+                )
 
     @pytest.mark.parametrize("level", ["latency", "size_bytes"])
     def test_a_different_l2_gets_its_own_stage_one(self, counters, level):

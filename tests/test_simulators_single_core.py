@@ -5,11 +5,30 @@ import pytest
 
 from repro.config.cache_config import CacheConfig
 from repro.config.machine import MachineConfig
+from repro.cores.core_model import CoreTimingModel
 from repro.simulators.single_core import SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec, ReuseProfile
 from repro.workloads.generator import TraceGenerator
 
 from testdefaults import TEST_INSTRUCTIONS, TEST_INTERVAL
+
+
+def perfect_llc_cpi(simulator, trace):
+    """CPI of a run where every LLC access hits (the paper's perfect-LLC run).
+
+    With a perfect LLC every access that reaches it is a hit, so the
+    cycle count is a closed-form weighted sum of the level populations.
+    """
+    machine = simulator.machine
+    private_run = simulator.filter_private(trace)
+    core_model = CoreTimingModel(machine, trace.spec)
+    cycles = float(trace.base_cycle_gap.sum()) + trace.tail_base_cycles
+    for level_index in range(len(machine.private_levels)):
+        penalty = core_model.private_hit_penalty(level_index)
+        if penalty:
+            cycles += float(private_run.private_hits[:, level_index].sum()) * penalty
+    cycles += float(len(private_run.line)) * core_model.llc_hit_penalty
+    return cycles / trace.num_instructions
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +100,7 @@ class TestBenchmarkHeterogeneity:
         """The two-run method of the paper: CPI - CPI_perfect_LLC ~= memory CPI."""
         simulator = SingleCoreSimulator(machine4, interval_instructions=TEST_INTERVAL)
         run = simulator.run(gamess_trace)
-        perfect_cpi = simulator.run_with_perfect_llc(gamess_trace)
+        perfect_cpi = perfect_llc_cpi(simulator, gamess_trace)
         assert perfect_cpi < run.cpi
         two_run_memory_cpi = run.cpi - perfect_cpi
         # The two estimates agree: the accounting method charges the full
@@ -216,6 +235,34 @@ class TestKernelEquivalence:
             machine = machines[index % len(machines)]
             simulator = SingleCoreSimulator(machine, interval_instructions=4_000)
             assert_runs_bit_identical(simulator.run(trace), simulator.run_reference(trace))
+
+    def test_llc_distances_past_the_compact_cap(self, full_suite):
+        """One-set LLCs of 254, 255 and 512 ways on one stream whose LLC
+        distances reach past 255: the first keeps its distances in the
+        capped ``uint8`` memo, the wider two need their own full pass,
+        and all three match the reference."""
+        line = 64
+        l1 = CacheConfig(name="L1D", size_bytes=8 * line, associativity=8, latency=1)
+        machines = [
+            MachineConfig(
+                private_levels=(l1,),
+                llc=CacheConfig(
+                    name="L3", size_bytes=ways * line, associativity=ways, shared=True
+                ),
+                name=f"{ways}-way",
+            )
+            for ways in (254, 255, 512)
+        ]
+        trace = TraceGenerator(num_instructions=20_000, seed=0).generate(full_suite["mcf"])
+        simulator = SingleCoreSimulator(machines[0], interval_instructions=1_000)
+        private_run = simulator.filter_private(trace)
+        distances = {}
+        runs = simulator.resolve_llc_many(private_run, machines, distances)
+        assert distances[1].dtype == np.uint8 and distances[1].max() == 255
+        for machine, run in zip(machines, runs):
+            reference = SingleCoreSimulator(machine, interval_instructions=1_000)
+            assert_runs_bit_identical(run, reference.run_reference(trace))
+        assert runs[0].llc_trace.isolated_cycles != runs[2].llc_trace.isolated_cycles
 
     def test_trace_shorter_than_one_interval(self, full_suite):
         trace = TraceGenerator(num_instructions=1_500, seed=3).generate(
