@@ -49,8 +49,8 @@ DEFAULT_FLOOR = 5.0
 QUICK_INSTRUCTIONS = 50_000
 QUICK_FLOOR = 2.0
 #: ``llc_hits`` over the distance-based mask on the L1 shape (measured
-#: about 2.8x at the default scale and 2.7x in quick mode; an undecided
-#: range scanned only over its first reuses measured 1.2x).
+#: 2.9x at the default scale and 2.5x in quick mode on a 2-vCPU VM;
+#: before ``llc_hits`` skipped short reuses past a range's head, 1.0x).
 L1_FLOOR = 2.0
 QUICK_L1_FLOOR = 1.6
 

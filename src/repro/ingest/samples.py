@@ -48,7 +48,9 @@ class IngestError(WorkloadError):
 
 #: Machine descriptor fields that must be integers (geometry, latencies).
 _INTEGER_FIELDS = ("line_size", "memory_latency") + tuple(
-    f"{level}_{kind}" for level in ("l1", "l2", "llc") for kind in ("lines", "associativity", "latency")
+    f"{level}_{kind}"
+    for level in ("l1", "l2", "llc")
+    for kind in ("lines", "associativity", "latency")
 )
 
 

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.caches import vectorized
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.set_associative import SetAssociativeCache
-from repro.caches import vectorized
 from repro.caches.stack_distance import StackDistanceCounters, StackDistanceProfiler
 from repro.caches.vectorized import (
     _count_preceding_greater,

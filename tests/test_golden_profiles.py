@@ -55,7 +55,10 @@ def _array_sha(array: np.ndarray) -> str:
 
 def _field_digests(profiled) -> Dict[str, str]:
     profile, trace = profiled.profile, profiled.llc_trace
-    out = {f"profile.{name}": _sha(repr(getattr(profile, name)).encode()) for name in _PROFILE_SCALARS}
+    out = {
+        f"profile.{name}": _sha(repr(getattr(profile, name)).encode())
+        for name in _PROFILE_SCALARS
+    }
     for column in _INTERVAL_COLUMNS:
         values = np.array([getattr(interval, column) for interval in profile.intervals])
         out[f"profile.intervals.{column}"] = _array_sha(values)
