@@ -35,8 +35,14 @@ kernel sees exactly the slice and blocks it the same way.
 ``TestSuffixMissesBitIdentity`` in ``tests/test_contention_models.py``
 guards this at every width from 2 to 33 (both sides of the eight-way
 unroll), on contiguous arrays and ``[..., 5:]`` views, for ``w = 0``,
-``w = A``, all-zero rows, a ``[125, 4, 17]`` batch and FOA's
-broadcast ``(2, M, C)`` lookups.
+``w = A``, all-zero rows, a ``[125, 4, 17]`` batch and broadcast
+``(2, M, C)`` lookups.  :func:`interpolated_misses` reads both
+neighbouring way counts with two such reduces over ``counts`` itself;
+the second masks the view ``counts[..., 1:]`` with the first mask
+shifted one column, so its kept run is ``counts[w + 1:]``.  Sums over
+the program axis (FOA's access totals, prob's dilations) are the scalar
+path's left folds, which ``np.add.accumulate`` is at any width; a plain
+``np.add.reduce`` over that axis blocks pairwise past eight programs.
 """
 
 from __future__ import annotations
@@ -74,21 +80,23 @@ def interpolated_misses(counts: np.ndarray, effective_ways: np.ndarray) -> np.nd
     """Batched ``misses_for_effective_ways`` for ``counts[..., A+1]``.
 
     Linear interpolation between the neighbouring integer way counts
-    (both read through one :func:`suffix_misses` call), with the same
-    clamps (negative → 0, at or beyond the associativity → the plain
-    miss count) and the same float operation order as the scalar
+    (two masked reduces over ``counts``, see the module docstring), with
+    the same clamps (negative → 0, at or beyond the associativity → the
+    plain miss count) and the same float operation order as the scalar
     method, so batch and scalar results are bit-identical.
     """
     associativity = counts.shape[-1] - 1
-    effective = np.maximum(np.asarray(effective_ways, dtype=np.float64), 0.0)
-    lower = np.minimum(effective.astype(np.int64), associativity - 1)
+    effective = np.maximum(effective_ways, 0.0)
+    lower = np.minimum(np.floor(effective), associativity - 1.0)
     fraction = effective - lower
-    at_lower, at_upper = suffix_misses(counts, np.array((lower, lower + 1)))
-    return np.where(
-        effective >= associativity,
-        counts[..., associativity],
-        (1.0 - fraction) * at_lower + fraction * at_upper,
-    )
+    # On the view ``counts[..., 1:]``, the mask of the columns >= lower
+    # shifted one column right keeps the columns >= lower + 1.
+    mask = np.arange(associativity + 1.0) >= lower[..., None]
+    at_lower = np.add.reduce(counts, axis=-1, where=mask)
+    at_upper = np.add.reduce(counts[..., 1:], axis=-1, where=mask[..., :-1])
+    misses = (1.0 - fraction) * at_lower + fraction * at_upper
+    np.copyto(misses, counts[..., associativity], where=effective >= associativity)
+    return misses
 
 
 class ContentionModelError(ValueError):

@@ -68,18 +68,18 @@ class FOAModel(ContentionModel):
         """The proportional-share formula as one array expression per batch."""
         counts = np.asarray(counts, dtype=np.float64)
         self._validate_batch(counts, llc)
-        num_programs = counts.shape[1]
         isolated = counts[..., llc.associativity]
-        if num_programs == 1:
+        if counts.shape[1] == 1:
             return isolated.copy()
         accesses = np.add.reduce(counts, axis=-1)
-        # Accumulate the per-mix access totals program by program, in
-        # the same left-to-right order as the scalar path's sum().
-        total = accesses[:, 0]
-        for core in range(1, num_programs):
-            total = total + accesses[:, core]
-        share = accesses / np.where(total > 0.0, total, 1.0)[:, None]
-        effective_ways = llc.associativity * share
-        shared = np.maximum(interpolated_misses(counts, effective_ways), isolated)
-        degenerate = (total <= 0.0)[:, None] | (accesses <= 0.0)
-        return np.where(degenerate, isolated, shared)
+        # The per-mix access totals as a running sum over the programs,
+        # the left-to-right order of the scalar path's sum().
+        total = np.add.accumulate(accesses, axis=1)[:, -1:]
+        # A zero total (its shares are discarded) becomes the least
+        # positive double, 5e-324, which leaves positive totals unchanged.
+        share = accesses / np.maximum(total, 5e-324)
+        shared = np.maximum(interpolated_misses(counts, llc.associativity * share), isolated)
+        # Counters are non-negative, so a mix without accesses has no
+        # program with accesses: one mask covers both scalar tests.
+        np.copyto(shared, isolated, where=accesses <= 0.0)
+        return shared

@@ -92,12 +92,12 @@ class InductiveProbabilityModel(ContentionModel):
         """Dilation accumulated co-runner by co-runner, as the scalar loop does.
 
         Every (program, co-runner) term is one array expression over a
-        ``[mix, program, co-runner]`` grid; each program's dilation then
-        adds its co-runners' terms in ascending co-runner order, like
-        the scalar loop.  Co-runners with no accesses contribute an
-        exact 0.0 term, which matches the scalar path skipping them
-        (the dilation is at least 1.0, so adding 0.0 leaves it bitwise
-        unchanged).
+        ``[mix, program, co-runner]`` grid; each program's 1.0 and then
+        its co-runners' terms, in ascending order, are folded left to
+        right by one ``np.add.accumulate`` (the scalar loop's order at
+        any width).  Co-runners with no accesses contribute an exact 0.0
+        term, which matches the scalar path skipping them (the dilation
+        is at least 1.0, so adding 0.0 leaves it bitwise unchanged).
         """
         counts = np.asarray(counts, dtype=np.float64)
         self._validate_batch(counts, llc)
@@ -109,18 +109,18 @@ class InductiveProbabilityModel(ContentionModel):
 
         accesses = np.add.reduce(counts, axis=-1)
         active = accesses > 0.0
-        unique_rate = np.where(active, isolated / np.where(active, accesses, 1.0), 0.0)
-        safe_own = np.where(active, accesses, 1.0)
+        safe = np.where(active, accesses, 1.0)
+        unique_rate = np.where(active, isolated / safe, 0.0)
         terms = np.where(
             active[:, None, :],
-            (accesses[:, None, :] / safe_own[:, :, None]) * unique_rate[:, None, :],
+            (accesses[:, None, :] / safe[:, :, None]) * unique_rate[:, None, :],
             0.0,
         )
+        # Row i of ``order`` is i, then every other program ascending.
         programs = np.arange(num_programs)
-        dilation = np.ones_like(accesses)
-        for step in range(num_programs - 1):
-            # The step-th co-runner of program i: j = step, skipping j = i.
-            corunners = step + (programs <= step)
-            dilation = dilation + terms[:, programs, corunners]
+        order = np.argsort(programs != programs[:, None], axis=1, kind="stable")
+        folded = terms[:, programs[:, None], order]
+        folded[..., 0] = 1.0
+        dilation = np.add.accumulate(folded, axis=-1)[..., -1]
         contended = np.maximum(interpolated_misses(counts, associativity / dilation), isolated)
         return np.where(active, contended, isolated)

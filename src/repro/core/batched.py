@@ -5,7 +5,7 @@ mix; at ``workload_space`` scale that is thousands of interpreter
 round-trips over the same handful of float operations.  This module
 solves the Figure-2 fixed point for an entire batch of mixes
 simultaneously: the per-program state lives in mix-major arrays
-(``slowdown[m, c]``, ``position[m, c]``, ``executed[m, c]``) and one
+(``slowdown[m, c]``, ``position[m, c]``) and one
 vectorized iteration step
 
 * picks each mix's slowest program (a row-wise max),
@@ -38,7 +38,7 @@ kernel's bit for bit.  The equivalence matrix in
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,17 +96,19 @@ def solve_batch(
     return predictions
 
 
-def _fallback_miss_penalty(profile: SingleCoreProfile, machine: MachineConfig) -> float:
-    """Average miss penalty when a window has no isolated misses.
+def _slot_row(profile: SingleCoreProfile, machine: MachineConfig) -> Tuple[float, ...]:
+    """A profile's CPI, trace length, interval length and fallback miss penalty.
 
-    The same whole-trace fallback the reference kernel computes
-    (``MPPM._fallback_miss_penalty``); it is a constant per profile, so
-    the batched kernel precomputes it once per unique profile.
+    The fallback is the reference kernel's whole-trace average miss
+    penalty (``MPPM._fallback_miss_penalty``) for windows without
+    isolated misses; it is a constant per profile.
     """
     total_misses = profile.total_llc_misses
     if total_misses > 0:
-        return profile.memory_cpi * profile.num_instructions / total_misses
-    return float(machine.memory.latency)
+        fallback = profile.memory_cpi * profile.num_instructions / total_misses
+    else:
+        fallback = float(machine.memory.latency)
+    return profile.cpi, profile.num_instructions, profile.interval_instructions, fallback
 
 
 def _windowed_cpi(
@@ -148,40 +150,29 @@ def _solve_uniform(
             profile_ids[m, c] = by_identity[identity]
 
     table = ProfileWindowTable(uniques)
-    unique_cpi = np.array([profile.cpi for profile in uniques], dtype=np.float64)
-    unique_trace = np.array(
-        [profile.num_instructions for profile in uniques], dtype=np.float64
-    )
-    unique_interval = np.array(
-        [profile.interval_instructions for profile in uniques], dtype=np.float64
-    )
-    unique_fallback = np.array(
-        [_fallback_miss_penalty(profile, machine) for profile in uniques], dtype=np.float64
-    )
-
-    if config.chunk_instructions is not None:
-        chunk = np.full((num_mixes, 1), float(config.chunk_instructions), dtype=np.float64)
-    else:
-        chunk = np.array(
-            [
-                [float(max(1, min(profile.num_instructions for profile in profiles) // 5))]
-                for profiles in mixes
-            ],
-            dtype=np.float64,
-        )
+    # One row per unique profile (see _slot_row), gathered per slot.
+    per_slot = np.array([_slot_row(profile, machine) for profile in uniques])[profile_ids]
+    base_cpi = per_slot[..., 0]
+    # Each mix's chunk: the configured one, or a fifth of its shortest trace.
+    chunks = [
+        config.chunk_instructions
+        if config.chunk_instructions is not None
+        else max(1, min(profile.num_instructions for profile in profiles) // 5)
+        for profiles in mixes
+    ]
+    chunk = np.repeat(np.array(chunks, dtype=np.float64)[:, None], num_cores, axis=1)
 
     # Row r of the live state belongs to mix live[r].
     live = np.arange(num_mixes)
     state = _LiveState(
         profile_ids=profile_ids,
-        base_cpi=unique_cpi[profile_ids],
-        trace_lengths=unique_trace[profile_ids],
-        interval_lengths=unique_interval[profile_ids],
-        fallback_penalty=unique_fallback[profile_ids],
+        base_cpi=base_cpi,
+        trace_lengths=per_slot[..., 1],
+        interval_lengths=per_slot[..., 2],
+        fallback_penalty=per_slot[..., 3],
         chunk=chunk,
         slowdown=np.ones((num_mixes, num_cores), dtype=np.float64),
         position=np.zeros((num_mixes, num_cores), dtype=np.float64),
-        executed=np.zeros((num_mixes, num_cores), dtype=np.float64),
     )
     slots = table.slots(profile_ids)
     # Each mix's results, written when it retires.
@@ -205,8 +196,7 @@ def _solve_uniform(
                 slots, state.position, state.interval_lengths, current_cpi
             )
         denominator = current_cpi * state.slowdown
-        cycles = denominator * state.chunk
-        window_cycles = cycles.max(axis=1)[:, None]
+        window_cycles = (denominator * state.chunk).max(axis=1, keepdims=True)
         progress = window_cycles / denominator
 
         # Step 4: window aggregation and the batched contention model.
@@ -215,19 +205,18 @@ def _solve_uniform(
         shared = contention_model.estimate_batch(
             sdc_counts, windows[..., _COL_INSTRUCTIONS], llc
         )
-        isolated = sdc_counts[..., associativity]
-        extra_misses = np.maximum(0.0, shared - isolated)
+        extra_misses = np.maximum(0.0, shared - sdc_counts[..., associativity])
 
         # Step 5: extra conflict misses -> lost cycles (window-average
-        # miss penalty, whole-trace fallback when the window has none).
+        # miss penalty, whole-trace fallback when it is not positive).
         window_misses = windows[..., _COL_LLC_MISSES]
-        has_misses = window_misses > 0.0
-        penalty = np.where(
-            has_misses,
-            windows[..., _COL_MEMORY_CYCLES] / np.where(has_misses, window_misses, 1.0),
-            0.0,
+        penalty = np.divide(
+            windows[..., _COL_MEMORY_CYCLES],
+            window_misses,
+            out=state.fallback_penalty.copy(),
+            where=window_misses > 0.0,
         )
-        penalty = np.where(penalty <= 0.0, state.fallback_penalty, penalty)
+        np.copyto(penalty, state.fallback_penalty, where=penalty <= 0.0)
         miss_cycles = extra_misses * penalty
 
         # Step 6: the EMA slowdown update.
@@ -238,19 +227,20 @@ def _solve_uniform(
             current_slowdown = 1.0 + miss_cycles / isolated_cycles
         state.slowdown = smoothing * state.slowdown + complement * current_slowdown
 
-        # Step 7: advance the instruction pointers; retire mixes whose
-        # slowest program has executed target_passes traces (or all of
-        # them at the iteration cap, exactly like the reference loop).
+        # Step 7: advance the instruction pointers (the reference loop's
+        # position and executed count start at 0 and add the same
+        # progress, so one array holds both); retire mixes whose slowest
+        # program has executed target_passes traces (or all of them at
+        # the iteration cap, exactly like the reference loop).
         state.position = state.position + progress
-        state.executed = state.executed + progress
         iteration += 1
-        done = (state.executed / state.trace_lengths).min(axis=1) >= config.target_passes
-        if iteration >= config.max_iterations:
-            retire = np.ones_like(done)
-        elif done.any():
-            retire = done
-        else:
+        # Each mix's least passes; fmax skips NaN like ``(least >= t).any()``.
+        least = (state.position / state.trace_lengths).min(axis=1)
+        capped = iteration >= config.max_iterations
+        if not capped and not np.fmax.reduce(least) >= config.target_passes:
             continue
+        done = least >= config.target_passes
+        retire = np.ones_like(done) if capped else done
         retired = live[retire]
         slowdown[retired] = state.slowdown[retire]
         iterations[retired] = iteration
@@ -264,9 +254,8 @@ def _solve_uniform(
 
     # Python floats for the result objects: the products are the same
     # IEEE multiplications as ``profile.cpi * float(slowdown[m, core])``.
-    single_cpi = unique_cpi[profile_ids]
-    predicted_cpi = (single_cpi * slowdown).tolist()
-    single_cpi = single_cpi.tolist()
+    predicted_cpi = (base_cpi * slowdown).tolist()
+    single_cpi = base_cpi.tolist()
     predictions: List[MixPrediction] = []
     for m, (profiles, name, count, done) in enumerate(
         zip(mixes, machine_names, iterations.tolist(), converged.tolist())
@@ -302,10 +291,9 @@ class _LiveState:
     trace_lengths: np.ndarray
     interval_lengths: np.ndarray
     fallback_penalty: np.ndarray
-    chunk: np.ndarray  # [mix, 1]
+    chunk: np.ndarray
     slowdown: np.ndarray
     position: np.ndarray
-    executed: np.ndarray
 
     def compacted(self, keep: np.ndarray) -> "_LiveState":
         """The rows of the mixes in ``keep`` (a boolean mask)."""

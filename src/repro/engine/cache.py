@@ -154,10 +154,6 @@ class ResultCache:
         self.stores += 1
         self._save_to_disk(key, value)
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory level (the on-disk cache is untouched)."""
-        self._memory.clear()
-
     # ------------------------------------------------------------------
     # Disk level
     # ------------------------------------------------------------------

@@ -183,8 +183,8 @@ class ExperimentSetup:
     # ------------------------------------------------------------------
 
     def machine(self, num_cores: int = 4, llc_config: int = 1) -> MachineConfig:
-        """The Table 1 machine with a Table 2 LLC, scaled for the experiments."""
-        return scaled(machine_with_llc(llc_config, num_cores=num_cores), self.config.scale)
+        """The Table 1 machine with a Table 2 LLC, scaled; calls with equal arguments share it."""
+        return _scaled_machine(num_cores, llc_config, self.config.scale)
 
     def design_space(self, num_cores: int = 4) -> List[MachineConfig]:
         """All six Table 2 machines (scaled), in configuration order."""
@@ -579,6 +579,11 @@ class ExperimentSetup:
     def close(self) -> None:
         """Release the engine's worker pool (idempotent; serial is a no-op)."""
         self.engine.close()
+
+
+@functools.lru_cache(maxsize=64)
+def _scaled_machine(num_cores: int, llc_config: int, scale: int) -> MachineConfig:
+    return scaled(machine_with_llc(llc_config, num_cores=num_cores), scale)
 
 
 @functools.lru_cache(maxsize=4)

@@ -86,8 +86,8 @@ class MachineDescriptor:
     cores: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
+        fields = [(name, getattr(self, name)) for name in _INTEGER_FIELDS]
+        for name, value in fields + [("cores", core) for core in self.cores]:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise IngestError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.frequency_ghz < math.inf:
@@ -200,10 +200,9 @@ class MachineDescriptor:
             )
         kwargs = dict(data)
         if "cores" in kwargs:
-            try:
-                kwargs["cores"] = tuple(int(core) for core in kwargs["cores"])
-            except (TypeError, ValueError):
-                raise IngestError("machine descriptor 'cores' must be a list of ints") from None
+            if not isinstance(kwargs["cores"], list):
+                raise IngestError("machine descriptor 'cores' must be a list of ints")
+            kwargs["cores"] = tuple(kwargs["cores"])
         try:
             return cls(**kwargs)
         except TypeError as error:

@@ -139,36 +139,35 @@ class ProfileWindowTable:
     SDC_OFFSET = 5
 
     def __init__(self, profiles: Sequence["SingleCoreProfile"]) -> None:
-        counters = [profile.interval_counters for profile in profiles]
-        shape = (len(counters), max(len(values) for values in counters))
-        width = counters[0].shape[1]
-        #: Per-interval counter matrices, ``values[p, k]`` for interval k.
-        #: All profiles share one LLC associativity, hence one width.
+        counts = [profile.num_intervals for profile in profiles]
+        shape = (len(profiles), max(counts))
+        width = profiles[0].interval_counters.shape[1]
+        #: Per-interval counter matrices, ``values[p, k]`` for interval k,
+        #: and their exclusive prefix sums, ``prefix[p, k]`` = counters over
+        #: intervals < k (each profile's cached running sums; padding rows
+        #: are zero).  All profiles share one LLC associativity, hence width.
         self.values = np.zeros(shape + (width,))
-        for p, values in enumerate(counters):
-            self.values[p, : len(values)] = values
-        #: Exclusive prefix sums: ``prefix[p, k]`` = counters over intervals
-        #: < k.  A running sum is sequential, so one ``cumsum`` over the
-        #: padded stack gives each profile's rows bit for bit; padding
-        #: rows add zeros and repeat the profile's totals.
         self.prefix = np.zeros((shape[0], shape[1] + 1, width))
-        np.cumsum(self.values, axis=1, out=self.prefix[:, 1:])
+        self.trace_length = np.array([float(profile.num_instructions) for profile in profiles])
+        #: Flat interval lookup keys (see :meth:`WindowSlots.point`): profile
+        #: p's inner interval ends plus ``p * key_stride``; its last end (its
+        #: trace length) and its padding are raised to ``key_stride - 1``.
+        #: Interval lengths are integers (checked by :class:`IntervalProfile`),
+        #: so the ends are exact in float64 and as int64, and partial-interval
+        #: fractions land in [0, 1].  The stride exceeds every trace length by
+        #: two, so the keys are sorted, the raised keys lie above every query
+        #: for p, and no query for one profile reaches another profile's keys.
+        self.key_stride = max(profile.num_instructions for profile in profiles) + 2
+        ends = np.full(shape, self.key_stride - 1)
+        for p, (profile, count) in enumerate(zip(profiles, counts)):
+            self.values[p, :count] = profile.interval_counters
+            self.prefix[p, : count + 1] = profile.interval_prefix
+            ends[p, : count - 1] = profile.interval_prefix[1:count, self.COL_INSTRUCTIONS]
+        self.keys = (ends + np.arange(shape[0])[:, None] * self.key_stride).ravel()
         #: Index of each profile's last interval.
-        self.last = np.array([len(values) - 1 for values in counters])
+        self.last = np.array(counts) - 1
         #: Whole-trace totals (each profile's last prefix row).
         self.totals = self.prefix[np.arange(shape[0]), self.last + 1]
-        self.trace_length = np.array([float(profile.num_instructions) for profile in profiles])
-        #: Flat interval lookup keys (see :meth:`WindowSlots.point`):
-        #: profile p's interval end positions (padding repeats its trace
-        #: length) plus ``p * key_stride``.  Interval lengths are integers
-        #: (checked by :class:`IntervalProfile`), so the end positions are
-        #: exact in float64 and as int64, and partial-interval fractions
-        #: land in [0, 1].  The stride exceeds every trace length, so the
-        #: keys are sorted and no query for one profile reaches another
-        #: profile's keys.
-        self.key_stride = int(self.trace_length.max()) + 1
-        ends = self.prefix[:, 1:, self.COL_INSTRUCTIONS].astype(np.int64)
-        self.keys = (ends + np.arange(shape[0])[:, None] * self.key_stride).ravel()
         # Interval rows flattened to one axis (row ``p * K + k``), so a
         # point evaluation gathers its rows with one flat index.  An
         # interval's start is its prefix row's instruction column and
@@ -204,18 +203,15 @@ class WindowSlots:
     Slot ``i`` reads profile ``profile_ids[i]``.  The batched MPPM
     solver keeps one instance per set of live mixes and asks it for
     every iteration's windows, so the per-profile rows (trace length,
-    last interval, totals and lookup key bases) are gathered
-    once per live set instead of once per iteration.
+    totals and lookup key bases) are gathered once per live set instead
+    of once per iteration.
     """
 
     def __init__(self, table: ProfileWindowTable, profile_ids: np.ndarray) -> None:
         self.table = table
         self.length = table.trace_length[profile_ids]
         self.totals = table.totals[profile_ids]
-        ids = np.asarray(profile_ids)
-        # Flat row of the last interval, and each slot's lookup key base.
-        self.last_row = table.last[profile_ids] + ids * table.values.shape[1]
-        self.key_base = ids * table.key_stride
+        self.key_base = np.asarray(profile_ids) * table.key_stride
 
     def point(self, positions: np.ndarray) -> np.ndarray:
         """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
@@ -227,17 +223,14 @@ class WindowSlots:
         one ``searchsorted`` over the table's integer keys, exact
         because every boundary ``b`` is an integer: ``b <= x`` holds
         exactly when ``b <= floor(x)``.  ``fmin`` clamps ``x`` to ``L``
-        first (NaN included), which changes no capped count since the
-        last boundary is ``L``; for ``x >= 0`` the truncating int64 cast
-        is then a floor.  The query ``p * stride + floor(x)`` lies above every key
-        of the profiles before ``p`` and below every key after it, so the
-        search returns ``p * K`` plus the number of ``p``'s keys not
-        above ``floor(x)``: its boundary count, plus its padding keys
-        (which repeat ``L``) only when ``x`` reached ``L``, where the cap
-        applies anyway.
+        first (NaN included); for ``x >= 0`` the truncating int64 cast
+        is then a floor.  The query ``p * stride + floor(x)`` lies above
+        every key before ``p``'s and below ``p``'s raised keys, so the
+        search returns ``p * K`` plus the number of ``p``'s inner
+        boundaries not above ``floor(x)``: its capped boundary count.
         """
         keys = self.key_base + np.fmin(positions, self.length).astype(np.int64)
-        rows = np.minimum(np.searchsorted(self.table.keys, keys, side="right"), self.last_row)
+        rows = self.table.keys.searchsorted(keys, side="right")
         prefix = self.table.prefix_rows.take(rows, axis=0)
         values = self.table.value_rows.take(rows, axis=0)
         col = ProfileWindowTable.COL_INSTRUCTIONS
@@ -251,8 +244,8 @@ class WindowSlots:
         :meth:`point` call.
         """
         length = self.length
-        start = np.mod(np.asarray(start_instructions, dtype=np.float64), length)
-        end = start + np.asarray(num_instructions, dtype=np.float64)
+        start = np.mod(start_instructions, length)
+        end = start + num_instructions
         full_passes = np.floor(end / length)
         points = np.empty((2,) + end.shape)
         points[0] = np.minimum(np.maximum(end - full_passes * length, 0.0), length)
@@ -372,6 +365,14 @@ class SingleCoreProfile:
         )
         values.flags.writeable = False
         return values
+
+    @cached_property
+    def interval_prefix(self) -> np.ndarray:
+        """Exclusive running sums of :attr:`interval_counters`, one row longer (read-only)."""
+        prefix = np.zeros((self.num_intervals + 1, self.interval_counters.shape[1]))
+        np.cumsum(self.interval_counters, axis=0, out=prefix[1:])
+        prefix.flags.writeable = False
+        return prefix
 
     @cached_property
     def window_table(self) -> ProfileWindowTable:

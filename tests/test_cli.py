@@ -307,6 +307,16 @@ class TestIngestCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: l1_lines must be an integer")
 
+    def test_ingest_rejects_fractional_core_ids(self, capsys, tmp_path):
+        machine = tmp_path / "machine.json"
+        machine.write_text('{"cores": [0.7, 1.9, true]}')
+        argv = [
+            "ingest", self.FIXTURE, "--machine", str(machine), "--out", str(tmp_path / "b")
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cores must be an integer, got 0.7")
+        assert not (tmp_path / "b").exists()
+
     def test_ingest_rejects_missing_file(self, capsys, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "b")]) == 2
         assert "not found" in capsys.readouterr().err

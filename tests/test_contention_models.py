@@ -300,9 +300,31 @@ class TestSuffixMissesBitIdentity:
             assert _bits(got[index]) == _bits(want)
 
 
+def _assert_batch_matches_scalar(model, associativity, seed, mixes, programs, integral):
+    rng = np.random.default_rng(seed)
+    llc = _llc(associativity)
+    counts = _counter_rows(rng, (mixes, programs), associativity + 1, integral)
+    counts[rng.random((mixes, programs)) < 0.1] = 0.0  # zero-access programs
+    instructions = rng.uniform(1.0, 1e5, size=(mixes, programs))
+    got = model.estimate_batch(counts, instructions, llc)
+    for m in range(mixes):
+        demands = [
+            ProgramCacheDemand(
+                name=f"core{c}",
+                sdc=StackDistanceCounters(associativity=associativity, counts=counts[m, c]),
+                instructions=float(instructions[m, c]),
+            )
+            for c in range(programs)
+        ]
+        want = [estimate.shared_misses for estimate in model.estimate(demands, llc)]
+        np.testing.assert_array_equal(_bits(got[m]), _bits(want))
+
+
 class TestEstimateBatchBitIdentity:
     """Every built-in model's ``estimate_batch`` equals ``estimate`` run on
-    each mix alone, bit for bit (ties, zero-access programs, 1-4 cores)."""
+    each mix alone, bit for bit (ties, zero-access programs, 1-4 cores, and
+    9 and 16 cores, where a pairwise reduce over the program axis would
+    round differently from the scalar left fold)."""
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.name)
     @pytest.mark.parametrize("associativity", [2, 8, 16, 32])
@@ -314,20 +336,40 @@ class TestEstimateBatchBitIdentity:
         integral=st.booleans(),
     )
     def test_matches_scalar_estimate(self, model, associativity, seed, mixes, programs, integral):
-        rng = np.random.default_rng(seed)
-        llc = _llc(associativity)
-        counts = _counter_rows(rng, (mixes, programs), associativity + 1, integral)
-        counts[rng.random((mixes, programs)) < 0.1] = 0.0  # zero-access programs
-        instructions = rng.uniform(1.0, 1e5, size=(mixes, programs))
-        got = model.estimate_batch(counts, instructions, llc)
-        for m in range(mixes):
-            demands = [
-                ProgramCacheDemand(
-                    name=f"core{c}",
-                    sdc=StackDistanceCounters(associativity=associativity, counts=counts[m, c]),
-                    instructions=float(instructions[m, c]),
-                )
-                for c in range(programs)
-            ]
-            want = [estimate.shared_misses for estimate in model.estimate(demands, llc)]
-            np.testing.assert_array_equal(_bits(got[m]), _bits(want))
+        _assert_batch_matches_scalar(model, associativity, seed, mixes, programs, integral)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.name)
+    @pytest.mark.parametrize("programs", [9, 16])
+    @pytest.mark.parametrize("associativity", [8, 16])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=_seeds, mixes=st.integers(min_value=1, max_value=4), integral=st.booleans())
+    def test_matches_scalar_estimate_past_eight_programs(
+        self, model, programs, associativity, seed, mixes, integral
+    ):
+        _assert_batch_matches_scalar(model, associativity, seed, mixes, programs, integral)
+
+    @pytest.mark.parametrize("programs", [9, 16])
+    def test_wide_mixes_tell_a_reduce_from_the_left_fold(self, programs):
+        # The program-axis totals of a 300-mix batch: np.add.reduce blocks
+        # them pairwise and misses the scalar sum() somewhere, while
+        # np.add.accumulate is the left fold on every row, and FOA and
+        # prob match their scalar paths on the whole batch.
+        rng = np.random.default_rng(programs)
+        counts = _counter_rows(rng, (300, programs), 17, integral=False)
+        accesses = np.add.reduce(counts, axis=-1)
+        folded = [sum(row) for row in accesses.tolist()]
+        assert _bits(np.add.reduce(accesses, axis=1)).tolist() != _bits(folded).tolist()
+        assert _bits(np.add.accumulate(accesses, axis=1)[:, -1]).tolist() == _bits(folded).tolist()
+        for model in (FOAModel(), InductiveProbabilityModel()):
+            got = model.estimate_batch(counts, np.ones((300, programs)), _llc(16))
+            for m in range(300):
+                demands = [
+                    ProgramCacheDemand(
+                        name=f"core{c}",
+                        sdc=StackDistanceCounters(associativity=16, counts=counts[m, c]),
+                        instructions=1.0,
+                    )
+                    for c in range(programs)
+                ]
+                want = [estimate.shared_misses for estimate in model.estimate(demands, _llc(16))]
+                np.testing.assert_array_equal(_bits(got[m]), _bits(want))

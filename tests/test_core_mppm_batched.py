@@ -111,6 +111,21 @@ class TestEquivalenceMatrix:
             *solve_both(batches, machine4, make_contention_model(contention), config)
         )
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_nine_program_mix(self, machine4, profiles4, variant):
+        # Past eight programs a pairwise reduce over the program axis
+        # would round FOA's access totals and prob's dilations
+        # differently from the reference loop's left folds.
+        contention, config = VARIANTS[variant]
+        names = sorted(profiles4)
+        batches = [
+            [profiles4[names[core % len(names)]] for core in range(9)],
+            [profiles4[names[(core * 5) % len(names)]] for core in range(9)],
+        ]
+        assert_bit_identical(
+            *solve_both(batches, machine4, make_contention_model(contention), config)
+        )
+
     def test_single_mix_batch_equals_predict(self, machine4, profiles4):
         names = sorted(profiles4)
         profiles = [profiles4[name] for name in names[:4]]

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from repro.config import machine_with_llc, scaled
 from repro.experiments import ExperimentConfig, ExperimentSetup, default_setup
 from repro.simulators import MultiCoreSimulator
 from repro.workloads import BenchmarkClass, WorkloadMix, small_suite
@@ -49,6 +50,22 @@ class TestExperimentSetup:
         assert machine.llc.size_bytes == 512 * 1024 // 16
         design_space = small_setup.design_space()
         assert len(design_space) == 6
+
+    def test_machines_are_memoized_per_cores_llc_and_scale(self, small_setup):
+        machine = small_setup.machine(num_cores=4, llc_config=3)
+        assert small_setup.machine(num_cores=4, llc_config=3) is machine
+        assert machine == scaled(machine_with_llc(3, num_cores=4), small_setup.config.scale)
+        assert machine.profile_key() == scaled(
+            machine_with_llc(3, num_cores=4), small_setup.config.scale
+        ).profile_key()
+        assert small_setup.machine(num_cores=2, llc_config=3) is not machine
+        other = ExperimentSetup(
+            config=dataclasses.replace(small_setup.config, scale=8), suite=small_suite(6)
+        )
+        assert other.machine(num_cores=4, llc_config=3) is not machine
+        assert other.machine(num_cores=4, llc_config=3) == scaled(
+            machine_with_llc(3, num_cores=4), 8
+        )
 
     def test_profiles_are_cached_per_machine(self, small_setup):
         machine = small_setup.machine()

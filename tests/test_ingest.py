@@ -225,6 +225,16 @@ class TestMachineDescriptor:
         with pytest.raises(IngestError, match=f"{field} must be an integer"):
             MachineDescriptor.from_dict(data)
 
+    @pytest.mark.parametrize("cores", [[0.7, 1.9, True], [0, 1.0], [False], ["1"]])
+    def test_non_integer_core_ids_are_rejected(self, cores):
+        data = {**MACHINE.to_dict(), "cores": cores}
+        with pytest.raises(IngestError, match="cores must be an integer"):
+            MachineDescriptor.from_dict(data)
+
+    def test_cores_must_be_a_list(self):
+        with pytest.raises(IngestError, match="'cores' must be a list of ints"):
+            MachineDescriptor.from_dict({**MACHINE.to_dict(), "cores": 3})
+
     def test_to_machine_config_has_three_levels(self):
         machine = MACHINE.to_machine_config()
         assert len(machine.private_levels) == 2
