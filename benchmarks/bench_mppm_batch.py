@@ -21,7 +21,9 @@ A third case solves 100 mixes one at a time, each as a batch of one
 (how ``repro serve`` meets most requests), against the reference loop
 on the same mixes.  At batch size 1 the batched kernel has no batch to
 amortise its per-iteration numpy calls over; its floor asserts that a
-one-mix solve is still no slower than the reference.
+one-mix solve stays at least 1.3x faster than the reference (eleven
+``--quick`` runs measured 1.5-2.7x, median 2.1x; the ratio moves with
+the host's load, so the floor keeps a margin below the slowest run).
 
 Run standalone (CI uses ``--quick``)::
 
@@ -70,9 +72,10 @@ MANY_PROFILE_MIXES = 300
 MANY_PROFILE_LLC = 4
 
 #: The batch-of-one case (both modes): this many four-program mixes,
-#: each solved alone, and the speedup floor over the reference loop.
+#: each solved alone, and the speedup floor over the reference loop
+#: (tight enough to catch the one-mix solve losing most of its lead).
 ONE_MIX_SOLVES = 100
-ONE_MIX_FLOOR = 1.0
+ONE_MIX_FLOOR = 1.3
 
 
 def _assert_identical(reference, batched):
@@ -164,16 +167,16 @@ def _time_kernels(machine, batches, rounds: int, one_at_a_time: bool = False) ->
 
     _assert_identical(solve("reference"), solve("batched"))
 
-    def best_of(kernel: str) -> float:
-        timings = []
-        for _ in range(rounds):
+    # Rounds alternate the kernels, so host speed drift during the
+    # measurement reaches both minima alike.
+    timings = {"batched": [], "reference": []}
+    for _ in range(rounds):
+        for kernel, seconds in timings.items():
             start = time.perf_counter()
             solve(kernel)
-            timings.append(time.perf_counter() - start)
-        return min(timings)
-
-    batched_seconds = best_of("batched")
-    reference_seconds = best_of("reference")
+            seconds.append(time.perf_counter() - start)
+    batched_seconds = min(timings["batched"])
+    reference_seconds = min(timings["reference"])
     return {
         "batched_seconds": batched_seconds,
         "reference_seconds": reference_seconds,

@@ -96,7 +96,7 @@ def solve_batch(
     return predictions
 
 
-def _slot_row(profile: SingleCoreProfile, machine: MachineConfig) -> Tuple[float, ...]:
+def _slot_row(profile: SingleCoreProfile, machine: MachineConfig) -> Tuple[float, int, int, float]:
     """A profile's CPI, trace length, interval length and fallback miss penalty.
 
     The fallback is the reference kernel's whole-trace average miss
