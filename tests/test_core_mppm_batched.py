@@ -10,13 +10,16 @@ single-mix batches and the ``max_iterations`` cap.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.caches.stack_distance import StackDistanceCounters
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPM_KERNELS, MPPMConfig
 from repro.core.mppm import MPPMError
 from repro.core.result import MixPrediction
 from repro.profiling import ProfileStore
+from repro.profiling.profile import IntervalProfile, SingleCoreProfile
 from repro.workloads import WorkloadMix
 
 from testdefaults import TEST_INSTRUCTIONS, TEST_INTERVAL
@@ -124,6 +127,50 @@ class TestEquivalenceMatrix:
         ]
         assert_bit_identical(
             *solve_both(batches, machine4, make_contention_model(contention), config)
+        )
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_windows_whose_misses_cost_no_memory_cycles(self, machine4, variant):
+        # A window with misses but no memory cycles has a zero average
+        # miss penalty, so both kernels charge the whole-trace fallback
+        # (itself zero for a profile that never waits on memory).
+        ways = machine4.llc.associativity
+
+        def profile(name, memory_cpis, deep):
+            counts = np.full(ways + 1, 10.0)
+            counts[-1] = deep
+            intervals = [
+                IntervalProfile(
+                    index=k,
+                    instructions=1_000 + 250 * k,
+                    cpi=1.5,
+                    memory_cpi=memory_cpis[k % len(memory_cpis)],
+                    llc_accesses=float(counts.sum()),
+                    llc_misses=deep,
+                    sdc=StackDistanceCounters(associativity=ways, counts=counts),
+                )
+                for k in range(6)
+            ]
+            return SingleCoreProfile(
+                benchmark=name,
+                machine_key=machine4.profile_key(),
+                machine_name=machine4.name,
+                interval_instructions=1_000,
+                intervals=intervals,
+                llc_associativity=ways,
+            )
+
+        stalled = profile("stalled", [0.0, 0.0, 0.4], 30.0)
+        free = profile("free", [0.0], 5.0)
+        busy = profile("busy", [0.6, 0.2], 80.0)
+        contention, config = VARIANTS[variant]
+        assert_bit_identical(
+            *solve_both(
+                [[stalled, free, busy], [free, busy], [stalled, stalled, free, busy]],
+                machine4,
+                make_contention_model(contention),
+                config,
+            )
         )
 
     def test_single_mix_batch_equals_predict(self, machine4, profiles4):
