@@ -151,8 +151,8 @@ def _solve_uniform(
 
     table = ProfileWindowTable(uniques)
     # One row per unique profile (see _slot_row), gathered per slot.
-    per_slot = np.array([_slot_row(profile, machine) for profile in uniques])[profile_ids]
-    base_cpi = per_slot[..., 0]
+    rows = np.array([_slot_row(profile, machine) for profile in uniques])
+    base_cpi, trace_lengths, interval_lengths, fallback = rows.T.take(profile_ids, axis=1)
     # Each mix's chunk: the configured one, or a fifth of its shortest trace.
     chunks = [
         config.chunk_instructions
@@ -167,9 +167,9 @@ def _solve_uniform(
     state = _LiveState(
         profile_ids=profile_ids,
         base_cpi=base_cpi,
-        trace_lengths=per_slot[..., 1],
-        interval_lengths=per_slot[..., 2],
-        fallback_penalty=per_slot[..., 3],
+        trace_lengths=trace_lengths,
+        interval_lengths=interval_lengths,
+        fallback_penalty=fallback,
         chunk=chunk,
         slowdown=np.ones((num_mixes, num_cores), dtype=np.float64),
         position=np.zeros((num_mixes, num_cores), dtype=np.float64),
