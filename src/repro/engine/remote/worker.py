@@ -128,6 +128,7 @@ class FleetWorker:
 
         loop = asyncio.get_running_loop()
         try:
+            # Off the loop: heartbeats probe /healthz during long jobs.
             value = await loop.run_in_executor(self._executor, job.run)
         except Exception as error:  # noqa: BLE001 - shipped to the driver, not swallowed
             return self._error(key, error)

@@ -319,7 +319,8 @@ class ExperimentSetup:
         covers every (benchmark, machine) pair the sweep touches, runs
         locally (so forked pool workers inherit the warm profile store)
         and is optional (skipped when every mix job is served from the
-        result cache).
+        result cache, and left out when nothing simulates and the store
+        holds every profile: a warm predict-only sweep is one wave).
 
         Uncached ``mppm:*`` ops do not become per-op jobs: they are
         deduplicated by per-op cache key and packed into at most
@@ -333,8 +334,8 @@ class ExperimentSetup:
         ``mppm:*`` ops keep per-op jobs (which resolve from the cache
         without computing anything).
         """
-        graph = JobGraph()
-        profile_keys: Dict[Tuple[str, str], str] = {}
+        # profile job key -> (benchmark, machine) of a pair the sweep touches
+        pairs: Dict[str, Tuple[str, MachineConfig]] = {}
         # (machine profile key, programs) -> the profile jobs its ops depend on
         deps_by_pair: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
         op_deps: List[Tuple[str, ...]] = []
@@ -343,15 +344,21 @@ class ExperimentSetup:
             deps = deps_by_pair.get((machine_key, mix.programs))
             if deps is None:
                 names = sorted(set(mix.programs))
-                for name in names:
-                    if (machine_key, name) not in profile_keys:
-                        job = graph.add(
-                            engine_tasks.profile_job(self, self.suite[name], machine, optional=True)
-                        )
-                        profile_keys[(machine_key, name)] = job.key
-                deps = tuple(profile_keys[(machine_key, name)] for name in names)
+                deps = tuple(f"profile:{machine_key}:{name}" for name in names)
+                for key, name in zip(deps, names):
+                    pairs.setdefault(key, (name, machine))
                 deps_by_pair[(machine_key, mix.programs)] = deps
             op_deps.append(deps)
+        # Simulations need the wave's LLC traces, predictions only missing profiles.
+        if any(spec in (_SIMULATE, "detailed") for spec, _, _ in ops) or not all(
+            self.store.has(self.suite[name], machine) for name, machine in pairs.values()
+        ):
+            graph = JobGraph(
+                engine_tasks.profile_job(self, self.suite[name], machine, key=key, optional=True)
+                for key, (name, machine) in pairs.items()
+            )
+        else:
+            graph, op_deps = JobGraph(), [()] * len(ops)
         # spec -> per-op cache key -> ([op indices], (mix, machine), deps)
         batchable: Dict[str, Dict[str, Tuple[List[int], MixJob, Tuple[str, ...]]]] = {}
         for i, ((spec, mix, machine), deps) in enumerate(zip(ops, op_deps)):

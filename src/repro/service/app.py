@@ -18,17 +18,19 @@ per workload spec requested), and serves:
 
 Single-core profiles are bundled into the shared
 :class:`~repro.profiling.ProfileStore` once at startup
-(:meth:`PredictionService.start` preloads the configured workload) and
-then read concurrently; predictions are computed through the batching
+(:meth:`PredictionService.start` preloads the configured workload
+before it listens); predictions are computed through the batching
 layer and remembered by the engine's content-hash result cache, so a
-warm server recomputes nothing.
+warm server recomputes nothing.  Everything runs on the event loop's
+thread: a batch holds the loop while it computes, so other requests
+(``/healthz`` included) wait for it, and ``max_batch`` bounds that wait.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -80,6 +82,13 @@ class ServiceConfig:
         )
 
 
+def _integer(value: object, field: str) -> int:
+    """A JSON integer request field; fractions and booleans are a 400."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise HttpError(400, f"'{field}' must be an integer, got {json.dumps(value)}")
+    return value
+
+
 class PredictionService:
     """The handler behind the HTTP server (usable without it, too)."""
 
@@ -91,13 +100,7 @@ class PredictionService:
         )
         self._experiment_config = self.config.experiment_config()
         self._setups: Dict[str, ExperimentSetup] = {}
-        self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
-        self.batcher = PredictionBatcher(
-            self._run_batch,
-            self._worker,
-            max_batch=self.config.max_batch,
-            stats=self.stats,
-        )
+        self.batcher = PredictionBatcher(self._run_batch, self.config.max_batch, self.stats)
         self.server = HttpServer(self.handle, host=self.config.host, port=self.config.port)
         self.shutdown_event = asyncio.Event()
         self.preloaded_profiles = 0
@@ -110,17 +113,13 @@ class PredictionService:
         """Preload profiles, then start listening (ready when returning)."""
         if self.config.preload:
             setup = self._setup_for(self.config.workload)
-            loop = asyncio.get_running_loop()
-            self.preloaded_profiles = await loop.run_in_executor(
-                self._worker, setup.store.preload, setup.suite, setup.machine()
-            )
+            self.preloaded_profiles = setup.store.preload(setup.suite, setup.machine())
         await self.server.start()
         return self
 
     async def close(self) -> None:
         await self.batcher.close()
         await self.server.close()
-        self._worker.shutdown(wait=True)
         # Every setup shares this engine; closing it here also stops a
         # fleet's workers when no setup was ever built (`--no-preload`).
         self.engine.close()
@@ -300,12 +299,9 @@ class PredictionService:
             raise HttpError(
                 400, "'sample' must be an object like {'programs': 4, 'count': 3, 'seed': 0}"
             )
-        try:
-            programs = int(spec.get("programs", 4))
-            count = int(spec.get("count", 1))
-            seed = int(spec.get("seed", 0))
-        except (TypeError, ValueError):
-            raise HttpError(400, "'programs', 'count' and 'seed' must be integers") from None
+        programs = _integer(spec.get("programs", 4), "sample.programs")
+        count = _integer(spec.get("count", 1), "sample.count")
+        seed = _integer(spec.get("seed", 0), "sample.seed")
         unique = bool(spec.get("unique", True))
         category = spec.get("category")
         if programs < 1 or count < 1:
@@ -322,7 +318,6 @@ class PredictionService:
         Accepts nothing (LLC #1), an int, ``"llcN"``/``"N"`` strings, or
         ``{"llc_config": N, "cores": M}``.
         """
-        cores: Optional[int] = None
         if value is None:
             return 1, None
         if isinstance(value, bool):
@@ -347,16 +342,13 @@ class PredictionService:
                     f"unknown machine field(s) {', '.join(unknown)}; "
                     "expected llc_config, cores",
                 )
-            try:
-                llc_config = int(value.get("llc_config", 1))
-                cores = int(value["cores"]) if "cores" in value else None
-            except (TypeError, ValueError):
-                raise HttpError(400, "'llc_config' and 'cores' must be integers") from None
+            llc_config = _integer(value.get("llc_config", 1), "machine.llc_config")
+            cores = _integer(value["cores"], "machine.cores") if "cores" in value else None
             return llc_config, cores
         raise HttpError(400, "'machine' must be an LLC configuration number or object")
 
     # ------------------------------------------------------------------
-    # Worker-thread side
+    # Engine side
     # ------------------------------------------------------------------
 
     def _setup_for(self, workload: str) -> ExperimentSetup:
@@ -373,7 +365,7 @@ class PredictionService:
         return setup
 
     def _run_batch(self, ops: Sequence[PredictOp]) -> List:
-        """Execute one coalesced batch (runs on the single worker thread).
+        """Execute one coalesced batch (on the event loop, one at a time).
 
         Ops are grouped by (workload setup, predictor) — each group
         becomes one engine job graph via ``predictor_batch``, so a

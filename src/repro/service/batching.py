@@ -4,16 +4,18 @@ Concurrent ``POST /predict`` calls do not each walk into the engine on
 their own: the :class:`PredictionBatcher` hands everything pending to
 the app's batch runner as ONE heterogeneous op list, which the runner
 turns into a single engine :class:`~repro.engine.job.JobGraph`
-(``ExperimentSetup.predictor_batch``) on a dedicated worker thread — so
-the event loop keeps accepting requests while the engine computes.
+(``ExperimentSetup.predictor_batch``) called on the event loop: the
+engine is only ever entered from one thread, with no thread hop per
+request.  While a batch runs, every other request (``/healthz``
+included) waits for it; ``max_batch`` bounds that wait.
 
 There is no batching timer.  A submission to an idle batcher flushes
 on the next event-loop turn, so a lone request waits for nothing, and
 the ops of one multi-mix request (submitted in the same turn) share
 that batch.  Whatever arrives while a batch runs becomes the next
-batch as soon as the worker is free, so N clients waiting on one
-computation cost one graph, not N; ``max_batch`` caps a batch and the
-overflow runs next.
+batch, so N clients waiting on one computation cost one graph, not N;
+``max_batch`` caps a batch and the overflow runs next, with one loop
+turn in between for other connections.
 
 Identical ``(workload, predictor, mix, machine)`` keys submitted while
 a result is still being computed share that computation's future
@@ -26,7 +28,6 @@ nothing either way.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor as ThreadExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -74,10 +75,7 @@ class PredictionBatcher:
     Parameters
     ----------
     runner:
-        Synchronous callable executing one op batch (runs on ``executor``).
-    executor:
-        A single-thread executor; one batch runs at a time, so the
-        engine (which is not thread-safe) is never entered concurrently.
+        Synchronous callable executing one op batch on the event loop.
     max_batch:
         The most distinct ops one batch takes; the rest wait for the next.
     stats:
@@ -87,14 +85,12 @@ class PredictionBatcher:
     def __init__(
         self,
         runner: BatchRunner,
-        executor: ThreadExecutor,
         max_batch: int = 64,
         stats: Optional[ServiceStats] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         self._runner = runner
-        self._executor = executor
         self.max_batch = max_batch
         self.stats = stats if stats is not None else ServiceStats()
         self._pending: List[Tuple[PredictOp, asyncio.Future]] = []
@@ -124,7 +120,7 @@ class PredictionBatcher:
     async def close(self) -> None:
         """Stop accepting work and fail anything still queued.
 
-        A batch already running finishes and answers its waiters.
+        Batches run on the loop, so every op is answered or still queued.
         """
         self._closed = True
         batch, self._pending = self._pending, []
@@ -144,14 +140,16 @@ class PredictionBatcher:
         while self._pending:
             batch = self._pending[: self.max_batch]
             del self._pending[: self.max_batch]
-            await self._run(batch)
+            self._run(batch)
+            if self._pending:
+                # Overflow: one loop turn for the other connections first.
+                await asyncio.sleep(0)
 
-    async def _run(self, batch: List[Tuple[PredictOp, asyncio.Future]]) -> None:
+    def _run(self, batch: List[Tuple[PredictOp, asyncio.Future]]) -> None:
         ops = [op for op, _ in batch]
         self.stats.record_batch(len(ops))
-        loop = asyncio.get_running_loop()
         try:
-            results = await loop.run_in_executor(self._executor, self._runner, ops)
+            results = self._runner(ops)
         except Exception as error:  # noqa: BLE001 - fan the failure out to every waiter
             for op, future in batch:
                 self._inflight.pop(op.key(), None)

@@ -182,7 +182,10 @@ class HttpServer:
         if len(parts) != 3 or not parts[2].upper().startswith("HTTP/"):
             raise HttpError(400, "malformed request line")
         method, target, version = parts
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)
+        except ValueError:  # e.g. an unclosed IPv6 bracket: "http://["
+            raise HttpError(400, "malformed request target") from None
         headers: Dict[str, str] = {}
         while True:
             header_line = await _read_line(reader)

@@ -1,10 +1,8 @@
 """Live service counters: requests, batching, dedup and latency percentiles.
 
 Everything ``GET /stats`` reports that the engine does not already
-count lives here.  The counters are plain ints mutated from the event
-loop and (for compute accounting) the single batch-worker thread —
-int increments are atomic under the GIL, and the service only ever
-runs one worker, so no locking is needed.
+count lives here.  The counters are plain ints mutated only from the
+event loop's thread (batches run there too), so no locking is needed.
 """
 
 from __future__ import annotations

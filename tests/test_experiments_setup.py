@@ -12,13 +12,17 @@ from repro.simulators import MultiCoreSimulator
 from repro.workloads import BenchmarkClass, WorkloadMix, small_suite
 
 
-@pytest.fixture(scope="module")
-def small_setup():
+def _small_setup():
     """A fast setup: 6 benchmarks, short traces."""
     return ExperimentSetup(
         config=ExperimentConfig(scale=16, num_instructions=30_000, interval_instructions=1_000),
         suite=small_suite(6),
     )
+
+
+@pytest.fixture(scope="module")
+def small_setup():
+    return _small_setup()
 
 
 class TestExperimentConfig:
@@ -234,10 +238,15 @@ class TestBatchedMppmSweeps:
 class TestSweepGraph:
     """The job graph one sweep plans: a profile warm-up wave, then its ops."""
 
-    def test_profile_jobs_are_planned_once_per_machine_and_benchmark(self, small_setup):
-        machine = small_setup.machine(num_cores=2)
+    @pytest.fixture
+    def cold_setup(self):
+        """A fast setup whose store holds no profile yet (unlike ``small_setup`` by now)."""
+        return _small_setup()
+
+    def test_profile_jobs_are_planned_once_per_machine_and_benchmark(self, cold_setup):
+        machine = cold_setup.machine(num_cores=2)
         renamed = dataclasses.replace(machine, name="renamed")  # same profile key
-        names = small_setup.benchmark_names
+        names = cold_setup.benchmark_names
         mix = WorkloadMix(programs=(names[0], names[1]))
         swapped = WorkloadMix(programs=(names[1], names[0]))
         twin = WorkloadMix(programs=(names[2], names[2]))
@@ -248,7 +257,7 @@ class TestSweepGraph:
             ("detailed", mix, renamed),
             ("baseline:one-shot", twin, machine),
         ]
-        graph, scatter = small_setup._sweep_graph(ops)
+        graph, scatter = cold_setup._sweep_graph(ops)
         assert scatter == {}
         profiles = sorted(job.key for job in graph if job.kind == "profile")
         key = machine.profile_key()
@@ -258,17 +267,49 @@ class TestSweepGraph:
             assert graph.job(f"op:{i}").deps == expected
         assert len(graph) == len(profiles) + len(ops)
 
-    def test_ops_on_different_llcs_get_their_own_profile_jobs(self, small_setup):
-        small = small_setup.machine(num_cores=2, llc_config=1)
-        large = small_setup.machine(num_cores=2, llc_config=6)
-        mix = WorkloadMix(programs=tuple(small_setup.benchmark_names[:2]))
-        graph, _ = small_setup._sweep_graph(
+    def test_ops_on_different_llcs_get_their_own_profile_jobs(self, cold_setup):
+        small = cold_setup.machine(num_cores=2, llc_config=1)
+        large = cold_setup.machine(num_cores=2, llc_config=6)
+        mix = WorkloadMix(programs=tuple(cold_setup.benchmark_names[:2]))
+        graph, _ = cold_setup._sweep_graph(
             [("baseline:one-shot", mix, small), ("baseline:one-shot", mix, large)]
         )
         first, second = graph.job("op:0").deps, graph.job("op:1").deps
         assert len(first) == len(second) == 2 and not set(first) & set(second)
         assert all(small.profile_key() in dep for dep in first)
         assert all(large.profile_key() in dep for dep in second)
+
+    def test_a_warm_predict_only_sweep_is_one_wave(self, cold_setup):
+        machine = cold_setup.machine(num_cores=2)
+        names = cold_setup.benchmark_names
+        warm = WorkloadMix(programs=tuple(names[:2]))
+        cold_setup.store.preload(cold_setup.suite.subset(names[:2]), machine)
+        graph, scatter = cold_setup._sweep_graph([("mppm:foa", warm, machine)])
+        # One batch job and nothing to warm up first.
+        assert [job.kind for job in graph] == ["predict"] and len(scatter) == 1
+        assert [job.deps for job in graph] == [()]
+        graph, _ = cold_setup._sweep_graph([("baseline:one-shot", warm, machine)])
+        assert [(job.kind, job.deps) for job in graph] == [("predict", ())]
+
+    @pytest.mark.parametrize("other", ["simulate", "cold-predict"])
+    def test_a_sweep_that_simulates_or_misses_a_profile_keeps_its_wave(self, cold_setup, other):
+        machine = cold_setup.machine(num_cores=2)
+        names = cold_setup.benchmark_names
+        warm = WorkloadMix(programs=tuple(names[:2]))
+        cold_setup.store.preload(cold_setup.suite.subset(names[:2]), machine)
+        second = (
+            ("simulate", warm, machine)
+            if other == "simulate"
+            else ("baseline:one-shot", WorkloadMix(programs=tuple(names[1:3])), machine)
+        )
+        graph, _ = cold_setup._sweep_graph([("baseline:one-shot", warm, machine), second])
+        key = machine.profile_key()
+        # The wave runs anyway, so the warm op keeps its deps: split off
+        # into a wave of its own it would cost the pool an extra round.
+        assert graph.job("op:0").deps == tuple(f"profile:{key}:{name}" for name in names[:2])
+        assert graph.job("op:1").deps == tuple(
+            f"profile:{key}:{name}" for name in sorted(set(second[1].programs))
+        )
 
 
 class TestCampaignCacheLayout:

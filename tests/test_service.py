@@ -15,9 +15,10 @@ import json
 import logging
 import threading
 import types
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.machine import MachineConfig
 from repro.core.result import MixPrediction, ProgramPrediction
@@ -32,7 +33,7 @@ from repro.service import (
     ServiceThread,
 )
 from repro.service.batching import BatcherClosed, PredictionBatcher, PredictOp
-from repro.service.http import HttpError, Request
+from repro.service.http import HttpError, HttpServer, Request
 from repro.service.payloads import models_payload, prediction_payload, workloads_payload
 from repro.workloads import WorkloadMix, make_workload
 
@@ -309,6 +310,24 @@ class TestPredictErrors:
             "must match the mix size",
         )
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"machine": {"llc_config": 2.7}}, "machine.llc_config"),
+            ({"machine": {"llc_config": True}}, "machine.llc_config"),
+            ({"machine": {"llc_config": "2"}}, "machine.llc_config"),
+            ({"machine": {"llc_config": 1, "cores": 2.9}}, "machine.cores"),
+            ({"machine": {"llc_config": 1, "cores": False}}, "machine.cores"),
+            ({"sample": {"programs": 2.9}}, "sample.programs"),
+            ({"sample": {"programs": 2, "count": 1.5}}, "sample.count"),
+            ({"sample": {"programs": 2, "seed": True}}, "sample.seed"),
+        ],
+    )
+    def test_fractional_and_boolean_integers_are_rejected(self, live, extra, field):
+        # int() used to truncate these silently (2.7 -> LLC #2, true -> 1).
+        payload = {"mix": NAMES[:2], **extra} if "machine" in extra else extra
+        self.expect_400(live, payload, f"'{field}' must be an integer")
+
     def test_bad_category_carries_the_valid_choices(self, live):
         self.expect_400(
             live,
@@ -477,6 +496,19 @@ class TestBatchingAndCaching:
         assert entry["mean_size"] > 0
         assert entry["solve_time_ms"] >= 0
 
+    def test_batches_run_on_the_event_loop_thread(self, live, monkeypatch):
+        threads = []
+        run_batch = live.service.batcher._runner
+
+        def recording(ops):
+            threads.append(threading.get_ident())
+            return run_batch(ops)
+
+        monkeypatch.setattr(live.service.batcher, "_runner", recording)
+        call(live, lambda c: c.predict(mix=[NAMES[0], NAMES[3]], predictor="mppm:prob"))
+        # The engine is entered only from the thread serving the loop.
+        assert threads == [live._thread.ident]
+
 
 class TestInflightDedupMachineNames:
     """In-flight dedup keys leave out the machine's name (as the engine's
@@ -504,12 +536,11 @@ class TestInflightDedupMachineNames:
         mix = WorkloadMix(programs=("a", "b"))
 
         async def main():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = PredictionBatcher(runner, executor)
-                return await asyncio.gather(
-                    batcher.submit(PredictOp(setup, "mppm:foa", mix, machine)),
-                    batcher.submit(PredictOp(setup, "mppm:foa", mix, renamed)),
-                ), batcher.stats.inflight_deduped
+            batcher = PredictionBatcher(runner)
+            return await asyncio.gather(
+                batcher.submit(PredictOp(setup, "mppm:foa", mix, machine)),
+                batcher.submit(PredictOp(setup, "mppm:foa", mix, renamed)),
+            ), batcher.stats.inflight_deduped
 
         (first, second), deduped = asyncio.run(main())
         assert calls == [1] and deduped == 1
@@ -517,18 +548,21 @@ class TestInflightDedupMachineNames:
         assert first.programs == second.programs
 
 
-class _GatedRunner:
-    """A batch runner that records batch sizes and blocks until released."""
+class _RecordingRunner:
+    """A batch runner that records each batch's size.
+
+    ``in_first_batch``, if set, is called inside the first batch, i.e.
+    while that batch holds the event loop.
+    """
 
     def __init__(self):
         self.calls = []
-        self.entered = threading.Event()
-        self.release = threading.Event()
+        self.in_first_batch = None
 
     def __call__(self, ops):
         self.calls.append(len(ops))
-        self.entered.set()
-        assert self.release.wait(timeout=30), "the test never released the runner"
+        if len(self.calls) == 1 and self.in_first_batch is not None:
+            self.in_first_batch()
         return [
             MixPrediction(
                 machine_name=op.machine.name,
@@ -556,69 +590,53 @@ async def _turns(count):
         await asyncio.sleep(0)
 
 
-async def _entered(runner):
-    """Wait (off the loop) until the runner has been entered."""
-    loop = asyncio.get_running_loop()
-    assert await loop.run_in_executor(None, runner.entered.wait, 30)
-    runner.entered.clear()
-
-
 class TestBatcherFlushesWhenIdle:
     """The batcher has no timer: an idle batcher runs a submission on the
     next loop turn, and work arriving during a batch forms the next one.
-    The runner blocks on a ``threading.Event``, so every test decides
-    exactly when a batch finishes."""
+    The runner is called on the event loop, so work "arriving during a
+    batch" is work the runner itself schedules."""
 
     @staticmethod
     def run(main):
-        runner = _GatedRunner()
+        runner = _RecordingRunner()
 
         async def wrapped():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                try:
-                    # A waiter the batcher never answers fails, not hangs.
-                    return await asyncio.wait_for(main(runner, executor), timeout=60)
-                finally:
-                    runner.release.set()
+            # A waiter the batcher never answers fails, not hangs.
+            return await asyncio.wait_for(main(runner), timeout=60)
 
         return runner, asyncio.run(wrapped())
 
     def test_idle_batcher_enters_the_runner_without_a_timer(self):
-        async def main(runner, executor):
-            batcher = PredictionBatcher(runner, executor)
+        async def main(runner):
+            batcher = PredictionBatcher(runner)
             (op,) = _ops(1)
             task = asyncio.ensure_future(batcher.submit(op))
-            # A few zero-length loop turns suffice; no timer has to expire.
+            # Zero-length loop turns suffice; no timer has to expire.
             await _turns(3)
-            assert batcher.stats.batches == 1
-            await _entered(runner)
-            runner.release.set()
+            assert runner.calls == [1] and batcher.stats.batches == 1
             return await task
 
         runner, prediction = self.run(main)
-        assert runner.calls == [1]
         assert prediction.programs[0].name == "p0"
 
     def test_submissions_during_a_batch_form_exactly_one_next_batch(self):
-        async def main(runner, executor):
-            batcher = PredictionBatcher(runner, executor)
+        async def main(runner):
+            batcher = PredictionBatcher(runner)
             first, *rest = _ops(6)
-            head = asyncio.ensure_future(batcher.submit(first))
-            await _entered(runner)
-            tail = [asyncio.ensure_future(batcher.submit(op)) for op in rest]
-            await _turns(3)
-            assert runner.calls == [1]
-            runner.release.set()
-            return await asyncio.gather(head, *tail)
+            tail = []
+            runner.in_first_batch = lambda: tail.extend(
+                asyncio.ensure_future(batcher.submit(op)) for op in rest
+            )
+            head = await batcher.submit(first)
+            return [head, *await asyncio.gather(*tail)]
 
         runner, predictions = self.run(main)
         assert runner.calls == [1, 5]
         assert [p.programs[0].name for p in predictions] == [f"p{i}" for i in range(6)]
 
     def test_submissions_of_one_tick_form_one_batch(self):
-        async def main(runner, executor):
-            runner.release.set()
-            batcher = PredictionBatcher(runner, executor)
+        async def main(runner):
+            batcher = PredictionBatcher(runner)
             return await asyncio.gather(*(batcher.submit(op) for op in _ops(4)))
 
         runner, predictions = self.run(main)
@@ -626,9 +644,8 @@ class TestBatcherFlushesWhenIdle:
         assert len(predictions) == 4
 
     def test_more_than_max_batch_runs_back_to_back(self):
-        async def main(runner, executor):
-            runner.release.set()
-            batcher = PredictionBatcher(runner, executor, max_batch=3)
+        async def main(runner):
+            batcher = PredictionBatcher(runner, max_batch=3)
             return await asyncio.gather(*(batcher.submit(op) for op in _ops(7)))
 
         runner, predictions = self.run(main)
@@ -636,25 +653,29 @@ class TestBatcherFlushesWhenIdle:
         assert [p.programs[0].name for p in predictions] == [f"p{i}" for i in range(7)]
 
     def test_close_fails_queued_ops(self):
-        async def main(runner, executor):
-            batcher = PredictionBatcher(runner, executor)
+        async def main(runner):
+            batcher = PredictionBatcher(runner)
             first, *queued = _ops(3)
-            running = asyncio.ensure_future(batcher.submit(first))
-            await _entered(runner)
-            waiting = [asyncio.ensure_future(batcher.submit(op)) for op in queued]
-            await _turns(3)
-            closing = asyncio.ensure_future(batcher.close())
-            await _turns(3)
-            runner.release.set()
-            await closing
+            waiting, closing = [], []
+
+            def queue_then_close():
+                # Runs inside the first batch: these ops queue behind it,
+                # then the service shuts down before they run.
+                waiting.extend(asyncio.ensure_future(batcher.submit(op)) for op in queued)
+                closing.append(asyncio.ensure_future(batcher.close()))
+
+            runner.in_first_batch = queue_then_close
+            answered = await batcher.submit(first)
+            await closing[0]
             with pytest.raises(BatcherClosed):
                 await batcher.submit(first)
-            return await running, await asyncio.gather(*waiting, return_exceptions=True)
+            return answered, await asyncio.gather(*waiting, return_exceptions=True)
 
         runner, (answered, failed) = self.run(main)
         # The running batch finishes; the queued ops never reach the runner.
         assert runner.calls == [1]
         assert answered.programs[0].name == "p0"
+        assert len(failed) == 2
         assert all(isinstance(error, BatcherClosed) for error in failed)
 
 
@@ -758,22 +779,49 @@ class TestContentLengthFraming:
         assert b"malformed Content-Length" not in body
 
 
+#: Fragments of well- and ill-formed requests, so generated inputs
+#: reach past the request line often.
+_TARGET_STARTS = [b"/", b"//", b"http://", b"*"]
+_TARGET_PIECES = [b"/", b"predict", b"[", b"]", b"::1", b":80", b"?", b"a=1&b", b"%zz", b"#"]
+_HEADER_PIECES = [b"Content-Length: ", b"Connection: close", b"Host", b":", b" ", b"3", b"-1"]
+
+
+def _joined(pieces, max_size):
+    return st.lists(
+        st.one_of(st.sampled_from(pieces), st.binary(max_size=6)), max_size=max_size
+    ).map(b"".join)
+
+
+_REQUESTS = st.tuples(
+    st.tuples(
+        st.sampled_from([b"GET", b"POST", b"get"]),
+        st.tuples(st.sampled_from(_TARGET_STARTS), _joined(_TARGET_PIECES, 4)).map(b"".join),
+        st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"http/9"]),
+    ).map(lambda parts: b" ".join(parts) + b"\r\n"),
+    st.lists(_joined(_HEADER_PIECES, 4).map(lambda line: line + b"\r\n"), max_size=4),
+    st.sampled_from([b"", b"\r\n", b"\n"]),
+    st.binary(max_size=8),
+).map(lambda parts: parts[0] + b"".join(parts[1]) + parts[2] + parts[3])
+
+
+def raw_exchange(live, request):
+    """Send raw request bytes to the live service; return the raw reply."""
+
+    async def send():
+        reader, writer = await asyncio.open_connection(live.host, live.port)
+        writer.write(request)
+        await writer.drain()
+        raw = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return raw
+
+    return asyncio.run(send())
+
+
 class TestOverlongLines:
     """A request or header line beyond the stream limit (64 KiB) is a
     structured 400, and the server keeps serving."""
-
-    @staticmethod
-    def raw_exchange(live, request):
-        async def send():
-            reader, writer = await asyncio.open_connection(live.host, live.port)
-            writer.write(request)
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return raw
-
-        return asyncio.run(send())
 
     @pytest.mark.parametrize(
         "request_bytes",
@@ -784,8 +832,37 @@ class TestOverlongLines:
         ids=["request-line", "header-line"],
     )
     def test_overlong_line_is_a_structured_400(self, live, request_bytes):
-        raw = self.raw_exchange(live, request_bytes)
+        raw = raw_exchange(live, request_bytes)
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
         assert "too long" in json.loads(body)["error"]
         assert call(live, lambda c: c.healthz())["status"] == "ok"
+
+
+class TestRequestFraming:
+    """Whatever bytes arrive, the request reader parses a request, sees
+    the connection end, or raises a structured error: nothing else
+    escapes to the connection callback."""
+
+    def test_malformed_target_is_a_structured_400(self, live):
+        raw = raw_exchange(live, b"GET http://[ HTTP/1.1\r\nConnection: close\r\n\r\n")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(body)["error"] == "malformed request target"
+        assert call(live, lambda c: c.healthz())["status"] == "ok"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(_REQUESTS, st.binary(max_size=64)), limit=st.sampled_from([32, 2**16]))
+    def test_arbitrary_bytes_parse_or_fail_structurally(self, data, limit):
+        async def read():
+            # A small stream limit also reaches the over-long-line path.
+            reader = asyncio.StreamReader(limit=limit)
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await HttpServer(None)._read_request(reader)
+
+        try:
+            request = asyncio.run(read())
+        except (HttpError, asyncio.IncompleteReadError):
+            return
+        assert request is None or isinstance(request, Request)
