@@ -25,8 +25,8 @@ The package layers, bottom-up:
   and detailed simulation,
 * :mod:`repro.metrics` — STP/ANTT, errors, confidence intervals,
   Spearman rank correlation,
-* :mod:`repro.engine` — the parallel experiment engine (job graphs,
-  serial/process-pool backends, persistent result cache),
+* :mod:`repro.engine` — the parallel experiment engine (job lists,
+  serial/process-pool/fleet backends, persistent result cache),
 * :mod:`repro.experiments` — one harness per paper table/figure.
 
 Quick start::

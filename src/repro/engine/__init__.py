@@ -1,16 +1,17 @@
 """The parallel experiment engine.
 
 The engine turns an experiment campaign — thousands of independent
-profile / reference-simulation / MPPM-prediction units — into a
-:class:`JobGraph` executed by an :class:`Executor` on an
-interchangeable backend (:class:`SerialBackend` or
-:class:`ProcessPoolBackend`), through a persistent :class:`ResultCache`
-keyed by content hashes of everything a result depends on.
+profile / reference-simulation / MPPM-prediction units — into flat
+lists of :class:`Job` objects executed by an :class:`Executor` on an
+interchangeable backend (:class:`SerialBackend`,
+:class:`ProcessPoolBackend` or a fleet), through a persistent
+:class:`ResultCache` keyed by content hashes of everything a result
+depends on.
 
 Guarantees:
 
 * **Determinism** — results are ordered by job submission order, never
-  completion order; a serial and a parallel run of the same graph are
+  completion order; a serial and a parallel run of the same jobs are
   bit-identical.
 * **Memoisation** — cached results are returned without recomputation,
   within a process and (with a cache directory) across processes.
@@ -28,13 +29,11 @@ from typing import Optional, Union
 from repro.engine.backends import ExecutorBackend, ProcessPoolBackend, SerialBackend
 from repro.engine.cache import MISS, ResultCache, content_key, register_result_type
 from repro.engine.executor import Executor
-from repro.engine.job import Job, JobGraph, JobGraphError
+from repro.engine.job import Job
 from repro.engine.progress import CollectingReporter, ConsoleReporter, ProgressReporter
 
 __all__ = [
     "Job",
-    "JobGraph",
-    "JobGraphError",
     "ExecutorBackend",
     "SerialBackend",
     "ProcessPoolBackend",

@@ -3,7 +3,7 @@
 Both backends take a list of jobs and return their results **in
 submission order**, regardless of completion order, so that everything
 downstream of the engine is deterministic and a serial run and a
-parallel run of the same graph are bit-identical.
+parallel run of the same jobs are bit-identical.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class ProcessPoolBackend(ExecutorBackend):
 
     The pool is created lazily on the first parallel batch, and its
     workers are always *forked* (whatever the platform's default start
-    method): they therefore inherit every side effect of earlier
-    *local* jobs — most importantly a warm profile store — for free.
+    method): they therefore inherit the submitting process's state at
+    that moment — most importantly a warm profile store — for free.
     Results are gathered in submission order, so completion-order races
     cannot reorder anything.
     """

@@ -1,29 +1,29 @@
-"""The executor: graphs in, deterministically ordered results out.
+"""The executor: job lists in, deterministically ordered results out.
 
 The executor ties together the four engine pieces: it resolves jobs
-against the :class:`~repro.engine.cache.ResultCache`, prunes optional
-warm-up jobs nobody needs, runs the remaining waves on the configured
-backend (deduplicating identical work within a wave), stores fresh
-results back into the cache, and reports progress throughout.
+against the :class:`~repro.engine.cache.ResultCache`, runs the rest on
+the configured backend in one call (deduplicating identical work by
+content key), stores fresh results back into the cache, and reports
+progress throughout.
 
 Execution is deterministic by construction: results are keyed and
 ordered by job submission order, never by completion order, so a
-serial run and a parallel run of the same graph produce bit-identical
+serial run and a parallel run of the same jobs produce bit-identical
 result sequences.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.engine.backends import ExecutorBackend, SerialBackend
 from repro.engine.cache import MISS, ResultCache
-from repro.engine.job import Job, JobGraph
+from repro.engine.job import Job
 from repro.engine.progress import ProgressReporter
 
 
 class Executor:
-    """Runs job graphs on a backend, through an optional result cache.
+    """Runs job lists on a backend, through an optional result cache.
 
     Parameters
     ----------
@@ -50,47 +50,51 @@ class Executor:
         """Worker count of the backend (1 for serial execution)."""
         return self.backend.jobs
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
+    def run(self, jobs: Iterable[Job]) -> Dict[str, Any]:
+        """Execute independent jobs; returns ``{job key: result}`` in submission order.
 
-    def run(self, graph: Union[JobGraph, Iterable[Job]]) -> Dict[str, Any]:
-        """Execute a graph; returns ``{job key: result}`` in submission order.
-
-        Optional (warm-up) jobs that were skipped do not appear in the
-        result mapping.
+        Cache hits are returned without running; of several uncached
+        jobs with one content key only the first runs, and the others
+        share its result.  Everything else goes to the backend in one
+        call.
         """
-        if not isinstance(graph, JobGraph):
-            graph = JobGraph(graph)
-        waves = graph.waves()
-
-        self.reporter.on_start(len(graph))
+        jobs = list(jobs)
+        if len({job.key for job in jobs}) != len(jobs):
+            raise ValueError("job keys must be unique within one run")
+        self.reporter.on_start(len(jobs))
         results: Dict[str, Any] = {}
-        cached_keys = self._resolve_from_cache(graph, results)
-        skipped_jobs = self._prune_optional(graph, cached_keys)
-        skipped = {job.key for job in skipped_jobs}
-        for job in skipped_jobs:
-            self.reporter.on_job(job, "skipped")
+        representatives: List[Job] = []
+        aliases: Dict[str, List[Job]] = {}
+        seen: Dict[str, Job] = {}
+        for job in jobs:
+            if job.cache_key is not None:
+                value = MISS if self.cache is None else self.cache.get(job.cache_key)
+                if value is not MISS:
+                    results[job.key] = value
+                    self.reporter.on_job(job, "cached")
+                    continue
+                if job.cache_key in seen:
+                    aliases.setdefault(seen[job.cache_key].key, []).append(job)
+                    continue
+                seen[job.cache_key] = job
+            representatives.append(job)
 
-        for wave in waves:
-            pending = [job for job in wave if job.key not in results and job.key not in skipped]
-            self._run_wave(pending, results)
+        for job, value in zip(representatives, self.backend.run(representatives)):
+            results[job.key] = value
+            self.store(job.cache_key, value)
+            self.reporter.on_job(job, "done")
+            for alias in aliases.get(job.key, ()):
+                results[alias.key] = value
+                self.reporter.on_job(alias, "shared")
         self.reporter.on_finish()
-
-        # Deterministic ordering: submission order of the graph.
-        return {job.key: results[job.key] for job in graph if job.key in results}
-
-    def map(self, jobs: Sequence[Job]) -> List[Any]:
-        """Run independent jobs; results in the order the jobs were given."""
-        results = self.run(JobGraph(jobs))
-        return [results[job.key] for job in jobs]
+        return {job.key: results[job.key] for job in jobs}
 
     def is_cached(self, cache_key: Optional[str]) -> bool:
         """Whether a content key would hit the result cache (no side effects)."""
         return cache_key is not None and self.cache is not None and cache_key in self.cache
 
     def store(self, cache_key: Optional[str], value: Any) -> None:
-        """Store one result under a content key, as :meth:`run` would have.
+        """Store one result under a content key, as :meth:`run` does for a job.
 
         Batch jobs compute many logical results in one task; the caller
         scatters them and stores each under the per-result key it would
@@ -118,91 +122,3 @@ class Executor:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Internal phases
-    # ------------------------------------------------------------------
-
-    def _resolve_from_cache(self, graph: JobGraph, results: Dict[str, Any]) -> set:
-        """Fill ``results`` with cache hits; returns the hit keys."""
-        hits: set = set()
-        if self.cache is None:
-            return hits
-        for job in graph:
-            if job.cache_key is None:
-                continue
-            value = self.cache.get(job.cache_key)
-            if value is not MISS:
-                results[job.key] = value
-                hits.add(job.key)
-                self.reporter.on_job(job, "cached")
-        return hits
-
-    def _prune_optional(self, graph: JobGraph, cached: set) -> List[Job]:
-        """Optional jobs are dropped when no surviving job depends on them.
-
-        A fully warm cache therefore performs *zero* computation: the
-        mix jobs resolve from the cache and the profile warm-up wave is
-        skipped entirely.
-        """
-        optional = [job for job in graph if job.optional and job.key not in cached]
-        if not optional:
-            return []
-        needed: set = set()
-        for job in graph:
-            if job.key in cached or job.optional:
-                continue
-            stack = list(job.deps)
-            while stack:
-                dep = stack.pop()
-                if dep in needed:
-                    continue
-                needed.add(dep)
-                stack.extend(graph.job(dep).deps)
-        return [job for job in optional if job.key not in needed]
-
-    def _run_wave(self, wave: Sequence[Job], results: Dict[str, Any]) -> None:
-        if not wave:
-            return
-        # Re-check the cache: an earlier wave may have stored a result
-        # under the same content key (repeated mixes across trials).
-        pending: List[Job] = []
-        for job in wave:
-            if self.cache is not None and job.cache_key is not None:
-                value = self.cache.get(job.cache_key)
-                if value is not MISS:
-                    results[job.key] = value
-                    self.reporter.on_job(job, "cached")
-                    continue
-            pending.append(job)
-
-        # Deduplicate identical work within the wave by content key.
-        representatives: List[Job] = []
-        aliases: Dict[str, List[Job]] = {}
-        seen: Dict[str, Job] = {}
-        for job in pending:
-            if job.cache_key is not None and job.cache_key in seen:
-                aliases.setdefault(seen[job.cache_key].key, []).append(job)
-                continue
-            if job.cache_key is not None:
-                seen[job.cache_key] = job
-            representatives.append(job)
-
-        local = [job for job in representatives if job.local]
-        pooled = [job for job in representatives if not job.local]
-        # Local (warm-up) jobs run first so a lazily forked pool
-        # inherits their side effects.
-        local_results = SerialBackend().run(local)
-        pooled_results = self.backend.run(pooled)
-
-        for job, value in zip(local + pooled, local_results + pooled_results):
-            self._record(job, value, results)
-            for alias in aliases.get(job.key, ()):
-                results[alias.key] = value
-                self.reporter.on_job(alias, "shared")
-
-    def _record(self, job: Job, value: Any, results: Dict[str, Any]) -> None:
-        results[job.key] = value
-        if self.cache is not None and job.cache_key is not None:
-            self.cache.put(job.cache_key, value)
-        self.reporter.on_job(job, "done")

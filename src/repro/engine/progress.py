@@ -2,10 +2,9 @@
 
 The executor reports every job's fate through a
 :class:`ProgressReporter`: ``"done"`` (computed), ``"cached"`` (served
-from the result cache), ``"shared"`` (deduplicated against an identical
-job in the same wave) or ``"skipped"`` (an optional warm-up job that no
-surviving job needed).  Reporters are deliberately tiny — the CLI uses
-:class:`ConsoleReporter` for a live job counter, tests use
+from the result cache) or ``"shared"`` (deduplicated against an
+identical job of the same run).  Reporters are deliberately tiny — the
+CLI uses :class:`ConsoleReporter` for a live job counter, tests use
 :class:`CollectingReporter` to assert engine behaviour.
 """
 
@@ -61,23 +60,19 @@ class ConsoleReporter(ProgressReporter):
         self._total = 0
         self._done = 0
         self._cached = 0
-        self._skipped = 0
         self._started_at = 0.0
 
     def on_start(self, total_jobs: int) -> None:
         self._total = total_jobs
-        self._done = self._cached = self._skipped = 0
+        self._done = self._cached = 0
         self._started_at = time.perf_counter()
 
     def on_job(self, job: Job, status: str) -> None:
         self._done += 1
         if status == "cached":
             self._cached += 1
-        elif status == "skipped":
-            self._skipped += 1
         self.stream.write(
-            f"\r[{self.label}] {self._done}/{self._total} jobs "
-            f"({self._cached} cached, {self._skipped} skipped)"
+            f"\r[{self.label}] {self._done}/{self._total} jobs ({self._cached} cached)"
         )
         self.stream.flush()
 
@@ -85,6 +80,6 @@ class ConsoleReporter(ProgressReporter):
         elapsed = time.perf_counter() - self._started_at
         self.stream.write(
             f"\r[{self.label}] {self._done}/{self._total} jobs "
-            f"({self._cached} cached, {self._skipped} skipped) in {elapsed:.1f}s\n"
+            f"({self._cached} cached) in {elapsed:.1f}s\n"
         )
         self.stream.flush()

@@ -1,11 +1,12 @@
 """Distributed sweep engine: a multi-host fleet behind the backend seam.
 
 The engine's :class:`~repro.engine.executor.Executor` already hides
-Serial vs ProcessPool behind one Job/JobGraph contract; this package
-adds the third backend — a *fleet* of worker hosts — with the
-content-hash :class:`~repro.engine.cache.ResultCache` as the shared
-dedup layer, so no host ever recomputes another host's job and any
-backend produces the same bytes.
+Serial vs ProcessPool behind one contract (a list of jobs in, results
+in submission order out); this package adds the third backend — a
+*fleet* of worker hosts — with the content-hash
+:class:`~repro.engine.cache.ResultCache` as the shared dedup layer, so
+no host ever recomputes another host's job and any backend produces
+the same bytes.
 
 * :mod:`repro.engine.remote.spec` — ``fleet:`` spec strings
 * :mod:`repro.engine.remote.protocol` — pickled jobs out, registry
@@ -30,7 +31,6 @@ from repro.engine.remote.launch import WorkerHandle, launch_local_workers, launc
 from repro.engine.remote.protocol import decode_job, decode_result, encode_job, encode_result
 from repro.engine.remote.spec import (
     DEFAULT_JOB_TIMEOUT,
-    FleetSpec,
     is_fleet_spec,
     normalize_fleet_flag,
     parse_fleet_spec,
@@ -40,7 +40,6 @@ from repro.engine.remote.worker import ANNOUNCE_PREFIX, FleetWorker, run_worker,
 __all__ = [
     "FleetBackend",
     "FleetWorker",
-    "FleetSpec",
     "FleetError",
     "FleetJobError",
     "FleetProtocolError",

@@ -1,4 +1,4 @@
-"""The fleet backend: JobGraph waves fanned across worker hosts.
+"""The fleet backend: job lists fanned across worker hosts.
 
 :class:`FleetBackend` is the third :class:`ExecutorBackend` — the
 executor above it is unchanged, so everything the engine guarantees
@@ -6,8 +6,8 @@ executor above it is unchanged, so everything the engine guarantees
 harvesting into the driver's :class:`ResultCache` after) holds for a
 fleet exactly as for a process pool.  What the backend adds:
 
-* **Cache-aware dispatch.**  Before shipping a wave, the driver asks
-  every worker which of the wave's content-hash keys it already holds
+* **Cache-aware dispatch.**  Before shipping a job list, the driver asks
+  every worker which of its content-hash keys it already holds
   (``POST /cache/query``) and *pins* those jobs to the holding worker,
   whose ``/run`` answers from its cache — no host ever recomputes
   another host's job.  (Jobs the *driver's* cache holds never reach
@@ -25,14 +25,14 @@ fleet exactly as for a process pool.  What the backend adds:
   thread — one code path for every way a worker can die.
 
 Results are collected by submission index, so a fleet run is
-bit-identical to a serial run of the same wave.
+bit-identical to a serial run of the same jobs.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.engine.backends import ExecutorBackend
 from repro.engine.job import Job
@@ -45,7 +45,7 @@ from repro.engine.remote.errors import (
 )
 from repro.engine.remote.launch import WorkerHandle, launch_local_workers, launch_ssh_workers
 from repro.engine.remote.protocol import decode_result, encode_job
-from repro.engine.remote.spec import FleetSpec, parse_fleet_spec
+from repro.engine.remote.spec import parse_fleet_spec
 
 _UNSET = object()
 
@@ -88,7 +88,7 @@ class FleetBackend(ExecutorBackend):
     Parameters
     ----------
     spec:
-        A ``fleet:`` spec string or parsed :class:`FleetSpec`.
+        A ``fleet:`` spec string (see :mod:`repro.engine.remote.spec`).
     cache_dir:
         The driver's campaign cache directory; loopback workers share
         it, making the on-disk content-hash cache the fleet-wide dedup
@@ -100,14 +100,14 @@ class FleetBackend(ExecutorBackend):
 
     def __init__(
         self,
-        spec: Union[str, FleetSpec],
+        spec: str,
         cache_dir: Optional[str] = None,
         heartbeat_interval: float = 2.0,
         max_missed_heartbeats: int = 3,
     ) -> None:
         self.spec = parse_fleet_spec(spec)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.job_timeout = self.spec.job_timeout
+        self.job_timeout = self.spec.params["timeout"]
         self.heartbeat_interval = heartbeat_interval
         self.max_missed_heartbeats = max_missed_heartbeats
         self._lock = threading.Lock()
@@ -127,17 +127,17 @@ class FleetBackend(ExecutorBackend):
     # ------------------------------------------------------------------
 
     def _start_workers(self) -> None:
-        spec = self.spec
-        if spec.kind == "localhost":
-            handles = launch_local_workers(spec.count, cache_dir=self.cache_dir)
-        elif spec.kind == "ssh":
+        family, head = self.spec.family, self.spec.head
+        if family == "localhost":
+            handles = launch_local_workers(head, cache_dir=self.cache_dir)
+        elif family == "ssh":
             handles = launch_ssh_workers(
-                list(spec.hosts), python=spec.python, cache_dir=self.cache_dir
+                list(head), python=self.spec.params["python"], cache_dir=self.cache_dir
             )
         else:  # attach
             handles = [
                 WorkerHandle(url=f"http://{endpoint}", tag=f"attach-{index}")
-                for index, endpoint in enumerate(spec.hosts)
+                for index, endpoint in enumerate(head)
             ]
         self._slots = [_WorkerSlot(handle, self.job_timeout) for handle in handles]
         unreachable = []

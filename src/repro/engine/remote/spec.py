@@ -23,11 +23,8 @@ the shared one of :mod:`repro.specs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple, Union
-
 from repro.engine.remote.errors import FleetSpecError
-from repro.specs import Endpoints, Family, Grammar, Hosts, Integer, Param, Seconds, Text
+from repro.specs import Endpoints, Family, Grammar, Hosts, Integer, Param, ParsedSpec, Seconds, Text
 
 PREFIX = "fleet:"
 
@@ -74,41 +71,12 @@ def normalize_fleet_flag(value: str) -> str:
     return parse_fleet_spec(spec).canonical
 
 
-@dataclass(frozen=True)
-class FleetSpec:
-    """A parsed fleet spec.
+def parse_fleet_spec(spec: str) -> ParsedSpec:
+    """Parse a ``fleet:`` spec string.
 
-    ``kind`` is ``"localhost"`` / ``"ssh"`` / ``"attach"``; ``count``
-    is the loopback worker count (0 otherwise); ``hosts`` holds ssh
-    host names or ``host:port`` endpoints for ``attach``.
+    ``family`` is the worker source (``"localhost"`` / ``"ssh"`` /
+    ``"attach"``); ``head`` is the loopback worker count, the ssh host
+    names or the ``host:port`` endpoints; ``params`` holds ``timeout``
+    and, for ``ssh``, ``python``.
     """
-
-    kind: str
-    canonical: str
-    count: int = 0
-    hosts: Tuple[str, ...] = field(default=())
-    job_timeout: float = DEFAULT_JOB_TIMEOUT
-    python: str = "python3"
-
-    @property
-    def num_workers(self) -> int:
-        return self.count if self.kind == "localhost" else len(self.hosts)
-
-    def __str__(self) -> str:
-        return self.canonical
-
-
-def parse_fleet_spec(spec: Union[str, "FleetSpec"]) -> FleetSpec:
-    """Parse a ``fleet:`` spec string into a :class:`FleetSpec`."""
-    if isinstance(spec, FleetSpec):
-        return spec
-    parsed = _SPECS.parse(spec)
-    localhost = parsed.family == "localhost"
-    return FleetSpec(
-        kind=parsed.family,
-        canonical=parsed.canonical,
-        count=parsed.head if localhost else 0,
-        hosts=() if localhost else parsed.head,
-        job_timeout=parsed.params["timeout"],
-        python=parsed.params.get("python", "python3"),
-    )
+    return _SPECS.parse(spec)

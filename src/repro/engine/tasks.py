@@ -7,9 +7,9 @@ every task carries the setup's *recipe* — its token, its
 :class:`ExperimentConfig`, its suite, its workload spec string and its
 cache directory — and resolves it through a per-process registry:
 
-* in the submitting process (serial backend, local jobs) the token maps
-  to the live setup, so in-memory caches keep working exactly as for
-  the inline code paths;
+* in the submitting process (serial backend) the token maps to the
+  live setup, so in-memory caches keep working exactly as for the
+  inline code paths;
 * in a forked pool worker the registry — including the live setup and
   every profile it had already computed — is inherited at fork time;
 * in a fleet worker (forked loopback workers first drop what they
@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config.machine import MachineConfig
     from repro.core.result import MixPrediction
     from repro.experiments.setup import ExperimentConfig, ExperimentSetup
-    from repro.profiling.profile import SingleCoreProfile
     from repro.profiling.profiler import ProfileBundle
     from repro.simulators.multi_core import MultiCoreRunResult
     from repro.workloads.benchmark import BenchmarkSpec
@@ -113,19 +112,6 @@ def reconstructed_store_stats() -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def profile_task(
-    token: str,
-    config: "ExperimentConfig",
-    suite: "BenchmarkSuite",
-    workload_spec: str,
-    cache_dir: Optional[str],
-    spec: "BenchmarkSpec",
-    machine: "MachineConfig",
-) -> "SingleCoreProfile":
-    setup = _resolve_setup(token, config, suite, workload_spec, cache_dir)
-    return setup.store.get_profile(spec, machine)
-
-
 def profile_bundle_task(
     token: str,
     config: "ExperimentConfig",
@@ -137,11 +123,10 @@ def profile_bundle_task(
 ) -> "ProfileBundle":
     """Profile one benchmark on several machines; return its :class:`ProfileBundle`.
 
-    Unlike :func:`profile_task` — whose point is the *side effect* of a
-    warm store in the executing process — this task returns everything
-    the submitting process needs to adopt the profiles into its own
-    store (:meth:`ProfileStore.absorb`), so the one-time profiling cost
-    itself can fan out over pool workers.  One task covers all of a
+    The bundle holds everything the submitting process needs to adopt
+    the profiles into its own store (:meth:`ProfileStore.absorb`), so
+    the one-time profiling cost itself can fan out over pool workers
+    before a sweep's jobs run.  One task covers all of a
     benchmark's machines, so the trace and the private replay are paid
     once per benchmark (:meth:`ProfileStore.get_many`); the bundle
     carries that stage-1 result too, so no later LLC pays them again.
@@ -224,29 +209,6 @@ def _config_parts(setup: "ExperimentSetup") -> Tuple:
     )
 
 
-def profile_job(
-    setup: "ExperimentSetup",
-    spec: "BenchmarkSpec",
-    machine: "MachineConfig",
-    key: Optional[str] = None,
-    optional: bool = False,
-) -> Job:
-    """Warm the profile store for one (benchmark, machine) pair.
-
-    Profile persistence is handled by the :class:`ProfileStore` itself,
-    so the job carries no result-cache key; it runs locally so forked
-    pool workers inherit the warm store.
-    """
-    return Job(
-        key=key if key is not None else f"profile:{machine.profile_key()}:{spec.name}",
-        fn=profile_task,
-        args=_recipe(setup) + (spec, machine),
-        kind="profile",
-        local=True,
-        optional=optional,
-    )
-
-
 def profile_bundle_job(
     setup: "ExperimentSetup",
     spec: "BenchmarkSpec",
@@ -267,14 +229,12 @@ def simulate_job(
     mix: "WorkloadMix",
     machine: "MachineConfig",
     key: str,
-    deps: Tuple[str, ...] = (),
 ) -> Job:
     """Reference-simulate one mix on one machine (result-cached)."""
     return Job(
         key=key,
         fn=simulate_task,
         args=_recipe(setup) + (mix, machine),
-        deps=deps,
         kind="simulate",
         cache_key=content_key(
             "simulate",
@@ -291,8 +251,8 @@ def predict_job(
     mix: "WorkloadMix",
     machine: "MachineConfig",
     key: str,
-    deps: Tuple[str, ...] = (),
     predictor: Optional[str] = None,
+    cache_key: Optional[str] = None,
 ) -> Job:
     """Predict one mix on one machine with one registry predictor.
 
@@ -300,20 +260,22 @@ def predict_job(
     ``mppm:foa``); the cache key covers ``(spec, mix, machine)`` plus
     the setup recipe, so heterogeneous predictor sweeps cache and
     parallelise through the same :class:`ResultCache`/process pool as
-    homogeneous ones.  A ``detailed``-spec job is labelled
-    ``kind="simulate"`` because it replays LLC traces — the parallel
-    warm-up phase uses the kind to decide what to pre-compute.
+    homogeneous ones.  A caller that already hashed the key
+    (:func:`predict_cache_key`) passes it as ``cache_key``.  A
+    ``detailed``-spec job is labelled ``kind="simulate"`` because it
+    replays LLC traces.
     """
     from repro.predictors import DEFAULT_PREDICTOR, canonical_spec, predictor_requires_traces
 
     spec = canonical_spec(predictor if predictor is not None else DEFAULT_PREDICTOR)
+    if cache_key is None:
+        cache_key = predict_cache_key(setup, spec, mix, machine)
     return Job(
         key=key,
         fn=predict_task,
         args=_recipe(setup) + (spec, mix, machine),
-        deps=deps,
         kind="simulate" if predictor_requires_traces(spec) else "predict",
-        cache_key=predict_cache_key(setup, spec, mix, machine),
+        cache_key=cache_key,
     )
 
 
@@ -343,7 +305,6 @@ def predict_mppm_batch_job(
     setup: "ExperimentSetup",
     items: Tuple[Tuple["WorkloadMix", "MachineConfig"], ...],
     key: str,
-    deps: Tuple[str, ...] = (),
     predictor: str = "mppm:foa",
 ) -> Job:
     """Batch-solve many (mix, machine) pairs of one ``mppm:*`` spec.
@@ -356,7 +317,6 @@ def predict_mppm_batch_job(
         key=key,
         fn=predict_mppm_batch_task,
         args=_recipe(setup) + (predictor, tuple(items)),
-        deps=deps,
         kind="predict",
         cache_key=None,
     )

@@ -139,7 +139,7 @@ def accuracy_experiment(
     what the iterative entanglement buys.
 
     All core counts and predictors are submitted to the engine as one
-    job graph (the reference simulation of each mix is shared by every
+    sweep (the reference simulation of each mix is shared by every
     predictor), so a parallel setup overlaps the whole sweep.
     """
     if not predictors:

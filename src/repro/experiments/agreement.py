@@ -202,7 +202,7 @@ def agreement_experiment(
     )
 
     # The reference sweep and every current-practice trial go through
-    # the engine as one detailed-simulation job graph.
+    # the engine as one detailed-simulation sweep.
     per_category = max(1, mixes_per_trial // len(BenchmarkClass))
     simulated_mix_sets = [setup.mixes(num_cores, reference_mixes, seed=seed)]
     labels = ["reference"]

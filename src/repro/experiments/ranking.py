@@ -171,7 +171,7 @@ def _evaluate_mix_sets(
     labels: Sequence[str],
     predictors: Sequence[str],
 ) -> List[DesignSpaceScores]:
-    """Score several (mix set, predictor) sweeps over the design space in ONE job graph.
+    """Score several (mix set, predictor) sweeps over the design space through ONE engine sweep.
 
     ``predictors[k]`` is the registry spec that evaluates
     ``mix_sets[k]`` (``"detailed"`` for reference/trial sweeps,

@@ -15,13 +15,13 @@ takes ``(predictor spec, mix, machine)`` triples,
 :meth:`~ExperimentSetup.simulate_batch` takes ``(mix, machine)`` pairs
 and returns the raw reference runs, and
 :meth:`~ExperimentSetup.evaluate_predictors` pairs several specs with
-one shared reference sweep.  Each sweep is one job graph (a local
-profile warm-up wave followed by one independent job per mix) run on
-the setup's executor.  With the default serial backend this behaves
-exactly like inline loops; with ``jobs=N`` the mix jobs fan out over a
-process pool, and with ``cache_dir`` set both profiles and mix results
-persist across processes — serial and parallel runs are bit-identical
-either way.
+one shared reference sweep.  Each sweep is one flat list of
+independent jobs run on the setup's executor in one call.  With the
+default serial backend this behaves exactly like inline loops, each
+job profiling what it needs; with ``jobs=N`` a profile step first fans
+the missing profiles out over the workers, then the jobs do, and with
+``cache_dir`` set both profiles and mix results persist across
+processes — serial and parallel runs are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.config import MachineConfig, llc_design_space, machine_with_llc, scaled
 from repro.core import MPPM, MPPM_KERNELS
 from repro.core.result import MixPrediction
-from repro.engine import Executor, JobGraph, create_engine
+from repro.engine import Executor, Job, create_engine
 from repro.engine import tasks as engine_tasks
 from repro.predictors import (
     DEFAULT_PREDICTOR,
@@ -68,9 +68,12 @@ PredictJob = Tuple[str, WorkloadMix, MachineConfig]
 #: ``(op indices, per-op cache key)`` entries, in item order.
 BatchScatter = Dict[str, List[Tuple[List[int], str]]]
 
-#: Sentinel op for "run the raw reference simulator" in a sweep graph
+#: Sentinel op for "run the raw reference simulator" in a sweep
 #: (returns a MultiCoreRunResult rather than a MixPrediction).
 _SIMULATE = "simulate"
+
+#: The ops that run as reference-simulation jobs (and need LLC traces).
+_SIMULATES = (_SIMULATE, "detailed")
 
 
 @dataclass(frozen=True)
@@ -306,8 +309,8 @@ class ExperimentSetup:
     # Bulk evaluation through the engine
     # ------------------------------------------------------------------
 
-    def _sweep_graph(self, ops: Sequence[PredictJob]) -> Tuple[JobGraph, "BatchScatter"]:
-        """One graph for a sweep: a profile warm-up wave, then mix jobs.
+    def _sweep_jobs(self, ops: Sequence[PredictJob]) -> Tuple[List[Job], "BatchScatter"]:
+        """One sweep as a flat job list: per-op jobs, then batched MPPM jobs.
 
         Each op is ``(spec, mix, machine)`` where ``spec`` is a
         predictor spec or the ``"simulate"`` sentinel for the raw
@@ -315,12 +318,8 @@ class ExperimentSetup:
         ``detailed`` ops run as simulate jobs (their expensive part IS
         the reference simulation, and this shares one cache entry with
         every other reference run of the pair); :meth:`_run_ops`
-        repackages their results as predictions.  The warm-up wave
-        covers every (benchmark, machine) pair the sweep touches, runs
-        locally (so forked pool workers inherit the warm profile store)
-        and is optional (skipped when every mix job is served from the
-        result cache, and left out when nothing simulates and the store
-        holds every profile: a warm predict-only sweep is one wave).
+        repackages their results as predictions.  Jobs profile what
+        they need lazily, through the setup's :class:`ProfileStore`.
 
         Uncached ``mppm:*`` ops do not become per-op jobs: they are
         deduplicated by per-op cache key and packed into at most
@@ -332,41 +331,16 @@ class ExperimentSetup:
         can fan the list result back out and store every prediction
         under the key an individual job would have used.  Cached
         ``mppm:*`` ops keep per-op jobs (which resolve from the cache
-        without computing anything).
+        without computing anything), built on the key hashed here.
         """
-        # profile job key -> (benchmark, machine) of a pair the sweep touches
-        pairs: Dict[str, Tuple[str, MachineConfig]] = {}
-        # (machine profile key, programs) -> the profile jobs its ops depend on
-        deps_by_pair: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
-        op_deps: List[Tuple[str, ...]] = []
-        for _, mix, machine in ops:
-            machine_key = machine.profile_key()
-            deps = deps_by_pair.get((machine_key, mix.programs))
-            if deps is None:
-                names = sorted(set(mix.programs))
-                deps = tuple(f"profile:{machine_key}:{name}" for name in names)
-                for key, name in zip(deps, names):
-                    pairs.setdefault(key, (name, machine))
-                deps_by_pair[(machine_key, mix.programs)] = deps
-            op_deps.append(deps)
-        # Simulations need the wave's LLC traces, predictions only missing profiles.
-        if any(spec in (_SIMULATE, "detailed") for spec, _, _ in ops) or not all(
-            self.store.has(self.suite[name], machine) for name, machine in pairs.values()
-        ):
-            graph = JobGraph(
-                engine_tasks.profile_job(self, self.suite[name], machine, key=key, optional=True)
-                for key, (name, machine) in pairs.items()
-            )
-        else:
-            graph, op_deps = JobGraph(), [()] * len(ops)
-        # spec -> per-op cache key -> ([op indices], (mix, machine), deps)
-        batchable: Dict[str, Dict[str, Tuple[List[int], MixJob, Tuple[str, ...]]]] = {}
-        for i, ((spec, mix, machine), deps) in enumerate(zip(ops, op_deps)):
-            if spec in (_SIMULATE, "detailed"):
-                graph.add(
-                    engine_tasks.simulate_job(self, mix, machine, key=f"op:{i}", deps=deps)
-                )
+        jobs: List[Job] = []
+        # spec -> per-op cache key -> ([op indices], (mix, machine))
+        batchable: Dict[str, Dict[str, Tuple[List[int], MixJob]]] = {}
+        for i, (spec, mix, machine) in enumerate(ops):
+            if spec in _SIMULATES:
+                jobs.append(engine_tasks.simulate_job(self, mix, machine, key=f"op:{i}"))
                 continue
+            cache_key = None
             if spec.startswith("mppm:"):
                 cache_key = engine_tasks.predict_cache_key(self, spec, mix, machine)
                 if not self.engine.is_cached(cache_key):
@@ -374,11 +348,11 @@ class ExperimentSetup:
                     if cache_key in entries:
                         entries[cache_key][0].append(i)
                     else:
-                        entries[cache_key] = ([i], (mix, machine), deps)
+                        entries[cache_key] = ([i], (mix, machine))
                     continue
-            graph.add(
+            jobs.append(
                 engine_tasks.predict_job(
-                    self, mix, machine, key=f"op:{i}", deps=deps, predictor=spec
+                    self, mix, machine, key=f"op:{i}", predictor=spec, cache_key=cache_key
                 )
             )
         scatter: BatchScatter = {}
@@ -389,74 +363,63 @@ class ExperimentSetup:
             for chunk_number, start in enumerate(range(0, len(unique), chunk_size)):
                 chunk = unique[start : start + chunk_size]
                 job_key = f"batch:{spec}:{chunk_number}"
-                deps = tuple(
-                    sorted({dep for _, (_, _, item_deps) in chunk for dep in item_deps})
-                )
-                graph.add(
+                jobs.append(
                     engine_tasks.predict_mppm_batch_job(
                         self,
-                        items=tuple(item for _, (_, item, _) in chunk),
+                        items=tuple(item for _, (_, item) in chunk),
                         key=job_key,
-                        deps=deps,
                         predictor=spec,
                     )
                 )
-                scatter[job_key] = [
-                    (indices, cache_key) for cache_key, (indices, _, _) in chunk
-                ]
-        return graph, scatter
+                scatter[job_key] = [(indices, cache_key) for cache_key, (indices, _) in chunk]
+        return jobs, scatter
 
-    def _parallel_warm(self, graph: JobGraph) -> None:
-        """Fan the one-time profiling cost out over the worker pool.
+    def _warm_profiles(self, ops: Sequence[PredictJob], jobs: Sequence[Job]) -> None:
+        """Fan the one-time profiling cost out over the engine's workers.
 
-        The graph's own profile jobs are *local* (so forked workers
-        inherit the warm store), which serialises the dominant one-time
-        cost.  When the backend has real workers and at least one mix
-        job will actually run, this phase instead profiles every
-        missing (benchmark, machine) pair on the pool — one job per
-        benchmark — absorbs the returned bundles into the parent store,
-        and recycles the workers so the mix waves fork from the
-        now-warm parent.
+        When the backend has real workers, this step profiles every
+        (benchmark, machine) pair that an op still to be computed needs
+        and the store lacks — one job per benchmark, covering all of
+        its missing machines, so a worker pays the benchmark's trace
+        and private replay once — absorbs the returned bundles into
+        this process's store, and recycles the workers so the sweep's
+        jobs fork from the now-warm store.  Only ops that simulate need
+        the LLC trace; disk-cached artefacts settle a pair without any
+        simulation.  Serial and one-worker backends skip this step:
+        their jobs profile lazily through the same store.
         """
         if self.engine.jobs <= 1:
             return
-        uncached = [
-            job
-            for job in graph
-            if job.kind in ("predict", "simulate") and not self.engine.is_cached(job.cache_key)
-        ]
-        if not uncached:
-            return
-        # Which profile jobs do the surviving mix jobs depend on — and
-        # do any of them need the LLC trace (reference simulation) or
-        # just the profile (prediction)?  Disk-cached artefacts settle
-        # a pair without any simulation at all.
-        needs_profile = {dep for job in uncached for dep in job.deps}
-        needs_trace = {
-            dep for job in uncached if job.kind == "simulate" for dep in job.deps
-        }
-        # One warm-up job per benchmark, covering all of its missing
-        # machines: a worker then pays the benchmark's trace and private
-        # replay once, not once per machine.
-        needed: Dict[BenchmarkSpec, List[MachineConfig]] = {}
-        for job in graph:
-            if job.kind != "profile" or job.key not in needs_profile:
+        # An op is settled only by a per-op job the cache answers; a
+        # batched op has no job of its own and is always computed.
+        cached = {job.key for job in jobs if self.engine.is_cached(job.cache_key)}
+        # (benchmark, machine profile key) -> its first machine, and
+        # whether an op on it simulates
+        pairs: Dict[Tuple[str, str], MachineConfig] = {}
+        needs_trace: Dict[Tuple[str, str], bool] = {}
+        for i, (spec, mix, machine) in enumerate(ops):
+            if f"op:{i}" in cached:
                 continue
-            spec, machine = job.args[-2], job.args[-1]
+            machine_key = machine.profile_key()
+            for name in sorted(set(mix.programs)):
+                pair = (name, machine_key)
+                pairs.setdefault(pair, machine)
+                needs_trace[pair] = needs_trace.get(pair, False) or spec in _SIMULATES
+        needed: Dict[BenchmarkSpec, List[MachineConfig]] = {}
+        for pair, machine in pairs.items():
+            spec = self.suite[pair[0]]
             if self.store.has(spec, machine):
                 continue
-            if self.store.load_if_cached(spec, machine, trace=job.key in needs_trace):
+            if self.store.load_if_cached(spec, machine, trace=needs_trace[pair]):
                 continue
             needed.setdefault(spec, []).append(machine)
         if not needed:
             return
-        bundles = self.engine.map(
-            [
-                engine_tasks.profile_bundle_job(self, spec, machines, key=f"warm:{i}")
-                for i, (spec, machines) in enumerate(needed.items())
-            ]
+        bundles = self.engine.run(
+            engine_tasks.profile_bundle_job(self, spec, machines, key=f"warm:{i}")
+            for i, (spec, machines) in enumerate(needed.items())
         )
-        for (spec, machines), bundle in zip(needed.items(), bundles):
+        for (spec, machines), bundle in zip(needed.items(), bundles.values()):
             self.store.absorb(spec, machines, bundle)
         self.engine.refresh_workers()
 
@@ -468,7 +431,7 @@ class ExperimentSetup:
         hybrid spec's predicted worst-``K`` ops (lowest predicted system
         throughput; ties broken by op index, so serial and parallel
         runs pick identical mixes) are re-run as plain ``detailed`` ops
-        — through the same sweep graph, sharing job and cache entries
+        — through the same sweep path, sharing job and cache entries
         with every other detailed run of those (mix, machine) pairs.
         Every hybrid op's result is tagged with the hybrid spec.
         """
@@ -502,9 +465,9 @@ class ExperimentSetup:
         return out
 
     def _run_plain_ops(self, ops: Sequence[PredictJob]) -> List[object]:
-        """Run one sweep graph and return op results in input order.
+        """Run one sweep's jobs and return op results in input order.
 
-        ``detailed`` ops come back from the graph as raw
+        ``detailed`` ops come back from the engine as raw
         :class:`MultiCoreRunResult`\\ s (they share the reference
         simulation's job and cache entry) and are repackaged as
         predictions here.  Batched ``mppm:*`` jobs come back as lists;
@@ -513,9 +476,9 @@ class ExperimentSetup:
         result is labelled with its own op's machine name (cache keys
         leave the name out, see :func:`~repro.predictors.base.for_machine`).
         """
-        graph, scatter = self._sweep_graph(ops)
-        self._parallel_warm(graph)
-        results = self.engine.run(graph)
+        jobs, scatter = self._sweep_jobs(ops)
+        self._warm_profiles(ops, jobs)
+        results = self.engine.run(jobs)
         out: List[object] = [None] * len(ops)
         for job_key, entries in scatter.items():
             predictions = results[job_key]
@@ -548,7 +511,7 @@ class ExperimentSetup:
     def evaluate_predictors(
         self, pairs: Sequence[MixJob], predictors: Sequence[str]
     ) -> Dict[str, List["MixEvaluation"]]:
-        """Evaluate several predictors against the reference in ONE job graph.
+        """Evaluate several predictors against the reference in ONE sweep.
 
         Returns ``{spec: [MixEvaluation, ...]}`` with evaluations in
         pair order; the reference simulation of each pair is shared by

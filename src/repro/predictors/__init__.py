@@ -192,10 +192,9 @@ def lookup_spec(spec: str) -> str:
 def predictor_requires_traces(spec: str) -> bool:
     """Whether the predictor replays LLC access traces (vs. profiles only).
 
-    The engine's parallel warm-up phase uses this to decide whether a
-    disk-cached profile is enough or the full (profile, trace) bundle
-    must be simulated before mix jobs fan out.  ``hybrid:*`` needs
-    traces too: its spot-check stage runs the detailed simulator.
+    The engine labels a per-op job of such a predictor
+    ``kind="simulate"``.  ``hybrid:*`` needs traces too: its spot-check
+    stage runs the detailed simulator.
     """
     return _SPECS.parse(spec).family in ("detailed", "hybrid")
 

@@ -368,7 +368,7 @@ class PredictionService:
         """Execute one coalesced batch (on the event loop, one at a time).
 
         Ops are grouped by (workload setup, predictor) — each group
-        becomes one engine job graph via ``predictor_batch``, so a
+        becomes one engine sweep via ``predictor_batch``, so a
         homogeneous ``mppm:*`` group rides the batched solver as one
         mix-major pass — and results are reassembled in submission
         order.  Each group's size and wall-clock solve time feed the

@@ -3,8 +3,8 @@
 Concurrent ``POST /predict`` calls do not each walk into the engine on
 their own: the :class:`PredictionBatcher` hands everything pending to
 the app's batch runner as ONE heterogeneous op list, which the runner
-turns into a single engine :class:`~repro.engine.job.JobGraph`
-(``ExperimentSetup.predictor_batch``) called on the event loop: the
+turns into one engine sweep — a single flat job list
+(``ExperimentSetup.predictor_batch``) — called on the event loop: the
 engine is only ever entered from one thread, with no thread hop per
 request.  While a batch runs, every other request (``/healthz``
 included) waits for it; ``max_batch`` bounds that wait.
@@ -13,7 +13,7 @@ There is no batching timer.  A submission to an idle batcher flushes
 on the next event-loop turn, so a lone request waits for nothing, and
 the ops of one multi-mix request (submitted in the same turn) share
 that batch.  Whatever arrives while a batch runs becomes the next
-batch, so N clients waiting on one computation cost one graph, not N;
+batch, so N clients waiting on one computation cost one sweep, not N;
 ``max_batch`` caps a batch and the overflow runs next, with one loop
 turn in between for other connections.
 

@@ -8,11 +8,13 @@ experiment stack (at test scale):
 * **Memoisation** — a warm persistent :class:`ResultCache` answers a
   repeated sweep with *zero* recomputation (no profiling, no reference
   simulation, no MPPM iteration).
-* **Structure** — job graphs validate their dependencies and linearise
-  into deterministic waves; progress hooks see every job's fate.
+* **Structure** — one run takes a flat list of uniquely keyed jobs and
+  returns their results in submission order; progress hooks see every
+  job's fate.
 """
 
 import dataclasses
+import io
 import json
 
 import pytest
@@ -20,10 +22,9 @@ import pytest
 from repro.core.mppm import MPPM
 from repro.engine import (
     CollectingReporter,
+    ConsoleReporter,
     Executor,
     Job,
-    JobGraph,
-    JobGraphError,
     MISS,
     ProcessPoolBackend,
     ResultCache,
@@ -50,46 +51,6 @@ def engine_setup(**kwargs) -> ExperimentSetup:
 @pytest.fixture(scope="module")
 def mixes():
     return sample_mixes(small_suite(5).names, 2, 6, seed=3)
-
-
-# ---------------------------------------------------------------------------
-# Job graph structure
-# ---------------------------------------------------------------------------
-
-
-def _noop() -> None:
-    return None
-
-
-class TestJobGraph:
-    def test_duplicate_keys_rejected(self):
-        graph = JobGraph([Job(key="a", fn=_noop)])
-        with pytest.raises(JobGraphError):
-            graph.add(Job(key="a", fn=_noop))
-
-    def test_missing_dependency_rejected(self):
-        graph = JobGraph([Job(key="a", fn=_noop, deps=("ghost",))])
-        with pytest.raises(JobGraphError):
-            graph.waves()
-
-    def test_cycle_rejected(self):
-        graph = JobGraph(
-            [Job(key="a", fn=_noop, deps=("b",)), Job(key="b", fn=_noop, deps=("a",))]
-        )
-        with pytest.raises(JobGraphError):
-            graph.waves()
-
-    def test_waves_respect_dependencies_and_submission_order(self):
-        graph = JobGraph(
-            [
-                Job(key="c", fn=_noop, deps=("a", "b")),
-                Job(key="a", fn=_noop),
-                Job(key="b", fn=_noop),
-                Job(key="d", fn=_noop, deps=("c",)),
-            ]
-        )
-        waves = [[job.key for job in wave] for wave in graph.waves()]
-        assert waves == [["a", "b"], ["c"], ["d"]]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +260,6 @@ class TestResultCache:
         warm.evaluate_predictors(pairs, ["mppm:foa"])
         assert reporter.count("cached") == 2 * len(mixes)
         assert reporter.count("done") == 0
-        assert reporter.count("skipped") > 0  # the optional profile wave
         # Not even a disk profile was touched.
         assert warm.store.loaded_profiles == 0 and warm.store.simulated_profiles == 0
 
@@ -325,7 +285,14 @@ class TestExecutor:
     def test_results_keep_submission_order(self):
         jobs = [Job(key=f"j{i}", fn=_double, args=(i,)) for i in range(20)]
         with Executor(ProcessPoolBackend(2)) as executor:
-            assert executor.map(jobs) == [2 * i for i in range(20)]
+            results = executor.run(jobs)
+        assert list(results) == [job.key for job in jobs]
+        assert list(results.values()) == [2 * i for i in range(20)]
+
+    def test_duplicate_keys_rejected(self):
+        jobs = [Job(key="a", fn=_double, args=(1,)), Job(key="a", fn=_double, args=(2,))]
+        with pytest.raises(ValueError):
+            Executor(SerialBackend()).run(jobs)
 
     def test_pool_workers_inherit_state_set_after_import(self, monkeypatch):
         # Pool workers must be forked whatever the platform's default
@@ -333,11 +300,22 @@ class TestExecutor:
         # re-import this module and see the import-time value.
         monkeypatch.setitem(_PARENT_STATE, "value", "set by the parent")
         with Executor(ProcessPoolBackend(1)) as executor:
-            assert executor.map([Job(key="peek", fn=_read_parent_state)]) == [
-                "set by the parent"
-            ]
+            assert executor.run([Job(key="peek", fn=_read_parent_state)]) == {
+                "peek": "set by the parent"
+            }
 
-    def test_identical_cache_keys_are_deduplicated_within_a_wave(self):
+    def test_an_empty_run_starts_no_workers(self):
+        reporter = CollectingReporter()
+        backend = ProcessPoolBackend(2)
+        assert Executor(backend, reporter=reporter).run([]) == {}
+        assert backend._pool is None
+        assert reporter.total_jobs == 0 and reporter.finished
+
+    def test_jobs_are_flat_units_without_graph_fields(self):
+        fields = [field.name for field in dataclasses.fields(Job)]
+        assert fields == ["key", "fn", "args", "kwargs", "kind", "cache_key"]
+
+    def test_identical_cache_keys_are_deduplicated_within_a_run(self):
         reporter = CollectingReporter()
         executor = Executor(
             SerialBackend(), cache=ResultCache(), reporter=reporter
@@ -346,7 +324,7 @@ class TestExecutor:
             Job(key="first", fn=_double, args=(21,), cache_key="same"),
             Job(key="second", fn=_double, args=(21,), cache_key="same"),
         ]
-        results = executor.run(JobGraph(jobs))
+        results = executor.run(jobs)
         assert results == {"first": 42, "second": 42}
         assert reporter.count("done") == 1
         assert reporter.count("shared") == 1
@@ -354,10 +332,21 @@ class TestExecutor:
     def test_progress_reporter_sees_every_job(self):
         reporter = CollectingReporter()
         executor = Executor(SerialBackend(), reporter=reporter)
-        executor.map([Job(key=f"j{i}", fn=_double, args=(i,)) for i in range(5)])
+        executor.run([Job(key=f"j{i}", fn=_double, args=(i,)) for i in range(5)])
         assert reporter.total_jobs == 5
         assert reporter.count("done") == 5
         assert reporter.finished
+
+    def test_console_reporter_counts_cached_jobs(self):
+        stream = io.StringIO()
+        executor = Executor(
+            SerialBackend(), cache=ResultCache(), reporter=ConsoleReporter(stream, label="t")
+        )
+        executor.store("hit", 2)
+        executor.run(
+            [Job(key="a", fn=_double, args=(1,), cache_key="hit"), Job(key="b", fn=_double, args=(2,))]
+        )
+        assert stream.getvalue().split("\r")[-1].startswith("[t] 2/2 jobs (1 cached) in ")
 
     def test_create_engine_validates_jobs(self):
         with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ class TestFleetSpec:
     @pytest.mark.parametrize(
         "spec, expected",
         [
-            ("fleet:localhost:2", ("localhost", (), DEFAULT_JOB_TIMEOUT, "python3")),
+            ("fleet:localhost:2", ("localhost", 2, DEFAULT_JOB_TIMEOUT, "python3")),
             (
                 "fleet:ssh=host1,host2,python=python3.11",
                 ("ssh", ("host1", "host2"), DEFAULT_JOB_TIMEOUT, "python3.11"),
@@ -81,8 +81,8 @@ class TestFleetSpec:
     )
     def test_worker_sources(self, spec, expected):
         parsed = parse_fleet_spec(spec)
-        assert (parsed.kind, parsed.hosts, parsed.job_timeout, parsed.python) == expected
-        assert parsed.num_workers == 2
+        python = parsed.params.get("python", "python3")
+        assert (parsed.family, parsed.head, parsed.params["timeout"], python) == expected
 
     def test_cli_flag_accepts_bare_and_prefixed_forms(self):
         assert normalize_fleet_flag("localhost:2") == "fleet:localhost:2"
@@ -183,8 +183,8 @@ class TestLoopbackFleet:
             assert worker["tag"] and worker["url"].startswith("http://127.0.0.1:")
 
     def test_each_trace_is_generated_once_fleet_wide(self, serial, tmp_path):
-        # The warm-up wave splits the benchmarks across the workers; the
-        # simulate wave then loads every trace a worker did not profile
+        # The profile step splits the benchmarks across the workers; the
+        # simulate jobs then load every trace a worker did not profile
         # from the shared cache dir instead of regenerating it.
         setup = fleet_setup(jobs="fleet:localhost:2", cache_dir=tmp_path)
         try:
@@ -201,6 +201,26 @@ class TestLoopbackFleet:
         assert sum(worker["generated_traces"] for worker in workers) == len(benchmarks)
         assert sum(worker["simulated_profiles"] for worker in workers) == len(benchmarks)
         assert setup.store.generated_traces == 0
+        expected = serial.simulate_batch([(mix, serial.machine(num_cores=2)) for mix in mixes])
+        assert [run.to_dict() for run in runs] == [run.to_dict() for run in expected]
+
+    def test_a_one_worker_fleet_traces_each_benchmark_once_in_its_worker(self, serial):
+        # One worker and no cache dir: no profile step, and the driver
+        # must not profile either — the worker's jobs do it lazily.
+        setup = fleet_setup(jobs="fleet:localhost:1")
+        try:
+            machine = setup.machine(num_cores=2)
+            mixes = setup.mixes(2, 4, seed=11)
+            runs = setup.simulate_batch([(mix, machine) for mix in mixes])
+            (worker,) = [
+                WorkerClient(worker["url"]).stats()["store"]
+                for worker in setup.engine.backend.stats()["workers"]
+            ]
+        finally:
+            setup.close()
+        benchmarks = {name for mix in mixes for name in mix.programs}
+        assert worker["generated_traces"] == len(benchmarks)
+        assert setup.store.generated_traces == 0 and setup.store.simulated_profiles == 0
         expected = serial.simulate_batch([(mix, serial.machine(num_cores=2)) for mix in mixes])
         assert [run.to_dict() for run in runs] == [run.to_dict() for run in expected]
 
@@ -230,8 +250,8 @@ class TestLoopbackFleet:
             ]
             assert second == first
             # Every simulate job of the second driver was answered from
-            # a worker's cache (profile warm-up jobs carry no content
-            # key, so they are the only recomputation).
+            # a worker's cache (the profile step's bundle jobs carry no
+            # content key; the workers load those bundles from disk).
             assert backend.stats()["remote_cache_hits"] == len(mixes)
         finally:
             backend.close()
@@ -322,13 +342,13 @@ assert not (sys.stdout.line_buffering or sys.stdout.write_through)
 backend = FleetBackend("fleet:localhost:2")
 clients = [WorkerClient(slot.handle.url) for slot in backend._slots]
 before = [client.stats()["store"] for client in clients]
-[profile] = backend.run([tasks.profile_job(setup, spec, machine)])
+[bundle] = backend.run([tasks.profile_bundle_job(setup, spec, [machine], key="bundle")])
 after = [client.stats()["store"] for client in clients]
 backend.close()
 print(json.dumps({
     "before": before,
     "simulated_after": sum(store["simulated_profiles"] for store in after),
-    "profile_matches": profile.to_dict() == warm.to_dict(),
+    "profile_matches": bundle.profiled[0].profile.to_dict() == warm.to_dict(),
     "reaped": [slot.handle.process.poll() is not None for slot in backend._slots],
 }))
 """

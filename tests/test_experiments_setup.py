@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.config import machine_with_llc, scaled
+from repro.engine import tasks as engine_tasks
 from repro.experiments import ExperimentConfig, ExperimentSetup, default_setup
 from repro.simulators import MultiCoreSimulator
 from repro.workloads import BenchmarkClass, WorkloadMix, small_suite
@@ -235,81 +236,118 @@ class TestBatchedMppmSweeps:
             ]
 
 
-class TestSweepGraph:
-    """The job graph one sweep plans: a profile warm-up wave, then its ops."""
+class TestSweepJobs:
+    """A sweep is a profile step (only with real workers), then one flat job list."""
 
-    @pytest.fixture
-    def cold_setup(self):
-        """A fast setup whose store holds no profile yet (unlike ``small_setup`` by now)."""
-        return _small_setup()
+    @staticmethod
+    def _setup(**kwargs):
+        return ExperimentSetup(
+            config=ExperimentConfig(scale=16, num_instructions=30_000, interval_instructions=1_000),
+            suite=small_suite(6),
+            **kwargs,
+        )
 
-    def test_profile_jobs_are_planned_once_per_machine_and_benchmark(self, cold_setup):
-        machine = cold_setup.machine(num_cores=2)
+    @staticmethod
+    def _ops(setup):
+        """Simulate, detailed, baseline and MPPM ops on two LLCs, one machine renamed."""
+        machine = setup.machine(num_cores=2)
         renamed = dataclasses.replace(machine, name="renamed")  # same profile key
-        names = cold_setup.benchmark_names
+        large = setup.machine(num_cores=2, llc_config=6)
+        names = setup.benchmark_names
         mix = WorkloadMix(programs=(names[0], names[1]))
         swapped = WorkloadMix(programs=(names[1], names[0]))
         twin = WorkloadMix(programs=(names[2], names[2]))
-        ops = [
+        return [
             ("baseline:one-shot", mix, machine),
             ("simulate", swapped, machine),
             ("baseline:no-contention", twin, renamed),
             ("detailed", mix, renamed),
-            ("baseline:one-shot", twin, machine),
+            ("baseline:one-shot", twin, large),
+            ("mppm:foa", mix, large),
         ]
-        graph, scatter = cold_setup._sweep_graph(ops)
-        assert scatter == {}
-        profiles = sorted(job.key for job in graph if job.kind == "profile")
-        key = machine.profile_key()
-        assert profiles == sorted(f"profile:{key}:{name}" for name in names[:3])
-        for i, (_, op_mix, _) in enumerate(ops):
-            expected = tuple(f"profile:{key}:{name}" for name in sorted(set(op_mix.programs)))
-            assert graph.job(f"op:{i}").deps == expected
-        assert len(graph) == len(profiles) + len(ops)
 
-    def test_ops_on_different_llcs_get_their_own_profile_jobs(self, cold_setup):
-        small = cold_setup.machine(num_cores=2, llc_config=1)
-        large = cold_setup.machine(num_cores=2, llc_config=6)
-        mix = WorkloadMix(programs=tuple(cold_setup.benchmark_names[:2]))
-        graph, _ = cold_setup._sweep_graph(
-            [("baseline:one-shot", mix, small), ("baseline:one-shot", mix, large)]
-        )
-        first, second = graph.job("op:0").deps, graph.job("op:1").deps
-        assert len(first) == len(second) == 2 and not set(first) & set(second)
-        assert all(small.profile_key() in dep for dep in first)
-        assert all(large.profile_key() in dep for dep in second)
+    @staticmethod
+    def _pairs(ops):
+        """The distinct (benchmark, machine profile key) pairs the ops touch."""
+        return {(name, machine.profile_key()) for _, mix, machine in ops for name in mix.programs}
 
-    def test_a_warm_predict_only_sweep_is_one_wave(self, cold_setup):
-        machine = cold_setup.machine(num_cores=2)
-        names = cold_setup.benchmark_names
-        warm = WorkloadMix(programs=tuple(names[:2]))
-        cold_setup.store.preload(cold_setup.suite.subset(names[:2]), machine)
-        graph, scatter = cold_setup._sweep_graph([("mppm:foa", warm, machine)])
-        # One batch job and nothing to warm up first.
-        assert [job.kind for job in graph] == ["predict"] and len(scatter) == 1
-        assert [job.deps for job in graph] == [()]
-        graph, _ = cold_setup._sweep_graph([("baseline:one-shot", warm, machine)])
-        assert [(job.kind, job.deps) for job in graph] == [("predict", ())]
+    @staticmethod
+    def _record_runs(setup, monkeypatch):
+        """The job lists every ``engine.run`` call of ``setup`` receives."""
+        runs = []
+        original = setup.engine.run
 
-    @pytest.mark.parametrize("other", ["simulate", "cold-predict"])
-    def test_a_sweep_that_simulates_or_misses_a_profile_keeps_its_wave(self, cold_setup, other):
-        machine = cold_setup.machine(num_cores=2)
-        names = cold_setup.benchmark_names
-        warm = WorkloadMix(programs=tuple(names[:2]))
-        cold_setup.store.preload(cold_setup.suite.subset(names[:2]), machine)
-        second = (
-            ("simulate", warm, machine)
-            if other == "simulate"
-            else ("baseline:one-shot", WorkloadMix(programs=tuple(names[1:3])), machine)
-        )
-        graph, _ = cold_setup._sweep_graph([("baseline:one-shot", warm, machine), second])
-        key = machine.profile_key()
-        # The wave runs anyway, so the warm op keeps its deps: split off
-        # into a wave of its own it would cost the pool an extra round.
-        assert graph.job("op:0").deps == tuple(f"profile:{key}:{name}" for name in names[:2])
-        assert graph.job("op:1").deps == tuple(
-            f"profile:{key}:{name}" for name in sorted(set(second[1].programs))
-        )
+        def recording(jobs):
+            jobs = list(jobs)
+            runs.append(jobs)
+            return original(jobs)
+
+        monkeypatch.setattr(setup.engine, "run", recording)
+        return runs
+
+    def test_a_cold_serial_sweep_profiles_each_pair_once_inside_its_jobs(self, monkeypatch):
+        setup = self._setup()
+        ops = self._ops(setup)
+        runs = self._record_runs(setup, monkeypatch)
+        setup._run_ops(ops)
+        assert setup.store.simulated_profiles == len(self._pairs(ops)) == 6
+        assert setup.store.absorbed_profiles == 0
+        # One engine run: a job per op, the MPPM op batched at the end.
+        (jobs,) = runs
+        assert [job.key for job in jobs] == [f"op:{i}" for i in range(5)] + ["batch:mppm:foa:0"]
+
+    def test_a_cold_parallel_sweep_absorbs_each_pair_from_its_workers(self, monkeypatch):
+        serial = self._setup()
+        parallel = self._setup(jobs=2)
+        ops = self._ops(serial)
+        runs = self._record_runs(parallel, monkeypatch)
+        try:
+            results = parallel._run_ops(ops)
+        finally:
+            parallel.close()
+        assert [result.to_dict() for result in results] == [
+            result.to_dict() for result in serial._run_ops(ops)
+        ]
+        assert parallel.store.absorbed_profiles == len(self._pairs(ops))
+        assert parallel.store.simulated_profiles == 0
+        # The profile step (one bundle job per benchmark), then the sweep.
+        warm, sweep = runs
+        assert len(warm) == len({name for name, _ in self._pairs(ops)})
+        assert all(job.kind == "profile" for job in warm)
+        assert len(sweep) == len(ops)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_sweep_whose_ops_are_all_cached_touches_no_profile(self, tmp_path, jobs, monkeypatch):
+        cold = self._setup(cache_dir=tmp_path)
+        ops = self._ops(cold)
+        expected = [result.to_dict() for result in cold._run_ops(ops)]
+        warm = self._setup(cache_dir=tmp_path, jobs=jobs)
+        runs = self._record_runs(warm, monkeypatch)
+        try:
+            assert [result.to_dict() for result in warm._run_ops(ops)] == expected
+        finally:
+            warm.close()
+        store = warm.store
+        assert (store.loaded_profiles, store.simulated_profiles, store.absorbed_profiles) == (0, 0, 0)
+        assert len(runs) == 1
+
+    def test_a_cached_mppm_op_hashes_its_cache_key_once(self, tmp_path, monkeypatch):
+        setup = self._setup(cache_dir=tmp_path)
+        mix = WorkloadMix(programs=tuple(setup.benchmark_names[:2]))
+        ops = [("mppm:foa", mix, setup.machine(num_cores=2))]
+        first = setup.predictor_batch(ops)
+        calls = []
+        original = engine_tasks.predict_cache_key
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_tasks, "predict_cache_key", counting)
+        hits = setup.engine.cache_stats()["hits"]
+        assert setup.predictor_batch(ops) == first
+        assert setup.engine.cache_stats()["hits"] == hits + 1
+        assert len(calls) == 1
 
 
 class TestCampaignCacheLayout:

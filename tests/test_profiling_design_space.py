@@ -440,20 +440,23 @@ class TestParallelWarmUp:
         serial = ExperimentSetup(config=config, workload=workload)
         parallel = ExperimentSetup(config=config, workload=workload, jobs=2)
         submitted = []
-        original_map = parallel.engine.map
+        original_run = parallel.engine.run
 
-        def recording_map(jobs):
-            submitted.append(list(jobs))
-            return original_map(jobs)
+        def recording_run(jobs):
+            jobs = list(jobs)
+            submitted.append(jobs)
+            return original_run(jobs)
 
-        monkeypatch.setattr(parallel.engine, "map", recording_map)
+        monkeypatch.setattr(parallel.engine, "run", recording_run)
         mix = WorkloadMix(programs=tuple(serial.benchmark_names))
         pairs = [(mix, machine) for machine in serial.design_space(num_cores=4)]
         try:
             assert parallel.simulate_batch(pairs) == serial.simulate_batch(pairs)
         finally:
             parallel.close()
-        (warm,) = submitted
+        # The profile step, then the sweep: no other engine run.
+        warm, sweep = submitted
+        assert len(sweep) == len(pairs)
         assert len(warm) == len(serial.suite)
         assert all(job.fn is engine_tasks.profile_bundle_task for job in warm)
         assert parallel.store.absorbed_profiles == len(serial.suite) * len(pairs)
