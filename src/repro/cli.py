@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Callable, List, Optional, Sequence
@@ -65,6 +64,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.engine import ConsoleReporter, create_engine
+from repro.engine.backends import local_cpus
 from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.experiments.reporting import format_table
 from repro.predictors import DEFAULT_PREDICTOR, canonical_spec, describe_predictors
@@ -126,17 +126,9 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _local_cpus() -> int:
-    """CPUs this process may run on (the affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API (macOS, Windows)
-        return os.cpu_count() or 1
-
-
 def _jobs(value: str) -> int:
     """``--jobs``: a positive integer, or ``auto`` for one worker per local CPU."""
-    return _local_cpus() if value.strip().lower() == "auto" else _positive_int(value)
+    return local_cpus() if value.strip().lower() == "auto" else _positive_int(value)
 
 
 def _spec_type(canonicalise: Callable[[str], str]) -> Callable[[str], str]:
@@ -867,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_workload_spec,
         default=None,
         help=(
-            "workload preloaded at startup and used when a request names "
+            "workload profiled at start-up and used when a request names "
             f"none (default: {DEFAULT_WORKLOAD})"
         ),
     )
@@ -877,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_jobs,
         default=1,
         help=(
-            "engine worker processes, or auto for one per local CPU; 1 runs "
-            "everything in-process (default: 1)"
+            "engine worker processes for requests, or auto for one per local "
+            "CPU; 1 runs them in-process (default: 1). Start-up profiling "
+            "uses every local CPU whatever this says"
         ),
     )
     serve_engine_group.add_argument(
@@ -914,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--no-preload",
         action="store_true",
-        help="skip the startup profile preload (profiles are computed on first use)",
+        help="skip the start-up profiling (profiles are computed on first use)",
     )
     serve_parser.set_defaults(handler=_command_serve)
 

@@ -48,6 +48,14 @@ class SerialBackend(ExecutorBackend):
         return [job.run() for job in jobs]
 
 
+def local_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def _run_job(job: Job) -> Any:
     """Top-level trampoline so a Job executes in a pool worker."""
     return job.run()
@@ -65,7 +73,7 @@ class ProcessPoolBackend(ExecutorBackend):
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.jobs = max_workers if max_workers is not None else (os.cpu_count() or 1)
+        self.jobs = max_workers if max_workers is not None else local_cpus()
         if self.jobs <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self._pool: Optional[ProcessPoolExecutor] = None

@@ -123,13 +123,10 @@ def profile_bundle_task(
 ) -> "ProfileBundle":
     """Profile one benchmark on several machines; return its :class:`ProfileBundle`.
 
-    The bundle holds everything the submitting process needs to adopt
-    the profiles into its own store (:meth:`ProfileStore.absorb`), so
-    the one-time profiling cost itself can fan out over pool workers
-    before a sweep's jobs run.  One task covers all of a
-    benchmark's machines, so the trace and the private replay are paid
-    once per benchmark (:meth:`ProfileStore.get_many`); the bundle
-    carries that stage-1 result too, so no later LLC pays them again.
+    The profile step (:meth:`ExperimentSetup.profile_pairs`) absorbs it
+    into the submitting process's store.  The trace and private replay
+    are paid once per benchmark, and the bundle carries that stage-1
+    result too, so no later LLC pays them again.
     """
     setup = _resolve_setup(token, config, suite, workload_spec, cache_dir)
     return setup.store.bundle(spec, machines)

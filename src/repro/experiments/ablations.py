@@ -151,7 +151,9 @@ def smoothing_ablation(
         model = MPPM(
             machine, config=MPPMConfig(smoothing=factor), kernel=setup.config.mppm_kernel
         )
-        predictions = [model.predict_mix(mix, setup.mix_profiles(mix, machine)) for mix in mixes]
+        predictions = [
+            model.predict_mix(mix, setup.benchmark_profiles(mix.programs, machine)) for mix in mixes
+        ]
         rows.append(_evaluate_variant(setup, mixes, machine, f"f={factor:.2f}", predictions))
     return AblationResult(
         title=(

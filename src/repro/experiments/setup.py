@@ -18,8 +18,8 @@ and returns the raw reference runs, and
 one shared reference sweep.  Each sweep is one flat list of
 independent jobs run on the setup's executor in one call.  With the
 default serial backend this behaves exactly like inline loops, each
-job profiling what it needs; with ``jobs=N`` a profile step first fans
-the missing profiles out over the workers, then the jobs do, and with
+job profiling what it needs; with ``jobs=N`` the profile step
+(:meth:`~ExperimentSetup.profile_pairs`) first fans them out, and with
 ``cache_dir`` set both profiles and mix results persist across
 processes — serial and parallel runs are bit-identical either way.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig, llc_design_space, machine_with_llc, scaled
 from repro.core import MPPM, MPPM_KERNELS
@@ -240,19 +240,10 @@ class ExperimentSetup:
         """The per-program LLC access traces for one mix (cached per benchmark)."""
         return [self.store.get_llc_trace(self.suite[name], machine) for name in mix.programs]
 
-    def mix_profiles(self, mix: WorkloadMix, machine: MachineConfig) -> Dict[str, SingleCoreProfile]:
-        """Single-core profiles of just the mix's own benchmarks.
-
-        Going through the store (rather than profiling the whole suite
-        up front) keeps engine workers from paying for benchmarks they
-        never touch.
-        """
-        return self.benchmark_profiles(mix.programs, machine)
-
     def benchmark_profiles(
         self, names: Iterable[str], machine: MachineConfig
     ) -> Dict[str, SingleCoreProfile]:
-        """Single-core profiles of the named benchmarks, each resolved once."""
+        """Single-core profiles of just the named benchmarks, each resolved once."""
         return {
             name: self.store.get_profile(self.suite[name], machine) for name in sorted(set(names))
         }
@@ -374,54 +365,60 @@ class ExperimentSetup:
                 scatter[job_key] = [(indices, cache_key) for cache_key, (indices, _) in chunk]
         return jobs, scatter
 
-    def _warm_profiles(self, ops: Sequence[PredictJob], jobs: Sequence[Job]) -> None:
-        """Fan the one-time profiling cost out over the engine's workers.
+    def profile_pairs(
+        self,
+        pairs: Iterable[Tuple[str, MachineConfig]],
+        trace: bool = False,
+        engine: Optional[Callable[[], Executor]] = None,
+    ) -> None:
+        """The one profile step: make (benchmark name, machine) pairs resident.
 
-        When the backend has real workers, this step profiles every
-        (benchmark, machine) pair that an op still to be computed needs
-        and the store lacks — one job per benchmark, covering all of
-        its missing machines, so a worker pays the benchmark's trace
-        and private replay once — absorbs the returned bundles into
-        this process's store, and recycles the workers so the sweep's
-        jobs fork from the now-warm store.  Only ops that simulate need
-        the LLC trace; disk-cached artefacts settle a pair without any
-        simulation.  Serial and one-worker backends skip this step:
-        their jobs profile lazily through the same store.
+        Pairs in memory or in the cache directory (with their LLC traces
+        when ``trace`` is set) are skipped.  The rest run as one profile
+        bundle job per benchmark, so a worker pays its trace and private
+        replay once; the bundles are absorbed into this store and the
+        workers refreshed, so later jobs fork from it warm.  ``engine``
+        builds the executor for that, only if a pair is missing (default:
+        the setup's own); a one-worker executor profiles in process.
+        """
+        unique: Dict[Tuple[str, str], MachineConfig] = {}
+        for name, machine in pairs:
+            unique.setdefault((name, machine.profile_key()), machine)
+        needed: Dict[BenchmarkSpec, List[MachineConfig]] = {}
+        for (name, _), machine in unique.items():
+            if not self.store.load_if_cached(self.suite[name], machine, trace=trace):
+                needed.setdefault(self.suite[name], []).append(machine)
+        if not needed:
+            return
+        executor = self.engine if engine is None else engine()
+        if executor.jobs <= 1:
+            for spec, machines in needed.items():
+                self.store.get_many(spec, machines)
+            return
+        bundles = executor.run(
+            engine_tasks.profile_bundle_job(self, spec, machines, key=f"warm:{i}")
+            for i, (spec, machines) in enumerate(needed.items())
+        )
+        for (spec, machines), bundle in zip(needed.items(), bundles.values()):
+            self.store.absorb(spec, machines, bundle)
+        # Refreshing a borrowed process pool closes it.
+        executor.refresh_workers()
+
+    def _warm_profiles(self, ops: Sequence[PredictJob], jobs: Sequence[Job]) -> None:
+        """Run :meth:`profile_pairs` on the pairs of a sweep's uncached ops.
+
+        Serial and one-worker backends skip it: their jobs profile lazily.
         """
         if self.engine.jobs <= 1:
             return
         # An op is settled only by a per-op job the cache answers; a
         # batched op has no job of its own and is always computed.
         cached = {job.key for job in jobs if self.engine.is_cached(job.cache_key)}
-        # (benchmark, machine profile key) -> its first machine, and
-        # whether an op on it simulates
-        pairs: Dict[Tuple[str, str], MachineConfig] = {}
-        needs_trace: Dict[Tuple[str, str], bool] = {}
-        for i, (spec, mix, machine) in enumerate(ops):
-            if f"op:{i}" in cached:
-                continue
-            machine_key = machine.profile_key()
-            for name in sorted(set(mix.programs)):
-                pair = (name, machine_key)
-                pairs.setdefault(pair, machine)
-                needs_trace[pair] = needs_trace.get(pair, False) or spec in _SIMULATES
-        needed: Dict[BenchmarkSpec, List[MachineConfig]] = {}
-        for pair, machine in pairs.items():
-            spec = self.suite[pair[0]]
-            if self.store.has(spec, machine):
-                continue
-            if self.store.load_if_cached(spec, machine, trace=needs_trace[pair]):
-                continue
-            needed.setdefault(spec, []).append(machine)
-        if not needed:
-            return
-        bundles = self.engine.run(
-            engine_tasks.profile_bundle_job(self, spec, machines, key=f"warm:{i}")
-            for i, (spec, machines) in enumerate(needed.items())
+        todo = [op for i, op in enumerate(ops) if f"op:{i}" not in cached]
+        self.profile_pairs(
+            ((name, machine) for _, mix, machine in todo for name in mix.programs),
+            trace=any(spec in _SIMULATES for spec, _, _ in todo),
         )
-        for (spec, machines), bundle in zip(needed.items(), bundles.values()):
-            self.store.absorb(spec, machines, bundle)
-        self.engine.refresh_workers()
 
     def _run_ops(self, ops: Sequence[PredictJob]) -> List[object]:
         """Run a sweep, expanding two-stage ``hybrid:*`` ops if present.

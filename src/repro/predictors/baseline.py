@@ -45,7 +45,7 @@ class BaselinePredictor:
 
     def predict(self, mix: "WorkloadMix", machine: "MachineConfig") -> MixPrediction:
         """Run the wrapped baseline on the mix's single-core profiles."""
-        profiles = self.setup.mix_profiles(mix, machine)
+        profiles = self.setup.benchmark_profiles(mix.programs, machine)
         return tag_prediction(self._cls(machine).predict_mix(mix, profiles), self.spec)
 
     def describe(self) -> str:

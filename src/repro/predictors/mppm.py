@@ -55,7 +55,7 @@ class MPPMPredictor:
 
     def predict(self, mix: "WorkloadMix", machine: "MachineConfig") -> MixPrediction:
         """Run the iterative model on the mix's single-core profiles."""
-        profiles = self.setup.mix_profiles(mix, machine)
+        profiles = self.setup.benchmark_profiles(mix.programs, machine)
         return tag_prediction(self._model(machine).predict_mix(mix, profiles), self.spec)
 
     def predict_batch(

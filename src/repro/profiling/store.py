@@ -46,7 +46,6 @@ from repro.simulators.llc_trace import LLCAccessTrace, LLCStream
 from repro.simulators.single_core import PrivateRun, SingleCoreRunResult, SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.generator import TraceGenerator
-from repro.workloads.suite import BenchmarkSuite
 
 
 class ProfileStore:
@@ -164,23 +163,6 @@ class ProfileStore:
             key = self._key(spec, machine)
             out.append(ProfiledBenchmark(profile=self._profiles[key], llc_trace=self._traces[key]))
         return out
-
-    def preload(self, suite: BenchmarkSuite, machine: MachineConfig) -> int:
-        """Warm the full (profile, LLC trace) bundle for a whole suite.
-
-        Long-running callers (the prediction service) pay the one-time
-        profiling cost once at startup and then share the in-memory
-        bundles read-only across every subsequent request — no
-        re-profiling, no re-pickling per call.  Returns the number of
-        (benchmark, machine) pairs now resident.
-        """
-        for spec in suite:
-            self.get(spec, machine)
-        return len(suite)
-
-    def has(self, spec: BenchmarkSpec, machine: MachineConfig) -> bool:
-        """Whether the pair has an in-memory profile (disk is not probed)."""
-        return self._key(spec, machine) in self._profiles
 
     def load_if_cached(
         self, spec: BenchmarkSpec, machine: MachineConfig, trace: bool = False

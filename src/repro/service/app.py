@@ -11,18 +11,17 @@ per workload spec requested), and serves:
 * ``GET /models`` / ``GET /workloads`` — the registries, exactly the
   payloads of ``repro models --json`` / ``repro workloads --json``.
 * ``GET /healthz`` — liveness (and readiness: the server only starts
-  listening after the profile preload finished).
+  listening after the start-up profiling finished).
 * ``GET /stats`` — live counters: requests, batching, in-flight dedup,
   engine cache hits, latency percentiles.
 * ``POST /shutdown`` — clean shutdown (used by the CI smoke test).
 
 Single-core profiles are bundled into the shared
-:class:`~repro.profiling.ProfileStore` once at startup
-(:meth:`PredictionService.start` preloads the configured workload
-before it listens); predictions are computed through the batching
-layer and remembered by the engine's content-hash result cache, so a
-warm server recomputes nothing.  Everything runs on the event loop's
-thread: a batch holds the loop while it computes, so other requests
+:class:`~repro.profiling.ProfileStore` once, on every local CPU, before
+:meth:`PredictionService.start` listens; predictions are computed
+through the batching layer and remembered by the engine's content-hash
+result cache, so a warm server recomputes nothing.  Requests run on the
+event loop's thread: a batch holds the loop while it computes, so other requests
 (``/healthz`` included) wait for it, and ``max_batch`` bounds that wait.
 """
 
@@ -30,13 +29,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig
-from repro.engine import create_engine
+from repro.engine import Executor, ProcessPoolBackend, create_engine
+from repro.engine.backends import local_cpus
 from repro.experiments.setup import ExperimentConfig, ExperimentSetup
 from repro.predictors import DEFAULT_PREDICTOR, canonical_spec
 from repro.service.batching import PredictionBatcher, PredictOp
@@ -54,13 +55,13 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Engine worker count (1 → serial; the batcher still coalesces) or
-    #: a ``fleet:`` spec string for a multi-host worker fleet
-    #: (``repro serve --fleet``; see :mod:`repro.engine.remote`).
+    #: Engine worker count for requests (1 → serial) or a ``fleet:``
+    #: spec string (``repro serve --fleet``, :mod:`repro.engine.remote`);
+    #: start-up profiling ignores it (:meth:`PredictionService.start`).
     jobs: Union[int, str] = 1
     #: Campaign cache directory; ``None`` keeps memoisation in memory.
     cache_dir: Optional[Union[str, Path]] = None
-    #: The workload preloaded at startup and used when a request names none.
+    #: The workload profiled at start-up and used when a request names none.
     workload: str = DEFAULT_WORKLOAD
     #: The most mixes one engine batch takes (see :mod:`repro.service.batching`).
     max_batch: int = 64
@@ -69,7 +70,7 @@ class ServiceConfig:
     instructions: int = 200_000
     scale: int = 16
     seed: int = 0
-    #: Skip the startup profile preload (tests; cold-start benchmarks).
+    #: Skip the start-up profiling (tests; cold-start benchmarks).
     preload: bool = True
 
     def experiment_config(self) -> ExperimentConfig:
@@ -90,7 +91,13 @@ def _integer(value: object, field: str) -> int:
 
 
 class PredictionService:
-    """The handler behind the HTTP server (usable without it, too)."""
+    """The handler behind the HTTP server (usable without it, too).
+
+    :meth:`start` profiles the workload on a process pool it borrows
+    over every local CPU, whatever ``jobs`` says, and closes the pool
+    before it listens; requests run on the event loop, on the ``jobs``
+    engine.
+    """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config if config is not None else ServiceConfig()
@@ -110,10 +117,19 @@ class PredictionService:
     # ------------------------------------------------------------------
 
     async def start(self) -> "PredictionService":
-        """Preload profiles, then start listening (ready when returning)."""
+        """Profile the configured workload, then start listening (ready when returning)."""
         if self.config.preload:
             setup = self._setup_for(self.config.workload)
-            self.preloaded_profiles = setup.store.preload(setup.suite, setup.machine())
+            pairs = [(name, setup.machine()) for name in setup.benchmark_names]
+            cpus = local_cpus()
+            # Fork only from a single-threaded process (engine/remote/launch.py).
+            pooled = cpus > 1 and threading.active_count() == 1
+            setup.profile_pairs(
+                pairs,
+                trace=True,
+                engine=lambda: Executor(ProcessPoolBackend(cpus) if pooled else None),
+            )
+            self.preloaded_profiles = len(setup.suite)
         await self.server.start()
         return self
 

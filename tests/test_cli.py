@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import ProcessPoolBackend
 from repro.workloads.generator import TraceGenerator
 
 
@@ -55,6 +56,14 @@ class TestParser:
         assert parser.parse_args(["run"]).jobs == 5
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--jobs", "0"])
+
+    def test_the_process_pool_defaults_to_the_affinity_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ProcessPoolBackend().jobs == 3
+        assert ProcessPoolBackend(2).jobs == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert ProcessPoolBackend().jobs == 8
 
     @pytest.mark.parametrize(
         "value, expected", [("auto", 3), (" AUTO ", 3), ("Auto", 3), ("2", 2), ("7", 7)]

@@ -52,6 +52,32 @@ class TestConfigurationAndWorkloadSpace:
         assert rows[4] == 330  # C(11, 4)
         assert "8 benchmarks" in report.render()
 
+    def test_measured_costs_profile_on_the_pool_and_time_in_the_driver(self):
+        timed = ("exhaustive_simulation", "exhaustive_mppm")
+        rows = {}
+        for jobs in (1, 2):
+            setup = ExperimentSetup(
+                config=ExperimentConfig(
+                    scale=16, num_instructions=30_000, interval_instructions=1_000
+                ),
+                suite=small_suite(8),
+                jobs=jobs,
+            )
+            try:
+                report = workload_space_report(setup, core_counts=[2, 4, 8], measure_costs=True)
+            finally:
+                setup.close()
+            assert all(set(timed) < set(row) for row in report.rows)
+            rows[jobs] = [
+                {key: value for key, value in row.items() if key not in timed}
+                for row in report.rows
+            ]
+            store = setup.store
+            if jobs == 2:
+                assert store.generated_traces == 0 and store.simulated_profiles == 0
+                assert store.absorbed_profiles == store.cached_pairs() > 0
+        assert rows[2] == rows[1]
+
 
 class TestVariability:
     def test_confidence_interval_shrinks_with_more_mixes(self, setup):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments import ExperimentConfig, ExperimentSetup
 from repro.profiling import Profiler, ProfileStore
 from repro.profiling.profiler import profile_from_run
 from repro.simulators.single_core import SingleCoreSimulator
@@ -94,8 +95,10 @@ class TestProfileStore:
         )
 
     def test_suite_helpers(self, tiny_suite, machine4):
-        store = ProfileStore(num_instructions=20_000, interval_instructions=1_000)
-        assert store.preload(tiny_suite, machine4) == len(tiny_suite)
+        config = ExperimentConfig(num_instructions=20_000, interval_instructions=1_000)
+        setup = ExperimentSetup(config=config, suite=tiny_suite)
+        setup.profile_pairs([(spec.name, machine4) for spec in tiny_suite], trace=True)
+        store = setup.store
         assert store.cached_pairs() == len(tiny_suite)
         for spec in tiny_suite:
             assert store.get(spec, machine4).profile is store.get_profile(spec, machine4)

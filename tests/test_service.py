@@ -451,11 +451,25 @@ class TestBatchingAndCaching:
         assert live.service.engine.cache_stats()["hits"] > hits_before
         assert repeat["prediction"]["stp"] > 0
 
-    def test_concurrent_identical_requests_share_one_computation(self, live):
+    def test_concurrent_identical_requests_share_one_computation(self, live, monkeypatch):
         mix = [NAMES[2], NAMES[4]]
         stats = live.service.stats
         deduped_before = stats.inflight_deduped
         computed_before = stats.predictions_computed
+        batcher = live.service.batcher
+        drain = batcher._drain
+
+        async def drain_once_all_four_are_in():
+            # The first submission starts the drain; hold it until the
+            # other three have joined that computation (or a deadline
+            # passes, and the assertions below report what happened).
+            for _ in range(2000):
+                if stats.inflight_deduped >= deduped_before + 3:
+                    break
+                await asyncio.sleep(0.005)
+            await drain()
+
+        monkeypatch.setattr(batcher, "_drain", drain_once_all_four_are_in)
 
         async def storm():
             clients = [ServiceClient(live.host, live.port) for _ in range(4)]
