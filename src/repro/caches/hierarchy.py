@@ -103,17 +103,6 @@ class CacheHierarchy:
             llc_hit=False,
         )
 
-    def access_private_only(self, line: int) -> bool:
-        """Access only the private levels; returns True if any of them hit.
-
-        Used by the single-core profiler to build the filtered LLC
-        access stream without touching the LLC object twice.
-        """
-        for level in self.levels:
-            if level.access(line).hit:
-                return True
-        return False
-
     def miss_rates(self) -> dict:
         """Per-level miss rates accumulated so far (by level name)."""
         rates = {level.config.name: level.miss_rate for level in self.levels}

@@ -338,6 +338,7 @@ def _command_profile(args: argparse.Namespace, setup: ExperimentSetup) -> int:
     if unknown:
         print(f"error: unknown benchmarks {unknown}", file=sys.stderr)
         return 2
+    setup.profile_pairs((name, machine) for name in names)
     rows = []
     for name in names:
         profile = setup.store.get_profile(setup.suite[name], machine)

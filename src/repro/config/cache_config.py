@@ -84,15 +84,6 @@ class CacheConfig:
     def is_fully_associative(self) -> bool:
         return self.num_sets == 1
 
-    def with_associativity(self, associativity: int) -> "CacheConfig":
-        """Return a copy with a different associativity (same capacity).
-
-        The paper notes that single-core profiles collected for a
-        16-way LLC can be *derived* for an 8-way LLC without extra
-        simulation; this helper builds the corresponding configuration.
-        """
-        return replace(self, associativity=associativity)
-
     def with_size(self, size_bytes: int) -> "CacheConfig":
         """Return a copy with a different capacity."""
         return replace(self, size_bytes=size_bytes)

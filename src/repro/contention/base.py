@@ -212,6 +212,17 @@ class ContentionModel(ABC):
                 shared[m, c] = estimate.shared_misses
         return shared
 
+    def estimate_mix(
+        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+    ) -> List[float]:
+        """``estimate_batch(counts[None], instructions[None], llc)[0]`` as a list.
+
+        ``counts[c, A+1]`` and ``instructions[c]`` hold one mix's windows
+        (the one-mix MPPM solver's).  A model may override this with a
+        scalar form that equals the default bit for bit.
+        """
+        return self.estimate_batch(counts[None], instructions[None], llc)[0].tolist()
+
     @staticmethod
     def _validate_batch(counts: np.ndarray, llc: CacheConfig) -> None:
         if counts.ndim != 3 or counts.shape[1] < 1:

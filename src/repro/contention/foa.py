@@ -16,6 +16,7 @@ running alone keeps the full cache and its isolated miss count.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
@@ -82,4 +83,36 @@ class FOAModel(ContentionModel):
         # Counters are non-negative, so a mix without accesses has no
         # program with accesses: one mask covers both scalar tests.
         np.copyto(shared, isolated, where=accesses <= 0.0)
+        return shared
+
+    def estimate_mix(
+        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+    ) -> List[float]:
+        """:meth:`estimate_batch` for one mix, on each program's Python floats.
+
+        Only the row sums and the two suffix sums stay numpy reduces
+        (their blocking decides the bits); every other step is the
+        batched expression's IEEE operation, the total a left fold.
+        """
+        self._validate_batch(counts[None], llc)
+        ways = llc.associativity
+        shared = counts[:, ways].tolist()  # the isolated misses, for now
+        if len(shared) == 1:
+            return shared
+        accesses = np.add.reduce(counts, axis=-1).tolist()
+        total = accesses[0]
+        for value in accesses[1:]:
+            total += value
+        total = max(total, 5e-324)
+        effective = [max(ways * (value / total), 0.0) for value in accesses]
+        lower = [math.floor(share) if share < ways else ways - 1 for share in effective]
+        # ``interpolated_misses``' two masked reduces, at these lower ways.
+        mask = np.arange(ways + 1) >= np.array(lower)[:, None]
+        at_lower = np.add.reduce(counts, axis=-1, where=mask).tolist()
+        at_upper = np.add.reduce(counts[:, 1:], axis=-1, where=mask[:, :-1]).tolist()
+        for p, (value, share, floor) in enumerate(zip(accesses, effective, lower)):
+            if value > 0.0 and share < ways:
+                fraction = share - floor
+                misses = (1.0 - fraction) * at_lower[p] + fraction * at_upper[p]
+                shared[p] = max(misses, shared[p])
         return shared

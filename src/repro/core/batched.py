@@ -24,19 +24,35 @@ All live mixes share one iteration count.  The state holds the live
 mixes only: when some mixes retire, their results are written back and
 the state is compacted, so an iteration never gathers or scatters rows.
 
+A core-count group of exactly one mix (how ``repro serve`` meets most
+requests) goes to :func:`_solve_one` instead, which runs the same fixed
+point program by program on Python floats; batch size alone picks the
+path.  It keeps numpy only where numpy's reduction blocking decides the
+bits: the W-wide window rows (read from each profile's cached prefix
+sums and combined by ``WindowSlots``' elementwise operations) and the
+stack-distance sums of
+:meth:`~repro.contention.base.ContentionModel.estimate_mix` over
+row-contiguous ``(C, A+1)`` views.  Every per-program scalar step is the
+batched kernel's IEEE operation on the same operands in the same order:
+the interval index is a ``bisect_right`` over integer interval ends (what
+``searchsorted`` returns), ``np.mod`` on positive operands is ``%``, and
+totals over programs are left folds.
+
 Bit-identity with the reference loop is by construction, not by
 accident: within each mix the float operations are the same ops in the
 same order (the window table class is shared with the scalar
 ``SingleCoreProfile.window``, the batched contention models replicate
 the scalar accumulation order, and numpy elementwise arithmetic is IEEE
-double arithmetic), so the batched kernel's outputs match the reference
-kernel's bit for bit.  The equivalence matrix in
+double arithmetic), so both paths' outputs match the reference
+kernel's bit for bit.  The equivalence matrices in
 ``tests/test_core_mppm_batched.py`` and the CI guard
-``benchmarks/bench_mppm_batch.py`` both assert exactly that.
+``benchmarks/bench_mppm_batch.py`` assert exactly that.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -83,14 +99,12 @@ def solve_batch(
     for index, profiles in enumerate(mixes):
         groups.setdefault(len(profiles), []).append(index)
     for _, indices in sorted(groups.items()):
-        solved = _solve_uniform(
-            machine,
-            contention_model,
-            config,
-            [mixes[index] for index in indices],
-            predictor,
-            [machine_names[index] for index in indices],
-        )
+        group = [mixes[index] for index in indices]
+        names = [machine_names[index] for index in indices]
+        if len(indices) == 1:
+            solved = [_solve_one(machine, contention_model, config, group[0], predictor, names[0])]
+        else:
+            solved = _solve_uniform(machine, contention_model, config, group, predictor, names)
         for index, prediction in zip(indices, solved):
             predictions[index] = prediction
     return predictions
@@ -254,32 +268,36 @@ def _solve_uniform(
 
     # Python floats for the result objects: the products are the same
     # IEEE multiplications as ``profile.cpi * float(slowdown[m, core])``.
-    predicted_cpi = (base_cpi * slowdown).tolist()
-    single_cpi = base_cpi.tolist()
-    predictions: List[MixPrediction] = []
-    for m, (profiles, name, count, done) in enumerate(
-        zip(mixes, machine_names, iterations.tolist(), converged.tolist())
-    ):
-        programs = tuple(
-            ProgramPrediction(
-                name=profile.benchmark,
-                core=core,
-                single_core_cpi=single_cpi[m][core],
-                predicted_cpi=predicted_cpi[m][core],
-            )
-            for core, profile in enumerate(profiles)
-        )
-        predictions.append(
-            MixPrediction(
-                machine_name=name,
-                programs=programs,
-                iterations=count,
-                converged=done,
-                predictor=predictor,
-                kernel="batched",
-            )
-        )
-    return predictions
+    single, predicted = base_cpi.tolist(), (base_cpi * slowdown).tolist()
+    retired = zip(iterations.tolist(), converged.tolist())
+    return [
+        _prediction(profiles, name, single[m], predicted[m], count, done, predictor)
+        for m, (profiles, name, (count, done)) in enumerate(zip(mixes, machine_names, retired))
+    ]
+
+
+def _prediction(
+    profiles: Sequence[SingleCoreProfile],
+    machine_name: str,
+    cpis: Sequence[float],
+    predicted_cpis: Sequence[float],
+    iterations: int,
+    converged: bool,
+    predictor: Optional[str],
+) -> MixPrediction:
+    """One mix's ``kernel="batched"`` result from its per-program CPIs."""
+    programs = tuple(
+        ProgramPrediction(profile.benchmark, core, cpi, predicted)
+        for core, (profile, cpi, predicted) in enumerate(zip(profiles, cpis, predicted_cpis))
+    )
+    return MixPrediction(
+        machine_name=machine_name,
+        programs=programs,
+        iterations=iterations,
+        converged=converged,
+        predictor=predictor,
+        kernel="batched",
+    )
 
 
 @dataclass
@@ -298,3 +316,111 @@ class _LiveState:
     def compacted(self, keep: np.ndarray) -> "_LiveState":
         """The rows of the mixes in ``keep`` (a boolean mask)."""
         return _LiveState(*(getattr(self, f.name)[keep] for f in fields(self)))
+
+
+def _solve_one(
+    machine: MachineConfig,
+    contention_model: ContentionModel,
+    config: "MPPMConfig",
+    profiles: Sequence[SingleCoreProfile],
+    predictor: Optional[str],
+    machine_name: str,
+) -> MixPrediction:
+    """:func:`_solve_uniform` for a single mix, program by program on Python floats.
+
+    Each step is that kernel's IEEE operation on the same operands in the
+    same order (integer lengths and chunk enter it exactly as floats).
+    """
+    base_cpi, trace_lengths, interval_lengths, fallback = zip(
+        *(_slot_row(profile, machine) for profile in profiles)
+    )
+    chunk = config.chunk_instructions or max(1, min(trace_lengths) // 5)
+    windows = _MixWindows(profiles)
+    estimate = contention_model.estimate_mix
+    literal = config.literal_figure2_update
+    complement = 1.0 - config.smoothing
+    llc = machine.llc
+    isolated_column = _SDC_OFFSET + llc.associativity
+    slowdown = [1.0] * len(profiles)
+    position = [0.0] * len(profiles)
+    iteration = 0
+    while True:
+        current_cpi = base_cpi
+        if config.use_windowed_cpi:
+            current_cpi = []
+            for row, cpi in zip(windows(position, interval_lengths).tolist(), base_cpi):
+                instructions = row[_COL_INSTRUCTIONS]
+                window_cpi = row[_COL_CYCLES] / instructions if instructions != 0.0 else 0.0
+                current_cpi.append(window_cpi if window_cpi > 0.0 else cpi)
+        denominator = [cpi * factor for cpi, factor in zip(current_cpi, slowdown)]
+        window_cycles = max([value * chunk for value in denominator])
+        progress = [window_cycles / value for value in denominator]
+
+        window = windows(position, progress)
+        shared = estimate(window[:, _SDC_OFFSET:], window[:, _COL_INSTRUCTIONS], llc)
+        for p, (row, misses) in enumerate(zip(window.tolist(), shared)):
+            misses_alone = row[_COL_LLC_MISSES]
+            penalty = row[_COL_MEMORY_CYCLES] / misses_alone if misses_alone > 0.0 else fallback[p]
+            if penalty <= 0.0:
+                penalty = fallback[p]
+            cycles = window_cycles if literal else current_cpi[p] * progress[p]
+            lost = max(0.0, misses - row[isolated_column]) * penalty / cycles
+            slowdown[p] = config.smoothing * slowdown[p] + complement * (1.0 + lost)
+
+        position = [start + count for start, count in zip(position, progress)]
+        iteration += 1
+        least = min([start / length for start, length in zip(position, trace_lengths)])
+        converged = least >= config.target_passes
+        if converged or iteration >= config.max_iterations:
+            break
+    predicted_cpi = [cpi * factor for cpi, factor in zip(base_cpi, slowdown)]
+    return _prediction(
+        profiles, machine_name, base_cpi, predicted_cpi, iteration, converged, predictor
+    )
+
+
+class _MixWindows:
+    """:meth:`WindowSlots.windows` for one mix, its lookups on Python floats.
+
+    Counter rows are read from each profile's cached ``interval_prefix``
+    and ``interval_counters`` and combined by ``WindowSlots``' elementwise
+    numpy operations.  Interval edges are integers, so exact as floats.
+    """
+
+    def __init__(self, profiles: Sequence[SingleCoreProfile]) -> None:
+        # Per program: its tables, its interval edges (interval k spans
+        # edges k to k + 1), the index of the last edge and that edge,
+        # the trace length.
+        self.tables = [
+            (profile.interval_prefix, profile.interval_counters, edges, len(edges) - 1, edges[-1])
+            for profile in profiles
+            for edges in [profile.interval_prefix[:, _COL_INSTRUCTIONS].tolist()]
+        ]
+        self.totals = np.array([profile.interval_prefix[-1] for profile in profiles])
+
+    def __call__(self, positions: Sequence[float], lengths: Sequence[float]) -> np.ndarray:
+        """The ``(C, W)`` window rows of ``[position, position + length)``."""
+        rows, fractions, passes = [], [], []
+        for (prefix, values, edges, last, trace), position, length in zip(
+            self.tables, positions, lengths
+        ):
+            start = position % trace
+            end = start + length
+            full_passes = math.floor(end / trace)
+            passes.append(full_passes)
+            remainder = min(max(end - full_passes * trace, 0.0), trace)
+            # ``WindowSlots.point``'s lookup: the number of inner interval
+            # ends not above ``floor(x)``; ``x`` lies in [0, L], so the int
+            # cast is that floor.
+            k = bisect_right(edges, int(remainder), 1, last) - 1
+            j = bisect_right(edges, int(start), 1, last) - 1
+            rows += (prefix[k], values[k], prefix[j], values[j])
+            fractions += (
+                (remainder - edges[k]) / (edges[k + 1] - edges[k]),
+                (start - edges[j]) / (edges[j + 1] - edges[j]),
+            )
+        # Rows alternate (prefix, value) per point and points alternate
+        # (remainder, start) per program.
+        stacked = np.concatenate(rows).reshape(len(rows), -1)
+        points = stacked[0::2] + np.array(fractions)[:, None] * stacked[1::2]
+        return (points[0::2] - points[1::2]) + np.array(passes)[:, None] * self.totals

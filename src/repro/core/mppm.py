@@ -32,7 +32,7 @@ passes of the slowest program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.contention import FOAModel
@@ -281,29 +281,6 @@ class MPPM:
     ) -> MixPrediction:
         """Predict performance for a :class:`WorkloadMix` given a profile library."""
         return self.predict(self._mix_profiles(mix, profiles))
-
-    def predict_many(
-        self, mixes: Sequence[WorkloadMix], profiles: Mapping[str, SingleCoreProfile]
-    ) -> List[MixPrediction]:
-        """Predict performance for many mixes (the bulk-evaluation use case).
-
-        Identical mixes (same program tuple) within one call are solved
-        once and share the same immutable prediction object, so sweeps
-        with repeated mixes pay for each distinct mix only.
-        """
-        unique_index: Dict[Tuple[str, ...], int] = {}
-        unique_batches: List[List[SingleCoreProfile]] = []
-        order: List[int] = []
-        for mix in mixes:
-            key = tuple(mix.programs)
-            index = unique_index.get(key)
-            if index is None:
-                index = len(unique_batches)
-                unique_index[key] = index
-                unique_batches.append(self._mix_profiles(mix, profiles))
-            order.append(index)
-        solved = self.predict_batch(unique_batches)
-        return [solved[index] for index in order]
 
     @staticmethod
     def _mix_profiles(

@@ -85,15 +85,6 @@ class CoreTimingModel:
         """Exposed cycles for an LLC miss (access to main memory)."""
         return self._penalties.memory
 
-    @property
-    def llc_miss_extra_penalty(self) -> float:
-        """Extra exposed cycles when an LLC hit turns into a miss.
-
-        This is the quantity cache contention costs: an access that
-        would have been served by the LLC now goes to memory instead.
-        """
-        return self._penalties.memory - self._penalties.llc_hit
-
     def base_cycles(self, instructions: float, cpi_multiplier: float = 1.0) -> float:
         """Non-memory cycles for ``instructions`` dynamic instructions."""
         if instructions < 0:

@@ -57,13 +57,6 @@ class AccuracyForCoreCount:
             for evaluation in self.evaluations
         ]
 
-    def antt_scatter(self) -> List[Mapping[str, float]]:
-        """Predicted/measured ANTT pairs (the dots of Figure 4b)."""
-        return [
-            {"predicted": evaluation.predicted_antt, "measured": evaluation.measured_antt}
-            for evaluation in self.evaluations
-        ]
-
     def slowdown_scatter(self) -> List[Mapping[str, float]]:
         """Predicted/measured per-program slowdown pairs (the dots of Figure 5)."""
         points = []

@@ -29,7 +29,7 @@ from repro.experiments.ranking import (
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.setup import ExperimentSetup
-from repro.predictors import canonical_spec, lookup_spec
+from repro.predictors import canonical_spec
 from repro.workloads import BenchmarkClass
 
 
@@ -74,13 +74,6 @@ class AgreementResult:
             if pair.challenger_config == challenger_config:
                 return pair
         raise KeyError(f"no agreement entry for config #{challenger_config}")
-
-    def pairs_for(self, predictor: str) -> List[PairwiseAgreement]:
-        """The agreement pairs of one requested predictor spec."""
-        spec = lookup_spec(predictor)
-        if self.by_predictor and spec in self.by_predictor:
-            return self.by_predictor[spec]
-        raise KeyError(f"no agreement results for predictor {predictor!r}")
 
     def to_rows(self) -> List[Mapping[str, object]]:
         return [

@@ -48,9 +48,6 @@ class DesignSpaceScores:
     def best_config_by_stp(self) -> int:
         return self.config_numbers[int(np.argmax(self.stp))]
 
-    def best_config_by_antt(self) -> int:
-        return self.config_numbers[int(np.argmin(self.antt))]
-
 
 @dataclass(frozen=True)
 class RankingResult:

@@ -66,7 +66,7 @@ PredictJob = Tuple[str, WorkloadMix, MachineConfig]
 
 #: Fan-out map of a batched MPPM sweep: batch job key -> per-item
 #: ``(op indices, per-op cache key)`` entries, in item order.
-BatchScatter = Dict[str, List[Tuple[List[int], str]]]
+BatchScatter = Dict[str, List[Tuple[List[int], Optional[str]]]]
 
 #: Sentinel op for "run the raw reference simulator" in a sweep
 #: (returns a MultiCoreRunResult rather than a MixPrediction).
@@ -323,23 +323,28 @@ class ExperimentSetup:
         under the key an individual job would have used.  Cached
         ``mppm:*`` ops keep per-op jobs (which resolve from the cache
         without computing anything), built on the key hashed here.
+        Without a result cache nothing is hashed: ops deduplicate on
+        the parts the key would hash, and their per-op key is ``None``.
         """
         jobs: List[Job] = []
-        # spec -> per-op cache key -> ([op indices], (mix, machine))
-        batchable: Dict[str, Dict[str, Tuple[List[int], MixJob]]] = {}
+        # spec -> dedup key -> ([op indices], (mix, machine), per-op cache key)
+        batchable: Dict[str, Dict[object, Tuple[List[int], MixJob, Optional[str]]]] = {}
         for i, (spec, mix, machine) in enumerate(ops):
             if spec in _SIMULATES:
                 jobs.append(engine_tasks.simulate_job(self, mix, machine, key=f"op:{i}"))
                 continue
             cache_key = None
             if spec.startswith("mppm:"):
-                cache_key = engine_tasks.predict_cache_key(self, spec, mix, machine)
+                if self.engine.cache is None:
+                    dedup = (mix.programs, machine.profile_key(), machine.num_cores)
+                else:
+                    cache_key = dedup = engine_tasks.predict_cache_key(self, spec, mix, machine)
                 if not self.engine.is_cached(cache_key):
                     entries = batchable.setdefault(spec, {})
-                    if cache_key in entries:
-                        entries[cache_key][0].append(i)
+                    if dedup in entries:
+                        entries[dedup][0].append(i)
                     else:
-                        entries[cache_key] = ([i], (mix, machine))
+                        entries[dedup] = ([i], (mix, machine), cache_key)
                     continue
             jobs.append(
                 engine_tasks.predict_job(
@@ -348,7 +353,7 @@ class ExperimentSetup:
             )
         scatter: BatchScatter = {}
         for spec, entries in batchable.items():
-            unique = list(entries.items())
+            unique = list(entries.values())
             num_chunks = min(len(unique), max(1, self.engine.jobs))
             chunk_size = -(-len(unique) // num_chunks)
             for chunk_number, start in enumerate(range(0, len(unique), chunk_size)):
@@ -357,12 +362,12 @@ class ExperimentSetup:
                 jobs.append(
                     engine_tasks.predict_mppm_batch_job(
                         self,
-                        items=tuple(item for _, (_, item) in chunk),
+                        items=tuple(item for _, item, _ in chunk),
                         key=job_key,
                         predictor=spec,
                     )
                 )
-                scatter[job_key] = [(indices, cache_key) for cache_key, (indices, _) in chunk]
+                scatter[job_key] = [(indices, cache_key) for indices, _, cache_key in chunk]
         return jobs, scatter
 
     def profile_pairs(

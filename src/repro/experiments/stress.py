@@ -29,7 +29,6 @@ import numpy as np
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.results import MixEvaluation
 from repro.experiments.setup import ExperimentSetup
-from repro.predictors import lookup_spec
 from repro.workloads import WorkloadMix
 
 
@@ -49,13 +48,6 @@ class StressResult:
     worst_k: int
     predictor: str = "mppm:foa"
     by_predictor: Optional[Mapping[str, List[MixEvaluation]]] = None
-
-    def evaluations_for(self, predictor: str) -> List[MixEvaluation]:
-        """The evaluations of one requested predictor spec."""
-        spec = lookup_spec(predictor)
-        if self.by_predictor and spec in self.by_predictor:
-            return self.by_predictor[spec]
-        raise KeyError(f"no stress evaluations for predictor {predictor!r}")
 
     # ------------------------------------------------------------------
     # Sorted curves

@@ -73,12 +73,6 @@ class VariabilityResult:
             ),
         )
 
-    def point_for(self, num_mixes: int) -> VariabilityPoint:
-        for point in self.points:
-            if point.num_mixes == num_mixes:
-                return point
-        raise KeyError(f"no variability point for {num_mixes} mixes")
-
 
 #: Legacy ``source`` names mapped onto registry predictor specs.
 _SOURCE_SPECS = {"simulation": "detailed", "mppm": "mppm:foa"}

@@ -27,9 +27,11 @@ def models_payload() -> Dict:
     """The predictor registry: ``{"default": ..., "predictors": [...]}``.
 
     ``mppm_kernels`` names the solver kernels every ``mppm:*`` entry can
-    run on; the default is the batched mix-major kernel, and each served
-    prediction's ``kernel`` field records which one produced it.  The
-    two kernels are bit-identical.
+    run on; each served prediction's ``kernel`` field records which one
+    produced it.  The default, ``batched``, solves a one-mix batch (most
+    served requests) program by program on Python floats and larger
+    batches mix-major in numpy; both paths and the ``reference`` loop
+    are bit-identical.
     """
     return {
         "default": DEFAULT_PREDICTOR,

@@ -70,11 +70,6 @@ class TestCacheHierarchy:
         assert outcome.served_by_memory
         assert shared.misses == 1
 
-    def test_access_private_only_reports_private_hits(self):
-        hierarchy = CacheHierarchy(_tiny_machine(), include_llc=False)
-        assert not hierarchy.access_private_only(0)
-        assert hierarchy.access_private_only(0)
-
     def test_reset_and_miss_rates(self):
         hierarchy = CacheHierarchy(_tiny_machine())
         for line in range(10):

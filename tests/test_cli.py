@@ -363,3 +363,29 @@ class TestParallelRun:
             generated[jobs] = sorted(log.read_text().split())
         assert outputs["2"] == outputs["1"]
         assert generated["2"] == generated["1"] == sorted(set(generated["1"]))
+
+    def test_profile_at_two_jobs_prints_the_serial_table_from_its_workers(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        setups = []
+        build = cli._build_setup
+
+        def recording(args):
+            setups.append(build(args))
+            return setups[-1]
+
+        monkeypatch.setattr(cli, "_build_setup", recording)
+        args = ["profile", *FAST, "lbm", "mcf", "gamess"]
+        tables = {}
+        for jobs in ("1", "2"):
+            assert main([*args, "--jobs", jobs]) == 0
+            tables[jobs] = capsys.readouterr().out
+        assert tables["2"] == tables["1"]
+        serial, parallel = (setup.store for setup in setups)
+        assert serial.simulated_profiles == 3 and serial.absorbed_profiles == 0
+        # Every profile came back from a pool worker: the driver
+        # generated no trace of its own.
+        assert parallel.generated_traces == 0
+        assert parallel.absorbed_profiles == 3

@@ -17,13 +17,6 @@ class TestCacheConfig:
         assert cache.num_sets == 1
         assert cache.is_fully_associative
 
-    def test_with_associativity_keeps_capacity(self):
-        cache = CacheConfig(name="L3", size_bytes=512 * KIB, associativity=16)
-        reduced = cache.with_associativity(8)
-        assert reduced.size_bytes == cache.size_bytes
-        assert reduced.associativity == 8
-        assert reduced.num_sets == 2 * cache.num_sets
-
     def test_with_size_and_latency(self):
         cache = CacheConfig(name="L3", size_bytes=512 * KIB, associativity=8, latency=16)
         assert cache.with_size(1 * MIB).size_bytes == 1 * MIB

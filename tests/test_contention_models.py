@@ -13,7 +13,7 @@ from repro.contention import (
     StackDistanceCompetitionModel,
     make_contention_model,
 )
-from repro.contention.base import ContentionModelError, ProgramCacheDemand
+from repro.contention.base import ContentionModel, ContentionModelError, ProgramCacheDemand
 
 
 LLC = CacheConfig(name="L3", size_bytes=64 * 64 * 8, associativity=8, latency=16, shared=True)
@@ -373,3 +373,83 @@ class TestEstimateBatchBitIdentity:
                 ]
                 want = [estimate.shared_misses for estimate in model.estimate(demands, _llc(16))]
                 np.testing.assert_array_equal(_bits(got[m]), _bits(want))
+
+
+class _ScalarOnlyFOA(ContentionModel):
+    """A third-party model that defines only ``estimate``: its batch and
+    one-mix hooks are the base class defaults."""
+
+    name = "scalar-foa"
+
+    def estimate(self, demands, llc):
+        return FOAModel().estimate(demands, llc)
+
+
+def _assert_mix_matches_batch(model, counts, instructions, llc):
+    got = model.estimate_mix(counts, instructions, llc)
+    want = model.estimate_batch(counts[None], instructions[None], llc)[0]
+    assert isinstance(got, list) and all(type(value) is float for value in got)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+class TestEstimateMixBitIdentity:
+    """``estimate_mix`` on one mix's ``(C, A+1)`` rows equals
+    ``estimate_batch`` on that mix alone, bit for bit, for every model:
+    FOA's scalar override and the base default behind SDC, prob and a
+    third-party model."""
+
+    MODELS = ALL_MODELS + [_ScalarOnlyFOA()]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.name)
+    @pytest.mark.parametrize("associativity", [2, 8, 16, 32])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_seeds, programs=st.integers(min_value=1, max_value=9), integral=st.booleans())
+    def test_matches_estimate_batch(self, model, associativity, seed, programs, integral):
+        rng = np.random.default_rng(seed)
+        counts = _counter_rows(rng, (programs,), associativity + 1, integral)
+        counts[rng.random(programs) < 0.2] = 0.0  # zero-access programs
+        instructions = rng.uniform(1.0, 1e5, size=programs)
+        _assert_mix_matches_batch(model, counts, instructions, _llc(associativity))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.name)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 2.0, 3.0]],  # a single program
+            [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]],  # one program has every access
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # no accesses at all
+            [[5.0, 0.0, 1.0], [0.0, 0.0, 0.0], [2.0, 7.0, 0.5]],
+        ],
+        ids=["single", "all-accesses", "idle", "one-idle"],
+    )
+    def test_edge_rows(self, model, rows):
+        # Window rows' SDC columns are ``rows[:, 5:]`` views.
+        windows = np.zeros((len(rows), 8))
+        windows[:, 5:] = rows
+        instructions = np.full(len(rows), 1e4)
+        _assert_mix_matches_batch(model, windows[:, 5:], instructions, _llc(2))
+
+    # The batched FOA divides by its 5e-324 floor on a non-positive total.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.name)
+    @pytest.mark.parametrize(
+        "rows",
+        [[[5.0, 1.0, 1.0], [-3.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]],
+        ids=["short-total", "negative-total"],
+    )
+    def test_negative_counters(self, model, rows):
+        # Cancellation can leave window counters slightly negative (the
+        # scalar ``estimate`` rejects them); an access total below one
+        # program's accesses, or below zero, puts its effective ways past A.
+        counts = np.array(rows)
+        _assert_mix_matches_batch(model, counts, np.ones(len(rows)), _llc(2))
+
+    def test_foa_gives_the_whole_cache_to_the_only_active_program(self):
+        # Its effective ways reach A, where FOA keeps the isolated count.
+        counts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        assert FOAModel().estimate_mix(counts, np.ones(2), _llc(2)) == [3.0, 0.0]
+
+    def test_rejects_a_width_that_is_not_the_associativity(self):
+        with pytest.raises(ContentionModelError):
+            FOAModel().estimate_mix(np.ones((2, 4)), np.ones(2), _llc(2))

@@ -102,12 +102,6 @@ class TestMPPMPredictions:
         with pytest.raises(MPPMError):
             model.predict_mix(WorkloadMix(programs=("gamess", "unknown")), profiles4)
 
-    def test_predict_many(self, machine4, profiles4):
-        model = MPPM(machine4.with_num_cores(2))
-        mixes = [WorkloadMix(("gamess", "hmmer")), WorkloadMix(("soplex", "mcf"))]
-        predictions = model.predict_many(mixes, profiles4)
-        assert len(predictions) == 2
-
     def test_empty_profile_list_rejected(self, machine4):
         with pytest.raises(MPPMError):
             MPPM(machine4).predict([])

@@ -12,17 +12,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caches.stack_distance import StackDistanceCounters
+from repro.config import LLC_CONFIGS, baseline_machine, scaled
 from repro.contention import make_contention_model
-from repro.core import MPPM, MPPM_KERNELS, MPPMConfig
+from repro.core import MPPM, MPPM_KERNELS, MPPMConfig, batched
 from repro.core.mppm import MPPMError
 from repro.core.result import MixPrediction
 from repro.profiling import ProfileStore
 from repro.profiling.profile import IntervalProfile, SingleCoreProfile
-from repro.workloads import WorkloadMix
 
-from testdefaults import TEST_INSTRUCTIONS, TEST_INTERVAL
+from testdefaults import TEST_INSTRUCTIONS, TEST_INTERVAL, TEST_SCALE
 
 #: Every registered ``mppm:*`` spec as (contention model, config).
 VARIANTS = {
@@ -240,24 +242,6 @@ class TestKernelRouting:
         assert restored.kernel == "batched"
         assert "kernel=batched" in prediction.describe()
 
-    def test_predict_many_dedups_identical_mixes(self, machine4, profiles4):
-        names = sorted(profiles4)
-        mix_a = WorkloadMix(programs=(names[0], names[1]))
-        mix_b = WorkloadMix(programs=(names[2], names[3]))
-        predictions = MPPM(machine4.with_num_cores(2)).predict_many(
-            [mix_a, mix_b, mix_a, mix_a], profiles4
-        )
-        assert len(predictions) == 4
-        assert predictions[0] is predictions[2]
-        assert predictions[0] is predictions[3]
-        assert predictions[0] is not predictions[1]
-        # Dedup applies on the reference kernel too.
-        reference = MPPM(machine4.with_num_cores(2), kernel="reference").predict_many(
-            [mix_a, mix_b, mix_a], profiles4
-        )
-        assert reference[0] is reference[2]
-        assert_bit_identical([reference[0]], [predictions[0]])
-
 
 class TestRaggedRetirement:
     """Mixes of one batch that retire at different iterations: the batched
@@ -309,3 +293,99 @@ class TestRaggedRetirement:
             assert [p.predicted_cpi for p in alone.programs] == [
                 p.predicted_cpi for p in prediction.programs
             ]
+
+
+@pytest.fixture(scope="module")
+def llc_profiles(store, tiny_suite):
+    """``{llc: (machine, profiles)}`` for the tiny suite on every Table 2 LLC."""
+    machines = {
+        llc: scaled(baseline_machine(num_cores=4, llc_config=llc), TEST_SCALE)
+        for llc in sorted(LLC_CONFIGS)
+    }
+    for spec in tiny_suite:
+        store.get_many(spec, list(machines.values()))
+    return {
+        llc: (machine, {spec.name: store.get_profile(spec, machine) for spec in tiny_suite})
+        for llc, machine in machines.items()
+    }
+
+
+#: Config overrides the one-mix matrix runs every variant under.
+ONE_MIX_OVERRIDES = {
+    "as-registered": {},
+    "unconverged": {"max_iterations": 3},
+    "explicit-chunk": {"chunk_instructions": 7_000},
+}
+
+
+def assert_one_mix_solve(model_args, mix, other):
+    """``mix`` solved alone equals the reference loop and its own solve
+    inside a larger batch of the same core count, bit for bit."""
+    (alone,) = MPPM(*model_args).predict_batch([mix])
+    (reference,) = MPPM(*model_args, kernel="reference").predict_batch([mix])
+    assert_bit_identical([reference], [alone])
+    assert MPPM(*model_args).predict_batch([other, mix, other])[1] == alone
+    return alone
+
+
+class TestOneMixSolver:
+    """A core-count group of one mix runs ``_solve_one`` on Python floats;
+    it must give ``_solve_uniform``'s and the reference loop's results."""
+
+    @pytest.mark.parametrize("llc", sorted(LLC_CONFIGS))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_the_batched_and_reference_solves(self, llc_profiles, llc, variant):
+        machine, profiles = llc_profiles[llc]
+        names = sorted(profiles)
+        contention, config = VARIANTS[variant]
+        for label, overrides in ONE_MIX_OVERRIDES.items():
+            model_args = (
+                machine,
+                make_contention_model(contention),
+                dataclasses.replace(config, **overrides),
+            )
+            for count in (1, 2, 3, 4, 8):
+                # The first benchmark comes back last: every mix of two or
+                # more programs repeats one.
+                picks = [(llc + core) % len(names) for core in range(count - 1)]
+                picks.append(llc % len(names))
+                mix = [profiles[names[pick]] for pick in picks]
+                other = [profiles[names[(pick + 3) % len(names)]] for pick in picks]
+                alone = assert_one_mix_solve(model_args, mix, other)
+                if label == "unconverged":
+                    assert (alone.iterations, alone.converged) == (3, False)
+                else:
+                    assert alone.converged
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_mixes(self, llc_profiles, data):
+        machine, profiles = llc_profiles[data.draw(st.sampled_from(sorted(LLC_CONFIGS)))]
+        contention, config = VARIANTS[data.draw(st.sampled_from(sorted(VARIANTS)))]
+        names = st.sampled_from(sorted(profiles))
+        count = data.draw(st.integers(min_value=1, max_value=8))
+        mix = [profiles[name] for name in data.draw(st.lists(names, min_size=count, max_size=count))]
+        other = [profiles[name] for name in data.draw(st.lists(names, min_size=count, max_size=count))]
+        smoothing = data.draw(st.sampled_from([0.0, 0.5, 0.9]))
+        config = dataclasses.replace(config, smoothing=smoothing)
+        assert_one_mix_solve((machine, make_contention_model(contention), config), mix, other)
+
+    def test_batch_size_alone_picks_the_path(self, machine4, profiles4, monkeypatch):
+        calls = []
+        for name in ("_solve_one", "_solve_uniform"):
+
+            def recording(*args, _name=name, _solve=getattr(batched, name)):
+                calls.append(_name)
+                return _solve(*args)
+
+            monkeypatch.setattr(batched, name, recording)
+        names = sorted(profiles4)
+        two = [profiles4[name] for name in names[:2]]
+        four = [profiles4[name] for name in names[:4]]
+        model = MPPM(machine4)
+        assert model.predict(four).kernel == "batched"
+        assert calls == ["_solve_one"]
+        # Groups run by core count: the one 2-program mix, then the two
+        # 4-program mixes.
+        model.predict_batch([four, two, four])
+        assert calls == ["_solve_one", "_solve_one", "_solve_uniform"]

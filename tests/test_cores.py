@@ -57,13 +57,6 @@ class TestCoreTimingModel:
         assert model.llc_hit_penalty == pytest.approx(machine.llc.latency / 2.0)
         assert model.memory_penalty == pytest.approx(machine.memory.latency / 2.0)
 
-    def test_miss_extra_penalty_is_memory_minus_llc(self, machine):
-        spec = BenchmarkSpec(name="timing", mlp=1.0)
-        model = CoreTimingModel(machine, spec)
-        assert model.llc_miss_extra_penalty == pytest.approx(
-            machine.memory.latency - machine.llc.latency
-        )
-
     def test_higher_mlp_reduces_all_penalties(self, machine):
         low = CoreTimingModel(machine, BenchmarkSpec(name="low", mlp=1.0))
         high = CoreTimingModel(machine, BenchmarkSpec(name="high", mlp=4.0))

@@ -350,6 +350,38 @@ class TestSweepJobs:
         assert len(calls) == 1
 
 
+    def test_a_cacheless_sweep_hashes_no_key(self, tmp_path, monkeypatch):
+        plain, cached = self._setup(), self._setup(cache_dir=tmp_path)
+        machine = plain.machine(num_cores=2)
+        mixes = plain.mixes(num_programs=2, num_mixes=3)
+        ops = [(spec, mix, machine) for spec in ("mppm:foa", "mppm:sdc") for mix in mixes]
+        ops += ops[:2]  # repeated ops: one solve and one store each
+        hashed, stored = [], []
+        original_key = engine_tasks.predict_cache_key
+
+        def counting(*args, **kwargs):
+            hashed.append(args)
+            return original_key(*args, **kwargs)
+
+        monkeypatch.setattr(engine_tasks, "predict_cache_key", counting)
+        plain_results = plain.predictor_batch(ops)
+        assert hashed == []
+        assert plain_results[0] is plain_results[6]
+        original_store = cached.engine.store
+
+        def recording(cache_key, value):
+            stored.append(cache_key)
+            original_store(cache_key, value)
+
+        monkeypatch.setattr(cached.engine, "store", recording)
+        cached_results = cached.predictor_batch(ops)
+        assert [p.to_dict() for p in cached_results] == [p.to_dict() for p in plain_results]
+        assert len(hashed) == len(ops)
+        # Batch jobs themselves run with no key, so ``store`` skips them.
+        keys = [key for key in stored if key is not None]
+        assert len(keys) == len(set(keys)) == 6
+
+
 class TestCampaignCacheLayout:
     """Profiles and engine results share one content-addressed directory."""
 

@@ -347,10 +347,8 @@ class TestExperimentsTakePredictorLists:
             predictors=("mppm:foa", "baseline:no-contention"),
         )
         assert set(result.by_predictor) == {"mppm:foa", "baseline:no-contention"}
-        assert result.pairs == result.pairs_for("mppm:foa")
-        assert len(result.pairs_for("baseline:no-contention")) == 5
-        with pytest.raises(KeyError):
-            result.pairs_for("detailed")
+        assert result.pairs == result.by_predictor["mppm:foa"]
+        assert len(result.by_predictor["baseline:no-contention"]) == 5
 
     def test_stress_with_multiple_predictors(self, experiment_setup):
         from repro.experiments.stress import stress_experiment
@@ -363,12 +361,11 @@ class TestExperimentsTakePredictorLists:
         )
         assert result.predictor == "mppm:foa"
         assert set(result.by_predictor) == {"mppm:foa", "baseline:one-shot"}
-        assert len(result.evaluations_for("baseline:one-shot")) == 4
-        # Accessors take the same shorthand the experiments take.
-        assert result.evaluations_for("MPPM") == result.evaluations
+        assert len(result.by_predictor["baseline:one-shot"]) == 4
+        assert result.by_predictor["mppm:foa"] == result.evaluations
         # Both predictors were evaluated against the same measured runs.
         assert [e.measured for e in result.evaluations] == [
-            e.measured for e in result.evaluations_for("baseline:one-shot")
+            e.measured for e in result.by_predictor["baseline:one-shot"]
         ]
 
     def test_detailed_predictor_shares_the_simulation_cache_entry(self, tmp_path, monkeypatch):
@@ -426,7 +423,7 @@ class TestExperimentsTakePredictorLists:
             mppm_mixes=4,
             predictors=("MPPM",),
         )
-        assert agreed.pairs_for("mppm:foa") == agreed.pairs
+        assert agreed.by_predictor["mppm:foa"] == agreed.pairs
 
     def test_variability_accepts_predictor_specs(self, experiment_setup):
         from repro.experiments.variability import variability_experiment

@@ -146,7 +146,7 @@ class TestNoRunTimeKernelChoice:
         from repro.core import MPPM
 
         methods = [name for name in vars(MPPM) if name.startswith("predict")]
-        assert sorted(methods) == ["predict", "predict_batch", "predict_many", "predict_mix"]
+        assert sorted(methods) == ["predict", "predict_batch", "predict_mix"]
         for name in methods:
             assert "kernel" not in inspect.signature(getattr(MPPM, name)).parameters, name
 
