@@ -24,6 +24,7 @@ import pytest
 
 from conftest import run_once
 from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.experiments.results import evaluation_ops, evaluations
 from repro.workloads import sample_mixes
 
 #: Sweep shape: 2- and 4-core mixes, as in the Figure 4 accuracy sweep.
@@ -51,7 +52,8 @@ def _fresh_setup(**kwargs):
 
 def _evaluate(setup):
     """The default predictor and the reference over the whole sweep."""
-    return setup.evaluate_predictors(_sweep_pairs(setup), ["mppm:foa"])["mppm:foa"]
+    ops = evaluation_ops(["mppm:foa"], _sweep_pairs(setup))
+    return evaluations(ops, setup.predictor_batch(ops))["mppm:foa"]
 
 
 @pytest.fixture(scope="module")

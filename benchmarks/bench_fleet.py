@@ -31,7 +31,7 @@ import time
 
 from perf_snapshot import round_floats, write_snapshot
 
-from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup
 from repro.workloads import small_suite
 
 PREDICTOR = "mppm:foa"
@@ -54,11 +54,11 @@ def run_benchmark(quick: bool, tmp_dir) -> dict:
     machine = serial.machine(num_cores=2)
     mixes = serial.mixes(2, num_mixes, seed=3)
     ops = [("mppm:foa", mix, machine) for mix in mixes]
-    pairs = [(mix, machine) for mix in mixes]
+    simulations = [(SIMULATE, mix, machine) for mix in mixes]
 
     start = time.perf_counter()
     serial_predictions = serial.predictor_batch(ops)
-    serial_runs = [run.to_dict() for run in serial.simulate_batch(pairs)]
+    serial_runs = [run.to_dict() for run in serial.predictor_batch(simulations)]
     serial_seconds = time.perf_counter() - start
     serial.close()
 
@@ -70,7 +70,7 @@ def run_benchmark(quick: bool, tmp_dir) -> dict:
     try:
         start = time.perf_counter()
         fleet_predictions = fleet.predictor_batch(ops)
-        fleet_runs = [run.to_dict() for run in fleet.simulate_batch(pairs)]
+        fleet_runs = [run.to_dict() for run in fleet.predictor_batch(simulations)]
         cold_seconds = time.perf_counter() - start
 
         assert fleet_predictions == serial_predictions, (
@@ -115,9 +115,9 @@ def run_benchmark(quick: bool, tmp_dir) -> dict:
         second_driver = _setup(config, benchmarks, engine=Executor(backend=backend))
         second_runs = [
             run.to_dict()
-            for run in second_driver.simulate_batch(
+            for run in second_driver.predictor_batch(
                 [
-                    (mix, second_driver.machine(num_cores=2))
+                    (SIMULATE, mix, second_driver.machine(num_cores=2))
                     for mix in second_driver.mixes(2, num_mixes, seed=3)
                 ]
             )

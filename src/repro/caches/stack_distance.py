@@ -31,9 +31,8 @@ def distance_slots(distances: np.ndarray, associativity: int) -> np.ndarray:
 
     Distance ``d`` in ``[1, A]`` lands in slot ``d - 1``; cold accesses
     (``d <= 0``) and distances beyond the associativity land in the
-    ``C>A`` slot ``A``.  Shared by
-    :meth:`StackDistanceCounters.from_distances` and the simulator's
-    per-interval histograms; :meth:`StackDistanceCounters.record`
+    ``C>A`` slot ``A``.  Used by the simulator's per-interval
+    histograms; :meth:`StackDistanceCounters.record`
     applies the same rule inline for scalars (it sits on the reference
     replay's per-access path), with the unit suite pinning the two
     together.
@@ -72,23 +71,6 @@ class StackDistanceCounters:
                 )
             if (self.counts < 0).any():
                 raise StackDistanceError("counters must be non-negative")
-
-    @classmethod
-    def from_distances(
-        cls, distances: np.ndarray, associativity: int
-    ) -> "StackDistanceCounters":
-        """Build the counter vector from a batch of stack distances.
-
-        ``distances`` holds 1-based LRU stack distances with 0 encoding
-        a cold access, exactly as :meth:`record` takes them (and as
-        :func:`repro.caches.vectorized.stack_distances` produces them);
-        distances of 0 or greater than the associativity land in the
-        ``C>A`` counter.  One ``bincount`` replaces a per-access
-        recording loop.
-        """
-        slots = distance_slots(distances, associativity)
-        counts = np.bincount(slots, minlength=associativity + 1).astype(np.float64)
-        return cls(associativity=associativity, counts=counts)
 
     # ------------------------------------------------------------------
     # Recording and combining

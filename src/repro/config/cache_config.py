@@ -9,7 +9,7 @@ configuration they were collected on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 KIB = 1024
@@ -79,18 +79,6 @@ class CacheConfig:
     def num_sets(self) -> int:
         """Number of sets (lines divided by associativity)."""
         return self.num_lines // self.associativity
-
-    @property
-    def is_fully_associative(self) -> bool:
-        return self.num_sets == 1
-
-    def with_size(self, size_bytes: int) -> "CacheConfig":
-        """Return a copy with a different capacity."""
-        return replace(self, size_bytes=size_bytes)
-
-    def with_latency(self, latency: int) -> "CacheConfig":
-        """Return a copy with a different access latency."""
-        return replace(self, latency=latency)
 
     def describe(self) -> str:
         """Human-readable one-line description, e.g. ``"L3 512KB 8-way 16cyc shared"``."""

@@ -53,8 +53,3 @@ class CoreConfig:
             )
         if self.max_loads_per_cycle <= 0 or self.max_stores_per_cycle <= 0:
             raise ConfigurationError("load/store issue limits must be positive")
-
-    @property
-    def ideal_cpi(self) -> float:
-        """CPI of a perfectly scheduled instruction stream (1 / width)."""
-        return 1.0 / self.width

@@ -95,12 +95,6 @@ class MachineConfig:
         """Return a copy targeting a different core count."""
         return replace(self, num_cores=num_cores)
 
-    def with_llc(self, llc: CacheConfig, name: str | None = None) -> "MachineConfig":
-        """Return a copy with a different (shared) last-level cache."""
-        if not llc.shared:
-            llc = replace(llc, shared=True)
-        return replace(self, llc=llc, name=name if name is not None else self.name)
-
     def single_core(self) -> "MachineConfig":
         """The same machine restricted to one core.
 

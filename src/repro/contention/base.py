@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -138,10 +138,6 @@ class ProgramCacheDemand:
     def isolated_misses(self) -> float:
         return self.sdc.misses
 
-    @property
-    def isolated_hits(self) -> float:
-        return self.sdc.hits
-
 
 @dataclass(frozen=True)
 class ContentionEstimate:
@@ -172,12 +168,6 @@ class ContentionModel(ABC):
         cache being contended for.  Implementations must return one
         estimate per demand, in the same order.
         """
-
-    def estimate_by_name(
-        self, demands: Sequence[ProgramCacheDemand], llc: CacheConfig
-    ) -> Dict[str, ContentionEstimate]:
-        """Convenience wrapper returning a name-keyed dictionary."""
-        return {estimate.name: estimate for estimate in self.estimate(demands, llc)}
 
     def estimate_batch(
         self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig

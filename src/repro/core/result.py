@@ -99,9 +99,6 @@ class MixPrediction:
                 return program
         raise KeyError(f"no program named {name!r} in this prediction")
 
-    def by_core(self) -> Dict[int, ProgramPrediction]:
-        return {program.core: program for program in self.programs}
-
     # ------------------------------------------------------------------
     # Serialisation (for the engine's persistent result cache)
     # ------------------------------------------------------------------

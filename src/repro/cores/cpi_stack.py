@@ -13,7 +13,6 @@ perfect-LLC CPI).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass
@@ -78,15 +77,6 @@ class CPIStack:
         """Memory cycles as a fraction of all cycles."""
         total = self.total_cycles
         return self.memory / total if total else 0.0
-
-    def components(self) -> Dict[str, float]:
-        """All components as a name → cycles dictionary."""
-        return {
-            "base": self.base,
-            "private_cache": self.private_cache,
-            "llc": self.llc,
-            "memory": self.memory,
-        }
 
     def merged_with(self, other: "CPIStack") -> "CPIStack":
         """Element-wise sum of two stacks (e.g. across intervals)."""

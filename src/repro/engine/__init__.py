@@ -30,7 +30,7 @@ from repro.engine.backends import ExecutorBackend, ProcessPoolBackend, SerialBac
 from repro.engine.cache import MISS, ResultCache, content_key, register_result_type
 from repro.engine.executor import Executor
 from repro.engine.job import Job
-from repro.engine.progress import CollectingReporter, ConsoleReporter, ProgressReporter
+from repro.engine.progress import ConsoleReporter, ProgressReporter
 
 __all__ = [
     "Job",
@@ -44,7 +44,6 @@ __all__ = [
     "register_result_type",
     "ProgressReporter",
     "ConsoleReporter",
-    "CollectingReporter",
     "create_engine",
 ]
 

@@ -4,15 +4,14 @@ The executor reports every job's fate through a
 :class:`ProgressReporter`: ``"done"`` (computed), ``"cached"`` (served
 from the result cache) or ``"shared"`` (deduplicated against an
 identical job of the same run).  Reporters are deliberately tiny — the
-CLI uses :class:`ConsoleReporter` for a live job counter, tests use
-:class:`CollectingReporter` to assert engine behaviour.
+CLI uses :class:`ConsoleReporter` for a live job counter.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import List, Optional, TextIO, Tuple
+from typing import Optional, TextIO
 
 from repro.engine.job import Job
 
@@ -28,27 +27,6 @@ class ProgressReporter:
 
     def on_finish(self) -> None:  # pragma: no cover - trivial
         pass
-
-
-class CollectingReporter(ProgressReporter):
-    """Records every event; used by tests and by callers that poll counts."""
-
-    def __init__(self) -> None:
-        self.total_jobs = 0
-        self.events: List[Tuple[str, str]] = []
-        self.finished = False
-
-    def on_start(self, total_jobs: int) -> None:
-        self.total_jobs = total_jobs
-
-    def on_job(self, job: Job, status: str) -> None:
-        self.events.append((job.key, status))
-
-    def on_finish(self) -> None:
-        self.finished = True
-
-    def count(self, status: str) -> int:
-        return sum(1 for _, event_status in self.events if event_status == status)
 
 
 class ConsoleReporter(ProgressReporter):

@@ -31,7 +31,6 @@ from repro.engine.remote.launch import WorkerHandle, launch_local_workers, launc
 from repro.engine.remote.protocol import decode_job, decode_result, encode_job, encode_result
 from repro.engine.remote.spec import (
     DEFAULT_JOB_TIMEOUT,
-    is_fleet_spec,
     normalize_fleet_flag,
     parse_fleet_spec,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "WorkerClient",
     "WorkerHandle",
     "ANNOUNCE_PREFIX",
-    "is_fleet_spec",
     "normalize_fleet_flag",
     "parse_fleet_spec",
     "DEFAULT_JOB_TIMEOUT",

@@ -60,11 +60,6 @@ _SPECS = Grammar(
 )
 
 
-def is_fleet_spec(value: object) -> bool:
-    """Whether a ``jobs`` value names a fleet rather than a pool size."""
-    return isinstance(value, str) and value.startswith(PREFIX)
-
-
 def normalize_fleet_flag(value: str) -> str:
     """CLI convenience: accept ``localhost:2`` and ``fleet:localhost:2`` alike."""
     spec = value if value.startswith(PREFIX) else PREFIX + value

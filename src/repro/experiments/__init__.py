@@ -26,12 +26,13 @@ Module                 Paper artefact
 =====================  ==========================================
 """
 
-from repro.experiments.setup import ExperimentConfig, ExperimentSetup, default_setup
+from repro.experiments.setup import SIMULATE, ExperimentConfig, ExperimentSetup, default_setup
 from repro.experiments.results import MixEvaluation
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentSetup",
+    "SIMULATE",
     "default_setup",
     "MixEvaluation",
 ]

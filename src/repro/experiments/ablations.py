@@ -23,14 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence
 
-import numpy as np
-
 from repro.core import MPPM, MPPMConfig
-from repro.core.result import MixPrediction
 from repro.experiments.reporting import format_table
-from repro.experiments.setup import ExperimentSetup
-from repro.metrics import absolute_relative_error
-from repro.workloads import WorkloadMix
+from repro.experiments.results import MixEvaluation, average_errors, evaluation_ops, evaluations
+from repro.experiments.setup import SIMULATE, ExperimentSetup
+from repro.predictors import canonical_spec
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,6 @@ class AblationResult:
                 return row
         raise KeyError(f"no ablation row for variant {variant!r}")
 
-    def best_variant_by_stp(self) -> str:
-        return min(self.rows, key=lambda row: row.stp_error).variant
-
     def to_rows(self) -> List[Mapping[str, object]]:
         return [
             {
@@ -74,41 +68,25 @@ class AblationResult:
         return format_table(self.to_rows(), title=self.title, float_format="{:.2f}")
 
 
-def _evaluate_variant(
+def _spec_ablation(
     setup: ExperimentSetup,
-    mixes: Sequence[WorkloadMix],
-    machine,
-    variant: str,
-    predictions: Sequence[MixPrediction],
-) -> AblationRow:
-    stp_errors, antt_errors, slowdown_errors = [], [], []
-    for mix, predicted in zip(mixes, predictions):
-        measured = setup.simulate(mix, machine)
-        stp_errors.append(
-            absolute_relative_error(predicted.system_throughput, measured.system_throughput)
-        )
-        antt_errors.append(
-            absolute_relative_error(
-                predicted.average_normalized_turnaround_time,
-                measured.average_normalized_turnaround_time,
-            )
-        )
-        for p, m in zip(predicted.programs, measured.programs):
-            slowdown_errors.append(absolute_relative_error(p.slowdown, m.slowdown))
-    return AblationRow(
-        variant=variant,
-        stp_error=float(np.mean(stp_errors)),
-        antt_error=float(np.mean(antt_errors)),
-        slowdown_error=float(np.mean(slowdown_errors)),
-    )
-
-
-def _spec_row(
-    setup: ExperimentSetup, mixes: Sequence[WorkloadMix], machine, variant: str, spec: str
-) -> AblationRow:
-    """The row of one registry predictor spec."""
-    predictions = [setup.predict(mix, machine, predictor=spec) for mix in mixes]
-    return _evaluate_variant(setup, mixes, machine, variant, predictions)
+    title: str,
+    variants: Mapping[str, str],
+    num_cores: int,
+    llc_config: int,
+    num_mixes: int,
+    seed: int,
+) -> AblationResult:
+    """One row per ``{variant: predictor spec}``, all specs and reference runs in one sweep."""
+    machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
+    pairs = [(mix, machine) for mix in setup.mixes(num_cores, num_mixes, seed=seed)]
+    ops = evaluation_ops(list(variants.values()), pairs)
+    evaluated = evaluations(ops, setup.predictor_batch(ops))
+    rows = [
+        AblationRow(variant, *average_errors(evaluated[canonical_spec(spec)]))
+        for variant, spec in variants.items()
+    ]
+    return AblationResult(title=title, rows=rows)
 
 
 def contention_model_ablation(
@@ -120,18 +98,15 @@ def contention_model_ablation(
     seed: int = 71,
 ) -> AblationResult:
     """Compare MPPM accuracy across cache-contention models."""
-    machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
-    mixes = setup.mixes(num_cores, num_mixes, seed=seed)
-    rows = [
-        _spec_row(setup, mixes, machine, model_name, f"mppm:{model_name}")
-        for model_name in models
-    ]
-    return AblationResult(
-        title=(
-            "Ablation — cache-contention model inside MPPM "
-            "(the paper uses FOA; §2.3 claims the model is pluggable):"
-        ),
-        rows=rows,
+    return _spec_ablation(
+        setup,
+        "Ablation — cache-contention model inside MPPM "
+        "(the paper uses FOA; §2.3 claims the model is pluggable):",
+        {model_name: f"mppm:{model_name}" for model_name in models},
+        num_cores,
+        llc_config,
+        num_mixes,
+        seed,
     )
 
 
@@ -143,18 +118,26 @@ def smoothing_ablation(
     num_mixes: int = 30,
     seed: int = 73,
 ) -> AblationResult:
-    """Sweep the EMA smoothing factor of the slowdown update."""
+    """Sweep the EMA smoothing factor of the slowdown update.
+
+    The reference runs are one sweep; the predictions run in process,
+    since ``f`` is not part of the spec grammar.
+    """
     machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
     mixes = setup.mixes(num_cores, num_mixes, seed=seed)
+    measured = setup.predictor_batch([(SIMULATE, mix, machine) for mix in mixes])
     rows = []
     for factor in smoothing_factors:
         model = MPPM(
             machine, config=MPPMConfig(smoothing=factor), kernel=setup.config.mppm_kernel
         )
-        predictions = [
-            model.predict_mix(mix, setup.benchmark_profiles(mix.programs, machine)) for mix in mixes
+        evaluated = [
+            MixEvaluation(
+                mix, model.predict_mix(mix, setup.benchmark_profiles(mix.programs, machine)), run
+            )
+            for mix, run in zip(mixes, measured)
         ]
-        rows.append(_evaluate_variant(setup, mixes, machine, f"f={factor:.2f}", predictions))
+        rows.append(AblationRow(f"f={factor:.2f}", *average_errors(evaluated)))
     return AblationResult(
         title=(
             "Ablation — exponential-moving-average smoothing factor of the slowdown update "
@@ -177,22 +160,19 @@ def iteration_ablation(
     predictors now, see :mod:`repro.predictors`): ignoring contention
     entirely, and applying the contention model once without iterating.
     """
-    machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
-    mixes = setup.mixes(num_cores, num_mixes, seed=seed)
-
-    variants = {
-        "MPPM (iterative)": "mppm:foa",
-        "one-shot contention": "baseline:one-shot",
-        "no contention": "baseline:no-contention",
-    }
-
-    rows = [_spec_row(setup, mixes, machine, variant, spec) for variant, spec in variants.items()]
-    return AblationResult(
-        title=(
-            "Ablation — value of the iterative entanglement model "
-            "(full MPPM vs one-shot contention vs ignoring contention):"
-        ),
-        rows=rows,
+    return _spec_ablation(
+        setup,
+        "Ablation — value of the iterative entanglement model "
+        "(full MPPM vs one-shot contention vs ignoring contention):",
+        {
+            "MPPM (iterative)": "mppm:foa",
+            "one-shot contention": "baseline:one-shot",
+            "no contention": "baseline:no-contention",
+        },
+        num_cores,
+        llc_config,
+        num_mixes,
+        seed,
     )
 
 
@@ -204,14 +184,13 @@ def update_rule_ablation(
     seed: int = 79,
 ) -> AblationResult:
     """Compare the literal Figure 2 slowdown update with the self-consistent one."""
-    machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
-    mixes = setup.mixes(num_cores, num_mixes, seed=seed)
-    variants = {"self-consistent": "mppm:foa", "literal Figure 2": "mppm:figure2"}
-    rows = [_spec_row(setup, mixes, machine, variant, spec) for variant, spec in variants.items()]
-    return AblationResult(
-        title=(
-            "Ablation — slowdown-update normalisation "
-            "(see MPPMConfig.literal_figure2_update for the interpretation difference):"
-        ),
-        rows=rows,
+    return _spec_ablation(
+        setup,
+        "Ablation — slowdown-update normalisation "
+        "(see MPPMConfig.literal_figure2_update for the interpretation difference):",
+        {"self-consistent": "mppm:foa", "literal Figure 2": "mppm:figure2"},
+        num_cores,
+        llc_config,
+        num_mixes,
+        seed,
     )

@@ -13,15 +13,13 @@ both MPPM and the detailed reference simulator and reports:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Mapping, Optional, Sequence
 
 from repro.experiments.reporting import format_table
-from repro.experiments.results import MixEvaluation
-from repro.experiments.setup import ExperimentSetup
-from repro.workloads import WorkloadMix
+from repro.experiments.results import MixEvaluation, average_errors, evaluation_ops, evaluations
+from repro.experiments.setup import SIMULATE, ExperimentSetup, PredictJob, llc_config_number
 
 
 @dataclass(frozen=True)
@@ -39,16 +37,15 @@ class AccuracyForCoreCount:
 
     @property
     def average_stp_error(self) -> float:
-        return float(np.mean([evaluation.stp_error for evaluation in self.evaluations]))
+        return average_errors(self.evaluations)[0]
 
     @property
     def average_antt_error(self) -> float:
-        return float(np.mean([evaluation.antt_error for evaluation in self.evaluations]))
+        return average_errors(self.evaluations)[1]
 
     @property
     def average_slowdown_error(self) -> float:
-        errors = [error for evaluation in self.evaluations for error in evaluation.slowdown_errors]
-        return float(np.mean(errors))
+        return average_errors(self.evaluations)[2]
 
     def stp_scatter(self) -> List[Mapping[str, float]]:
         """Predicted/measured STP pairs (the dots of Figure 4a)."""
@@ -110,6 +107,26 @@ class AccuracyResult:
         )
 
 
+def _accuracy_result(ops: Sequence[PredictJob], results: Sequence[object]) -> AccuracyResult:
+    """One entry per predictor and run of consecutive pairs on one machine."""
+    machines = [machine for spec, _, machine in ops if spec == SIMULATE]
+    per_core_count: List[AccuracyForCoreCount] = []
+    for spec, evaluated in evaluations(ops, results).items():
+        start = 0
+        for machine, group in itertools.groupby(machines):
+            end = start + len(list(group))
+            per_core_count.append(
+                AccuracyForCoreCount(
+                    num_cores=machine.num_cores,
+                    llc_config=llc_config_number(machine),
+                    evaluations=evaluated[start:end],
+                    predictor=spec,
+                )
+            )
+            start = end
+    return AccuracyResult(per_core_count=per_core_count)
+
+
 def accuracy_experiment(
     setup: ExperimentSetup,
     core_counts: Sequence[int] = (2, 4, 8),
@@ -137,32 +154,13 @@ def accuracy_experiment(
     """
     if not predictors:
         raise ValueError("at least one predictor spec is required")
-    groups: List[Tuple[int, int, List[WorkloadMix]]] = []
-    for num_cores in core_counts:
-        mixes = setup.mixes(num_cores, mixes_per_core_count, seed=seed + num_cores)
-        groups.append((num_cores, llc_config, mixes))
+    groups = [(num_cores, llc_config, mixes_per_core_count) for num_cores in core_counts]
     if include_16_core:
-        mixes = setup.mixes(16, mixes_16_core, seed=seed + 16)
-        groups.append((16, llc_config_16_core, mixes))
-
+        groups.append((16, llc_config_16_core, mixes_16_core))
     pairs = [
         (mix, setup.machine(num_cores=num_cores, llc_config=config))
-        for num_cores, config, mixes in groups
-        for mix in mixes
+        for num_cores, config, num_mixes in groups
+        for mix in setup.mixes(num_cores, num_mixes, seed=seed + num_cores)
     ]
-    evaluated = setup.evaluate_predictors(pairs, predictors)
-
-    results: List[AccuracyForCoreCount] = []
-    for spec, evaluations in evaluated.items():
-        offset = 0
-        for num_cores, config, mixes in groups:
-            results.append(
-                AccuracyForCoreCount(
-                    num_cores=num_cores,
-                    llc_config=config,
-                    evaluations=evaluations[offset : offset + len(mixes)],
-                    predictor=spec,
-                )
-            )
-            offset += len(mixes)
-    return AccuracyResult(per_core_count=results)
+    ops = evaluation_ops(predictors, pairs)
+    return _accuracy_result(ops, setup.predictor_batch(ops))

@@ -25,12 +25,13 @@ from typing import List, Mapping, Optional, Sequence
 
 from repro.experiments.ranking import (
     DesignSpaceScores,
-    _evaluate_mix_sets,
+    _design_space_ops,
+    _design_space_scores,
+    _design_space_sets,
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.setup import ExperimentSetup
 from repro.predictors import canonical_spec
-from repro.workloads import BenchmarkClass
 
 
 @dataclass(frozen=True)
@@ -184,42 +185,23 @@ def agreement_experiment(
         raise ValueError("at least one predictor spec is required")
     predictors = [canonical_spec(spec) for spec in predictors]
     machines = setup.design_space(num_cores=num_cores)
-
-    model_mixes = setup.mixes(num_cores, mppm_mixes, seed=seed + 1)
-    model_scores = _evaluate_mix_sets(
+    sets = _design_space_sets(
         setup,
-        [model_mixes] * len(predictors),
-        machines,
-        list(predictors),
-        list(predictors),
+        "category",
+        num_cores,
+        num_trials,
+        mixes_per_trial,
+        reference_mixes,
+        mppm_mixes,
+        predictors,
+        seed,
     )
-
-    # The reference sweep and every current-practice trial go through
-    # the engine as one detailed-simulation sweep.
-    per_category = max(1, mixes_per_trial // len(BenchmarkClass))
-    simulated_mix_sets = [setup.mixes(num_cores, reference_mixes, seed=seed)]
-    labels = ["reference"]
-    for trial in range(num_trials):
-        simulated_mix_sets.append(
-            setup.mixes(
-                num_cores,
-                per_category,
-                seed=seed + 100 + trial,
-                category=tuple(BenchmarkClass),
-            )
-        )
-        labels.append(f"trial {trial + 1}")
-    reference, *trial_scores = _evaluate_mix_sets(
-        setup,
-        simulated_mix_sets,
-        machines,
-        labels,
-        ["detailed"] * len(simulated_mix_sets),
-    )
-
+    ops = _design_space_ops(machines, sets)
+    reference, *scores = _design_space_scores(machines, sets, setup.predictor_batch(ops))
+    model_scores, trial_scores = scores[: len(predictors)], scores[len(predictors) :]
     by_predictor = {
-        scores.label: _pairwise_agreements(reference, scores, trial_scores, metric)
-        for scores in model_scores
+        model.label: _pairwise_agreements(reference, model, trial_scores, metric)
+        for model in model_scores
     }
     return AgreementResult(
         metric=metric,

@@ -17,15 +17,19 @@ correlations of 0.5 and below, while MPPM achieves 1.0 (STP) and 0.93
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.config import MachineConfig
 from repro.experiments.reporting import format_table
-from repro.experiments.setup import ExperimentSetup
+from repro.experiments.setup import ExperimentSetup, PredictJob, llc_config_number
 from repro.metrics import spearman_rank_correlation
 from repro.predictors import canonical_spec, lookup_spec
 from repro.workloads import BenchmarkClass, WorkloadMix
+
+#: One scored set of a design-space sweep: (label, predictor spec, mixes).
+_MixSet = Tuple[str, str, Sequence[WorkloadMix]]
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,6 @@ class DesignSpaceScores:
         # ANTT is lower-is-better; rank correlation is sign-invariant to
         # that as long as both series use the same orientation.
         return spearman_rank_correlation(self.antt, reference.antt)
-
-    def best_config_by_stp(self) -> int:
-        return self.config_numbers[int(np.argmax(self.stp))]
 
 
 @dataclass(frozen=True)
@@ -140,71 +141,61 @@ class RankingResult:
         )
 
 
-def _config_numbers(machines: Sequence) -> List[int]:
-    return [int(machine.name.split("#")[1].split()[0]) for machine in machines]
-
-
-def _scores_from_results(
-    machines: Sequence, per_machine_results: List[List], label: str
-) -> DesignSpaceScores:
-    """Average STP/ANTT per design point from per-machine result lists."""
-    stp = [
-        float(np.mean([result.system_throughput for result in results]))
-        for results in per_machine_results
-    ]
-    antt = [
-        float(np.mean([result.average_normalized_turnaround_time for result in results]))
-        for results in per_machine_results
-    ]
-    return DesignSpaceScores(
-        label=label, config_numbers=_config_numbers(machines), stp=stp, antt=antt
-    )
-
-
-def _evaluate_mix_sets(
+def _design_space_sets(
     setup: ExperimentSetup,
-    mix_sets: Sequence[Sequence[WorkloadMix]],
-    machines: Sequence,
-    labels: Sequence[str],
+    policy: str,
+    num_cores: int,
+    num_trials: int,
+    mixes_per_trial: int,
+    reference_mixes: int,
+    mppm_mixes: int,
     predictors: Sequence[str],
+    seed: int,
+) -> List[_MixSet]:
+    """The reference set, one set per predictor, then the current-practice trials."""
+    reference = setup.mixes(num_cores, reference_mixes, seed=seed)
+    sets: List[_MixSet] = [("reference (detailed simulation)", "detailed", reference)]
+    model_mixes = setup.mixes(num_cores, mppm_mixes, seed=seed + 1)
+    sets.extend((spec, spec, model_mixes) for spec in predictors)
+    for trial in range(num_trials):
+        if policy == "random":
+            trial_mixes = setup.mixes(num_cores, mixes_per_trial, seed=seed + 100 + trial)
+        else:
+            trial_mixes = setup.mixes(
+                num_cores,
+                max(1, mixes_per_trial // len(BenchmarkClass)),
+                seed=seed + 100 + trial,
+                category=tuple(BenchmarkClass),
+            )
+        sets.append((f"trial {trial + 1}", "detailed", trial_mixes))
+    return sets
+
+
+def _design_space_ops(
+    machines: Sequence[MachineConfig], sets: Sequence[_MixSet]
+) -> List[PredictJob]:
+    """Each set's spec on each of its mixes, on every design point: one sweep."""
+    return [(spec, mix, machine) for _, spec, mixes in sets for machine in machines for mix in mixes]
+
+
+def _design_space_scores(
+    machines: Sequence[MachineConfig], sets: Sequence[_MixSet], results: Sequence
 ) -> List[DesignSpaceScores]:
-    """Score several (mix set, predictor) sweeps over the design space through ONE engine sweep.
-
-    ``predictors[k]`` is the registry spec that evaluates
-    ``mix_sets[k]`` (``"detailed"`` for reference/trial sweeps,
-    ``"mppm:foa"`` et al. for model sweeps) — one unified code path
-    for every estimator.  Every (mix, machine) unit of every set
-    becomes one engine job, so a parallel setup overlaps the reference
-    sweep, the trials and all model sweeps instead of processing them
-    one design point at a time.
-    """
-    items = [
-        (spec, mix, machine)
-        for mixes, spec in zip(mix_sets, predictors)
-        for machine in machines
-        for mix in mixes
-    ]
-    results = setup.predictor_batch(items)
-
+    """Average STP/ANTT per design point of every set, from its sweep's results."""
+    config_numbers = [llc_config_number(machine) for machine in machines]
     scores: List[DesignSpaceScores] = []
     offset = 0
-    for mixes, label in zip(mix_sets, labels):
-        per_machine = []
+    for label, _, mixes in sets:
+        stp, antt = [], []
         for _ in machines:
-            per_machine.append(results[offset : offset + len(mixes)])
+            chunk = results[offset : offset + len(mixes)]
             offset += len(mixes)
-        scores.append(_scores_from_results(machines, per_machine, label))
+            stp.append(float(np.mean([result.system_throughput for result in chunk])))
+            antt.append(
+                float(np.mean([result.average_normalized_turnaround_time for result in chunk]))
+            )
+        scores.append(DesignSpaceScores(label, config_numbers, stp, antt))
     return scores
-
-
-def _scores_from_predictor(
-    setup: ExperimentSetup,
-    mixes: Sequence[WorkloadMix],
-    machines: Sequence,
-    label: str,
-    predictor: str,
-) -> DesignSpaceScores:
-    return _evaluate_mix_sets(setup, [mixes], machines, [label], [predictor])[0]
 
 
 def ranking_experiment(
@@ -235,47 +226,22 @@ def ranking_experiment(
         raise ValueError("at least one predictor spec is required")
     predictors = [canonical_spec(spec) for spec in predictors]
     machines = setup.design_space(num_cores=num_cores)
-    reference_mix_list = setup.mixes(num_cores, reference_mixes, seed=seed)
-    reference = _scores_from_predictor(
+    sets = _design_space_sets(
         setup,
-        reference_mix_list,
-        machines,
-        label="reference (detailed simulation)",
-        predictor="detailed",
+        policy,
+        num_cores,
+        num_trials,
+        mixes_per_trial,
+        reference_mixes,
+        mppm_mixes,
+        predictors,
+        seed,
     )
-
-    model_mix_list = setup.mixes(num_cores, mppm_mixes, seed=seed + 1)
-    model_scores = _evaluate_mix_sets(
-        setup,
-        [model_mix_list] * len(predictors),
-        machines,
-        list(predictors),
-        list(predictors),
-    )
-
-    trial_mix_sets: List[Sequence[WorkloadMix]] = []
-    for trial in range(num_trials):
-        if policy == "random":
-            trial_mixes = setup.mixes(
-                num_cores, mixes_per_trial, seed=seed + 100 + trial
-            )
-        else:
-            per_category = max(1, mixes_per_trial // len(BenchmarkClass))
-            trial_mixes = setup.mixes(
-                num_cores,
-                per_category,
-                seed=seed + 100 + trial,
-                category=tuple(BenchmarkClass),
-            )
-        trial_mix_sets.append(trial_mixes)
-    trials = _evaluate_mix_sets(
-        setup,
-        trial_mix_sets,
-        machines,
-        [f"trial {trial + 1}" for trial in range(num_trials)],
-        ["detailed"] * num_trials,
-    )
-
+    ops = _design_space_ops(machines, sets)
+    reference, *scores = _design_space_scores(machines, sets, setup.predictor_batch(ops))
     return RankingResult(
-        policy=policy, reference=reference, models=model_scores, trials=trials
+        policy=policy,
+        reference=reference,
+        models=scores[: len(predictors)],
+        trials=scores[len(predictors) :],
     )

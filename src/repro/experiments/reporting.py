@@ -60,8 +60,3 @@ def format_series(
     for start in range(0, len(rendered), per_line):
         lines.append("  " + " ".join(rendered[start : start + per_line]))
     return "\n".join(lines)
-
-
-def format_percent(value: float, decimals: int = 1) -> str:
-    """Render a fraction as a percentage string."""
-    return f"{100.0 * value:.{decimals}f}%"

@@ -8,19 +8,19 @@ so that a whole benchmark session pays each single-core simulation and
 each reference multi-core simulation exactly once, mirroring the
 "one-time cost" structure of the paper's methodology.
 
-There are five ways in.  :meth:`~ExperimentSetup.predict` and
-:meth:`~ExperimentSetup.simulate` handle one mix in process.  Sweeps go
-through the :mod:`repro.engine`: :meth:`~ExperimentSetup.predictor_batch`
-takes ``(predictor spec, mix, machine)`` triples,
-:meth:`~ExperimentSetup.simulate_batch` takes ``(mix, machine)`` pairs
-and returns the raw reference runs, and
-:meth:`~ExperimentSetup.evaluate_predictors` pairs several specs with
-one shared reference sweep.  Each sweep is one flat list of
-independent jobs run on the setup's executor in one call.  With the
-default serial backend this behaves exactly like inline loops, each
-job profiling what it needs; with ``jobs=N`` the profile step
-(:meth:`~ExperimentSetup.profile_pairs`) first fans them out, and with
-``cache_dir`` set both profiles and mix results persist across
+There are three ways in.  :meth:`~ExperimentSetup.predict` and
+:meth:`~ExperimentSetup.simulate` handle one mix in process.  Every
+sweep goes through :meth:`~ExperimentSetup.predictor_batch`, which
+takes ``(spec, mix, machine)`` ops: ``spec`` is a predictor spec, or
+:data:`SIMULATE` for the raw reference run of the pair.  An experiment
+builds its ops, makes one ``predictor_batch`` call and renders the
+results (:mod:`repro.experiments.results` pairs predictions with their
+reference runs).  Each sweep is one flat list of independent jobs run
+on the setup's executor in one call (two with a ``hybrid:*`` spec).
+With the default serial backend this behaves exactly like inline
+loops, each job profiling what it needs; with ``jobs=N`` the profile
+step (:meth:`~ExperimentSetup.profile_pairs`) first fans them out, and
+with ``cache_dir`` set both profiles and mix results persist across
 processes — serial and parallel runs are bit-identical either way.
 """
 
@@ -61,19 +61,22 @@ from repro.workloads.registry import MixCategory
 #: One (mix, machine) unit of a bulk evaluation.
 MixJob = Tuple[WorkloadMix, MachineConfig]
 
-#: One (predictor spec, mix, machine) unit of a heterogeneous sweep.
+#: One (predictor spec or SIMULATE, mix, machine) op of a sweep.
 PredictJob = Tuple[str, WorkloadMix, MachineConfig]
+
+#: What one op of a sweep returns.
+_OpResult = Union[MixPrediction, MultiCoreRunResult]
 
 #: Fan-out map of a batched MPPM sweep: batch job key -> per-item
 #: ``(op indices, per-op cache key)`` entries, in item order.
 BatchScatter = Dict[str, List[Tuple[List[int], Optional[str]]]]
 
-#: Sentinel op for "run the raw reference simulator" in a sweep
-#: (returns a MultiCoreRunResult rather than a MixPrediction).
-_SIMULATE = "simulate"
+#: The op spec that runs the raw reference simulator in a sweep (its
+#: result is a MultiCoreRunResult rather than a MixPrediction).
+SIMULATE = "simulate"
 
 #: The ops that run as reference-simulation jobs (and need LLC traces).
-_SIMULATES = (_SIMULATE, "detailed")
+_SIMULATES = (SIMULATE, "detailed")
 
 
 @dataclass(frozen=True)
@@ -304,11 +307,11 @@ class ExperimentSetup:
         """One sweep as a flat job list: per-op jobs, then batched MPPM jobs.
 
         Each op is ``(spec, mix, machine)`` where ``spec`` is a
-        predictor spec or the ``"simulate"`` sentinel for the raw
+        predictor spec or :data:`SIMULATE` for the raw
         reference simulator; op ``i``'s result is keyed ``"op:i"``.
         ``detailed`` ops run as simulate jobs (their expensive part IS
         the reference simulation, and this shares one cache entry with
-        every other reference run of the pair); :meth:`_run_ops`
+        every other reference run of the pair); :meth:`_run_plain_ops`
         repackages their results as predictions.  Jobs profile what
         they need lazily, through the setup's :class:`ProfileStore`.
 
@@ -318,7 +321,7 @@ class ExperimentSetup:
         items through one mix-major fixed-point pass
         (:func:`repro.engine.tasks.predict_mppm_batch_job`).  The
         returned scatter maps each batch job's key to its
-        ``(op indices, per-op cache key)`` entries so :meth:`_run_ops`
+        ``(op indices, per-op cache key)`` entries so :meth:`_run_plain_ops`
         can fan the list result back out and store every prediction
         under the key an individual job would have used.  Cached
         ``mppm:*`` ops keep per-op jobs (which resolve from the cache
@@ -425,20 +428,61 @@ class ExperimentSetup:
             trace=any(spec in _SIMULATES for spec, _, _ in todo),
         )
 
-    def _run_ops(self, ops: Sequence[PredictJob]) -> List[object]:
-        """Run a sweep, expanding two-stage ``hybrid:*`` ops if present.
+    def _run_plain_ops(self, ops: Sequence[PredictJob]) -> List[_OpResult]:
+        """Run one sweep's jobs and return op results in input order.
 
-        Plain sweeps go straight to :meth:`_run_plain_ops`.  Hybrid ops
-        run the default MPPM spec for the whole pool first, then each
-        hybrid spec's predicted worst-``K`` ops (lowest predicted system
-        throughput; ties broken by op index, so serial and parallel
-        runs pick identical mixes) are re-run as plain ``detailed`` ops
-        — through the same sweep path, sharing job and cache entries
-        with every other detailed run of those (mix, machine) pairs.
-        Every hybrid op's result is tagged with the hybrid spec.
+        ``detailed`` ops come back from the engine as raw
+        :class:`MultiCoreRunResult`\\ s (they share the reference
+        simulation's job and cache entry) and are repackaged as
+        predictions here.  Batched ``mppm:*`` jobs come back as lists;
+        their predictions are scattered to the op slots (duplicated ops
+        share one object) and stored under the per-op cache keys.  Each
+        result is labelled with its own op's machine name (cache keys
+        leave the name out, see :func:`~repro.predictors.base.for_machine`).
         """
-        hybrid_present = any(spec.startswith("hybrid:") for spec, _, _ in ops)
-        if not hybrid_present:
+        jobs, scatter = self._sweep_jobs(ops)
+        self._warm_profiles(ops, jobs)
+        results = self.engine.run(jobs)
+        out: List[_OpResult] = [None] * len(ops)
+        for job_key, entries in scatter.items():
+            predictions = results[job_key]
+            for prediction, (indices, cache_key) in zip(predictions, entries):
+                self.engine.store(cache_key, prediction)
+                for index in indices:
+                    out[index] = for_machine(prediction, ops[index][2])
+        for i, (spec, _, machine) in enumerate(ops):
+            key = f"op:{i}"
+            if key in results:
+                value = for_machine(results[key], machine)
+                out[i] = prediction_from_run(value) if spec == "detailed" else value
+        return out
+
+    def predictor_batch(self, items: Sequence[PredictJob]) -> List[_OpResult]:
+        """The one sweep entry point: ``(spec, mix, machine)`` ops, results in input order.
+
+        ``spec`` is a predictor registry spec, whose op returns a
+        :class:`MixPrediction`, or :data:`SIMULATE`, whose op returns the
+        raw :class:`MultiCoreRunResult` of the reference simulation (a
+        ``detailed`` prediction repackages that run, so it cannot stand
+        in for it bit for bit).  Every op of every spec runs as one flat
+        job list, so a sweep that mixes estimators and reference runs
+        caches and parallelises exactly like a homogeneous one.
+
+        Two-stage ``hybrid:*`` ops make a second job list: the default
+        MPPM spec runs in their place first, then each hybrid spec's
+        predicted worst-``K`` ops (lowest predicted system throughput;
+        ties broken by op index, so serial and parallel runs pick
+        identical mixes) are re-run as plain ``detailed`` ops, sharing
+        job and cache entries with every other detailed run of those
+        (mix, machine) pairs.  The worst ``K`` are chosen among the
+        sweep's own ops of that spec.  Every hybrid op's result is
+        tagged with the hybrid spec.
+        """
+        ops = [
+            (spec if spec == SIMULATE else canonical_spec(spec), mix, machine)
+            for spec, mix, machine in items
+        ]
+        if not any(spec.startswith("hybrid:") for spec, _, _ in ops):
             return self._run_plain_ops(ops)
         base_ops = [
             (DEFAULT_PREDICTOR, mix, machine) if spec.startswith("hybrid:") else (spec, mix, machine)
@@ -466,91 +510,14 @@ class ExperimentSetup:
                 out[index] = tag_prediction(out[index], spec)
         return out
 
-    def _run_plain_ops(self, ops: Sequence[PredictJob]) -> List[object]:
-        """Run one sweep's jobs and return op results in input order.
-
-        ``detailed`` ops come back from the engine as raw
-        :class:`MultiCoreRunResult`\\ s (they share the reference
-        simulation's job and cache entry) and are repackaged as
-        predictions here.  Batched ``mppm:*`` jobs come back as lists;
-        their predictions are scattered to the op slots (duplicated ops
-        share one object) and stored under the per-op cache keys.  Each
-        result is labelled with its own op's machine name (cache keys
-        leave the name out, see :func:`~repro.predictors.base.for_machine`).
-        """
-        jobs, scatter = self._sweep_jobs(ops)
-        self._warm_profiles(ops, jobs)
-        results = self.engine.run(jobs)
-        out: List[object] = [None] * len(ops)
-        for job_key, entries in scatter.items():
-            predictions = results[job_key]
-            for prediction, (indices, cache_key) in zip(predictions, entries):
-                self.engine.store(cache_key, prediction)
-                for index in indices:
-                    out[index] = for_machine(prediction, ops[index][2])
-        for i, (spec, _, machine) in enumerate(ops):
-            key = f"op:{i}"
-            if key in results:
-                value = for_machine(results[key], machine)
-                out[i] = prediction_from_run(value) if spec == "detailed" else value
-        return out
-
-    def predictor_batch(self, items: Sequence[PredictJob]) -> List[MixPrediction]:
-        """Heterogeneous predictor sweep: (spec, mix, machine) triples.
-
-        Every item becomes one engine job keyed by its spec, so a sweep
-        that mixes estimators — e.g. ``mppm:foa`` against the baselines
-        and ``detailed`` — caches and parallelises exactly like a
-        homogeneous one.  Results come back in input order.
-        """
-        ops = [(canonical_spec(spec), mix, machine) for spec, mix, machine in items]
-        return self._run_ops(ops)
-
-    def simulate_batch(self, pairs: Sequence[MixJob]) -> List[MultiCoreRunResult]:
-        """Reference simulations for many (mix, machine) pairs, in input order."""
-        return self._run_ops([(_SIMULATE, mix, machine) for mix, machine in pairs])
-
-    def evaluate_predictors(
-        self, pairs: Sequence[MixJob], predictors: Sequence[str]
-    ) -> Dict[str, List["MixEvaluation"]]:
-        """Evaluate several predictors against the reference in ONE sweep.
-
-        Returns ``{spec: [MixEvaluation, ...]}`` with evaluations in
-        pair order; the reference simulation of each pair is shared by
-        every predictor, so comparing N estimators costs N prediction
-        sweeps plus a single simulation sweep.  A ``detailed`` spec in
-        the list is served from that same simulation sweep (a pure
-        repackaging), not simulated a second time.
-        """
-        from repro.experiments.results import MixEvaluation
-
-        specs = [canonical_spec(spec) for spec in predictors]
-        model_specs = [spec for spec in specs if spec != "detailed"]
-        ops: List[PredictJob] = [
-            (spec, mix, machine) for spec in model_specs for mix, machine in pairs
-        ]
-        ops.extend((_SIMULATE, mix, machine) for mix, machine in pairs)
-        results = self._run_ops(ops)
-        measured = results[len(model_specs) * len(pairs) :]
-        predicted_by_spec = {
-            spec: results[index * len(pairs) : (index + 1) * len(pairs)]
-            for index, spec in enumerate(model_specs)
-        }
-        if "detailed" in specs:
-            predicted_by_spec["detailed"] = [prediction_from_run(run) for run in measured]
-        evaluated: Dict[str, List[MixEvaluation]] = {}
-        for spec in specs:
-            evaluated[spec] = [
-                MixEvaluation(mix=mix, predicted=prediction, measured=measurement)
-                for (mix, _), prediction, measurement in zip(
-                    pairs, predicted_by_spec[spec], measured
-                )
-            ]
-        return evaluated
-
     def close(self) -> None:
         """Release the engine's worker pool (idempotent; serial is a no-op)."""
         self.engine.close()
+
+
+def llc_config_number(machine: MachineConfig) -> int:
+    """The Table 2 configuration number of a :meth:`ExperimentSetup.machine` (from its name)."""
+    return int(machine.name.split("#")[1].split()[0])
 
 
 @functools.lru_cache(maxsize=64)

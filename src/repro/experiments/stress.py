@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.experiments.reporting import format_series, format_table
-from repro.experiments.results import MixEvaluation
+from repro.experiments.results import MixEvaluation, evaluation_ops, evaluations
 from repro.experiments.setup import ExperimentSetup
 from repro.workloads import WorkloadMix
 
@@ -84,10 +84,6 @@ class StressResult:
         predicted: Set[Tuple[str, ...]] = {mix.programs for mix in self.worst_mixes_predicted(k)}
         return len(measured & predicted)
 
-    def worst_mix(self) -> MixEvaluation:
-        """The single worst mix by measured STP."""
-        return self.sorted_by_measured_stp()[0]
-
     def to_rows(self) -> List[Mapping[str, object]]:
         rows = []
         for index, evaluation in enumerate(self.sorted_by_measured_stp()):
@@ -134,8 +130,8 @@ def stress_experiment(
         raise ValueError("at least one predictor spec is required")
     machine = setup.machine(num_cores=num_cores, llc_config=llc_config)
     mixes = setup.mixes(num_cores, num_mixes, seed=seed)
-    pairs = [(mix, machine) for mix in mixes]
-    evaluated = setup.evaluate_predictors(pairs, predictors)
+    ops = evaluation_ops(predictors, [(mix, machine) for mix in mixes])
+    evaluated = evaluations(ops, setup.predictor_batch(ops))
     primary = next(iter(evaluated))
     return StressResult(
         num_cores=num_cores,

@@ -246,10 +246,6 @@ class SampleStream:
     machine: MachineDescriptor
     cores: Tuple[CoreSamples, ...]
 
-    @property
-    def core_ids(self) -> List[int]:
-        return [core.core for core in self.cores]
-
 
 def _to_int(value: object, column: str, row: int) -> int:
     # Through float: tolerates "4000.0" from spreadsheet exports.

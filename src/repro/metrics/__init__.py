@@ -10,44 +10,23 @@ metrics (Eyerman & Eeckhout, IEEE Micro 2008):
 
 The statistics module provides the 95% confidence intervals used in the
 variability study (Figure 3), the Spearman rank correlation used to
-compare design-space rankings (Figure 7), and the prediction-error
-metrics used throughout Section 4.
+compare design-space rankings (Figure 7), and the absolute relative
+error used throughout Section 4.
 """
 
-from repro.metrics.throughput import (
-    MixPerformance,
-    antt,
-    per_program_slowdowns,
-    stp,
-    mix_performance_from_cpis,
-)
-from repro.metrics.errors import (
-    absolute_relative_error,
-    mean_absolute_relative_error,
-    prediction_errors,
-)
+from repro.metrics.throughput import antt, stp
+from repro.metrics.errors import absolute_relative_error
 from repro.metrics.statistics import (
     ConfidenceInterval,
     confidence_interval,
-    mean_confidence_halfwidth_pct,
     spearman_rank_correlation,
-    rank_of,
-    bootstrap_confidence_interval,
 )
 
 __all__ = [
-    "MixPerformance",
     "stp",
     "antt",
-    "per_program_slowdowns",
-    "mix_performance_from_cpis",
     "absolute_relative_error",
-    "mean_absolute_relative_error",
-    "prediction_errors",
     "ConfidenceInterval",
     "confidence_interval",
-    "mean_confidence_halfwidth_pct",
     "spearman_rank_correlation",
-    "rank_of",
-    "bootstrap_confidence_interval",
 ]

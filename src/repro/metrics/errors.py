@@ -7,8 +7,6 @@ absolute relative error between the predicted and the measured metric
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 
 class ErrorMetricError(ValueError):
     """Raised for invalid error-metric inputs."""
@@ -19,21 +17,3 @@ def absolute_relative_error(predicted: float, measured: float) -> float:
     if measured == 0:
         raise ErrorMetricError("measured value must be non-zero")
     return abs(predicted - measured) / abs(measured)
-
-
-def prediction_errors(predicted: Sequence[float], measured: Sequence[float]) -> List[float]:
-    """Element-wise absolute relative errors of two equal-length series."""
-    if len(predicted) != len(measured):
-        raise ErrorMetricError(
-            f"predicted and measured series have different lengths "
-            f"({len(predicted)} vs {len(measured)})"
-        )
-    if not predicted:
-        raise ErrorMetricError("at least one prediction is required")
-    return [absolute_relative_error(p, m) for p, m in zip(predicted, measured)]
-
-
-def mean_absolute_relative_error(predicted: Sequence[float], measured: Sequence[float]) -> float:
-    """The paper's 'average error': mean of the absolute relative errors."""
-    errors = prediction_errors(predicted, measured)
-    return sum(errors) / len(errors)

@@ -1,12 +1,10 @@
 """Statistics used by the paper's evaluation.
 
 * 95% confidence intervals on the mean STP/ANTT across random workload
-  mixes (Figure 3: how the interval shrinks as more mixes are added),
+  mixes (Figure 3: how the interval shrinks as more mixes are added), and
 * Spearman rank correlation between design-space rankings (Figure 7:
   does a small random sample rank the six LLC configurations the same
-  way as the reference?), and
-* a bootstrap confidence interval helper used by the stress-workload
-  analysis.
+  way as the reference?).
 
 The Student-t quantile comes from SciPy's ``scipy.special.stdtrit``
 (the function ``scipy.stats.t.ppf`` evaluates, so the intervals match
@@ -49,9 +47,6 @@ class ConfidenceInterval:
         if self.mean == 0:
             return float("inf")
         return self.halfwidth / abs(self.mean)
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
 
 
 @lru_cache(maxsize=None)
@@ -104,28 +99,6 @@ def confidence_interval(samples: Sequence[float], confidence: float = 0.95) -> C
     )
 
 
-def mean_confidence_halfwidth_pct(
-    samples: Sequence[float], confidence: float = 0.95
-) -> float:
-    """Confidence-interval half-width as a percentage of the mean."""
-    return 100.0 * confidence_interval(samples, confidence).halfwidth_pct_of_mean
-
-
-def rank_of(values: Sequence[float], higher_is_better: bool = True) -> List[int]:
-    """Rank positions of ``values`` (0 = best).
-
-    Ties are broken by original order, which is adequate for the small
-    design spaces ranked here.
-    """
-    if not values:
-        raise StatisticsError("cannot rank an empty sequence")
-    order = sorted(range(len(values)), key=lambda i: values[i], reverse=higher_is_better)
-    ranks = [0] * len(values)
-    for position, index in enumerate(order):
-        ranks[index] = position
-    return ranks
-
-
 def spearman_rank_correlation(first: Sequence[float], second: Sequence[float]) -> float:
     """Spearman rank correlation coefficient between two value series.
 
@@ -166,33 +139,3 @@ def _average_ranks(values: Sequence[float]) -> List[float]:
             ranks[indexed[k]] = average_rank
         i = j + 1
     return ranks
-
-
-def bootstrap_confidence_interval(
-    samples: Sequence[float],
-    confidence: float = 0.95,
-    num_resamples: int = 2_000,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Bootstrap percentile confidence interval for the sample mean."""
-    if not 0 < confidence < 1:
-        raise StatisticsError(f"confidence must be in (0, 1), got {confidence}")
-    values = np.asarray(list(samples), dtype=np.float64)
-    if values.size < 2:
-        raise StatisticsError("at least two samples are needed for a bootstrap interval")
-    rng = np.random.default_rng(seed)
-    resample_means = np.array(
-        [
-            values[rng.integers(0, values.size, size=values.size)].mean()
-            for _ in range(num_resamples)
-        ]
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lower, upper = np.quantile(resample_means, [alpha, 1.0 - alpha])
-    return ConfidenceInterval(
-        mean=float(values.mean()),
-        lower=float(lower),
-        upper=float(upper),
-        confidence=confidence,
-        num_samples=int(values.size),
-    )

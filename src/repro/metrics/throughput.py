@@ -17,8 +17,7 @@ from detailed simulation or from MPPM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 class MetricError(ValueError):
@@ -49,60 +48,3 @@ def antt(single_core_cpis: Sequence[float], multi_core_cpis: Sequence[float]) ->
     _validate(single_core_cpis, multi_core_cpis)
     n = len(single_core_cpis)
     return sum(mc / sc for sc, mc in zip(single_core_cpis, multi_core_cpis)) / n
-
-
-def per_program_slowdowns(
-    single_core_cpis: Sequence[float], multi_core_cpis: Sequence[float]
-) -> List[float]:
-    """Per-program slowdowns ``CPI_MC / CPI_SC`` (1.0 means unaffected)."""
-    _validate(single_core_cpis, multi_core_cpis)
-    return [mc / sc for sc, mc in zip(single_core_cpis, multi_core_cpis)]
-
-
-@dataclass(frozen=True)
-class MixPerformance:
-    """STP, ANTT and slowdowns of one workload mix, with program labels."""
-
-    programs: Tuple[str, ...]
-    single_core_cpis: Tuple[float, ...]
-    multi_core_cpis: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        _validate(self.single_core_cpis, self.multi_core_cpis)
-        if len(self.programs) != len(self.single_core_cpis):
-            raise MetricError("program labels and CPI vectors must have the same length")
-
-    @property
-    def stp(self) -> float:
-        return stp(self.single_core_cpis, self.multi_core_cpis)
-
-    @property
-    def antt(self) -> float:
-        return antt(self.single_core_cpis, self.multi_core_cpis)
-
-    @property
-    def slowdowns(self) -> List[float]:
-        return per_program_slowdowns(self.single_core_cpis, self.multi_core_cpis)
-
-    @property
-    def num_programs(self) -> int:
-        return len(self.programs)
-
-    def worst_program(self) -> Tuple[str, float]:
-        """The program with the largest slowdown, and that slowdown."""
-        slowdowns = self.slowdowns
-        index = max(range(len(slowdowns)), key=slowdowns.__getitem__)
-        return self.programs[index], slowdowns[index]
-
-
-def mix_performance_from_cpis(
-    programs: Sequence[str],
-    single_core_cpis: Sequence[float],
-    multi_core_cpis: Sequence[float],
-) -> MixPerformance:
-    """Build a :class:`MixPerformance` from raw CPI vectors."""
-    return MixPerformance(
-        programs=tuple(programs),
-        single_core_cpis=tuple(single_core_cpis),
-        multi_core_cpis=tuple(multi_core_cpis),
-    )

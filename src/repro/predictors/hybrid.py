@@ -9,8 +9,8 @@ detailed-simulation results for its predicted tail — each tagged with
 the hybrid spec so results stay self-describing.
 
 The pool-level logic lives in
-:meth:`repro.experiments.setup.ExperimentSetup._run_ops`, which expands
-hybrid ops inside the one sweep graph: the MPPM stage batches like any
+:meth:`repro.experiments.setup.ExperimentSetup.predictor_batch`, which
+expands hybrid ops inside the one sweep: the MPPM stage batches like any
 ``mppm:*`` sweep, and the spot-check stage submits plain ``detailed``
 ops — sharing job *and* cache entries with every other detailed run of
 the same (mix, machine) pair.  This class is the single-mix adapter

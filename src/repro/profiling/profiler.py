@@ -20,7 +20,6 @@ from repro.simulators.llc_trace import LLCAccessTrace
 from repro.simulators.single_core import PrivateRun, SingleCoreRunResult, SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.generator import TraceGenerator
-from repro.workloads.suite import BenchmarkSuite
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,6 @@ class Profiler:
         return ProfiledBenchmark(
             profile=profile_from_run(run, self.machine), llc_trace=run.llc_trace
         )
-
-    def profile_suite(self, suite: BenchmarkSuite) -> Dict[str, ProfiledBenchmark]:
-        """Profile every benchmark of a suite; returns name → profiled benchmark."""
-        return {spec.name: self.profile(spec) for spec in suite}
 
 
 def profile_from_run(run: SingleCoreRunResult, machine: MachineConfig) -> SingleCoreProfile:

@@ -64,7 +64,7 @@ class ServiceThread:
     """A live service on a background thread (context manager).
 
     ``with ServiceThread(config) as live:`` yields an object with
-    ``host``/``port``/``base_url`` and a handle on the underlying
+    ``host``/``port`` and a handle on the underlying
     :class:`PredictionService` (for asserting on its stats and caches).
     Startup errors surface in the entering thread.
     """
@@ -111,10 +111,6 @@ class ServiceThread:
         if self.service is None:
             raise RuntimeError("the prediction service is not running")
         return self.service.port
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     # -- internals ------------------------------------------------------
 

@@ -145,11 +145,6 @@ class LLCAccessTrace:
         """Single-core CPI of the program on the profiled machine."""
         return self.isolated_cycles / self.num_instructions
 
-    @property
-    def total_upstream_cycles(self) -> float:
-        """Cycles the program spends without touching the LLC, per trace pass."""
-        return float(self.upstream_cycle_gap.sum()) + self.tail_cycles
-
     def describe(self) -> str:
         return (
             f"{self.name}: {self.num_llc_accesses} LLC accesses "

@@ -151,11 +151,6 @@ class MultiCoreRunResult:
         return matches[0]
 
     @property
-    def per_program_cpi(self) -> Dict[int, float]:
-        """Multi-core CPI keyed by core index."""
-        return {stats.core: stats.cpi for stats in self.programs}
-
-    @property
     def slowdowns(self) -> List[float]:
         return [stats.slowdown for stats in self.programs]
 

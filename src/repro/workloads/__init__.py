@@ -38,7 +38,7 @@ from repro.workloads.suite import (
     small_suite,
 )
 from repro.workloads.trace import MemoryTrace
-from repro.workloads.generator import TraceGenerator, generate_trace
+from repro.workloads.generator import TraceGenerator
 from repro.workloads.families import (
     random_benchmark,
     random_suite,
@@ -80,7 +80,6 @@ __all__ = [
     "small_suite",
     "MemoryTrace",
     "TraceGenerator",
-    "generate_trace",
     "random_benchmark",
     "random_suite",
     "service_benchmark",

@@ -69,11 +69,6 @@ class ReuseProfile:
     def total_weight(self) -> float:
         return sum(weight for _, weight in self.buckets) + self.new_weight
 
-    @property
-    def max_depth(self) -> int:
-        """Deepest reuse depth the profile can produce (0 if streaming only)."""
-        return self.buckets[-1][0] if self.buckets else 0
-
     def probabilities(self) -> Tuple[Tuple[int, int, float], ...]:
         """Normalised ``(low_depth, high_depth, probability)`` triples.
 
@@ -188,11 +183,6 @@ class BenchmarkSpec:
     @property
     def num_phases(self) -> int:
         return len(self.phases)
-
-    @property
-    def effective_memory_latency_factor(self) -> float:
-        """Multiplier applied to the raw memory latency (1 / MLP)."""
-        return 1.0 / self.mlp
 
     def phase_boundaries(self, num_instructions: int) -> Tuple[int, ...]:
         """Instruction indices at which each phase ends (cumulative)."""

@@ -4,22 +4,16 @@ Section 5 of the paper describes "current practice": architects often
 classify benchmarks into memory-intensive and compute-intensive
 classes and then randomly pick multi-program mixes from those classes
 (e.g. 4 memory-intensive mixes, 4 compute-intensive mixes, 4 mixed
-mixes).  This module provides that classification.
-
-Two classifiers are available:
-
-* :func:`classify_benchmark` works from the benchmark *specification*
-  (no simulation needed): it estimates the fraction of instructions
-  expected to access beyond the private caches.
-* :func:`classify_from_profile` works from a measured single-core
-  profile using the memory-CPI fraction, which is how an architect with
-  simulation data would do it.
+mixes).  This module provides that classification: :func:`classify_benchmark`
+works from the benchmark *specification* (no simulation needed) and
+estimates the fraction of instructions expected to access beyond the
+private caches.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Mapping
+from typing import Dict
 
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.suite import BenchmarkSuite
@@ -93,46 +87,3 @@ def classify_suite(
         )
         for spec in suite
     }
-
-
-def classify_from_profile(
-    memory_cpi_fraction: float,
-    mem_threshold: float = 0.35,
-    comp_threshold: float = 0.12,
-) -> BenchmarkClass:
-    """Classify a benchmark from its measured memory-CPI fraction.
-
-    ``memory_cpi_fraction`` is memory CPI divided by total single-core
-    CPI (how much of the program's time is spent waiting for memory).
-    """
-    if not 0 <= memory_cpi_fraction <= 1:
-        raise ValueError(
-            f"memory_cpi_fraction must be within [0, 1], got {memory_cpi_fraction}"
-        )
-    if memory_cpi_fraction >= mem_threshold:
-        return BenchmarkClass.MEM
-    if memory_cpi_fraction <= comp_threshold:
-        return BenchmarkClass.COMP
-    return BenchmarkClass.MIX
-
-
-def group_by_class(classification: Mapping[str, BenchmarkClass]) -> Dict[BenchmarkClass, List[str]]:
-    """Invert a name → class mapping into class → sorted list of names."""
-    groups: Dict[BenchmarkClass, List[str]] = {cls: [] for cls in BenchmarkClass}
-    for name, cls in classification.items():
-        groups[cls].append(name)
-    for names in groups.values():
-        names.sort()
-    return groups
-
-
-def class_counts(classification: Mapping[str, BenchmarkClass]) -> Dict[BenchmarkClass, int]:
-    """Number of benchmarks per class."""
-    return {cls: len(names) for cls, names in group_by_class(classification).items()}
-
-
-def ensure_all_classes_present(classification: Mapping[str, BenchmarkClass]) -> None:
-    """Raise if any class is empty (category sampling would then fail)."""
-    empty = [cls.value for cls, count in class_counts(classification).items() if count == 0]
-    if empty:
-        raise ValueError(f"benchmark classification has empty classes: {empty}")

@@ -357,12 +357,3 @@ def _resolve_depths_to_lines(depths: np.ndarray, working_set_lines: int) -> np.n
         append(line)
         push(line)
     return np.array(out, dtype=np.int64)
-
-
-def generate_trace(
-    spec: BenchmarkSpec,
-    num_instructions: int = 200_000,
-    seed: int = 0,
-) -> MemoryTrace:
-    """Convenience wrapper: generate one benchmark's trace."""
-    return TraceGenerator(num_instructions=num_instructions, seed=seed).generate(spec)

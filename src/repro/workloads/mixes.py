@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class WorkloadMix:
     @property
     def num_programs(self) -> int:
         return len(self.programs)
-
-    @property
-    def distinct_programs(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.programs)))
 
     def counts(self) -> Dict[str, int]:
         """How many copies of each program the mix contains."""
@@ -190,16 +186,3 @@ def sample_category_mixes(
                 programs = draw_from(mem_pool, num_mem) + draw_from(comp_pool, num_comp)
             result.append(WorkloadMix(programs=tuple(programs)))
     return result
-
-
-def mixes_containing(mixes: Iterable[WorkloadMix], benchmark: str) -> List[WorkloadMix]:
-    """Filter mixes to those containing a given benchmark."""
-    return [mix for mix in mixes if benchmark in mix.programs]
-
-
-def distinct_benchmarks(mixes: Iterable[WorkloadMix]) -> List[str]:
-    """All benchmark names appearing anywhere in a collection of mixes."""
-    names = set()
-    for mix in mixes:
-        names.update(mix.programs)
-    return sorted(names)

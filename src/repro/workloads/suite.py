@@ -21,7 +21,7 @@ L3 between 512 lines (config #1) and 2,048 lines (config #6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.workloads.benchmark import (
     BenchmarkSpec,
@@ -328,8 +328,3 @@ def small_suite(num_benchmarks: int = 8) -> BenchmarkSuite:
         extra = [name for name in full.names if name not in names]
         names += extra[: num_benchmarks - len(names)]
     return full.subset(names)
-
-
-def suite_summary(suite: BenchmarkSuite) -> Dict[str, str]:
-    """Map benchmark name to its one-line description."""
-    return {spec.name: spec.describe() for spec in suite}

@@ -77,11 +77,6 @@ class MemoryTrace:
         """Memory accesses per instruction."""
         return self.num_accesses / self.num_instructions
 
-    @property
-    def total_base_cycles(self) -> float:
-        """Total non-memory core cycles over the whole trace."""
-        return float(self.base_cycle_gap.sum()) + self.tail_base_cycles
-
     @cached_property
     def footprint_lines(self) -> int:
         """Number of distinct cache lines touched by the trace.

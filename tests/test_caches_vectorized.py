@@ -18,7 +18,11 @@ from hypothesis import strategies as st
 from repro.caches import vectorized
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.set_associative import SetAssociativeCache
-from repro.caches.stack_distance import StackDistanceCounters, StackDistanceProfiler
+from repro.caches.stack_distance import (
+    StackDistanceCounters,
+    StackDistanceProfiler,
+    distance_slots,
+)
 from repro.caches.vectorized import (
     _count_preceding_greater,
     llc_hits,
@@ -383,21 +387,19 @@ class TestReplayHierarchy:
             assert np.array_equal(llc_distances, expected_distances)
 
 
-class TestFromDistancesBatchAPI:
+class TestDistanceSlots:
     def test_matches_record(self):
         rng = np.random.default_rng(3)
         distances = rng.integers(0, 14, 300)
         recorded = StackDistanceCounters(associativity=8)
         for distance in distances:
             recorded.record(int(distance))
-        batched = StackDistanceCounters.from_distances(distances, 8)
-        assert batched == recorded
-        assert np.array_equal(batched.counts, recorded.counts)
+        batched = np.bincount(distance_slots(distances, 8), minlength=9).astype(np.float64)
+        assert np.array_equal(batched, recorded.counts)
 
     def test_empty_batch(self):
-        counters = StackDistanceCounters.from_distances(np.array([], dtype=np.int64), 4)
-        assert counters.total_accesses == 0
+        assert distance_slots(np.array([], dtype=np.int64), 4).size == 0
 
     def test_rejects_bad_associativity(self):
         with pytest.raises(ValueError):
-            StackDistanceCounters.from_distances(np.array([1]), 0)
+            distance_slots(np.array([1]), 0)

@@ -10,17 +10,10 @@ class TestCacheConfig:
         cache = CacheConfig(name="L3", size_bytes=512 * KIB, associativity=8, line_size=64)
         assert cache.num_lines == 8192
         assert cache.num_sets == 1024
-        assert not cache.is_fully_associative
 
     def test_fully_associative_when_ways_equal_lines(self):
         cache = CacheConfig(name="tiny", size_bytes=8 * 64, associativity=8, line_size=64)
         assert cache.num_sets == 1
-        assert cache.is_fully_associative
-
-    def test_with_size_and_latency(self):
-        cache = CacheConfig(name="L3", size_bytes=512 * KIB, associativity=8, latency=16)
-        assert cache.with_size(1 * MIB).size_bytes == 1 * MIB
-        assert cache.with_latency(20).latency == 20
 
     def test_describe_mentions_size_and_sharing(self):
         shared = CacheConfig(name="L3", size_bytes=1 * MIB, associativity=16, shared=True)

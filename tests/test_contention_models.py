@@ -50,6 +50,11 @@ def _shallow_demand(name, accesses=800.0, misses=50.0):
 ALL_MODELS = [FOAModel(), StackDistanceCompetitionModel(), InductiveProbabilityModel()]
 
 
+def _by_name(model, demands, llc):
+    """The model's estimates keyed by program name."""
+    return {estimate.name: estimate for estimate in model.estimate(demands, llc)}
+
+
 class TestCommonBehaviour:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_single_program_sees_no_extra_misses(self, model):
@@ -73,7 +78,7 @@ class TestCommonBehaviour:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_deep_reuse_suffers_more_than_shallow_reuse(self, model):
         demands = [_deep_demand("deep"), _shallow_demand("shallow"), _uniform_demand("other")]
-        by_name = model.estimate_by_name(demands, LLC)
+        by_name = _by_name(model, demands, LLC)
         assert by_name["deep"].extra_conflict_misses >= by_name["shallow"].extra_conflict_misses
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -103,9 +108,9 @@ class TestFOA:
         model = FOAModel()
         heavy = _uniform_demand("heavy", accesses=1600.0, misses=100.0)
         light = _uniform_demand("light", accesses=200.0, misses=100.0)
-        estimates = model.estimate_by_name([heavy, light], LLC)
-        heavy_loss = estimates["heavy"].extra_conflict_misses / heavy.isolated_hits
-        light_loss = estimates["light"].extra_conflict_misses / light.isolated_hits
+        estimates = _by_name(model, [heavy, light], LLC)
+        heavy_loss = estimates["heavy"].extra_conflict_misses / heavy.sdc.hits
+        light_loss = estimates["light"].extra_conflict_misses / light.sdc.hits
         assert heavy_loss < light_loss
 
     def test_equal_programs_share_equally(self):
@@ -119,8 +124,8 @@ class TestFOA:
 
     def test_more_co_runners_mean_more_conflict_misses(self):
         model = FOAModel()
-        two = model.estimate_by_name([_uniform_demand("p0"), _uniform_demand("p1")], LLC)
-        four = model.estimate_by_name(
+        two = _by_name(model, [_uniform_demand("p0"), _uniform_demand("p1")], LLC)
+        four = _by_name(model, 
             [_uniform_demand(f"p{i}") for i in range(4)], LLC
         )
         assert four["p0"].extra_conflict_misses >= two["p0"].extra_conflict_misses
@@ -129,7 +134,7 @@ class TestFOA:
         model = FOAModel()
         idle = _demand("idle", [0.0] * 8, 0.0)
         busy = _uniform_demand("busy")
-        estimates = model.estimate_by_name([idle, busy], LLC)
+        estimates = _by_name(model, [idle, busy], LLC)
         assert estimates["idle"].extra_conflict_misses == 0.0
         # The busy program keeps essentially the whole cache.
         assert estimates["busy"].extra_conflict_misses == pytest.approx(0.0, abs=1e-6)
@@ -156,9 +161,9 @@ class TestSDCCompetitionAndProb:
         model = StackDistanceCompetitionModel()
         hot = _uniform_demand("hot", accesses=2000.0, misses=100.0)
         cold = _uniform_demand("cold", accesses=100.0, misses=20.0)
-        estimates = model.estimate_by_name([hot, cold], LLC)
-        hot_loss = estimates["hot"].extra_conflict_misses / hot.isolated_hits
-        cold_loss = estimates["cold"].extra_conflict_misses / cold.isolated_hits
+        estimates = _by_name(model, [hot, cold], LLC)
+        hot_loss = estimates["hot"].extra_conflict_misses / hot.sdc.hits
+        cold_loss = estimates["cold"].extra_conflict_misses / cold.sdc.hits
         assert hot_loss <= cold_loss
 
     def test_prob_model_dilation_grows_with_co_runner_traffic(self):
@@ -166,8 +171,8 @@ class TestSDCCompetitionAndProb:
         victim = _deep_demand("victim")
         light_other = _uniform_demand("other", accesses=100.0, misses=50.0)
         heavy_other = _uniform_demand("other", accesses=3000.0, misses=1500.0)
-        light = model.estimate_by_name([victim, light_other], LLC)["victim"]
-        heavy = model.estimate_by_name([victim, heavy_other], LLC)["victim"]
+        light = _by_name(model, [victim, light_other], LLC)["victim"]
+        heavy = _by_name(model, [victim, heavy_other], LLC)["victim"]
         assert heavy.extra_conflict_misses >= light.extra_conflict_misses
 
 

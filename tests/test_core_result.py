@@ -42,13 +42,12 @@ class TestMixPrediction:
         assert prediction.predicted_cpis == pytest.approx([2.0, 2.0])
         assert prediction.num_programs == 2
 
-    def test_program_lookup_and_by_core(self):
+    def test_program_lookup(self):
         programs = (_program("a", 0), _program("b", 1))
         prediction = MixPrediction(
             machine_name="m", programs=programs, iterations=1, converged=True
         )
         assert prediction.program("b").core == 1
-        assert set(prediction.by_core()) == {0, 1}
         with pytest.raises(KeyError):
             prediction.program("zzz")
 

@@ -20,12 +20,8 @@ class TestCPIStack:
         assert stack.cpi == pytest.approx(2.0)
         assert stack.memory_cpi == pytest.approx(0.5)
         assert stack.memory_fraction == pytest.approx(0.25)
-        assert stack.components() == {
-            "base": 100.0,
-            "private_cache": 20.0,
-            "llc": 30.0,
-            "memory": 50.0,
-        }
+        parts = (stack.base, stack.private_cache, stack.llc, stack.memory)
+        assert parts == (100.0, 20.0, 30.0, 50.0)
 
     def test_empty_stack_has_zero_cpi(self):
         stack = CPIStack()

@@ -21,12 +21,12 @@ import pytest
 
 from repro.core.mppm import MPPM
 from repro.engine import (
-    CollectingReporter,
     ConsoleReporter,
     Executor,
     Job,
     MISS,
     ProcessPoolBackend,
+    ProgressReporter,
     ResultCache,
     SerialBackend,
     content_key,
@@ -34,7 +34,8 @@ from repro.engine import (
 )
 from repro.engine import tasks as engine_tasks
 from repro.engine.cache import serialize_result
-from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup
+from repro.experiments.results import evaluation_ops, evaluations
 from repro.io import atomic_write_json, read_json_tolerant
 from repro.predictors import canonical_spec
 from repro.simulators.multi_core import MultiCoreSimulator
@@ -46,6 +47,33 @@ ENGINE_CONFIG = ExperimentConfig(scale=16, num_instructions=20_000, interval_ins
 
 def engine_setup(**kwargs) -> ExperimentSetup:
     return ExperimentSetup(config=ENGINE_CONFIG, suite=small_suite(5), **kwargs)
+
+
+class CollectingReporter(ProgressReporter):
+    """Records every progress event, so tests can count job fates."""
+
+    def __init__(self) -> None:
+        self.total_jobs = 0
+        self.events = []
+        self.finished = False
+
+    def on_start(self, total_jobs: int) -> None:
+        self.total_jobs = total_jobs
+
+    def on_job(self, job: Job, status: str) -> None:
+        self.events.append((job.key, status))
+
+    def on_finish(self) -> None:
+        self.finished = True
+
+    def count(self, status: str) -> int:
+        return sum(1 for _, event_status in self.events if event_status == status)
+
+
+def evaluate_foa(setup: ExperimentSetup, pairs):
+    """``mppm:foa`` evaluated against the reference on every pair, in one sweep."""
+    ops = evaluation_ops(["mppm:foa"], pairs)
+    return evaluations(ops, setup.predictor_batch(ops))["mppm:foa"]
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +104,8 @@ class TestSerialVersusProcessPool:
         parallel = engine_setup(jobs=2)
         pairs = [(mix, serial.machine(num_cores=2)) for mix in mixes]
         try:
-            serial_evaluations = serial.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
-            parallel_evaluations = parallel.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
+            serial_evaluations = evaluate_foa(serial, pairs)
+            parallel_evaluations = evaluate_foa(parallel, pairs)
         finally:
             parallel.close()
         for serial_one, parallel_one in zip(serial_evaluations, parallel_evaluations):
@@ -208,7 +236,7 @@ class TestResultCache:
         cache_dir = tmp_path / "campaign"
         cold = engine_setup(cache_dir=cache_dir)
         pairs = [(mix, cold.machine(num_cores=2)) for mix in mixes]
-        cold_evaluations = cold.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
+        cold_evaluations = evaluate_foa(cold, pairs)
         assert cold.store.simulated_profiles > 0
 
         # Any attempt to recompute would now blow up.
@@ -222,7 +250,7 @@ class TestResultCache:
         monkeypatch.setattr(Profiler, "profile", forbidden)
 
         warm = engine_setup(cache_dir=cache_dir)
-        warm_evaluations = warm.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
+        warm_evaluations = evaluate_foa(warm, pairs)
         assert warm.store.simulated_profiles == 0
         assert warm.reference_runs() == 0
         for cold_one, warm_one in zip(cold_evaluations, warm_evaluations):
@@ -235,29 +263,29 @@ class TestResultCache:
         new_mixes = [WorkloadMix(programs=pair) for pair in zip(names, names[2:] + names[:2])]
         cold = engine_setup(cache_dir=tmp_path)
         machine = cold.machine(num_cores=2)
-        cold.simulate_batch([(mix, machine) for mix in first_mixes])
+        cold.predictor_batch([(SIMULATE, mix, machine) for mix in first_mixes])
         assert cold.store.generated_traces == len(names)
 
         # A fresh setup on the same cache dir stands in for a second process.
         warm = engine_setup(cache_dir=tmp_path)
-        runs = warm.simulate_batch([(mix, machine) for mix in new_mixes])
+        runs = warm.predictor_batch([(SIMULATE, mix, machine) for mix in new_mixes])
         assert warm.store.generated_traces == 0 and warm.store.simulated_profiles == 0
         assert warm.store.loaded_traces == len(names)
         assert warm.reference_runs() == len(new_mixes)
-        fresh = engine_setup().simulate_batch([(mix, machine) for mix in new_mixes])
+        fresh = engine_setup().predictor_batch([(SIMULATE, mix, machine) for mix in new_mixes])
         assert [run.to_dict() for run in runs] == [run.to_dict() for run in fresh]
 
     def test_warm_cache_skips_the_profile_warmup_wave(self, tmp_path, mixes):
         cache_dir = tmp_path / "campaign"
         cold = engine_setup(cache_dir=cache_dir)
         pairs = [(mix, cold.machine(num_cores=2)) for mix in mixes]
-        cold.evaluate_predictors(pairs, ["mppm:foa"])
+        evaluate_foa(cold, pairs)
 
         reporter = CollectingReporter()
         warm = engine_setup(
             engine=create_engine(cache_dir=cache_dir, reporter=reporter), cache_dir=cache_dir
         )
-        warm.evaluate_predictors(pairs, ["mppm:foa"])
+        evaluate_foa(warm, pairs)
         assert reporter.count("cached") == 2 * len(mixes)
         assert reporter.count("done") == 0
         # Not even a disk profile was touched.

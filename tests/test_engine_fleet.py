@@ -46,7 +46,7 @@ from repro.engine.remote import (
 )
 from repro.engine.remote import launch
 from repro.engine.remote.client import WorkerClient
-from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup
 from repro.service import ServiceClient, ServiceConfig, serve
 from repro.workloads import small_suite
 
@@ -156,8 +156,9 @@ class TestLoopbackFleet:
         assert fleet.predictor_batch(ops) == serial.predictor_batch(ops)
 
     def test_simulations_are_bit_identical_to_serial(self, serial, fleet, mixes):
-        pairs = [(mix, serial.machine(num_cores=2)) for mix in mixes]
-        for ours, theirs in zip(fleet.simulate_batch(pairs), serial.simulate_batch(pairs)):
+        simulations = [(SIMULATE, mix, serial.machine(num_cores=2)) for mix in mixes]
+        ours, theirs = fleet.predictor_batch(simulations), serial.predictor_batch(simulations)
+        for ours, theirs in zip(ours, theirs):
             assert ours.to_dict() == theirs.to_dict()
 
     def test_warm_fleet_recomputes_nothing(self, fleet, mixes):
@@ -190,7 +191,7 @@ class TestLoopbackFleet:
         try:
             machine = setup.machine(num_cores=2)
             mixes = setup.mixes(2, 8, seed=11)
-            runs = setup.simulate_batch([(mix, machine) for mix in mixes])
+            runs = setup.predictor_batch([(SIMULATE, mix, machine) for mix in mixes])
             workers = [
                 WorkerClient(worker["url"]).stats()["store"]
                 for worker in setup.engine.backend.stats()["workers"]
@@ -201,7 +202,8 @@ class TestLoopbackFleet:
         assert sum(worker["generated_traces"] for worker in workers) == len(benchmarks)
         assert sum(worker["simulated_profiles"] for worker in workers) == len(benchmarks)
         assert setup.store.generated_traces == 0
-        expected = serial.simulate_batch([(mix, serial.machine(num_cores=2)) for mix in mixes])
+        machine = serial.machine(num_cores=2)
+        expected = serial.predictor_batch([(SIMULATE, mix, machine) for mix in mixes])
         assert [run.to_dict() for run in runs] == [run.to_dict() for run in expected]
 
     def test_a_one_worker_fleet_traces_each_benchmark_once_in_its_worker(self, serial):
@@ -211,7 +213,7 @@ class TestLoopbackFleet:
         try:
             machine = setup.machine(num_cores=2)
             mixes = setup.mixes(2, 4, seed=11)
-            runs = setup.simulate_batch([(mix, machine) for mix in mixes])
+            runs = setup.predictor_batch([(SIMULATE, mix, machine) for mix in mixes])
             (worker,) = [
                 WorkerClient(worker["url"]).stats()["store"]
                 for worker in setup.engine.backend.stats()["workers"]
@@ -221,7 +223,8 @@ class TestLoopbackFleet:
         benchmarks = {name for mix in mixes for name in mix.programs}
         assert worker["generated_traces"] == len(benchmarks)
         assert setup.store.generated_traces == 0 and setup.store.simulated_profiles == 0
-        expected = serial.simulate_batch([(mix, serial.machine(num_cores=2)) for mix in mixes])
+        machine = serial.machine(num_cores=2)
+        expected = serial.predictor_batch([(SIMULATE, mix, machine) for mix in mixes])
         assert [run.to_dict() for run in runs] == [run.to_dict() for run in expected]
 
     def test_workers_answer_from_their_caches_across_drivers(self, tmp_path):
@@ -236,16 +239,16 @@ class TestLoopbackFleet:
             )
             mixes = cold.mixes(2, 3, seed=5)
             machine = cold.machine(num_cores=2)
-            pairs = [(mix, machine) for mix in mixes]
-            first = [run.to_dict() for run in cold.simulate_batch(pairs)]
+            simulations = [(SIMULATE, mix, machine) for mix in mixes]
+            first = [run.to_dict() for run in cold.predictor_batch(simulations)]
             assert backend.stats()["remote_cache_hits"] == 0
             warm = ExperimentSetup(
                 config=CONFIG, suite=small_suite(5), engine=Executor(backend=backend)
             )
             second = [
                 run.to_dict()
-                for run in warm.simulate_batch(
-                    [(mix, warm.machine(num_cores=2)) for mix in warm.mixes(2, 3, seed=5)]
+                for run in warm.predictor_batch(
+                    [(SIMULATE, mix, warm.machine(num_cores=2)) for mix in warm.mixes(2, 3, seed=5)]
                 )
             ]
             assert second == first
@@ -434,9 +437,9 @@ class TestLaunch:
             try:
                 machine = setup.machine(num_cores=2)
                 ops = [("mppm:foa", mix, machine) for mix in mixes[:3]]
-                pairs = [(mix, machine) for mix in mixes[:2]]
+                simulations = [(SIMULATE, mix, machine) for mix in mixes[:2]]
                 predictions = setup.predictor_batch(ops)
-                runs = [run.to_dict() for run in setup.simulate_batch(pairs)]
+                runs = [run.to_dict() for run in setup.predictor_batch(simulations)]
                 assert setup.engine.backend.stats()["completed"] > 0
             finally:
                 setup.close()
@@ -444,7 +447,7 @@ class TestLaunch:
             handle.terminate()
         assert handle.process.poll() is not None
         assert predictions == serial.predictor_batch(ops)
-        assert runs == [run.to_dict() for run in serial.simulate_batch(pairs)]
+        assert runs == [run.to_dict() for run in serial.predictor_batch(simulations)]
 
     def test_forked_workers_start_clean(self, tmp_path):
         # A driver with a registered, warmed setup, a setup rebuilt from
@@ -652,11 +655,12 @@ class TestFleetFailures:
             # Fresh (uncached) simulations keep the wave busy long
             # enough for the kill to land mid-flight.
             machine = setup.machine(num_cores=2)
-            pairs = [(mix, machine) for mix in setup.mixes(2, 6, seed=11)]
+            mixes = setup.mixes(2, 6, seed=11)
+            simulations = [(SIMULATE, mix, machine) for mix in mixes]
             timer = threading.Timer(0.05, victim.send_signal, args=(signal.SIGKILL,))
             timer.start()
             try:
-                fleet_runs = [run.to_dict() for run in setup.simulate_batch(pairs)]
+                fleet_runs = [run.to_dict() for run in setup.predictor_batch(simulations)]
             finally:
                 timer.cancel()
         finally:
@@ -664,8 +668,9 @@ class TestFleetFailures:
         reference = fleet_setup()
         try:
             machine = reference.machine(num_cores=2)
-            pairs = [(mix, machine) for mix in reference.mixes(2, 6, seed=11)]
-            serial_runs = [run.to_dict() for run in reference.simulate_batch(pairs)]
+            mixes = reference.mixes(2, 6, seed=11)
+            simulations = [(SIMULATE, mix, machine) for mix in mixes]
+            serial_runs = [run.to_dict() for run in reference.predictor_batch(simulations)]
         finally:
             reference.close()
         assert fleet_runs == serial_runs

@@ -8,7 +8,7 @@ headline numbers (which the benchmark targets check at full scale).
 
 import pytest
 
-from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup
 from repro.experiments.ablations import (
     contention_model_ablation,
     iteration_ablation,
@@ -19,6 +19,7 @@ from repro.experiments.accuracy import accuracy_experiment
 from repro.experiments.agreement import agreement_experiment
 from repro.experiments.configurations import configuration_tables
 from repro.experiments.ranking import ranking_experiment
+from repro.experiments.results import evaluation_ops, evaluations
 from repro.experiments.speed import speed_experiment
 from repro.experiments.stress import (
     benchmark_sensitivity,
@@ -111,15 +112,20 @@ class TestAccuracy:
         with pytest.raises(KeyError):
             result.for_cores(16)
 
-    def test_evaluate_predictors_pairs_predictions_with_measurements(self, setup):
+    def test_evaluations_pair_predictions_with_measurements(self, setup):
         from repro.workloads import sample_mixes
 
         machine = setup.machine(num_cores=2)
         mixes = sample_mixes(setup.benchmark_names, 2, 3, seed=5)
-        pairs = [(mix, machine) for mix in mixes]
-        evaluations = setup.evaluate_predictors(pairs, ["mppm:foa"])["mppm:foa"]
-        assert len(evaluations) == 3
-        for evaluation in evaluations:
+        ops = evaluation_ops(["MPPM"], [(mix, machine) for mix in mixes])
+        assert [spec for spec, _, _ in ops] == ["mppm:foa"] * 3 + [SIMULATE] * 3
+        results = setup.predictor_batch(ops)
+        (spec, evaluated), = evaluations(ops, results).items()
+        assert spec == "mppm:foa"
+        assert [evaluation.mix for evaluation in evaluated] == mixes
+        assert [evaluation.predicted for evaluation in evaluated] == results[:3]
+        assert [evaluation.measured for evaluation in evaluated] == results[3:]
+        for evaluation in evaluated:
             assert evaluation.predicted.num_programs == 2
             assert len(evaluation.measured.programs) == 2
             assert evaluation.stp_error >= 0
@@ -155,7 +161,6 @@ class TestRankingAndAgreement:
         assert len(result.trial_stp_correlations) == 3
         assert -1.0 <= result.mppm_stp_correlation <= 1.0
         assert result.reference.config_numbers == [1, 2, 3, 4, 5, 6]
-        assert result.mppm.best_config_by_stp() in range(1, 7)
         rows = result.to_rows()
         assert rows[-1]["set"] == "mppm:foa"
         assert "Figure 7" in result.render()
@@ -206,7 +211,6 @@ class TestStress:
         assert len(result.predicted_stp_curve()) == 10
         assert 0 <= result.worst_case_overlap() <= 3
         assert len(result.worst_mixes_measured()) == 3
-        assert result.worst_mix().measured_stp == pytest.approx(measured[0])
         assert "Figure 9" in result.render()
 
     def test_case_study_contains_requested_programs(self, setup):
@@ -239,7 +243,6 @@ class TestAblations:
     def test_contention_model_ablation(self, setup):
         result = contention_model_ablation(setup, models=("foa", "sdc"), num_mixes=4)
         assert {row.variant for row in result.rows} == {"foa", "sdc"}
-        assert result.best_variant_by_stp() in ("foa", "sdc")
         assert "Ablation" in result.render()
         with pytest.raises(KeyError):
             result.row("prob")
@@ -312,3 +315,63 @@ class TestAblationGolden:
         assert smoothed.pop("variant") == "f=0.50"
         assert self_consistent.pop("variant") == "self-consistent"
         assert smoothed == self_consistent
+
+
+#: Every sweep experiment at a small size, with two predictor specs where it takes a list.
+SWEEP_EXPERIMENTS = {
+    "variability": lambda setup, specs: variability_experiment(
+        setup, max_mixes=4, source=specs[0]
+    ),
+    "accuracy": lambda setup, specs: accuracy_experiment(
+        setup, core_counts=(2, 4), mixes_per_core_count=3, predictors=specs
+    ),
+    "ranking": lambda setup, specs: ranking_experiment(
+        setup, num_trials=2, mixes_per_trial=3, reference_mixes=3, mppm_mixes=4, predictors=specs
+    ),
+    "agreement": lambda setup, specs: agreement_experiment(
+        setup, num_trials=2, mixes_per_trial=3, reference_mixes=3, mppm_mixes=4, predictors=specs
+    ),
+    "stress": lambda setup, specs: stress_experiment(
+        setup, num_mixes=4, worst_k=2, predictors=specs
+    ),
+    "contention ablation": lambda setup, specs: contention_model_ablation(setup, num_mixes=3),
+    "update-rule ablation": lambda setup, specs: update_rule_ablation(setup, num_mixes=3),
+    "iteration ablation": lambda setup, specs: iteration_ablation(setup, num_mixes=3),
+    "smoothing ablation": lambda setup, specs: smoothing_ablation(
+        setup, smoothing_factors=(0.0, 0.5), num_mixes=3
+    ),
+}
+
+
+class TestOneSweepPerExperiment:
+    """An experiment builds its ops, makes one ``predictor_batch`` call and renders."""
+
+    @staticmethod
+    def _count(monkeypatch, target, name):
+        calls = []
+        original = getattr(target, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_EXPERIMENTS))
+    def test_each_experiment_makes_one_sweep(self, setup, name, monkeypatch):
+        calls = self._count(monkeypatch, ExperimentSetup, "predictor_batch")
+        SWEEP_EXPERIMENTS[name](setup, ("mppm:foa", "baseline:one-shot"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["accuracy", "ranking", "agreement", "stress"])
+    def test_a_hybrid_sweep_makes_two_engine_runs(self, name, monkeypatch):
+        serial = ExperimentSetup(
+            config=ExperimentConfig(scale=16, num_instructions=20_000, interval_instructions=1_000),
+            suite=small_suite(6),
+        )
+        sweeps = self._count(monkeypatch, ExperimentSetup, "predictor_batch")
+        runs = self._count(monkeypatch, serial.engine, "run")
+        SWEEP_EXPERIMENTS[name](serial, ("mppm:foa", "hybrid:k=2"))
+        # The MPPM stage, then the hybrid's detailed spot checks.
+        assert (len(sweeps), len(runs)) == (1, 2)

@@ -1,6 +1,6 @@
 """Unit tests for plain-text experiment reporting."""
 
-from repro.experiments.reporting import format_percent, format_series, format_table, format_value
+from repro.experiments.reporting import format_series, format_table, format_value
 
 
 class TestFormatValue:
@@ -43,9 +43,3 @@ class TestFormatSeries:
         lines = text.splitlines()
         assert lines[0].startswith("curve (25 points)")
         assert len(lines) == 1 + 3  # 10 + 10 + 5 values
-
-
-class TestFormatPercent:
-    def test_percent_formatting(self):
-        assert format_percent(0.1234) == "12.3%"
-        assert format_percent(0.1234, decimals=0) == "12%"

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import machine_with_llc, scaled
 from repro.engine import tasks as engine_tasks
-from repro.experiments import ExperimentConfig, ExperimentSetup, default_setup
+from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup, default_setup
 from repro.simulators import MultiCoreSimulator
 from repro.workloads import BenchmarkClass, WorkloadMix, small_suite
 
@@ -119,9 +119,9 @@ class TestExperimentSetup:
 class TestSweepEntryPoints:
     """Every prediction is named by a spec string: one way into a sweep."""
 
-    ENTRY_POINTS = ("predict", "simulate", "predictor_batch", "simulate_batch", "evaluate_predictors")
+    ENTRY_POINTS = ("predict", "simulate", "predictor_batch")
 
-    def test_setup_sweeps_through_the_five_entry_points(self):
+    def test_setup_sweeps_through_the_three_entry_points(self):
         import repro.experiments as experiments
 
         public = {
@@ -259,7 +259,7 @@ class TestSweepJobs:
         twin = WorkloadMix(programs=(names[2], names[2]))
         return [
             ("baseline:one-shot", mix, machine),
-            ("simulate", swapped, machine),
+            (SIMULATE, swapped, machine),
             ("baseline:no-contention", twin, renamed),
             ("detailed", mix, renamed),
             ("baseline:one-shot", twin, large),
@@ -289,7 +289,7 @@ class TestSweepJobs:
         setup = self._setup()
         ops = self._ops(setup)
         runs = self._record_runs(setup, monkeypatch)
-        setup._run_ops(ops)
+        setup.predictor_batch(ops)
         assert setup.store.simulated_profiles == len(self._pairs(ops)) == 6
         assert setup.store.absorbed_profiles == 0
         # One engine run: a job per op, the MPPM op batched at the end.
@@ -302,11 +302,11 @@ class TestSweepJobs:
         ops = self._ops(serial)
         runs = self._record_runs(parallel, monkeypatch)
         try:
-            results = parallel._run_ops(ops)
+            results = parallel.predictor_batch(ops)
         finally:
             parallel.close()
         assert [result.to_dict() for result in results] == [
-            result.to_dict() for result in serial._run_ops(ops)
+            result.to_dict() for result in serial.predictor_batch(ops)
         ]
         assert parallel.store.absorbed_profiles == len(self._pairs(ops))
         assert parallel.store.simulated_profiles == 0
@@ -320,11 +320,11 @@ class TestSweepJobs:
     def test_a_sweep_whose_ops_are_all_cached_touches_no_profile(self, tmp_path, jobs, monkeypatch):
         cold = self._setup(cache_dir=tmp_path)
         ops = self._ops(cold)
-        expected = [result.to_dict() for result in cold._run_ops(ops)]
+        expected = [result.to_dict() for result in cold.predictor_batch(ops)]
         warm = self._setup(cache_dir=tmp_path, jobs=jobs)
         runs = self._record_runs(warm, monkeypatch)
         try:
-            assert [result.to_dict() for result in warm._run_ops(ops)] == expected
+            assert [result.to_dict() for result in warm.predictor_batch(ops)] == expected
         finally:
             warm.close()
         store = warm.store
@@ -452,11 +452,11 @@ class TestDetailedSimulation:
         serial = self._setup()
         machine = serial.machine(num_cores=2)
         mixes = serial.mixes(num_programs=2, num_mixes=3)
-        pairs = [(mix, machine) for mix in mixes]
-        expected = serial.simulate_batch(pairs)
+        simulations = [(SIMULATE, mix, machine) for mix in mixes]
+        expected = serial.predictor_batch(simulations)
         parallel = self._setup(jobs=2)
         try:
-            assert parallel.simulate_batch(pairs) == expected
+            assert parallel.predictor_batch(simulations) == expected
         finally:
             parallel.close()
 
@@ -489,7 +489,7 @@ class TestMachineNames:
             [("detailed", mix, machine), ("detailed", mix, renamed)]
         )
         assert [p.machine_name for p in swept] == [machine.name, "renamed"]
-        runs = small_setup.simulate_batch([(mix, machine), (mix, renamed)])
+        runs = small_setup.predictor_batch([(SIMULATE, mix, machine), (SIMULATE, mix, renamed)])
         assert [run.machine_name for run in runs] == [machine.name, "renamed"]
 
     def test_mppm_predictor_batch_labels_each_item(self, small_setup):

@@ -70,7 +70,7 @@ GOOD_ROWS = [
 class TestParsing:
     def test_good_csv_parses_into_per_core_series(self):
         stream = parse_samples(csv_text(GOOD_ROWS), MACHINE)
-        assert stream.core_ids == [0, 1]
+        assert [core.core for core in stream.cores] == [0, 1]
         core0 = stream.cores[0]
         assert core0.num_samples == 2
         assert core0.total_instructions == 2000

@@ -7,10 +7,6 @@ from hypothesis import strategies as st
 from repro.metrics import (
     absolute_relative_error,
     antt,
-    mean_absolute_relative_error,
-    mix_performance_from_cpis,
-    per_program_slowdowns,
-    prediction_errors,
     stp,
 )
 from repro.metrics.errors import ErrorMetricError
@@ -24,7 +20,6 @@ class TestSTPAndANTT:
         # Program 1: progress 0.5, slowdown 2; program 2: progress 1, slowdown 1.
         assert stp(single, multi) == pytest.approx(1.5)
         assert antt(single, multi) == pytest.approx(1.5)
-        assert per_program_slowdowns(single, multi) == pytest.approx([2.0, 1.0])
 
     def test_no_contention_gives_ideal_metrics(self):
         single = [0.8, 1.2, 2.0]
@@ -60,35 +55,9 @@ class TestSTPAndANTT:
         assert antt(single, multi) == pytest.approx(2.0)
 
 
-class TestMixPerformance:
-    def test_wraps_the_raw_metrics(self):
-        performance = mix_performance_from_cpis(
-            ["a", "b"], [1.0, 1.0], [1.5, 3.0]
-        )
-        assert performance.stp == pytest.approx(1.0 / 1.5 + 1.0 / 3.0)
-        assert performance.antt == pytest.approx((1.5 + 3.0) / 2)
-        assert performance.num_programs == 2
-        assert performance.worst_program() == ("b", pytest.approx(3.0))
-
-    def test_label_length_must_match(self):
-        with pytest.raises(MetricError):
-            mix_performance_from_cpis(["a"], [1.0, 2.0], [1.0, 2.0])
-
-
 class TestErrorMetrics:
     def test_absolute_relative_error(self):
         assert absolute_relative_error(1.1, 1.0) == pytest.approx(0.1)
         assert absolute_relative_error(0.9, 1.0) == pytest.approx(0.1)
         with pytest.raises(ErrorMetricError):
             absolute_relative_error(1.0, 0.0)
-
-    def test_prediction_errors_and_mean(self):
-        errors = prediction_errors([1.0, 2.0], [1.0, 4.0])
-        assert errors == pytest.approx([0.0, 0.5])
-        assert mean_absolute_relative_error([1.0, 2.0], [1.0, 4.0]) == pytest.approx(0.25)
-
-    def test_prediction_errors_validate_lengths(self):
-        with pytest.raises(ErrorMetricError):
-            prediction_errors([1.0], [1.0, 2.0])
-        with pytest.raises(ErrorMetricError):
-            prediction_errors([], [])

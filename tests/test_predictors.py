@@ -18,7 +18,7 @@ import repro
 from repro.core import MPPM
 from repro.core.baselines import NoContentionPredictor, OneShotContentionPredictor
 from repro.core.result import MixPrediction
-from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup
 from repro.predictors import (
     DEFAULT_PREDICTOR,
     Predictor,
@@ -375,7 +375,7 @@ class TestExperimentsTakePredictorLists:
         cold = make_setup(cache_dir=cache_dir)
         machine = cold.machine(num_cores=2)
         mix = WorkloadMix(programs=tuple(cold.benchmark_names[:2]))
-        measured = cold.simulate_batch([(mix, machine)])[0]
+        measured = cold.predictor_batch([(SIMULATE, mix, machine)])[0]
 
         def forbidden(self, *args, **kwargs):
             raise AssertionError("detailed predictions must reuse cached simulations")
@@ -387,6 +387,7 @@ class TestExperimentsTakePredictorLists:
         assert prediction.predictor == "detailed"
 
     def test_detailed_evaluations_reuse_the_reference_sweep(self):
+        from repro.experiments.results import evaluation_ops, evaluations
         from repro.predictors import prediction_from_run
 
         setup = make_setup()
@@ -395,7 +396,8 @@ class TestExperimentsTakePredictorLists:
             (WorkloadMix(programs=tuple(setup.benchmark_names[i : i + 2])), machine)
             for i in range(2)
         ]
-        evaluated = setup.evaluate_predictors(pairs, ("mppm:foa", "detailed"))
+        ops = evaluation_ops(("mppm:foa", "detailed"), pairs)
+        evaluated = evaluations(ops, setup.predictor_batch(ops))
         # One simulation per pair, not one per (pair, detailed-ish op).
         assert setup.reference_runs() == len(pairs)
         for evaluation in evaluated["detailed"]:

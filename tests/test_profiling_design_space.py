@@ -18,7 +18,7 @@ from repro.caches import vectorized
 from repro.config import llc_design_space, scaled
 from repro.engine import tasks as engine_tasks
 from repro.engine.cache import deserialize_result, serialize_result
-from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup
 from repro.profiling import ProfileBundle, Profiler, ProfileStore
 from repro.profiling.profiler import profile_from_run
 from repro.simulators import single_core
@@ -449,19 +449,20 @@ class TestParallelWarmUp:
 
         monkeypatch.setattr(parallel.engine, "run", recording_run)
         mix = WorkloadMix(programs=tuple(serial.benchmark_names))
-        pairs = [(mix, machine) for machine in serial.design_space(num_cores=4)]
+        machines = serial.design_space(num_cores=4)
+        simulations = [(SIMULATE, mix, machine) for machine in machines]
         try:
-            assert parallel.simulate_batch(pairs) == serial.simulate_batch(pairs)
+            assert parallel.predictor_batch(simulations) == serial.predictor_batch(simulations)
         finally:
             parallel.close()
         # The profile step, then the sweep: no other engine run.
         warm, sweep = submitted
-        assert len(sweep) == len(pairs)
+        assert len(sweep) == len(simulations)
         assert len(warm) == len(serial.suite)
         assert all(job.fn is engine_tasks.profile_bundle_task for job in warm)
-        assert parallel.store.absorbed_profiles == len(serial.suite) * len(pairs)
+        assert parallel.store.absorbed_profiles == len(serial.suite) * len(simulations)
         for spec in serial.suite:
-            for _, machine in pairs:
+            for _, _, machine in simulations:
                 assert_profiles_equal(
                     parallel.store.get_profile(spec, machine), serial.store.get_profile(spec, machine)
                 )

@@ -40,11 +40,6 @@ class TestProfiler:
         assert profile.machine_key == machine4.profile_key()
         assert profile.llc_associativity == machine4.llc.associativity
 
-    def test_profile_suite_returns_every_benchmark(self, tiny_suite, machine4):
-        profiler = Profiler(machine4, num_instructions=20_000, interval_instructions=1_000)
-        profiled = profiler.profile_suite(tiny_suite)
-        assert set(profiled) == set(tiny_suite.names)
-
 
 class TestProfileStore:
     def test_profiles_are_cached_per_benchmark_and_machine(self, tiny_suite, machine4):

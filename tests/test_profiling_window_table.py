@@ -318,9 +318,9 @@ class TestMachineKeyMemos:
     def test_replaced_machines_get_their_own_keys(self):
         machine = self._machine()
         key = machine.profile_key()
-        other = dataclasses.replace(machine, llc=self._machine().with_llc(
-            dataclasses.replace(machine.llc, associativity=4)
-        ).llc)
+        other = dataclasses.replace(
+            machine, llc=dataclasses.replace(machine.llc, associativity=4)
+        )
         assert other.profile_key() != key
         assert other.private_key() == machine.private_key()
         fresh = MachineConfig(

@@ -42,7 +42,8 @@ class TestLLCAccessTrace:
         assert trace.num_llc_accesses == 20
         assert trace.llc_accesses_per_kilo_instruction == pytest.approx(10.0)
         assert trace.isolated_cpi == pytest.approx(1.0)
-        assert trace.total_upstream_cycles == pytest.approx(20 * 5.0 + 10.0)
+        upstream = float(trace.upstream_cycle_gap.sum()) + trace.tail_cycles
+        assert upstream == pytest.approx(20 * 5.0 + 10.0)
         assert "llc-test" in trace.describe()
 
     def test_array_lengths_must_match(self):

@@ -86,7 +86,7 @@ class TestMultiCoreSimulator:
     def test_stats_accessors(self, store, tiny_suite, machine4):
         traces = _traces(store, tiny_suite, machine4, ["gamess", "hmmer", "soplex", "mcf"])
         result = MultiCoreSimulator(machine4).run(traces)
-        assert set(result.per_program_cpi) == {0, 1, 2, 3}
+        assert [program.core for program in result.programs] == [0, 1, 2, 3]
         assert len(result.slowdowns) == 4
         with pytest.raises(KeyError):
             result.program("not-there")

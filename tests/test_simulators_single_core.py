@@ -73,7 +73,7 @@ class TestSingleCoreRun:
     def test_upstream_cycles_exclude_llc_and_memory_penalties(self, gamess_run):
         trace = gamess_run.llc_trace
         cpi_stack = gamess_run.cpi_stack
-        upstream = trace.total_upstream_cycles
+        upstream = float(trace.upstream_cycle_gap.sum()) + trace.tail_cycles
         assert upstream == pytest.approx(cpi_stack.base + cpi_stack.private_cache, rel=1e-6)
 
     def test_simulation_is_deterministic(self, machine4, gamess_trace):

@@ -23,7 +23,6 @@ class TestReuseProfile:
         total = sum(probability for _, _, probability in triples) + profile.new_probability
         assert total == pytest.approx(1.0)
         assert profile.new_probability == pytest.approx(0.1)
-        assert profile.max_depth == 128
 
     def test_weights_do_not_need_to_be_normalised(self):
         profile = ReuseProfile(buckets=((8, 3.0), (64, 1.0)), new_weight=0.0)
@@ -33,7 +32,7 @@ class TestReuseProfile:
 
     def test_streaming_only_profile(self):
         profile = ReuseProfile(buckets=(), new_weight=1.0)
-        assert profile.max_depth == 0
+        assert profile.probabilities() == ()
         assert profile.new_probability == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
@@ -91,7 +90,6 @@ class TestBenchmarkSpec:
     def test_default_spec_is_valid(self):
         spec = BenchmarkSpec(name="example")
         assert spec.num_phases == 1
-        assert spec.effective_memory_latency_factor == pytest.approx(1.0 / spec.mlp)
 
     def test_phase_fractions_must_sum_to_one(self):
         with pytest.raises(WorkloadError):

@@ -5,10 +5,6 @@ import pytest
 from repro.workloads import BenchmarkClass, classify_benchmark, classify_suite
 from repro.workloads.benchmark import BenchmarkSpec, ReuseProfile
 from repro.workloads.classification import (
-    class_counts,
-    classify_from_profile,
-    ensure_all_classes_present,
-    group_by_class,
     memory_intensity,
 )
 
@@ -58,29 +54,3 @@ class TestClassification:
         assert classes["libquantum"] == BenchmarkClass.MEM
         assert classes["hmmer"] == BenchmarkClass.COMP
         assert classes["povray"] == BenchmarkClass.COMP
-
-    def test_group_by_class_and_counts(self, full_suite):
-        classes = classify_suite(full_suite)
-        groups = group_by_class(classes)
-        counts = class_counts(classes)
-        assert sum(counts.values()) == len(full_suite)
-        for cls in BenchmarkClass:
-            assert counts[cls] == len(groups[cls])
-        ensure_all_classes_present(classes)
-
-    def test_ensure_all_classes_present_raises_on_empty_class(self):
-        with pytest.raises(ValueError):
-            ensure_all_classes_present({"only": BenchmarkClass.COMP})
-
-
-class TestClassifyFromProfile:
-    def test_fraction_thresholds(self):
-        assert classify_from_profile(0.6) == BenchmarkClass.MEM
-        assert classify_from_profile(0.05) == BenchmarkClass.COMP
-        assert classify_from_profile(0.2) == BenchmarkClass.MIX
-
-    def test_fraction_must_be_within_unit_interval(self):
-        with pytest.raises(ValueError):
-            classify_from_profile(1.5)
-        with pytest.raises(ValueError):
-            classify_from_profile(-0.1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.benchmark import BenchmarkSpec, PhaseSpec, ReuseProfile, WorkloadError
-from repro.workloads.generator import TraceGenerator, generate_trace
+from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import MemoryTrace
 
 
@@ -22,6 +22,10 @@ def _small_spec(**overrides) -> BenchmarkSpec:
     )
     defaults.update(overrides)
     return BenchmarkSpec(**defaults)
+
+
+def generate_trace(spec: BenchmarkSpec, num_instructions: int, seed: int = 0) -> MemoryTrace:
+    return TraceGenerator(num_instructions=num_instructions, seed=seed).generate(spec)
 
 
 class TestTraceGenerator:
@@ -85,7 +89,8 @@ class TestTraceGenerator:
         spec = _small_spec(base_cpi=0.8)
         trace = generate_trace(spec, num_instructions=10_000)
         # Total base cycles equal base CPI x instructions (single phase).
-        assert trace.total_base_cycles == pytest.approx(0.8 * 10_000, rel=0.01)
+        total = float(trace.base_cycle_gap.sum()) + trace.tail_base_cycles
+        assert total == pytest.approx(0.8 * 10_000, rel=0.01)
 
     def test_phases_change_memory_intensity(self):
         phased = _small_spec(

@@ -15,7 +15,6 @@ from repro.workloads import (
     sample_mixes,
 )
 from repro.workloads.benchmark import WorkloadError
-from repro.workloads.mixes import distinct_benchmarks, mixes_containing
 
 
 class TestWorkloadMix:
@@ -29,7 +28,6 @@ class TestWorkloadMix:
         assert mix.counts() == {"gamess": 2, "hmmer": 1, "soplex": 1}
         assert mix.label() == "2x gamess + hmmer + soplex"
         assert mix.num_programs == 4
-        assert mix.distinct_programs == ("gamess", "hmmer", "soplex")
 
     def test_empty_mix_rejected(self):
         with pytest.raises(WorkloadError):
@@ -165,14 +163,3 @@ class TestCategorySampling:
                 mixes_per_category=1,
                 categories=[BenchmarkClass.MEM],
             )
-
-
-class TestMixQueries:
-    def test_mixes_containing_filters_by_benchmark(self):
-        mixes = [WorkloadMix(("a", "b")), WorkloadMix(("b", "c")), WorkloadMix(("c", "d"))]
-        assert len(mixes_containing(mixes, "b")) == 2
-        assert mixes_containing(mixes, "z") == []
-
-    def test_distinct_benchmarks_across_mixes(self):
-        mixes = [WorkloadMix(("a", "b")), WorkloadMix(("b", "c"))]
-        assert distinct_benchmarks(mixes) == ["a", "b", "c"]
