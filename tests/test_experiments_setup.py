@@ -9,7 +9,7 @@ import pytest
 from repro.config import machine_with_llc, scaled
 from repro.engine import tasks as engine_tasks
 from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup, default_setup
-from repro.simulators import MultiCoreSimulator
+from repro.simulators import MultiCoreRunResult, MultiCoreSimulator
 from repro.workloads import BenchmarkClass, WorkloadMix, small_suite
 
 
@@ -133,6 +133,19 @@ class TestSweepEntryPoints:
         # ``predictor`` builds a predictor object; it runs no sweep.
         assert public == set(self.ENTRY_POINTS) | {"predictor"}
         assert not hasattr(experiments, "evaluate_mixes")
+
+    def test_a_simulate_op_returns_the_raw_reference_run(self, small_setup):
+        machine = small_setup.machine(num_cores=2)
+        mix = WorkloadMix(programs=tuple(small_setup.benchmark_names[:2]))
+        run, prediction = small_setup.predictor_batch(
+            [(SIMULATE, mix, machine), ("DETAILED", mix, machine)]
+        )
+        assert isinstance(run, MultiCoreRunResult)
+        assert run == small_setup.simulate(mix, machine)
+        # Every other spec is canonicalised: ``DETAILED`` is the registry's
+        # ``detailed``, a prediction repackaged from the same run.
+        assert prediction.predictor == "detailed"
+        assert prediction.system_throughput == run.system_throughput
 
     def test_no_function_to_the_solver_takes_a_model_object(self):
         import inspect
