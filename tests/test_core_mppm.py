@@ -102,6 +102,16 @@ class TestMPPMPredictions:
         with pytest.raises(MPPMError):
             model.predict_mix(WorkloadMix(programs=("gamess", "unknown")), profiles4)
 
+    def test_predict_many(self, machine4, profiles4):
+        model = MPPM(machine4.with_num_cores(2))
+        mixes = [WorkloadMix(("gamess", "hmmer")), WorkloadMix(("soplex", "mcf"))]
+        predictions = model.predict_batch(
+            [[profiles4[name] for name in mix.programs] for mix in mixes]
+        )
+        assert len(predictions) == 2
+        for mix, prediction in zip(mixes, predictions):
+            assert prediction == model.predict_mix(mix, profiles4)
+
     def test_empty_profile_list_rejected(self, machine4):
         with pytest.raises(MPPMError):
             MPPM(machine4).predict([])

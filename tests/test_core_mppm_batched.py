@@ -235,6 +235,19 @@ class TestKernelRouting:
                 tagged, predictor=None, machine_name=machine4.name
             ) == untagged
 
+    def test_a_repeated_mix_in_one_batch_is_solved_alike(self, machine4, profiles4):
+        names = sorted(profiles4)
+        mix_a = [profiles4[names[0]], profiles4[names[1]]]
+        mix_b = [profiles4[names[2]], profiles4[names[3]]]
+        model = MPPM(machine4.with_num_cores(2))
+        predictions = model.predict_batch([mix_a, mix_b, mix_a, mix_a])
+        assert len(predictions) == 4
+        assert predictions[0] == predictions[2] == predictions[3] != predictions[1]
+        reference = MPPM(machine4.with_num_cores(2), kernel="reference").predict_batch(
+            [mix_a, mix_b, mix_a]
+        )
+        assert_bit_identical(reference, predictions[:3])
+
     def test_kernel_round_trips_through_serialisation(self, machine4, profiles4):
         names = sorted(profiles4)
         prediction = MPPM(machine4).predict([profiles4[name] for name in names[:4]])
