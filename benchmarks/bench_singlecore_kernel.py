@@ -56,15 +56,8 @@ QUICK_L1_FLOOR = 1.6
 
 
 def _assert_identical(vectorized, reference):
-    assert len(vectorized.intervals) == len(reference.intervals)
-    for x, y in zip(vectorized.intervals, reference.intervals):
-        assert x.cycles == y.cycles and x.memory_cycles == y.memory_cycles
-        assert (x.llc_accesses, x.llc_hits, x.llc_misses) == (
-            y.llc_accesses,
-            y.llc_hits,
-            y.llc_misses,
-        )
-        assert np.array_equal(x.sdc.counts, y.sdc.counts)
+    for column in ("interval_cycles", "memory_cycles", "llc_accesses", "llc_hits", "sdc"):
+        assert np.array_equal(getattr(vectorized, column), getattr(reference, column))
     assert vectorized.cycles == reference.cycles
     assert np.array_equal(
         vectorized.llc_trace.upstream_cycle_gap, reference.llc_trace.upstream_cycle_gap

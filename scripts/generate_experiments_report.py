@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Regenerate the measured numbers quoted in EXPERIMENTS.md.
+"""Print every experiment's rendered results in one report.
 
 Runs every experiment harness at (slightly reduced) benchmark-suite
-sizes and prints the rendered tables/series plus a compact summary
-block that EXPERIMENTS.md quotes.  The full-size runs live in
-``benchmarks/``; this script exists so the documentation numbers can be
-refreshed with one command:
+sizes -- Tables 1 and 2, the workload-space explosion, Figures 3 to 9,
+the speed section and the ablations -- and prints each rendered table
+or series under a section header, then the seconds the report took.
+The full-size runs live in ``benchmarks/``.  No document in the
+repository quotes this output; redirect it to keep a copy:
 
-    python scripts/generate_experiments_report.py > experiments_report.txt
+    PYTHONPATH=src python scripts/generate_experiments_report.py > experiments_report.txt
 """
 
 from __future__ import annotations

@@ -9,15 +9,14 @@ line was deeper than the associativity (i.e. misses).  This follows
 Mattson et al.'s classic stack algorithm evaluated per cache set.
 
 :class:`StackDistanceCounters` is the counter vector with the
-operations MPPM and the contention models need (merging intervals,
-hit/miss counts, miss counts under a reduced or fractional number of
-ways).  :class:`StackDistanceProfiler` computes the counters from an
+operations MPPM and the contention models need (hit/miss counts,
+miss counts under a reduced or fractional number of ways).  :class:`StackDistanceProfiler` computes the counters from an
 access stream by maintaining an unbounded per-set LRU stack.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +72,7 @@ class StackDistanceCounters:
                 raise StackDistanceError("counters must be non-negative")
 
     # ------------------------------------------------------------------
-    # Recording and combining
+    # Recording
     # ------------------------------------------------------------------
 
     def record(self, distance: int) -> None:
@@ -88,37 +87,8 @@ class StackDistanceCounters:
         else:
             self.counts[distance - 1] += 1
 
-    def add(self, other: "StackDistanceCounters") -> "StackDistanceCounters":
-        """Element-wise sum with another counter vector (same associativity)."""
-        if other.associativity != self.associativity:
-            raise StackDistanceError(
-                "cannot add counters with different associativities "
-                f"({self.associativity} vs {other.associativity})"
-            )
-        return StackDistanceCounters(
-            associativity=self.associativity, counts=self.counts + other.counts
-        )
-
-    def scaled(self, factor: float) -> "StackDistanceCounters":
-        """All counters multiplied by ``factor`` (used for partial intervals)."""
-        if factor < 0:
-            raise StackDistanceError(f"scale factor must be non-negative, got {factor}")
-        return StackDistanceCounters(
-            associativity=self.associativity, counts=self.counts * factor
-        )
-
     def copy(self) -> "StackDistanceCounters":
         return StackDistanceCounters(associativity=self.associativity, counts=self.counts.copy())
-
-    @classmethod
-    def sum(
-        cls, counters: Iterable["StackDistanceCounters"], associativity: int
-    ) -> "StackDistanceCounters":
-        """Sum a collection of counter vectors (empty sum is all zeros)."""
-        total = cls(associativity=associativity)
-        for counter in counters:
-            total = total.add(counter)
-        return total
 
     # ------------------------------------------------------------------
     # Queries

@@ -860,7 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_workload_spec,
         default=None,
         help=(
-            "workload profiled at start-up and used when a request names "
+            "workload profiled at start-up (on all six Table 2 LLCs) and used "
+            "when a request names "
             f"none (default: {DEFAULT_WORKLOAD})"
         ),
     )
@@ -908,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--no-preload",
         action="store_true",
-        help="skip the start-up profiling (profiles are computed on first use)",
+        help="skip all start-up profiling (each benchmark-LLC pair is profiled on first use)",
     )
     serve_parser.set_defaults(handler=_command_serve)
 

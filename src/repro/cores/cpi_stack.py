@@ -39,25 +39,6 @@ class CPIStack:
     memory: float = 0.0
     instructions: int = 0
 
-    def add_base(self, cycles: float) -> None:
-        self.base += cycles
-
-    def add_private_cache(self, cycles: float) -> None:
-        self.private_cache += cycles
-
-    def add_llc(self, cycles: float) -> None:
-        self.llc += cycles
-
-    def add_memory(self, cycles: float) -> None:
-        self.memory += cycles
-
-    def add_instructions(self, count: int) -> None:
-        self.instructions += count
-
-    # ------------------------------------------------------------------
-    # Derived quantities
-    # ------------------------------------------------------------------
-
     @property
     def total_cycles(self) -> float:
         return self.base + self.private_cache + self.llc + self.memory
@@ -77,22 +58,3 @@ class CPIStack:
         """Memory cycles as a fraction of all cycles."""
         total = self.total_cycles
         return self.memory / total if total else 0.0
-
-    def merged_with(self, other: "CPIStack") -> "CPIStack":
-        """Element-wise sum of two stacks (e.g. across intervals)."""
-        return CPIStack(
-            base=self.base + other.base,
-            private_cache=self.private_cache + other.private_cache,
-            llc=self.llc + other.llc,
-            memory=self.memory + other.memory,
-            instructions=self.instructions + other.instructions,
-        )
-
-    def copy(self) -> "CPIStack":
-        return CPIStack(
-            base=self.base,
-            private_cache=self.private_cache,
-            llc=self.llc,
-            memory=self.memory,
-            instructions=self.instructions,
-        )

@@ -345,17 +345,14 @@ def _replay_rates(
     boundaries = spec.phase_boundaries(options.num_instructions)
     sums = np.zeros((len(boundaries), 4), dtype=np.float64)  # insn, loads, misses, cycles
     position = 0
-    for interval in run.intervals:
-        midpoint = position + interval.instructions / 2.0
+    columns = (run.instructions, run.llc_accesses, run.llc_misses, run.interval_cycles)
+    for row in zip(*(column.tolist() for column in columns)):
+        instructions = row[0]
+        midpoint = position + instructions / 2.0
         phase = int(np.searchsorted(boundaries, midpoint, side="left"))
         phase = min(phase, len(boundaries) - 1)
-        sums[phase] += (
-            interval.instructions,
-            interval.llc_accesses,
-            interval.llc_misses,
-            interval.cycles,
-        )
-        position += interval.instructions
+        sums[phase] += row
+        position += instructions
     rates: List[Tuple[float, float, float]] = []
     for insn, loads, misses, cycles in sums:
         if insn <= 0:

@@ -55,17 +55,12 @@ def synthesize_rows(
     for core, spec in enumerate(specs):
         run = simulator.run(generator.generate(spec))
         cycles = 0.0
-        for interval in run.intervals:
-            cycles += interval.cycles
-            rows.append(
-                (
-                    core,
-                    cycles / cycles_per_second,
-                    interval.llc_accesses,
-                    interval.llc_misses,
-                    interval.instructions,
-                )
-            )
+        columns = (run.interval_cycles, run.llc_accesses, run.llc_misses, run.instructions)
+        for interval_cycles, loads, misses, instructions in zip(
+            *(column.tolist() for column in columns)
+        ):
+            cycles += interval_cycles
+            rows.append((core, cycles / cycles_per_second, loads, misses, instructions))
     return rows
 
 

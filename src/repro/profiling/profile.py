@@ -29,6 +29,13 @@ class ProfileError(ValueError):
     """Raised for inconsistent profile data or invalid window queries."""
 
 
+def _column(values: Sequence, dtype: type) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``dtype`` array."""
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True)
 class IntervalProfile:
     """Profile of one interval (the paper's 20M-instruction granularity)."""
@@ -254,11 +261,27 @@ class WindowSlots:
         return (rows[0] - rows[1]) + full_passes[..., None] * self.totals
 
 
+#: A profile's per-interval columns in JSON field order, with their
+#: dtypes; ``sdc`` holds one row of A+1 counters per interval.
+_COLUMNS = {
+    "instructions": np.int64,
+    "cpi": np.float64,
+    "memory_cpi": np.float64,
+    "llc_accesses": np.float64,
+    "llc_misses": np.float64,
+    "sdc": np.float64,
+}
+
+
 class SingleCoreProfile:
     """Per-benchmark single-core profile on a given machine.
 
-    A profile is immutable once built: its whole-trace aggregates and
-    its window table are computed on first use and cached.
+    A profile is immutable once built.  It is held as per-interval
+    :attr:`columns`, which the profiler and the JSON loader fill
+    directly (:meth:`from_columns`); :attr:`intervals` wraps them in
+    :class:`IntervalProfile` objects on first use.  Its whole-trace
+    aggregates and its window table are computed on first use and
+    cached.
     """
 
     def __init__(
@@ -270,42 +293,111 @@ class SingleCoreProfile:
         intervals: Sequence[IntervalProfile],
         llc_associativity: int,
     ) -> None:
-        if not intervals:
-            raise ProfileError("a profile needs at least one interval")
+        if [interval.index for interval in intervals] != list(range(len(intervals))):
+            raise ProfileError("profile intervals must be consecutively indexed from 0")
+        if any(interval.sdc.associativity != llc_associativity for interval in intervals):
+            raise ProfileError(
+                "interval SDC associativity does not match the profile's LLC associativity"
+            )
+        columns = {name: [getattr(interval, name) for interval in intervals] for name in _COLUMNS}
+        columns["sdc"] = [sdc.counts for sdc in columns["sdc"]]
+        self._set(
+            benchmark, machine_key, machine_name, interval_instructions, llc_associativity, columns
+        )
+        self.__dict__["intervals"] = list(intervals)
+
+    @classmethod
+    def from_columns(
+        cls,
+        benchmark: str,
+        machine_key: str,
+        machine_name: str,
+        interval_instructions: int,
+        llc_associativity: int,
+        **columns: Sequence,
+    ) -> "SingleCoreProfile":
+        """A profile from its per-interval columns, checked once per column.
+
+        ``columns`` are ``instructions``, ``cpi``, ``memory_cpi``,
+        ``llc_accesses``, ``llc_misses`` (one entry per interval) and
+        ``sdc`` (one row of A+1 counters per interval).  An interval
+        that :class:`IntervalProfile` would reject raises its error.
+        """
+        profile = cls.__new__(cls)
+        profile._set(
+            benchmark, machine_key, machine_name, interval_instructions, llc_associativity, columns
+        )
+        c = profile.columns
+        bad = (
+            (c["instructions"] <= 0)
+            | (c["cpi"] <= 0)
+            | (c["memory_cpi"] < 0)
+            | (c["memory_cpi"] > c["cpi"])
+            | (c["llc_accesses"] < 0)
+            | (c["llc_misses"] < 0)
+            | (c["llc_misses"] > c["llc_accesses"])
+            | (c["sdc"] < 0).any(axis=1)
+        )
+        if bad.any():
+            # The first bad interval's own constructor raises its error.
+            profile._interval(int(bad.argmax()))
+        return profile
+
+    def _set(
+        self,
+        benchmark: str,
+        machine_key: str,
+        machine_name: str,
+        interval_instructions: int,
+        llc_associativity: int,
+        columns: Dict[str, Sequence],
+    ) -> None:
         if interval_instructions <= 0:
             raise ProfileError("interval_instructions must be positive")
-        expected_index = list(range(len(intervals)))
-        if [interval.index for interval in intervals] != expected_index:
-            raise ProfileError("profile intervals must be consecutively indexed from 0")
-        for interval in intervals:
-            if interval.sdc.associativity != llc_associativity:
-                raise ProfileError(
-                    "interval SDC associativity does not match the profile's LLC associativity"
-                )
         self.benchmark = benchmark
         self.machine_key = machine_key
         self.machine_name = machine_name
         self.interval_instructions = interval_instructions
-        self.intervals: List[IntervalProfile] = list(intervals)
         self.llc_associativity = llc_associativity
+        #: The per-interval columns (read-only arrays), keyed as ``_COLUMNS``.
+        self.columns = {name: _column(columns[name], dtype) for name, dtype in _COLUMNS.items()}
+        count = len(self.columns["instructions"])
+        if not count:
+            raise ProfileError("a profile needs at least one interval")
+        if any(column.shape[:1] != (count,) for column in self.columns.values()):
+            raise ProfileError("profile columns must have one entry per interval")
+        if llc_associativity <= 0 or self.columns["sdc"].shape[1:] != (llc_associativity + 1,):
+            raise ProfileError(
+                "interval SDC associativity does not match the profile's LLC associativity"
+            )
+
+    def _interval(self, index: int) -> IntervalProfile:
+        row = {name: column[index] for name, column in self.columns.items()}
+        sdc = StackDistanceCounters(associativity=self.llc_associativity, counts=row.pop("sdc"))
+        return IntervalProfile(index=index, sdc=sdc, **{k: v.item() for k, v in row.items()})
+
+    @cached_property
+    def intervals(self) -> List[IntervalProfile]:
+        """The profile's intervals as :class:`IntervalProfile` objects."""
+        return [self._interval(index) for index in range(self.num_intervals)]
 
     # ------------------------------------------------------------------
     # Whole-trace aggregates (cached: MPPM reads them once per program
-    # per prediction, and each is a Python sum over every interval)
+    # per prediction; each is a left-to-right sum over the intervals)
     # ------------------------------------------------------------------
 
     @property
     def num_intervals(self) -> int:
-        return len(self.intervals)
+        return len(self.columns["instructions"])
 
     @cached_property
     def num_instructions(self) -> int:
         """Total instructions of the profiled trace."""
-        return sum(interval.instructions for interval in self.intervals)
+        return int(self.columns["instructions"].sum())
 
     @cached_property
     def total_cycles(self) -> float:
-        return sum(interval.cycles for interval in self.intervals)
+        return sum(self.interval_counters[:, ProfileWindowTable.COL_CYCLES].tolist())
 
     @cached_property
     def cpi(self) -> float:
@@ -315,7 +407,8 @@ class SingleCoreProfile:
     @cached_property
     def memory_cpi(self) -> float:
         """Overall memory CPI (the paper's CPI_mem)."""
-        return sum(interval.memory_cycles for interval in self.intervals) / self.num_instructions
+        memory_cycles = self.interval_counters[:, ProfileWindowTable.COL_MEMORY_CYCLES]
+        return sum(memory_cycles.tolist()) / self.num_instructions
 
     @property
     def memory_cpi_fraction(self) -> float:
@@ -324,20 +417,21 @@ class SingleCoreProfile:
 
     @cached_property
     def total_llc_accesses(self) -> float:
-        return sum(interval.llc_accesses for interval in self.intervals)
+        return sum(self.columns["llc_accesses"].tolist())
 
     @cached_property
     def total_llc_misses(self) -> float:
-        return sum(interval.llc_misses for interval in self.intervals)
+        return sum(self.columns["llc_misses"].tolist())
 
     @property
     def llc_misses_per_kilo_instruction(self) -> float:
         return 1000.0 * self.total_llc_misses / self.num_instructions
 
     def total_sdc(self) -> StackDistanceCounters:
-        """Sum of all interval SDCs."""
-        return StackDistanceCounters.sum(
-            (interval.sdc for interval in self.intervals), self.llc_associativity
+        """Sum of all interval SDCs (added one interval after another)."""
+        return StackDistanceCounters(
+            associativity=self.llc_associativity,
+            counts=np.add.accumulate(self.columns["sdc"])[-1],
         )
 
     # ------------------------------------------------------------------
@@ -351,16 +445,16 @@ class SingleCoreProfile:
         Columns follow :class:`ProfileWindowTable`'s layout: the five
         scalar counters, then the A+1 stack-distance counters.
         """
-        intervals = self.intervals
-        sdc = np.stack([interval.sdc.counts for interval in intervals]).astype(np.float64)
+        c = self.columns
+        instructions = c["instructions"].astype(np.float64)
         values = np.column_stack(
             [
-                np.array([interval.instructions for interval in intervals], dtype=np.float64),
-                np.array([interval.cycles for interval in intervals], dtype=np.float64),
-                np.array([interval.memory_cycles for interval in intervals], dtype=np.float64),
-                np.array([interval.llc_accesses for interval in intervals], dtype=np.float64),
-                np.array([interval.llc_misses for interval in intervals], dtype=np.float64),
-                sdc,
+                instructions,
+                c["cpi"] * instructions,
+                c["memory_cpi"] * instructions,
+                c["llc_accesses"],
+                c["llc_misses"],
+                c["sdc"],
             ]
         )
         values.flags.writeable = False
@@ -454,6 +548,7 @@ class SingleCoreProfile:
 
     def to_dict(self) -> Dict:
         """Plain-data representation suitable for JSON."""
+        rows = zip(*(column.tolist() for column in self.columns.values()))
         return {
             "benchmark": self.benchmark,
             "machine_key": self.machine_key,
@@ -461,45 +556,23 @@ class SingleCoreProfile:
             "interval_instructions": self.interval_instructions,
             "llc_associativity": self.llc_associativity,
             "intervals": [
-                {
-                    "index": interval.index,
-                    "instructions": interval.instructions,
-                    "cpi": interval.cpi,
-                    "memory_cpi": interval.memory_cpi,
-                    "llc_accesses": interval.llc_accesses,
-                    "llc_misses": interval.llc_misses,
-                    "sdc": interval.sdc.counts.tolist(),
-                }
-                for interval in self.intervals
+                {"index": index, **dict(zip(_COLUMNS, row))} for index, row in enumerate(rows)
             ],
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SingleCoreProfile":
         """Inverse of :meth:`to_dict`."""
-        associativity = int(data["llc_associativity"])
-        intervals = [
-            IntervalProfile(
-                index=int(entry["index"]),
-                instructions=int(entry["instructions"]),
-                cpi=float(entry["cpi"]),
-                memory_cpi=float(entry["memory_cpi"]),
-                llc_accesses=float(entry["llc_accesses"]),
-                llc_misses=float(entry["llc_misses"]),
-                sdc=StackDistanceCounters(
-                    associativity=associativity,
-                    counts=np.asarray(entry["sdc"], dtype=np.float64),
-                ),
-            )
-            for entry in data["intervals"]
-        ]
-        return cls(
+        entries = data["intervals"]
+        if [int(entry["index"]) for entry in entries] != list(range(len(entries))):
+            raise ProfileError("profile intervals must be consecutively indexed from 0")
+        return cls.from_columns(
             benchmark=data["benchmark"],
             machine_key=data["machine_key"],
             machine_name=data["machine_name"],
             interval_instructions=int(data["interval_instructions"]),
-            intervals=intervals,
-            llc_associativity=associativity,
+            llc_associativity=int(data["llc_associativity"]),
+            **{name: [entry[name] for entry in entries] for name in _COLUMNS},
         )
 
     def describe(self) -> str:

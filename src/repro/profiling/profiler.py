@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from repro.config.machine import MachineConfig
-from repro.profiling.profile import IntervalProfile, SingleCoreProfile
+from repro.profiling.profile import SingleCoreProfile
 from repro.simulators.llc_trace import LLCAccessTrace
 from repro.simulators.single_core import PrivateRun, SingleCoreRunResult, SingleCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec
@@ -140,23 +142,22 @@ class Profiler:
 
 def profile_from_run(run: SingleCoreRunResult, machine: MachineConfig) -> SingleCoreProfile:
     """Convert a raw single-core simulation result into a profile."""
-    intervals = [
-        IntervalProfile(
-            index=measurement.index,
-            instructions=measurement.instructions,
-            cpi=measurement.cpi,
-            memory_cpi=measurement.memory_cpi,
-            llc_accesses=float(measurement.llc_accesses),
-            llc_misses=float(measurement.llc_misses),
-            sdc=measurement.sdc,
-        )
-        for measurement in run.intervals
-    ]
-    return SingleCoreProfile(
+    instructions = run.instructions
+    return SingleCoreProfile.from_columns(
         benchmark=run.benchmark,
         machine_key=machine.profile_key(),
         machine_name=machine.name,
         interval_instructions=run.interval_instructions,
-        intervals=intervals,
         llc_associativity=machine.llc.associativity,
+        instructions=instructions,
+        cpi=_per_instruction(run.interval_cycles, instructions),
+        memory_cpi=_per_instruction(run.memory_cycles, instructions),
+        llc_accesses=run.llc_accesses,
+        llc_misses=run.llc_misses,
+        sdc=run.sdc,
     )
+
+
+def _per_instruction(cycles: np.ndarray, instructions: np.ndarray) -> np.ndarray:
+    """``cycles / instructions`` per interval, 0 where an interval has none."""
+    return np.divide(cycles, instructions, out=np.zeros(len(cycles)), where=instructions != 0)

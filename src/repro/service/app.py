@@ -11,16 +11,19 @@ per workload spec requested), and serves:
 * ``GET /models`` / ``GET /workloads`` — the registries, exactly the
   payloads of ``repro models --json`` / ``repro workloads --json``.
 * ``GET /healthz`` — liveness (and readiness: the server only starts
-  listening after the start-up profiling finished).
+  listening after the start-up profiling finished); its
+  ``preloaded_profiles`` counts the (benchmark, LLC) profiles that
+  start-up made resident, six per benchmark of the workload.
 * ``GET /stats`` — live counters: requests, batching, in-flight dedup,
   engine cache hits, latency percentiles.
 * ``POST /shutdown`` — clean shutdown (used by the CI smoke test).
 
-Single-core profiles are bundled into the shared
-:class:`~repro.profiling.ProfileStore` once, on every local CPU, before
-:meth:`PredictionService.start` listens; predictions are computed
-through the batching layer and remembered by the engine's content-hash
-result cache, so a warm server recomputes nothing.  Requests run on the
+Single-core profiles of the default workload on all six Table 2 LLCs
+are bundled into the shared :class:`~repro.profiling.ProfileStore`
+once, on every local CPU, before :meth:`PredictionService.start`
+listens; predictions are computed through the batching layer and
+remembered by the engine's content-hash result cache, so a warm server
+recomputes nothing.  Requests run on the
 event loop's thread: a batch holds the loop while it computes, so other requests
 (``/healthz`` included) wait for it, and ``max_batch`` bounds that wait.
 """
@@ -61,7 +64,8 @@ class ServiceConfig:
     jobs: Union[int, str] = 1
     #: Campaign cache directory; ``None`` keeps memoisation in memory.
     cache_dir: Optional[Union[str, Path]] = None
-    #: The workload profiled at start-up and used when a request names none.
+    #: The workload profiled at start-up (on all six Table 2 LLCs) and
+    #: used when a request names none.
     workload: str = DEFAULT_WORKLOAD
     #: The most mixes one engine batch takes (see :mod:`repro.service.batching`).
     max_batch: int = 64
@@ -70,7 +74,9 @@ class ServiceConfig:
     instructions: int = 200_000
     scale: int = 16
     seed: int = 0
-    #: Skip the start-up profiling (tests; cold-start benchmarks).
+    #: Profile ``workload`` on the whole Table 2 space before listening;
+    #: ``False`` skips all start-up profiling (tests; cold-start
+    #: benchmarks), and each (benchmark, LLC) pair is profiled on first use.
     preload: bool = True
 
     def experiment_config(self) -> ExperimentConfig:
@@ -93,10 +99,10 @@ def _integer(value: object, field: str) -> int:
 class PredictionService:
     """The handler behind the HTTP server (usable without it, too).
 
-    :meth:`start` profiles the workload on a process pool it borrows
-    over every local CPU, whatever ``jobs`` says, and closes the pool
-    before it listens; requests run on the event loop, on the ``jobs``
-    engine.
+    :meth:`start` profiles the workload on all six Table 2 LLCs on a
+    process pool it borrows over every local CPU, whatever ``jobs``
+    says, and closes the pool before it listens; requests run on the
+    event loop, on the ``jobs`` engine.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
@@ -110,6 +116,7 @@ class PredictionService:
         self.batcher = PredictionBatcher(self._run_batch, self.config.max_batch, self.stats)
         self.server = HttpServer(self.handle, host=self.config.host, port=self.config.port)
         self.shutdown_event = asyncio.Event()
+        #: Profiles :meth:`start` made resident (``/healthz``), six per benchmark.
         self.preloaded_profiles = 0
 
     # ------------------------------------------------------------------
@@ -117,10 +124,17 @@ class PredictionService:
     # ------------------------------------------------------------------
 
     async def start(self) -> "PredictionService":
-        """Profile the configured workload, then start listening (ready when returning)."""
+        """Profile the configured workload, then start listening (ready when returning).
+
+        Every (benchmark, Table 2 machine) pair goes to one profile
+        step, LLC traces included, so each benchmark's bundle job pays
+        its trace generation and private replay once for all six LLCs
+        and no request on the workload profiles on the event loop.
+        """
         if self.config.preload:
             setup = self._setup_for(self.config.workload)
-            pairs = [(name, setup.machine()) for name in setup.benchmark_names]
+            machines = setup.design_space()
+            pairs = [(name, machine) for name in setup.benchmark_names for machine in machines]
             cpus = local_cpus()
             # Fork only from a single-threaded process (engine/remote/launch.py).
             pooled = cpus > 1 and threading.active_count() == 1
@@ -129,7 +143,7 @@ class PredictionService:
                 trace=True,
                 engine=lambda: Executor(ProcessPoolBackend(cpus) if pooled else None),
             )
-            self.preloaded_profiles = len(setup.suite)
+            self.preloaded_profiles = len(pairs)
         await self.server.start()
         return self
 

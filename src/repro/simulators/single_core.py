@@ -47,11 +47,7 @@ import numpy as np
 
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.set_associative import SetAssociativeCache
-from repro.caches.stack_distance import (
-    StackDistanceCounters,
-    StackDistanceProfiler,
-    distance_slots,
-)
+from repro.caches.stack_distance import StackDistanceProfiler, distance_slots
 from repro.caches.vectorized import lru_hit_mask, replay_llc, replay_private_levels
 from repro.config.machine import MachineConfig
 from repro.cores.core_model import CoreTimingModel
@@ -177,37 +173,30 @@ class PrivateRun:
 
 
 @dataclass(frozen=True)
-class IntervalMeasurement:
-    """Measurements for one profiling interval (the paper uses 20M instructions)."""
-
-    index: int
-    instructions: int
-    cycles: float
-    memory_cycles: float
-    llc_accesses: int
-    llc_hits: int
-    llc_misses: int
-    sdc: StackDistanceCounters
-
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
-
-    @property
-    def memory_cpi(self) -> float:
-        return self.memory_cycles / self.instructions if self.instructions else 0.0
-
-
-@dataclass(frozen=True)
 class SingleCoreRunResult:
-    """Everything one isolated profiling run produces."""
+    """Everything one isolated profiling run produces.
+
+    The measurements of each profiling interval (the paper uses 20M
+    instructions) are columns with one entry per interval: instruction
+    count, cycles, memory cycles, LLC accesses and hits, and a row of
+    A+1 stack-distance counters in ``sdc``.
+    """
 
     benchmark: str
     machine_name: str
     interval_instructions: int
-    intervals: List[IntervalMeasurement]
     cpi_stack: CPIStack
     llc_trace: LLCAccessTrace
+    instructions: np.ndarray
+    interval_cycles: np.ndarray
+    memory_cycles: np.ndarray
+    llc_accesses: np.ndarray
+    llc_hits: np.ndarray
+    sdc: np.ndarray
+
+    @property
+    def llc_misses(self) -> np.ndarray:
+        return self.llc_accesses - self.llc_hits
 
     @property
     def num_instructions(self) -> int:
@@ -458,12 +447,18 @@ class SingleCoreSimulator:
         The LLC-dependent cycle accounting — LLC hit and memory
         penalties, SDC histograms and the isolated cycle count — happens
         here; the vectorized stage and the reference both route through
-        this method.
+        this method.  Every per-interval column is an array expression
+        over the interval axis that applies, element by element, the
+        float operations of a per-interval CPI-stack loop in that loop's
+        order: ``count * penalty`` per component, the private levels
+        with a non-zero penalty summed in level order onto zero, and
+        cycles as ``base + private + llc + memory``.  The run's
+        :class:`CPIStack` folds each column left to right
+        (``np.add.accumulate``, not the pairwise ``np.sum``), as adding
+        the interval stacks one after another would.
         """
         core_model = CoreTimingModel(machine, private_run.spec)
-        num_private = len(machine.private_levels)
         associativity = machine.llc.associativity
-        penalties = [core_model.private_hit_penalty(level) for level in range(num_private)]
 
         # Per-interval LLC populations and SDC counters of each
         # interval's slice of the LLC stream (the per-set stacks persist
@@ -473,48 +468,38 @@ class SingleCoreSimulator:
         llc_accesses = np.bincount(interval_id, minlength=num_intervals)
         llc_hit_counts = np.bincount(interval_id[llc_hits], minlength=num_intervals)
         slots = distance_slots(llc_distances, associativity)
-        sdc_hist = np.bincount(
+        sdc = np.bincount(
             interval_id * (associativity + 1) + slots,
             minlength=num_intervals * (associativity + 1),
         ).reshape(num_intervals, associativity + 1).astype(np.float64)
 
-        overall = CPIStack()
-        intervals: List[IntervalMeasurement] = []
-        for interval_index in range(num_intervals):
-            interval_stack = CPIStack()
-            interval_stack.add_base(float(private_run.base_cycles[interval_index]))
-            for level in range(num_private):
-                if penalties[level]:
-                    count = int(private_run.private_hits[interval_index, level])
-                    interval_stack.add_private_cache(count * penalties[level])
-            llc_hits_in_interval = int(llc_hit_counts[interval_index])
-            llc_misses = int(llc_accesses[interval_index]) - llc_hits_in_interval
-            interval_stack.add_llc(llc_hits_in_interval * core_model.llc_hit_penalty)
-            interval_stack.add_memory(llc_misses * core_model.memory_penalty)
-            interval_instructions = int(private_run.instructions[interval_index])
-            interval_stack.add_instructions(interval_instructions)
+        base = private_run.base_cycles
+        private = np.zeros(num_intervals)
+        for level in range(len(machine.private_levels)):
+            penalty = core_model.private_hit_penalty(level)
+            if penalty:
+                private = private + private_run.private_hits[:, level] * penalty
+        llc = llc_hit_counts * core_model.llc_hit_penalty
+        memory = (llc_accesses - llc_hit_counts) * core_model.memory_penalty
+        cycles = base + private + llc + memory
 
-            intervals.append(
-                IntervalMeasurement(
-                    index=interval_index,
-                    instructions=interval_instructions,
-                    cycles=interval_stack.total_cycles,
-                    memory_cycles=interval_stack.memory,
-                    llc_accesses=llc_hits_in_interval + llc_misses,
-                    llc_hits=llc_hits_in_interval,
-                    llc_misses=llc_misses,
-                    sdc=StackDistanceCounters(
-                        associativity=associativity, counts=sdc_hist[interval_index]
-                    ),
-                )
-            )
-            overall = overall.merged_with(interval_stack)
-
+        overall = CPIStack(
+            base=float(np.add.accumulate(base)[-1]),
+            private_cache=float(np.add.accumulate(private)[-1]),
+            llc=float(np.add.accumulate(llc)[-1]),
+            memory=float(np.add.accumulate(memory)[-1]),
+            instructions=int(private_run.instructions.sum()),
+        )
         return SingleCoreRunResult(
             benchmark=private_run.spec.name,
             machine_name=machine.name,
             interval_instructions=private_run.interval_instructions,
-            intervals=intervals,
             cpi_stack=overall,
             llc_trace=private_run.llc_trace(overall.total_cycles),
+            instructions=private_run.instructions,
+            interval_cycles=_read_only(cycles),
+            memory_cycles=_read_only(memory),
+            llc_accesses=_read_only(llc_accesses),
+            llc_hits=_read_only(llc_hit_counts),
+            sdc=_read_only(sdc),
         )

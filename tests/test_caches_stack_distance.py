@@ -33,26 +33,6 @@ class TestStackDistanceCounters:
         assert counters.total_accesses == 4
         assert counters.miss_rate == pytest.approx(0.5)
 
-    def test_add_and_scaled(self):
-        a = StackDistanceCounters(associativity=2, counts=np.array([1.0, 2.0, 3.0]))
-        b = StackDistanceCounters(associativity=2, counts=np.array([4.0, 5.0, 6.0]))
-        total = a.add(b)
-        assert np.allclose(total.counts, [5.0, 7.0, 9.0])
-        assert np.allclose(a.scaled(0.5).counts, [0.5, 1.0, 1.5])
-        with pytest.raises(StackDistanceError):
-            a.add(StackDistanceCounters(associativity=3))
-        with pytest.raises(StackDistanceError):
-            a.scaled(-1.0)
-
-    def test_sum_of_counters(self):
-        parts = [
-            StackDistanceCounters(associativity=2, counts=np.array([1.0, 0.0, 1.0]))
-            for _ in range(3)
-        ]
-        total = StackDistanceCounters.sum(parts, associativity=2)
-        assert total.total_accesses == 6
-        assert total.misses == 3
-
     def test_misses_for_fewer_ways_is_monotonic(self):
         counters = StackDistanceCounters(
             associativity=4, counts=np.array([10.0, 5.0, 3.0, 2.0, 7.0])

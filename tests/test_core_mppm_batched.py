@@ -383,6 +383,30 @@ class TestOneMixSolver:
         config = dataclasses.replace(config, smoothing=smoothing)
         assert_one_mix_solve((machine, make_contention_model(contention), config), mix, other)
 
+    def test_window_rows_of_sampled_mixes_are_nonnegative(self, llc_profiles, monkeypatch):
+        """Window rows are prefix-sum differences plus whole passes, so
+        cancellation could take a counter below zero, which a scalar-only
+        contention model's ``StackDistanceCounters`` would reject.  Over
+        sampled 2/4/8-program mixes on every Table 2 LLC, none does."""
+        rows = []
+        windows = batched._MixWindows.__call__
+
+        def recording(self, positions, lengths):
+            rows.append(windows(self, positions, lengths))
+            return rows[-1]
+
+        monkeypatch.setattr(batched._MixWindows, "__call__", recording)
+        rng = np.random.default_rng(36)
+        for machine, profiles in llc_profiles.values():
+            names = sorted(profiles)
+            for count in (2, 4, 8):
+                model = MPPM(machine.with_num_cores(count))
+                for _ in range(4):
+                    model.predict([profiles[name] for name in rng.choice(names, size=count)])
+        # Rows are as wide as their LLC's SDCs, so they are checked per call.
+        assert sum(len(window) for window in rows) > 5_000
+        assert min(window.min() for window in rows) >= 0.0
+
     def test_batch_size_alone_picks_the_path(self, machine4, profiles4, monkeypatch):
         calls = []
         for name in ("_solve_one", "_solve_uniform"):

@@ -9,13 +9,8 @@ from repro.workloads.benchmark import BenchmarkSpec
 
 
 class TestCPIStack:
-    def test_components_accumulate_and_derive_cpi(self):
-        stack = CPIStack()
-        stack.add_base(100.0)
-        stack.add_private_cache(20.0)
-        stack.add_llc(30.0)
-        stack.add_memory(50.0)
-        stack.add_instructions(100)
+    def test_components_derive_cpi(self):
+        stack = CPIStack(base=100.0, private_cache=20.0, llc=30.0, memory=50.0, instructions=100)
         assert stack.total_cycles == pytest.approx(200.0)
         assert stack.cpi == pytest.approx(2.0)
         assert stack.memory_cpi == pytest.approx(0.5)
@@ -28,16 +23,6 @@ class TestCPIStack:
         assert stack.cpi == 0.0
         assert stack.memory_cpi == 0.0
         assert stack.memory_fraction == 0.0
-
-    def test_merge_and_copy_are_independent(self):
-        a = CPIStack(base=10.0, memory=5.0, instructions=10)
-        b = CPIStack(base=20.0, llc=2.0, instructions=20)
-        merged = a.merged_with(b)
-        assert merged.base == 30.0
-        assert merged.instructions == 30
-        copy = a.copy()
-        copy.add_base(100.0)
-        assert a.base == 10.0
 
 
 class TestCoreTimingModel:

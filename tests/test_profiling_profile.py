@@ -166,6 +166,25 @@ class TestSingleCoreProfile:
         for original, loaded in zip(profile.intervals, restored.intervals):
             assert loaded.sdc == original.sdc
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("instructions", 0, "interval 1: instructions"),
+            ("cpi", 0.0, "interval 1: CPI"),
+            ("memory_cpi", -0.1, "interval 1: memory CPI"),
+            ("memory_cpi", 2.0, "interval 1: memory CPI"),
+            ("llc_misses", 60.0, "interval 1: inconsistent"),
+            ("sdc", [-1.0, 0.0, 0.0, 0.0, 1.0], "non-negative"),
+        ],
+    )
+    def test_loading_rejects_what_an_interval_rejects(self, field, value, error):
+        # Loading checks whole columns at once, then lets the first bad
+        # interval raise its own error.
+        data = _profile(num_intervals=3).to_dict()
+        data["intervals"][1][field] = value
+        with pytest.raises(ValueError, match=error):
+            SingleCoreProfile.from_dict(data)
+
     def test_reduced_associativity_profile(self):
         intervals = []
         for i in range(3):

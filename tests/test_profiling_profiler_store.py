@@ -36,7 +36,7 @@ class TestProfiler:
         trace = generator.generate(tiny_suite["hmmer"])
         run = SingleCoreSimulator(machine4, TEST_INTERVAL).run(trace)
         profile = profile_from_run(run, machine4)
-        assert profile.num_intervals == len(run.intervals)
+        assert profile.num_intervals == len(run.instructions)
         assert profile.machine_key == machine4.profile_key()
         assert profile.llc_associativity == machine4.llc.associativity
 

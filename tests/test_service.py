@@ -132,7 +132,7 @@ class TestIntrospection:
     def test_healthz_reports_preload(self, live):
         payload = call(live, lambda c: c.healthz())
         assert payload["status"] == "ok"
-        assert payload["preloaded_profiles"] == len(NAMES)
+        assert payload["preloaded_profiles"] == 6 * len(NAMES)  # every Table 2 LLC
         assert payload["uptime_seconds"] > 0
 
     def test_index_lists_endpoints(self, live):

@@ -39,16 +39,14 @@ def gamess_run(machine4, gamess_trace):
 
 class TestSingleCoreRun:
     def test_interval_structure(self, gamess_run):
-        assert len(gamess_run.intervals) == TEST_INSTRUCTIONS // TEST_INTERVAL
-        assert sum(interval.instructions for interval in gamess_run.intervals) == TEST_INSTRUCTIONS
-        assert all(interval.instructions == TEST_INTERVAL for interval in gamess_run.intervals)
+        assert len(gamess_run.instructions) == TEST_INSTRUCTIONS // TEST_INTERVAL
+        assert gamess_run.instructions.sum() == TEST_INSTRUCTIONS
+        assert (gamess_run.instructions == TEST_INTERVAL).all()
 
     def test_totals_are_consistent_with_intervals(self, gamess_run):
-        interval_cycles = sum(interval.cycles for interval in gamess_run.intervals)
+        interval_cycles = gamess_run.interval_cycles.sum()
         assert gamess_run.cycles == pytest.approx(interval_cycles, rel=1e-9)
-        interval_memory = sum(
-            interval.memory_cycles for interval in gamess_run.intervals
-        )
+        interval_memory = gamess_run.memory_cycles.sum()
         assert gamess_run.memory_cpi * gamess_run.num_instructions == pytest.approx(
             interval_memory, rel=1e-9
         )
@@ -56,15 +54,15 @@ class TestSingleCoreRun:
         assert 0 <= gamess_run.memory_cpi <= gamess_run.cpi
 
     def test_llc_counters_match_sdc_counters(self, gamess_run):
-        for interval in gamess_run.intervals:
-            assert interval.llc_accesses == pytest.approx(interval.sdc.total_accesses)
-            # The SDC's C>A counter counts cold *and* capacity/conflict misses,
-            # exactly the misses the LLC sees.
-            assert interval.llc_misses == pytest.approx(interval.sdc.misses)
-            assert interval.llc_hits + interval.llc_misses == interval.llc_accesses
+        run = gamess_run
+        assert np.array_equal(run.llc_accesses, run.sdc.sum(axis=1))
+        # The SDC's C>A counter counts cold *and* capacity/conflict misses,
+        # exactly the misses the LLC sees.
+        assert np.array_equal(run.llc_misses, run.sdc[:, -1])
+        assert np.array_equal(run.llc_hits + run.llc_misses, run.llc_accesses)
 
     def test_llc_trace_matches_interval_access_counts(self, gamess_run):
-        total_llc_accesses = sum(interval.llc_accesses for interval in gamess_run.intervals)
+        total_llc_accesses = gamess_run.llc_accesses.sum()
         assert gamess_run.llc_trace.num_llc_accesses == total_llc_accesses
         assert gamess_run.llc_trace.isolated_cycles == pytest.approx(gamess_run.cycles)
         # LLC accesses are ordered by instruction index.
@@ -124,8 +122,8 @@ class TestBenchmarkHeterogeneity:
         large = scaled(baseline_machine(num_cores=4, llc_config=5), 16)
         small_run = SingleCoreSimulator(small, TEST_INTERVAL).run(trace)
         large_run = SingleCoreSimulator(large, TEST_INTERVAL).run(trace)
-        small_misses = sum(i.llc_misses for i in small_run.intervals)
-        large_misses = sum(i.llc_misses for i in large_run.intervals)
+        small_misses = small_run.llc_misses.sum()
+        large_misses = large_run.llc_misses.sum()
         assert large_misses <= small_misses
 
 
@@ -139,19 +137,11 @@ def assert_runs_bit_identical(a, b):
     assert a.benchmark == b.benchmark
     assert a.machine_name == b.machine_name
     assert a.interval_instructions == b.interval_instructions
-    assert len(a.intervals) == len(b.intervals)
-    for x, y in zip(a.intervals, b.intervals):
-        assert x.index == y.index
-        assert x.instructions == y.instructions
-        assert x.cycles == y.cycles
-        assert x.memory_cycles == y.memory_cycles
-        assert (x.llc_accesses, x.llc_hits, x.llc_misses) == (
-            y.llc_accesses,
-            y.llc_hits,
-            y.llc_misses,
-        )
-        assert x.sdc.associativity == y.sdc.associativity
-        assert np.array_equal(x.sdc.counts, y.sdc.counts)
+    columns = ("instructions", "interval_cycles", "memory_cycles", "llc_accesses", "llc_hits", "sdc")
+    for column in columns:
+        left, right = getattr(a, column), getattr(b, column)
+        assert left.dtype == right.dtype and left.shape == right.shape
+        assert left.tobytes() == right.tobytes()
     for component in ("base", "private_cache", "llc", "memory", "instructions"):
         assert getattr(a.cpi_stack, component) == getattr(b.cpi_stack, component)
     ta, tb = a.llc_trace, b.llc_trace
@@ -273,7 +263,6 @@ class TestKernelEquivalence:
         )
         vectorized = simulator.run(trace)
         reference = simulator.run_reference(trace)
-        assert len(vectorized.intervals) == 1
-        assert vectorized.intervals[0].instructions == 1_500
+        assert vectorized.instructions.tolist() == [1_500]
         assert_runs_bit_identical(vectorized, reference)
 
