@@ -27,6 +27,15 @@ mix-major path that batches of two or more take measured 2.0-2.5x; the
 ratio moves with the host's load, so the floor keeps a margin below the
 slowest run).
 
+A design-space case solves 125 mixes on each of the six Table 2 LLCs
+under ``mppm:foa``, ``mppm:sdc`` and ``mppm:prob`` through
+``MPPMPredictor.predict_batch``, which groups them into one solve per
+LLC associativity, and checks every prediction against one solve per
+machine (how sweeps were cut before).  A chunking case solves 3,000
+mixes on LLC #2 through the predictor, in ``CHUNK_MIXES`` chunks, and as
+one batch, and reports the cost per mix of each.  Both report their
+timings without a floor: the equality checks are their guards.
+
 Run standalone (CI uses ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_mppm_batch.py [--quick]
@@ -40,6 +49,7 @@ import time
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPMConfig
 from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.predictors.mppm import CHUNK_MIXES
 
 #: Every registered ``mppm:*`` spec as (contention model, config);
 #: the equivalence sweep runs all of them, the timing run uses FOA.
@@ -78,6 +88,15 @@ MANY_PROFILE_LLC = 4
 #: (tight enough to catch the one-mix solve losing most of its lead).
 ONE_MIX_SOLVES = 100
 ONE_MIX_FLOOR = 2.5
+
+#: The design-space case (both modes): mixes per Table 2 LLC, and the
+#: ``mppm:*`` specs (``VARIANTS`` keys) they run under.
+DESIGN_SPACE_MIXES = 125
+DESIGN_SPACE_SPECS = ("foa", "sdc", "prob")
+
+#: The chunking case (both modes): ``mppm:foa`` mixes on one Table 2 LLC.
+CHUNKED_MIXES = 3_000
+CHUNKED_LLC = 2
 
 
 def _assert_identical(reference, batched):
@@ -150,7 +169,79 @@ def measure_kernels(
         "num_mixes": ONE_MIX_SOLVES,
         **_time_kernels(machine, one_batches, rounds, one_at_a_time=True),
     }
+    result["design_space"] = _design_space(setup, rounds)
+    result["chunked"] = _chunked(setup, rounds)
     return result
+
+
+def _design_space(setup, rounds: int) -> dict:
+    """Grouped sweeps against one solve per machine: equal, then timed."""
+    machines = setup.design_space(num_cores=4)
+    mixes = setup.mixes(num_programs=4, num_mixes=DESIGN_SPACE_MIXES, seed=3)
+    items = [(mix, machine) for machine in machines for mix in mixes]
+    specs = [f"mppm:{name}" for name in DESIGN_SPACE_SPECS]
+
+    def grouped():
+        return [p for spec in specs for p in setup.predictor(spec).predict_batch(items)]
+
+    def per_machine():
+        out = []
+        for spec, name in zip(specs, DESIGN_SPACE_SPECS):
+            contention, config = VARIANTS[name]
+            for machine in machines:
+                profiles = setup.profiles(machine)
+                batches = [[profiles[program] for program in mix.programs] for mix in mixes]
+                model = MPPM(machine, make_contention_model(contention), config)
+                out += model.predict_batch(batches, predictor=spec)
+        return out
+
+    assert grouped() == per_machine(), "grouped sweep differs from per-machine solves"
+    seconds = _best_of({"grouped": grouped, "per_machine": per_machine}, rounds)
+    return {
+        "num_mixes": DESIGN_SPACE_MIXES,
+        "llcs": len(machines),
+        "specs": specs,
+        "grouped_seconds": seconds["grouped"],
+        "per_machine_seconds": seconds["per_machine"],
+        "speedup": seconds["per_machine"] / seconds["grouped"],
+    }
+
+
+def _chunked(setup, rounds: int) -> dict:
+    """One LLC's mixes in ``CHUNK_MIXES`` chunks against one batch: equal, then timed."""
+    machine = setup.machine(num_cores=4, llc_config=CHUNKED_LLC)
+    profiles = setup.profiles(machine)
+    mixes = setup.mixes(num_programs=4, num_mixes=CHUNKED_MIXES, seed=4)
+    batches = [[profiles[name] for name in mix.programs] for mix in mixes]
+    predictor = setup.predictor("mppm:foa")
+
+    def chunked():
+        return predictor.predict_batch([(mix, machine) for mix in mixes])
+
+    def one_batch():
+        return MPPM(machine).predict_batch(batches, predictor="mppm:foa")
+
+    assert chunked() == one_batch(), "chunked solves differ from one batch"
+    seconds = _best_of({"chunked": chunked, "one_batch": one_batch}, rounds)
+    return {
+        "num_mixes": CHUNKED_MIXES,
+        "llc_config": CHUNKED_LLC,
+        "chunk_mixes": CHUNK_MIXES,
+        "chunked_us_per_mix": 1e6 * seconds["chunked"] / CHUNKED_MIXES,
+        "one_batch_us_per_mix": 1e6 * seconds["one_batch"] / CHUNKED_MIXES,
+    }
+
+
+def _best_of(solvers: dict, rounds: int) -> dict:
+    """Each solver's best-of-``rounds`` seconds, the solvers alternating per
+    round so host speed drift reaches every minimum alike."""
+    timings = {name: [] for name in solvers}
+    for _ in range(rounds):
+        for name, solve in solvers.items():
+            start = time.perf_counter()
+            solve()
+            timings[name].append(time.perf_counter() - start)
+    return {name: min(seconds) for name, seconds in timings.items()}
 
 
 def _time_kernels(machine, batches, rounds: int, one_at_a_time: bool = False) -> dict:
@@ -168,17 +259,8 @@ def _time_kernels(machine, batches, rounds: int, one_at_a_time: bool = False) ->
         return model.predict_batch(batches)
 
     _assert_identical(solve("reference"), solve("batched"))
-
-    # Rounds alternate the kernels, so host speed drift during the
-    # measurement reaches both minima alike.
-    timings = {"batched": [], "reference": []}
-    for _ in range(rounds):
-        for kernel, seconds in timings.items():
-            start = time.perf_counter()
-            solve(kernel)
-            seconds.append(time.perf_counter() - start)
-    batched_seconds = min(timings["batched"])
-    reference_seconds = min(timings["reference"])
+    seconds = _best_of({k: lambda k=k: solve(k) for k in ("batched", "reference")}, rounds)
+    batched_seconds, reference_seconds = seconds["batched"], seconds["reference"]
     return {
         "batched_seconds": batched_seconds,
         "reference_seconds": reference_seconds,
@@ -216,6 +298,17 @@ def run_guard(quick: bool = False) -> dict:
             f"batched MPPM kernel regressed (or silently fell back to the "
             f"reference path) on {label}: {case['speedup']:.2f}x < required {case_floor:.1f}x"
         )
+    space, chunked = result["design_space"], result["chunked"]
+    print(
+        f"MPPM sweep of {space['num_mixes']} 4-core mixes x {space['llcs']} LLCs x "
+        f"{len(space['specs'])} specs: grouped {space['grouped_seconds']:.3f}s, "
+        f"per machine {space['per_machine_seconds']:.3f}s -> {space['speedup']:.2f}x"
+    )
+    print(
+        f"MPPM solve of {chunked['num_mixes']} 4-core mixes on LLC #{chunked['llc_config']}: "
+        f"{chunked['chunked_us_per_mix']:.1f} us per mix in chunks of at most "
+        f"{chunked['chunk_mixes']}, {chunked['one_batch_us_per_mix']:.1f} us in one batch"
+    )
     return result
 
 

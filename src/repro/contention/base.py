@@ -170,7 +170,7 @@ class ContentionModel(ABC):
         """
 
     def estimate_batch(
-        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+        self, counts: np.ndarray, instructions: np.ndarray, associativity: int
     ) -> np.ndarray:
         """Shared-cache miss counts for a whole batch of windows at once.
 
@@ -179,21 +179,23 @@ class ContentionModel(ABC):
         programs each; ``instructions[m, c]`` the matching window
         instruction counts.  Returns ``shared_misses[m, c]``,
         bit-identical per mix to running :meth:`estimate` on that mix's
-        demands alone.  This base implementation loops over mixes, so
-        any third-party model is batch-capable out of the box; the
+        demands alone.  The batched hooks see only the cache's
+        associativity ``A`` (so LLCs that differ in size share a solve).
+        This base implementation loops over mixes, handing
+        :meth:`estimate` a one-set ``A``-way cache, so a third-party model
+        reading no more of the cache is batch-capable out of the box; the
         built-in models override it with vectorized array expressions.
         """
         counts = np.asarray(counts, dtype=np.float64)
         instructions = np.asarray(instructions, dtype=np.float64)
-        self._validate_batch(counts, llc)
+        self._validate_batch(counts, associativity)
+        llc = CacheConfig("LLC", 64 * associativity, associativity, shared=True)
         shared = np.empty(counts.shape[:2], dtype=np.float64)
         for m in range(counts.shape[0]):
             demands = [
                 ProgramCacheDemand(
                     name=f"core{c}",
-                    sdc=StackDistanceCounters(
-                        associativity=llc.associativity, counts=counts[m, c]
-                    ),
+                    sdc=StackDistanceCounters(associativity=associativity, counts=counts[m, c]),
                     instructions=float(instructions[m, c]),
                 )
                 for c in range(counts.shape[1])
@@ -203,27 +205,27 @@ class ContentionModel(ABC):
         return shared
 
     def estimate_mix(
-        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+        self, counts: np.ndarray, instructions: np.ndarray, associativity: int
     ) -> List[float]:
-        """``estimate_batch(counts[None], instructions[None], llc)[0]`` as a list.
+        """``estimate_batch(counts[None], instructions[None], associativity)[0]`` as a list.
 
         ``counts[c, A+1]`` and ``instructions[c]`` hold one mix's windows
         (the one-mix MPPM solver's).  A model may override this with a
         scalar form that equals the default bit for bit.
         """
-        return self.estimate_batch(counts[None], instructions[None], llc)[0].tolist()
+        return self.estimate_batch(counts[None], instructions[None], associativity)[0].tolist()
 
     @staticmethod
-    def _validate_batch(counts: np.ndarray, llc: CacheConfig) -> None:
+    def _validate_batch(counts: np.ndarray, associativity: int) -> None:
         if counts.ndim != 3 or counts.shape[1] < 1:
             raise ContentionModelError(
                 "batched counts must have shape (mixes, programs, ways + 1) "
                 f"with at least one program, got {counts.shape}"
             )
-        if counts.shape[-1] != llc.associativity + 1:
+        if counts.shape[-1] != associativity + 1:
             raise ContentionModelError(
                 f"batched SDC width {counts.shape[-1] - 1} does not match the "
-                f"shared cache associativity {llc.associativity}"
+                f"shared cache associativity {associativity}"
             )
 
     @staticmethod

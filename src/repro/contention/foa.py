@@ -64,12 +64,12 @@ class FOAModel(ContentionModel):
         return estimates
 
     def estimate_batch(
-        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+        self, counts: np.ndarray, instructions: np.ndarray, associativity: int
     ) -> np.ndarray:
         """The proportional-share formula as one array expression per batch."""
         counts = np.asarray(counts, dtype=np.float64)
-        self._validate_batch(counts, llc)
-        isolated = counts[..., llc.associativity]
+        self._validate_batch(counts, associativity)
+        isolated = counts[..., associativity]
         if counts.shape[1] == 1:
             return isolated.copy()
         accesses = np.add.reduce(counts, axis=-1)
@@ -79,14 +79,14 @@ class FOAModel(ContentionModel):
         # A zero total (its shares are discarded) becomes the least
         # positive double, 5e-324, which leaves positive totals unchanged.
         share = accesses / np.maximum(total, 5e-324)
-        shared = np.maximum(interpolated_misses(counts, llc.associativity * share), isolated)
+        shared = np.maximum(interpolated_misses(counts, associativity * share), isolated)
         # Counters are non-negative, so a mix without accesses has no
         # program with accesses: one mask covers both scalar tests.
         np.copyto(shared, isolated, where=accesses <= 0.0)
         return shared
 
     def estimate_mix(
-        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+        self, counts: np.ndarray, instructions: np.ndarray, associativity: int
     ) -> List[float]:
         """:meth:`estimate_batch` for one mix, on each program's Python floats.
 
@@ -94,8 +94,8 @@ class FOAModel(ContentionModel):
         (their blocking decides the bits); every other step is the
         batched expression's IEEE operation, the total a left fold.
         """
-        self._validate_batch(counts[None], llc)
-        ways = llc.associativity
+        self._validate_batch(counts[None], associativity)
+        ways = associativity
         shared = counts[:, ways].tolist()  # the isolated misses, for now
         if len(shared) == 1:
             return shared

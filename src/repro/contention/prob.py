@@ -87,7 +87,7 @@ class InductiveProbabilityModel(ContentionModel):
         return estimates
 
     def estimate_batch(
-        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+        self, counts: np.ndarray, instructions: np.ndarray, associativity: int
     ) -> np.ndarray:
         """Dilation accumulated co-runner by co-runner, as the scalar loop does.
 
@@ -100,9 +100,8 @@ class InductiveProbabilityModel(ContentionModel):
         is at least 1.0, so adding 0.0 leaves it bitwise unchanged).
         """
         counts = np.asarray(counts, dtype=np.float64)
-        self._validate_batch(counts, llc)
+        self._validate_batch(counts, associativity)
         num_programs = counts.shape[1]
-        associativity = llc.associativity
         isolated = counts[..., associativity]
         if num_programs == 1:
             return isolated.copy()

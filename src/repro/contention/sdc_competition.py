@@ -85,7 +85,7 @@ class StackDistanceCompetitionModel(ContentionModel):
         return estimates
 
     def estimate_batch(
-        self, counts: np.ndarray, instructions: np.ndarray, llc: CacheConfig
+        self, counts: np.ndarray, instructions: np.ndarray, associativity: int
     ) -> np.ndarray:
         """The way-by-way competition for all mixes at once, without a loop over ways.
 
@@ -104,9 +104,8 @@ class StackDistanceCompetitionModel(ContentionModel):
         loop's exactly.
         """
         counts = np.asarray(counts, dtype=np.float64)
-        self._validate_batch(counts, llc)
+        self._validate_batch(counts, associativity)
         num_mixes, num_programs, _ = counts.shape
-        associativity = llc.associativity
         isolated = counts[..., associativity]
         if num_programs == 1:
             return isolated.copy()
@@ -114,10 +113,13 @@ class StackDistanceCompetitionModel(ContentionModel):
         accesses = np.add.reduce(counts, axis=-1)
         heads = np.minimum.accumulate(counts[..., :associativity], axis=-1)
         order = np.argsort(-heads.reshape(num_mixes, -1), axis=1, kind="stable")
+        # Each mix's claims counted per program: one bincount over
+        # ``program + C * mix``.
         winners = order[:, :associativity] // associativity
+        winners += num_programs * np.arange(num_mixes)[:, None]
+        claims = np.bincount(winners.ravel(), minlength=num_mixes * num_programs)
         won_ways = np.minimum(
-            np.add.reduce(winners[..., None] == np.arange(num_programs), axis=1),
-            np.add.reduce(heads > -1.0, axis=-1),
+            claims.reshape(num_mixes, num_programs), np.add.reduce(heads > -1.0, axis=-1)
         )
 
         effective_ways = np.where(accesses > 0.0, np.maximum(won_ways, 1), associativity)

@@ -1,52 +1,44 @@
 """The batched MPPM kernel: one mix-major numpy fixed point over many mixes.
 
 The reference kernel in :mod:`repro.core.mppm` runs one Python loop per
-mix; at ``workload_space`` scale that is thousands of interpreter
-round-trips over the same handful of float operations.  This module
-solves the Figure-2 fixed point for an entire batch of mixes
-simultaneously: the per-program state lives in mix-major arrays
-(``slowdown[m, c]``, ``position[m, c]``) and one
-vectorized iteration step
+mix.  This module solves the Figure-2 fixed point for a whole batch at
+once: per-program state lives in mix-major arrays (``slowdown[m, c]``,
+``position[m, c]``) and one vectorized iteration step picks each mix's
+slowest program, computes every program's instruction budget,
+aggregates every window of all M·C programs with one stacked point
+lookup into a prefix-sum
+:class:`~repro.profiling.profile.ProfileWindowTable` over the batch's
+distinct profiles (built once per solve), applies the contention
+model's ``estimate_batch`` and performs the EMA slowdown update.  All
+live mixes share one iteration count; retired mixes are written back
+and the state compacted, so an iteration never gathers or scatters rows.
 
-* picks each mix's slowest program (a row-wise max),
-* computes every program's instruction budget for the iteration,
-* aggregates each program's per-interval stack-distance counters over
-  its window through one prefix-sum
-  :class:`~repro.profiling.profile.ProfileWindowTable` stacked over the
-  batch's distinct profiles (built once per solve; its per-slot rows
-  are gathered once per set of live mixes, so an iteration evaluates
-  every window of all M·C programs with one stacked point lookup,
-  however many distinct benchmarks the batch touches),
-* applies the contention model's batched ``estimate_batch``, and
-* performs the EMA slowdown update for all still-unconverged mixes.
-
-All live mixes share one iteration count.  The state holds the live
-mixes only: when some mixes retire, their results are written back and
-the state is compacted, so an iteration never gathers or scatters rows.
+Of a machine the kernel reads only the shared LLC's associativity and
+the memory latency (the fallback miss penalty), passed in as values.
+Machines that share them share a solve whatever their LLC sizes, so
+``MPPMPredictor.predict_batch`` solves Table 2's six LLCs as two groups
+per core count, in chunks of a few hundred mixes, where the cost per
+mix is lowest.
 
 A core-count group of exactly one mix (how ``repro serve`` meets most
-requests) goes to :func:`_solve_one` instead, which runs the same fixed
-point program by program on Python floats; batch size alone picks the
-path.  It keeps numpy only where numpy's reduction blocking decides the
-bits: the W-wide window rows (read from each profile's cached prefix
-sums and combined by ``WindowSlots``' elementwise operations) and the
+requests) goes to :func:`_solve_one`, which runs the same fixed point
+program by program on Python floats.  It keeps numpy only where numpy's
+reduction blocking decides the bits: the W-wide window rows (gathered
+from a per-solve table of the mix's prefix and value rows) and the
 stack-distance sums of
-:meth:`~repro.contention.base.ContentionModel.estimate_mix` over
-row-contiguous ``(C, A+1)`` views.  Every per-program scalar step is the
-batched kernel's IEEE operation on the same operands in the same order:
-the interval index is a ``bisect_right`` over integer interval ends (what
-``searchsorted`` returns), ``np.mod`` on positive operands is ``%``, and
-totals over programs are left folds.
+:meth:`~repro.contention.base.ContentionModel.estimate_mix`.  Every
+scalar step is the batched kernel's IEEE operation on the same operands
+in the same order: the interval index is a ``bisect_right`` over
+integer interval ends (what the table's lookup returns), ``np.mod`` on
+positive operands is ``%``, and totals over programs are left folds.
 
-Bit-identity with the reference loop is by construction, not by
-accident: within each mix the float operations are the same ops in the
-same order (the window table class is shared with the scalar
-``SingleCoreProfile.window``, the batched contention models replicate
-the scalar accumulation order, and numpy elementwise arithmetic is IEEE
-double arithmetic), so both paths' outputs match the reference
-kernel's bit for bit.  The equivalence matrices in
-``tests/test_core_mppm_batched.py`` and the CI guard
-``benchmarks/bench_mppm_batch.py`` assert exactly that.
+Both paths match the reference kernel bit for bit by construction: the
+window table class is shared with the scalar ``SingleCoreProfile.window``,
+the batched contention models replicate the scalar accumulation order,
+and numpy elementwise arithmetic is IEEE double arithmetic.  The
+equivalence matrices in ``tests/test_core_mppm_batched.py`` and
+``tests/test_mppm_grouped_batches.py`` and the CI guard
+``benchmarks/bench_mppm_batch.py`` assert it.
 """
 
 from __future__ import annotations
@@ -58,7 +50,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config.machine import MachineConfig
 from repro.contention.base import ContentionModel
 from repro.core.result import MixPrediction, ProgramPrediction
 from repro.profiling.profile import ProfileWindowTable, SingleCoreProfile, WindowSlots
@@ -75,25 +66,27 @@ _SDC_OFFSET = ProfileWindowTable.SDC_OFFSET
 
 
 def solve_batch(
-    machine: MachineConfig,
     contention_model: ContentionModel,
     config: "MPPMConfig",
     mixes: Sequence[Sequence[SingleCoreProfile]],
+    associativity: int,
+    memory_latency: int,
+    machine_names: Sequence[str],
     predictor: Optional[str] = None,
-    machine_names: Optional[Sequence[str]] = None,
 ) -> List[MixPrediction]:
     """Solve the MPPM fixed point for every mix in ``mixes`` at once.
 
     ``mixes`` holds one profile list per mix (one profile per core);
     mixes of different core counts are grouped and solved per uniform
-    group.  Returns one :class:`MixPrediction` per input mix, in input
-    order, tagged ``kernel="batched"`` and ``predictor``, and labelled
-    with ``machine_names[i]`` (default: ``machine.name``).  Inputs are
-    assumed validated (:meth:`repro.core.mppm.MPPM.predict_batch` checks
-    profiles against the machine before calling in).
+    group.  ``associativity`` (the shared LLC's) and ``memory_latency``
+    (the fallback miss penalty) are all the kernel knows of the
+    machines.  Returns one :class:`MixPrediction` per input mix, in
+    input order, tagged ``kernel="batched"`` and ``predictor``, and
+    labelled with ``machine_names[i]``.  Inputs are assumed validated
+    (:meth:`repro.core.mppm.MPPM.predict_batch` checks each mix's
+    profiles against its machine before calling in).
     """
-    if machine_names is None:
-        machine_names = [machine.name] * len(mixes)
+    values = (associativity, memory_latency)
     predictions: List[Optional[MixPrediction]] = [None] * len(mixes)
     groups: Dict[int, List[int]] = {}
     for index, profiles in enumerate(mixes):
@@ -102,15 +95,15 @@ def solve_batch(
         group = [mixes[index] for index in indices]
         names = [machine_names[index] for index in indices]
         if len(indices) == 1:
-            solved = [_solve_one(machine, contention_model, config, group[0], predictor, names[0])]
+            solved = [_solve_one(contention_model, config, group[0], *values, names[0], predictor)]
         else:
-            solved = _solve_uniform(machine, contention_model, config, group, predictor, names)
+            solved = _solve_uniform(contention_model, config, group, *values, names, predictor)
         for index, prediction in zip(indices, solved):
             predictions[index] = prediction
     return predictions
 
 
-def _slot_row(profile: SingleCoreProfile, machine: MachineConfig) -> Tuple[float, int, int, float]:
+def _slot_row(profile: SingleCoreProfile, memory_latency: int) -> Tuple[float, int, int, float]:
     """A profile's CPI, trace length, interval length and fallback miss penalty.
 
     The fallback is the reference kernel's whole-trace average miss
@@ -121,7 +114,7 @@ def _slot_row(profile: SingleCoreProfile, machine: MachineConfig) -> Tuple[float
     if total_misses > 0:
         fallback = profile.memory_cpi * profile.num_instructions / total_misses
     else:
-        fallback = float(machine.memory.latency)
+        fallback = float(memory_latency)
     return profile.cpi, profile.num_instructions, profile.interval_instructions, fallback
 
 
@@ -138,12 +131,13 @@ def _windowed_cpi(
 
 
 def _solve_uniform(
-    machine: MachineConfig,
     contention_model: ContentionModel,
     config: "MPPMConfig",
     mixes: Sequence[Sequence[SingleCoreProfile]],
-    predictor: Optional[str],
+    associativity: int,
+    memory_latency: int,
     machine_names: Sequence[str],
+    predictor: Optional[str],
 ) -> List[MixPrediction]:
     """Solve a batch of mixes that all have the same core count."""
     num_mixes = len(mixes)
@@ -165,7 +159,7 @@ def _solve_uniform(
 
     table = ProfileWindowTable(uniques)
     # One row per unique profile (see _slot_row), gathered per slot.
-    rows = np.array([_slot_row(profile, machine) for profile in uniques])
+    rows = np.array([_slot_row(profile, memory_latency) for profile in uniques])
     base_cpi, trace_lengths, interval_lengths, fallback = rows.T.take(profile_ids, axis=1)
     # Each mix's chunk: the configured one, or a fifth of its shortest trace.
     chunks = [
@@ -196,8 +190,6 @@ def _solve_uniform(
 
     smoothing = config.smoothing
     complement = 1.0 - config.smoothing
-    llc = machine.llc
-    associativity = llc.associativity
 
     # Every live mix has run the same number of iterations.
     iteration = 0
@@ -217,7 +209,7 @@ def _solve_uniform(
         windows = slots.windows(state.position, progress)
         sdc_counts = windows[..., _SDC_OFFSET:]
         shared = contention_model.estimate_batch(
-            sdc_counts, windows[..., _COL_INSTRUCTIONS], llc
+            sdc_counts, windows[..., _COL_INSTRUCTIONS], associativity
         )
         extra_misses = np.maximum(0.0, shared - sdc_counts[..., associativity])
 
@@ -319,12 +311,13 @@ class _LiveState:
 
 
 def _solve_one(
-    machine: MachineConfig,
     contention_model: ContentionModel,
     config: "MPPMConfig",
     profiles: Sequence[SingleCoreProfile],
-    predictor: Optional[str],
+    associativity: int,
+    memory_latency: int,
     machine_name: str,
+    predictor: Optional[str],
 ) -> MixPrediction:
     """:func:`_solve_uniform` for a single mix, program by program on Python floats.
 
@@ -332,15 +325,14 @@ def _solve_one(
     same order (integer lengths and chunk enter it exactly as floats).
     """
     base_cpi, trace_lengths, interval_lengths, fallback = zip(
-        *(_slot_row(profile, machine) for profile in profiles)
+        *(_slot_row(profile, memory_latency) for profile in profiles)
     )
     chunk = config.chunk_instructions or max(1, min(trace_lengths) // 5)
     windows = _MixWindows(profiles)
     estimate = contention_model.estimate_mix
     literal = config.literal_figure2_update
     complement = 1.0 - config.smoothing
-    llc = machine.llc
-    isolated_column = _SDC_OFFSET + llc.associativity
+    isolated_column = _SDC_OFFSET + associativity
     slowdown = [1.0] * len(profiles)
     position = [0.0] * len(profiles)
     iteration = 0
@@ -357,7 +349,7 @@ def _solve_one(
         progress = [window_cycles / value for value in denominator]
 
         window = windows(position, progress)
-        shared = estimate(window[:, _SDC_OFFSET:], window[:, _COL_INSTRUCTIONS], llc)
+        shared = estimate(window[:, _SDC_OFFSET:], window[:, _COL_INSTRUCTIONS], associativity)
         for p, (row, misses) in enumerate(zip(window.tolist(), shared)):
             misses_alone = row[_COL_LLC_MISSES]
             penalty = row[_COL_MEMORY_CYCLES] / misses_alone if misses_alone > 0.0 else fallback[p]
@@ -382,27 +374,34 @@ def _solve_one(
 class _MixWindows:
     """:meth:`WindowSlots.windows` for one mix, its lookups on Python floats.
 
-    Counter rows are read from each profile's cached ``interval_prefix``
-    and ``interval_counters`` and combined by ``WindowSlots``' elementwise
-    numpy operations.  Interval edges are integers, so exact as floats.
+    Each program's cached ``interval_prefix`` and ``interval_counters``
+    rows are stacked into one table per solve, so a call gathers its
+    rows with one ``take`` and combines them by ``WindowSlots``'
+    elementwise numpy operations.  Interval edges are integers, so exact
+    as floats.
     """
 
     def __init__(self, profiles: Sequence[SingleCoreProfile]) -> None:
-        # Per program: its tables, its interval edges (interval k spans
-        # edges k to k + 1), the index of the last edge and that edge,
-        # the trace length.
-        self.tables = [
-            (profile.interval_prefix, profile.interval_counters, edges, len(edges) - 1, edges[-1])
-            for profile in profiles
-            for edges in [profile.interval_prefix[:, _COL_INSTRUCTIONS].tolist()]
-        ]
+        # Per program: its interval edges (interval k spans edges k to
+        # k + 1), the index of the last edge and that edge, the trace
+        # length, and the table rows of its prefix and value row 0.
+        self.programs = []
+        blocks: List[np.ndarray] = []
+        row = 0
+        for profile in profiles:
+            prefix, values = profile.interval_prefix, profile.interval_counters
+            edges = prefix[:, _COL_INSTRUCTIONS].tolist()
+            self.programs.append((edges, len(edges) - 1, edges[-1], row, row + len(prefix)))
+            blocks += (prefix, values)
+            row += len(prefix) + len(values)
+        self.table = np.concatenate(blocks)
         self.totals = np.array([profile.interval_prefix[-1] for profile in profiles])
 
     def __call__(self, positions: Sequence[float], lengths: Sequence[float]) -> np.ndarray:
         """The ``(C, W)`` window rows of ``[position, position + length)``."""
         rows, fractions, passes = [], [], []
-        for (prefix, values, edges, last, trace), position, length in zip(
-            self.tables, positions, lengths
+        for (edges, last, trace, prefix, values), position, length in zip(
+            self.programs, positions, lengths
         ):
             start = position % trace
             end = start + length
@@ -414,13 +413,18 @@ class _MixWindows:
             # cast is that floor.
             k = bisect_right(edges, int(remainder), 1, last) - 1
             j = bisect_right(edges, int(start), 1, last) - 1
-            rows += (prefix[k], values[k], prefix[j], values[j])
+            rows += (prefix + k, values + k, prefix + j, values + j)
             fractions += (
                 (remainder - edges[k]) / (edges[k + 1] - edges[k]),
                 (start - edges[j]) / (edges[j + 1] - edges[j]),
             )
         # Rows alternate (prefix, value) per point and points alternate
         # (remainder, start) per program.
-        stacked = np.concatenate(rows).reshape(len(rows), -1)
+        stacked = self.table.take(rows, axis=0)
         points = stacked[0::2] + np.array(fractions)[:, None] * stacked[1::2]
-        return (points[0::2] - points[1::2]) + np.array(passes)[:, None] * self.totals
+        windows = points[0::2] - points[1::2]
+        # A difference of non-negative points is never -0.0, so adding
+        # 0 * totals (finite, non-negative) would change no bit.
+        if any(passes):
+            windows = windows + np.array(passes)[:, None] * self.totals
+        return windows

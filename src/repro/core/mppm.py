@@ -56,6 +56,12 @@ class MPPMError(ValueError):
 MPPM_KERNELS: Tuple[str, ...] = ("batched", "reference")
 
 
+def solver_values(machine: MachineConfig) -> Tuple[int, int]:
+    """All the batched kernel reads of a machine (machines that share them
+    share a solve): its LLC associativity and memory latency."""
+    return machine.llc.associativity, machine.memory.latency
+
+
 @dataclass(frozen=True)
 class MPPMConfig:
     """Tunable parameters of the iterative model.
@@ -187,38 +193,48 @@ class MPPM:
         self,
         mixes: Sequence[Sequence[SingleCoreProfile]],
         predictor: Optional[str] = None,
-        machine_names: Optional[Sequence[str]] = None,
+        machines: Optional[Sequence[MachineConfig]] = None,
     ) -> List[MixPrediction]:
         """Predict every mix (one profile list per mix) in one call.
 
-        With the batched kernel the whole batch is solved by one
+        ``machines[i]`` is mix ``i``'s machine (default: this model's):
+        its profiles are checked against it, it names the prediction, and
+        the reference kernel models it.  The batched kernel reads only
+        :func:`solver_values` of a machine, which every machine must
+        share with this model's, and solves the whole batch in one
         mix-major fixed-point pass (:func:`repro.core.batched.solve_batch`);
-        with the reference kernel the mixes are solved one by one.  The
-        results are bit-identical either way and are returned in input
-        order, built with ``predictor`` as their spec and
-        ``machine_names[i]`` (default: this machine's name) as their
-        machine name.
+        the reference kernel solves the mixes one by one.  The results
+        are bit-identical either way and are returned in input order,
+        built with ``predictor`` as their spec.
         """
         batches = [list(profiles) for profiles in mixes]
-        for profiles in batches:
+        if machines is None:
+            machines = [self.machine] * len(batches)
+        values = solver_values(self.machine)
+        for profiles, machine in zip(batches, machines):
             if not profiles:
                 raise MPPMError("at least one program profile is required")
-            self._check_profiles(profiles)
-        if machine_names is None:
-            machine_names = [self.machine.name] * len(batches)
+            self._check_profiles(profiles, machine)
+            if solver_values(machine) != values:
+                raise MPPMError(
+                    f"{machine.name!r} differs from {self.machine.name!r} in LLC "
+                    "associativity or memory latency; solve it in its own batch"
+                )
         if self.kernel == "reference" or self.config.store_history:
             # Per-iteration history is sequential bookkeeping that only
             # the reference loop records.
             return [
-                self._predict_reference(profiles, predictor, name)
-                for profiles, name in zip(batches, machine_names)
+                self._predict_reference(profiles, predictor, machine)
+                for profiles, machine in zip(batches, machines)
             ]
-        return solve_batch(
-            self.machine, self.contention_model, self.config, batches, predictor, machine_names
-        )
+        names = [machine.name for machine in machines]
+        return solve_batch(self.contention_model, self.config, batches, *values, names, predictor)
 
     def _predict_reference(
-        self, profiles: Sequence[SingleCoreProfile], predictor: Optional[str], machine_name: str
+        self,
+        profiles: Sequence[SingleCoreProfile],
+        predictor: Optional[str],
+        machine: MachineConfig,
     ) -> MixPrediction:
         """The original per-mix Python loop (ground truth for the batched kernel)."""
         states = [
@@ -240,7 +256,7 @@ class MPPM:
 
         while iterations < self.config.max_iterations:
             iterations += 1
-            window_cycles = self._iterate(states, chunk)
+            window_cycles = self._iterate(states, chunk, machine)
             if self.config.store_history:
                 history.append(
                     IterationRecord(
@@ -267,7 +283,7 @@ class MPPM:
             for state in states
         )
         return MixPrediction(
-            machine_name=machine_name,
+            machine_name=machine.name,
             programs=programs,
             iterations=iterations,
             converged=converged,
@@ -295,7 +311,7 @@ class MPPM:
     # One iteration of Figure 2
     # ------------------------------------------------------------------
 
-    def _iterate(self, states: List[_ProgramState], chunk: int) -> float:
+    def _iterate(self, states: List[_ProgramState], chunk: int, machine: MachineConfig) -> float:
         config = self.config
 
         # Step 2: the slowest program's cycle budget for this iteration.
@@ -319,13 +335,13 @@ class MPPM:
             ProgramCacheDemand(name=state.label, sdc=window.sdc, instructions=window.instructions)
             for state, window in zip(states, windows)
         ]
-        estimates = self.contention_model.estimate(demands, self.machine.llc)
+        estimates = self.contention_model.estimate(demands, machine.llc)
 
         # Steps 5 and 6: extra conflict misses -> lost cycles -> slowdown EMA.
         for state, window, estimate, instructions in zip(states, windows, estimates, progress):
             penalty = window.average_miss_penalty
             if penalty <= 0:
-                penalty = self._fallback_miss_penalty(state)
+                penalty = self._fallback_miss_penalty(state, machine)
             miss_cycles = estimate.extra_conflict_misses * penalty
             if config.literal_figure2_update:
                 # The formula exactly as printed in Figure 2.
@@ -360,14 +376,14 @@ class MPPM:
         window = state.profile.window(state.position, interval_length)
         return window.cpi if window.cpi > 0 else state.profile.cpi
 
-    def _fallback_miss_penalty(self, state: _ProgramState) -> float:
+    def _fallback_miss_penalty(self, state: _ProgramState, machine: MachineConfig) -> float:
         """Average miss penalty when the current window has no isolated misses."""
         total_misses = state.profile.total_llc_misses
         if total_misses > 0:
             return (
                 state.profile.memory_cpi * state.profile.num_instructions / total_misses
             )
-        return float(self.machine.memory.latency)
+        return float(machine.memory.latency)
 
     @staticmethod
     def _label(benchmark: str, core: int, profiles: Sequence[SingleCoreProfile]) -> str:
@@ -375,9 +391,10 @@ class MPPM:
         duplicates = sum(1 for profile in profiles if profile.benchmark == benchmark)
         return f"{benchmark}#{core}" if duplicates > 1 else benchmark
 
-    def _check_profiles(self, profiles: Sequence[SingleCoreProfile]) -> None:
-        expected_key = self.machine.profile_key()
-        llc_ways = self.machine.llc.associativity
+    @staticmethod
+    def _check_profiles(profiles: Sequence[SingleCoreProfile], machine: MachineConfig) -> None:
+        expected_key = machine.profile_key()
+        llc_ways = machine.llc.associativity
         for profile in profiles:
             if profile.llc_associativity != llc_ways:
                 raise MPPMError(
@@ -389,5 +406,5 @@ class MPPM:
                 raise MPPMError(
                     f"{profile.benchmark}: profile was collected on a different machine "
                     f"({profile.machine_name!r}) than the one being modelled "
-                    f"({self.machine.name!r}); re-profile or derive a matching profile"
+                    f"({machine.name!r}); re-profile or derive a matching profile"
                 )

@@ -69,9 +69,9 @@ def tag_prediction(prediction: MixPrediction, spec: str) -> MixPrediction:
 def for_machine(result, machine: "MachineConfig"):
     """Label a prediction or run result with ``machine``'s name.
 
-    Result caches and batch groups key on ``(profile_key(), num_cores)``,
-    which leaves out :attr:`MachineConfig.name`: machines that differ
-    only in name share one result, computed under the first one's name.
+    Result caches key on ``(profile_key(), num_cores)``, which leaves
+    out :attr:`MachineConfig.name`: machines that differ only in name
+    share one result, computed under the first one's name.
     Whoever hands a shared result back relabels it for the machine that
     asked; every numeric field is carried over untouched.
     """

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPMConfig
+from repro.core.mppm import solver_values
 from repro.core.result import MixPrediction
 from repro.predictors.base import tag_prediction
 
@@ -25,6 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config.machine import MachineConfig
     from repro.experiments.setup import ExperimentSetup
     from repro.workloads.mixes import WorkloadMix
+
+#: Most mixes per :meth:`MPPM.predict_batch` call; a larger group is
+#: split into equal chunks.  The batched kernel's cost per mix is lowest
+#: at a few hundred mixes.  3,000 four-program ``mppm:foa`` mixes on
+#: LLC #2, medians of 10 interleaved rounds on a 2-vCPU host: 160 us
+#: per mix in one batch, 111 in chunks of 1,000, 112 of 500, 107 of
+#: 375, 125 of 250 and 145 of 125.
+CHUNK_MIXES = 500
 
 
 class MPPMPredictor:
@@ -61,35 +70,40 @@ class MPPMPredictor:
     def predict_batch(
         self, items: Sequence[Tuple["WorkloadMix", "MachineConfig"]]
     ) -> List[MixPrediction]:
-        """Solve many (mix, machine) pairs in one batched fixed-point pass.
+        """Solve many (mix, machine) pairs in a few batched fixed-point passes.
 
-        Pairs are grouped by machine (one :class:`MPPM` instance per
-        distinct machine) and each group is handed to
-        :meth:`MPPM.predict_batch` as a single mix-major batch, so a
-        homogeneous sweep over thousands of mixes costs one numpy pass
-        instead of thousands of Python loops.  Results come back in
-        input order, bit-identical to per-pair :meth:`predict` calls,
-        each built with this spec and its own machine's name.
+        Pairs are grouped by core count and
+        :func:`~repro.core.mppm.solver_values`, all the batched kernel
+        reads of a machine (Table 2's six LLCs make two groups per core
+        count), and each group goes to :meth:`MPPM.predict_batch` in
+        equal chunks of at most :data:`CHUNK_MIXES` mixes, every mix with
+        its own machine's profiles and name.  Results come back in input
+        order, bit-identical to per-pair :meth:`predict` calls.
         """
+        wanted: Dict[str, Tuple["MachineConfig", set]] = {}
+        groups: Dict[Tuple[int, int, int], List[int]] = {}
+        for index, (mix, machine) in enumerate(items):
+            wanted.setdefault(machine.profile_key(), (machine, set()))[1].update(mix.programs)
+            groups.setdefault((machine.num_cores, *solver_values(machine)), []).append(index)
+        libraries = {
+            key: self.setup.benchmark_profiles(names, machine)
+            for key, (machine, names) in wanted.items()
+        }
         predictions: List[Optional[MixPrediction]] = [None] * len(items)
-        groups: Dict[Tuple[str, int], List[int]] = {}
-        machines: Dict[Tuple[str, int], "MachineConfig"] = {}
-        for index, (_, machine) in enumerate(items):
-            group_key = (machine.profile_key(), machine.num_cores)
-            groups.setdefault(group_key, []).append(index)
-            machines.setdefault(group_key, machine)
-        for group_key, indices in groups.items():
-            machine = machines[group_key]
-            names = {name for index in indices for name in items[index][0].programs}
-            profiles = self.setup.benchmark_profiles(names, machine)
-            batches = [[profiles[name] for name in items[index][0].programs] for index in indices]
-            solved = self._model(machine).predict_batch(
-                batches,
-                predictor=self.spec,
-                machine_names=[items[index][1].name for index in indices],
-            )
-            for index, prediction in zip(indices, solved):
-                predictions[index] = prediction
+        for indices in groups.values():
+            model = self._model(items[indices[0]][1])
+            chunks = -(-len(indices) // CHUNK_MIXES)
+            size = -(-len(indices) // chunks)
+            for start in range(0, len(indices), size):
+                chunk = indices[start : start + size]
+                machines = [items[index][1] for index in chunk]
+                mixes = [
+                    [libraries[machine.profile_key()][name] for name in items[index][0].programs]
+                    for index, machine in zip(chunk, machines)
+                ]
+                solved = model.predict_batch(mixes, predictor=self.spec, machines=machines)
+                for index, prediction in zip(chunk, solved):
+                    predictions[index] = prediction
         return predictions
 
     def describe(self) -> str:

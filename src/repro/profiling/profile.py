@@ -173,35 +173,26 @@ class ProfileWindowTable:
         self.keys = (ends + np.arange(shape[0])[:, None] * self.key_stride).ravel()
         #: Index of each profile's last interval.
         self.last = np.array(counts) - 1
+        #: The length every inner interval of every profile shares (the
+        #: profiler's), or None: p's capped boundary count is then
+        #: ``min(floor(x) // interval, last[p])``.
+        inner = np.arange(shape[1]) < self.last[:, None]
+        multiple = np.nonzero(inner)[1] + 1
+        interval = int(ends[inner][0]) if multiple.size else 1
+        self.interval = interval if np.array_equal(ends[inner], interval * multiple) else None
         #: Whole-trace totals (each profile's last prefix row).
         self.totals = self.prefix[np.arange(shape[0]), self.last + 1]
-        # Interval rows flattened to one axis (row ``p * K + k``), so a
-        # point evaluation gathers its rows with one flat index.  An
-        # interval's start is its prefix row's instruction column and
-        # its length its value row's.
-        self.prefix_rows = self.prefix[:, :-1].reshape(-1, width)
+        # Rows flattened to one axis (views, no copies), so a point
+        # evaluation gathers with one flat index: value row ``p * K + k``
+        # and prefix row ``p * (K + 1) + k``.  An interval's start is its
+        # prefix row's instruction column and its length its value row's.
+        self.prefix_rows = self.prefix.reshape(-1, width)
         self.value_rows = self.values.reshape(-1, width)
 
     def slots(self, profile_ids: np.ndarray) -> "WindowSlots":
-        """Gather the per-profile rows of ``profile_ids`` once, for many windows."""
+        """Gather the per-profile rows of ``profile_ids`` (an array or a
+        scalar) once, for many windows."""
         return WindowSlots(self, profile_ids)
-
-    def windows(
-        self,
-        profile_ids: np.ndarray,
-        start_instructions: np.ndarray,
-        num_instructions: np.ndarray,
-    ) -> np.ndarray:
-        """Aggregate counters over ``[start, start + n)`` windows.
-
-        ``profile_ids`` picks each window's profile (its index in the
-        list the table was built from).  Starts wrap around the end of
-        the trace and windows may span the wrap-around point any number
-        of times.  Accepts scalars or arrays (broadcast together);
-        returns rows in the column layout above, with one extra leading
-        axis per input axis.
-        """
-        return self.slots(profile_ids).windows(start_instructions, num_instructions)
 
 
 class WindowSlots:
@@ -218,7 +209,10 @@ class WindowSlots:
         self.table = table
         self.length = table.trace_length[profile_ids]
         self.totals = table.totals[profile_ids]
-        self.key_base = np.asarray(profile_ids) * table.key_stride
+        self.ids = np.asarray(profile_ids)
+        self.key_base = self.ids * table.key_stride
+        self.row_base = self.ids * table.values.shape[1]
+        self.last = table.last[profile_ids]
 
     def point(self, positions: np.ndarray) -> np.ndarray:
         """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
@@ -235,20 +229,31 @@ class WindowSlots:
         every key before ``p``'s and below ``p``'s raised keys, so the
         search returns ``p * K`` plus the number of ``p``'s inner
         boundaries not above ``floor(x)``: its capped boundary count.
+        With one interval length for every profile that count is one
+        floor division, without the search.
         """
-        keys = self.key_base + np.fmin(positions, self.length).astype(np.int64)
-        rows = self.table.keys.searchsorted(keys, side="right")
-        prefix = self.table.prefix_rows.take(rows, axis=0)
+        floor = np.fmin(positions, self.length).astype(np.int64)
+        if self.table.interval is None:
+            rows = self.table.keys.searchsorted(self.key_base + floor, side="right")
+        else:
+            rows = self.row_base + np.minimum(floor // self.table.interval, self.last)
+        prefix = self.table.prefix_rows.take(rows + self.ids, axis=0)
         values = self.table.value_rows.take(rows, axis=0)
         col = ProfileWindowTable.COL_INSTRUCTIONS
         fraction = (positions - prefix[..., col]) / values[..., col]
-        return prefix + fraction[..., None] * values
+        # ``prefix + fraction * values``, in place on the fresh gathers.
+        values *= fraction[..., None]
+        prefix += values
+        return prefix
 
     def windows(self, start_instructions: np.ndarray, num_instructions: np.ndarray) -> np.ndarray:
-        """:meth:`ProfileWindowTable.windows` for these slots.
+        """Aggregate counters over ``[start, start + n)`` windows, one per slot.
 
-        ``P(remainder)`` and ``P(start)`` are evaluated in one stacked
-        :meth:`point` call.
+        Starts wrap around the end of the trace and windows may span the
+        wrap-around point any number of times.  Accepts scalars or arrays
+        (broadcast with the slots); returns rows in the table's column
+        layout.  ``P(remainder)`` and ``P(start)`` are evaluated in one
+        stacked :meth:`point` call.
         """
         length = self.length
         start = np.mod(start_instructions, length)
@@ -258,7 +263,9 @@ class WindowSlots:
         points[0] = np.minimum(np.maximum(end - full_passes * length, 0.0), length)
         points[1] = start
         rows = self.point(points)
-        return (rows[0] - rows[1]) + full_passes[..., None] * self.totals
+        window = np.subtract(rows[0], rows[1], out=rows[0])
+        window += full_passes[..., None] * self.totals
+        return window
 
 
 #: A profile's per-interval columns in JSON field order, with their
@@ -485,7 +492,7 @@ class SingleCoreProfile:
         """
         if num_instructions <= 0:
             raise ProfileError(f"window length must be positive, got {num_instructions}")
-        row = self.window_table.windows(0, float(start_instruction), float(num_instructions))
+        row = self.window_table.slots(0).windows(float(start_instruction), float(num_instructions))
         return ProfileWindow(
             instructions=float(row[ProfileWindowTable.COL_INSTRUCTIONS]),
             cycles=float(row[ProfileWindowTable.COL_CYCLES]),
@@ -496,50 +503,6 @@ class SingleCoreProfile:
                 associativity=self.llc_associativity,
                 counts=row[ProfileWindowTable.SDC_OFFSET :].copy(),
             ),
-        )
-
-    # ------------------------------------------------------------------
-    # Derived profiles
-    # ------------------------------------------------------------------
-
-    def reduced_associativity(self, ways: int) -> "SingleCoreProfile":
-        """Derive the profile for an LLC with fewer ways (same sets).
-
-        The paper points out that profiles collected for a 16-way LLC
-        can be reused for an 8-way LLC without re-simulation.  The SDCs
-        fold exactly; the CPI and memory CPI are adjusted by charging
-        the additional misses the average miss penalty observed in the
-        interval (an approximation the paper shares).
-        """
-        new_intervals = []
-        for interval in self.intervals:
-            new_sdc = interval.sdc.reduced_associativity(ways)
-            extra_misses = new_sdc.misses - interval.sdc.misses
-            if interval.llc_misses > 0:
-                penalty = interval.memory_cycles / interval.llc_misses
-            else:
-                penalty = 0.0
-            extra_cycles = extra_misses * penalty
-            cycles = interval.cycles + extra_cycles
-            memory_cycles = interval.memory_cycles + extra_cycles
-            new_intervals.append(
-                IntervalProfile(
-                    index=interval.index,
-                    instructions=interval.instructions,
-                    cpi=cycles / interval.instructions,
-                    memory_cpi=memory_cycles / interval.instructions,
-                    llc_accesses=interval.llc_accesses,
-                    llc_misses=interval.llc_misses + extra_misses,
-                    sdc=new_sdc,
-                )
-            )
-        return SingleCoreProfile(
-            benchmark=self.benchmark,
-            machine_key=f"{self.machine_key}|derived_ways={ways}",
-            machine_name=f"{self.machine_name} (derived {ways}-way LLC)",
-            interval_instructions=self.interval_instructions,
-            intervals=new_intervals,
-            llc_associativity=ways,
         )
 
     # ------------------------------------------------------------------

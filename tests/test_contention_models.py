@@ -311,7 +311,7 @@ def _assert_batch_matches_scalar(model, associativity, seed, mixes, programs, in
     counts = _counter_rows(rng, (mixes, programs), associativity + 1, integral)
     counts[rng.random((mixes, programs)) < 0.1] = 0.0  # zero-access programs
     instructions = rng.uniform(1.0, 1e5, size=(mixes, programs))
-    got = model.estimate_batch(counts, instructions, llc)
+    got = model.estimate_batch(counts, instructions, associativity)
     for m in range(mixes):
         demands = [
             ProgramCacheDemand(
@@ -366,7 +366,7 @@ class TestEstimateBatchBitIdentity:
         assert _bits(np.add.reduce(accesses, axis=1)).tolist() != _bits(folded).tolist()
         assert _bits(np.add.accumulate(accesses, axis=1)[:, -1]).tolist() == _bits(folded).tolist()
         for model in (FOAModel(), InductiveProbabilityModel()):
-            got = model.estimate_batch(counts, np.ones((300, programs)), _llc(16))
+            got = model.estimate_batch(counts, np.ones((300, programs)), 16)
             for m in range(300):
                 demands = [
                     ProgramCacheDemand(
@@ -390,9 +390,9 @@ class _ScalarOnlyFOA(ContentionModel):
         return FOAModel().estimate(demands, llc)
 
 
-def _assert_mix_matches_batch(model, counts, instructions, llc):
-    got = model.estimate_mix(counts, instructions, llc)
-    want = model.estimate_batch(counts[None], instructions[None], llc)[0]
+def _assert_mix_matches_batch(model, counts, instructions, associativity):
+    got = model.estimate_mix(counts, instructions, associativity)
+    want = model.estimate_batch(counts[None], instructions[None], associativity)[0]
     assert isinstance(got, list) and all(type(value) is float for value in got)
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -414,7 +414,7 @@ class TestEstimateMixBitIdentity:
         counts = _counter_rows(rng, (programs,), associativity + 1, integral)
         counts[rng.random(programs) < 0.2] = 0.0  # zero-access programs
         instructions = rng.uniform(1.0, 1e5, size=programs)
-        _assert_mix_matches_batch(model, counts, instructions, _llc(associativity))
+        _assert_mix_matches_batch(model, counts, instructions, associativity)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.name)
     @pytest.mark.parametrize(
@@ -432,7 +432,7 @@ class TestEstimateMixBitIdentity:
         windows = np.zeros((len(rows), 8))
         windows[:, 5:] = rows
         instructions = np.full(len(rows), 1e4)
-        _assert_mix_matches_batch(model, windows[:, 5:], instructions, _llc(2))
+        _assert_mix_matches_batch(model, windows[:, 5:], instructions, 2)
 
     # The batched FOA divides by its 5e-324 floor on a non-positive total.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -448,13 +448,13 @@ class TestEstimateMixBitIdentity:
         # scalar ``estimate`` rejects them); an access total below one
         # program's accesses, or below zero, puts its effective ways past A.
         counts = np.array(rows)
-        _assert_mix_matches_batch(model, counts, np.ones(len(rows)), _llc(2))
+        _assert_mix_matches_batch(model, counts, np.ones(len(rows)), 2)
 
     def test_foa_gives_the_whole_cache_to_the_only_active_program(self):
         # Its effective ways reach A, where FOA keeps the isolated count.
         counts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        assert FOAModel().estimate_mix(counts, np.ones(2), _llc(2)) == [3.0, 0.0]
+        assert FOAModel().estimate_mix(counts, np.ones(2), 2) == [3.0, 0.0]
 
     def test_rejects_a_width_that_is_not_the_associativity(self):
         with pytest.raises(ContentionModelError):
-            FOAModel().estimate_mix(np.ones((2, 4)), np.ones(2), _llc(2))
+            FOAModel().estimate_mix(np.ones((2, 4)), np.ones(2), 2)

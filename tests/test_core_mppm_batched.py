@@ -223,7 +223,9 @@ class TestKernelRouting:
         plain = model.predict_batch(mixed_batches)
         names = [f"host-{index}" for index in range(len(mixed_batches))]
         labelled = model.predict_batch(
-            mixed_batches, predictor="mppm:foa", machine_names=names
+            mixed_batches,
+            predictor="mppm:foa",
+            machines=[dataclasses.replace(machine4, name=name) for name in names],
         )
         assert [p.predictor for p in plain] == [None] * len(plain)
         assert [p.machine_name for p in plain] == [machine4.name] * len(plain)

@@ -477,9 +477,10 @@ class TestDetailedSimulation:
 class TestMachineNames:
     """Results shared between machines that differ only in name.
 
-    Every result cache and batch group keys on ``(profile_key(),
-    num_cores)``, which leaves the name out; the numbers are shared, but
-    each result must carry the name of the machine that asked for it.
+    Every result cache keys on ``(profile_key(), num_cores)`` and every
+    batch group on the machine values its solver reads, which leave the
+    name out; the numbers are shared, but each result must carry the
+    name of the machine that asked for it.
     """
 
     def test_every_path_returns_the_requesting_machines_name(self, small_setup):

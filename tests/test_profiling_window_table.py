@@ -111,6 +111,28 @@ def profiles(draw):
 
 
 @st.composite
+def uniform_stacks(draw):
+    """Profiles whose inner intervals all share one length, as the profiler
+    cuts them (the last interval of each may be any length)."""
+    length = draw(st.integers(min_value=1, max_value=5_000))
+    stack = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        drawn = [draw(intervals(index)) for index in range(draw(st.integers(1, 7)))]
+        drawn[:-1] = [dataclasses.replace(interval, instructions=length) for interval in drawn[:-1]]
+        stack.append(
+            SingleCoreProfile(
+                benchmark="p",
+                machine_key="key",
+                machine_name="machine",
+                interval_instructions=length,
+                intervals=drawn,
+                llc_associativity=ASSOCIATIVITY,
+            )
+        )
+    return stack
+
+
+@st.composite
 def positions(draw, profile):
     """A start or length: on a boundary, at L, beyond L, or anywhere."""
     length = float(profile.num_instructions)
@@ -150,7 +172,7 @@ class TestStackedTableMatchesPerProfileFormula:
         ids = np.array([profile_id for profile_id, _, _ in queries])
         starts = np.array([start for _, start, _ in queries])
         lengths = np.array([length for _, _, length in queries])
-        got = ProfileWindowTable(stack).windows(ids, starts, lengths)
+        got = ProfileWindowTable(stack).slots(ids).windows(starts, lengths)
         for profile_id, profile in enumerate(stack):
             mask = ids == profile_id
             if mask.any():
@@ -164,7 +186,7 @@ class TestStackedTableMatchesPerProfileFormula:
         start = data.draw(positions(profile))
         length = max(data.draw(positions(profile)), 1.0)
         want = _PerProfileTable(profile).windows(start, length)
-        got = profile.window_table.windows(0, start, length)
+        got = profile.window_table.slots(0).windows(start, length)
         np.testing.assert_array_equal(_bits(got), _bits(want))
         window = profile.window(start, length)
         assert window.instructions == want[ProfileWindowTable.COL_INSTRUCTIONS]
@@ -179,9 +201,9 @@ class TestStackedTableMatchesPerProfileFormula:
         ids = np.array([[0, 1, 2], [2, 1, 0]])
         starts = np.array([[0.0, 1e5, 3.5e4], [7.0, 0.0, 5e4]])
         lengths = np.full(ids.shape, 1.2e4)
-        rows = table.windows(ids, starts, lengths)
+        rows = table.slots(ids).windows(starts, lengths)
         assert rows.shape == ids.shape + (table.values.shape[2],)
-        flat = table.windows(ids.ravel(), starts.ravel(), lengths.ravel())
+        flat = table.slots(ids.ravel()).windows(starts.ravel(), lengths.ravel())
         np.testing.assert_array_equal(_bits(rows.reshape(flat.shape)), _bits(flat))
 
 
@@ -199,7 +221,7 @@ def _count_lookup_point(table, ids, positions):
     base = ids * width
     above = np.add.reduce(boundaries > positions[..., None], axis=-1)
     rows = np.minimum(base + width - above, table.last[ids] + base)
-    prefix = table.prefix_rows[rows]
+    prefix = table.prefix_rows[rows + ids]  # prefix rows are K + 1 per profile
     values = table.value_rows[rows]
     fraction = (positions - prefix[..., col]) / values[..., col]
     return prefix + fraction[..., None] * values
@@ -223,7 +245,19 @@ class TestSearchedIntervalLookup:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(profiles(), min_size=1, max_size=4))
     def test_point_matches_the_boundary_count(self, stack):
+        self._assert_point_matches_the_boundary_count(ProfileWindowTable(stack), stack)
+
+    @settings(max_examples=150, deadline=None)
+    @given(uniform_stacks())
+    def test_one_interval_length_takes_the_arithmetic_lookup(self, stack):
+        # The profiler's fixed interval length: a floor division finds
+        # the row the key search would.
         table = ProfileWindowTable(stack)
+        assert table.interval is not None
+        self._assert_point_matches_the_boundary_count(table, stack)
+
+    @staticmethod
+    def _assert_point_matches_the_boundary_count(table, stack):
         ids = np.array(
             [p for p, profile in enumerate(stack) for _ in _edge_positions(profile)]
         )
@@ -243,7 +277,7 @@ class TestSearchedIntervalLookup:
         for p, profile in enumerate(stack):
             for start in _edge_positions(profile):
                 length = data.draw(st.sampled_from([1.0, 0.5, float(profile.num_instructions)]))
-                row = table.windows(p, start, length)
+                row = table.slots(p).windows(start, length)
                 window = profile.window(start, length)
                 assert _bits(row[ProfileWindowTable.COL_INSTRUCTIONS]) == _bits(
                     window.instructions
@@ -282,10 +316,17 @@ class TestProfileAggregateMemos:
         return {
             "generated": generated,
             "from_dict": SingleCoreProfile.from_dict(json.loads(json.dumps(generated.to_dict()))),
-            "reduced": generated.reduced_associativity(2),
+            "constructed": SingleCoreProfile(
+                benchmark=generated.benchmark,
+                machine_key=generated.machine_key,
+                machine_name=generated.machine_name,
+                interval_instructions=generated.interval_instructions,
+                intervals=generated.intervals,
+                llc_associativity=generated.llc_associativity,
+            ),
         }
 
-    @pytest.mark.parametrize("kind", ["generated", "from_dict", "reduced"])
+    @pytest.mark.parametrize("kind", ["generated", "from_dict", "constructed"])
     def test_cached_aggregates_equal_fresh_sums(self, variants, kind):
         profile = variants[kind]
         for name, value in _fresh_sums(profile).items():
