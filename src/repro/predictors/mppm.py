@@ -30,9 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Most mixes per :meth:`MPPM.predict_batch` call; a larger group is
 #: split into equal chunks.  The batched kernel's cost per mix is lowest
 #: at a few hundred mixes.  3,000 four-program ``mppm:foa`` mixes on
-#: LLC #2, medians of 10 interleaved rounds on a 2-vCPU host: 160 us
-#: per mix in one batch, 111 in chunks of 1,000, 112 of 500, 107 of
-#: 375, 125 of 250 and 145 of 125.
+#: LLC #2, medians of 10 interleaved rounds (two sets) on a 2-vCPU host:
+#: 69-73 us per mix in one batch, 57-60 in chunks of 1,000, 56-57 of
+#: 500, 58-60 of 375, 62 of 250 and 66-69 of 125.
 CHUNK_MIXES = 500
 
 
