@@ -146,6 +146,23 @@ class StackDistanceCounters:
             upper
         )
 
+    def reduced_associativity(self, ways: int) -> "StackDistanceCounters":
+        """Derive the counter vector for a cache with fewer ways.
+
+        The paper (§2) notes that single-core profiles collected for a
+        16-way LLC can be reused for an 8-way LLC of the same size and
+        set count: distances 1..8 keep their counters and everything
+        deeper folds into the new ``C>A``.
+        """
+        if ways <= 0 or ways > self.associativity:
+            raise StackDistanceError(
+                f"ways must be in [1, {self.associativity}], got {ways}"
+            )
+        counts = np.zeros(ways + 1, dtype=np.float64)
+        counts[:ways] = self.counts[:ways]
+        counts[ways] = self.counts[ways:].sum()
+        return StackDistanceCounters(associativity=ways, counts=counts)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StackDistanceCounters):
             return NotImplemented

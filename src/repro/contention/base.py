@@ -166,7 +166,10 @@ class ContentionModel(ABC):
 
         ``demands`` holds one entry per core; ``llc`` is the shared
         cache being contended for.  Implementations must return one
-        estimate per demand, in the same order.
+        estimate per demand, in the same order.  The batched MPPM kernel
+        reaches this through the default :meth:`estimate_batch`, whose
+        ``llc`` is a one-set stand-in carrying only the associativity: a
+        model that reads more of ``llc`` must override :meth:`estimate_batch`.
         """
 
     def estimate_batch(
@@ -180,11 +183,10 @@ class ContentionModel(ABC):
         instruction counts.  Returns ``shared_misses[m, c]``,
         bit-identical per mix to running :meth:`estimate` on that mix's
         demands alone.  The batched hooks see only the cache's
-        associativity ``A`` (so LLCs that differ in size share a solve).
-        This base implementation loops over mixes, handing
-        :meth:`estimate` a one-set ``A``-way cache, so a third-party model
-        reading no more of the cache is batch-capable out of the box; the
-        built-in models override it with vectorized array expressions.
+        associativity ``A``, so LLCs that differ in size share a solve.
+        This base implementation loops over mixes through :meth:`estimate`
+        (see there); the built-in models override it with vectorized
+        array expressions.
         """
         counts = np.asarray(counts, dtype=np.float64)
         instructions = np.asarray(instructions, dtype=np.float64)

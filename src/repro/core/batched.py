@@ -13,12 +13,9 @@ model's ``estimate_batch`` and performs the EMA slowdown update.  All
 live mixes share one iteration count; retired mixes are written back
 and the state compacted, so an iteration never gathers or scatters rows.
 
-Of a machine the kernel reads only the shared LLC's associativity and
-the memory latency (the fallback miss penalty), passed in as values.
-Machines that share them share a solve whatever their LLC sizes, so
-``MPPMPredictor.predict_batch`` solves Table 2's six LLCs as two groups
-per core count, in chunks of a few hundred mixes, where the cost per
-mix is lowest.
+Of a machine the kernel reads only the LLC associativity and the memory
+latency (the fallback miss penalty), passed in as values, so machines
+that share them share a solve whatever their LLC sizes.
 
 A core-count group of exactly one mix (how ``repro serve`` meets most
 requests) goes to :func:`_solve_one`, which runs the same fixed point
@@ -77,14 +74,12 @@ def solve_batch(
     """Solve the MPPM fixed point for every mix in ``mixes`` at once.
 
     ``mixes`` holds one profile list per mix (one profile per core);
-    mixes of different core counts are grouped and solved per uniform
-    group.  ``associativity`` (the shared LLC's) and ``memory_latency``
-    (the fallback miss penalty) are all the kernel knows of the
-    machines.  Returns one :class:`MixPrediction` per input mix, in
-    input order, tagged ``kernel="batched"`` and ``predictor``, and
-    labelled with ``machine_names[i]``.  Inputs are assumed validated
-    (:meth:`repro.core.mppm.MPPM.predict_batch` checks each mix's
-    profiles against its machine before calling in).
+    mixes of different core counts are solved per uniform group.
+    ``associativity`` and ``memory_latency`` are all the kernel knows of
+    the machines.  Returns one :class:`MixPrediction` per mix, in input
+    order, tagged ``kernel="batched"`` and ``predictor`` and labelled
+    ``machine_names[i]``.  Inputs are assumed validated
+    (:meth:`repro.core.mppm.MPPM.predict_batch` checks them).
     """
     values = (associativity, memory_latency)
     predictions: List[Optional[MixPrediction]] = [None] * len(mixes)
@@ -146,16 +141,10 @@ def _solve_uniform(
     # Unique profiles (the setup's stores hand out shared instances, so
     # identity dedup collapses a batch to its distinct benchmarks) and
     # the per-slot index into them.
-    uniques: List[SingleCoreProfile] = []
-    by_identity: Dict[int, int] = {}
-    profile_ids = np.empty((num_mixes, num_cores), dtype=np.int64)
-    for m, profiles in enumerate(mixes):
-        for c, profile in enumerate(profiles):
-            identity = id(profile)
-            if identity not in by_identity:
-                by_identity[identity] = len(uniques)
-                uniques.append(profile)
-            profile_ids[m, c] = by_identity[identity]
+    by_identity = {id(profile): profile for profiles in mixes for profile in profiles}
+    uniques = list(by_identity.values())
+    index = {identity: i for i, identity in enumerate(by_identity)}
+    profile_ids = np.array([[index[id(p)] for p in profiles] for profiles in mixes], dtype=np.int64)
 
     table = ProfileWindowTable(uniques)
     # One row per unique profile (see _slot_row), gathered per slot.
@@ -375,16 +364,15 @@ class _MixWindows:
     """:meth:`WindowSlots.windows` for one mix, its lookups on Python floats.
 
     Each program's cached ``interval_prefix`` and ``interval_counters``
-    rows are stacked into one table per solve, so a call gathers its
-    rows with one ``take`` and combines them by ``WindowSlots``'
-    elementwise numpy operations.  Interval edges are integers, so exact
-    as floats.
+    rows are stacked into one table per solve, gathered with one ``take``
+    per call and combined by ``WindowSlots``' elementwise operations.
+    Interval edges are integers, so exact as floats.
     """
 
     def __init__(self, profiles: Sequence[SingleCoreProfile]) -> None:
-        # Per program: its interval edges (interval k spans edges k to
-        # k + 1), the index of the last edge and that edge, the trace
-        # length, and the table rows of its prefix and value row 0.
+        # Per program: its interval edges (interval k spans edges k to k + 1),
+        # its last edge's index and value (the trace length), and the table
+        # rows of its prefix and value row 0.
         self.programs = []
         blocks: List[np.ndarray] = []
         row = 0

@@ -198,18 +198,16 @@ class MPPM:
         """Predict every mix (one profile list per mix) in one call.
 
         ``machines[i]`` is mix ``i``'s machine (default: this model's):
-        its profiles are checked against it, it names the prediction, and
-        the reference kernel models it.  The batched kernel reads only
-        :func:`solver_values` of a machine, which every machine must
-        share with this model's, and solves the whole batch in one
-        mix-major fixed-point pass (:func:`repro.core.batched.solve_batch`);
-        the reference kernel solves the mixes one by one.  The results
-        are bit-identical either way and are returned in input order,
-        built with ``predictor`` as their spec.
+        its profiles are checked against it and it names the prediction.
+        The batched kernel reads only :func:`solver_values` of a machine,
+        which must equal this model's, and solves the batch in one
+        mix-major pass (:func:`repro.core.batched.solve_batch`); the
+        reference kernel models each mix on its machine, one by one.
+        Results are bit-identical either way, in input order, built with
+        ``predictor`` as their spec.
         """
         batches = [list(profiles) for profiles in mixes]
-        if machines is None:
-            machines = [self.machine] * len(batches)
+        machines = machines or [self.machine] * len(batches)
         values = solver_values(self.machine)
         for profiles, machine in zip(batches, machines):
             if not profiles:

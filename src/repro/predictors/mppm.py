@@ -28,11 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.mixes import WorkloadMix
 
 #: Most mixes per :meth:`MPPM.predict_batch` call; a larger group is
-#: split into equal chunks.  The batched kernel's cost per mix is lowest
-#: at a few hundred mixes.  3,000 four-program ``mppm:foa`` mixes on
-#: LLC #2, medians of 10 interleaved rounds (two sets) on a 2-vCPU host:
-#: 69-73 us per mix in one batch, 57-60 in chunks of 1,000, 56-57 of
-#: 500, 58-60 of 375, 62 of 250 and 66-69 of 125.
+#: split into equal chunks, near the batched kernel's lowest cost per
+#: mix (README's "The batched MPPM solver" has the measurements).
 CHUNK_MIXES = 500
 
 
@@ -72,13 +69,12 @@ class MPPMPredictor:
     ) -> List[MixPrediction]:
         """Solve many (mix, machine) pairs in a few batched fixed-point passes.
 
-        Pairs are grouped by core count and
-        :func:`~repro.core.mppm.solver_values`, all the batched kernel
-        reads of a machine (Table 2's six LLCs make two groups per core
-        count), and each group goes to :meth:`MPPM.predict_batch` in
-        equal chunks of at most :data:`CHUNK_MIXES` mixes, every mix with
-        its own machine's profiles and name.  Results come back in input
-        order, bit-identical to per-pair :meth:`predict` calls.
+        Pairs are grouped by core count and :func:`~repro.core.mppm.solver_values`
+        (Table 2's six LLCs make two groups per core count); each group goes
+        to :meth:`MPPM.predict_batch` in equal chunks of at most
+        :data:`CHUNK_MIXES` mixes, every mix with its own machine's profiles
+        and name.  Results come back in input order, bit-identical to
+        per-pair :meth:`predict` calls.
         """
         wanted: Dict[str, Tuple["MachineConfig", set]] = {}
         groups: Dict[Tuple[int, int, int], List[int]] = {}

@@ -173,20 +173,13 @@ class ProfileWindowTable:
         self.keys = (ends + np.arange(shape[0])[:, None] * self.key_stride).ravel()
         #: Index of each profile's last interval.
         self.last = np.array(counts) - 1
-        #: The length every inner interval of every profile shares (the
-        #: profiler's), or None: p's capped boundary count is then
-        #: ``min(floor(x) // interval, last[p])``.
-        inner = np.arange(shape[1]) < self.last[:, None]
-        multiple = np.nonzero(inner)[1] + 1
-        interval = int(ends[inner][0]) if multiple.size else 1
-        self.interval = interval if np.array_equal(ends[inner], interval * multiple) else None
         #: Whole-trace totals (each profile's last prefix row).
         self.totals = self.prefix[np.arange(shape[0]), self.last + 1]
-        # Rows flattened to one axis (views, no copies), so a point
-        # evaluation gathers with one flat index: value row ``p * K + k``
-        # and prefix row ``p * (K + 1) + k``.  An interval's start is its
-        # prefix row's instruction column and its length its value row's.
-        self.prefix_rows = self.prefix.reshape(-1, width)
+        # Interval rows flattened to one axis (row ``p * K + k``), so a
+        # point evaluation gathers its rows with one flat index.  An
+        # interval's start is its prefix row's instruction column and
+        # its length its value row's.
+        self.prefix_rows = self.prefix[:, :-1].reshape(-1, width)
         self.value_rows = self.values.reshape(-1, width)
 
     def slots(self, profile_ids: np.ndarray) -> "WindowSlots":
@@ -209,10 +202,7 @@ class WindowSlots:
         self.table = table
         self.length = table.trace_length[profile_ids]
         self.totals = table.totals[profile_ids]
-        self.ids = np.asarray(profile_ids)
-        self.key_base = self.ids * table.key_stride
-        self.row_base = self.ids * table.values.shape[1]
-        self.last = table.last[profile_ids]
+        self.key_base = np.asarray(profile_ids) * table.key_stride
 
     def point(self, positions: np.ndarray) -> np.ndarray:
         """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
@@ -229,22 +219,14 @@ class WindowSlots:
         every key before ``p``'s and below ``p``'s raised keys, so the
         search returns ``p * K`` plus the number of ``p``'s inner
         boundaries not above ``floor(x)``: its capped boundary count.
-        With one interval length for every profile that count is one
-        floor division, without the search.
         """
-        floor = np.fmin(positions, self.length).astype(np.int64)
-        if self.table.interval is None:
-            rows = self.table.keys.searchsorted(self.key_base + floor, side="right")
-        else:
-            rows = self.row_base + np.minimum(floor // self.table.interval, self.last)
-        prefix = self.table.prefix_rows.take(rows + self.ids, axis=0)
+        keys = self.key_base + np.fmin(positions, self.length).astype(np.int64)
+        rows = self.table.keys.searchsorted(keys, side="right")
+        prefix = self.table.prefix_rows.take(rows, axis=0)
         values = self.table.value_rows.take(rows, axis=0)
         col = ProfileWindowTable.COL_INSTRUCTIONS
         fraction = (positions - prefix[..., col]) / values[..., col]
-        # ``prefix + fraction * values``, in place on the fresh gathers.
-        values *= fraction[..., None]
-        prefix += values
-        return prefix
+        return prefix + fraction[..., None] * values
 
     def windows(self, start_instructions: np.ndarray, num_instructions: np.ndarray) -> np.ndarray:
         """Aggregate counters over ``[start, start + n)`` windows, one per slot.
@@ -263,9 +245,7 @@ class WindowSlots:
         points[0] = np.minimum(np.maximum(end - full_passes * length, 0.0), length)
         points[1] = start
         rows = self.point(points)
-        window = np.subtract(rows[0], rows[1], out=rows[0])
-        window += full_passes[..., None] * self.totals
-        return window
+        return (rows[0] - rows[1]) + full_passes[..., None] * self.totals
 
 
 #: A profile's per-interval columns in JSON field order, with their
@@ -503,6 +483,41 @@ class SingleCoreProfile:
                 associativity=self.llc_associativity,
                 counts=row[ProfileWindowTable.SDC_OFFSET :].copy(),
             ),
+        )
+
+    # ------------------------------------------------------------------
+    # Derived profiles
+    # ------------------------------------------------------------------
+
+    def reduced_associativity(self, ways: int) -> "SingleCoreProfile":
+        """Derive the profile for an LLC with fewer ways (same sets).
+
+        The paper points out that profiles collected for a 16-way LLC
+        can be reused for an 8-way LLC without re-simulation.  The SDCs
+        fold exactly; the CPI and memory CPI are adjusted by charging
+        the additional misses the average miss penalty observed in the
+        interval (an approximation the paper shares).
+        """
+        c = self.columns
+        sdc = [interval.sdc.reduced_associativity(ways).counts for interval in self.intervals]
+        extra_misses = np.array(sdc)[:, ways] - c["sdc"][:, self.llc_associativity]
+        instructions = c["instructions"].astype(np.float64)
+        memory_cycles = c["memory_cpi"] * instructions
+        misses = c["llc_misses"]
+        penalty = np.divide(memory_cycles, misses, out=np.zeros_like(misses), where=misses > 0)
+        extra_cycles = extra_misses * penalty
+        return SingleCoreProfile.from_columns(
+            self.benchmark,
+            f"{self.machine_key}|derived_ways={ways}",
+            f"{self.machine_name} (derived {ways}-way LLC)",
+            self.interval_instructions,
+            ways,
+            instructions=c["instructions"],
+            cpi=(c["cpi"] * instructions + extra_cycles) / instructions,
+            memory_cpi=(memory_cycles + extra_cycles) / instructions,
+            llc_accesses=c["llc_accesses"],
+            llc_misses=misses + extra_misses,
+            sdc=sdc,
         )
 
     # ------------------------------------------------------------------

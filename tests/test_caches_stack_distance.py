@@ -57,6 +57,19 @@ class TestStackDistanceCounters:
         assert counters.misses_for_effective_ways(10.0) == counters.misses
         assert counters.misses_for_effective_ways(-1.0) == counters.total_accesses
 
+    def test_reduced_associativity_folds_deep_counters(self):
+        counters = StackDistanceCounters(
+            associativity=4, counts=np.array([10.0, 5.0, 3.0, 2.0, 7.0])
+        )
+        reduced = counters.reduced_associativity(2)
+        assert reduced.associativity == 2
+        assert reduced.total_accesses == counters.total_accesses
+        assert reduced.misses == pytest.approx(3.0 + 2.0 + 7.0)
+        with pytest.raises(StackDistanceError):
+            counters.reduced_associativity(0)
+        with pytest.raises(StackDistanceError):
+            counters.reduced_associativity(5)
+
     def test_validation_of_counter_vectors(self):
         with pytest.raises(StackDistanceError):
             StackDistanceCounters(associativity=0)
@@ -111,3 +124,17 @@ class TestStackDistanceProfiler:
             cache.access(line)
         assert profiler.counters.misses == cache.misses
         assert profiler.counters.hits == cache.hits
+
+    @given(
+        accesses=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=200),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_reduced_associativity_matches_directly_profiled_smaller_cache(self, accesses):
+        """Deriving an SDC for fewer ways equals profiling the smaller cache directly."""
+        wide = StackDistanceProfiler(num_sets=2, associativity=8)
+        narrow = StackDistanceProfiler(num_sets=2, associativity=4)
+        for line in accesses:
+            wide.access(line)
+            narrow.access(line)
+        derived = wide.counters.reduced_associativity(4)
+        assert np.allclose(derived.counts, narrow.counters.counts)

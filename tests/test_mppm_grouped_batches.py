@@ -14,8 +14,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.contention import StackDistanceCompetitionModel
-from repro.contention.base import suffix_misses
+from repro.config.cache_config import CacheConfig
+from repro.contention import FOAModel, StackDistanceCompetitionModel
+from repro.contention.base import ContentionModel, suffix_misses
 from repro.core import MPPM
 from repro.core.mppm import MPPMError, solver_values
 from repro.experiments import ExperimentConfig, ExperimentSetup
@@ -123,6 +124,35 @@ class TestChecks:
             MPPM(eight).predict_batch(
                 [[setup.profiles(sixteen)[name] for name in names]], machines=[sixteen]
             )
+
+
+class _ScalarOnly(ContentionModel):
+    """FOA through the scalar hook alone, recording the caches it is handed."""
+
+    def __init__(self):
+        self.llcs = []
+
+    def estimate(self, demands, llc):
+        self.llcs.append(llc)
+        return FOAModel().estimate(demands, llc)
+
+
+class TestScalarOnlyModels:
+    def test_a_scalar_only_model_sees_only_the_associativity(self, setup):
+        # The default estimate_batch hands estimate a one-set stand-in
+        # for the LLC, whichever machine of the group a mix runs on.
+        machines = setup.design_space(num_cores=2)
+        two, four = machines[1], machines[3]
+        mixes = setup.mixes(num_programs=2, num_mixes=3, seed=5)
+        batch = [[setup.profiles(m)[n] for n in mix.programs] for mix in mixes for m in (two, four)]
+        on = [m for _ in mixes for m in (two, four)]
+        model = _ScalarOnly()
+        for solve in (batch, batch[:1]):  # the uniform and the one-mix solver
+            got = MPPM(two, contention_model=model).predict_batch(solve, machines=on)
+            assert got == MPPM(two).predict_batch(solve, machines=on)
+        stand_in = CacheConfig("LLC", 64 * 16, 16, shared=True)
+        assert model.llcs and set(model.llcs) == {stand_in}
+        assert stand_in.num_sets == 1 and two.llc.num_sets > 1
 
 
 class TestCallsPerChunk:

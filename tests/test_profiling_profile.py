@@ -184,3 +184,34 @@ class TestSingleCoreProfile:
         data["intervals"][1][field] = value
         with pytest.raises(ValueError, match=error):
             SingleCoreProfile.from_dict(data)
+
+    def test_reduced_associativity_profile(self):
+        intervals = []
+        for i in range(3):
+            counts = np.array([20.0, 10.0, 5.0, 5.0, 10.0])  # 4-way SDC
+            intervals.append(
+                IntervalProfile(
+                    index=i,
+                    instructions=1_000,
+                    cpi=1.0,
+                    memory_cpi=0.3,
+                    llc_accesses=50.0,
+                    llc_misses=10.0,
+                    sdc=StackDistanceCounters(associativity=4, counts=counts),
+                )
+            )
+        profile = SingleCoreProfile(
+            benchmark="unit",
+            machine_key="k",
+            machine_name="m",
+            interval_instructions=1_000,
+            intervals=intervals,
+            llc_associativity=4,
+        )
+        reduced = profile.reduced_associativity(2)
+        assert reduced.llc_associativity == 2
+        # Fewer ways -> more misses -> higher CPI and memory CPI.
+        assert reduced.cpi > profile.cpi
+        assert reduced.memory_cpi > profile.memory_cpi
+        assert reduced.total_llc_misses > profile.total_llc_misses
+        assert "derived" in reduced.machine_name

@@ -111,28 +111,6 @@ def profiles(draw):
 
 
 @st.composite
-def uniform_stacks(draw):
-    """Profiles whose inner intervals all share one length, as the profiler
-    cuts them (the last interval of each may be any length)."""
-    length = draw(st.integers(min_value=1, max_value=5_000))
-    stack = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        drawn = [draw(intervals(index)) for index in range(draw(st.integers(1, 7)))]
-        drawn[:-1] = [dataclasses.replace(interval, instructions=length) for interval in drawn[:-1]]
-        stack.append(
-            SingleCoreProfile(
-                benchmark="p",
-                machine_key="key",
-                machine_name="machine",
-                interval_instructions=length,
-                intervals=drawn,
-                llc_associativity=ASSOCIATIVITY,
-            )
-        )
-    return stack
-
-
-@st.composite
 def positions(draw, profile):
     """A start or length: on a boundary, at L, beyond L, or anywhere."""
     length = float(profile.num_instructions)
@@ -221,7 +199,7 @@ def _count_lookup_point(table, ids, positions):
     base = ids * width
     above = np.add.reduce(boundaries > positions[..., None], axis=-1)
     rows = np.minimum(base + width - above, table.last[ids] + base)
-    prefix = table.prefix_rows[rows + ids]  # prefix rows are K + 1 per profile
+    prefix = table.prefix_rows[rows]
     values = table.value_rows[rows]
     fraction = (positions - prefix[..., col]) / values[..., col]
     return prefix + fraction[..., None] * values
@@ -245,19 +223,7 @@ class TestSearchedIntervalLookup:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(profiles(), min_size=1, max_size=4))
     def test_point_matches_the_boundary_count(self, stack):
-        self._assert_point_matches_the_boundary_count(ProfileWindowTable(stack), stack)
-
-    @settings(max_examples=150, deadline=None)
-    @given(uniform_stacks())
-    def test_one_interval_length_takes_the_arithmetic_lookup(self, stack):
-        # The profiler's fixed interval length: a floor division finds
-        # the row the key search would.
         table = ProfileWindowTable(stack)
-        assert table.interval is not None
-        self._assert_point_matches_the_boundary_count(table, stack)
-
-    @staticmethod
-    def _assert_point_matches_the_boundary_count(table, stack):
         ids = np.array(
             [p for p, profile in enumerate(stack) for _ in _edge_positions(profile)]
         )
@@ -316,17 +282,10 @@ class TestProfileAggregateMemos:
         return {
             "generated": generated,
             "from_dict": SingleCoreProfile.from_dict(json.loads(json.dumps(generated.to_dict()))),
-            "constructed": SingleCoreProfile(
-                benchmark=generated.benchmark,
-                machine_key=generated.machine_key,
-                machine_name=generated.machine_name,
-                interval_instructions=generated.interval_instructions,
-                intervals=generated.intervals,
-                llc_associativity=generated.llc_associativity,
-            ),
+            "reduced": generated.reduced_associativity(2),
         }
 
-    @pytest.mark.parametrize("kind", ["generated", "from_dict", "constructed"])
+    @pytest.mark.parametrize("kind", ["generated", "from_dict", "reduced"])
     def test_cached_aggregates_equal_fresh_sums(self, variants, kind):
         profile = variants[kind]
         for name, value in _fresh_sums(profile).items():
