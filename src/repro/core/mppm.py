@@ -57,8 +57,7 @@ MPPM_KERNELS: Tuple[str, ...] = ("batched", "reference")
 
 
 def solver_values(machine: MachineConfig) -> Tuple[int, int]:
-    """All the batched kernel reads of a machine (machines that share them
-    share a solve): its LLC associativity and memory latency."""
+    """All the batched kernel reads of a machine: LLC associativity, memory latency."""
     return machine.llc.associativity, machine.memory.latency
 
 
@@ -214,25 +213,19 @@ class MPPM:
                 raise MPPMError("at least one program profile is required")
             self._check_profiles(profiles, machine)
             if solver_values(machine) != values:
-                raise MPPMError(
-                    f"{machine.name!r} differs from {self.machine.name!r} in LLC "
-                    "associativity or memory latency; solve it in its own batch"
-                )
+                raise MPPMError(f"{machine.name!r} differs in LLC associativity or memory latency")
         if self.kernel == "reference" or self.config.store_history:
             # Per-iteration history is sequential bookkeeping that only
             # the reference loop records.
             return [
-                self._predict_reference(profiles, predictor, machine)
-                for profiles, machine in zip(batches, machines)
+                MPPM(machine, self.contention_model, self.config)._predict_reference(p, predictor)
+                for p, machine in zip(batches, machines)
             ]
         names = [machine.name for machine in machines]
         return solve_batch(self.contention_model, self.config, batches, *values, names, predictor)
 
     def _predict_reference(
-        self,
-        profiles: Sequence[SingleCoreProfile],
-        predictor: Optional[str],
-        machine: MachineConfig,
+        self, profiles: Sequence[SingleCoreProfile], predictor: Optional[str]
     ) -> MixPrediction:
         """The original per-mix Python loop (ground truth for the batched kernel)."""
         states = [
@@ -254,7 +247,7 @@ class MPPM:
 
         while iterations < self.config.max_iterations:
             iterations += 1
-            window_cycles = self._iterate(states, chunk, machine)
+            window_cycles = self._iterate(states, chunk)
             if self.config.store_history:
                 history.append(
                     IterationRecord(
@@ -281,7 +274,7 @@ class MPPM:
             for state in states
         )
         return MixPrediction(
-            machine_name=machine.name,
+            machine_name=self.machine.name,
             programs=programs,
             iterations=iterations,
             converged=converged,
@@ -309,7 +302,7 @@ class MPPM:
     # One iteration of Figure 2
     # ------------------------------------------------------------------
 
-    def _iterate(self, states: List[_ProgramState], chunk: int, machine: MachineConfig) -> float:
+    def _iterate(self, states: List[_ProgramState], chunk: int) -> float:
         config = self.config
 
         # Step 2: the slowest program's cycle budget for this iteration.
@@ -333,13 +326,13 @@ class MPPM:
             ProgramCacheDemand(name=state.label, sdc=window.sdc, instructions=window.instructions)
             for state, window in zip(states, windows)
         ]
-        estimates = self.contention_model.estimate(demands, machine.llc)
+        estimates = self.contention_model.estimate(demands, self.machine.llc)
 
         # Steps 5 and 6: extra conflict misses -> lost cycles -> slowdown EMA.
         for state, window, estimate, instructions in zip(states, windows, estimates, progress):
             penalty = window.average_miss_penalty
             if penalty <= 0:
-                penalty = self._fallback_miss_penalty(state, machine)
+                penalty = self._fallback_miss_penalty(state)
             miss_cycles = estimate.extra_conflict_misses * penalty
             if config.literal_figure2_update:
                 # The formula exactly as printed in Figure 2.
@@ -374,14 +367,14 @@ class MPPM:
         window = state.profile.window(state.position, interval_length)
         return window.cpi if window.cpi > 0 else state.profile.cpi
 
-    def _fallback_miss_penalty(self, state: _ProgramState, machine: MachineConfig) -> float:
+    def _fallback_miss_penalty(self, state: _ProgramState) -> float:
         """Average miss penalty when the current window has no isolated misses."""
         total_misses = state.profile.total_llc_misses
         if total_misses > 0:
             return (
                 state.profile.memory_cpi * state.profile.num_instructions / total_misses
             )
-        return float(machine.memory.latency)
+        return float(self.machine.memory.latency)
 
     @staticmethod
     def _label(benchmark: str, core: int, profiles: Sequence[SingleCoreProfile]) -> str:

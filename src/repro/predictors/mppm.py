@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPMConfig
 from repro.core.mppm import solver_values
@@ -88,10 +90,7 @@ class MPPMPredictor:
         predictions: List[Optional[MixPrediction]] = [None] * len(items)
         for indices in groups.values():
             model = self._model(items[indices[0]][1])
-            chunks = -(-len(indices) // CHUNK_MIXES)
-            size = -(-len(indices) // chunks)
-            for start in range(0, len(indices), size):
-                chunk = indices[start : start + size]
+            for chunk in np.array_split(indices, -(-len(indices) // CHUNK_MIXES)):
                 machines = [items[index][1] for index in chunk]
                 mixes = [
                     [libraries[machine.profile_key()][name] for name in items[index][0].programs]

@@ -173,6 +173,10 @@ class ProfileWindowTable:
         self.keys = (ends + np.arange(shape[0])[:, None] * self.key_stride).ravel()
         #: Index of each profile's last interval.
         self.last = np.array(counts) - 1
+        #: The one length of every inner interval (the profiler's), else None.
+        step = profiles[0].interval_instructions
+        grid = step * np.arange(1, shape[1] + 1)
+        self.interval = step if ((ends == grid) | (ends == self.key_stride - 1)).all() else None
         #: Whole-trace totals (each profile's last prefix row).
         self.totals = self.prefix[np.arange(shape[0]), self.last + 1]
         # Interval rows flattened to one axis (row ``p * K + k``), so a
@@ -192,10 +196,9 @@ class WindowSlots:
     """A :class:`ProfileWindowTable`'s rows gathered for fixed slots.
 
     Slot ``i`` reads profile ``profile_ids[i]``.  The batched MPPM
-    solver keeps one instance per set of live mixes and asks it for
-    every iteration's windows, so the per-profile rows (trace length,
-    totals and lookup key bases) are gathered once per live set instead
-    of once per iteration.
+    solver keeps one instance per set of live mixes, so the per-profile
+    rows (trace length, totals, lookup bases) are gathered once per live
+    set instead of once per iteration.
     """
 
     def __init__(self, table: ProfileWindowTable, profile_ids: np.ndarray) -> None:
@@ -203,6 +206,8 @@ class WindowSlots:
         self.length = table.trace_length[profile_ids]
         self.totals = table.totals[profile_ids]
         self.key_base = np.asarray(profile_ids) * table.key_stride
+        self.row_base = np.asarray(profile_ids) * table.values.shape[1]
+        self.last = table.last[profile_ids]
 
     def point(self, positions: np.ndarray) -> np.ndarray:
         """``P(x)``: cumulative counters over ``[0, x)`` for ``x`` in [0, L].
@@ -218,10 +223,14 @@ class WindowSlots:
         is then a floor.  The query ``p * stride + floor(x)`` lies above
         every key before ``p``'s and below ``p``'s raised keys, so the
         search returns ``p * K`` plus the number of ``p``'s inner
-        boundaries not above ``floor(x)``: its capped boundary count.
+        boundaries not above ``floor(x)``: its capped boundary count (a
+        table of one interval length divides instead: ``floor(x) // interval``).
         """
-        keys = self.key_base + np.fmin(positions, self.length).astype(np.int64)
-        rows = self.table.keys.searchsorted(keys, side="right")
+        floor = np.fmin(positions, self.length).astype(np.int64)
+        if self.table.interval is None:
+            rows = self.table.keys.searchsorted(self.key_base + floor, side="right")
+        else:
+            rows = self.row_base + np.minimum(floor // self.table.interval, self.last)
         prefix = self.table.prefix_rows.take(rows, axis=0)
         values = self.table.value_rows.take(rows, axis=0)
         col = ProfileWindowTable.COL_INSTRUCTIONS
@@ -231,11 +240,10 @@ class WindowSlots:
     def windows(self, start_instructions: np.ndarray, num_instructions: np.ndarray) -> np.ndarray:
         """Aggregate counters over ``[start, start + n)`` windows, one per slot.
 
-        Starts wrap around the end of the trace and windows may span the
-        wrap-around point any number of times.  Accepts scalars or arrays
-        (broadcast with the slots); returns rows in the table's column
-        layout.  ``P(remainder)`` and ``P(start)`` are evaluated in one
-        stacked :meth:`point` call.
+        Starts wrap around the trace's end, any number of times.  Takes
+        scalars or arrays (broadcast with the slots), returns rows in the
+        table's column layout, and evaluates ``P(remainder)`` and
+        ``P(start)`` in one stacked :meth:`point` call.
         """
         length = self.length
         start = np.mod(start_instructions, length)

@@ -111,6 +111,28 @@ def profiles(draw):
 
 
 @st.composite
+def uniform_stacks(draw):
+    """Profiles whose inner intervals all share one length, as the profiler
+    cuts them (the last interval of each may be any length)."""
+    length = draw(st.integers(min_value=1, max_value=5_000))
+    stack = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        drawn = [draw(intervals(index)) for index in range(draw(st.integers(1, 7)))]
+        drawn[:-1] = [dataclasses.replace(interval, instructions=length) for interval in drawn[:-1]]
+        stack.append(
+            SingleCoreProfile(
+                benchmark="p",
+                machine_key="key",
+                machine_name="machine",
+                interval_instructions=length,
+                intervals=drawn,
+                llc_associativity=ASSOCIATIVITY,
+            )
+        )
+    return stack
+
+
+@st.composite
 def positions(draw, profile):
     """A start or length: on a boundary, at L, beyond L, or anywhere."""
     length = float(profile.num_instructions)
@@ -223,7 +245,36 @@ class TestSearchedIntervalLookup:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(profiles(), min_size=1, max_size=4))
     def test_point_matches_the_boundary_count(self, stack):
+        self._assert_point_matches_the_boundary_count(ProfileWindowTable(stack), stack)
+
+    @settings(max_examples=150, deadline=None)
+    @given(uniform_stacks())
+    def test_one_interval_length_divides_instead_of_searching(self, stack):
         table = ProfileWindowTable(stack)
+        assert table.interval == stack[0].interval_instructions
+        self._assert_point_matches_the_boundary_count(table, stack)
+        # The same table made to search finds the same rows, bit for bit.
+        searched = ProfileWindowTable(stack)
+        searched.interval = None
+        self._assert_point_matches_the_boundary_count(searched, stack)
+
+    def test_any_other_inner_length_searches(self):
+        def profile(*lengths):
+            counts = np.ones(ASSOCIATIVITY + 1)
+            intervals = [
+                IntervalProfile(index, n, 1.0, 0.5, 2.0, 1.0, StackDistanceCounters(ASSOCIATIVITY, counts))
+                for index, n in enumerate(lengths)
+            ]
+            return SingleCoreProfile("p", "key", "machine", 1_000, intervals, ASSOCIATIVITY)
+
+        # Last intervals may be any length; inner ones must all match.
+        assert ProfileWindowTable([profile(1_000, 1_000, 7), profile(1_000, 3)]).interval == 1_000
+        assert ProfileWindowTable([profile(5), profile(1_000, 3)]).interval == 1_000
+        assert ProfileWindowTable([profile(1_000, 1_000, 7), profile(999, 3)]).interval is None
+        assert ProfileWindowTable([profile(1_000, 1_001, 7)]).interval is None
+
+    @staticmethod
+    def _assert_point_matches_the_boundary_count(table, stack):
         ids = np.array(
             [p for p, profile in enumerate(stack) for _ in _edge_positions(profile)]
         )
