@@ -8,9 +8,13 @@ the shared-cache miss count from per-thread isolated profiles; MPPM
 consumes the difference between that prediction and the isolated miss
 count (the ``C>A`` counter).
 
-Every built-in model also has a batched ``estimate_batch`` that must
-equal its scalar ``estimate`` bit for bit, because the batched MPPM
-solver relies on it.  Their miss counts at a number of ways go through
+A model has two production entries, both on arrays: ``estimate_batch``
+over a batch of mixes and ``estimate_mix`` over one mix (by default the
+batch of one).  The batched MPPM solver and ``baseline:one-shot`` call
+only these.  The scalar ``estimate`` on :class:`ProgramCacheDemand`
+objects is the MPPM reference loop's form, and ``estimate_batch`` must
+equal it bit for bit.  The built-in models' miss counts at a number of
+ways go through
 :func:`suffix_misses`, which must equal the contiguous slice sum
 ``counts[w:].sum()`` of the scalar
 :meth:`~repro.caches.stack_distance.StackDistanceCounters.misses_for_ways`.
@@ -154,7 +158,12 @@ class ContentionEstimate:
 
 
 class ContentionModel(ABC):
-    """Predicts shared-cache misses from isolated per-program SDCs."""
+    """Predicts shared-cache misses from isolated per-program SDCs.
+
+    A model defines the batched :meth:`estimate_batch` and its scalar
+    witness :meth:`estimate`; :meth:`estimate_mix` defaults to the batch
+    of one.
+    """
 
     name: str = "base"
 
@@ -166,12 +175,12 @@ class ContentionModel(ABC):
 
         ``demands`` holds one entry per core; ``llc`` is the shared
         cache being contended for.  Implementations must return one
-        estimate per demand, in the same order.  The batched MPPM kernel
-        reaches this through the default :meth:`estimate_batch`, whose
-        ``llc`` is a one-set stand-in carrying only the associativity: a
-        model that reads more of ``llc`` must override :meth:`estimate_batch`.
+        estimate per demand, in the same order.  Only the MPPM
+        reference loop calls this scalar form; it is the witness that
+        :meth:`estimate_batch` must equal.
         """
 
+    @abstractmethod
     def estimate_batch(
         self, counts: np.ndarray, instructions: np.ndarray, associativity: int
     ) -> np.ndarray:
@@ -184,27 +193,7 @@ class ContentionModel(ABC):
         bit-identical per mix to running :meth:`estimate` on that mix's
         demands alone.  The batched hooks see only the cache's
         associativity ``A``, so LLCs that differ in size share a solve.
-        This base implementation loops over mixes through :meth:`estimate`
-        (see there); the built-in models override it with vectorized
-        array expressions.
         """
-        counts = np.asarray(counts, dtype=np.float64)
-        instructions = np.asarray(instructions, dtype=np.float64)
-        self._validate_batch(counts, associativity)
-        llc = CacheConfig("LLC", 64 * associativity, associativity, shared=True)
-        shared = np.empty(counts.shape[:2], dtype=np.float64)
-        for m in range(counts.shape[0]):
-            demands = [
-                ProgramCacheDemand(
-                    name=f"core{c}",
-                    sdc=StackDistanceCounters(associativity=associativity, counts=counts[m, c]),
-                    instructions=float(instructions[m, c]),
-                )
-                for c in range(counts.shape[1])
-            ]
-            for c, estimate in enumerate(self.estimate(demands, llc)):
-                shared[m, c] = estimate.shared_misses
-        return shared
 
     def estimate_mix(
         self, counts: np.ndarray, instructions: np.ndarray, associativity: int

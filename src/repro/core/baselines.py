@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.config.machine import MachineConfig
 from repro.contention import FOAModel
-from repro.contention.base import ContentionModel, ProgramCacheDemand
+from repro.contention.base import ContentionModel
 from repro.core.result import MixPrediction, ProgramPrediction
-from repro.profiling.profile import SingleCoreProfile
+from repro.profiling.profile import ProfileWindowTable, SingleCoreProfile
 from repro.workloads.mixes import WorkloadMix
 
 
@@ -75,25 +77,25 @@ class OneShotContentionPredictor:
         """One pass of the contention model over the whole-trace SDCs."""
         if not profiles:
             raise ValueError("at least one program profile is required")
-        demands = [
-            ProgramCacheDemand(
-                name=f"{profile.benchmark}#{core}",
-                sdc=profile.total_sdc(),
-                instructions=profile.num_instructions,
-            )
-            for core, profile in enumerate(profiles)
-        ]
-        estimates = self.contention_model.estimate(demands, self.machine.llc)
+        # Each profile's whole-trace SDCs: the last row of its running sums.
+        counts = np.stack(
+            [profile.interval_prefix[-1, ProfileWindowTable.SDC_OFFSET :] for profile in profiles]
+        )
+        instructions = np.array([float(profile.num_instructions) for profile in profiles])
+        shared = self.contention_model.estimate_mix(
+            counts, instructions, self.machine.llc.associativity
+        )
+        isolated = counts[:, -1].tolist()
 
         programs = []
-        for core, (profile, estimate) in enumerate(zip(profiles, estimates)):
+        for core, profile in enumerate(profiles):
             if profile.total_llc_misses > 0:
                 penalty = (
                     profile.memory_cpi * profile.num_instructions / profile.total_llc_misses
                 )
             else:
                 penalty = float(self.machine.memory.latency)
-            extra_cycles = estimate.extra_conflict_misses * penalty
+            extra_cycles = max(0.0, shared[core] - isolated[core]) * penalty
             slowdown = 1.0 + extra_cycles / profile.total_cycles
             programs.append(
                 ProgramPrediction(

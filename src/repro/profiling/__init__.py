@@ -9,12 +9,11 @@ benchmark specs, and a caching store so that experiments never pay the
 single-core simulation cost twice.
 """
 
-from repro.profiling.profile import IntervalProfile, ProfileWindow, SingleCoreProfile
+from repro.profiling.profile import ProfileWindow, SingleCoreProfile
 from repro.profiling.profiler import ProfileBundle, Profiler, ProfiledBenchmark
 from repro.profiling.store import ProfileStore
 
 __all__ = [
-    "IntervalProfile",
     "ProfileWindow",
     "SingleCoreProfile",
     "Profiler",

@@ -9,16 +9,18 @@ per benchmark: for every interval of the isolated run,
 
 plus enough bookkeeping (interval length, trace length, LLC geometry)
 for MPPM to aggregate windows of the profile as its iterative process
-advances each program's instruction pointer.  Profiles are plain data:
-they can be serialised to JSON and reloaded without touching the
-simulator.
+advances each program's instruction pointer.  A profile holds these
+series as per-interval columns (one array each, the SDCs one row of
+A+1 counters per interval); the constructor checks whole columns at
+once.  Profiles are plain data: they can be serialised to JSON and
+reloaded without touching the simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -27,48 +29,6 @@ from repro.caches.stack_distance import StackDistanceCounters
 
 class ProfileError(ValueError):
     """Raised for inconsistent profile data or invalid window queries."""
-
-
-def _column(values: Sequence, dtype: type) -> np.ndarray:
-    """A read-only copy of ``values`` as a ``dtype`` array."""
-    column = np.array(values, dtype=dtype)
-    column.flags.writeable = False
-    return column
-
-
-@dataclass(frozen=True)
-class IntervalProfile:
-    """Profile of one interval (the paper's 20M-instruction granularity)."""
-
-    index: int
-    instructions: int
-    cpi: float
-    memory_cpi: float
-    llc_accesses: float
-    llc_misses: float
-    sdc: StackDistanceCounters
-
-    def __post_init__(self) -> None:
-        if self.instructions <= 0 or self.instructions != int(self.instructions):
-            raise ProfileError(
-                f"interval {self.index}: instructions must be a positive integer"
-            )
-        if self.cpi <= 0:
-            raise ProfileError(f"interval {self.index}: CPI must be positive, got {self.cpi}")
-        if self.memory_cpi < 0 or self.memory_cpi > self.cpi:
-            raise ProfileError(
-                f"interval {self.index}: memory CPI {self.memory_cpi} must be within [0, CPI]"
-            )
-        if self.llc_accesses < 0 or self.llc_misses < 0 or self.llc_misses > self.llc_accesses:
-            raise ProfileError(f"interval {self.index}: inconsistent LLC access/miss counts")
-
-    @property
-    def cycles(self) -> float:
-        return self.cpi * self.instructions
-
-    @property
-    def memory_cycles(self) -> float:
-        return self.memory_cpi * self.instructions
 
 
 @dataclass(frozen=True)
@@ -159,7 +119,7 @@ class ProfileWindowTable:
         #: Flat interval lookup keys (see :meth:`WindowSlots.point`): profile
         #: p's inner interval ends plus ``p * key_stride``; its last end (its
         #: trace length) and its padding are raised to ``key_stride - 1``.
-        #: Interval lengths are integers (checked by :class:`IntervalProfile`),
+        #: Interval lengths are integers (checked by :class:`SingleCoreProfile`),
         #: so the ends are exact in float64 and as int64, and partial-interval
         #: fractions land in [0, 1].  The stride exceeds every trace length by
         #: two, so the keys are sorted, the raised keys lie above every query
@@ -256,27 +216,28 @@ class WindowSlots:
         return (rows[0] - rows[1]) + full_passes[..., None] * self.totals
 
 
-#: A profile's per-interval columns in JSON field order, with their
-#: dtypes; ``sdc`` holds one row of A+1 counters per interval.
-_COLUMNS = {
-    "instructions": np.int64,
-    "cpi": np.float64,
-    "memory_cpi": np.float64,
-    "llc_accesses": np.float64,
-    "llc_misses": np.float64,
-    "sdc": np.float64,
-}
+#: A profile's per-interval columns in JSON field order; ``sdc`` holds
+#: one row of A+1 counters per interval.
+_COLUMNS = ("instructions", "cpi", "memory_cpi", "llc_accesses", "llc_misses", "sdc")
+
+
+def _instruction_counts(values: Sequence) -> np.ndarray:
+    """Instruction counts as float64 for the integer check, a boolean as NaN.
+
+    numpy reads ``True`` (JSON's ``true``) as 1, which is no count.
+    """
+    if not isinstance(values, np.ndarray) or values.dtype == bool:
+        values = [np.nan if isinstance(value, (bool, np.bool_)) else value for value in values]
+    return np.array(values, dtype=np.float64)
 
 
 class SingleCoreProfile:
     """Per-benchmark single-core profile on a given machine.
 
     A profile is immutable once built.  It is held as per-interval
-    :attr:`columns`, which the profiler and the JSON loader fill
-    directly (:meth:`from_columns`); :attr:`intervals` wraps them in
-    :class:`IntervalProfile` objects on first use.  Its whole-trace
-    aggregates and its window table are computed on first use and
-    cached.
+    :attr:`columns`, which the profiler and the JSON loader hand to the
+    constructor.  Its whole-trace aggregates and its window table are
+    computed on first use and cached.
     """
 
     def __init__(
@@ -285,77 +246,30 @@ class SingleCoreProfile:
         machine_key: str,
         machine_name: str,
         interval_instructions: int,
-        intervals: Sequence[IntervalProfile],
-        llc_associativity: int,
-    ) -> None:
-        if [interval.index for interval in intervals] != list(range(len(intervals))):
-            raise ProfileError("profile intervals must be consecutively indexed from 0")
-        if any(interval.sdc.associativity != llc_associativity for interval in intervals):
-            raise ProfileError(
-                "interval SDC associativity does not match the profile's LLC associativity"
-            )
-        columns = {name: [getattr(interval, name) for interval in intervals] for name in _COLUMNS}
-        columns["sdc"] = [sdc.counts for sdc in columns["sdc"]]
-        self._set(
-            benchmark, machine_key, machine_name, interval_instructions, llc_associativity, columns
-        )
-        self.__dict__["intervals"] = list(intervals)
-
-    @classmethod
-    def from_columns(
-        cls,
-        benchmark: str,
-        machine_key: str,
-        machine_name: str,
-        interval_instructions: int,
         llc_associativity: int,
         **columns: Sequence,
-    ) -> "SingleCoreProfile":
+    ) -> None:
         """A profile from its per-interval columns, checked once per column.
 
         ``columns`` are ``instructions``, ``cpi``, ``memory_cpi``,
         ``llc_accesses``, ``llc_misses`` (one entry per interval) and
-        ``sdc`` (one row of A+1 counters per interval).  An interval
-        that :class:`IntervalProfile` would reject raises its error.
+        ``sdc`` (one row of A+1 counters per interval).
         """
-        profile = cls.__new__(cls)
-        profile._set(
-            benchmark, machine_key, machine_name, interval_instructions, llc_associativity, columns
-        )
-        c = profile.columns
-        bad = (
-            (c["instructions"] <= 0)
-            | (c["cpi"] <= 0)
-            | (c["memory_cpi"] < 0)
-            | (c["memory_cpi"] > c["cpi"])
-            | (c["llc_accesses"] < 0)
-            | (c["llc_misses"] < 0)
-            | (c["llc_misses"] > c["llc_accesses"])
-            | (c["sdc"] < 0).any(axis=1)
-        )
-        if bad.any():
-            # The first bad interval's own constructor raises its error.
-            profile._interval(int(bad.argmax()))
-        return profile
-
-    def _set(
-        self,
-        benchmark: str,
-        machine_key: str,
-        machine_name: str,
-        interval_instructions: int,
-        llc_associativity: int,
-        columns: Dict[str, Sequence],
-    ) -> None:
         if interval_instructions <= 0:
             raise ProfileError("interval_instructions must be positive")
+        if columns.keys() != set(_COLUMNS):
+            raise ProfileError(f"profile columns must be {', '.join(_COLUMNS)}")
         self.benchmark = benchmark
         self.machine_key = machine_key
         self.machine_name = machine_name
         self.interval_instructions = interval_instructions
         self.llc_associativity = llc_associativity
-        #: The per-interval columns (read-only arrays), keyed as ``_COLUMNS``.
-        self.columns = {name: _column(columns[name], dtype) for name, dtype in _COLUMNS.items()}
+        #: The per-interval columns (read-only arrays), keyed as ``_COLUMNS``:
+        #: ``instructions`` as int64, the others as float64.
+        self.columns = {"instructions": _instruction_counts(columns["instructions"])}
+        self.columns.update(
+            (name, np.array(columns[name], dtype=np.float64)) for name in _COLUMNS[1:]
+        )
         count = len(self.columns["instructions"])
         if not count:
             raise ProfileError("a profile needs at least one interval")
@@ -365,16 +279,48 @@ class SingleCoreProfile:
             raise ProfileError(
                 "interval SDC associativity does not match the profile's LLC associativity"
             )
+        self._check_intervals()
+        self.columns["instructions"] = self.columns["instructions"].astype(np.int64)
+        for column in self.columns.values():
+            column.flags.writeable = False
 
-    def _interval(self, index: int) -> IntervalProfile:
-        row = {name: column[index] for name, column in self.columns.items()}
-        sdc = StackDistanceCounters(associativity=self.llc_associativity, counts=row.pop("sdc"))
-        return IntervalProfile(index=index, sdc=sdc, **{k: v.item() for k, v in row.items()})
+    def _check_intervals(self) -> None:
+        """Raise the first failed check of the first bad interval.
 
-    @cached_property
-    def intervals(self) -> List[IntervalProfile]:
-        """The profile's intervals as :class:`IntervalProfile` objects."""
-        return [self._interval(index) for index in range(self.num_intervals)]
+        Each check covers whole columns at once.  NaN compares false with
+        anything, so it fails every check it appears in; an infinity fails
+        the upper bounds.
+        """
+        c = self.columns
+        instructions, cpi, memory_cpi = c["instructions"], c["cpi"], c["memory_cpi"]
+        accesses, misses, sdc = c["llc_accesses"], c["llc_misses"], c["sdc"]
+        checks = (
+            (
+                (instructions > 0)
+                & (instructions < np.inf)
+                & (instructions == np.floor(instructions)),
+                "instructions must be a positive integer",
+            ),
+            ((cpi > 0) & (cpi < np.inf), "CPI must be positive and finite, got {cpi}"),
+            (
+                (memory_cpi >= 0) & (memory_cpi <= cpi),
+                "memory CPI {memory_cpi} must be within [0, CPI]",
+            ),
+            (
+                (misses >= 0) & (misses <= accesses) & (accesses < np.inf),
+                "inconsistent LLC access/miss counts",
+            ),
+            (
+                ((sdc >= 0) & (sdc < np.inf)).all(axis=1),
+                "stack-distance counters must be finite and non-negative",
+            ),
+        )
+        failed = ~np.array([passed for passed, _ in checks])
+        if failed.any():
+            index = int(failed.any(axis=0).argmax())
+            message = checks[int(failed[:, index].argmax())][1]
+            detail = message.format(cpi=cpi[index], memory_cpi=memory_cpi[index])
+            raise ProfileError(f"interval {index}: {detail}")
 
     # ------------------------------------------------------------------
     # Whole-trace aggregates (cached: MPPM reads them once per program
@@ -421,13 +367,6 @@ class SingleCoreProfile:
     @property
     def llc_misses_per_kilo_instruction(self) -> float:
         return 1000.0 * self.total_llc_misses / self.num_instructions
-
-    def total_sdc(self) -> StackDistanceCounters:
-        """Sum of all interval SDCs (added one interval after another)."""
-        return StackDistanceCounters(
-            associativity=self.llc_associativity,
-            counts=np.add.accumulate(self.columns["sdc"])[-1],
-        )
 
     # ------------------------------------------------------------------
     # Window aggregation (the operation MPPM performs every iteration)
@@ -500,21 +439,25 @@ class SingleCoreProfile:
     def reduced_associativity(self, ways: int) -> "SingleCoreProfile":
         """Derive the profile for an LLC with fewer ways (same sets).
 
-        The paper points out that profiles collected for a 16-way LLC
-        can be reused for an 8-way LLC without re-simulation.  The SDCs
-        fold exactly; the CPI and memory CPI are adjusted by charging
-        the additional misses the average miss penalty observed in the
-        interval (an approximation the paper shares).
+        The paper (§2) points out that profiles collected for a 16-way
+        LLC can be reused for an 8-way LLC without re-simulation.  The
+        SDCs fold exactly: distances 1..ways keep their counters and
+        everything deeper folds into the new ``C>A``.  The CPI and memory
+        CPI are adjusted by charging the additional misses the average
+        miss penalty observed in the interval (an approximation the
+        paper shares).
         """
+        if not 1 <= ways <= self.llc_associativity:
+            raise ProfileError(f"ways must be in [1, {self.llc_associativity}], got {ways}")
         c = self.columns
-        sdc = [interval.sdc.reduced_associativity(ways).counts for interval in self.intervals]
-        extra_misses = np.array(sdc)[:, ways] - c["sdc"][:, self.llc_associativity]
+        sdc = np.column_stack([c["sdc"][:, :ways], c["sdc"][:, ways:].sum(axis=1)])
+        extra_misses = sdc[:, ways] - c["sdc"][:, self.llc_associativity]
         instructions = c["instructions"].astype(np.float64)
         memory_cycles = c["memory_cpi"] * instructions
         misses = c["llc_misses"]
         penalty = np.divide(memory_cycles, misses, out=np.zeros_like(misses), where=misses > 0)
         extra_cycles = extra_misses * penalty
-        return SingleCoreProfile.from_columns(
+        return SingleCoreProfile(
             self.benchmark,
             f"{self.machine_key}|derived_ways={ways}",
             f"{self.machine_name} (derived {ways}-way LLC)",
@@ -552,7 +495,7 @@ class SingleCoreProfile:
         entries = data["intervals"]
         if [int(entry["index"]) for entry in entries] != list(range(len(entries))):
             raise ProfileError("profile intervals must be consecutively indexed from 0")
-        return cls.from_columns(
+        return cls(
             benchmark=data["benchmark"],
             machine_key=data["machine_key"],
             machine_name=data["machine_name"],

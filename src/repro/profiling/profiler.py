@@ -143,7 +143,7 @@ class Profiler:
 def profile_from_run(run: SingleCoreRunResult, machine: MachineConfig) -> SingleCoreProfile:
     """Convert a raw single-core simulation result into a profile."""
     instructions = run.instructions
-    return SingleCoreProfile.from_columns(
+    return SingleCoreProfile(
         benchmark=run.benchmark,
         machine_key=machine.profile_key(),
         machine_name=machine.name,

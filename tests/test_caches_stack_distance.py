@@ -19,6 +19,7 @@ from repro.caches.stack_distance import (
     StackDistanceProfiler,
 )
 from repro.config.cache_config import CacheConfig
+from repro.profiling.profile import ProfileError, SingleCoreProfile
 
 
 class TestStackDistanceCounters:
@@ -58,17 +59,17 @@ class TestStackDistanceCounters:
         assert counters.misses_for_effective_ways(-1.0) == counters.total_accesses
 
     def test_reduced_associativity_folds_deep_counters(self):
-        counters = StackDistanceCounters(
-            associativity=4, counts=np.array([10.0, 5.0, 3.0, 2.0, 7.0])
-        )
-        reduced = counters.reduced_associativity(2)
-        assert reduced.associativity == 2
-        assert reduced.total_accesses == counters.total_accesses
-        assert reduced.misses == pytest.approx(3.0 + 2.0 + 7.0)
-        with pytest.raises(StackDistanceError):
-            counters.reduced_associativity(0)
-        with pytest.raises(StackDistanceError):
-            counters.reduced_associativity(5)
+        # The paper's §2 fold, done on a profile's per-interval SDC rows.
+        profile = _profile([[10.0, 5.0, 3.0, 2.0, 7.0], [1.0, 0.0, 4.0, 0.5, 2.5]])
+        reduced = profile.reduced_associativity(2)
+        assert reduced.llc_associativity == 2
+        assert reduced.columns["sdc"].tolist() == [[10.0, 5.0, 12.0], [1.0, 0.0, 7.0]]
+        assert reduced.total_llc_accesses == profile.total_llc_accesses
+        assert reduced.columns["llc_misses"].tolist() == [12.0, 7.0]
+        with pytest.raises(ProfileError):
+            profile.reduced_associativity(0)
+        with pytest.raises(ProfileError):
+            profile.reduced_associativity(5)
 
     def test_validation_of_counter_vectors(self):
         with pytest.raises(StackDistanceError):
@@ -127,14 +128,68 @@ class TestStackDistanceProfiler:
 
     @given(
         accesses=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=200),
+        cuts=st.lists(st.integers(min_value=1, max_value=199), max_size=3),
     )
     @settings(max_examples=20, deadline=None)
-    def test_reduced_associativity_matches_directly_profiled_smaller_cache(self, accesses):
-        """Deriving an SDC for fewer ways equals profiling the smaller cache directly."""
+    def test_reduced_associativity_matches_directly_profiled_smaller_cache(self, accesses, cuts):
+        """Deriving a profile for fewer ways equals profiling the smaller cache directly."""
         wide = StackDistanceProfiler(num_sets=2, associativity=8)
         narrow = StackDistanceProfiler(num_sets=2, associativity=4)
-        for line in accesses:
-            wide.access(line)
-            narrow.access(line)
-        derived = wide.counters.reduced_associativity(4)
-        assert np.allclose(derived.counts, narrow.counters.counts)
+        wide_rows, narrow_rows = [], []
+        for interval in np.split(np.array(accesses), sorted(set(cuts))):
+            for line in interval.tolist():
+                wide.access(line)
+                narrow.access(line)
+            wide_rows.append(wide.snapshot_and_reset_counters().counts)
+            narrow_rows.append(narrow.snapshot_and_reset_counters().counts)
+        derived = _profile(wide_rows).reduced_associativity(4)
+        np.testing.assert_array_equal(derived.columns["sdc"], narrow_rows)
+
+    @given(
+        rows=st.integers(min_value=1, max_value=6).flatmap(
+            lambda count: st.lists(
+                st.lists(_fractional, min_size=17, max_size=17), min_size=count, max_size=count
+            )
+        ),
+        ways=st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_associativity_folds_fractional_counts_bit_for_bit(self, rows, ways):
+        """The row-wise fold equals each row's slice sum ``counts[ways:].sum()``
+        (the per-vector fold it replaced), on either side of numpy's
+        eight-way unrolled summation."""
+        derived = _profile(rows).reduced_associativity(ways)
+        want = [row[:ways] + [np.array(row[ways:]).sum()] for row in rows]
+        got = derived.columns["sdc"]
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    def test_a_subnormal_miss_count_overflows_the_miss_penalty(self):
+        # Memory cycles over a subnormal C>A count overflow the interval's
+        # average miss penalty to inf: the derived CPI is not finite, and
+        # the derived profile is rejected rather than built with a NaN.
+        rows = [[0.0, 1.0, 0.0, 0.0, 5e-324], [0.0, 0.0, 0.0, 0.0, 5e-324]]
+        for reduced_rows in (rows, rows[1:]):  # 1 and 0 extra misses
+            with pytest.raises(ProfileError, match="interval 0: CPI must be positive and finite"):
+                _profile(reduced_rows, memory_cpi=0.5).reduced_associativity(1)
+
+
+_fractional = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def _profile(rows, memory_cpi=0.0):
+    """A profile whose intervals have the given SDC rows (and one instruction each).
+
+    With no memory cycles the fold's CPI adjustment is zero, whatever
+    the counts; the SDC fold is what these tests check.
+    """
+    sdc = np.array(rows, dtype=np.float64)
+    return SingleCoreProfile(
+        "sdc", "k", "m", 1, sdc.shape[1] - 1,
+        instructions=[1] * len(sdc),
+        cpi=[1.0] * len(sdc),
+        memory_cpi=[memory_cpi] * len(sdc),
+        # Room for the fold's extra misses, whatever their rounding.
+        llc_accesses=2.0 * sdc.sum(axis=1),
+        llc_misses=sdc[:, -1],
+        sdc=sdc,
+    )

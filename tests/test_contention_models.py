@@ -13,7 +13,7 @@ from repro.contention import (
     StackDistanceCompetitionModel,
     make_contention_model,
 )
-from repro.contention.base import ContentionModel, ContentionModelError, ProgramCacheDemand
+from repro.contention.base import ContentionModelError, ProgramCacheDemand
 
 
 LLC = CacheConfig(name="L3", size_bytes=64 * 64 * 8, associativity=8, latency=16, shared=True)
@@ -380,16 +380,6 @@ class TestEstimateBatchBitIdentity:
                 np.testing.assert_array_equal(_bits(got[m]), _bits(want))
 
 
-class _ScalarOnlyFOA(ContentionModel):
-    """A third-party model that defines only ``estimate``: its batch and
-    one-mix hooks are the base class defaults."""
-
-    name = "scalar-foa"
-
-    def estimate(self, demands, llc):
-        return FOAModel().estimate(demands, llc)
-
-
 def _assert_mix_matches_batch(model, counts, instructions, associativity):
     got = model.estimate_mix(counts, instructions, associativity)
     want = model.estimate_batch(counts[None], instructions[None], associativity)[0]
@@ -400,12 +390,9 @@ def _assert_mix_matches_batch(model, counts, instructions, associativity):
 class TestEstimateMixBitIdentity:
     """``estimate_mix`` on one mix's ``(C, A+1)`` rows equals
     ``estimate_batch`` on that mix alone, bit for bit, for every model:
-    FOA's scalar override and the base default behind SDC, prob and a
-    third-party model."""
+    FOA's scalar override and the base default behind SDC and prob."""
 
-    MODELS = ALL_MODELS + [_ScalarOnlyFOA()]
-
-    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.name)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.name)
     @pytest.mark.parametrize("associativity", [2, 8, 16, 32])
     @settings(max_examples=25, deadline=None)
     @given(seed=_seeds, programs=st.integers(min_value=1, max_value=9), integral=st.booleans())
@@ -416,7 +403,7 @@ class TestEstimateMixBitIdentity:
         instructions = rng.uniform(1.0, 1e5, size=programs)
         _assert_mix_matches_batch(model, counts, instructions, associativity)
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.name)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.name)
     @pytest.mark.parametrize(
         "rows",
         [

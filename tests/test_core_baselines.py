@@ -1,7 +1,13 @@
 """Unit tests for the baseline predictors (no-contention and one-shot)."""
 
+import itertools
+
+import numpy as np
 import pytest
 
+from repro.caches.stack_distance import StackDistanceCounters
+from repro.contention import make_contention_model
+from repro.contention.base import ProgramCacheDemand
 from repro.core import MPPM
 from repro.core.baselines import NoContentionPredictor, OneShotContentionPredictor
 from repro.workloads import WorkloadMix
@@ -59,3 +65,40 @@ class TestOneShotContentionPredictor:
         assert {p.name for p in prediction.programs} == {"gamess", "soplex"}
         with pytest.raises(ValueError):
             predictor.predict([])
+
+    @pytest.mark.parametrize("model", ["foa", "sdc", "prob"])
+    def test_matches_the_scalar_route_bit_for_bit(self, machine4, profiles4, model):
+        # The route one-shot took before it called ``estimate_mix``:
+        # ProgramCacheDemand objects over each profile's whole-trace SDCs
+        # (a left fold down the intervals) and the scalar ``estimate``.
+        contention = make_contention_model(model)
+        predictor = OneShotContentionPredictor(machine4, contention)
+        names = sorted(profiles4)
+        mixes = [list(mix) for mix in itertools.combinations_with_replacement(names, 2)]
+        mixes += [names, names[:1] * 4, [names[0], names[1], names[1], names[0]]]
+        for mix in mixes:
+            profiles = [profiles4[name] for name in mix]
+            demands = [
+                ProgramCacheDemand(
+                    name=f"{profile.benchmark}#{core}",
+                    sdc=StackDistanceCounters(
+                        associativity=profile.llc_associativity,
+                        counts=np.add.accumulate(profile.columns["sdc"])[-1],
+                    ),
+                    instructions=profile.num_instructions,
+                )
+                for core, profile in enumerate(profiles)
+            ]
+            estimates = contention.estimate(demands, machine4.llc)
+            got = predictor.predict(profiles).programs
+            for profile, estimate, program in zip(profiles, estimates, got):
+                if profile.total_llc_misses > 0:
+                    penalty = (
+                        profile.memory_cpi * profile.num_instructions / profile.total_llc_misses
+                    )
+                else:
+                    penalty = float(machine4.memory.latency)
+                extra_cycles = estimate.extra_conflict_misses * penalty
+                want = profile.cpi * (1.0 + extra_cycles / profile.total_cycles)
+                assert type(program.predicted_cpi) is float
+                assert program.predicted_cpi.hex() == want.hex()

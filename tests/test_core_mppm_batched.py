@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caches.stack_distance import StackDistanceCounters
 from repro.config import LLC_CONFIGS, baseline_machine, scaled
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPM_KERNELS, MPPMConfig, batched
 from repro.core.mppm import MPPMError
 from repro.core.result import MixPrediction
 from repro.profiling import ProfileStore
-from repro.profiling.profile import IntervalProfile, SingleCoreProfile
+from repro.profiling.profile import SingleCoreProfile
 
 from testdefaults import TEST_INSTRUCTIONS, TEST_INTERVAL, TEST_SCALE
 
@@ -141,25 +140,18 @@ class TestEquivalenceMatrix:
         def profile(name, memory_cpis, deep):
             counts = np.full(ways + 1, 10.0)
             counts[-1] = deep
-            intervals = [
-                IntervalProfile(
-                    index=k,
-                    instructions=1_000 + 250 * k,
-                    cpi=1.5,
-                    memory_cpi=memory_cpis[k % len(memory_cpis)],
-                    llc_accesses=float(counts.sum()),
-                    llc_misses=deep,
-                    sdc=StackDistanceCounters(associativity=ways, counts=counts),
-                )
-                for k in range(6)
-            ]
             return SingleCoreProfile(
                 benchmark=name,
                 machine_key=machine4.profile_key(),
                 machine_name=machine4.name,
                 interval_instructions=1_000,
-                intervals=intervals,
                 llc_associativity=ways,
+                instructions=[1_000 + 250 * k for k in range(6)],
+                cpi=[1.5] * 6,
+                memory_cpi=[memory_cpis[k % len(memory_cpis)] for k in range(6)],
+                llc_accesses=[float(counts.sum())] * 6,
+                llc_misses=[deep] * 6,
+                sdc=[counts] * 6,
             )
 
         stalled = profile("stalled", [0.0, 0.0, 0.4], 30.0)

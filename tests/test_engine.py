@@ -38,6 +38,7 @@ from repro.experiments import SIMULATE, ExperimentConfig, ExperimentSetup
 from repro.experiments.results import evaluation_ops, evaluations
 from repro.io import atomic_write_json, read_json_tolerant
 from repro.predictors import canonical_spec
+from repro.profiling.profile import SingleCoreProfile
 from repro.simulators.multi_core import MultiCoreSimulator
 from repro.workloads import WorkloadMix, sample_mixes, small_suite
 
@@ -231,6 +232,29 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         (tmp_path / f"{'k'}.json").write_text("{not json", encoding="utf-8")
         assert cache.get("k") is MISS
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_stored_profile_with_a_non_finite_value_is_a_miss(self, tmp_path, value):
+        # JSON writes and reads NaN and Infinity; the profile constructor
+        # rejects them, so a cache entry carrying one is recomputed.
+        profile = SingleCoreProfile(
+            "unit", "k", "m", 1_000, 2,
+            instructions=[1_000, 1_000],
+            cpi=[1.0, 1.5],
+            memory_cpi=[0.5, 0.5],
+            llc_accesses=[3.0, 3.0],
+            llc_misses=[1.0, 1.0],
+            sdc=[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+        )
+        ResultCache(tmp_path).put("profile", profile)
+        assert ResultCache(tmp_path).get("profile").to_dict() == profile.to_dict()
+        path = tmp_path / "profile.json"
+        entry = json.loads(path.read_text())
+        entry["payload"]["intervals"][1]["cpi"] = value
+        path.write_text(json.dumps(entry))
+        reader = ResultCache(tmp_path)
+        assert reader.get("profile") is MISS
+        assert reader.misses == 1 and reader.loaded == 0
 
     def test_warm_cache_performs_zero_recomputation(self, tmp_path, mixes, monkeypatch):
         cache_dir = tmp_path / "campaign"

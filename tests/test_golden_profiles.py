@@ -39,7 +39,7 @@ _PROFILE_SCALARS = (
     "interval_instructions",
     "llc_associativity",
 )
-_INTERVAL_COLUMNS = ("index", "instructions", "cpi", "memory_cpi", "llc_accesses", "llc_misses")
+_INTERVAL_COLUMNS = ("instructions", "cpi", "memory_cpi", "llc_accesses", "llc_misses", "sdc")
 _TRACE_ARRAYS = ("line", "insn", "upstream_cycle_gap")
 _TRACE_SCALARS = ("num_instructions", "tail_cycles", "isolated_cycles")
 
@@ -59,12 +59,10 @@ def _field_digests(profiled) -> Dict[str, str]:
         f"profile.{name}": _sha(repr(getattr(profile, name)).encode())
         for name in _PROFILE_SCALARS
     }
+    # The key names (and the index column) predate the columnar profile.
+    out["profile.intervals.index"] = _array_sha(np.arange(profile.num_intervals))
     for column in _INTERVAL_COLUMNS:
-        values = np.array([getattr(interval, column) for interval in profile.intervals])
-        out[f"profile.intervals.{column}"] = _array_sha(values)
-    out["profile.intervals.sdc"] = _array_sha(
-        np.stack([interval.sdc.counts for interval in profile.intervals])
-    )
+        out[f"profile.intervals.{column}"] = _array_sha(profile.columns[column])
     for name in _TRACE_ARRAYS:
         out[f"trace.{name}"] = _array_sha(getattr(trace, name))
     for name in _TRACE_SCALARS:

@@ -52,15 +52,10 @@ def assert_profiles_equal(a, b):
     assert a.machine_name == b.machine_name
     assert a.interval_instructions == b.interval_instructions
     assert a.llc_associativity == b.llc_associativity
-    assert len(a.intervals) == len(b.intervals)
-    for x, y in zip(a.intervals, b.intervals):
-        assert (x.index, x.instructions) == (y.index, y.instructions)
-        assert x.cpi == y.cpi
-        assert x.memory_cpi == y.memory_cpi
-        assert x.llc_accesses == y.llc_accesses
-        assert x.llc_misses == y.llc_misses
-        assert x.sdc.associativity == y.sdc.associativity
-        assert np.array_equal(x.sdc.counts, y.sdc.counts)
+    assert a.columns.keys() == b.columns.keys()
+    for name, column in a.columns.items():
+        assert column.dtype == b.columns[name].dtype
+        assert np.array_equal(column, b.columns[name])
 
 
 def assert_traces_equal(a, b):

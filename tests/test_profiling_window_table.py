@@ -16,15 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caches.stack_distance import StackDistanceCounters
 from repro.config import MachineConfig, machine_with_llc, scaled
 from repro.engine.cache import content_key
-from repro.profiling.profile import (
-    IntervalProfile,
-    ProfileError,
-    ProfileWindowTable,
-    SingleCoreProfile,
-)
+from repro.profiling.profile import ProfileError, ProfileWindowTable, SingleCoreProfile
 
 
 class _PerProfileTable:
@@ -33,16 +27,16 @@ class _PerProfileTable:
     COL_INSTRUCTIONS = 0
 
     def __init__(self, profile):
-        intervals = profile.intervals
-        sdc = np.stack([interval.sdc.counts for interval in intervals]).astype(np.float64)
+        c = profile.columns
+        instructions = c["instructions"].astype(np.float64)
         self.values = np.column_stack(
             [
-                np.array([interval.instructions for interval in intervals], dtype=np.float64),
-                np.array([interval.cycles for interval in intervals], dtype=np.float64),
-                np.array([interval.memory_cycles for interval in intervals], dtype=np.float64),
-                np.array([interval.llc_accesses for interval in intervals], dtype=np.float64),
-                np.array([interval.llc_misses for interval in intervals], dtype=np.float64),
-                sdc,
+                instructions,
+                c["cpi"] * instructions,
+                c["memory_cpi"] * instructions,
+                c["llc_accesses"],
+                c["llc_misses"],
+                c["sdc"],
             ]
         )
         self.prefix = np.vstack(
@@ -78,36 +72,31 @@ ASSOCIATIVITY = 4
 _counter = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
 
 
+def _profile(rows, interval_instructions=1_000):
+    """A profile from ``(instructions, cpi, memory_cpi, accesses, misses, sdc)``
+    rows, one per interval."""
+    names = ("instructions", "cpi", "memory_cpi", "llc_accesses", "llc_misses", "sdc")
+    columns = {name: list(column) for name, column in zip(names, zip(*rows))}
+    return SingleCoreProfile(
+        "p", "key", "machine", interval_instructions, ASSOCIATIVITY, **columns
+    )
+
+
 @st.composite
-def intervals(draw, index):
+def intervals(draw):
     instructions = draw(st.integers(min_value=1, max_value=5_000))
     cpi = draw(st.floats(min_value=0.05, max_value=20.0))
     memory_cpi = draw(st.floats(min_value=0.0, max_value=1.0)) * cpi
     accesses = draw(_counter)
     misses = draw(st.floats(min_value=0.0, max_value=1.0)) * accesses
     counts = draw(st.lists(_counter, min_size=ASSOCIATIVITY + 1, max_size=ASSOCIATIVITY + 1))
-    return IntervalProfile(
-        index=index,
-        instructions=instructions,
-        cpi=cpi,
-        memory_cpi=memory_cpi,
-        llc_accesses=accesses,
-        llc_misses=misses,
-        sdc=StackDistanceCounters(associativity=ASSOCIATIVITY, counts=np.array(counts)),
-    )
+    return (instructions, cpi, memory_cpi, accesses, misses, counts)
 
 
 @st.composite
 def profiles(draw):
     count = draw(st.integers(min_value=1, max_value=7))
-    return SingleCoreProfile(
-        benchmark="p",
-        machine_key="key",
-        machine_name="machine",
-        interval_instructions=1_000,
-        intervals=[draw(intervals(index)) for index in range(count)],
-        llc_associativity=ASSOCIATIVITY,
-    )
+    return _profile([draw(intervals()) for _ in range(count)])
 
 
 @st.composite
@@ -117,18 +106,9 @@ def uniform_stacks(draw):
     length = draw(st.integers(min_value=1, max_value=5_000))
     stack = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        drawn = [draw(intervals(index)) for index in range(draw(st.integers(1, 7)))]
-        drawn[:-1] = [dataclasses.replace(interval, instructions=length) for interval in drawn[:-1]]
-        stack.append(
-            SingleCoreProfile(
-                benchmark="p",
-                machine_key="key",
-                machine_name="machine",
-                interval_instructions=length,
-                intervals=drawn,
-                llc_associativity=ASSOCIATIVITY,
-            )
-        )
+        drawn = [draw(intervals()) for _ in range(draw(st.integers(1, 7)))]
+        drawn[:-1] = [(length,) + interval[1:] for interval in drawn[:-1]]
+        stack.append(_profile(drawn, interval_instructions=length))
     return stack
 
 
@@ -136,7 +116,7 @@ def uniform_stacks(draw):
 def positions(draw, profile):
     """A start or length: on a boundary, at L, beyond L, or anywhere."""
     length = float(profile.num_instructions)
-    boundaries = np.cumsum([interval.instructions for interval in profile.intervals])
+    boundaries = np.cumsum(profile.columns["instructions"])
     laps = draw(st.integers(min_value=0, max_value=4))
     kind = draw(st.sampled_from(["boundary", "trace-end", "anywhere"]))
     if kind == "boundary":
@@ -231,7 +211,7 @@ def _edge_positions(profile):
     """0, L, beyond L, NaN, and on, one ulp below and one ulp above every boundary."""
     length = float(profile.num_instructions)
     edges = [0.0, length, length + 0.5, 3.0 * length, 1e300, np.nan]
-    for boundary in np.cumsum([interval.instructions for interval in profile.intervals]):
+    for boundary in np.cumsum(profile.columns["instructions"]):
         boundary = float(boundary)
         edges += [boundary, np.nextafter(boundary, -np.inf), np.nextafter(boundary, np.inf)]
     return edges
@@ -261,11 +241,7 @@ class TestSearchedIntervalLookup:
     def test_any_other_inner_length_searches(self):
         def profile(*lengths):
             counts = np.ones(ASSOCIATIVITY + 1)
-            intervals = [
-                IntervalProfile(index, n, 1.0, 0.5, 2.0, 1.0, StackDistanceCounters(ASSOCIATIVITY, counts))
-                for index, n in enumerate(lengths)
-            ]
-            return SingleCoreProfile("p", "key", "machine", 1_000, intervals, ASSOCIATIVITY)
+            return _profile([(n, 1.0, 0.5, 2.0, 1.0, counts) for n in lengths])
 
         # Last intervals may be any length; inner ones must all match.
         assert ProfileWindowTable([profile(1_000, 1_000, 7), profile(1_000, 3)]).interval == 1_000
@@ -307,22 +283,19 @@ class TestSearchedIntervalLookup:
     def test_non_integral_interval_lengths_are_rejected(self):
         # The lookup keys are interval end positions as integers.
         with pytest.raises(ProfileError, match="positive integer"):
-            IntervalProfile(
-                index=0, instructions=10.5, cpi=1.0, memory_cpi=0.5, llc_accesses=1.0,
-                llc_misses=0.0, sdc=StackDistanceCounters(
-                    associativity=ASSOCIATIVITY, counts=np.zeros(ASSOCIATIVITY + 1)
-                ),
-            )
+            _profile([(10.5, 1.0, 0.5, 1.0, 0.0, np.zeros(ASSOCIATIVITY + 1))])
 
 
 def _fresh_sums(profile):
-    instructions = sum(interval.instructions for interval in profile.intervals)
+    c = profile.columns
+    counts = c["instructions"].tolist()
+    instructions = sum(counts)
     return {
         "num_instructions": instructions,
-        "cpi": sum(interval.cycles for interval in profile.intervals) / instructions,
-        "memory_cpi": sum(interval.memory_cycles for interval in profile.intervals)
+        "cpi": sum(cpi * n for cpi, n in zip(c["cpi"].tolist(), counts)) / instructions,
+        "memory_cpi": sum(cpi * n for cpi, n in zip(c["memory_cpi"].tolist(), counts))
         / instructions,
-        "total_llc_misses": sum(interval.llc_misses for interval in profile.intervals),
+        "total_llc_misses": sum(c["llc_misses"].tolist()),
     }
 
 

@@ -9,7 +9,9 @@ functions by name).  Tests do not count, and neither do ``__all__``
 lists or imports, so a definition that only its own tests call fails.
 
 The match is by bare name, so it is coarse: a method is reached as soon
-as any attribute of that name is read anywhere.  Dunder methods are
+as any attribute of that name is read anywhere, except from inside a
+function of that same name (a method delegating to its namesake on
+another class, or calling itself, reaches neither).  Dunder methods are
 exempt; so are the few names below.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import FrozenSet, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -26,6 +28,9 @@ REACHING = ("src", "benchmarks", "perfbench", "scripts", "examples")
 #: Public API with no caller in the repository.
 PUBLIC_API = {
     "quickstart_predict",  # the package's one-call entry point (``repro.__all__``)
+    # The paper's §2 profile reuse: a 16-way profile serves an 8-way LLC
+    # of the same sets without re-simulation.
+    "repro/profiling/profile.py:SingleCoreProfile:reduced_associativity",
 }
 
 #: Per-access reference witnesses that only tests and guards call; they
@@ -51,7 +56,10 @@ def definitions(path: Path, root: Path = SRC) -> Iterator[Tuple[str, str, int]]:
 
 
 def references(tree: ast.Module) -> Set[str]:
-    """Names, attribute names and identifier-like strings a module uses."""
+    """Names, attribute names and identifier-like strings a module uses.
+
+    A reference in the body of a function of the same name is left out.
+    """
     exports = {
         id(element)
         for node in ast.walk(tree)
@@ -60,18 +68,29 @@ def references(tree: ast.Module) -> Set[str]:
         for element in ast.walk(node.value)
     }
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    # (node, names of the functions whose bodies enclose it)
+    stack: List[Tuple[ast.AST, FrozenSet[str]]] = [(tree, frozenset())]
+    while stack:
+        node, enclosing = stack.pop()
+        name = None
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            name = node.attr
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
             and id(node) not in exports
         ):
-            names.add(node.value)
+            name = node.value
+        if name is not None and name not in enclosing:
+            names.add(name)
+        body: Set[int] = set()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = {id(statement) for statement in node.body}
+        for child in ast.iter_child_nodes(node):
+            stack.append((child, enclosing | {node.name} if id(child) in body else enclosing))
     return names
 
 
@@ -86,7 +105,8 @@ def unreached(root: Path = ROOT, exempt: Set[str] = frozenset()) -> List[str]:
         for name, location, line in definitions(path, root / "src"):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in reached or {name, location, location.partition(":")[0]} & exempt:
+            keys = {name, f"{location}:{name}", location, location.partition(":")[0]}
+            if name in reached or keys & exempt:
                 continue
             out.append(f"{location}:{line}: {name}")
     return out
@@ -105,7 +125,7 @@ def test_the_check_sees_an_unreached_definition_and_its_exemptions(tmp_path):
         "from pkg.core import used, exported\n__all__ = ['exported']\n"
     )
     (package / "core.py").write_text(
-        "def used():\n    return Box().size\n"
+        "def used():\n    return Box().size, Wide\n"
         "def exported():\n    return 1\n"
         "def wrapped_by_name():\n    return 2\n"
         "def kept():\n    return 3\n"
@@ -113,13 +133,24 @@ def test_the_check_sees_an_unreached_definition_and_its_exemptions(tmp_path):
         "    def __init__(self):\n        self.items = []\n"
         "    @property\n    def size(self):\n        return 0\n"
         "    def only_tested(self):\n        return 4\n"
+        "class Wide:\n"
+        "    def fold(self):\n        return Narrow().fold()\n"
+        "class Narrow:\n"
+        "    def fold(self):\n        return 5\n"
+        "    def spare(self):\n        return 6\n"
+        "def countdown(n):\n    return countdown(n - 1) if n else 0\n"
         "used()\n"
     )
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "wrap.py").write_text("getattr(object, 'wrapped_by_name')\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_core.py").write_text("from pkg.core import Box\nBox().only_tested()\n")
-    assert unreached(tmp_path, exempt={"kept"}) == [
+    # Each ``fold`` is named only inside a ``fold`` (a delegation), and
+    # ``countdown`` only inside itself: none of them is reached.
+    assert unreached(tmp_path, exempt={"kept", "pkg/core.py:Narrow:spare"}) == [
         "pkg/core.py:3: exported",
         "pkg/core.py:Box:15: only_tested",
+        "pkg/core.py:Wide:18: fold",
+        "pkg/core.py:Narrow:21: fold",
+        "pkg/core.py:25: countdown",
     ]
